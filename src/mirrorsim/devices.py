@@ -9,7 +9,7 @@ says otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .constants import (
     BOLTZMANN,
@@ -278,6 +278,17 @@ def _nmos_linearized(
     return i, gm, gds
 
 
+def _nmos_symmetric(
+    vgs: float, vds: float, vth: float, kp: float, params: MosfetParams
+) -> tuple[float, float, float]:
+    """NMOS square law for either sign of ``vds``: below zero, the symmetric
+    device with source and drain exchanged."""
+    if vds >= 0.0:
+        return _nmos_linearized(vgs, vds, vth, kp, params)
+    i, gm_f, gds_f = _nmos_linearized(vgs - vds, -vds, vth, kp, params)
+    return -i, -gm_f, gm_f + gds_f
+
+
 def mosfet_linearized(
     vgs: float, vds: float, params: MosfetParams, temp: float = T_REF
 ) -> tuple[float, float, float]:
@@ -288,19 +299,14 @@ def mosfet_linearized(
     an NMOS driven with ``vds < 0`` is treated as the symmetric device with
     source and drain exchanged.
     """
+    vth = mosfet_vth(params, temp)
+    kp = mosfet_kprime(params, temp)
     if params.polarity == "pmos":
         # reflect: a PMOS at (vgs, vds) behaves as an NMOS at (-vgs, -vds)
         # with the mirrored threshold; id changes sign, the partials do not.
-        nparams = replace(params, polarity="nmos", vth0=-params.vth0, vth_tc=-params.vth_tc)
-        i, gm, gds = mosfet_linearized(-vgs, -vds, nparams, temp)
+        i, gm, gds = _nmos_symmetric(-vgs, -vds, -vth, kp, params)
         return -i, gm, gds
-    vth = mosfet_vth(params, temp)
-    kp = mosfet_kprime(params, temp)
-    if vds >= 0.0:
-        return _nmos_linearized(vgs, vds, vth, kp, params)
-    # symmetric conduction with terminals exchanged
-    i, gm_f, gds_f = _nmos_linearized(vgs - vds, -vds, vth, kp, params)
-    return -i, -gm_f, gm_f + gds_f
+    return _nmos_symmetric(vgs, vds, vth, kp, params)
 
 
 def mosfet_current(vgs: float, vds: float, params: MosfetParams, temp: float = T_REF) -> float:
@@ -321,12 +327,11 @@ def subthreshold_leakage(
     ``I0 = (W/L) * k' * VT^2 * e^1.8``; the drain term saturates to 1 within
     a few VT of drain bias.  PMOS points are reflected onto the NMOS form.
     """
-    if params.polarity == "pmos":
-        nparams = replace(params, polarity="nmos", vth0=-params.vth0, vth_tc=-params.vth_tc)
-        return subthreshold_leakage(-vgs, -vds, nparams, temp)
     vt = thermal_voltage(temp)
     vth = mosfet_vth(params, temp)
     kp = mosfet_kprime(params, temp)
+    if params.polarity == "pmos":
+        vgs, vds, vth = -vgs, -vds, -vth
     i0 = (params.width / params.length) * kp * vt * vt * math.exp(1.8)
     return i0 * math.exp((vgs - vth) / (params.n_sub * vt)) * (1.0 - math.exp(-vds / vt))
 

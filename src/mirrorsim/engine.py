@@ -1,10 +1,16 @@
 """Numerical core: MNA assembly, Newton-Raphson DC solve, and fixed-step
-backward-Euler transient simulation with coupled memristor state updates.
+backward-Euler transient simulation with the memristor states solved inside
+Newton.
 
 Unknown vector layout: index 0 is the ground node (pinned to 0 V by a trivial
-row), indices 1..N-1 are node voltages, and the remaining entries are voltage
+row), indices 1..N-1 are node voltages, and the next entries are voltage
 source branch currents (positive into the source's + terminal, the usual
-SPICE sign convention, so a supply delivering power reads negative).
+SPICE sign convention, so a supply delivering power reads negative).  A
+transient step appends one more unknown per memristor, its normalized state
+s = w/L, with the backward-Euler update as its row (the way Ho, Ruehli &
+Brennan's modified nodal analysis admits any extra unknown), so each step is
+a single Newton solve of the coupled system.  A DC solve has no state rows:
+the memristances stay frozen.
 
 The dense linear solves go through :func:`numpy.linalg.solve` (LAPACK LU with
 partial pivoting); circuits here have fewer than ten nodes, so no sparse
@@ -21,9 +27,8 @@ import numpy as np
 
 from .constants import T_REF
 from .devices import (
-    MemristorState,
-    memristance,
-    memristor_dwdt,
+    DeviceError,
+    joglekar_window,
     mosfet_current,
     mosfet_linearized,
     resistor_value,
@@ -54,11 +59,13 @@ __all__ = [
 # default number of fixed steps when SimOptions.dt is not given
 _DEFAULT_STEPS = 10_000
 
-# outer fixed-point iterations coupling the nodal solve to the state update
-_MAX_STATE_ITERS = 60
-
 # Newton voltage-step limit on nodes touching a MOSFET terminal
 _DAMP_LIMIT = 0.5
+
+# Newton step limit on a normalized memristor state s = w/L, the state
+# counterpart of _DAMP_LIMIT: one linearization of the window is trusted to
+# move a state by at most a quarter of the device
+_STATE_LIMIT = 0.25
 
 
 class SimulationError(Exception):
@@ -70,7 +77,7 @@ class SingularMatrixError(SimulationError):
 
 
 class NonConvergenceError(SimulationError):
-    """Newton or state-coupling iteration failed to converge.
+    """Newton failed to converge, or produced a non-finite iterate.
 
     ``trace`` holds one (iteration, max |dV|, KCL residual) triple per Newton
     iteration (residual is NaN on iterations where it was not evaluated);
@@ -168,11 +175,23 @@ class TransientResult:
 # system assembly
 # --------------------------------------------------------------------------- #
 
-class _Plan:
-    """Per-circuit scratch state: index maps and preallocated arrays."""
+def _memristance(s: float, params) -> float:
+    """M at the normalized state s = w/L, with the arithmetic of
+    :func:`devices.memristance` (which takes w in metres, boxed)."""
+    return s * params.r_on + (1.0 - s) * params.r_off
 
-    def __init__(self, circuit: Circuit):
+
+class _Plan:
+    """One circuit at one temperature: index maps and resistor conductances.
+
+    Memristor states travel as a list ``s`` of normalized positions
+    ``w / L`` in the order of ``memristors``; the unknown vector ``x`` is a
+    list of floats in the layout the module docstring gives.
+    """
+
+    def __init__(self, circuit: Circuit, temp: float):
         self.circuit = circuit
+        self.temp = temp
         self.n_nodes = len(circuit.node_names)
         self.sources = [d for d in circuit.devices if isinstance(d, BoundSource)]
         self.resistors = [d for d in circuit.devices if isinstance(d, BoundResistor)]
@@ -181,16 +200,18 @@ class _Plan:
         self.branch_index = {
             s.name: self.n_nodes + k for k, s in enumerate(self.sources)
         }
+        self.state_index = {m.name: k for k, m in enumerate(self.memristors)}
         self.dim = self.n_nodes + len(self.sources)
         damped = {n for m in self.mosfets for n in (m.n_d, m.n_g, m.n_s)}
         self.damped_nodes = sorted(n for n in damped if n != 0)
-        self.matrix = np.zeros((self.dim, self.dim))
-        self.rhs = np.zeros(self.dim)
         if not any(0 in self._terminals(d) for d in circuit.devices):
             raise SingularMatrixError(
                 "no device terminal touches ground; the nodal system is "
                 "floating (gmin would mask the singularity)"
             )
+        self.conductance = {
+            r.name: 1.0 / resistor_value(r.params, temp) for r in self.resistors
+        }
 
     @staticmethod
     def _terminals(device) -> tuple[int, ...]:
@@ -201,36 +222,44 @@ class _Plan:
     def initial_states(self) -> dict[str, float]:
         return {m.name: m.w0 for m in self.memristors}
 
-    def _conductances(self, states: dict[str, float], temp: float):
-        """(node+, node-, conductance) triples for resistors and memristors."""
+    def normalized(self, states: dict[str, float]) -> list[float]:
+        """The plan's ``s`` list for states given in metres by device name."""
         out = []
-        for r in self.resistors:
-            out.append((r.n_pos, r.n_neg, 1.0 / resistor_value(r.params, temp)))
         for m in self.memristors:
-            res = memristance(MemristorState(states[m.name]), m.params)
-            out.append((m.n_pos, m.n_neg, 1.0 / res))
+            s = states[m.name] / m.params.length
+            if not 0.0 <= s <= 1.0:
+                raise DeviceError(
+                    f"state w={states[m.name]} outside [0, L={m.params.length}]"
+                )
+            out.append(s)
         return out
 
-    def assemble(self, guess, states, temp, gmin, source_scale, source_time):
-        g_mat, rhs = self.matrix, self.rhs
-        g_mat[:] = 0.0
-        rhs[:] = 0.0
-        g_mat[0, 0] = 1.0  # ground row pins v0 = 0 exactly
+    def assemble(self, guess, states, gmin, source_scale, source_time, step=None):
+        """Linearized system at ``guess``: the nodal rows with memristances
+        at ``states``, plus the state rows of a backward-Euler step when
+        ``step`` is ``(dt, s_prev)``."""
+        size = self.dim if step is None else self.dim + len(self.memristors)
+        g_mat = [[0.0] * size for _ in range(size)]
+        rhs = [0.0] * size
+        g_mat[0][0] = 1.0  # ground row pins v0 = 0 exactly
         for n in range(1, self.n_nodes):
-            g_mat[n, n] += gmin
+            g_mat[n][n] += gmin
 
         def stamp_g(a: int, b: int, g: float) -> None:
             if a:
-                g_mat[a, a] += g
+                g_mat[a][a] += g
             if b:
-                g_mat[b, b] += g
+                g_mat[b][b] += g
             if a and b:
-                g_mat[a, b] -= g
-                g_mat[b, a] -= g
+                g_mat[a][b] -= g
+                g_mat[b][a] -= g
 
-        for a, b, g in self._conductances(states, temp):
-            stamp_g(a, b, g)
+        for r in self.resistors:
+            stamp_g(r.n_pos, r.n_neg, self.conductance[r.name])
+        for m, sk in zip(self.memristors, states):
+            stamp_g(m.n_pos, m.n_neg, 1.0 / _memristance(sk, m.params))
 
+        temp = self.temp
         for f in self.mosfets:
             vgs = guess[f.n_g] - guess[f.n_s]
             vds = guess[f.n_d] - guess[f.n_s]
@@ -238,18 +267,18 @@ class _Plan:
             ieq = i0 - gm * vgs - gds * vds
             d, g, s = f.n_d, f.n_g, f.n_s
             if d:
-                g_mat[d, d] += gds
+                g_mat[d][d] += gds
                 if g:
-                    g_mat[d, g] += gm
+                    g_mat[d][g] += gm
                 if s:
-                    g_mat[d, s] -= gm + gds
+                    g_mat[d][s] -= gm + gds
                 rhs[d] -= ieq
             if s:
-                g_mat[s, s] += gm + gds
+                g_mat[s][s] += gm + gds
                 if g:
-                    g_mat[s, g] -= gm
+                    g_mat[s][g] -= gm
                 if d:
-                    g_mat[s, d] -= gds
+                    g_mat[s][d] -= gds
                 rhs[s] += ieq
             stamp_g(d, s, gmin)  # keeps a cutoff channel weakly anchored
 
@@ -257,35 +286,84 @@ class _Plan:
             br = self.branch_index[src.name]
             p, n = src.n_pos, src.n_neg
             if p:
-                g_mat[p, br] += 1.0
-                g_mat[br, p] += 1.0
+                g_mat[p][br] += 1.0
+                g_mat[br][p] += 1.0
             if n:
-                g_mat[n, br] -= 1.0
-                g_mat[br, n] -= 1.0
+                g_mat[n][br] -= 1.0
+                g_mat[br][n] -= 1.0
             rhs[br] = source_scale * source_value(src.spec, source_time)
-        return g_mat, rhs
 
-    def device_current(self, device, x, states, temp) -> float:
-        """Branch current of one device at solution ``x`` (see OperatingPoint)."""
+        if step is not None:
+            self._stamp_states(g_mat, rhs, guess, states, step)
+        return np.array(g_mat), np.array(rhs)
+
+    def _stamp_states(self, g_mat, rhs, guess, states, step) -> None:
+        """Backward-Euler rows ``s - s_prev - dt*(dw/dt)/L = 0`` linearized
+        at (guess, s), and the state columns of the memristors' node rows.
+
+        With M = s*Ron + (1-s)*Roff, i = v/M and dw/dt/L = c*i*f(s), the
+        partials are di/ds = -v*(Ron - Roff)/M^2 and f'(s) of the Joglekar
+        window.  A state at a bound whose residual points outward (the
+        update would leave [0, 1]) is held there by the row ``s = bound``.
+        """
+        dt, s_prev = step
+        for k, m in enumerate(self.memristors):
+            p = m.params
+            col = self.dim + k
+            a, b = m.n_pos, m.n_neg
+            sk = states[k]
+            v = guess[a] - guess[b]
+            g = 1.0 / _memristance(sk, p)
+            i = v * g
+            f = joglekar_window(sk, p.window_p)
+            kc = dt * p.polarity * p.mobility * p.r_on / (p.length * p.length)
+            resid = sk - s_prev[k] - kc * i * f
+            if (sk == 1.0 and resid <= 0.0) or (sk == 0.0 and resid >= 0.0):
+                g_mat[col][col] = 1.0
+                rhs[col] = sk
+                continue
+            di_ds = -i * (p.r_on - p.r_off) * g
+            if a:
+                g_mat[a][col] += di_ds
+                rhs[a] += di_ds * sk
+            if b:
+                g_mat[b][col] -= di_ds
+                rhs[b] -= di_ds * sk
+            q = p.window_p
+            f_slope = -4.0 * q * (2.0 * sk - 1.0) ** (2 * q - 1) if q else 0.0
+            d_ds = 1.0 - kc * (di_ds * f + i * f_slope)
+            d_dv = -kc * f * g
+            g_mat[col][col] = d_ds
+            if a:
+                g_mat[col][a] += d_dv
+            if b:
+                g_mat[col][b] -= d_dv
+            rhs[col] = d_ds * sk + d_dv * v - resid
+
+    def device_current(self, device, x, s) -> float:
+        """Branch current of one device at solution ``x`` and states ``s``
+        (see OperatingPoint)."""
         if isinstance(device, BoundResistor):
-            g = 1.0 / resistor_value(device.params, temp)
+            g = self.conductance[device.name]
             return g * (x[device.n_pos] - x[device.n_neg])
         if isinstance(device, BoundMemristor):
-            res = memristance(MemristorState(states[device.name]), device.params)
+            res = _memristance(s[self.state_index[device.name]], device.params)
             return (x[device.n_pos] - x[device.n_neg]) / res
         if isinstance(device, BoundMosfet):
             vgs = x[device.n_g] - x[device.n_s]
             vds = x[device.n_d] - x[device.n_s]
-            return mosfet_current(vgs, vds, device.params, temp)
+            return mosfet_current(vgs, vds, device.params, self.temp)
         if isinstance(device, BoundSource):
             return x[self.branch_index[device.name]]
         raise TypeError(f"unknown device {device!r}")
 
-    def kcl_residual(self, x, states, temp) -> float:
+    def kcl_residual(self, x, s) -> float:
         """Largest net device current into any non-ground node (A)."""
-        sums = np.zeros(self.n_nodes)
+        if self.n_nodes == 1:
+            return 0.0
+        sums = [0.0] * self.n_nodes
         for dev in self.circuit.devices:
-            i = self.device_current(dev, x, states, temp)
+            i = self.device_current(dev, x, s)
             if isinstance(dev, BoundMosfet):
                 if dev.n_d:
                     sums[dev.n_d] -= i
@@ -296,46 +374,65 @@ class _Plan:
                     sums[dev.n_pos] -= i
                 if dev.n_neg:
                     sums[dev.n_neg] += i
-        if self.n_nodes == 1:
-            return 0.0
-        return float(np.max(np.abs(sums[1:])))
+        return float(max(map(abs, sums[1:])))
 
     # ---------------------------------------------------------------- Newton
 
-    def newton(self, x0, states, temp, opts, source_scale=1.0, source_time=None,
-               time_label: float | None = None):
+    def newton(self, x0, s0, opts, source_scale=1.0, source_time=None,
+               step=None, time_label: float | None = None):
         """Newton-Raphson to the dual tolerance: per-node voltage deltas below
-        vntol + reltol*|V| and device-KCL residual below abstol."""
-        x = np.array(x0, dtype=float)
+        vntol + reltol*|V| and device-KCL residual below abstol.
+
+        A DC solve (``step=None``) keeps the states ``s0`` frozen.  A
+        backward-Euler step (``step=(dt, s_prev)``) solves the states too,
+        from the guess ``s0``: each iteration moves a state by at most
+        ``_STATE_LIMIT`` and clamps it to [0, 1], and convergence also needs
+        every state delta below reltol.  Returns (x, s, iterations, trace).
+        """
+        x = [float(v) for v in x0]
+        s = list(s0)
         trace: list[tuple[int, float, float]] = []
-        n = self.n_nodes
+        n, dim = self.n_nodes, self.dim
+        vntol, reltol = opts.vntol, opts.reltol
+        suffix = "" if time_label is None else f" at t={time_label:.9g} s"
         for it in range(1, opts.max_newton_iters + 1):
             g_mat, rhs = self.assemble(
-                x, states, temp, opts.gmin, source_scale, source_time
+                x, s, opts.gmin, source_scale, source_time, step
             )
             try:
-                x_new = np.linalg.solve(g_mat, rhs)
+                solved = np.linalg.solve(g_mat, rhs).tolist()
             except np.linalg.LinAlgError as exc:
                 raise SingularMatrixError(
                     f"singular nodal matrix while solving {self.circuit.title!r}"
                 ) from exc
-            dv = x_new[:n] - x[:n]
-            max_dv = float(np.max(np.abs(dv))) if n > 1 else 0.0
-            v_ok = bool(
-                np.all(np.abs(dv) < opts.vntol + opts.reltol * np.abs(x_new[:n]))
+            if not all(map(math.isfinite, solved)):
+                trace.append((it, math.nan, math.nan))
+                raise NonConvergenceError(
+                    f"Newton produced a non-finite iterate{suffix}",
+                    trace=trace,
+                    time=time_label,
+                )
+            dv = [solved[j] - x[j] for j in range(n)]
+            max_dv = max(map(abs, dv)) if n > 1 else 0.0
+            converged = all(
+                abs(d) < vntol + reltol * abs(v) for d, v in zip(dv, solved)
             )
+            for k, target in enumerate(solved[dim:]):
+                ds = target - s[k]
+                if abs(ds) >= reltol:
+                    converged = False
+                ds = min(max(ds, -_STATE_LIMIT), _STATE_LIMIT)
+                s[k] = min(max(s[k] + ds, 0.0), 1.0)
             for node in self.damped_nodes:
                 dv[node] = min(max(dv[node], -_DAMP_LIMIT), _DAMP_LIMIT)
-            x[:n] += dv
-            x[n:] = x_new[n:]
-            if v_ok:
-                residual = self.kcl_residual(x, states, temp)
+            x = [v + d for v, d in zip(x, dv)] + solved[n:dim]
+            if converged:
+                residual = self.kcl_residual(x, s)
                 trace.append((it, max_dv, residual))
                 if residual < opts.abstol:
-                    return x, it, trace
+                    return x, s, it, trace
             else:
                 trace.append((it, max_dv, math.nan))
-        suffix = "" if time_label is None else f" at t={time_label:.9g} s"
         raise NonConvergenceError(
             f"Newton did not converge within {opts.max_newton_iters} "
             f"iterations{suffix} (last max |dV|={trace[-1][1]:.3g} V)",
@@ -343,17 +440,16 @@ class _Plan:
             time=time_label,
         )
 
-    def operating_point(self, x, states, temp, iterations) -> OperatingPoint:
+    def operating_point(self, x, s, iterations) -> OperatingPoint:
         currents = {
-            d.name: self.device_current(d, x, states, temp)
-            for d in self.circuit.devices
+            d.name: self.device_current(d, x, s) for d in self.circuit.devices
         }
         return OperatingPoint(
             node_voltages=np.array(x[: self.n_nodes]),
-            source_currents={s.name: float(x[self.branch_index[s.name]])
-                             for s in self.sources},
+            source_currents={src.name: float(x[self.branch_index[src.name]])
+                             for src in self.sources},
             device_currents=currents,
-            kcl_residual=self.kcl_residual(x, states, temp),
+            kcl_residual=self.kcl_residual(x, s),
             newton_iterations=iterations,
         )
 
@@ -372,47 +468,42 @@ def assemble_system(circuit: Circuit, guess, states: dict[str, float] | None = N
     (initial states when omitted); ``gmin`` lands on every non-ground node
     diagonal.  Row/column 0 is the trivial ground pin.
     """
-    plan = _Plan(circuit)
+    plan = _Plan(circuit, circuit.temp if temp is None else temp)
     if len(guess) != plan.dim:
         raise ValueError(f"guess must have {plan.dim} entries, got {len(guess)}")
-    if states is None:
-        states = plan.initial_states()
-    if temp is None:
-        temp = circuit.temp
+    s = plan.normalized(plan.initial_states() if states is None else states)
     g_mat, rhs = plan.assemble(
-        np.asarray(guess, dtype=float), states, temp, gmin, source_scale, source_time
+        np.asarray(guess, dtype=float), s, gmin, source_scale, source_time
     )
-    return g_mat.copy(), rhs.copy()
+    return g_mat, rhs
 
 
 # --------------------------------------------------------------------------- #
 # DC operating point
 # --------------------------------------------------------------------------- #
 
-def _solve_dc_raw(plan: _Plan, opts: SimOptions, states, temp,
-                  source_time: float | None = None, x0=None):
-    """Newton from a cold start, falling back to source stepping on failure."""
-    start = np.zeros(plan.dim) if x0 is None else np.array(x0, dtype=float)
+def _solve_dc_raw(plan: _Plan, opts: SimOptions, s, source_time: float | None = None):
+    """Newton from a cold start, falling back to source stepping on failure.
+    Returns (x, total Newton iterations)."""
     try:
-        return plan.newton(start, states, temp, opts, 1.0, source_time)
+        x, _, its, _ = plan.newton(np.zeros(plan.dim), s, opts, 1.0, source_time)
+        return x, its
     except NonConvergenceError:
         if opts.source_steps < 2:
             raise
     x = np.zeros(plan.dim)
     total = 0
-    trace: list[tuple[int, float, float]] = []
     for k in range(1, opts.source_steps + 1):
         scale = k / opts.source_steps
         try:
-            x, its, step_trace = plan.newton(x, states, temp, opts, scale, source_time)
+            x, _, its, _ = plan.newton(x, s, opts, scale, source_time)
         except NonConvergenceError as exc:
             raise NonConvergenceError(
                 f"source stepping stalled at scale {scale:.2f}: {exc}",
                 trace=exc.trace,
             ) from exc
         total += its
-        trace = step_trace
-    return x, total, trace
+    return x, total
 
 
 def solve_dc(circuit: Circuit, opts: SimOptions | None = None, *,
@@ -426,14 +517,12 @@ def solve_dc(circuit: Circuit, opts: SimOptions | None = None, *,
     stepping retry) or :class:`SingularMatrixError`.
     """
     opts = opts or SimOptions()
-    plan = _Plan(circuit)
+    plan = _Plan(circuit, _effective_temp(circuit, opts))
     if not plan.sources:
         raise SimulationError("circuit has no voltage source")
-    if states is None:
-        states = plan.initial_states()
-    temp = _effective_temp(circuit, opts)
-    x, iters, _ = _solve_dc_raw(plan, opts, states, temp, source_time)
-    return plan.operating_point(x, states, temp, iters)
+    s = plan.normalized(plan.initial_states() if states is None else states)
+    x, iters = _solve_dc_raw(plan, opts, s, source_time)
+    return plan.operating_point(x, s, iters)
 
 
 # --------------------------------------------------------------------------- #
@@ -444,7 +533,7 @@ _PROBE_RE = re.compile(r"^([viwm])\((.+)\)$", re.IGNORECASE)
 
 
 def _build_probe(plan: _Plan, spec: str):
-    """Returns (canonical name, unit, sampler(x, states, temp) -> float)."""
+    """Returns (canonical name, unit, sampler(x, s) -> float)."""
     m = _PROBE_RE.match(spec.replace(" ", ""))
     if not m:
         raise UnknownProbeError(
@@ -457,7 +546,7 @@ def _build_probe(plan: _Plan, spec: str):
         if name not in circuit.node_names:
             raise UnknownProbeError(f"unknown node {target!r} in probe {spec!r}")
         idx = circuit.node_names.index(name)
-        return f"v({name})", "V", lambda x, states, temp: float(x[idx])
+        return f"v({name})", "V", lambda x, s: float(x[idx])
     dev_name = target.upper()
     dev = next((d for d in circuit.devices if d.name == dev_name), None)
     if dev is None:
@@ -466,19 +555,17 @@ def _build_probe(plan: _Plan, spec: str):
         return (
             f"i({dev_name})",
             "A",
-            lambda x, states, temp: float(plan.device_current(dev, x, states, temp)),
+            lambda x, s: float(plan.device_current(dev, x, s)),
         )
     if not isinstance(dev, BoundMemristor):
         raise UnknownProbeError(
             f"probe {spec!r} needs a memristor, {dev_name} is not one"
         )
+    k = plan.state_index[dev_name]
+    p = dev.params
     if kind == "w":
-        return f"w({dev_name})", "m", lambda x, states, temp: states[dev_name]
-    return (
-        f"m({dev_name})",
-        "ohm",
-        lambda x, states, temp: memristance(MemristorState(states[dev_name]), dev.params),
-    )
+        return f"w({dev_name})", "m", lambda x, s: s[k] * p.length
+    return f"m({dev_name})", "ohm", lambda x, s: _memristance(s[k], p)
 
 
 # --------------------------------------------------------------------------- #
@@ -489,14 +576,17 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
                   initial_states: dict[str, float] | None = None) -> TransientResult:
     """Fixed-step backward-Euler transient.
 
-    Every step couples the Newton nodal solve (memristances frozen at the
-    iterate's states) to the implicit state update
-    ``w_next = w_prev + dt * dwdt(w_next, i_next)`` through an outer fixed
-    point, declared converged when no memristor state moves more than
-    ``reltol * L``; states are clamped to [0, L].  Sample k sits at t = k*dt,
-    sources evaluated at the same instant; sample 0 is the DC solution with
-    sources at t = 0.  ``initial_states`` replaces the netlist's initial
-    memristor states, letting one run continue where another settled.
+    Each step is one Newton solve of the node voltages, source currents and
+    memristor states together: every state s = w/L obeys its implicit
+    update ``s_next = s_prev + dt * dwdt(s_next, i_next) / L``, clamped to
+    [0, 1], so the recorded voltages, currents and memristances belong to one
+    solution.  A step whose Newton fails raises :class:`NonConvergenceError`
+    carrying its iteration trace and ``time``; there is no step-size retry.
+    Sample k sits at t = k*dt, sources evaluated at the same instant; sample
+    0 is the DC solution with sources at t = 0.  ``initial_states`` replaces
+    the netlist's initial memristor states (metres), letting one run
+    continue where another settled; ``final_states`` reports them in metres
+    too.
     """
     if opts.t_stop is None:
         raise ValueError("run_transient needs opts.t_stop")
@@ -505,10 +595,9 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     if n_steps < 1:
         raise ValueError("t_stop shorter than one step")
 
-    plan = _Plan(circuit)
+    plan = _Plan(circuit, _effective_temp(circuit, opts))
     if not plan.sources:
         raise SimulationError("circuit has no voltage source")
-    temp = _effective_temp(circuit, opts)
     probe_list = [_build_probe(plan, p) for p in probes]
 
     times = np.arange(n_steps + 1) * dt
@@ -520,49 +609,26 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
             key = name.upper()
             if key not in states:
                 raise SimulationError(f"no memristor named {name!r} to initialize")
-            mem = next(m for m in plan.memristors if m.name == key)
+            mem = plan.memristors[plan.state_index[key]]
             if not 0.0 <= w <= mem.params.length:
                 raise SimulationError(
                     f"initial state {w} for {key} outside [0, {mem.params.length}]"
                 )
             states[key] = float(w)
-    x, _, _ = _solve_dc_raw(plan, opts, states, temp, source_time=0.0)
+    s = plan.normalized(states)
+    x, _ = _solve_dc_raw(plan, opts, s, source_time=0.0)
     for buf, (_, _, sample) in zip(data, probe_list):
-        buf[0] = sample(x, states, temp)
+        buf[0] = sample(x, s)
 
-    mem_list = plan.memristors
     for k in range(1, n_steps + 1):
         t = float(times[k])
-        w_prev = states
-        w_cur = dict(states)
-        for _ in range(_MAX_STATE_ITERS):
-            x, _, _ = plan.newton(x, w_cur, temp, opts, 1.0, t, time_label=t)
-            if not mem_list:
-                break
-            done = True
-            w_next = {}
-            for mem in mem_list:
-                i = plan.device_current(mem, x, w_cur, temp)
-                rate = memristor_dwdt(MemristorState(w_cur[mem.name]), mem.params, i)
-                w = w_prev[mem.name] + dt * rate
-                w = min(max(w, 0.0), mem.params.length)
-                w_next[mem.name] = w
-                if abs(w - w_cur[mem.name]) >= opts.reltol * mem.params.length:
-                    done = False
-            w_cur = w_next
-            if done:
-                break
-        else:
-            raise NonConvergenceError(
-                f"memristor state coupling did not settle at t={t:.9g} s",
-                time=t,
-            )
-        states = w_cur
+        x, s, _, _ = plan.newton(x, s, opts, 1.0, t, step=(dt, s), time_label=t)
         for buf, (_, _, sample) in zip(data, probe_list):
-            buf[k] = sample(x, states, temp)
+            buf[k] = sample(x, s)
 
     waveforms = [
         Waveform(name=name, unit=unit, t=times.copy(), values=buf)
         for (name, unit, _), buf in zip(probe_list, data)
     ]
-    return TransientResult(waveforms=waveforms, final_states=states, dt=dt)
+    final_states = {m.name: sk * m.params.length for m, sk in zip(plan.memristors, s)}
+    return TransientResult(waveforms=waveforms, final_states=final_states, dt=dt)

@@ -7,9 +7,11 @@ calling ``sys.exit``), with stdout/stderr captured through pytest.
 
 import csv
 import io
+import math
 
 import pytest
 
+from mirrorsim import engine
 from mirrorsim.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_SIMULATION, main
 from mirrorsim.csvio import format_number
 from mirrorsim.netlist import elaborate, parse
@@ -135,6 +137,19 @@ class TestExitCodes:
         code, _, err = run_cli(["run", path], capsys)
         assert code == EXIT_SIMULATION
         assert "did not converge" in err
+        assert "iter 1:" in err and "max|dV|=" in err
+
+    def test_transient_failure_prints_iteration_trace(self, monkeypatch, capsys):
+        # sources read NaN after t = 0, so the first backward-Euler step fails
+        real = engine.source_value
+        monkeypatch.setattr(
+            engine, "source_value",
+            lambda spec, time=None: math.nan if time else real(spec, time),
+        )
+        code, out, err = run_cli(["mirror", "2m", "--analysis", "tran"], capsys)
+        assert code == EXIT_SIMULATION
+        assert out == ""
+        assert "non-finite iterate at t=0.0003 s" in err
         assert "iter 1:" in err and "max|dV|=" in err
 
     def test_missing_output_directory_is_io_error(self, tmp_path, capsys):

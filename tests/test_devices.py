@@ -2,6 +2,7 @@
 and property-based invariants."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -203,11 +204,23 @@ def test_mosfet_continuous_at_the_region_boundary(vgs):
 
 def test_pmos_is_the_reflected_nmos():
     nref = MosfetParams(vth0=0.45, k_prime=60e-6, vth_tc=-1e-3)
-    for vgs, vds in [(-1.0, -0.8), (-0.6, -0.1), (-2.0, -1.5), (0.3, -0.5)]:
+    points = [(-1.0, -0.8), (-0.6, -0.1), (-2.0, -1.5), (0.3, -0.5)]
+    for vgs, vds in points:
         want = -mosfet_current(-vgs, -vds, nref)
         assert mosfet_current(vgs, vds, PMOS_DEFAULTS) == pytest.approx(
             want, rel=REL, abs=1e-300
         )
+    # the reflection is exact: bit-identical to an NMOS record carrying the
+    # mirrored threshold, for the current, both partials and the leakage
+    reflected = replace(PMOS_DEFAULTS, polarity="nmos", vth0=-PMOS_DEFAULTS.vth0,
+                        vth_tc=-PMOS_DEFAULTS.vth_tc)
+    for temp in (250.0, T_REF, 373.0):
+        for vgs, vds in points:
+            i, gm, gds = mosfet_linearized(-vgs, -vds, reflected, temp)
+            assert mosfet_linearized(vgs, vds, PMOS_DEFAULTS, temp) == (-i, gm, gds)
+            assert subthreshold_leakage(vgs, vds, PMOS_DEFAULTS, temp) == (
+                subthreshold_leakage(-vgs, -vds, reflected, temp)
+            )
 
 
 def test_nmos_reverse_conduction_is_symmetric():

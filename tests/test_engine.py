@@ -1,6 +1,8 @@
 """Engine tests: MNA stamps, DC solve against analytic and scalar oracles,
 error paths, and backward-Euler transient behavior."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from mirrorsim.devices import (
     resistor_value,
     state_for_memristance,
 )
+from mirrorsim import engine
 from mirrorsim.engine import (
     NonConvergenceError,
     SimOptions,
@@ -37,6 +40,8 @@ from mirrorsim.netlist import (
     mirror_circuit,
     parse,
 )
+
+import oracles
 
 GMIN = 1e-12
 
@@ -424,6 +429,85 @@ def test_transient_continuation_matches_a_single_run():
     assert second.final_states["Y2"] == pytest.approx(
         whole.final_states["Y2"], rel=1e-9
     )
+
+
+def test_each_step_solves_the_backward_euler_state_equation():
+    # engine-free oracle: a lone memristor behind 1 kOhm from a DC source
+    # carries i(w) = V / (R + M(w)), so step k's w must be the root of
+    # w - w_prev - dt*dwdt(w, i(w)), found here by bisection on [0, L]
+    vdd, r, dt = 1.0, 1e3, 2e-3
+    cir = _circuit(
+        f"V1 in 0 DC {vdd}\n"
+        f"R1 in mid {r}\n"
+        "Y1 mid 0 MEM m0=19k\n"
+        ".model MEM MEMRISTOR (ron=100 roff=38k l=10n uv=1e-13 p=1 pol=1)\n"
+    )
+    p = cir.device("Y1").params
+    opts = SimOptions(dt=dt, t_stop=50 * dt)
+    w = run_transient(cir, opts, ["w(Y1)"]).waveform("w(Y1)").values
+
+    def gap(w_next, w_prev):
+        m = oracles.o_memristance(w_next, p.length, p.r_on, p.r_off)
+        rate = oracles.o_dwdt(w_next, p.length, p.r_on, p.mobility, p.polarity,
+                              p.window_p, vdd / (r + m))
+        return w_next - w_prev - dt * rate
+
+    assert len(w) == 51
+    for k in range(1, 51):
+        lo, hi = 0.0, p.length
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if gap(mid, w[k - 1]) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        assert abs(w[k] - 0.5 * (lo + hi)) <= opts.reltol * p.length
+    # the drive moves the state well away from its start
+    assert w[-1] - w[0] > 0.2 * p.length
+
+
+def test_large_steps_follow_the_default_grid():
+    for kind in (MirrorKind.TWO_MEMRISTORS, MirrorKind.PMOS_MEMRISTOR):
+        cir = mirror_circuit(MirrorConfig(kind=kind))
+        fine = run_transient(cir, SimOptions(t_stop=3.0), ["m(Y2)"])
+        m_fine = fine.waveform("m(Y2)").values[-1]
+        for dt in (0.3, 0.75):
+            coarse = run_transient(cir, SimOptions(dt=dt, t_stop=3.0), ["m(Y2)"])
+            m = coarse.waveform("m(Y2)").values[-1]
+            assert abs(m - m_fine) / m_fine < 0.02
+    # there is no step-size retry: a step Newton cannot solve raises,
+    # naming the step, instead of returning a state
+    cir = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS))
+    with pytest.raises(NonConvergenceError) as exc:
+        run_transient(cir, SimOptions(dt=1.5, t_stop=3.0), ["m(Y2)"])
+    assert exc.value.time == 1.5 and exc.value.trace
+
+
+def test_transient_newton_failure_carries_trace_and_time(monkeypatch):
+    # sources read NaN after t = 0, so the first backward-Euler step fails
+    real = engine.source_value
+    monkeypatch.setattr(
+        engine, "source_value",
+        lambda spec, time=None: math.nan if time else real(spec, time),
+    )
+    cir = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS))
+    with pytest.raises(NonConvergenceError) as exc:
+        run_transient(cir, SimOptions(dt=1e-3, t_stop=0.01), ["m(Y2)"])
+    err = exc.value
+    assert err.time == 1e-3
+    assert "t=0.001" in str(err)
+    assert len(err.trace) == 1 and err.trace[0][0] == 1
+
+
+def test_non_finite_iterate_fails_after_one_iteration(monkeypatch):
+    monkeypatch.setattr(
+        engine, "mosfet_linearized", lambda *args: (math.nan, math.nan, math.nan)
+    )
+    cir = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_RESISTORS))
+    with pytest.raises(NonConvergenceError) as exc:
+        solve_dc(cir, SimOptions(source_steps=1))
+    assert "non-finite" in str(exc.value)
+    assert len(exc.value.trace) == 1
 
 
 def test_initial_state_overrides_are_validated():
