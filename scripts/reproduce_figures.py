@@ -86,7 +86,7 @@ def run_switching(out: Path):
     print(f"switching: {summary}")
 
 
-def run_mismatch(out: Path, jobs: int):
+def run_mismatch(out: Path):
     grid = [MISMATCH_BASE * (1.0 + d) for d in MISMATCH_DELTAS]
     columns = ["load2 (ohm)", "delta_r (fraction)",
                "simulated_delta_i (fraction)", "predicted_delta_i (fraction)"]
@@ -96,7 +96,7 @@ def run_mismatch(out: Path, jobs: int):
         ("memristive", MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS,
                                     m0=MISMATCH_BASE)),
     ):
-        table = mismatch_sweep(config, grid, jobs=jobs)
+        table = mismatch_sweep(config, grid)
         rows = ([r.load2, r.rel_delta_r, r.simulated, r.predicted]
                 for r in table.rows)
         write_table(out / f"mismatch_{label}.csv", columns, rows,
@@ -106,20 +106,19 @@ def run_mismatch(out: Path, jobs: int):
     print(f"mismatch: +/-20% around {MISMATCH_BASE:g} ohm, both load classes")
 
 
-def run_temperature(out: Path, jobs: int):
+def run_temperature(out: Path):
     temps = [ZERO_CELSIUS + c for c in range(0, 101, 10)]
     columns = ["temperature (C)", "i_in (A)", "i_out (A)"]
     for label, kind in (("resistive", MirrorKind.TWO_RESISTORS),
                         ("memristive", MirrorKind.TWO_MEMRISTORS)):
-        rows_data = temperature_sweep(MirrorConfig(kind=kind), temps,
-                                      jobs=jobs)
+        rows_data = temperature_sweep(MirrorConfig(kind=kind), temps)
         rows = ([r.temp - ZERO_CELSIUS, r.i_in, r.i_out] for r in rows_data)
         write_table(out / f"temperature_{label}.csv", columns, rows)
     print("temperature: 0-100 C sweeps for both load classes")
 
 
-def run_summary(out: Path, jobs: int):
-    report = table1_report(jobs=jobs)
+def run_summary(out: Path):
+    report = table1_report()
     columns = ["config (name)", "thd (percent)", "power (mW)", "area (um^2)",
                "subthreshold (W)", "gate_leakage (W)"]
     rows = ([r.kind, r.thd_percent, r.power_mw, r.area_um2,
@@ -130,8 +129,8 @@ def run_summary(out: Path, jobs: int):
 
 
 EXPERIMENTS = {
-    "hysteresis": lambda out, jobs: run_hysteresis(out),
-    "switching": lambda out, jobs: run_switching(out),
+    "hysteresis": run_hysteresis,
+    "switching": run_switching,
     "mismatch": run_mismatch,
     "temperature": run_temperature,
     "summary": run_summary,
@@ -145,8 +144,6 @@ def main(argv=None) -> int:
     parser.add_argument("--experiments", nargs="*", metavar="NAME",
                         choices=sorted(EXPERIMENTS), default=None,
                         help="subset to run (default: all)")
-    parser.add_argument("--jobs", type=int, default=2, metavar="N",
-                        help="worker threads for sweep rows (default 2)")
     args = parser.parse_args(argv)
 
     out = Path(args.out)
@@ -154,7 +151,7 @@ def main(argv=None) -> int:
     names = args.experiments or sorted(EXPERIMENTS)
     for name in names:
         started = time.monotonic()
-        EXPERIMENTS[name](out, args.jobs)
+        EXPERIMENTS[name](out)
         print(f"  [{name} took {time.monotonic() - started:.1f} s]")
     print(f"done; plot with: gnuplot -e \"outdir='{out}'\" scripts/plots.gp")
     return 0

@@ -12,18 +12,18 @@ Two conventions hold throughout:
   ``I_out`` the drain current of the output device M2; both are positive in
   normal operation for every configuration, PMOS-input ones included.
 * Sweeps never mutate the circuit they are given.  Each sweep point runs on
-  its own copy (:func:`mirrorsim.netlist.with_override`), which also makes
-  row-level parallelism (``jobs > 1``) safe.  Rows are always assembled in
-  input order, so results are identical for any job count.
+  its own copy (:func:`mirrorsim.netlist.with_override`).  When the circuit
+  has no memristor to settle, all points of a sweep are solved as one batch
+  (:func:`mirrorsim.engine.solve_dc_batch`): every row equals the solve of
+  that point alone, to the bit, and a failing row fails alone.  Memristive
+  points run their settled transients one after another.
 """
 
 from __future__ import annotations
 
-import copy
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .engine import (
     Waveform,
     run_transient,
     solve_dc,
+    solve_dc_batch,
 )
 from .netlist import (
     BoundMemristor,
@@ -220,6 +221,10 @@ def switching_time(wave: Waveform, settle_band: float = 0.01) -> float:
     return settled_at
 
 
+def _has_memristors(circuit: Circuit) -> bool:
+    return any(isinstance(d, BoundMemristor) for d in circuit.devices)
+
+
 @dataclass(frozen=True)
 class SettledResult:
     """A circuit driven to its settled operating point.
@@ -246,7 +251,7 @@ def settled_transient(circuit: Circuit, *, probe: str = "i(M2)",
     :func:`switching_time` accepts the accumulated waveform; past ``max_time``
     the :class:`NotSettledError` propagates.
     """
-    if not any(isinstance(d, BoundMemristor) for d in circuit.devices):
+    if not _has_memristors(circuit):
         return SettledResult(solve_dc(circuit, SimOptions(temp=temp)), {}, 0.0)
     t_parts: list[np.ndarray] = []
     x_parts: list[np.ndarray] = []
@@ -282,16 +287,27 @@ def settled_transient(circuit: Circuit, *, probe: str = "i(M2)",
 # Sweeps
 # --------------------------------------------------------------------------- #
 
-def _map_rows(fn: Callable, items: Sequence, jobs: int) -> list:
-    """Apply ``fn`` to every item, optionally on a thread pool.
+def _solve_overrides(circuit: Circuit, path: str, values: Sequence[float],
+                     opts: SimOptions) -> list:
+    """One batched DC solve of ``circuit`` with ``path`` set to each of
+    ``values``: per value, the operating point, or the error its override
+    or its solve raised."""
+    out: list = []
+    for value in values:
+        try:
+            out.append(with_override(circuit, path, value))
+        except ElaborationError as exc:
+            out.append(exc)
+    solved = iter(solve_dc_batch([c for c in out if isinstance(c, Circuit)], opts))
+    return [next(solved) if isinstance(c, Circuit) else c for c in out]
 
-    Results always come back in input order, so the job count never changes
-    the output.
-    """
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-        return list(pool.map(fn, items))
+
+def _raise_first(results: list) -> list:
+    """``results`` when none is an error; else the first error, raised."""
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
 
 
 @dataclass(frozen=True)
@@ -343,7 +359,7 @@ class MismatchTable:
 
 
 def mismatch_sweep(config: MirrorConfig, load2_values: Iterable[float], *,
-                   temp: float = T_REF, jobs: int = 1) -> MismatchTable:
+                   temp: float = T_REF) -> MismatchTable:
     """Output-current error versus output-load value, simulated and predicted.
 
     The input branch keeps its nominal load (``config.r_load`` for resistive
@@ -351,7 +367,8 @@ def mismatch_sweep(config: MirrorConfig, load2_values: Iterable[float], *,
     steps through ``load2_values``.  Memristive loads are held at the stated
     memristance for the solve — the sweep isolates the effect of a load value,
     so the state is pinned rather than allowed to drift during settling.
-    Non-convergent rows are flagged and the sweep continues.
+    Non-convergent rows are flagged and the sweep continues.  The baseline
+    and every row are one batched DC solve.
     """
     values = [float(v) for v in load2_values]
     if not values:
@@ -362,8 +379,10 @@ def mismatch_sweep(config: MirrorConfig, load2_values: Iterable[float], *,
     base = config.m0 if memristive else config.r_load
     path = "Y2.m0" if memristive else "R2.r_nominal"
     circuit = mirror_circuit(config)
-    opts = SimOptions(temp=temp)
-    base_op = solve_dc(with_override(circuit, path, base), opts)
+    base_op, *ops = _solve_overrides(circuit, path, [base] + values,
+                                     SimOptions(temp=temp))
+    if isinstance(base_op, Exception):
+        raise base_op
     vdd = config.vdd_value
     v_ds1 = float(base_op.node_voltages[circuit.node_index("d1")])
     v_ds2 = float(base_op.node_voltages[circuit.node_index("d2")])
@@ -373,21 +392,21 @@ def mismatch_sweep(config: MirrorConfig, load2_values: Iterable[float], *,
     _, _, g_ds2 = mosfet_linearized(v_ds1, v_ds2, circuit.device("M2").params, temp)
     k_factor_ro = base / (base + 1.0 / g_ds2)
 
-    def row(value: float) -> MismatchRow:
+    rows = []
+    for value, op in zip(values, ops):
         rel = (value - base) / base
         predicted = k_factor * (base / value - 1.0)
         predicted_ro = delta_base - (1.0 + delta_base) * k_factor_ro * rel
-        try:
-            op = solve_dc(with_override(circuit, path, value), opts)
-        except (ElaborationError, SimulationError) as exc:
-            return MismatchRow(value, rel, math.nan, predicted, predicted_ro,
-                               error=str(exc))
+        if isinstance(op, (ElaborationError, SimulationError)):
+            rows.append(MismatchRow(value, rel, math.nan, predicted, predicted_ro,
+                                    error=str(op)))
+            continue
+        if isinstance(op, Exception):
+            raise op
         i1 = op.device_currents["M1"]
         i2 = op.device_currents["M2"]
-        return MismatchRow(value, rel, (i2 - i1) / i1, predicted, predicted_ro)
-
-    return MismatchTable(tuple(_map_rows(row, values, jobs)), k_factor, i_d1_base,
-                         k_factor_ro)
+        rows.append(MismatchRow(value, rel, (i2 - i1) / i1, predicted, predicted_ro))
+    return MismatchTable(tuple(rows), k_factor, i_d1_base, k_factor_ro)
 
 
 @dataclass(frozen=True)
@@ -399,14 +418,15 @@ class TemperatureRow:
     i_out: float
 
 
-def temperature_sweep(config: MirrorConfig, temps: Iterable[float], *,
-                      jobs: int = 1) -> tuple[TemperatureRow, ...]:
+def temperature_sweep(config: MirrorConfig,
+                      temps: Iterable[float]) -> tuple[TemperatureRow, ...]:
     """Settled mirror currents across operating temperatures.
 
     Every device is re-evaluated at each temperature through its own law
     (threshold shift, mobility exponent, resistor tempco).  Memristive
-    configurations run a settled transient per point; resistive ones are a
-    DC solve.  Simulation failures propagate — a temperature row has no
+    configurations run a settled transient per point; resistive ones are
+    one batched DC solve over all points.  Simulation failures propagate (the
+    first failing row's, in input order) — a temperature row has no
     meaningful partial result.
     """
     points = [float(T) for T in temps]
@@ -415,13 +435,12 @@ def temperature_sweep(config: MirrorConfig, temps: Iterable[float], *,
     if any(T <= 0.0 for T in points):
         raise AnalysisError("temperatures are kelvin values and must be positive")
     circuit = mirror_circuit(config)
-
-    def row(T: float) -> TemperatureRow:
-        settled = settled_transient(circuit, temp=T)
-        return TemperatureRow(T, settled.op.device_currents["M1"],
-                              settled.op.device_currents["M2"])
-
-    return tuple(_map_rows(row, points, jobs))
+    if _has_memristors(circuit):
+        ops = [settled_transient(circuit, temp=T).op for T in points]
+    else:
+        ops = _raise_first(solve_dc_batch([circuit] * len(points), temps=points))
+    return tuple(TemperatureRow(T, op.device_currents["M1"], op.device_currents["M2"])
+                 for T, op in zip(points, ops))
 
 
 @dataclass(frozen=True)
@@ -434,14 +453,16 @@ class ParameterRow:
 
 
 def parameter_sweep(config: MirrorConfig, param_path: str,
-                    values: Iterable[float], *, temp: float | None = None,
-                    jobs: int = 1) -> tuple[ParameterRow, ...]:
+                    values: Iterable[float], *,
+                    temp: float | None = None) -> tuple[ParameterRow, ...]:
     """Settled ``(I_out, V_out)`` while one named parameter steps through
     ``values``.
 
     ``param_path`` is an ``ELEMENT.field`` path with the usual schematic
     aliases (``T2.width``, ``T2.vth0``, ``source.vbias``, ...).  Unknown paths
-    and invalid values fail fast, before any simulation starts.
+    and invalid values fail fast, before any simulation starts.  Without
+    memristors to settle, all points are one batched DC solve; otherwise each
+    runs its own settled transient.
     """
     points = [float(v) for v in values]
     if not points:
@@ -449,14 +470,16 @@ def parameter_sweep(config: MirrorConfig, param_path: str,
     circuit = mirror_circuit(config)
     with_override(circuit, param_path, points[0])  # fail fast on bad paths
     out_node = circuit.node_index("d2")
-
-    def row(value: float) -> ParameterRow:
-        override = with_override(circuit, param_path, value)
-        settled = settled_transient(override, temp=temp)
-        return ParameterRow(value, settled.op.device_currents["M2"],
-                            float(settled.op.node_voltages[out_node]))
-
-    return tuple(_map_rows(row, points, jobs))
+    if _has_memristors(circuit):
+        ops = [settled_transient(with_override(circuit, param_path, value),
+                                 temp=temp).op for value in points]
+    else:
+        ops = _raise_first(solve_dc_batch(
+            [with_override(circuit, param_path, value) for value in points],
+            SimOptions(temp=temp)))
+    return tuple(ParameterRow(value, op.device_currents["M2"],
+                              float(op.node_voltages[out_node]))
+                 for value, op in zip(points, ops))
 
 
 # --------------------------------------------------------------------------- #
@@ -660,7 +683,7 @@ REPORT_NOTES = (
 
 def _with_source_spec(circuit: Circuit, name: str, spec: SourceSpec) -> Circuit:
     """Copy of ``circuit`` with one source's drive replaced wholesale."""
-    clone = copy.deepcopy(circuit)
+    clone = circuit.copy()
     clone.device(name).spec = spec
     return clone
 
@@ -668,7 +691,7 @@ def _with_source_spec(circuit: Circuit, name: str, spec: SourceSpec) -> Circuit:
 def _settled_load_states(circuit: Circuit, temp: float) -> dict[str, float]:
     """Memristor states after the supply has pinned the loads (empty when the
     circuit has none)."""
-    if not any(isinstance(d, BoundMemristor) for d in circuit.devices):
+    if not _has_memristors(circuit):
         return {}
     settle = run_transient(
         circuit, SimOptions(dt=1e-3, t_stop=_STATE_SETTLE_TIME, temp=temp),
@@ -739,7 +762,7 @@ def config_report(config: MirrorConfig, *, temp: float = T_REF,
 def table1_report(vdd: float | None = None, r_load: float = 38e3,
                   m0: float = 5e3, temp: float = T_REF, *,
                   amplitude: float = 2.5, frequency: float = 50.0,
-                  n_harmonics: int = 49, jobs: int = 1) -> AnalysisReport:
+                  n_harmonics: int = 49) -> AnalysisReport:
     """Side-by-side distortion/power/area report over all four mirror kinds.
 
     One :func:`config_report` row per configuration, in declaration order;
@@ -747,14 +770,11 @@ def table1_report(vdd: float | None = None, r_load: float = 38e3,
     keeps each kind's per-topology default supply.
     """
 
-    def row_for(kind: MirrorKind) -> ConfigReport:
-        return config_report(MirrorConfig(kind=kind, vdd=vdd, r_load=r_load,
-                                          m0=m0),
-                             temp=temp, amplitude=amplitude,
-                             frequency=frequency, n_harmonics=n_harmonics)
-
-    rows = _map_rows(row_for, list(MirrorKind), jobs)
-    return AnalysisReport(tuple(rows), REPORT_NOTES)
+    rows = tuple(config_report(MirrorConfig(kind=kind, vdd=vdd, r_load=r_load, m0=m0),
+                               temp=temp, amplitude=amplitude, frequency=frequency,
+                               n_harmonics=n_harmonics)
+                 for kind in MirrorKind)
+    return AnalysisReport(rows, REPORT_NOTES)
 
 
 # --------------------------------------------------------------------------- #

@@ -314,7 +314,7 @@ def cmd_mirror(args) -> int:
                               "--set temp does not apply")
         _sim_options(sim, allow_timestep=False)
         temps = [ZERO_CELSIUS + c for c in _TEMP_SWEEP_CELSIUS]
-        rows_data = temperature_sweep(config, temps, jobs=args.jobs)
+        rows_data = temperature_sweep(config, temps)
         rows = ([row.temp, row.temp - ZERO_CELSIUS, row.i_in, row.i_out]
                 for row in rows_data)
         columns = ["temperature (K)", "temperature (C)", "i_in (A)", "i_out (A)"]
@@ -328,8 +328,7 @@ def cmd_mirror(args) -> int:
         grid = [base * (1.0 + d) for d in _MISMATCH_DELTAS]
         table = mismatch_sweep(config, grid,
                                temp=opts.temp if opts.temp is not None
-                               else T_REF,
-                               jobs=args.jobs)
+                               else T_REF)
         columns = ["load2 (ohm)", "delta_r (fraction)",
                    "simulated_delta_i (fraction)", "predicted_delta_i (fraction)",
                    "error (text)"]
@@ -350,7 +349,7 @@ def cmd_mirror(args) -> int:
         if not values:
             raise _UsageError("--values must list at least one number")
         rows_data = parameter_sweep(config, args.param, values,
-                                    temp=opts.temp, jobs=args.jobs)
+                                    temp=opts.temp)
         columns = ["value (SI)", "i_out (A)", "v_out (V)"]
         rows = ([r.value, r.i_out, r.v_out] for r in rows_data)
         with open_output(args.output) as stream:
@@ -459,9 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="parameter path for --analysis param-sweep")
     p_mirror.add_argument("--values", metavar="V1,V2,...",
                           help="comma-separated values for param-sweep")
-    p_mirror.add_argument("--jobs", type=int, default=1, metavar="N",
-                          help="worker threads for sweep rows (default 1; "
-                               "outputs are identical for any N)")
     p_mirror.set_defaults(func=cmd_mirror)
 
     p_cal = sub.add_parser("calibrate", parents=[io_flags],

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import (
     BOLTZMANN,
     ELEMENTARY_CHARGE,
@@ -40,6 +42,8 @@ __all__ = [
     "mosfet_kprime",
     "mosfet_current",
     "mosfet_linearized",
+    "mosfet_coefficients",
+    "mosfet_linearized_array",
     "subthreshold_leakage",
     "gate_leakage",
     "resistor_value",
@@ -312,6 +316,48 @@ def mosfet_linearized(
 def mosfet_current(vgs: float, vds: float, params: MosfetParams, temp: float = T_REF) -> float:
     """Square-law drain current (A); see :func:`mosfet_linearized` for signs."""
     return mosfet_linearized(vgs, vds, params, temp)[0]
+
+
+def mosfet_coefficients(
+    params: MosfetParams, temp: float = T_REF
+) -> tuple[float, float, float, float]:
+    """Per-device inputs of :func:`mosfet_linearized_array` at ``temp``:
+    ``(sign, vth, beta, lam)`` with sign +1.0 (NMOS) or -1.0 (PMOS) and
+    ``beta = k'(T) * W / L``."""
+    kp = mosfet_kprime(params, temp)
+    sign = -1.0 if params.polarity == "pmos" else 1.0
+    return sign, mosfet_vth(params, temp), kp * params.width / params.length, params.lam
+
+
+def mosfet_linearized_array(vgs, vds, sign, vth, beta, lam):
+    """:func:`mosfet_linearized` elementwise over arrays of bias points and
+    :func:`mosfet_coefficients`.
+
+    Every element goes through the scalar law's operations in the scalar
+    law's order (the PMOS reflection is a multiplication by ``sign = -1``,
+    which is an exact negation), so each result equals the scalar law's to
+    the bit, signed zeros included.
+    """
+    vgs_r = sign * vgs
+    vds_r = sign * vds
+    vth_r = sign * vth
+    forward = vds_r >= 0.0
+    # below zero: the symmetric device with source and drain exchanged
+    vgs_f = np.where(forward, vgs_r, vgs_r - vds_r)
+    vds_f = np.where(forward, vds_r, -vds_r)
+    veff = vgs_f - vth_r
+    clm = 1.0 + lam * vds_f
+    core = veff * vds_f - 0.5 * vds_f * vds_f
+    sat = 0.5 * beta * veff * veff
+    triode = vds_f < veff
+    cutoff = veff <= 0.0
+    i = np.where(cutoff, 0.0, np.where(triode, beta * core * clm, sat * clm))
+    gm = np.where(cutoff, 0.0, np.where(triode, beta * vds_f * clm, beta * veff * clm))
+    gds = np.where(cutoff, 0.0, np.where(
+        triode, beta * ((veff - vds_f) * clm + core * lam), sat * lam))
+    i, gm, gds = (np.where(forward, i, -i), np.where(forward, gm, -gm),
+                  np.where(forward, gds, gm + gds))
+    return sign * i, gm, gds
 
 
 # --------------------------------------------------------------------------- #

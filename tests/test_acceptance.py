@@ -259,7 +259,7 @@ def test_criterion_08_temperature_behavior():
     rows_r = temperature_sweep(
         MirrorConfig(kind=MirrorKind.TWO_RESISTORS), temps)
     rows_m = temperature_sweep(
-        MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS), temps, jobs=2)
+        MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS), temps)
 
     def spread(rows):
         i = [row.i_out for row in rows]

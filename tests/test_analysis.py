@@ -36,8 +36,14 @@ from mirrorsim.devices import (
     SourceSpec,
     mosfet_linearized,
 )
-from mirrorsim.engine import SimOptions, Waveform, solve_dc
-from mirrorsim.netlist import ElaborationError, MirrorConfig, MirrorKind, mirror_circuit
+from mirrorsim.engine import SimOptions, Waveform, solve_dc, solve_dc_batch
+from mirrorsim.netlist import (
+    ElaborationError,
+    MirrorConfig,
+    MirrorKind,
+    mirror_circuit,
+    with_override,
+)
 
 import oracles
 
@@ -52,6 +58,15 @@ def sine_wave(f0=1.0, samples_per_period=200, periods=10, amplitudes=(1.0,),
     for order, (a, ph) in enumerate(zip(amplitudes, phases), start=1):
         x = x + a * np.sin(2 * math.pi * order * f0 * t + ph)
     return Waveform("x", "V", t, x)
+
+
+def assert_same_op(batched, single):
+    """Two operating points equal field by field, node voltages to the bit."""
+    assert batched.node_voltages.tobytes() == single.node_voltages.tobytes()
+    assert batched.source_currents == single.source_currents
+    assert batched.device_currents == single.device_currents
+    assert batched.kcl_residual == single.kcl_residual
+    assert batched.newton_iterations == single.newton_iterations
 
 
 def square_wave(f0=1.0, samples_per_period=2000, periods=10, phase=0.0):
@@ -328,9 +343,25 @@ class TestMismatchSweep:
         assert table.rows[0].error is None and table.rows[2].error is None
         assert [row.load2 for row in table.rows] == [19e3, 50e3, 20e3]
 
-    def test_job_count_does_not_change_the_table(self):
-        config = MirrorConfig(MirrorKind.TWO_RESISTORS, r_load=19e3)
-        assert mismatch_sweep(config, GRID) == mismatch_sweep(config, GRID, jobs=4)
+    @pytest.mark.parametrize("config, path", [
+        (MirrorConfig(MirrorKind.TWO_RESISTORS, r_load=19e3), "R2.r_nominal"),
+        (MirrorConfig(MirrorKind.PMOS_RESISTOR, r_load=19e3), "R2.r_nominal"),
+        (MirrorConfig(MirrorKind.TWO_MEMRISTORS, m0=19e3), "Y2.m0"),
+    ], ids=["2r", "pmos-r", "2m"])
+    def test_batched_rows_equal_single_solves(self, config, path):
+        # the baseline and the rows are one batched solve; each row must be
+        # the solve of its own circuit alone, Newton iteration count included
+        circuit = mirror_circuit(config)
+        opts = SimOptions(temp=T_REF)
+        table = mismatch_sweep(config, GRID)
+        variants = [with_override(circuit, path, value) for value in GRID]
+        singles = [solve_dc(variant, opts) for variant in variants]
+        for batched, single in zip(solve_dc_batch(variants, opts), singles):
+            assert_same_op(batched, single)
+        for row, single in zip(table.rows, singles):
+            i1, i2 = single.device_currents["M1"], single.device_currents["M2"]
+            assert row.simulated == (i2 - i1) / i1
+        assert table.baseline_current == singles[2].device_currents["M1"]
 
     def test_rejects_empty_and_nonpositive_loads(self):
         config = MirrorConfig(MirrorKind.TWO_RESISTORS)
@@ -368,6 +399,20 @@ class TestTemperatureSweep:
         assert all(row.i_out == pytest.approx(row.i_in, rel=1e-3)
                    for row in rows_m)
 
+    @pytest.mark.parametrize("kind", [MirrorKind.TWO_RESISTORS,
+                                      MirrorKind.PMOS_RESISTOR], ids=["2r", "pmos-r"])
+    def test_batched_rows_equal_single_solves(self, kind):
+        temps = [ZERO_CELSIUS + c for c in range(0, 101, 10)]
+        circuit = mirror_circuit(MirrorConfig(kind))
+        singles = [solve_dc(circuit, SimOptions(temp=T)) for T in temps]
+        batched = solve_dc_batch([circuit] * len(temps), temps=temps)
+        for op, single in zip(batched, singles):
+            assert_same_op(op, single)
+        rows = temperature_sweep(MirrorConfig(kind), temps)
+        for row, T, single in zip(rows, temps, singles):
+            assert (row.temp, row.i_in, row.i_out) == (
+                T, single.device_currents["M1"], single.device_currents["M2"])
+
     def test_rejects_empty_and_nonpositive_temperatures(self):
         config = MirrorConfig(MirrorKind.TWO_RESISTORS)
         with pytest.raises(AnalysisError, match="at least one"):
@@ -395,6 +440,25 @@ class TestParameterSweep:
         # at the nominal threshold the mirror is symmetric: V_out = V_D1
         nominal = rows[2]
         assert nominal.v_out == pytest.approx(0.994141, abs=5e-6)
+
+    @pytest.mark.parametrize("kind, path, values", [
+        (MirrorKind.TWO_RESISTORS, "T2.width", [0.2e-6, 0.27e-6, 0.4e-6]),
+        (MirrorKind.TWO_RESISTORS, "vdd", [2.0, 2.5, 3.0]),
+        (MirrorKind.PMOS_RESISTOR, "vbias", [0.5, 0.7, 0.9]),
+        (MirrorKind.PMOS_RESISTOR, "R2.r_nominal", [20e3, 38e3, 60e3]),
+    ], ids=["2r-width", "2r-vdd", "pmos-r-vbias", "pmos-r-load"])
+    def test_batched_rows_equal_single_solves(self, kind, path, values):
+        circuit = mirror_circuit(MirrorConfig(kind))
+        out_node = circuit.node_index("d2")
+        variants = [with_override(circuit, path, value) for value in values]
+        singles = [solve_dc(variant) for variant in variants]
+        for op, single in zip(solve_dc_batch(variants), singles):
+            assert_same_op(op, single)
+        rows = parameter_sweep(MirrorConfig(kind), path, values)
+        for row, value, single in zip(rows, values, singles):
+            assert (row.value, row.i_out, row.v_out) == (
+                value, single.device_currents["M2"],
+                float(single.node_voltages[out_node]))
 
     def test_unknown_path_fails_before_simulating(self):
         with pytest.raises(ElaborationError, match="no parameter"):

@@ -8,13 +8,16 @@ calling ``sys.exit``), with stdout/stderr captured through pytest.
 import csv
 import io
 import math
+from pathlib import Path
 
 import pytest
 
 from mirrorsim import engine
 from mirrorsim.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_SIMULATION, main
-from mirrorsim.csvio import format_number
-from mirrorsim.netlist import elaborate, parse
+from mirrorsim.constants import ZERO_CELSIUS
+from mirrorsim.csvio import format_number, write_csv
+from mirrorsim.engine import SimOptions, solve_dc
+from mirrorsim.netlist import MirrorConfig, MirrorKind, elaborate, mirror_circuit, parse
 
 DIVIDER = """* divider
 V1 in 0 DC 2.5
@@ -424,11 +427,22 @@ class TestOutputPlumbing:
         for cell in rows[0]:
             assert cell == format_number(float(cell))
 
-    def test_jobs_do_not_change_output(self, capsys):
-        argv = ["mirror", "2r", "--analysis", "temp-sweep"]
-        _, serial, _ = run_cli(argv + ["--jobs", "1"], capsys)
-        _, parallel, _ = run_cli(argv + ["--jobs", "4"], capsys)
-        assert serial == parallel
+    @pytest.mark.parametrize("config", ["2r", "pmos-r"])
+    def test_sweep_output_equals_single_solves(self, config, capsys):
+        # the temp-sweep rows are one batched solve; the table must be the
+        # one a solve per temperature prints
+        _, out, _ = run_cli(["mirror", config, "--analysis", "temp-sweep"], capsys)
+        circuit = mirror_circuit(MirrorConfig(kind=MirrorKind(config)))
+        rows = []
+        for celsius in range(0, 101, 10):
+            temp = ZERO_CELSIUS + celsius
+            op = solve_dc(circuit, SimOptions(temp=temp))
+            rows.append([temp, temp - ZERO_CELSIUS, op.device_currents["M1"],
+                         op.device_currents["M2"]])
+        expected = io.StringIO()
+        write_csv(expected, ["temperature (K)", "temperature (C)", "i_in (A)",
+                             "i_out (A)"], rows)
+        assert out == expected.getvalue()
 
     def test_verbose_reports_to_stderr_only(self, capsys):
         code, out, err = run_cli(
@@ -442,3 +456,36 @@ class TestOutputPlumbing:
         _, _, err = run_cli(["mirror", "2r", "--set", "bogus=1"], capsys)
         assert err.startswith("error:")
         assert "\x1b[" not in err
+
+
+# --------------------------------------------------------------------------- #
+# Recorded output
+# --------------------------------------------------------------------------- #
+
+GOLDEN = Path(__file__).with_name("data") / "golden"
+
+# stdout of each command, recorded before DC solves were batched; a file
+# is named after its command's analysis and configuration
+GOLDEN_COMMANDS = {
+    "dc_2r": ["mirror", "2r", "--analysis", "dc"],
+    "dc_2m": ["mirror", "2m", "--analysis", "dc"],
+    "dc_pmos-r": ["mirror", "pmos-r", "--analysis", "dc"],
+    "dc_pmos-m": ["mirror", "pmos-m", "--analysis", "dc"],
+    "temp-sweep_2r": ["mirror", "2r", "--analysis", "temp-sweep"],
+    "temp-sweep_pmos-r": ["mirror", "pmos-r", "--analysis", "temp-sweep"],
+    "mismatch_2r": ["mirror", "2r", "--analysis", "mismatch"],
+    "mismatch_2m": ["mirror", "2m", "--analysis", "mismatch"],
+    "mismatch_pmos-r": ["mirror", "pmos-r", "--analysis", "mismatch"],
+    "param-sweep_2r": ["mirror", "2r", "--analysis", "param-sweep",
+                       "--param", "T2.width",
+                       "--values", "0.2u,0.25u,0.27u,0.3u,0.35u,0.4u"],
+    "param-sweep_pmos-r": ["mirror", "pmos-r", "--analysis", "param-sweep",
+                           "--param", "vbias", "--values", "0.5,0.6,0.7,0.8,0.9"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_stdout_matches_the_recording(name, capsys):
+    code, out, _ = run_cli(GOLDEN_COMMANDS[name], capsys)
+    assert code == EXIT_OK
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.csv").read_bytes()

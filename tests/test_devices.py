@@ -4,6 +4,7 @@ and property-based invariants."""
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,8 +24,10 @@ from mirrorsim.devices import (
     joglekar_window,
     memristance,
     memristor_dwdt,
+    mosfet_coefficients,
     mosfet_current,
     mosfet_linearized,
+    mosfet_linearized_array,
     mosfet_vth,
     resistor_value,
     source_value,
@@ -247,6 +250,36 @@ def test_mosfet_linearized_derivatives_match_finite_differences(vgs, vds):
               - mosfet_current(vgs, vds - h, NMOS_DEFAULTS)) / (2 * h)
     assert gm == pytest.approx(gm_fd, rel=1e-5, abs=1e-12)
     assert gds == pytest.approx(gds_fd, rel=1e-5, abs=1e-12)
+
+
+@pytest.mark.parametrize("params", [NMOS_DEFAULTS, PMOS_DEFAULTS],
+                         ids=["nmos", "pmos"])
+@pytest.mark.parametrize("temp", [250.0, 300.15, 373.0])
+def test_array_law_equals_the_scalar_law(params, temp):
+    # cutoff, triode, saturation and negative vds, including the region
+    # boundaries and both signed zeros
+    axis = np.concatenate([np.linspace(-3.0, 3.0, 61),
+                           [0.0, -0.0, 0.45, -0.45, 0.5, -0.5, 1e-12, -1e-12]])
+    vgs, vds = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
+    coefficients = [np.full(vgs.shape, c) for c in mosfet_coefficients(params, temp)]
+    arrays = mosfet_linearized_array(vgs, vds, *coefficients)
+    sign, vth = mosfet_coefficients(params, temp)[:2]
+    regions = set()
+    for k, (a, b) in enumerate(zip(vgs.tolist(), vds.tolist())):
+        scalar = mosfet_linearized(a, b, params, temp)
+        batched = tuple(float(out[k]) for out in arrays)
+        # equal values and equal signs of zero
+        assert [(x, math.copysign(1.0, x)) for x in batched] == [
+            (x, math.copysign(1.0, x)) for x in scalar]
+        assert batched[0] == mosfet_current(a, b, params, temp)
+        # the region, in the frame of the NMOS the law reflects onto
+        gate, drain = sign * a, abs(sign * b)
+        veff = gate - (sign * b if sign * b < 0.0 else 0.0) - sign * vth
+        region = ("cutoff" if veff <= 0.0 else
+                  "triode" if drain < veff else "saturation")
+        regions.add((region, sign * b < 0.0))
+    assert regions == {(r, rev) for r in ("cutoff", "triode", "saturation")
+                       for rev in (False, True)}
 
 
 def test_vth_and_kprime_temperature_laws():

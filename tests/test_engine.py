@@ -27,6 +27,7 @@ from mirrorsim.engine import (
     assemble_system,
     run_transient,
     solve_dc,
+    solve_dc_batch,
 )
 from mirrorsim.netlist import (
     BoundResistor,
@@ -39,6 +40,7 @@ from mirrorsim.netlist import (
     elaborate,
     mirror_circuit,
     parse,
+    with_override,
 )
 
 import oracles
@@ -500,14 +502,97 @@ def test_transient_newton_failure_carries_trace_and_time(monkeypatch):
 
 
 def test_non_finite_iterate_fails_after_one_iteration(monkeypatch):
+    # DC solves evaluate their MOSFETs through the array law
     monkeypatch.setattr(
-        engine, "mosfet_linearized", lambda *args: (math.nan, math.nan, math.nan)
+        engine, "mosfet_linearized_array",
+        lambda vgs, *args: (np.full_like(vgs, math.nan),) * 3,
     )
     cir = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_RESISTORS))
     with pytest.raises(NonConvergenceError) as exc:
         solve_dc(cir, SimOptions(source_steps=1))
     assert "non-finite" in str(exc.value)
     assert len(exc.value.trace) == 1
+
+
+def assert_same_op(a, b):
+    """Two operating points equal field by field, node voltages to the bit."""
+    assert a.node_voltages.tobytes() == b.node_voltages.tobytes()
+    assert a.device_currents == b.device_currents
+    assert a.source_currents == b.source_currents
+    assert a.kcl_residual == b.kcl_residual
+    assert a.newton_iterations == b.newton_iterations
+
+
+def assert_same_outcome(batched, circuit, opts):
+    """A batch row is what solving ``circuit`` alone gives: the same
+    operating point or the same error."""
+    try:
+        single = solve_dc(circuit, opts)
+    except SimulationError as exc:
+        assert type(batched) is type(exc)
+        assert str(batched) == str(exc)
+        # traces hold NaN residuals, which compare unequal to themselves
+        assert repr(getattr(batched, "trace", None)) == repr(
+            getattr(exc, "trace", None))
+        return
+    assert_same_op(batched, single)
+
+
+def test_batch_steps_sources_row_by_row():
+    base = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_RESISTORS))
+    # converges cold, converges by source stepping, stalls while stepping
+    circuits = [with_override(base, "R2.r_nominal", r)
+                for r in (20e3, 38e3, 60e3, 100e3)]
+    opts = SimOptions(max_newton_iters=6, source_steps=3)
+    batched = solve_dc_batch(circuits, opts)
+    for circuit, result in zip(circuits, batched):
+        assert_same_outcome(result, circuit, opts)
+    assert batched[1].newton_iterations <= opts.max_newton_iters
+    assert batched[2].newton_iterations > opts.max_newton_iters
+    assert "source stepping stalled" in str(batched[3])
+
+
+def test_batch_rows_must_share_one_topology():
+    resistive = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_RESISTORS))
+    memristive = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS))
+    with pytest.raises(ValueError, match="topology"):
+        solve_dc_batch([resistive, memristive])
+    with pytest.raises(ValueError):
+        solve_dc_batch([resistive, resistive], temps=[300.0])
+    assert solve_dc_batch([]) == []
+
+
+def test_batch_isolates_singular_and_nonconvergent_rows(monkeypatch):
+    base = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_RESISTORS))
+    good = [with_override(base, "R2.r_nominal", 20e3),
+            with_override(base, "R2.r_nominal", 38e3),
+            with_override(base, "vdd", 2.0)]
+    # 8 Newton iterations where the good rows need 5-6
+    slow = with_override(base, "R2.r_nominal", 60e3)
+    singular = with_override(base, "R2.r_nominal", 30e3)
+    singular.title = "rank-deficient"
+    opts = SimOptions(max_newton_iters=7, source_steps=1)
+    clean = solve_dc_batch(good, opts)
+
+    # a compiled row with no linear part leaves the ground row empty
+    compile_rows = engine._DcRows.__init__
+
+    def compile_with_a_singular_row(self, *args):
+        compile_rows(self, *args)
+        for k, title in enumerate(self.titles):
+            if title == singular.title:
+                self.g_lin[k] = 0.0
+
+    monkeypatch.setattr(engine._DcRows, "__init__", compile_with_a_singular_row)
+    mixed = solve_dc_batch([good[0], singular, good[1], slow, good[2]], opts)
+    for batched, alone in zip([mixed[0], mixed[2], mixed[4]], clean):
+        assert_same_op(batched, alone)
+    # each bad row carries what its own solve raises
+    assert_same_outcome(mixed[1], singular, opts)
+    assert_same_outcome(mixed[3], slow, opts)
+    assert isinstance(mixed[1], SingularMatrixError)
+    assert isinstance(mixed[3], NonConvergenceError)
+    assert len(mixed[3].trace) == opts.max_newton_iters
 
 
 def test_initial_state_overrides_are_validated():

@@ -1,6 +1,8 @@
 """Netlist front-end tests: value grammar, parse/print round-trip,
 parse and elaboration diagnostics, built-in mirror topologies, overrides."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -552,6 +554,19 @@ def test_with_override_copies_instead_of_mutating():
     assert swept.device("M2").params.width == 2e-6
     assert cir.device("M2").params.width == 0.27e-6
     assert swept.device("M1").params.width == 0.27e-6
+    # a parameter, a source field and a memristor's m0: the original's
+    # devices and nodes compare equal before and after
+    for kind, path, value in ((MirrorKind.TWO_RESISTORS, "T2.width", 2e-6),
+                              (MirrorKind.TWO_RESISTORS, "V1.dc_value", 3.0),
+                              (MirrorKind.TWO_MEMRISTORS, "Y2.m0", 19e3)):
+        cir = mirror_circuit(MirrorConfig(kind=kind))
+        devices = [replace(d) for d in cir.devices]
+        nodes = list(cir.node_names)
+        swept = with_override(cir, path, value)
+        assert cir.devices == devices
+        assert cir.node_names == nodes
+        assert swept.devices != devices
+        assert all(a is not b for a, b in zip(swept.devices, cir.devices))
 
 
 def test_override_paths_cover_sources_and_memristors():
