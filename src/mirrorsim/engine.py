@@ -10,15 +10,18 @@ transient step appends one more unknown per memristor, its normalized state
 s = w/L, with the backward-Euler update as its row (the way Ho, Ruehli &
 Brennan's modified nodal analysis admits any extra unknown), so each step is
 a single Newton solve of the coupled system.  A DC solve has no state rows:
-the memristances stay frozen.
+the memristances stay frozen.  A circuit with no memristor carries nothing
+from one step to the next, so its transient is a DC solve per sample.
 
 DC solves have a leading batch axis.  Circuits that share a topology but
 differ in parameters or temperature are compiled once into per-row arrays
 and iterate together: each Newton iteration evaluates every MOSFET of every
 row in one array call and solves the whole (rows, n, n) stack in one
 :func:`numpy.linalg.solve`, with damping and the convergence tests applied
-row by row.  A single DC solve is a batch of one.  The transient steps stay
-on scalar Python lists, which is the fast form for one small system.
+row by row.  A single DC solve is a batch of one, and the samples of a
+memristor-free transient are rows of one source time each.  The steps of a
+memristive transient stay on scalar Python lists, which is the fast form for
+one small system.
 
 The dense linear solves go through :func:`numpy.linalg.solve` (LAPACK LU with
 partial pivoting); circuits here have fewer than ten nodes, so no sparse
@@ -27,6 +30,7 @@ machinery is warranted.
 
 from __future__ import annotations
 
+import copy
 import math
 import re
 from dataclasses import dataclass
@@ -73,6 +77,12 @@ _DEFAULT_STEPS = 10_000
 # Newton voltage-step limit on nodes touching a MOSFET terminal
 _DAMP_LIMIT = 0.5
 
+# samples of a memristor-free transient per batched Newton: over one cycle
+# of the benchmark's drive workload (2-core Xeon VM, numpy 2.4.6), whole
+# transients as one batch raised peak RSS 34.3 -> 36.9 MB, 512-row blocks
+# 34.3 -> 34.7 MB and ran within about 15 % of their speed
+_TRANSIENT_BLOCK = 512
+
 # Newton step limit on a normalized memristor state s = w/L, the state
 # counterpart of _DAMP_LIMIT: one linearization of the window is trusted to
 # move a state by at most a quarter of the device
@@ -84,7 +94,12 @@ class SimulationError(Exception):
 
 
 class SingularMatrixError(SimulationError):
-    pass
+    """The linearized system has no unique solution; ``time`` is the
+    transient timestamp when a memristor-free transient's sample fails."""
+
+    def __init__(self, message: str, time: float | None = None):
+        super().__init__(message)
+        self.time = time
 
 
 class NonConvergenceError(SimulationError):
@@ -590,9 +605,10 @@ class _DcRows:
 
     Row k is ``circuits[k]`` at ``temps[k]`` with its memristances frozen at
     the normalized states ``states[k]`` (its devices' initial states when
-    that is None).  All rows iterate together: each Newton iteration makes
-    one array MOSFET evaluation, adds the MOSFET stamps to a precomputed
-    linear part, and solves the stack of (n, n) systems in one call.
+    that is None) and its sources at ``source_times[k]``.  All rows iterate
+    together: each Newton iteration makes one array MOSFET evaluation, adds
+    the MOSFET stamps to a precomputed linear part, and solves the stack of
+    (n, n) systems in one call.
     Every matrix entry receives its terms in the order the transient's
     scalar assembly adds them, and the device law is evaluated with the
     scalar law's operations, so each row's iterates equal those of the same
@@ -600,12 +616,13 @@ class _DcRows:
     """
 
     def __init__(self, topo: _Topology, circuits, temps, states, gmin: float,
-                 source_time: float | None):
+                 source_times):
         self.topo = topo
         self.gmin = gmin
         self.titles = [c.title for c in circuits]
+        self.specs = [[c.devices[j].spec for j in topo.src_cols] for c in circuits]
         self.errors: dict[int, Exception] = {}
-        g_res, r_mem, coeffs, values = [], [], [], []
+        g_res, r_mem, coeffs = [], [], []
         for k, (circuit, temp, s) in enumerate(zip(circuits, temps, states)):
             if circuit is not topo.circuit and _signature(circuit) != topo.signature:
                 raise ValueError(
@@ -628,14 +645,12 @@ class _DcRows:
             g_res.append(g_row)
             r_mem.append(r_row)
             coeffs.append(c_row)
-            values.append([source_value(devs[j].spec, source_time)
-                           for j in topo.src_cols])
         count, dim = len(circuits), topo.dim
         self.g_res = np.array(g_res).reshape(count, len(topo.res_cols))
         self.r_mem = np.array(r_mem).reshape(count, len(topo.mem_cols))
         # (sign, vth, beta, lam), each (rows, MOSFETs)
         self.coeffs = np.array(coeffs).reshape(count, len(topo.mos_cols), 4).transpose(2, 0, 1)
-        self.values = np.array(values).reshape(count, len(topo.src_cols))
+        self._set_source_times(source_times)
 
         g_lin = np.zeros((count, dim, dim))
         g_lin[:, 0, 0] = 1.0  # ground row pins v0 = 0 exactly
@@ -654,6 +669,27 @@ class _DcRows:
                 g_lin[:, n, br] -= 1.0
                 g_lin[:, br, n] -= 1.0
         self.g_lin = g_lin
+
+    def _set_source_times(self, source_times) -> None:
+        """Each row's source values at its entry of ``source_times``."""
+        self.values = np.array([
+            [source_value(spec, t) for spec in specs]
+            for specs, t in zip(self.specs, source_times)
+        ]).reshape(len(self.specs), len(self.topo.src_cols))
+
+    def at_times(self, source_times) -> _DcRows:
+        """Row 0 with its sources at each of ``source_times``, one row per
+        time: row 0's compiled arrays repeated, only the source values
+        evaluated anew.  Row 0 must have compiled without error."""
+        rows = copy.copy(self)
+        first = np.zeros(len(source_times), dtype=np.intp)
+        rows.titles = self.titles[:1] * len(first)
+        rows.specs = self.specs[:1] * len(first)
+        rows.g_res, rows.r_mem, rows.g_lin = (
+            self.g_res[first], self.r_mem[first], self.g_lin[first])
+        rows.coeffs = self.coeffs[:, first]
+        rows._set_source_times(source_times)
+        return rows
 
     def _mosfets(self, rows, x):
         """(vgs, vds, id, gm, gds) of every MOSFET, (rows, MOSFETs) each."""
@@ -835,7 +871,7 @@ def assemble_system(circuit: Circuit, guess, states: dict[str, float] | None = N
         raise ValueError(f"guess must have {topo.dim} entries, got {len(guess)}")
     s = None if states is None else _normalized(topo.memristors, states)
     rows = _DcRows(topo, [circuit], [circuit.temp if temp is None else temp], [s],
-                   gmin, source_time)
+                   gmin, [source_time])
     if rows.errors:
         raise rows.errors[0]
     g_mat, rhs = rows.assemble(np.zeros(1, dtype=int),
@@ -847,7 +883,7 @@ def _solve_one(topo: _Topology, circuit: Circuit, temp: float, s, opts: SimOptio
                source_time: float | None):
     """A batch of one row: its (x, iterations, currents, residual), or the
     row's error raised."""
-    rows = _DcRows(topo, [circuit], [temp], [s], opts.gmin, source_time)
+    rows = _DcRows(topo, [circuit], [temp], [s], opts.gmin, [source_time])
     (result,) = rows.solve(opts)
     if isinstance(result, Exception):
         raise result
@@ -901,7 +937,8 @@ def solve_dc_batch(circuits, opts: SimOptions | None = None, *,
     topo = _Topology(circuits[0])
     if not topo.sources:
         raise SimulationError("circuit has no voltage source")
-    rows = _DcRows(topo, circuits, temps, [None] * len(circuits), opts.gmin, None)
+    rows = _DcRows(topo, circuits, temps, [None] * len(circuits), opts.gmin,
+                   [None] * len(circuits))
     return [r if isinstance(r, Exception) else rows.operating_point(r)
             for r in rows.solve(opts)]
 
@@ -914,7 +951,10 @@ _PROBE_RE = re.compile(r"^([viwm])\((.+)\)$", re.IGNORECASE)
 
 
 def _build_probe(plan: _Plan, spec: str):
-    """Returns (canonical name, unit, sampler(x, s) -> float)."""
+    """Returns (canonical name, unit, sample, read): ``sample(x, s)`` is the
+    probe's float at one step's solution and states; ``read(x, currents)``
+    is its column of a batch of DC samples, given their solutions and device
+    currents as (samples, ...) arrays (None for the memristor probes)."""
     m = _PROBE_RE.match(spec.replace(" ", ""))
     if not m:
         raise UnknownProbeError(
@@ -927,16 +967,19 @@ def _build_probe(plan: _Plan, spec: str):
         if name not in circuit.node_names:
             raise UnknownProbeError(f"unknown node {target!r} in probe {spec!r}")
         idx = circuit.node_names.index(name)
-        return f"v({name})", "V", lambda x, s: float(x[idx])
+        return (f"v({name})", "V", lambda x, s: float(x[idx]),
+                lambda x, currents: x[:, idx])
     dev_name = target.upper()
     dev = next((d for d in circuit.devices if d.name == dev_name), None)
     if dev is None:
         raise UnknownProbeError(f"unknown device {target!r} in probe {spec!r}")
     if kind == "i":
+        col = circuit.devices.index(dev)
         return (
             f"i({dev_name})",
             "A",
             lambda x, s: float(plan.device_current(dev, x, s)),
+            lambda x, currents: currents[:, col],
         )
     if not isinstance(dev, BoundMemristor):
         raise UnknownProbeError(
@@ -945,29 +988,72 @@ def _build_probe(plan: _Plan, spec: str):
     k = plan.state_index[dev_name]
     p = dev.params
     if kind == "w":
-        return f"w({dev_name})", "m", lambda x, s: s[k] * p.length
-    return f"m({dev_name})", "ohm", lambda x, s: _memristance(s[k], p)
+        return f"w({dev_name})", "m", lambda x, s: s[k] * p.length, None
+    return f"m({dev_name})", "ohm", lambda x, s: _memristance(s[k], p), None
 
 
 # --------------------------------------------------------------------------- #
 # transient
 # --------------------------------------------------------------------------- #
 
+def _at_time(exc: SimulationError, t: float) -> SimulationError:
+    """A memristor-free transient's failing DC sample as the scalar steps
+    report theirs: the same error type and trace, naming the sample's time."""
+    message = f"{exc} at t={t:.9g} s"
+    if isinstance(exc, NonConvergenceError):
+        return NonConvergenceError(message, trace=exc.trace, time=t)
+    return SingularMatrixError(message, time=t)
+
+
+def _dc_samples(plan: _Plan, opts: SimOptions, times: np.ndarray,
+                probe_list) -> list[np.ndarray]:
+    """Probe samples of a circuit with no memristor, whose steps share no
+    state: sample k is the DC solution with the sources at ``times[k]``,
+    ``solve_dc(circuit, opts, source_time=times[k])`` to the bit, solved as
+    rows of the batched Newton ``_TRANSIENT_BLOCK`` samples at a time.  The
+    earliest failing sample raises its error, carrying its time."""
+    compiled = _DcRows(plan, [plan.circuit], [plan.temp], [None], opts.gmin, [0.0])
+    if compiled.errors:
+        raise compiled.errors[0]
+    data = [np.empty(len(times)) for _ in probe_list]
+    for start in range(0, len(times), _TRANSIENT_BLOCK):
+        block = times[start:start + _TRANSIENT_BLOCK].tolist()
+        results = compiled.at_times(block).solve(opts)
+        for t, result in zip(block, results):
+            if isinstance(result, SimulationError):
+                raise _at_time(result, t) from result
+        x = np.array([r[0] for r in results])
+        currents = np.array([r[2] for r in results])
+        for buf, (_, _, _, read) in zip(data, probe_list):
+            buf[start:start + len(block)] = read(x, currents)
+    return data
+
+
 def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
                   initial_states: dict[str, float] | None = None) -> TransientResult:
     """Fixed-step backward-Euler transient.
 
-    Each step is one Newton solve of the node voltages, source currents and
-    memristor states together: every state s = w/L obeys its implicit
-    update ``s_next = s_prev + dt * dwdt(s_next, i_next) / L``, clamped to
-    [0, 1], so the recorded voltages, currents and memristances belong to one
-    solution.  A step whose Newton fails raises :class:`NonConvergenceError`
-    carrying its iteration trace and ``time``; there is no step-size retry.
     Sample k sits at t = k*dt, sources evaluated at the same instant; sample
-    0 is the DC solution with sources at t = 0.  ``initial_states`` replaces
-    the netlist's initial memristor states (metres), letting one run
-    continue where another settled; ``final_states`` reports them in metres
-    too.
+    0 is the DC solution with sources at t = 0.
+
+    In a circuit with memristors, each step is one Newton solve of the node
+    voltages, source currents and memristor states together: every state
+    s = w/L obeys its implicit update ``s_next = s_prev + dt * dwdt(s_next,
+    i_next) / L``, clamped to [0, 1], so the recorded voltages, currents and
+    memristances belong to one solution.  A step whose Newton fails raises
+    :class:`NonConvergenceError` carrying its iteration trace and ``time``;
+    there is no step-size retry.
+
+    A circuit with no memristor keeps no state between steps, so sample k
+    is ``solve_dc(circuit, opts, source_time=k*dt)``, to the bit: the
+    samples are solved from a cold start as rows of one batched Newton, and
+    each gets the DC solve's source-stepping retry.  The earliest sample
+    that still fails raises its :class:`NonConvergenceError` or
+    :class:`SingularMatrixError`, with its trace and ``time``.
+
+    ``initial_states`` replaces the netlist's initial memristor states
+    (metres), letting one run continue where another settled;
+    ``final_states`` reports them in metres too.
     """
     if opts.t_stop is None:
         raise ValueError("run_transient needs opts.t_stop")
@@ -982,7 +1068,6 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     probe_list = [_build_probe(plan, p) for p in probes]
 
     times = np.arange(n_steps + 1) * dt
-    data = [np.empty(n_steps + 1) for _ in probe_list]
 
     states = plan.initial_states()
     if initial_states is not None:
@@ -997,20 +1082,23 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
                 )
             states[key] = float(w)
     s = _normalized(plan.memristors, states)
-    _, (x0, *_) = _solve_one(plan, circuit, plan.temp, s, opts, 0.0)
-    x = x0.tolist()
-    for buf, (_, _, sample) in zip(data, probe_list):
-        buf[0] = sample(x, s)
-
-    for k in range(1, n_steps + 1):
-        t = float(times[k])
-        x, s = plan.newton(x, s, opts, t, dt)
-        for buf, (_, _, sample) in zip(data, probe_list):
-            buf[k] = sample(x, s)
+    if not plan.memristors:
+        data = _dc_samples(plan, opts, times, probe_list)
+    else:
+        data = [np.empty(n_steps + 1) for _ in probe_list]
+        _, (x0, *_) = _solve_one(plan, circuit, plan.temp, s, opts, 0.0)
+        x = x0.tolist()
+        for buf, (_, _, sample, _) in zip(data, probe_list):
+            buf[0] = sample(x, s)
+        for k in range(1, n_steps + 1):
+            t = float(times[k])
+            x, s = plan.newton(x, s, opts, t, dt)
+            for buf, (_, _, sample, _) in zip(data, probe_list):
+                buf[k] = sample(x, s)
 
     waveforms = [
         Waveform(name=name, unit=unit, t=times.copy(), values=buf)
-        for (name, unit, _), buf in zip(probe_list, data)
+        for (name, unit, _, _), buf in zip(probe_list, data)
     ]
     final_states = {m.name: sk * m.params.length for m, sk in zip(plan.memristors, s)}
     return TransientResult(waveforms=waveforms, final_states=final_states, dt=dt)

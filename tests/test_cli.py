@@ -155,6 +155,21 @@ class TestExitCodes:
         assert "non-finite iterate at t=0.0003 s" in err
         assert "iter 1:" in err and "max|dV|=" in err
 
+    def test_resistive_transient_failure_names_the_sample_time(self, monkeypatch,
+                                                                capsys):
+        # the same NaN sources on a memristor-free mirror, whose samples are
+        # DC solves: the earliest failing one is reported with its time
+        real = engine.source_value
+        monkeypatch.setattr(
+            engine, "source_value",
+            lambda spec, time=None: math.nan if time else real(spec, time),
+        )
+        code, out, err = run_cli(["mirror", "2r", "--analysis", "tran"], capsys)
+        assert code == EXIT_SIMULATION
+        assert out == ""
+        assert "non-finite iterate at t=0.0003 s" in err
+        assert "iter 1:" in err and "max|dV|=" in err
+
     def test_missing_output_directory_is_io_error(self, tmp_path, capsys):
         target = str(tmp_path / "no" / "such" / "dir" / "out.csv")
         code, _, err = run_cli(
@@ -464,8 +479,9 @@ class TestOutputPlumbing:
 
 GOLDEN = Path(__file__).with_name("data") / "golden"
 
-# stdout of each command, recorded before DC solves were batched; a file
-# is named after its command's analysis and configuration
+# stdout of each command, recorded before DC solves were batched (thd_2m
+# before the memristor-free transients were, thd_2r and thd_pmos-r after);
+# a file is named after its command's analysis and configuration
 GOLDEN_COMMANDS = {
     "dc_2r": ["mirror", "2r", "--analysis", "dc"],
     "dc_2m": ["mirror", "2m", "--analysis", "dc"],
@@ -481,6 +497,9 @@ GOLDEN_COMMANDS = {
                        "--values", "0.2u,0.25u,0.27u,0.3u,0.35u,0.4u"],
     "param-sweep_pmos-r": ["mirror", "pmos-r", "--analysis", "param-sweep",
                            "--param", "vbias", "--values", "0.5,0.6,0.7,0.8,0.9"],
+    "thd_2r": ["mirror", "2r", "--analysis", "thd"],
+    "thd_pmos-r": ["mirror", "pmos-r", "--analysis", "thd"],
+    "thd_2m": ["mirror", "2m", "--analysis", "thd"],
 }
 
 

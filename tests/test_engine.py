@@ -501,6 +501,79 @@ def test_transient_newton_failure_carries_trace_and_time(monkeypatch):
     assert len(err.trace) == 1 and err.trace[0][0] == 1
 
 
+def _sine_supplied(kind: MirrorKind) -> Circuit:
+    """A resistive mirror under the supply that the THD analysis drives it
+    with: a 2.5 V, 50 Hz sine riding on vdd + 2.5 V."""
+    config = MirrorConfig(kind=kind)
+    circuit = mirror_circuit(config)
+    circuit.device("V1").spec = SourceSpec(
+        kind="sine", dc_value=config.vdd_value + 2.5, amplitude=2.5, frequency=50.0)
+    return circuit
+
+
+# memristor-free circuits and their sample spacing: the THD analysis's 200
+# samples a period, and the hysteresis harness's lone resistor at 2000
+MEMORYLESS = {
+    "2r": (lambda: _sine_supplied(MirrorKind.TWO_RESISTORS), 1e-4),
+    "pmos-r": (lambda: _sine_supplied(MirrorKind.PMOS_RESISTOR), 1e-4),
+    "resistor-loop": (lambda: _circuit("V1 in 0 SIN(0 2 50)\nR1 in 0 10k\n"), 1e-5),
+}
+
+
+# sample counts that are not multiples of the block size: a full block and
+# part of one, and two full blocks and part of a third
+PARTIAL_BLOCK = engine._TRANSIENT_BLOCK + 9
+THREE_BLOCKS = 2 * engine._TRANSIENT_BLOCK + 7
+
+
+@pytest.mark.parametrize("name, samples", [
+    ("2r", THREE_BLOCKS),
+    ("pmos-r", PARTIAL_BLOCK),
+    ("resistor-loop", PARTIAL_BLOCK),
+    ("resistor-loop", THREE_BLOCKS),
+])
+def test_memoryless_samples_equal_lone_dc_solves(name, samples):
+    build, dt = MEMORYLESS[name]
+    cir = build()
+    opts = SimOptions(dt=dt, t_stop=(samples - 1) * dt)
+    nodes = range(1, len(cir.node_names))
+    names = [d.name for d in cir.devices]
+    res = run_transient(cir, opts, [f"v({cir.node_names[n]})" for n in nodes]
+                        + [f"i({name})" for name in names])
+    voltages = [res.waveforms[j].values for j in range(len(nodes))]
+    currents = [w.values for w in res.waveforms[len(nodes):]]
+    t = res.waveforms[0].t
+    assert len(t) == samples
+    for k, time in enumerate(t.tolist()):
+        op = solve_dc(cir, opts, source_time=time)
+        for n, v in zip(nodes, voltages):
+            assert v[k] == op.node_voltages[n]
+        for name, i in zip(names, currents):
+            assert i[k] == op.device_currents[name]
+
+
+@pytest.mark.parametrize("first_bad", [1, engine._TRANSIENT_BLOCK + 3])
+def test_memoryless_transient_raises_at_the_earliest_failing_sample(
+        monkeypatch, first_bad):
+    # sources read NaN from sample ``first_bad`` on; every such sample fails
+    # its cold Newton and its source-stepping retry
+    dt = 1e-3
+    real = engine.source_value
+    monkeypatch.setattr(
+        engine, "source_value",
+        lambda spec, time=None: (math.nan if time and time >= first_bad * dt
+                                 else real(spec, time)),
+    )
+    cir = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_RESISTORS))
+    with pytest.raises(NonConvergenceError) as exc:
+        run_transient(cir, SimOptions(dt=dt, t_stop=1.0), ["i(M2)"])
+    err = exc.value
+    assert err.time == first_bad * dt
+    assert f"at t={first_bad * dt:.9g} s" in str(err)
+    assert "source stepping stalled" in str(err)
+    assert len(err.trace) == 1 and err.trace[0][0] == 1
+
+
 def test_non_finite_iterate_fails_after_one_iteration(monkeypatch):
     # DC solves evaluate their MOSFETs through the array law
     monkeypatch.setattr(
