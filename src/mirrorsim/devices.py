@@ -36,6 +36,7 @@ __all__ = [
     "thermal_voltage",
     "joglekar_window",
     "memristance",
+    "memristance_at",
     "state_for_memristance",
     "memristor_dwdt",
     "mosfet_vth",
@@ -43,6 +44,7 @@ __all__ = [
     "mosfet_current",
     "mosfet_linearized",
     "mosfet_coefficients",
+    "mosfet_square_law",
     "mosfet_linearized_array",
     "subthreshold_leakage",
     "gate_leakage",
@@ -213,12 +215,18 @@ def joglekar_window(x: float, p: int) -> float:
 # Memristor
 # --------------------------------------------------------------------------- #
 
+def memristance_at(s, params: MemristorParams):
+    """M(s) = s Ron + (1 - s) Roff (ohm) at the normalized state s = w/L,
+    unchecked; ``s`` may be a float or an array."""
+    return s * params.r_on + (1.0 - s) * params.r_off
+
+
 def memristance(state: MemristorState, params: MemristorParams) -> float:
     """Instantaneous resistance M(w) = (w/L) Ron + (1 - w/L) Roff (ohm)."""
     x = state.w / params.length
     if not 0.0 <= x <= 1.0:
         raise DeviceError(f"state w={state.w} outside [0, L={params.length}]")
-    return x * params.r_on + (1.0 - x) * params.r_off
+    return memristance_at(x, params)
 
 
 def state_for_memristance(m0: float, params: MemristorParams) -> MemristorState:
@@ -258,41 +266,6 @@ def mosfet_kprime(params: MosfetParams, temp: float = T_REF) -> float:
     return params.k_prime * (temp / T_REF) ** params.mobility_exp
 
 
-def _nmos_linearized(
-    vgs: float, vds: float, vth: float, kp: float, params: MosfetParams
-) -> tuple[float, float, float]:
-    """Forward NMOS square law with derivatives; expects ``vds >= 0``."""
-    beta = kp * params.width / params.length
-    veff = vgs - vth
-    if veff <= 0.0:
-        return 0.0, 0.0, 0.0
-    lam = params.lam
-    if vds < veff:  # triode
-        core = veff * vds - 0.5 * vds * vds
-        clm = 1.0 + lam * vds
-        i = beta * core * clm
-        gm = beta * vds * clm
-        gds = beta * ((veff - vds) * clm + core * lam)
-        return i, gm, gds
-    # saturation
-    clm = 1.0 + lam * vds
-    i = 0.5 * beta * veff * veff * clm
-    gm = beta * veff * clm
-    gds = 0.5 * beta * veff * veff * lam
-    return i, gm, gds
-
-
-def _nmos_symmetric(
-    vgs: float, vds: float, vth: float, kp: float, params: MosfetParams
-) -> tuple[float, float, float]:
-    """NMOS square law for either sign of ``vds``: below zero, the symmetric
-    device with source and drain exchanged."""
-    if vds >= 0.0:
-        return _nmos_linearized(vgs, vds, vth, kp, params)
-    i, gm_f, gds_f = _nmos_linearized(vgs - vds, -vds, vth, kp, params)
-    return -i, -gm_f, gm_f + gds_f
-
-
 def mosfet_linearized(
     vgs: float, vds: float, params: MosfetParams, temp: float = T_REF
 ) -> tuple[float, float, float]:
@@ -301,16 +274,9 @@ def mosfet_linearized(
     The current is signed into the drain terminal.  PMOS devices are handled
     by reflecting the bias point (and the threshold) through the origin;
     an NMOS driven with ``vds < 0`` is treated as the symmetric device with
-    source and drain exchanged.
+    source and drain exchanged.  See :func:`mosfet_square_law`.
     """
-    vth = mosfet_vth(params, temp)
-    kp = mosfet_kprime(params, temp)
-    if params.polarity == "pmos":
-        # reflect: a PMOS at (vgs, vds) behaves as an NMOS at (-vgs, -vds)
-        # with the mirrored threshold; id changes sign, the partials do not.
-        i, gm, gds = _nmos_symmetric(-vgs, -vds, -vth, kp, params)
-        return -i, gm, gds
-    return _nmos_symmetric(vgs, vds, vth, kp, params)
+    return mosfet_square_law(vgs, vds, *mosfet_coefficients(params, temp))
 
 
 def mosfet_current(vgs: float, vds: float, params: MosfetParams, temp: float = T_REF) -> float:
@@ -321,7 +287,8 @@ def mosfet_current(vgs: float, vds: float, params: MosfetParams, temp: float = T
 def mosfet_coefficients(
     params: MosfetParams, temp: float = T_REF
 ) -> tuple[float, float, float, float]:
-    """Per-device inputs of :func:`mosfet_linearized_array` at ``temp``:
+    """Per-device inputs of :func:`mosfet_square_law` and
+    :func:`mosfet_linearized_array` at ``temp``:
     ``(sign, vth, beta, lam)`` with sign +1.0 (NMOS) or -1.0 (PMOS) and
     ``beta = k'(T) * W / L``."""
     kp = mosfet_kprime(params, temp)
@@ -329,14 +296,48 @@ def mosfet_coefficients(
     return sign, mosfet_vth(params, temp), kp * params.width / params.length, params.lam
 
 
+def mosfet_square_law(
+    vgs: float, vds: float, sign: float, vth: float, beta: float, lam: float
+) -> tuple[float, float, float]:
+    """:func:`mosfet_linearized` of one device given its
+    :func:`mosfet_coefficients`.
+
+    The PMOS reflection through the origin is a multiplication by
+    ``sign = -1``, an exact negation: id changes sign, the partials do not.
+    """
+    vgs_f = sign * vgs
+    vds_f = sign * vds
+    vth_r = sign * vth
+    forward = vds_f >= 0.0
+    if not forward:
+        # the symmetric device with source and drain exchanged
+        vgs_f, vds_f = vgs_f - vds_f, -vds_f
+    veff = vgs_f - vth_r
+    clm = 1.0 + lam * vds_f
+    if veff <= 0.0:
+        i = gm = gds = 0.0
+    elif vds_f < veff:  # triode
+        core = veff * vds_f - 0.5 * vds_f * vds_f
+        i = beta * core * clm
+        gm = beta * vds_f * clm
+        gds = beta * ((veff - vds_f) * clm + core * lam)
+    else:  # saturation
+        sat = 0.5 * beta * veff * veff
+        i = sat * clm
+        gm = beta * veff * clm
+        gds = sat * lam
+    if not forward:
+        i, gm, gds = -i, -gm, gm + gds
+    return sign * i, gm, gds
+
+
 def mosfet_linearized_array(vgs, vds, sign, vth, beta, lam):
-    """:func:`mosfet_linearized` elementwise over arrays of bias points and
+    """:func:`mosfet_square_law` elementwise over arrays of bias points and
     :func:`mosfet_coefficients`.
 
     Every element goes through the scalar law's operations in the scalar
-    law's order (the PMOS reflection is a multiplication by ``sign = -1``,
-    which is an exact negation), so each result equals the scalar law's to
-    the bit, signed zeros included.
+    law's order, so each result equals the scalar law's to the bit, signed
+    zeros included.
     """
     vgs_r = sign * vgs
     vds_r = sign * vds

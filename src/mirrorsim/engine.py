@@ -19,9 +19,12 @@ and iterate together: each Newton iteration evaluates every MOSFET of every
 row in one array call and solves the whole (rows, n, n) stack in one
 :func:`numpy.linalg.solve`, with damping and the convergence tests applied
 row by row.  A single DC solve is a batch of one, and the samples of a
-memristor-free transient are rows of one source time each.  The steps of a
-memristive transient stay on scalar Python lists, which is the fast form for
-one small system.
+memristor-free transient are rows of one source time each.  A memristive
+transient compiles its circuit as one such row too, solves t = 0 as that
+row, and runs its steps on Python lists copied from it, which is the fast
+form for one small system.  Both kinds of transient read their probes a
+block of samples at a time, device currents coming from the row's batched
+KCL.
 
 The dense linear solves go through :func:`numpy.linalg.solve` (LAPACK LU with
 partial pivoting); circuits here have fewer than ten nodes, so no sparse
@@ -41,10 +44,10 @@ from .constants import T_REF
 from .devices import (
     DeviceError,
     joglekar_window,
+    memristance_at,
     mosfet_coefficients,
-    mosfet_current,
-    mosfet_linearized,
     mosfet_linearized_array,
+    mosfet_square_law,
     resistor_value,
     source_value,
 )
@@ -54,6 +57,7 @@ from .netlist import (
     BoundResistor,
     BoundSource,
     Circuit,
+    terminals,
 )
 
 __all__ = [
@@ -198,26 +202,14 @@ class TransientResult:
 
 
 # --------------------------------------------------------------------------- #
-# topology and the transient's scalar system
+# topology and stamp patterns
 # --------------------------------------------------------------------------- #
-
-def _memristance(s: float, params) -> float:
-    """M at the normalized state s = w/L, with the arithmetic of
-    :func:`devices.memristance` (which takes w in metres, boxed)."""
-    return s * params.r_on + (1.0 - s) * params.r_off
-
-
-def _terminals(device) -> tuple[int, ...]:
-    if isinstance(device, BoundMosfet):
-        return (device.n_d, device.n_g, device.n_s, device.n_b)
-    return (device.n_pos, device.n_neg)
-
 
 def _signature(circuit: Circuit) -> tuple:
     """What circuits that share a compiled topology have in common: nodes,
     and the kind, name and terminals of every device in order."""
     return (tuple(circuit.node_names),
-            tuple((type(d), d.name, _terminals(d)) for d in circuit.devices))
+            tuple((type(d), d.name, terminals(d)) for d in circuit.devices))
 
 
 def _normalized(memristors, states: dict[str, float] | None = None) -> list[float]:
@@ -233,16 +225,23 @@ def _normalized(memristors, states: dict[str, float] | None = None) -> list[floa
     return out
 
 
-def _stamp_pair(g_mat, a: int, b: int, g) -> None:
-    """Conductance ``g`` between nodes a and b (0 is ground) into a stack of
-    matrices; ``g`` is a scalar or one value per matrix."""
+def _pair_entries(a: int, b: int) -> list[tuple[tuple[int, int], float]]:
+    """(entry, sign) of a conductance between nodes a and b (0 is ground)."""
+    entries = []
     if a:
-        g_mat[:, a, a] += g
+        entries.append(((a, a), 1.0))
     if b:
-        g_mat[:, b, b] += g
+        entries.append(((b, b), 1.0))
     if a and b:
-        g_mat[:, a, b] -= g
-        g_mat[:, b, a] -= g
+        entries += [((a, b), -1.0), ((b, a), -1.0)]
+    return entries
+
+
+def _stamp_pair(g_mat, a: int, b: int, g) -> None:
+    """Conductance ``g`` between nodes a and b into a stack of matrices;
+    ``g`` is a scalar or one value per matrix."""
+    for (r, c), sign in _pair_entries(a, b):
+        g_mat[:, r, c] += g * sign
 
 
 def _rounds(updates) -> list[tuple[np.ndarray, ...]]:
@@ -262,8 +261,10 @@ def _rounds(updates) -> list[tuple[np.ndarray, ...]]:
 
 
 def _mosfet_stamps(mosfets):
-    """The MOSFET stamps of :meth:`_Plan.assemble` as :func:`_rounds`, for
-    the matrix and for the right-hand side.
+    """The MOSFET stamps of one linearized system as sequences of updates
+    ``(entry, value, sign)``, in the order they are added: the matrix's and
+    the right-hand side's.  The memristive steps apply them one by one;
+    :func:`_rounds` applies them to stacks.
 
     Matrix values index the columns of [gm | gds | gm + gds | gmin] (one
     column per MOSFET in each of the first three blocks); right-hand-side
@@ -289,14 +290,8 @@ def _mosfet_stamps(mosfets):
                 matrix.append(((s, d), gds, -1.0))
             rhs.append(((s,), k, 1.0))
         # gmin across the channel keeps a cutoff device weakly anchored
-        if d:
-            matrix.append(((d, d), gmin, 1.0))
-        if s:
-            matrix.append(((s, s), gmin, 1.0))
-        if d and s:
-            matrix.append(((d, s), gmin, -1.0))
-            matrix.append(((s, d), gmin, -1.0))
-    return _rounds(matrix), _rounds(rhs)
+        matrix += [(entry, gmin, sign) for entry, sign in _pair_entries(d, s)]
+    return matrix, rhs
 
 
 class _Topology:
@@ -319,7 +314,7 @@ class _Topology:
         self.dim = self.n_nodes + len(self.sources)
         damped = {n for m in self.mosfets for n in (m.n_d, m.n_g, m.n_s)}
         self.damped_nodes = sorted(n for n in damped if n != 0)
-        if not any(0 in _terminals(d) for d in devices):
+        if not any(0 in terminals(d) for d in devices):
             raise SingularMatrixError(
                 "no device terminal touches ground; the nodal system is "
                 "floating (gmin would mask the singularity)"
@@ -349,225 +344,19 @@ class _Topology:
                           index([f.n_g for f in self.mosfets]),
                           index([f.n_s for f in self.mosfets]))
         self.branch_cols = index([self.branch_index[s.name] for s in self.sources])
-        self.matrix_stamps, self.rhs_stamps = _mosfet_stamps(self.mosfets)
+        # the MOSFET stamps of the memristive steps, in the order they add
+        # them; the batched solve applies the same sequences as rounds
+        self.matrix_sequence, self.rhs_sequence = _mosfet_stamps(self.mosfets)
+        self.matrix_stamps = _rounds(self.matrix_sequence)
+        self.rhs_stamps = _rounds(self.rhs_sequence)
         # KCL sums: each device current, by its kind-ordered column, leaves
         # one node and enters the other, in device order
         column = {position: k for k, position in enumerate(by_kind)}
-        self.kcl_stamps = _rounds(
+        self.kcl_sequence = [
             ((node,), column[position], sign)
             for position, nodes in enumerate(self.current_nodes)
-            for node, sign in zip(nodes, (-1.0, 1.0)) if node)
-
-
-class _Plan(_Topology):
-    """One circuit at one temperature, for the transient's backward-Euler
-    steps: the topology plus resistor conductances.
-
-    Memristor states travel as a list ``s`` of normalized positions
-    ``w / L`` in the order of ``memristors``; the unknown vector ``x`` is a
-    list of floats in the layout the module docstring gives.
-    """
-
-    def __init__(self, circuit: Circuit, temp: float):
-        super().__init__(circuit)
-        self.temp = temp
-        self.conductance = {
-            r.name: 1.0 / resistor_value(r.params, temp) for r in self.resistors
-        }
-
-    def initial_states(self) -> dict[str, float]:
-        return {m.name: m.w0 for m in self.memristors}
-
-    def assemble(self, guess, states, gmin, source_time, dt, s_prev):
-        """Linearized system of a backward-Euler step at ``guess``: the nodal
-        rows with memristances at ``states``, plus the state rows."""
-        size = self.dim + len(self.memristors)
-        g_mat = [[0.0] * size for _ in range(size)]
-        rhs = [0.0] * size
-        g_mat[0][0] = 1.0  # ground row pins v0 = 0 exactly
-        for n in range(1, self.n_nodes):
-            g_mat[n][n] += gmin
-
-        def stamp_g(a: int, b: int, g: float) -> None:
-            if a:
-                g_mat[a][a] += g
-            if b:
-                g_mat[b][b] += g
-            if a and b:
-                g_mat[a][b] -= g
-                g_mat[b][a] -= g
-
-        for r in self.resistors:
-            stamp_g(r.n_pos, r.n_neg, self.conductance[r.name])
-        for m, sk in zip(self.memristors, states):
-            stamp_g(m.n_pos, m.n_neg, 1.0 / _memristance(sk, m.params))
-
-        temp = self.temp
-        for f in self.mosfets:
-            vgs = guess[f.n_g] - guess[f.n_s]
-            vds = guess[f.n_d] - guess[f.n_s]
-            i0, gm, gds = mosfet_linearized(vgs, vds, f.params, temp)
-            ieq = i0 - gm * vgs - gds * vds
-            d, g, s = f.n_d, f.n_g, f.n_s
-            if d:
-                g_mat[d][d] += gds
-                if g:
-                    g_mat[d][g] += gm
-                if s:
-                    g_mat[d][s] -= gm + gds
-                rhs[d] -= ieq
-            if s:
-                g_mat[s][s] += gm + gds
-                if g:
-                    g_mat[s][g] -= gm
-                if d:
-                    g_mat[s][d] -= gds
-                rhs[s] += ieq
-            stamp_g(d, s, gmin)  # keeps a cutoff channel weakly anchored
-
-        for src in self.sources:
-            br = self.branch_index[src.name]
-            p, n = src.n_pos, src.n_neg
-            if p:
-                g_mat[p][br] += 1.0
-                g_mat[br][p] += 1.0
-            if n:
-                g_mat[n][br] -= 1.0
-                g_mat[br][n] -= 1.0
-            rhs[br] = source_value(src.spec, source_time)
-
-        self._stamp_states(g_mat, rhs, guess, states, dt, s_prev)
-        return np.array(g_mat), np.array(rhs)
-
-    def _stamp_states(self, g_mat, rhs, guess, states, dt, s_prev) -> None:
-        """Backward-Euler rows ``s - s_prev - dt*(dw/dt)/L = 0`` linearized
-        at (guess, s), and the state columns of the memristors' node rows.
-
-        With M = s*Ron + (1-s)*Roff, i = v/M and dw/dt/L = c*i*f(s), the
-        partials are di/ds = -v*(Ron - Roff)/M^2 and f'(s) of the Joglekar
-        window.  A state at a bound whose residual points outward (the
-        update would leave [0, 1]) is held there by the row ``s = bound``.
-        """
-        for k, m in enumerate(self.memristors):
-            p = m.params
-            col = self.dim + k
-            a, b = m.n_pos, m.n_neg
-            sk = states[k]
-            v = guess[a] - guess[b]
-            g = 1.0 / _memristance(sk, p)
-            i = v * g
-            f = joglekar_window(sk, p.window_p)
-            kc = dt * p.polarity * p.mobility * p.r_on / (p.length * p.length)
-            resid = sk - s_prev[k] - kc * i * f
-            if (sk == 1.0 and resid <= 0.0) or (sk == 0.0 and resid >= 0.0):
-                g_mat[col][col] = 1.0
-                rhs[col] = sk
-                continue
-            di_ds = -i * (p.r_on - p.r_off) * g
-            if a:
-                g_mat[a][col] += di_ds
-                rhs[a] += di_ds * sk
-            if b:
-                g_mat[b][col] -= di_ds
-                rhs[b] -= di_ds * sk
-            q = p.window_p
-            f_slope = -4.0 * q * (2.0 * sk - 1.0) ** (2 * q - 1) if q else 0.0
-            d_ds = 1.0 - kc * (di_ds * f + i * f_slope)
-            d_dv = -kc * f * g
-            g_mat[col][col] = d_ds
-            if a:
-                g_mat[col][a] += d_dv
-            if b:
-                g_mat[col][b] -= d_dv
-            rhs[col] = d_ds * sk + d_dv * v - resid
-
-    def device_current(self, device, x, s) -> float:
-        """Branch current of one device at solution ``x`` and states ``s``
-        (see OperatingPoint)."""
-        if isinstance(device, BoundResistor):
-            g = self.conductance[device.name]
-            return g * (x[device.n_pos] - x[device.n_neg])
-        if isinstance(device, BoundMemristor):
-            res = _memristance(s[self.state_index[device.name]], device.params)
-            return (x[device.n_pos] - x[device.n_neg]) / res
-        if isinstance(device, BoundMosfet):
-            vgs = x[device.n_g] - x[device.n_s]
-            vds = x[device.n_d] - x[device.n_s]
-            return mosfet_current(vgs, vds, device.params, self.temp)
-        if isinstance(device, BoundSource):
-            return x[self.branch_index[device.name]]
-        raise TypeError(f"unknown device {device!r}")
-
-    def kcl_residual(self, x, s) -> float:
-        """Largest net device current into any non-ground node (A)."""
-        if self.n_nodes == 1:
-            return 0.0
-        sums = [0.0] * self.n_nodes
-        for dev, (a, b) in zip(self.circuit.devices, self.current_nodes):
-            i = self.device_current(dev, x, s)
-            if a:
-                sums[a] -= i
-            if b:
-                sums[b] += i
-        return float(max(map(abs, sums[1:])))
-
-    def newton(self, x0, s_prev, opts, t: float, dt: float):
-        """One backward-Euler step to time ``t``: Newton-Raphson on the node
-        voltages, source currents and memristor states together, from the
-        previous step's solution (x0, s_prev).
-
-        Converged means per-node voltage deltas below vntol + reltol*|V|,
-        every state delta below reltol, and the device-KCL residual below
-        abstol.  Each iteration moves a state by at most ``_STATE_LIMIT``
-        and clamps it to [0, 1].  Returns (x, s).
-        """
-        x = list(x0)
-        s = list(s_prev)
-        trace: list[tuple[int, float, float]] = []
-        n, dim = self.n_nodes, self.dim
-        vntol, reltol = opts.vntol, opts.reltol
-        for it in range(1, opts.max_newton_iters + 1):
-            g_mat, rhs = self.assemble(x, s, opts.gmin, t, dt, s_prev)
-            try:
-                solved = np.linalg.solve(g_mat, rhs).tolist()
-            except np.linalg.LinAlgError as exc:
-                raise SingularMatrixError(
-                    f"singular nodal matrix while solving {self.circuit.title!r}"
-                ) from exc
-            if not all(map(math.isfinite, solved)):
-                trace.append((it, math.nan, math.nan))
-                raise NonConvergenceError(
-                    f"Newton produced a non-finite iterate at t={t:.9g} s",
-                    trace=trace,
-                    time=t,
-                )
-            dv = [solved[j] - x[j] for j in range(n)]
-            max_dv = max(map(abs, dv)) if n > 1 else 0.0
-            converged = all(
-                abs(d) < vntol + reltol * abs(v) for d, v in zip(dv, solved)
-            )
-            for k, target in enumerate(solved[dim:]):
-                ds = target - s[k]
-                if abs(ds) >= reltol:
-                    converged = False
-                ds = min(max(ds, -_STATE_LIMIT), _STATE_LIMIT)
-                s[k] = min(max(s[k] + ds, 0.0), 1.0)
-            for node in self.damped_nodes:
-                dv[node] = min(max(dv[node], -_DAMP_LIMIT), _DAMP_LIMIT)
-            x = [v + d for v, d in zip(x, dv)] + solved[n:dim]
-            if converged:
-                residual = self.kcl_residual(x, s)
-                trace.append((it, max_dv, residual))
-                if residual < opts.abstol:
-                    return x, s
-            else:
-                trace.append((it, max_dv, math.nan))
-        raise NonConvergenceError(
-            f"Newton did not converge within {opts.max_newton_iters} "
-            f"iterations at t={t:.9g} s (last max |dV|={trace[-1][1]:.3g} V)",
-            trace=trace,
-            time=t,
-        )
+            for node, sign in zip(nodes, (-1.0, 1.0)) if node]
+        self.kcl_stamps = _rounds(self.kcl_sequence)
 
 
 def _effective_temp(circuit: Circuit, opts: SimOptions) -> float:
@@ -609,10 +398,11 @@ class _DcRows:
     together: each Newton iteration makes one array MOSFET evaluation, adds
     the MOSFET stamps to a precomputed linear part, and solves the stack of
     (n, n) systems in one call.
-    Every matrix entry receives its terms in the order the transient's
-    scalar assembly adds them, and the device law is evaluated with the
-    scalar law's operations, so each row's iterates equal those of the same
-    row solved alone, to the bit.
+    Every matrix entry receives its terms in the order of the stamp
+    sequences that :class:`_Steps` applies one by one, and the device law is
+    evaluated with :func:`~mirrorsim.devices.mosfet_square_law`'s operations,
+    so each row's iterates equal those of the same row solved alone, to the
+    bit.  A memristive transient compiles its circuit as one such row.
     """
 
     def __init__(self, topo: _Topology, circuits, temps, states, gmin: float,
@@ -634,7 +424,7 @@ class _DcRows:
                          for j in topo.res_cols]
                 mems = [devs[j] for j in topo.mem_cols]
                 s = _normalized(mems) if s is None else s
-                r_row = [_memristance(sk, m.params) for m, sk in zip(mems, s)]
+                r_row = [memristance_at(sk, m.params) for m, sk in zip(mems, s)]
                 c_row = [mosfet_coefficients(devs[j].params, temp)
                          for j in topo.mos_cols]
             except DeviceError as exc:
@@ -652,23 +442,27 @@ class _DcRows:
         self.coeffs = np.array(coeffs).reshape(count, len(topo.mos_cols), 4).transpose(2, 0, 1)
         self._set_source_times(source_times)
 
-        g_lin = np.zeros((count, dim, dim))
-        g_lin[:, 0, 0] = 1.0  # ground row pins v0 = 0 exactly
+        # the linear part without memristors: gmin, resistors and sources;
+        # the memristive steps start each system from row 0's
+        g_base = np.zeros((count, dim, dim))
+        g_base[:, 0, 0] = 1.0  # ground row pins v0 = 0 exactly
         for n in range(1, topo.n_nodes):
-            g_lin[:, n, n] += gmin
+            g_base[:, n, n] += gmin
         for j, r in enumerate(topo.resistors):
-            _stamp_pair(g_lin, r.n_pos, r.n_neg, self.g_res[:, j])
-        for j, m in enumerate(topo.memristors):
-            _stamp_pair(g_lin, m.n_pos, m.n_neg, 1.0 / self.r_mem[:, j])
+            _stamp_pair(g_base, r.n_pos, r.n_neg, self.g_res[:, j])
         for src, br in zip(topo.sources, topo.branch_cols):
             p, n = src.n_pos, src.n_neg
             if p:
-                g_lin[:, p, br] += 1.0
-                g_lin[:, br, p] += 1.0
+                g_base[:, p, br] += 1.0
+                g_base[:, br, p] += 1.0
             if n:
-                g_lin[:, n, br] -= 1.0
-                g_lin[:, br, n] -= 1.0
-        self.g_lin = g_lin
+                g_base[:, n, br] -= 1.0
+                g_base[:, br, n] -= 1.0
+        # memristors after the sources: no entry holds both, so every entry
+        # still sums gmin, resistors, memristors and MOSFETs in that order
+        self.g_base, self.g_lin = g_base, g_base.copy()
+        for j, m in enumerate(topo.memristors):
+            _stamp_pair(self.g_lin, m.n_pos, m.n_neg, 1.0 / self.r_mem[:, j])
 
     def _set_source_times(self, source_times) -> None:
         """Each row's source values at its entry of ``source_times``."""
@@ -714,15 +508,18 @@ class _DcRows:
             rhs[:, r] += ieq[:, term] * sign
         return g_mat, rhs
 
-    def kcl(self, rows, x):
+    def kcl(self, rows, x, r_mem=None):
         """Device currents (rows, devices in circuit order; see
         OperatingPoint) and the largest net current into any non-ground node
-        of each row (A)."""
+        of each row (A), with memristances ``r_mem`` (rows, memristors)
+        when given in place of the compiled ones."""
         topo = self.topo
         (rp, rn), (mp, mn) = topo.res_nodes, topo.mem_nodes
+        if r_mem is None:
+            r_mem = self.r_mem[rows]
         by_kind = np.concatenate([
             self.g_res[rows] * (x.take(rp, axis=1) - x.take(rn, axis=1)),
-            (x.take(mp, axis=1) - x.take(mn, axis=1)) / self.r_mem[rows],
+            (x.take(mp, axis=1) - x.take(mn, axis=1)) / r_mem,
             self._mosfets(rows, x)[2],
             x.take(topo.branch_cols, axis=1),
         ], axis=1)
@@ -856,6 +653,183 @@ class _DcRows:
         )
 
 
+class _Steps:
+    """Backward-Euler steps of a memristive circuit compiled as row 0 of a
+    :class:`_DcRows`, on Python lists copied from that row, which is the
+    fast form for one small system.
+
+    Memristor states travel as a list ``s`` of normalized positions
+    ``w / L`` in the order of the topology's memristors; the unknown vector
+    ``x`` is a list of floats in the layout the module docstring gives,
+    and a step's system borders it with one state row and column per
+    memristor.
+    """
+
+    def __init__(self, rows: _DcRows):
+        topo = self.topo = rows.topo
+        self.title = rows.titles[0]
+        self.gmin = rows.gmin
+        self.specs = rows.specs[0]
+        self.branches = topo.branch_cols.tolist()
+        self.g_res = rows.g_res[0].tolist()
+        self.coeffs = rows.coeffs[:, 0].T.tolist()  # (sign, vth, beta, lam)
+        self.mem_entries = [_pair_entries(m.n_pos, m.n_neg) for m in topo.memristors]
+        pad = [0.0] * len(topo.memristors)
+        self.g_base = ([row + pad for row in rows.g_base[0].tolist()]
+                       + [[0.0] * (topo.dim + len(pad)) for _ in pad])
+
+    def assemble(self, x, s, values, dt, s_prev):
+        """Linearized system of a backward-Euler step at (x, s), with the
+        sources at ``values``: row 0's linear part, the memristances at
+        ``s``, the MOSFETs linearized at ``x``, then the state rows."""
+        topo = self.topo
+        g_mat = [row[:] for row in self.g_base]
+        rhs = [0.0] * len(g_mat)
+        for br, value in zip(self.branches, values):
+            rhs[br] = value
+        for m, entries, sk in zip(topo.memristors, self.mem_entries, s):
+            g = 1.0 / memristance_at(sk, m.params)
+            for (r, c), sign in entries:
+                g_mat[r][c] += g * sign
+        gms, gdss, boths, ieqs = [], [], [], []
+        for f, c in zip(topo.mosfets, self.coeffs):
+            vgs = x[f.n_g] - x[f.n_s]
+            vds = x[f.n_d] - x[f.n_s]
+            i0, gm, gds = mosfet_square_law(vgs, vds, *c)
+            gms.append(gm)
+            gdss.append(gds)
+            boths.append(gm + gds)
+            ieqs.append(i0 - gm * vgs - gds * vds)
+        terms = gms + gdss + boths + [self.gmin]
+        for (r, c), term, sign in topo.matrix_sequence:
+            g_mat[r][c] += terms[term] * sign
+        for (r,), k, sign in topo.rhs_sequence:
+            rhs[r] += ieqs[k] * sign
+        self._stamp_states(g_mat, rhs, x, s, dt, s_prev)
+        return np.array(g_mat), np.array(rhs)
+
+    def _stamp_states(self, g_mat, rhs, guess, states, dt, s_prev) -> None:
+        """Backward-Euler rows ``s - s_prev - dt*(dw/dt)/L = 0`` linearized
+        at (guess, s), and the state columns of the memristors' node rows.
+
+        With M = s*Ron + (1-s)*Roff, i = v/M and dw/dt/L = c*i*f(s), the
+        partials are di/ds = -v*(Ron - Roff)/M^2 and f'(s) of the Joglekar
+        window.  A state at a bound whose residual points outward (the
+        update would leave [0, 1]) is held there by the row ``s = bound``.
+        """
+        for k, m in enumerate(self.topo.memristors):
+            p = m.params
+            col = self.topo.dim + k
+            a, b = m.n_pos, m.n_neg
+            sk = states[k]
+            v = guess[a] - guess[b]
+            g = 1.0 / memristance_at(sk, p)
+            i = v * g
+            f = joglekar_window(sk, p.window_p)
+            kc = dt * p.polarity * p.mobility * p.r_on / (p.length * p.length)
+            resid = sk - s_prev[k] - kc * i * f
+            if (sk == 1.0 and resid <= 0.0) or (sk == 0.0 and resid >= 0.0):
+                g_mat[col][col] = 1.0
+                rhs[col] = sk
+                continue
+            di_ds = -i * (p.r_on - p.r_off) * g
+            if a:
+                g_mat[a][col] += di_ds
+                rhs[a] += di_ds * sk
+            if b:
+                g_mat[b][col] -= di_ds
+                rhs[b] -= di_ds * sk
+            q = p.window_p
+            f_slope = -4.0 * q * (2.0 * sk - 1.0) ** (2 * q - 1) if q else 0.0
+            d_ds = 1.0 - kc * (di_ds * f + i * f_slope)
+            d_dv = -kc * f * g
+            g_mat[col][col] = d_ds
+            if a:
+                g_mat[col][a] += d_dv
+            if b:
+                g_mat[col][b] -= d_dv
+            rhs[col] = d_ds * sk + d_dv * v - resid
+
+    def kcl_residual(self, x, s) -> float:
+        """Largest net device current into any non-ground node (A)."""
+        topo = self.topo
+        if topo.n_nodes == 1:
+            return 0.0
+        # device currents by kind, as _DcRows.kcl orders them
+        by_kind = []
+        for g, r in zip(self.g_res, topo.resistors):
+            by_kind.append(g * (x[r.n_pos] - x[r.n_neg]))
+        for m, sk in zip(topo.memristors, s):
+            by_kind.append((x[m.n_pos] - x[m.n_neg]) / memristance_at(sk, m.params))
+        for f, c in zip(topo.mosfets, self.coeffs):
+            by_kind.append(mosfet_square_law(x[f.n_g] - x[f.n_s], x[f.n_d] - x[f.n_s], *c)[0])
+        for br in self.branches:
+            by_kind.append(x[br])
+        sums = [0.0] * topo.n_nodes
+        for (node,), column, sign in topo.kcl_sequence:
+            sums[node] += by_kind[column] * sign
+        return float(max(map(abs, sums[1:])))
+
+    def newton(self, x0, s_prev, opts, t: float, dt: float):
+        """One backward-Euler step to time ``t``: Newton-Raphson on the node
+        voltages, source currents and memristor states together, from the
+        previous step's solution (x0, s_prev).
+
+        Converged means per-node voltage deltas below vntol + reltol*|V|,
+        every state delta below reltol, and the device-KCL residual below
+        abstol.  Each iteration moves a state by at most ``_STATE_LIMIT``
+        and clamps it to [0, 1].  Returns (x, s).
+        """
+        x = list(x0)
+        s = list(s_prev)
+        values = [source_value(spec, t) for spec in self.specs]
+        trace: list[tuple[int, float, float]] = []
+        n, dim = self.topo.n_nodes, self.topo.dim
+        vntol, reltol = opts.vntol, opts.reltol
+        for it in range(1, opts.max_newton_iters + 1):
+            g_mat, rhs = self.assemble(x, s, values, dt, s_prev)
+            try:
+                solved = np.linalg.solve(g_mat, rhs).tolist()
+            except np.linalg.LinAlgError as exc:
+                raise SingularMatrixError(
+                    f"singular nodal matrix while solving {self.title!r}"
+                ) from exc
+            if not all(map(math.isfinite, solved)):
+                trace.append((it, math.nan, math.nan))
+                raise NonConvergenceError(
+                    f"Newton produced a non-finite iterate at t={t:.9g} s",
+                    trace=trace,
+                    time=t,
+                )
+            dv = [solved[j] - x[j] for j in range(n)]
+            max_dv = max(map(abs, dv)) if n > 1 else 0.0
+            converged = all(
+                abs(d) < vntol + reltol * abs(v) for d, v in zip(dv, solved)
+            )
+            for k, target in enumerate(solved[dim:]):
+                ds = target - s[k]
+                if abs(ds) >= reltol:
+                    converged = False
+                ds = min(max(ds, -_STATE_LIMIT), _STATE_LIMIT)
+                s[k] = min(max(s[k] + ds, 0.0), 1.0)
+            for node in self.topo.damped_nodes:
+                dv[node] = min(max(dv[node], -_DAMP_LIMIT), _DAMP_LIMIT)
+            x = [v + d for v, d in zip(x, dv)] + solved[n:dim]
+            if converged:
+                residual = self.kcl_residual(x, s)
+                trace.append((it, max_dv, residual))
+                if residual < opts.abstol:
+                    return x, s
+            else:
+                trace.append((it, max_dv, math.nan))
+        raise NonConvergenceError(
+            f"Newton did not converge within {opts.max_newton_iters} "
+            f"iterations at t={t:.9g} s (last max |dV|={trace[-1][1]:.3g} V)",
+            trace=trace,
+            time=t,
+        )
+
+
 def assemble_system(circuit: Circuit, guess, states: dict[str, float] | None = None,
                     temp: float | None = None, *, gmin: float = 1e-12,
                     source_scale: float = 1.0, source_time: float | None = None):
@@ -879,17 +853,6 @@ def assemble_system(circuit: Circuit, guess, states: dict[str, float] | None = N
     return g_mat[0], rhs[0]
 
 
-def _solve_one(topo: _Topology, circuit: Circuit, temp: float, s, opts: SimOptions,
-               source_time: float | None):
-    """A batch of one row: its (x, iterations, currents, residual), or the
-    row's error raised."""
-    rows = _DcRows(topo, [circuit], [temp], [s], opts.gmin, [source_time])
-    (result,) = rows.solve(opts)
-    if isinstance(result, Exception):
-        raise result
-    return rows, result
-
-
 def solve_dc(circuit: Circuit, opts: SimOptions | None = None, *,
              states: dict[str, float] | None = None,
              source_time: float | None = None) -> OperatingPoint:
@@ -906,8 +869,11 @@ def solve_dc(circuit: Circuit, opts: SimOptions | None = None, *,
     if not topo.sources:
         raise SimulationError("circuit has no voltage source")
     s = None if states is None else _normalized(topo.memristors, states)
-    rows, result = _solve_one(topo, circuit, _effective_temp(circuit, opts), s,
-                              opts, source_time)
+    rows = _DcRows(topo, [circuit], [_effective_temp(circuit, opts)], [s],
+                   opts.gmin, [source_time])
+    (result,) = rows.solve(opts)
+    if isinstance(result, Exception):
+        raise result
     return rows.operating_point(result)
 
 
@@ -950,46 +916,40 @@ def solve_dc_batch(circuits, opts: SimOptions | None = None, *,
 _PROBE_RE = re.compile(r"^([viwm])\((.+)\)$", re.IGNORECASE)
 
 
-def _build_probe(plan: _Plan, spec: str):
-    """Returns (canonical name, unit, sample, read): ``sample(x, s)`` is the
-    probe's float at one step's solution and states; ``read(x, currents)``
-    is its column of a batch of DC samples, given their solutions and device
-    currents as (samples, ...) arrays (None for the memristor probes)."""
+def _build_probe(topo: _Topology, spec: str):
+    """Returns (canonical name, unit, read): ``read(x, currents, s)`` is the
+    probe's column of a block of transient samples, given their solutions,
+    device currents (see OperatingPoint) and normalized memristor states as
+    (samples, ...) arrays."""
     m = _PROBE_RE.match(spec.replace(" ", ""))
     if not m:
         raise UnknownProbeError(
             f"malformed probe {spec!r}; expected v(node), i(dev), w(dev) or m(dev)"
         )
     kind, target = m.group(1).lower(), m.group(2)
-    circuit = plan.circuit
+    circuit = topo.circuit
     if kind == "v":
         name = target.lower()
         if name not in circuit.node_names:
             raise UnknownProbeError(f"unknown node {target!r} in probe {spec!r}")
         idx = circuit.node_names.index(name)
-        return (f"v({name})", "V", lambda x, s: float(x[idx]),
-                lambda x, currents: x[:, idx])
+        return f"v({name})", "V", lambda x, currents, s: x[:, idx]
     dev_name = target.upper()
     dev = next((d for d in circuit.devices if d.name == dev_name), None)
     if dev is None:
         raise UnknownProbeError(f"unknown device {target!r} in probe {spec!r}")
     if kind == "i":
         col = circuit.devices.index(dev)
-        return (
-            f"i({dev_name})",
-            "A",
-            lambda x, s: float(plan.device_current(dev, x, s)),
-            lambda x, currents: currents[:, col],
-        )
+        return f"i({dev_name})", "A", lambda x, currents, s: currents[:, col]
     if not isinstance(dev, BoundMemristor):
         raise UnknownProbeError(
             f"probe {spec!r} needs a memristor, {dev_name} is not one"
         )
-    k = plan.state_index[dev_name]
+    k = topo.state_index[dev_name]
     p = dev.params
     if kind == "w":
-        return f"w({dev_name})", "m", lambda x, s: s[k] * p.length, None
-    return f"m({dev_name})", "ohm", lambda x, s: _memristance(s[k], p), None
+        return f"w({dev_name})", "m", lambda x, currents, s: s[:, k] * p.length
+    return f"m({dev_name})", "ohm", lambda x, currents, s: memristance_at(s[:, k], p)
 
 
 # --------------------------------------------------------------------------- #
@@ -997,36 +957,28 @@ def _build_probe(plan: _Plan, spec: str):
 # --------------------------------------------------------------------------- #
 
 def _at_time(exc: SimulationError, t: float) -> SimulationError:
-    """A memristor-free transient's failing DC sample as the scalar steps
-    report theirs: the same error type and trace, naming the sample's time."""
+    """A memristor-free transient's failing DC sample as the memristive
+    steps report theirs: the same error type and trace, naming the sample's
+    time."""
     message = f"{exc} at t={t:.9g} s"
     if isinstance(exc, NonConvergenceError):
         return NonConvergenceError(message, trace=exc.trace, time=t)
     return SingularMatrixError(message, time=t)
 
 
-def _dc_samples(plan: _Plan, opts: SimOptions, times: np.ndarray,
-                probe_list) -> list[np.ndarray]:
-    """Probe samples of a circuit with no memristor, whose steps share no
-    state: sample k is the DC solution with the sources at ``times[k]``,
-    ``solve_dc(circuit, opts, source_time=times[k])`` to the bit, solved as
-    rows of the batched Newton ``_TRANSIENT_BLOCK`` samples at a time.  The
-    earliest failing sample raises its error, carrying its time."""
-    compiled = _DcRows(plan, [plan.circuit], [plan.temp], [None], opts.gmin, [0.0])
-    if compiled.errors:
-        raise compiled.errors[0]
-    data = [np.empty(len(times)) for _ in probe_list]
-    for start in range(0, len(times), _TRANSIENT_BLOCK):
-        block = times[start:start + _TRANSIENT_BLOCK].tolist()
-        results = compiled.at_times(block).solve(opts)
-        for t, result in zip(block, results):
-            if isinstance(result, SimulationError):
-                raise _at_time(result, t) from result
-        x = np.array([r[0] for r in results])
-        currents = np.array([r[2] for r in results])
-        for buf, (_, _, _, read) in zip(data, probe_list):
-            buf[start:start + len(block)] = read(x, currents)
-    return data
+def _dc_samples(compiled: _DcRows, opts: SimOptions, times: np.ndarray):
+    """Solutions and device currents, as (samples, ...) arrays, of a circuit
+    with no memristor at ``times``: sample k is the DC solution with the
+    sources at ``times[k]``, ``solve_dc(circuit, opts,
+    source_time=times[k])`` to the bit, all solved as rows of one batched
+    Newton.  The earliest failing sample raises its error, carrying its
+    time."""
+    block = times.tolist()
+    results = compiled.at_times(block).solve(opts)
+    for t, result in zip(block, results):
+        if isinstance(result, SimulationError):
+            raise _at_time(result, t) from result
+    return np.array([r[0] for r in results]), np.array([r[2] for r in results])
 
 
 def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
@@ -1034,15 +986,17 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     """Fixed-step backward-Euler transient.
 
     Sample k sits at t = k*dt, sources evaluated at the same instant; sample
-    0 is the DC solution with sources at t = 0.
+    0 is the DC solution with sources at t = 0.  The circuit is compiled
+    once, as one :class:`_DcRows` row.
 
     In a circuit with memristors, each step is one Newton solve of the node
     voltages, source currents and memristor states together: every state
     s = w/L obeys its implicit update ``s_next = s_prev + dt * dwdt(s_next,
     i_next) / L``, clamped to [0, 1], so the recorded voltages, currents and
-    memristances belong to one solution.  A step whose Newton fails raises
-    :class:`NonConvergenceError` carrying its iteration trace and ``time``;
-    there is no step-size retry.
+    memristances belong to one solution.  The steps run on Python lists
+    copied from the compiled row (:class:`_Steps`).  A step whose Newton
+    fails raises :class:`NonConvergenceError` carrying its iteration trace
+    and ``time``; there is no step-size retry.
 
     A circuit with no memristor keeps no state between steps, so sample k
     is ``solve_dc(circuit, opts, source_time=k*dt)``, to the bit: the
@@ -1050,6 +1004,9 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     each gets the DC solve's source-stepping retry.  The earliest sample
     that still fails raises its :class:`NonConvergenceError` or
     :class:`SingularMatrixError`, with its trace and ``time``.
+
+    Either way the probes are read ``_TRANSIENT_BLOCK`` samples at a time,
+    device currents coming from the compiled row's batched KCL.
 
     ``initial_states`` replaces the netlist's initial memristor states
     (metres), letting one run continue where another settled;
@@ -1062,43 +1019,60 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     if n_steps < 1:
         raise ValueError("t_stop shorter than one step")
 
-    plan = _Plan(circuit, _effective_temp(circuit, opts))
-    if not plan.sources:
+    topo = _Topology(circuit)
+    if not topo.sources:
         raise SimulationError("circuit has no voltage source")
-    probe_list = [_build_probe(plan, p) for p in probes]
+    probe_list = [_build_probe(topo, p) for p in probes]
 
     times = np.arange(n_steps + 1) * dt
 
-    states = plan.initial_states()
+    memristors = topo.memristors
+    states = {m.name: m.w0 for m in memristors}
     if initial_states is not None:
         for name, w in initial_states.items():
             key = name.upper()
             if key not in states:
                 raise SimulationError(f"no memristor named {name!r} to initialize")
-            mem = plan.memristors[plan.state_index[key]]
+            mem = memristors[topo.state_index[key]]
             if not 0.0 <= w <= mem.params.length:
                 raise SimulationError(
                     f"initial state {w} for {key} outside [0, {mem.params.length}]"
                 )
             states[key] = float(w)
-    s = _normalized(plan.memristors, states)
-    if not plan.memristors:
-        data = _dc_samples(plan, opts, times, probe_list)
-    else:
-        data = [np.empty(n_steps + 1) for _ in probe_list]
-        _, (x0, *_) = _solve_one(plan, circuit, plan.temp, s, opts, 0.0)
-        x = x0.tolist()
-        for buf, (_, _, sample, _) in zip(data, probe_list):
-            buf[0] = sample(x, s)
+    s = _normalized(memristors, states)
+    compiled = _DcRows(topo, [circuit], [_effective_temp(circuit, opts)], [s],
+                       opts.gmin, [0.0])
+    if compiled.errors:
+        raise compiled.errors[0]
+    if memristors:
+        (first,) = compiled.solve(opts)
+        if isinstance(first, Exception):
+            raise first
+        steps = _Steps(compiled)
+        x = first[0].tolist()
+        xs, ss = np.empty((len(times), len(x))), np.empty((len(times), len(s)))
+        xs[0], ss[0] = x, s
         for k in range(1, n_steps + 1):
-            t = float(times[k])
-            x, s = plan.newton(x, s, opts, t, dt)
-            for buf, (_, _, sample, _) in zip(data, probe_list):
-                buf[k] = sample(x, s)
+            x, s = steps.newton(x, s, opts, float(times[k]), dt)
+            xs[k], ss[k] = x, s
+
+    data = [np.empty(len(times)) for _ in probe_list]
+    for start in range(0, len(times), _TRANSIENT_BLOCK):
+        block = slice(start, start + _TRANSIENT_BLOCK)
+        if memristors:
+            x, s_block = xs[block], ss[block]
+            r_mem = np.column_stack([memristance_at(s_block[:, k], m.params)
+                                     for k, m in enumerate(memristors)])
+            currents, _ = compiled.kcl(np.zeros(len(x), dtype=np.intp), x, r_mem)
+        else:
+            x, currents = _dc_samples(compiled, opts, times[block])
+            s_block = np.empty((len(x), 0))
+        for buf, (_, _, read) in zip(data, probe_list):
+            buf[block] = read(x, currents, s_block)
 
     waveforms = [
         Waveform(name=name, unit=unit, t=times.copy(), values=buf)
-        for (name, unit, _, _), buf in zip(probe_list, data)
+        for (name, unit, _), buf in zip(probe_list, data)
     ]
-    final_states = {m.name: sk * m.params.length for m, sk in zip(plan.memristors, s)}
+    final_states = {m.name: sk * m.params.length for m, sk in zip(memristors, s)}
     return TransientResult(waveforms=waveforms, final_states=final_states, dt=dt)

@@ -55,6 +55,7 @@ __all__ = [
     "BoundMemristor",
     "BoundMosfet",
     "BoundSource",
+    "terminals",
     "MirrorKind",
     "MirrorConfig",
     "builtin_mirror",
@@ -526,6 +527,13 @@ class BoundSource:
     spec: SourceSpec
 
 
+def terminals(device) -> tuple[int, ...]:
+    """Node indices of a bound device's terminals."""
+    if isinstance(device, BoundMosfet):
+        return (device.n_d, device.n_g, device.n_s, device.n_b)
+    return (device.n_pos, device.n_neg)
+
+
 @dataclass
 class Circuit:
     """Elaborated circuit: interned nodes plus bound device instances.
@@ -689,11 +697,6 @@ def elaborate(ast: NetlistAst) -> Circuit:
 
     if not devices:
         raise ElaborationError("netlist has no devices")
-
-    def terminals(d) -> tuple[int, ...]:
-        if isinstance(d, BoundMosfet):
-            return (d.n_d, d.n_g, d.n_s, d.n_b)
-        return (d.n_pos, d.n_neg)
 
     if not any(0 in terminals(d) for d in devices):
         raise ElaborationError("no device terminal touches ground (node 0)")

@@ -480,8 +480,9 @@ class TestOutputPlumbing:
 GOLDEN = Path(__file__).with_name("data") / "golden"
 
 # stdout of each command, recorded before DC solves were batched (thd_2m
-# before the memristor-free transients were, thd_2r and thd_pmos-r after);
-# a file is named after its command's analysis and configuration
+# before the memristor-free transients were, thd_2r and thd_pmos-r after,
+# tran_2m and tran_pmos-m before the memristive steps read the compiled DC
+# row); a file is named after its command's analysis and configuration
 GOLDEN_COMMANDS = {
     "dc_2r": ["mirror", "2r", "--analysis", "dc"],
     "dc_2m": ["mirror", "2m", "--analysis", "dc"],
@@ -500,6 +501,8 @@ GOLDEN_COMMANDS = {
     "thd_2r": ["mirror", "2r", "--analysis", "thd"],
     "thd_pmos-r": ["mirror", "pmos-r", "--analysis", "thd"],
     "thd_2m": ["mirror", "2m", "--analysis", "thd"],
+    "tran_2m": ["mirror", "2m", "--analysis", "tran", "--set", "dt=5m"],
+    "tran_pmos-m": ["mirror", "pmos-m", "--analysis", "tran", "--set", "dt=5m"],
 }
 
 

@@ -12,6 +12,7 @@ from mirrorsim.devices import (
     MemristorState,
     joglekar_window,
     memristance,
+    mosfet_current,
     mosfet_kprime,
     mosfet_vth,
     resistor_value,
@@ -30,6 +31,8 @@ from mirrorsim.engine import (
     solve_dc_batch,
 )
 from mirrorsim.netlist import (
+    BoundMemristor,
+    BoundMosfet,
     BoundResistor,
     BoundSource,
     Circuit,
@@ -550,6 +553,40 @@ def test_memoryless_samples_equal_lone_dc_solves(name, samples):
             assert v[k] == op.node_voltages[n]
         for name, i in zip(names, currents):
             assert i[k] == op.device_currents[name]
+
+
+@pytest.mark.parametrize("kind", [MirrorKind.TWO_MEMRISTORS, MirrorKind.PMOS_MEMRISTOR])
+@pytest.mark.parametrize("samples", [PARTIAL_BLOCK, THREE_BLOCKS])
+def test_memristive_probes_follow_the_device_laws(kind, samples):
+    # the steps span the switching transient; the currents are read a block
+    # at a time after the steps, the voltages and memristances per step
+    cir = mirror_circuit(MirrorConfig(kind=kind))
+    dt = 3e-3
+    res = run_transient(cir, SimOptions(dt=dt, t_stop=(samples - 1) * dt),
+                        [f"v({name})" for name in cir.node_names]
+                        + [f"i({d.name})" for d in cir.devices]
+                        + [f"m({d.name})" for d in cir.devices
+                           if isinstance(d, BoundMemristor)])
+    assert len(res.waveforms[0].t) == samples
+
+    def v(node: int) -> np.ndarray:
+        return res.waveform(f"v({cir.node_names[node]})").values
+
+    checked = set()
+    for d in cir.devices:
+        current = res.waveform(f"i({d.name})").values
+        if isinstance(d, BoundMemristor):
+            want = (v(d.n_pos) - v(d.n_neg)) / res.waveform(f"m({d.name})").values
+        elif isinstance(d, BoundMosfet):
+            want = np.array([
+                mosfet_current(g - s, dr - s, d.params, cir.temp)
+                for g, s, dr in zip(v(d.n_g).tolist(), v(d.n_s).tolist(),
+                                    v(d.n_d).tolist())])
+        else:
+            continue
+        assert current.tobytes() == want.tobytes(), d.name
+        checked.add(type(d))
+    assert checked == {BoundMemristor, BoundMosfet}
 
 
 @pytest.mark.parametrize("first_bad", [1, engine._TRANSIENT_BLOCK + 3])
