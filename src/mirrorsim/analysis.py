@@ -221,6 +221,11 @@ def switching_time(wave: Waveform, settle_band: float = 0.01) -> float:
     return settled_at
 
 
+# spacing of the grid an error-controlled settled transient is read on: the
+# fixed step settled transients took before they were error-controlled
+_SETTLE_LATTICE = 1e-3
+
+
 def _has_memristors(circuit: Circuit) -> bool:
     return any(isinstance(d, BoundMemristor) for d in circuit.devices)
 
@@ -240,7 +245,7 @@ class SettledResult:
 
 
 def settled_transient(circuit: Circuit, *, probe: str = "i(M2)",
-                      temp: float | None = None, dt: float = 1e-3,
+                      temp: float | None = None, dt: float | None = None,
                       chunk: float = 3.0, max_time: float = 24.0,
                       settle_band: float = 0.01) -> SettledResult:
     """Run ``circuit`` until the probed current settles; return the end state.
@@ -250,18 +255,27 @@ def settled_transient(circuit: Circuit, *, probe: str = "i(M2)",
     at a time (continuing from the frozen memristor states) until
     :func:`switching_time` accepts the accumulated waveform; past ``max_time``
     the :class:`NotSettledError` propagates.
+
+    ``dt=None`` runs each chunk with error-controlled steps
+    (``SimOptions.adaptive``) and resamples the probe linearly onto a 1 ms
+    grid, so ``settle_time`` falls on that grid as a 1 ms fixed-step run's
+    does.  A given ``dt`` runs fixed backward-Euler steps of that size.
     """
     if not _has_memristors(circuit):
         return SettledResult(solve_dc(circuit, SimOptions(temp=temp)), {}, 0.0)
+    opts = SimOptions(dt=dt, t_stop=chunk, temp=temp, adaptive=dt is None)
+    lattice = np.arange(math.floor(chunk / _SETTLE_LATTICE + 1e-9) + 1) * _SETTLE_LATTICE
     t_parts: list[np.ndarray] = []
     x_parts: list[np.ndarray] = []
     states: dict[str, float] | None = None
     offset = 0.0
     name, unit = probe, ""
     while offset < max_time - 1e-9:
-        res = run_transient(circuit, SimOptions(dt=dt, t_stop=chunk, temp=temp),
-                            [probe], initial_states=states)
+        res = run_transient(circuit, opts, [probe], initial_states=states)
         wave = res.waveform(probe)
+        if dt is None:
+            wave = Waveform(wave.name, wave.unit, lattice,
+                            np.interp(lattice, wave.t, wave.values))
         name, unit = wave.name, wave.unit
         if t_parts:
             # sample 0 of a continuation repeats the previous final sample

@@ -1,15 +1,19 @@
-"""Numerical core: MNA assembly, Newton-Raphson DC solve, and fixed-step
-backward-Euler transient simulation with the memristor states solved inside
-Newton.
+"""Numerical core: MNA assembly, Newton-Raphson DC solve, and transient
+simulation with the memristor states solved inside Newton, on a fixed
+backward-Euler grid or with error-controlled variable-step BDF2 steps.
 
 Unknown vector layout: index 0 is the ground node (pinned to 0 V by a trivial
 row), indices 1..N-1 are node voltages, and the next entries are voltage
 source branch currents (positive into the source's + terminal, the usual
 SPICE sign convention, so a supply delivering power reads negative).  A
 transient step appends one more unknown per memristor, its normalized state
-s = w/L, with the backward-Euler update as its row (the way Ho, Ruehli &
+s = w/L, with the implicit update as its row (the way Ho, Ruehli &
 Brennan's modified nodal analysis admits any extra unknown), so each step is
-a single Newton solve of the coupled system.  A DC solve has no state rows:
+a single Newton solve of the coupled system.  A step whose Newton runs out
+of iterations is halved and retried, as SPICE2 cuts its timestep (Nagel
+1975).  Error-controlled steps estimate each state's local error from a
+predictor (Milne's device) and size the next step from it; only the states
+carry memory, so only they enter the estimate.  A DC solve has no state rows:
 the memristances stay frozen.  A circuit with no memristor carries nothing
 from one step to the next, so its transient is a DC solve per sample.
 
@@ -92,6 +96,31 @@ _TRANSIENT_BLOCK = 512
 # move a state by at most a quarter of the device
 _STATE_LIMIT = 0.25
 
+# A memristive step whose Newton hits its iteration limit is halved and
+# retried, down to its first size over 2**_MAX_CUTS: a step that still fails
+# at a thousandth of its size fails for the circuit, not for its size, and
+# the cuts cost at most ten times one step's iteration limit
+_MAX_CUTS = 10
+
+# Step-size limits of the error-controlled steps.  Variable-step BDF2 is
+# zero-stable for step ratios below 1 + sqrt(2) (Grigorieff 1983), so a step
+# at most doubles; one rejected estimate shrinks it at most to a fifth, so a
+# single outlier cannot collapse it; 0.9 is the usual safety factor on the
+# step the estimate predicts.  The largest step bounds the steps of a
+# settled tail, whose error estimate vanishes: 0.3 s is the smaller of the
+# two fixed steps at which both built-in memristive mirrors converge uncut
+# and end within 2 % of the default grid, and keeps ten steps in a 3 s
+# settling chunk.
+_GROWTH_LIMIT = 2.0
+_SHRINK_LIMIT = 0.2
+_SAFETY = 0.9
+_MAX_STEP = 0.3
+
+# Milne's device: BDF2's error constant -2/9 against the quadratic
+# predictor's 1 puts the corrector's local error at (2/9) / (1 + 2/9) of the
+# predictor-corrector difference (Gear 1971, ch. 9)
+_MILNE = 2.0 / 11.0
+
 
 class SimulationError(Exception):
     """Base class for solver failures."""
@@ -120,6 +149,12 @@ class NonConvergenceError(SimulationError):
         self.time = time
 
 
+class _IterationLimit(NonConvergenceError):
+    """A memristive step's Newton ran out of iterations: the step is cut
+    and retried, and only a failure at the smallest step escapes, as a
+    plain :class:`NonConvergenceError`."""
+
+
 class UnknownProbeError(SimulationError):
     pass
 
@@ -131,6 +166,11 @@ class SimOptions:
     ``temp=None`` defers to the circuit's own temperature (which the `.temp`
     directive sets); passing a value overrides it.  ``dt=None`` picks
     ``t_stop / 10000``.
+
+    ``adaptive=True`` lets a memristive transient choose its own steps,
+    holding each step's estimated local error on every normalized memristor
+    state to ``reltol`` (see :func:`run_transient`); ``dt`` must then be
+    left unset.  Memristor-free transients keep the fixed grid either way.
     """
 
     abstol: float = 1e-9
@@ -142,6 +182,7 @@ class SimOptions:
     t_stop: float | None = None
     temp: float | None = None
     source_steps: int = 10
+    adaptive: bool = False
 
     def __post_init__(self) -> None:
         if self.abstol <= 0.0 or self.reltol <= 0.0 or self.vntol <= 0.0:
@@ -160,6 +201,9 @@ class SimOptions:
             raise ValueError("temp must be positive kelvin")
         if self.source_steps < 1:
             raise ValueError("source_steps must be >= 1")
+        if self.adaptive and self.dt is not None:
+            raise ValueError("an adaptive transient chooses its own steps; "
+                             "leave dt unset")
 
 
 @dataclass
@@ -189,6 +233,9 @@ class Waveform:
 
 @dataclass
 class TransientResult:
+    """Recorded probes and final memristor states (metres) of a transient;
+    ``dt`` is the fixed step, or an adaptive run's first step."""
+
     waveforms: list[Waveform]
     final_states: dict[str, float]
     dt: float
@@ -654,7 +701,7 @@ class _DcRows:
 
 
 class _Steps:
-    """Backward-Euler steps of a memristive circuit compiled as row 0 of a
+    """Implicit steps of a memristive circuit compiled as row 0 of a
     :class:`_DcRows`, on Python lists copied from that row, which is the
     fast form for one small system.
 
@@ -662,7 +709,10 @@ class _Steps:
     ``w / L`` in the order of the topology's memristors; the unknown vector
     ``x`` is a list of floats in the layout the module docstring gives,
     and a step's system borders it with one state row and column per
-    memristor.
+    memristor.  Every step solves ``s = hist + dt_eff * (dw/dt)/L``: a
+    backward-Euler step has ``hist = s_prev`` and ``dt_eff = dt``, and a
+    variable-step BDF2 step (:meth:`march`) a blend of the last two
+    accepted states and a shortened step.
     """
 
     def __init__(self, rows: _DcRows):
@@ -678,10 +728,10 @@ class _Steps:
         self.g_base = ([row + pad for row in rows.g_base[0].tolist()]
                        + [[0.0] * (topo.dim + len(pad)) for _ in pad])
 
-    def assemble(self, x, s, values, dt, s_prev):
-        """Linearized system of a backward-Euler step at (x, s), with the
-        sources at ``values``: row 0's linear part, the memristances at
-        ``s``, the MOSFETs linearized at ``x``, then the state rows."""
+    def assemble(self, x, s, values, dt_eff, hist):
+        """Linearized system of a step at (x, s), with the sources at
+        ``values``: row 0's linear part, the memristances at ``s``, the
+        MOSFETs linearized at ``x``, then the state rows."""
         topo = self.topo
         g_mat = [row[:] for row in self.g_base]
         rhs = [0.0] * len(g_mat)
@@ -705,12 +755,12 @@ class _Steps:
             g_mat[r][c] += terms[term] * sign
         for (r,), k, sign in topo.rhs_sequence:
             rhs[r] += ieqs[k] * sign
-        self._stamp_states(g_mat, rhs, x, s, dt, s_prev)
+        self._stamp_states(g_mat, rhs, x, s, dt_eff, hist)
         return np.array(g_mat), np.array(rhs)
 
-    def _stamp_states(self, g_mat, rhs, guess, states, dt, s_prev) -> None:
-        """Backward-Euler rows ``s - s_prev - dt*(dw/dt)/L = 0`` linearized
-        at (guess, s), and the state columns of the memristors' node rows.
+    def _stamp_states(self, g_mat, rhs, guess, states, dt_eff, hist) -> None:
+        """State rows ``s - hist - dt_eff*(dw/dt)/L = 0`` linearized at
+        (guess, s), and the state columns of the memristors' node rows.
 
         With M = s*Ron + (1-s)*Roff, i = v/M and dw/dt/L = c*i*f(s), the
         partials are di/ds = -v*(Ron - Roff)/M^2 and f'(s) of the Joglekar
@@ -726,8 +776,8 @@ class _Steps:
             g = 1.0 / memristance_at(sk, p)
             i = v * g
             f = joglekar_window(sk, p.window_p)
-            kc = dt * p.polarity * p.mobility * p.r_on / (p.length * p.length)
-            resid = sk - s_prev[k] - kc * i * f
+            kc = dt_eff * p.polarity * p.mobility * p.r_on / (p.length * p.length)
+            resid = sk - hist[k] - kc * i * f
             if (sk == 1.0 and resid <= 0.0) or (sk == 0.0 and resid >= 0.0):
                 g_mat[col][col] = 1.0
                 rhs[col] = sk
@@ -770,24 +820,27 @@ class _Steps:
             sums[node] += by_kind[column] * sign
         return float(max(map(abs, sums[1:])))
 
-    def newton(self, x0, s_prev, opts, t: float, dt: float):
-        """One backward-Euler step to time ``t``: Newton-Raphson on the node
-        voltages, source currents and memristor states together, from the
-        previous step's solution (x0, s_prev).
+    def newton(self, x0, guess, hist, opts, t: float, dt_eff: float):
+        """One step to time ``t``: Newton-Raphson on the node voltages,
+        source currents and memristor states together, from the previous
+        step's solution ``x0`` and the state guess ``guess``, on the state
+        rows ``s = hist + dt_eff*(dw/dt)/L``.
 
         Converged means per-node voltage deltas below vntol + reltol*|V|,
         every state delta below reltol, and the device-KCL residual below
         abstol.  Each iteration moves a state by at most ``_STATE_LIMIT``
-        and clamps it to [0, 1].  Returns (x, s).
+        and clamps it to [0, 1].  Returns (x, s).  Running out of
+        iterations raises :class:`_IterationLimit`; a non-finite iterate
+        raises :class:`NonConvergenceError` at once.
         """
         x = list(x0)
-        s = list(s_prev)
+        s = list(guess)
         values = [source_value(spec, t) for spec in self.specs]
         trace: list[tuple[int, float, float]] = []
         n, dim = self.topo.n_nodes, self.topo.dim
         vntol, reltol = opts.vntol, opts.reltol
         for it in range(1, opts.max_newton_iters + 1):
-            g_mat, rhs = self.assemble(x, s, values, dt, s_prev)
+            g_mat, rhs = self.assemble(x, s, values, dt_eff, hist)
             try:
                 solved = np.linalg.solve(g_mat, rhs).tolist()
             except np.linalg.LinAlgError as exc:
@@ -822,12 +875,79 @@ class _Steps:
                     return x, s
             else:
                 trace.append((it, max_dv, math.nan))
-        raise NonConvergenceError(
+        raise _IterationLimit(
             f"Newton did not converge within {opts.max_newton_iters} "
             f"iterations at t={t:.9g} s (last max |dV|={trace[-1][1]:.3g} V)",
             trace=trace,
             time=t,
         )
+
+    def march(self, x, s, t: float, t_end: float, h: float, floor: float,
+              opts: SimOptions, controlled: bool):
+        """Steps from the solution (x, s) at time ``t`` to ``t_end``, the
+        first of size ``h``; returns the accepted times, solutions and
+        states as lists, the start included.
+
+        A step whose Newton runs out of iterations is halved and retried;
+        one that fails at the ``floor`` raises its
+        :class:`NonConvergenceError`, naming the step.  A step that
+        converges lets the next one double, up to ``_MAX_STEP``.
+
+        Uncontrolled, every step is backward Euler: this is how a fixed-grid
+        step that failed is cut.  Controlled, the first step is backward
+        Euler and every later one variable-step BDF2 (Gear 1971).  From the
+        third step on, Newton starts from the quadratic through the last
+        three accepted states, and the predictor-corrector difference times
+        ``_MILNE`` estimates each state's local error: a step is accepted
+        when no estimate exceeds ``opts.reltol`` (or when it is already at
+        the floor), and the next step is the one the estimate predicts,
+        within the growth and shrink limits.
+        """
+        ts, xs, ss = [t], [x], [s]
+        tol = opts.reltol
+        while t < t_end:
+            # the last step reaches t_end exactly, absorbing what a step
+            # of size h would leave short of the floor
+            t_next = t_end if t + h >= t_end - floor else t + h
+            h = t_next - t
+            hist, dt_eff, pred = s, h, None
+            if controlled and len(ts) >= 2:
+                w = h / (t - ts[-2])
+                hist = [((1.0 + w) ** 2 * sn - w * w * sp) / (1.0 + 2.0 * w)
+                        for sn, sp in zip(s, ss[-2])]
+                dt_eff = (1.0 + w) / (1.0 + 2.0 * w) * h
+            if controlled and len(ts) >= 3:
+                t0, t1 = ts[-3], ts[-2]
+                l0 = (t_next - t1) * (t_next - t) / ((t0 - t1) * (t0 - t))
+                l1 = (t_next - t0) * (t_next - t) / ((t1 - t0) * (t1 - t))
+                l2 = (t_next - t0) * (t_next - t1) / ((t - t0) * (t - t1))
+                pred = [l0 * s0 + l1 * s1 + l2 * s2
+                        for s0, s1, s2 in zip(ss[-3], ss[-2], s)]
+            guess = s if pred is None else [min(max(p, 0.0), 1.0) for p in pred]
+            try:
+                x_new, s_new = self.newton(x, guess, hist, opts, t_next, dt_eff)
+            except _IterationLimit as exc:
+                if h / 2.0 < floor:
+                    raise NonConvergenceError(
+                        f"{exc}; step cut to {h:.3g} s", trace=exc.trace,
+                        time=exc.time) from exc
+                h /= 2.0
+                continue
+            factor = _GROWTH_LIMIT
+            if pred is not None:
+                err = _MILNE * max(abs(c - p) for c, p in zip(s_new, pred))
+                if err > 0.0:
+                    factor = min(max(_SAFETY * (tol / err) ** (1.0 / 3.0),
+                                     _SHRINK_LIMIT), _GROWTH_LIMIT)
+                if err > tol and h > floor:
+                    h = max(h * factor, floor)
+                    continue
+            t, x, s = t_next, x_new, s_new
+            ts.append(t)
+            xs.append(x)
+            ss.append(s)
+            h = min(max(h * factor, floor), _MAX_STEP)
+        return ts, xs, ss
 
 
 def assemble_system(circuit: Circuit, guess, states: dict[str, float] | None = None,
@@ -983,11 +1103,12 @@ def _dc_samples(compiled: _DcRows, opts: SimOptions, times: np.ndarray):
 
 def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
                   initial_states: dict[str, float] | None = None) -> TransientResult:
-    """Fixed-step backward-Euler transient.
+    """Transient on a fixed backward-Euler grid, or with error-controlled
+    steps when ``opts.adaptive`` is set and the circuit has memristors.
 
-    Sample k sits at t = k*dt, sources evaluated at the same instant; sample
-    0 is the DC solution with sources at t = 0.  The circuit is compiled
-    once, as one :class:`_DcRows` row.
+    On the fixed grid, sample k sits at t = k*dt, sources evaluated at the
+    same instant; sample 0 is the DC solution with sources at t = 0.  The
+    circuit is compiled once, as one :class:`_DcRows` row.
 
     In a circuit with memristors, each step is one Newton solve of the node
     voltages, source currents and memristor states together: every state
@@ -995,8 +1116,18 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     i_next) / L``, clamped to [0, 1], so the recorded voltages, currents and
     memristances belong to one solution.  The steps run on Python lists
     copied from the compiled row (:class:`_Steps`).  A step whose Newton
-    fails raises :class:`NonConvergenceError` carrying its iteration trace
-    and ``time``; there is no step-size retry.
+    runs out of iterations is cut: halved and retried, and grown back after
+    each success, until it reaches its grid time, which alone is recorded.
+    A step that still fails at ``dt / 2**_MAX_CUTS``, or whose Newton
+    produces a non-finite iterate, raises :class:`NonConvergenceError`
+    carrying its iteration trace and ``time``.
+
+    With ``opts.adaptive``, a memristive transient records the steps it
+    accepts, so the waveforms' ``t`` is not uniform: the first step is
+    ``t_stop / 10000`` and backward Euler, later steps are variable-step
+    BDF2 whose size holds each state's estimated local error to
+    ``opts.reltol`` (:meth:`_Steps.march`), and the last ends at
+    ``t_stop``.  Failing steps are cut as on the fixed grid.
 
     A circuit with no memristor keeps no state between steps, so sample k
     is ``solve_dc(circuit, opts, source_time=k*dt)``, to the bit: the
@@ -1050,11 +1181,23 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
             raise first
         steps = _Steps(compiled)
         x = first[0].tolist()
-        xs, ss = np.empty((len(times), len(x))), np.empty((len(times), len(s)))
-        xs[0], ss[0] = x, s
-        for k in range(1, n_steps + 1):
-            x, s = steps.newton(x, s, opts, float(times[k]), dt)
-            xs[k], ss[k] = x, s
+        floor = dt / 2 ** _MAX_CUTS
+        if opts.adaptive:
+            ts, xs, ss = steps.march(x, s, 0.0, opts.t_stop, dt, floor, opts, True)
+            s = ss[-1]
+            times, xs, ss = np.array(ts), np.array(xs), np.array(ss)
+        else:
+            xs, ss = np.empty((len(times), len(x))), np.empty((len(times), len(s)))
+            xs[0], ss[0] = x, s
+            for k in range(1, n_steps + 1):
+                try:
+                    x, s = steps.newton(x, s, s, opts, float(times[k]), dt)
+                except _IterationLimit:
+                    _, cut_x, cut_s = steps.march(x, s, float(times[k - 1]),
+                                                  float(times[k]), dt / 2.0,
+                                                  floor, opts, False)
+                    x, s = cut_x[-1], cut_s[-1]
+                xs[k], ss[k] = x, s
 
     data = [np.empty(len(times)) for _ in probe_list]
     for start in range(0, len(times), _TRANSIENT_BLOCK):

@@ -36,7 +36,13 @@ from mirrorsim.devices import (
     SourceSpec,
     mosfet_linearized,
 )
-from mirrorsim.engine import SimOptions, Waveform, solve_dc, solve_dc_batch
+from mirrorsim.engine import (
+    SimOptions,
+    Waveform,
+    run_transient,
+    solve_dc,
+    solve_dc_batch,
+)
 from mirrorsim.netlist import (
     ElaborationError,
     MirrorConfig,
@@ -214,6 +220,67 @@ class TestSettledTransient:
         # both loads end pinned near the high-resistance boundary (w -> 0)
         for w in settled.states.values():
             assert 0.0 <= w < 1e-3 * 10e-9
+
+    @pytest.mark.parametrize("kind", [MirrorKind.TWO_MEMRISTORS,
+                                      MirrorKind.PMOS_MEMRISTOR], ids=["2m", "pmos-m"])
+    def test_fixed_grid_is_its_chunks_read_by_switching_time(self, kind):
+        # the path calibrate_mobility takes, built by hand from the engine
+        circuit = mirror_circuit(MirrorConfig(kind))
+        t_parts, x_parts, states, offset = [], [], None, 0.0
+        while True:
+            res = run_transient(circuit, SimOptions(dt=1e-3, t_stop=3.0),
+                                ["i(M2)"], initial_states=states)
+            wave = res.waveform("i(M2)")
+            t_parts.append(wave.t[1:] + offset if t_parts else wave.t)
+            x_parts.append(wave.values[1:] if x_parts else wave.values)
+            states, offset = dict(res.final_states), offset + 3.0
+            try:
+                settle = switching_time(Waveform(
+                    "i(M2)", "A", np.concatenate(t_parts), np.concatenate(x_parts)))
+                break
+            except NotSettledError:
+                continue
+        settled = settled_transient(circuit, dt=1e-3)
+        assert settled.settle_time == settle
+        assert settled.states == states
+        assert_same_op(settled.op, solve_dc(circuit, SimOptions(), states=states))
+
+    @pytest.mark.parametrize("kind, vdd, chunk", [
+        (MirrorKind.TWO_MEMRISTORS, 2.0, 3.0),
+        (MirrorKind.TWO_MEMRISTORS, 2.5, 3.0),
+        (MirrorKind.TWO_MEMRISTORS, 3.0, 3.0),
+        (MirrorKind.PMOS_MEMRISTOR, None, 3.0),
+        # shorter than the settle time: the steps restart at each chunk
+        (MirrorKind.TWO_MEMRISTORS, 2.5, 1.0),
+    ], ids=["2m-2.0V", "2m-2.5V", "2m-3.0V", "pmos-m", "2m-1s-chunks"])
+    def test_controlled_steps_match_a_quarter_millisecond_grid(self, kind, vdd,
+                                                               chunk):
+        circuit = mirror_circuit(MirrorConfig(kind, vdd=vdd))
+        fine = settled_transient(circuit, dt=2.5e-4, chunk=chunk)
+        controlled = settled_transient(circuit, chunk=chunk)
+        assert abs(controlled.settle_time - fine.settle_time) <= 1e-3 + 1e-12
+        # read on the 1 ms lattice, as the fixed-step default was
+        lattice_point = round(controlled.settle_time / 1e-3) * 1e-3
+        assert controlled.settle_time == pytest.approx(lattice_point, abs=1e-12)
+        assert controlled.op.device_currents["M2"] == pytest.approx(
+            fine.op.device_currents["M2"], rel=1e-4)
+
+    @given(two_m=st.booleans(), u=st.floats(0.0, 1.0),
+           m0=st.floats(3e3, 10e3), temp_c=st.floats(0.0, 100.0))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_controlled_steps_match_the_millisecond_grid(self, two_m, u, m0,
+                                                         temp_c):
+        # the benchmark's settle workload ranges and reference tolerances
+        lo, hi = (2.0, 3.0) if two_m else (1.8, 2.4)
+        kind = MirrorKind.TWO_MEMRISTORS if two_m else MirrorKind.PMOS_MEMRISTOR
+        circuit = mirror_circuit(MirrorConfig(kind, vdd=lo + (hi - lo) * u, m0=m0))
+        temp = temp_c + ZERO_CELSIUS
+        fixed = settled_transient(circuit, temp=temp, dt=1e-3)
+        controlled = settled_transient(circuit, temp=temp)
+        assert controlled.settle_time == pytest.approx(fixed.settle_time, rel=1e-2)
+        for name in ("M1", "M2"):
+            assert controlled.op.device_currents[name] == pytest.approx(
+                fixed.op.device_currents[name], rel=1e-3)
 
 
 # --------------------------------------------------------------------------- #

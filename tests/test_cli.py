@@ -155,6 +155,14 @@ class TestExitCodes:
         assert "non-finite iterate at t=0.0003 s" in err
         assert "iter 1:" in err and "max|dV|=" in err
 
+    def test_a_step_newton_cannot_take_whole_is_cut(self, capsys):
+        # Newton runs out of iterations on the first 1.5 s step at full size
+        code, out, _ = run_cli(
+            ["mirror", "2m", "--analysis", "tran", "--set", "dt=1.5"], capsys)
+        assert code == EXIT_OK
+        _, rows, _ = parse_csv(out)
+        assert [float(row[0]) for row in rows] == [0.0, 1.5, 3.0]
+
     def test_resistive_transient_failure_names_the_sample_time(self, monkeypatch,
                                                                 capsys):
         # the same NaN sources on a memristor-free mirror, whose samples are

@@ -304,6 +304,8 @@ def test_sim_options_validation():
         SimOptions(temp=0.0)
     with pytest.raises(ValueError):
         SimOptions(source_steps=0)
+    with pytest.raises(ValueError):
+        SimOptions(dt=1e-3, t_stop=1.0, adaptive=True)
 
 
 # --------------------------------------------------------------------------- #
@@ -480,12 +482,16 @@ def test_large_steps_follow_the_default_grid():
             coarse = run_transient(cir, SimOptions(dt=dt, t_stop=3.0), ["m(Y2)"])
             m = coarse.waveform("m(Y2)").values[-1]
             assert abs(m - m_fine) / m_fine < 0.02
-    # there is no step-size retry: a step Newton cannot solve raises,
-    # naming the step, instead of returning a state
+        if kind is MirrorKind.TWO_MEMRISTORS:
+            m_fine_2m = m_fine
+    # Newton cannot solve the first 1.5 s step (its first iterate lands on
+    # the s = 1 bound), so the step is cut and retried; only the requested
+    # grid is recorded
     cir = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS))
-    with pytest.raises(NonConvergenceError) as exc:
-        run_transient(cir, SimOptions(dt=1.5, t_stop=3.0), ["m(Y2)"])
-    assert exc.value.time == 1.5 and exc.value.trace
+    coarse = run_transient(cir, SimOptions(dt=1.5, t_stop=3.0), ["m(Y2)"])
+    wave = coarse.waveform("m(Y2)")
+    assert wave.t.tolist() == [0.0, 1.5, 3.0]
+    assert abs(wave.values[-1] - m_fine_2m) / m_fine_2m < 0.02
 
 
 def test_transient_newton_failure_carries_trace_and_time(monkeypatch):
@@ -502,6 +508,133 @@ def test_transient_newton_failure_carries_trace_and_time(monkeypatch):
     assert err.time == 1e-3
     assert "t=0.001" in str(err)
     assert len(err.trace) == 1 and err.trace[0][0] == 1
+
+
+# a lone window-2 memristor whose state, at 10 ms steps, cycles between
+# s = 1 and 0.999981 until Newton's iteration limit at t = 0.11 s
+P2_DECK = (
+    "V1 in 0 SIN(0 2.5 5)\n"
+    "R1 in mid 1k\n"
+    "Y1 mid 0 MEM m0=5k\n"
+    ".model MEM MEMRISTOR (ron=100 roff=38k l=10n uv=2e-14 p=2 pol=1)\n"
+)
+
+
+def test_step_cut_completes_a_lone_window_2_memristor(monkeypatch):
+    cir = _circuit(P2_DECK)
+    coarse = run_transient(cir, SimOptions(dt=0.01, t_stop=1.0), ["w(Y1)"])
+    fine = run_transient(cir, SimOptions(dt=0.0025, t_stop=1.0), ["w(Y1)"])
+    wave = coarse.waveform("w(Y1)")
+    # only the requested grid is recorded, and it tracks the finer grid
+    # to the first-order error of backward Euler at the bound
+    assert wave.t.tobytes() == (np.arange(101) * 0.01).tobytes()
+    w_fine = fine.waveform("w(Y1)").values[::4]
+    assert np.max(np.abs(wave.values - w_fine)) < 0.1 * cir.device("Y1").params.length
+    # without cuts, the step to t = 0.11 s fails as it did before
+    monkeypatch.setattr(engine, "_MAX_CUTS", 0)
+    with pytest.raises(NonConvergenceError) as exc:
+        run_transient(cir, SimOptions(dt=0.01, t_stop=1.0), ["w(Y1)"])
+    assert exc.value.time == pytest.approx(0.11)
+
+
+def _newton_limited(monkeypatch, largest: float) -> list:
+    """Memristive steps whose Newton runs out of iterations on every
+    effective step longer than ``largest`` seconds; returns the list of
+    (time, effective step) of every Newton call."""
+    real = engine._Steps.newton
+    calls = []
+
+    def newton(self, x0, guess, hist, opts, t, dt_eff):
+        calls.append((t, dt_eff))
+        if dt_eff > largest:
+            raise engine._IterationLimit(
+                f"limit at t={t:.9g} s", trace=[(1, 0.5, math.nan)], time=t)
+        return real(self, x0, guess, hist, opts, t, dt_eff)
+
+    monkeypatch.setattr(engine._Steps, "newton", newton)
+    return calls
+
+
+ADAPTIVE = SimOptions(t_stop=3.0, adaptive=True)
+
+
+@pytest.mark.parametrize("kind", [MirrorKind.TWO_MEMRISTORS, MirrorKind.PMOS_MEMRISTOR])
+def test_controlled_steps_are_few_and_follow_the_fine_grid(kind):
+    cir = mirror_circuit(MirrorConfig(kind=kind))
+    res = run_transient(cir, ADAPTIVE, ["m(Y2)", "i(M2)"])
+    fine = run_transient(cir, SimOptions(dt=2.5e-4, t_stop=3.0), ["m(Y2)", "i(M2)"])
+    t = res.waveform("m(Y2)").t
+    steps = np.diff(t)
+    assert len(steps) < 400
+    assert t[0] == 0.0 and t[-1] == 3.0 and np.all(steps > 0.0)
+    assert steps[0] == 3.0 / engine._DEFAULT_STEPS
+    assert steps.max() <= engine._MAX_STEP
+    assert res.dt == steps[0]
+    # probes at the accepted steps agree with the 0.25 ms grid interpolated
+    for name in ("m(Y2)", "i(M2)"):
+        want = np.interp(t, fine.waveform(name).t, fine.waveform(name).values)
+        got = res.waveform(name).values
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 2e-3
+    assert res.final_states["Y2"] == pytest.approx(
+        fine.final_states["Y2"], rel=1e-3, abs=1e-3 * cir.device("Y2").params.length)
+
+
+def test_adaptive_runs_leave_memoryless_transients_on_the_grid():
+    cir = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_RESISTORS))
+    opts = SimOptions(t_stop=0.01)
+    fixed = run_transient(cir, opts, ["i(M2)"]).waveform("i(M2)")
+    adaptive = run_transient(cir, SimOptions(t_stop=0.01, adaptive=True),
+                             ["i(M2)"]).waveform("i(M2)")
+    assert adaptive.t.tobytes() == fixed.t.tobytes()
+    assert adaptive.values.tobytes() == fixed.values.tobytes()
+
+
+@pytest.mark.parametrize("opts", [ADAPTIVE, SimOptions(dt=0.05, t_stop=3.0)],
+                         ids=["adaptive", "fixed"])
+def test_steps_over_the_iteration_limit_are_cut_and_complete(monkeypatch, opts):
+    cir = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS))
+    whole = run_transient(cir, opts, ["m(Y2)"]).waveform("m(Y2)")
+    calls = _newton_limited(monkeypatch, 0.01)
+    cut = run_transient(cir, opts, ["m(Y2)"]).waveform("m(Y2)")
+    assert any(dt_eff > 0.01 for _, dt_eff in calls)
+    if not opts.adaptive:
+        assert cut.t.tobytes() == whole.t.tobytes()
+    assert abs(cut.values[-1] - whole.values[-1]) / whole.values[-1] < 0.02
+
+
+@pytest.mark.parametrize("opts", [ADAPTIVE, SimOptions(dt=1e-3, t_stop=3.0)],
+                         ids=["adaptive", "fixed"])
+def test_a_step_failing_at_every_size_raises_at_the_floor(monkeypatch, opts):
+    calls = _newton_limited(monkeypatch, 0.0)
+    cir = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS))
+    with pytest.raises(NonConvergenceError) as exc:
+        run_transient(cir, opts, ["m(Y2)"])
+    err = exc.value
+    first = opts.dt or opts.t_stop / engine._DEFAULT_STEPS
+    floor = first / 2 ** engine._MAX_CUTS
+    assert type(err) is NonConvergenceError
+    assert err.time == pytest.approx(floor)
+    assert len(err.trace) == 1 and err.trace[0][:2] == (1, 0.5)
+    assert "step cut to" in str(err)
+    # the full step, then each of its halvings down to the floor
+    assert len(calls) == engine._MAX_CUTS + 1
+    assert calls[-1][1] == pytest.approx(floor)
+
+
+def test_a_non_finite_controlled_step_raises_without_a_cut(monkeypatch):
+    real = engine.source_value
+    monkeypatch.setattr(
+        engine, "source_value",
+        lambda spec, time=None: math.nan if time else real(spec, time),
+    )
+    calls = _newton_limited(monkeypatch, math.inf)
+    cir = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS))
+    with pytest.raises(NonConvergenceError) as exc:
+        run_transient(cir, ADAPTIVE, ["m(Y2)"])
+    err = exc.value
+    assert "non-finite" in str(err)
+    assert err.time == 3.0 / engine._DEFAULT_STEPS
+    assert len(err.trace) == 1 and len(calls) == 1
 
 
 def _sine_supplied(kind: MirrorKind) -> Circuit:
