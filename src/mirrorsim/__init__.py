@@ -7,8 +7,8 @@ The package is layered bottom-up:
   MOSFET, resistor, sources) and their parameter records.
 * :mod:`mirrorsim.netlist` — netlist dialect: parse, print, elaborate to a
   :class:`~mirrorsim.netlist.Circuit`; built-in mirror configurations.
-* :mod:`mirrorsim.engine` — nodal analysis: Newton DC solves and fixed-step
-  backward-Euler transients with memristor state.
+* :mod:`mirrorsim.engine` — nodal analysis: Newton DC solves; transients
+  with memristor state, fixed-grid backward Euler or error-controlled BDF2.
 * :mod:`mirrorsim.analysis` — measurements over the engine: distortion,
   switching time, mismatch/temperature/parameter sweeps, hysteresis loops,
   power/area reports, mobility calibration.

@@ -245,7 +245,7 @@ class SettledResult:
 
 
 def settled_transient(circuit: Circuit, *, probe: str = "i(M2)",
-                      temp: float | None = None, dt: float | None = None,
+                      temp: float | None = None,
                       chunk: float = 3.0, max_time: float = 24.0,
                       settle_band: float = 0.01) -> SettledResult:
     """Run ``circuit`` until the probed current settles; return the end state.
@@ -256,39 +256,30 @@ def settled_transient(circuit: Circuit, *, probe: str = "i(M2)",
     :func:`switching_time` accepts the accumulated waveform; past ``max_time``
     the :class:`NotSettledError` propagates.
 
-    ``dt=None`` runs each chunk with error-controlled steps
-    (``SimOptions.adaptive``) and resamples the probe linearly onto a 1 ms
-    grid, so ``settle_time`` falls on that grid as a 1 ms fixed-step run's
-    does.  A given ``dt`` runs fixed backward-Euler steps of that size.
+    Each chunk runs error-controlled steps (``SimOptions.adaptive``) and its
+    probe is resampled linearly onto a 1 ms grid, on which ``settle_time``
+    falls.  That time depends on the record length, since the band is taken
+    from the record's last sample: ``2m`` at 2.0 V settles at 1.900 s with
+    3 s chunks and at 1.932 s with 12 s chunks.
     """
     if not _has_memristors(circuit):
         return SettledResult(solve_dc(circuit, SimOptions(temp=temp)), {}, 0.0)
-    opts = SimOptions(dt=dt, t_stop=chunk, temp=temp, adaptive=dt is None)
+    opts = SimOptions(t_stop=chunk, temp=temp, adaptive=True)
     lattice = np.arange(math.floor(chunk / _SETTLE_LATTICE + 1e-9) + 1) * _SETTLE_LATTICE
-    t_parts: list[np.ndarray] = []
-    x_parts: list[np.ndarray] = []
+    t = x = np.empty(0)
     states: dict[str, float] | None = None
     offset = 0.0
-    name, unit = probe, ""
     while offset < max_time - 1e-9:
         res = run_transient(circuit, opts, [probe], initial_states=states)
         wave = res.waveform(probe)
-        if dt is None:
-            wave = Waveform(wave.name, wave.unit, lattice,
-                            np.interp(lattice, wave.t, wave.values))
-        name, unit = wave.name, wave.unit
-        if t_parts:
-            # sample 0 of a continuation repeats the previous final sample
-            t_parts.append(wave.t[1:] + offset)
-            x_parts.append(wave.values[1:])
-        else:
-            t_parts.append(wave.t)
-            x_parts.append(wave.values)
-        states = dict(res.final_states)
-        offset += chunk
-        full = Waveform(name, unit, np.concatenate(t_parts), np.concatenate(x_parts))
+        # sample 0 of a continuation repeats the previous final sample
+        first = 1 if x.size else 0
+        t = np.concatenate([t, lattice[first:] + offset])
+        x = np.concatenate([x, np.interp(lattice, wave.t, wave.values)[first:]])
+        states, offset = dict(res.final_states), offset + chunk
         try:
-            settled_at = switching_time(full, settle_band)
+            settled_at = switching_time(Waveform(wave.name, wave.unit, t, x),
+                                        settle_band)
         except NotSettledError:
             continue
         op = solve_dc(circuit, SimOptions(temp=temp), states=states)
@@ -798,17 +789,17 @@ def table1_report(vdd: float | None = None, r_load: float = 38e3,
 def calibrate_mobility(target: float = 1.4, *, vdd: float = 2.5,
                        rel_tol: float = 0.01,
                        bracket: tuple[float, float] = (2e-15, 2e-13),
-                       dt: float = 1e-3, settle_band: float = 0.01,
+                       settle_band: float = 0.01,
                        max_iters: int = 40) -> float:
     """Dopant mobility that makes the memristive mirror switch in ``target``
     seconds at supply ``vdd``.
 
-    Switching time falls monotonically with mobility, so a log-scale
-    bisection on the bracket converges; each probe is a settled transient of
-    the two-memristor configuration measured with :func:`switching_time` on
-    the output current.  Raises :class:`AnalysisError` when the target lies
-    outside what the bracket can reach (including targets shorter than the
-    simulation can resolve).
+    Switching time falls with mobility, so a log-scale bisection on the
+    bracket converges; each probe is the ``settle_time`` of a
+    :func:`settled_transient` of the two-memristor configuration.  Raises
+    :class:`AnalysisError` when the target lies outside what the bracket can
+    reach (including targets shorter than the simulation can resolve), or
+    when the settle time jumps across it (``target=3.0`` does).
     """
     if target <= 0.0:
         raise AnalysisError(f"switching-time target must be positive, got {target}")
@@ -826,7 +817,7 @@ def calibrate_mobility(target: float = 1.4, *, vdd: float = 2.5,
         params = replace(MEMRISTOR_DEFAULTS, mobility=mobility, polarity=-1)
         circuit = mirror_circuit(config, params)
         try:
-            return settled_transient(circuit, dt=dt, settle_band=settle_band,
+            return settled_transient(circuit, settle_band=settle_band,
                                      max_time=cap).settle_time
         except NotSettledError:
             return math.inf

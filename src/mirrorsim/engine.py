@@ -170,7 +170,8 @@ class SimOptions:
     ``adaptive=True`` lets a memristive transient choose its own steps,
     holding each step's estimated local error on every normalized memristor
     state to ``reltol`` (see :func:`run_transient`); ``dt`` must then be
-    left unset.  Memristor-free transients keep the fixed grid either way.
+    unset and a memristive circuit's sources DC.  Memristor-free transients
+    keep the fixed grid either way.
     """
 
     abstol: float = 1e-9
@@ -1127,7 +1128,8 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     ``t_stop / 10000`` and backward Euler, later steps are variable-step
     BDF2 whose size holds each state's estimated local error to
     ``opts.reltol`` (:meth:`_Steps.march`), and the last ends at
-    ``t_stop``.  Failing steps are cut as on the fixed grid.
+    ``t_stop``.  Failing steps are cut as on the fixed grid.  A sine source
+    in a memristive circuit raises :class:`ValueError` instead.
 
     A circuit with no memristor keeps no state between steps, so sample k
     is ``solve_dc(circuit, opts, source_time=k*dt)``, to the bit: the
@@ -1153,6 +1155,12 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     topo = _Topology(circuit)
     if not topo.sources:
         raise SimulationError("circuit has no voltage source")
+    if opts.adaptive and topo.memristors and any(
+            src.spec.kind == "sine" for src in topo.sources):
+        # at a window bound the state error estimate vanishes and the steps
+        # grow past where a reversing drive would free the state
+        raise ValueError("adaptive steps need DC sources in a memristive "
+                         "circuit; run a sine drive on a fixed grid")
     probe_list = [_build_probe(topo, p) for p in probes]
 
     times = np.arange(n_steps + 1) * dt

@@ -16,6 +16,7 @@ from mirrorsim.analysis import (
     HysteresisTrace,
     MismatchTable,
     NotSettledError,
+    SettledResult,
     calibrate_mobility,
     compute_thd,
     config_report,
@@ -202,6 +203,30 @@ class TestSwitchingTime:
 # Settled transients
 # --------------------------------------------------------------------------- #
 
+def fixed_grid_settle(circuit, dt, *, temp=None, chunk=3.0, max_time=24.0):
+    """Reference settled transient on fixed backward-Euler steps of ``dt``:
+    ``chunk``-second runs, each continuing from the last one's final states,
+    until :func:`switching_time` accepts the output current accumulated so
+    far; then a DC solve at those states."""
+    t_parts, x_parts, states, offset = [], [], None, 0.0
+    while offset < max_time:
+        res = run_transient(circuit, SimOptions(dt=dt, t_stop=chunk, temp=temp),
+                            ["i(M2)"], initial_states=states)
+        wave = res.waveform("i(M2)")
+        # sample 0 of a continuation repeats the previous final sample
+        t_parts.append(wave.t[1:] + offset if t_parts else wave.t)
+        x_parts.append(wave.values[1:] if x_parts else wave.values)
+        states, offset = dict(res.final_states), offset + chunk
+        try:
+            settle = switching_time(Waveform(
+                "i(M2)", "A", np.concatenate(t_parts), np.concatenate(x_parts)))
+        except NotSettledError:
+            continue
+        op = solve_dc(circuit, SimOptions(temp=temp), states=states)
+        return SettledResult(op, states, settle)
+    raise NotSettledError(f"i(M2) did not settle within {max_time} s")
+
+
 class TestSettledTransient:
     def test_resistive_mirror_is_settled_at_dc(self):
         circuit = mirror_circuit(MirrorConfig(MirrorKind.TWO_RESISTORS))
@@ -221,30 +246,6 @@ class TestSettledTransient:
         for w in settled.states.values():
             assert 0.0 <= w < 1e-3 * 10e-9
 
-    @pytest.mark.parametrize("kind", [MirrorKind.TWO_MEMRISTORS,
-                                      MirrorKind.PMOS_MEMRISTOR], ids=["2m", "pmos-m"])
-    def test_fixed_grid_is_its_chunks_read_by_switching_time(self, kind):
-        # the path calibrate_mobility takes, built by hand from the engine
-        circuit = mirror_circuit(MirrorConfig(kind))
-        t_parts, x_parts, states, offset = [], [], None, 0.0
-        while True:
-            res = run_transient(circuit, SimOptions(dt=1e-3, t_stop=3.0),
-                                ["i(M2)"], initial_states=states)
-            wave = res.waveform("i(M2)")
-            t_parts.append(wave.t[1:] + offset if t_parts else wave.t)
-            x_parts.append(wave.values[1:] if x_parts else wave.values)
-            states, offset = dict(res.final_states), offset + 3.0
-            try:
-                settle = switching_time(Waveform(
-                    "i(M2)", "A", np.concatenate(t_parts), np.concatenate(x_parts)))
-                break
-            except NotSettledError:
-                continue
-        settled = settled_transient(circuit, dt=1e-3)
-        assert settled.settle_time == settle
-        assert settled.states == states
-        assert_same_op(settled.op, solve_dc(circuit, SimOptions(), states=states))
-
     @pytest.mark.parametrize("kind, vdd, chunk", [
         (MirrorKind.TWO_MEMRISTORS, 2.0, 3.0),
         (MirrorKind.TWO_MEMRISTORS, 2.5, 3.0),
@@ -256,7 +257,7 @@ class TestSettledTransient:
     def test_controlled_steps_match_a_quarter_millisecond_grid(self, kind, vdd,
                                                                chunk):
         circuit = mirror_circuit(MirrorConfig(kind, vdd=vdd))
-        fine = settled_transient(circuit, dt=2.5e-4, chunk=chunk)
+        fine = fixed_grid_settle(circuit, 2.5e-4, chunk=chunk)
         controlled = settled_transient(circuit, chunk=chunk)
         assert abs(controlled.settle_time - fine.settle_time) <= 1e-3 + 1e-12
         # read on the 1 ms lattice, as the fixed-step default was
@@ -264,6 +265,9 @@ class TestSettledTransient:
         assert controlled.settle_time == pytest.approx(lattice_point, abs=1e-12)
         assert controlled.op.device_currents["M2"] == pytest.approx(
             fine.op.device_currents["M2"], rel=1e-4)
+        # the settled point is the DC solve at the final states
+        assert_same_op(controlled.op, solve_dc(circuit, SimOptions(),
+                                               states=controlled.states))
 
     @given(two_m=st.booleans(), u=st.floats(0.0, 1.0),
            m0=st.floats(3e3, 10e3), temp_c=st.floats(0.0, 100.0))
@@ -275,7 +279,7 @@ class TestSettledTransient:
         kind = MirrorKind.TWO_MEMRISTORS if two_m else MirrorKind.PMOS_MEMRISTOR
         circuit = mirror_circuit(MirrorConfig(kind, vdd=lo + (hi - lo) * u, m0=m0))
         temp = temp_c + ZERO_CELSIUS
-        fixed = settled_transient(circuit, temp=temp, dt=1e-3)
+        fixed = fixed_grid_settle(circuit, 1e-3, temp=temp)
         controlled = settled_transient(circuit, temp=temp)
         assert controlled.settle_time == pytest.approx(fixed.settle_time, rel=1e-2)
         for name in ("M1", "M2"):

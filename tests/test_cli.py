@@ -490,7 +490,9 @@ GOLDEN = Path(__file__).with_name("data") / "golden"
 # stdout of each command, recorded before DC solves were batched (thd_2m
 # before the memristor-free transients were, thd_2r and thd_pmos-r after,
 # tran_2m and tran_pmos-m before the memristive steps read the compiled DC
-# row); a file is named after its command's analysis and configuration
+# row, the calibrate files while calibration settled on a fixed 1 ms grid);
+# a file is named after its command's analysis and configuration, or its
+# subcommand and flags
 GOLDEN_COMMANDS = {
     "dc_2r": ["mirror", "2r", "--analysis", "dc"],
     "dc_2m": ["mirror", "2m", "--analysis", "dc"],
@@ -511,6 +513,9 @@ GOLDEN_COMMANDS = {
     "thd_2m": ["mirror", "2m", "--analysis", "thd"],
     "tran_2m": ["mirror", "2m", "--analysis", "tran", "--set", "dt=5m"],
     "tran_pmos-m": ["mirror", "pmos-m", "--analysis", "tran", "--set", "dt=5m"],
+    "calibrate": ["calibrate"],
+    "calibrate_target-1.0": ["calibrate", "--target", "1.0"],
+    "calibrate_vdd-3.0": ["calibrate", "--vdd", "3.0"],
 }
 
 

@@ -537,6 +537,15 @@ def test_step_cut_completes_a_lone_window_2_memristor(monkeypatch):
     assert exc.value.time == pytest.approx(0.11)
 
 
+def test_controlled_steps_refuse_a_sine_driven_memristor():
+    # the error estimate vanishes at the window bound, so controlled steps
+    # would hold this state at s = 1 from t = 0.07 s, 0.14 L away from a
+    # 25 us grid that leaves the bound as the drive reverses
+    cir = _circuit(P2_DECK)
+    with pytest.raises(ValueError, match="DC sources"):
+        run_transient(cir, SimOptions(t_stop=1.0, adaptive=True), ["w(Y1)"])
+
+
 def _newton_limited(monkeypatch, largest: float) -> list:
     """Memristive steps whose Newton runs out of iterations on every
     effective step longer than ``largest`` seconds; returns the list of
