@@ -11,19 +11,22 @@ Two conventions hold throughout:
 * ``I_in`` is the drain current of the diode-connected input device M1 and
   ``I_out`` the drain current of the output device M2; both are positive in
   normal operation for every configuration, PMOS-input ones included.
-* Sweeps never mutate the circuit they are given.  Each sweep point runs on
-  its own copy (:func:`mirrorsim.netlist.with_override`).  When the circuit
-  has no memristor to settle, all points of a sweep are solved as one batch
-  (:func:`mirrorsim.engine.solve_dc_batch`): every row equals the solve of
-  that point alone, to the bit, and a failing row fails alone.  Memristive
-  points run their settled transients one after another.
+* Sweeps never mutate the circuit they are given.  When the circuit has no
+  memristor to settle, a sweep compiles it once and solves all its points
+  as one batch: a swept parameter's value goes straight into the one
+  per-row column it changes (a conductance, a frozen memristance, MOSFET
+  coefficients or a source value), through the same parameter record and
+  checks as :func:`mirrorsim.netlist.with_override`.  Every row equals
+  ``solve_dc(with_override(...))`` of that point alone, to the bit, and a
+  failing row fails alone.  Memristive points each run a settled transient
+  on their own copy, one after another.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -44,9 +47,9 @@ from .engine import (
     SimOptions,
     SimulationError,
     Waveform,
+    _solve_rows,
     run_transient,
     solve_dc,
-    solve_dc_batch,
 )
 from .netlist import (
     BoundMemristor,
@@ -58,6 +61,7 @@ from .netlist import (
     MirrorConfig,
     MirrorKind,
     mirror_circuit,
+    overrides,
     with_override,
 )
 
@@ -292,21 +296,6 @@ def settled_transient(circuit: Circuit, *, probe: str = "i(M2)",
 # Sweeps
 # --------------------------------------------------------------------------- #
 
-def _solve_overrides(circuit: Circuit, path: str, values: Sequence[float],
-                     opts: SimOptions) -> list:
-    """One batched DC solve of ``circuit`` with ``path`` set to each of
-    ``values``: per value, the operating point, or the error its override
-    or its solve raised."""
-    out: list = []
-    for value in values:
-        try:
-            out.append(with_override(circuit, path, value))
-        except ElaborationError as exc:
-            out.append(exc)
-    solved = iter(solve_dc_batch([c for c in out if isinstance(c, Circuit)], opts))
-    return [next(solved) if isinstance(c, Circuit) else c for c in out]
-
-
 def _raise_first(results: list) -> list:
     """``results`` when none is an error; else the first error, raised."""
     for result in results:
@@ -384,10 +373,10 @@ def mismatch_sweep(config: MirrorConfig, load2_values: Iterable[float], *,
     base = config.m0 if memristive else config.r_load
     path = "Y2.m0" if memristive else "R2.r_nominal"
     circuit = mirror_circuit(config)
-    base_op, *ops = _solve_overrides(circuit, path, [base] + values,
-                                     SimOptions(temp=temp))
-    if isinstance(base_op, Exception):
-        raise base_op
+    position, records = overrides(circuit, path, [base] + values)
+    compiled, (base_result, *results) = _solve_rows(
+        circuit, SimOptions(temp=temp), [temp] * len(records), {position: records})
+    base_op = compiled.operating_point(_raise_first([base_result])[0])
     vdd = config.vdd_value
     v_ds1 = float(base_op.node_voltages[circuit.node_index("d1")])
     v_ds2 = float(base_op.node_voltages[circuit.node_index("d2")])
@@ -396,20 +385,20 @@ def mismatch_sweep(config: MirrorConfig, load2_values: Iterable[float], *,
     delta_base = (base_op.device_currents["M2"] - i_d1_base) / i_d1_base
     _, _, g_ds2 = mosfet_linearized(v_ds1, v_ds2, circuit.device("M2").params, temp)
     k_factor_ro = base / (base + 1.0 / g_ds2)
+    m1, m2 = (circuit.devices.index(circuit.device(n)) for n in ("M1", "M2"))
 
     rows = []
-    for value, op in zip(values, ops):
+    for value, result in zip(values, results):
         rel = (value - base) / base
         predicted = k_factor * (base / value - 1.0)
         predicted_ro = delta_base - (1.0 + delta_base) * k_factor_ro * rel
-        if isinstance(op, (ElaborationError, SimulationError)):
+        if isinstance(result, (ElaborationError, SimulationError)):
             rows.append(MismatchRow(value, rel, math.nan, predicted, predicted_ro,
-                                    error=str(op)))
+                                    error=str(result)))
             continue
-        if isinstance(op, Exception):
-            raise op
-        i1 = op.device_currents["M1"]
-        i2 = op.device_currents["M2"]
+        if isinstance(result, Exception):
+            raise result
+        i1, i2 = result[2][[m1, m2]].tolist()
         rows.append(MismatchRow(value, rel, (i2 - i1) / i1, predicted, predicted_ro))
     return MismatchTable(tuple(rows), k_factor, i_d1_base, k_factor_ro)
 
@@ -442,10 +431,12 @@ def temperature_sweep(config: MirrorConfig,
     circuit = mirror_circuit(config)
     if _has_memristors(circuit):
         ops = [settled_transient(circuit, temp=T).op for T in points]
+        currents = [(op.device_currents["M1"], op.device_currents["M2"]) for op in ops]
     else:
-        ops = _raise_first(solve_dc_batch([circuit] * len(points), temps=points))
-    return tuple(TemperatureRow(T, op.device_currents["M1"], op.device_currents["M2"])
-                 for T, op in zip(points, ops))
+        _, results = _solve_rows(circuit, SimOptions(), points, {})
+        m1, m2 = (circuit.devices.index(circuit.device(n)) for n in ("M1", "M2"))
+        currents = [result[2][[m1, m2]].tolist() for result in _raise_first(results)]
+    return tuple(TemperatureRow(T, *pair) for T, pair in zip(points, currents))
 
 
 @dataclass(frozen=True)
@@ -466,25 +457,28 @@ def parameter_sweep(config: MirrorConfig, param_path: str,
     ``param_path`` is an ``ELEMENT.field`` path with the usual schematic
     aliases (``T2.width``, ``T2.vth0``, ``source.vbias``, ...).  Unknown paths
     and invalid values fail fast, before any simulation starts.  Without
-    memristors to settle, all points are one batched DC solve; otherwise each
-    runs its own settled transient.
+    memristors to settle, all points are one batched DC solve of the circuit
+    compiled once; otherwise each runs its own settled transient.
     """
     points = [float(v) for v in values]
     if not points:
         raise AnalysisError("parameter sweep needs at least one value")
     circuit = mirror_circuit(config)
-    with_override(circuit, param_path, points[0])  # fail fast on bad paths
+    position, records = overrides(circuit, param_path, points)
+    _raise_first(records)
     out_node = circuit.node_index("d2")
     if _has_memristors(circuit):
         ops = [settled_transient(with_override(circuit, param_path, value),
                                  temp=temp).op for value in points]
+        outputs = [(op.device_currents["M2"], float(op.node_voltages[out_node]))
+                   for op in ops]
     else:
-        ops = _raise_first(solve_dc_batch(
-            [with_override(circuit, param_path, value) for value in points],
-            SimOptions(temp=temp)))
-    return tuple(ParameterRow(value, op.device_currents["M2"],
-                              float(op.node_voltages[out_node]))
-                 for value, op in zip(points, ops))
+        _, results = _solve_rows(circuit, SimOptions(temp=temp), [None] * len(points),
+                                 {position: records})
+        m2 = circuit.devices.index(circuit.device("M2"))
+        outputs = [(float(result[2][m2]), float(result[0][out_node]))
+                   for result in _raise_first(results)]
+    return tuple(ParameterRow(value, *pair) for value, pair in zip(points, outputs))
 
 
 # --------------------------------------------------------------------------- #

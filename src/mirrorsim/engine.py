@@ -17,18 +17,18 @@ carry memory, so only they enter the estimate.  A DC solve has no state rows:
 the memristances stay frozen.  A circuit with no memristor carries nothing
 from one step to the next, so its transient is a DC solve per sample.
 
-DC solves have a leading batch axis.  Circuits that share a topology but
-differ in parameters or temperature are compiled once into per-row arrays
-and iterate together: each Newton iteration evaluates every MOSFET of every
-row in one array call and solves the whole (rows, n, n) stack in one
+DC solves have a leading batch axis.  Rows of one topology are compiled
+into per-row arrays, a device that every row shares evaluated once (so a
+sweep evaluates only its swept device per row, a memristor-free transient
+only its sources), and iterate together: each Newton iteration evaluates
+every MOSFET of every row in one array call, adds each stamp family in one
+call over flat indices, and solves the (rows, n, n) stack in one
 :func:`numpy.linalg.solve`, with damping and the convergence tests applied
-row by row.  A single DC solve is a batch of one, and the samples of a
-memristor-free transient are rows of one source time each.  A memristive
-transient compiles its circuit as one such row too, solves t = 0 as that
-row, and runs its steps on Python lists copied from it, which is the fast
-form for one small system.  Both kinds of transient read their probes a
-block of samples at a time, device currents coming from the row's batched
-KCL.
+row by row.  A single DC solve is a batch of one.  A memristive transient
+compiles its circuit as one such row too, solves t = 0 as that row, and
+runs its steps on Python lists copied from it, which is the fast form for
+one small system.  Both kinds of transient read their probes a block of
+samples at a time, device currents coming from the row's batched KCL.
 
 The dense linear solves go through :func:`numpy.linalg.solve` (LAPACK LU with
 partial pivoting); circuits here have fewer than ten nodes, so no sparse
@@ -37,14 +37,12 @@ machinery is warranted.
 
 from __future__ import annotations
 
-import copy
 import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import T_REF
 from .devices import (
     DeviceError,
     joglekar_window,
@@ -292,27 +290,11 @@ def _stamp_pair(g_mat, a: int, b: int, g) -> None:
         g_mat[:, r, c] += g * sign
 
 
-def _rounds(updates) -> list[tuple[np.ndarray, ...]]:
-    """Index arrays that apply a sequence of updates ``(entry, value,
-    sign)`` to arrays in rounds, each round touching an entry at most once
-    and taking each entry's updates in sequence order, so every entry sums
-    the same terms in the same order as the sequence applied one by one.
-    A round is the entry's index arrays, then the values' and the signs'."""
-    rounds: list[list] = []
-    seen: dict = {}
-    for entry, value, sign in updates:
-        depth = seen[entry] = seen.get(entry, -1) + 1
-        if depth == len(rounds):
-            rounds.append([])
-        rounds[depth].append((*entry, value, sign))
-    return [tuple(np.array(column) for column in zip(*r)) for r in rounds]
-
-
 def _mosfet_stamps(mosfets):
     """The MOSFET stamps of one linearized system as sequences of updates
     ``(entry, value, sign)``, in the order they are added: the matrix's and
     the right-hand side's.  The memristive steps apply them one by one;
-    :func:`_rounds` applies them to stacks.
+    :class:`_DcRows` scatters them to stacks through :meth:`_Topology.flat`.
 
     Matrix values index the columns of [gm | gds | gm + gds | gmin] (one
     column per MOSFET in each of the first three blocks); right-hand-side
@@ -348,7 +330,6 @@ class _Topology:
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        self.signature = _signature(circuit)
         self.n_nodes = len(circuit.node_names)
         devices = circuit.devices
         self.sources = [d for d in devices if isinstance(d, BoundSource)]
@@ -393,18 +374,41 @@ class _Topology:
                           index([f.n_s for f in self.mosfets]))
         self.branch_cols = index([self.branch_index[s.name] for s in self.sources])
         # the MOSFET stamps of the memristive steps, in the order they add
-        # them; the batched solve applies the same sequences as rounds
+        # them, and the KCL sums: each device current, by its kind-ordered
+        # column, leaves one node and enters the other, in device order
         self.matrix_sequence, self.rhs_sequence = _mosfet_stamps(self.mosfets)
-        self.matrix_stamps = _rounds(self.matrix_sequence)
-        self.rhs_stamps = _rounds(self.rhs_sequence)
-        # KCL sums: each device current, by its kind-ordered column, leaves
-        # one node and enters the other, in device order
         column = {position: k for k, position in enumerate(by_kind)}
         self.kcl_sequence = [
             ((node,), column[position], sign)
             for position, nodes in enumerate(self.current_nodes)
             for node, sign in zip(nodes, (-1.0, 1.0)) if node]
-        self.kcl_stamps = _rounds(self.kcl_sequence)
+        # the batched solve's stamp families as (size, entries, term rows,
+        # signs): the matrix's, the right-hand side's and the KCL sums'
+        dim = self.dim
+
+        def family(size, sequence, flat):
+            return (size, index([flat(*e) for e, _, _ in sequence]),
+                    index([v for _, v, _ in sequence]),
+                    np.array([sign for _, _, sign in sequence]).reshape(-1, 1))
+
+        self.families = (
+            family(dim * dim, self.matrix_sequence, lambda r, c: r * dim + c),
+            family(dim, self.rhs_sequence, lambda r: r),
+            family(self.n_nodes, self.kcl_sequence, lambda r: r),
+        )
+        self._flat: tuple = ()
+        self._flat_rows = 0
+
+    def flat(self, family: int, rows: int) -> np.ndarray:
+        """Flat indices of stamp family ``family`` (see ``families``) into
+        ``rows`` stacked arrays, row by row and each row's terms in sequence
+        order; built for the most rows asked for, and sliced."""
+        if rows > self._flat_rows:
+            offsets = np.arange(rows, dtype=np.intp)[:, None]
+            self._flat = tuple((offsets * size + entries).ravel()
+                               for size, entries, _, _ in self.families)
+            self._flat_rows = rows
+        return self._flat[family][:rows * len(self.families[family][1])]
 
 
 def _effective_temp(circuit: Circuit, opts: SimOptions) -> float:
@@ -437,148 +441,166 @@ def _solve_stack(g_mat: np.ndarray, rhs: np.ndarray):
     return solved, singular
 
 
+# a compiled row's cell of one device, from its record, the row's
+# temperature (a source's: its time) and a memristor's state (None: w0)
+_CELLS = {
+    BoundResistor: lambda d, temp, s: 1.0 / resistor_value(d.params, temp),
+    BoundMemristor: lambda d, temp, s: memristance_at(
+        _normalized([d])[0] if s is None else s, d.params),
+    BoundMosfet: lambda d, temp, s: mosfet_coefficients(d.params, temp),
+    BoundSource: lambda d, time, s: source_value(d.spec, time),
+}
+
+
 class _DcRows:
     """DC rows of one topology compiled into per-row arrays.
 
-    Row k is ``circuits[k]`` at ``temps[k]`` with its memristances frozen at
-    the normalized states ``states[k]`` (its devices' initial states when
-    that is None) and its sources at ``source_times[k]``.  All rows iterate
-    together: each Newton iteration makes one array MOSFET evaluation, adds
-    the MOSFET stamps to a precomputed linear part, and solves the stack of
-    (n, n) systems in one call.
-    Every matrix entry receives its terms in the order of the stamp
-    sequences that :class:`_Steps` applies one by one, and the device law is
-    evaluated with :func:`~mirrorsim.devices.mosfet_square_law`'s operations,
-    so each row's iterates equal those of the same row solved alone, to the
-    bit.  A memristive transient compiles its circuit as one such row.
+    Row k is the topology's circuit at ``temps[k]``, its sources at
+    ``source_times[k]``, its memristances frozen at the normalized states
+    ``states`` (None: its devices' initial states), and the device at each
+    position of ``records`` replaced by that list's entry k.  A device that
+    all rows share is evaluated once.  A row fails alone: with its record
+    when that is an error, else with the first
+    :class:`~mirrorsim.devices.DeviceError` of its devices in kind order,
+    which is what compiling that row alone raises.
+
+    Each Newton iteration makes one array MOSFET evaluation and adds each
+    stamp family (matrix, right-hand side, KCL sums) in one unbuffered
+    :func:`numpy.add.at`, so every entry takes its terms in the order of
+    the stamp sequences that :class:`_Steps` applies one by one, after a
+    row's linear part.  With the device law evaluated by
+    :func:`~mirrorsim.devices.mosfet_square_law`'s operations, each row's
+    iterates equal those of the same row solved alone, to the bit.
     """
 
-    def __init__(self, topo: _Topology, circuits, temps, states, gmin: float,
-                 source_times):
+    def __init__(self, topo: _Topology, titles, temps, records, states,
+                 gmin: float, source_times):
         self.topo = topo
         self.gmin = gmin
-        self.titles = [c.title for c in circuits]
-        self.specs = [[c.devices[j].spec for j in topo.src_cols] for c in circuits]
+        self.titles, self.temps, self.states = list(titles), list(temps), states
+        count = len(self.titles)
+        devices = topo.circuit.devices
+        s_at = {} if states is None else dict(zip(topo.mem_cols, states))
+        same_temp, same_time = len(set(self.temps)) == 1, len(set(source_times)) == 1
         self.errors: dict[int, Exception] = {}
-        g_res, r_mem, coeffs = [], [], []
-        for k, (circuit, temp, s) in enumerate(zip(circuits, temps, states)):
-            if circuit is not topo.circuit and _signature(circuit) != topo.signature:
-                raise ValueError(
-                    f"circuit {k} ({circuit.title!r}) does not share the "
-                    f"topology of circuit 0")
-            devs = circuit.devices
-            try:
-                g_row = [1.0 / resistor_value(devs[j].params, temp)
-                         for j in topo.res_cols]
-                mems = [devs[j] for j in topo.mem_cols]
-                s = _normalized(mems) if s is None else s
-                r_row = [memristance_at(sk, m.params) for m, sk in zip(mems, s)]
-                c_row = [mosfet_coefficients(devs[j].params, temp)
-                         for j in topo.mos_cols]
-            except DeviceError as exc:
-                self.errors[k] = exc
-                g_row = [math.nan] * len(topo.res_cols)
-                r_row = [math.nan] * len(topo.mem_cols)
-                c_row = [(math.nan,) * 4] * len(topo.mos_cols)
-            g_res.append(g_row)
-            r_mem.append(r_row)
-            coeffs.append(c_row)
-        count, dim = len(circuits), topo.dim
-        self.g_res = np.array(g_res).reshape(count, len(topo.res_cols))
-        self.r_mem = np.array(r_mem).reshape(count, len(topo.mem_cols))
-        # (sign, vth, beta, lam), each (rows, MOSFETs)
-        self.coeffs = np.array(coeffs).reshape(count, len(topo.mos_cols), 4).transpose(2, 0, 1)
-        self._set_source_times(source_times)
+        columns = []
+        for j in topo.kind_order.tolist():
+            source = isinstance(devices[j], BoundSource)
+            inputs = source_times if source else self.temps
+            given = records.get(j, devices[j:j + 1])
+            once = len(given) == 1 and (same_time if source else same_temp)
+            failed = (math.nan,) * 4 if isinstance(devices[j], BoundMosfet) else math.nan
+            law, s = _CELLS[type(devices[j])], s_at.get(j)
+            cells = []
+            for k, (device, at) in enumerate(zip(given * count if len(given) == 1
+                                                 else given, inputs)):
+                cell = failed
+                if isinstance(device, Exception):  # a failed record: its row carries it
+                    self.errors[k] = device
+                else:
+                    try:
+                        cell = law(device, at, s)
+                    except DeviceError as exc:
+                        for row in range(count) if once else (k,):
+                            self.errors.setdefault(row, exc)
+                cells.append(cell)
+                if once:  # one cell serves every row
+                    break
+            columns.append(cells)
+        res, mem, mos = len(topo.res_cols), len(topo.mem_cols), len(topo.mos_cols)
 
-        # the linear part without memristors: gmin, resistors and sources;
-        # the memristive steps start each system from row 0's
-        g_base = np.zeros((count, dim, dim))
-        g_base[:, 0, 0] = 1.0  # ground row pins v0 = 0 exactly
+        def stack(first, width, *shape):
+            out = np.empty((width, count, *shape))
+            for k, cells in enumerate(columns[first:first + width]):
+                out[k] = np.reshape(cells, (-1, *shape))  # one cell broadcasts
+            return out
+
+        # per-device arrays are (devices, rows); source values (rows, sources)
+        self.g_res = stack(0, res)
+        self.r_mem = stack(res, mem)
+        # (sign, vth, beta, lam), each (MOSFETs, rows)
+        self.coeffs = np.ascontiguousarray(stack(res + mem, mos, 4).transpose(2, 0, 1))
+        self.values = np.ascontiguousarray(stack(res + mem + mos, len(topo.src_cols)).T)
+
+        # the linear part: gmin, resistors and sources, then memristors
+        g_lin = np.zeros((count, topo.dim, topo.dim))
+        g_lin[:, 0, 0] = 1.0  # ground row pins v0 = 0 exactly
         for n in range(1, topo.n_nodes):
-            g_base[:, n, n] += gmin
+            g_lin[:, n, n] += gmin
         for j, r in enumerate(topo.resistors):
-            _stamp_pair(g_base, r.n_pos, r.n_neg, self.g_res[:, j])
+            _stamp_pair(g_lin, r.n_pos, r.n_neg, self.g_res[j])
         for src, br in zip(topo.sources, topo.branch_cols):
             p, n = src.n_pos, src.n_neg
             if p:
-                g_base[:, p, br] += 1.0
-                g_base[:, br, p] += 1.0
+                g_lin[:, p, br] += 1.0
+                g_lin[:, br, p] += 1.0
             if n:
-                g_base[:, n, br] -= 1.0
-                g_base[:, br, n] -= 1.0
-        # memristors after the sources: no entry holds both, so every entry
-        # still sums gmin, resistors, memristors and MOSFETs in that order
-        self.g_base, self.g_lin = g_base, g_base.copy()
+                g_lin[:, n, br] -= 1.0
+                g_lin[:, br, n] -= 1.0
+        # the memristive steps start each system from row 0's part without
+        # memristors; no entry holds both a source and a memristor, so every
+        # entry still sums gmin, resistors, memristors and MOSFETs in order
+        self.g_base, self.g_lin = g_lin[:1].copy(), g_lin
         for j, m in enumerate(topo.memristors):
-            _stamp_pair(self.g_lin, m.n_pos, m.n_neg, 1.0 / self.r_mem[:, j])
-
-    def _set_source_times(self, source_times) -> None:
-        """Each row's source values at its entry of ``source_times``."""
-        self.values = np.array([
-            [source_value(spec, t) for spec in specs]
-            for specs, t in zip(self.specs, source_times)
-        ]).reshape(len(self.specs), len(self.topo.src_cols))
+            _stamp_pair(g_lin, m.n_pos, m.n_neg, 1.0 / self.r_mem[j])
 
     def at_times(self, source_times) -> _DcRows:
-        """Row 0 with its sources at each of ``source_times``, one row per
-        time: row 0's compiled arrays repeated, only the source values
-        evaluated anew.  Row 0 must have compiled without error."""
-        rows = copy.copy(self)
-        first = np.zeros(len(source_times), dtype=np.intp)
-        rows.titles = self.titles[:1] * len(first)
-        rows.specs = self.specs[:1] * len(first)
-        rows.g_res, rows.r_mem, rows.g_lin = (
-            self.g_res[first], self.r_mem[first], self.g_lin[first])
-        rows.coeffs = self.coeffs[:, first]
-        rows._set_source_times(source_times)
-        return rows
+        """The topology's circuit compiled as this batch's row 0, once per
+        entry of ``source_times``, with its sources at that time."""
+        count = len(source_times)
+        return _DcRows(self.topo, self.titles[:1] * count, self.temps[:1] * count,
+                       {}, self.states, self.gmin, source_times)
+
+    def _scatter(self, family: int, out, terms):
+        """Stamp family ``family`` of :attr:`_Topology.families` added into
+        ``out``, one array per row, in one unbuffered :func:`numpy.add.at`:
+        each entry takes its terms, the rows of ``terms`` (columns, rows)
+        the sequence picks, signed, in sequence order."""
+        _, _, columns, signs = self.topo.families[family]
+        np.add.at(out.reshape(-1), self.topo.flat(family, len(out)),
+                  (terms[columns] * signs).T.ravel())
+        return out
 
     def _mosfets(self, rows, x):
-        """(vgs, vds, id, gm, gds) of every MOSFET, (rows, MOSFETs) each."""
-        d, g, s = (x.take(nodes, axis=1) for nodes in self.topo.mos_nodes)
+        """(vgs, vds, id, gm, gds) of every MOSFET, (MOSFETs, rows) each."""
+        d, g, s = (x.T[nodes] for nodes in self.topo.mos_nodes)
         vgs, vds = g - s, d - s
-        return (vgs, vds) + mosfet_linearized_array(vgs, vds, *self.coeffs[:, rows])
+        return (vgs, vds) + mosfet_linearized_array(vgs, vds,
+                                                    *self.coeffs.take(rows, axis=2))
 
     def assemble(self, rows, x, source_scale: float):
         """Stacked linearized systems (matrices, right-hand sides) of ``rows``
         at the guesses ``x``, one per row."""
-        topo = self.topo
-        g_mat = self.g_lin[rows]
-        rhs = np.zeros(x.shape)
-        rhs[:, topo.branch_cols] = source_scale * self.values[rows]
+        count, dim = x.shape
         vgs, vds, i0, gm, gds = self._mosfets(rows, x)
-        ieq = i0 - gm * vgs - gds * vds
-        terms = np.concatenate(
-            [gm, gds, gm + gds, np.full((len(rows), 1), self.gmin)], axis=1)
-        for r, c, term, sign in topo.matrix_stamps:
-            g_mat[:, r, c] += terms[:, term] * sign
-        for r, term, sign in topo.rhs_stamps:
-            rhs[:, r] += ieq[:, term] * sign
-        return g_mat, rhs
+        terms = np.concatenate([gm, gds, gm + gds, np.full((1, count), self.gmin)])
+        rhs = np.zeros(x.shape)
+        rhs[:, self.topo.branch_cols] = source_scale * self.values[rows]
+        return (self._scatter(0, self.g_lin[rows], terms),
+                self._scatter(1, rhs, i0 - gm * vgs - gds * vds))
 
     def kcl(self, rows, x, r_mem=None):
         """Device currents (rows, devices in circuit order; see
         OperatingPoint) and the largest net current into any non-ground node
-        of each row (A), with memristances ``r_mem`` (rows, memristors)
+        of each row (A), with memristances ``r_mem`` (memristors, rows)
         when given in place of the compiled ones."""
         topo = self.topo
         (rp, rn), (mp, mn) = topo.res_nodes, topo.mem_nodes
         if r_mem is None:
-            r_mem = self.r_mem[rows]
+            r_mem = self.r_mem.take(rows, axis=1)
+        v = x.T
         by_kind = np.concatenate([
-            self.g_res[rows] * (x.take(rp, axis=1) - x.take(rn, axis=1)),
-            (x.take(mp, axis=1) - x.take(mn, axis=1)) / r_mem,
+            self.g_res.take(rows, axis=1) * (v[rp] - v[rn]),
+            (v[mp] - v[mn]) / r_mem,
             self._mosfets(rows, x)[2],
-            x.take(topo.branch_cols, axis=1),
-        ], axis=1)
+            v[topo.branch_cols],
+        ])
         currents = np.empty_like(by_kind)
-        currents[:, topo.kind_order] = by_kind
+        currents[topo.kind_order] = by_kind
         if topo.n_nodes == 1:
-            return currents, np.zeros(len(rows))
-        sums = np.zeros((len(rows), topo.n_nodes))
-        for node, column, sign in topo.kcl_stamps:
-            sums[:, node] += by_kind[:, column] * sign
-        return currents, np.abs(sums[:, 1:]).max(axis=1)
+            return currents.T, np.zeros(len(rows))
+        sums = self._scatter(2, np.zeros((len(rows), topo.n_nodes)), by_kind)
+        return currents.T, np.abs(sums[:, 1:]).max(axis=1)
 
     def newton(self, rows, x, opts: SimOptions, source_scale: float):
         """Newton-Raphson on ``rows`` (ascending) from the guesses ``x``, to
@@ -720,10 +742,10 @@ class _Steps:
         topo = self.topo = rows.topo
         self.title = rows.titles[0]
         self.gmin = rows.gmin
-        self.specs = rows.specs[0]
+        self.specs = [src.spec for src in topo.sources]
         self.branches = topo.branch_cols.tolist()
-        self.g_res = rows.g_res[0].tolist()
-        self.coeffs = rows.coeffs[:, 0].T.tolist()  # (sign, vth, beta, lam)
+        self.g_res = rows.g_res[:, 0].tolist()
+        self.coeffs = rows.coeffs[:, :, 0].T.tolist()  # (sign, vth, beta, lam)
         self.mem_entries = [_pair_entries(m.n_pos, m.n_neg) for m in topo.memristors]
         pad = [0.0] * len(topo.memristors)
         self.g_base = ([row + pad for row in rows.g_base[0].tolist()]
@@ -965,8 +987,8 @@ def assemble_system(circuit: Circuit, guess, states: dict[str, float] | None = N
     if len(guess) != topo.dim:
         raise ValueError(f"guess must have {topo.dim} entries, got {len(guess)}")
     s = None if states is None else _normalized(topo.memristors, states)
-    rows = _DcRows(topo, [circuit], [circuit.temp if temp is None else temp], [s],
-                   gmin, [source_time])
+    rows = _DcRows(topo, [circuit.title], [circuit.temp if temp is None else temp],
+                   {}, s, gmin, [source_time])
     if rows.errors:
         raise rows.errors[0]
     g_mat, rhs = rows.assemble(np.zeros(1, dtype=int),
@@ -990,7 +1012,7 @@ def solve_dc(circuit: Circuit, opts: SimOptions | None = None, *,
     if not topo.sources:
         raise SimulationError("circuit has no voltage source")
     s = None if states is None else _normalized(topo.memristors, states)
-    rows = _DcRows(topo, [circuit], [_effective_temp(circuit, opts)], [s],
+    rows = _DcRows(topo, [circuit.title], [_effective_temp(circuit, opts)], {}, s,
                    opts.gmin, [source_time])
     (result,) = rows.solve(opts)
     if isinstance(result, Exception):
@@ -1021,13 +1043,31 @@ def solve_dc_batch(circuits, opts: SimOptions | None = None, *,
         temps = [_effective_temp(c, opts) for c in circuits]
     elif len(temps) != len(circuits):
         raise ValueError(f"{len(temps)} temperatures for {len(circuits)} circuits")
-    topo = _Topology(circuits[0])
+    signature = _signature(circuits[0])
+    for k, circuit in enumerate(circuits):
+        if circuit is not circuits[0] and _signature(circuit) != signature:
+            raise ValueError(f"circuit {k} ({circuit.title!r}) does not share the "
+                             f"topology of circuit 0")
+    records = {j: list(column) for j, column in
+               enumerate(zip(*(c.devices for c in circuits)))}
+    rows, results = _solve_rows(circuits[0], opts, temps, records,
+                                [c.title for c in circuits])
+    return [r if isinstance(r, Exception) else rows.operating_point(r) for r in results]
+
+
+def _solve_rows(circuit: Circuit, opts: SimOptions, temps, records,
+                titles=None) -> tuple:
+    """``circuit`` compiled once as one DC row per entry of ``temps`` (None:
+    what :func:`solve_dc` would use) with ``records`` replacing devices (see
+    :class:`_DcRows`), and solved as one batch: the compiled rows, and per
+    row the result of :meth:`_DcRows.solve` or the row's error."""
+    topo = _Topology(circuit)
     if not topo.sources:
         raise SimulationError("circuit has no voltage source")
-    rows = _DcRows(topo, circuits, temps, [None] * len(circuits), opts.gmin,
-                   [None] * len(circuits))
-    return [r if isinstance(r, Exception) else rows.operating_point(r)
-            for r in rows.solve(opts)]
+    temps = [_effective_temp(circuit, opts) if t is None else t for t in temps]
+    rows = _DcRows(topo, titles or [circuit.title] * len(temps), temps, records,
+                   None, opts.gmin, [None] * len(temps))
+    return rows, rows.solve(opts)
 
 
 # --------------------------------------------------------------------------- #
@@ -1179,7 +1219,7 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
                 )
             states[key] = float(w)
     s = _normalized(memristors, states)
-    compiled = _DcRows(topo, [circuit], [_effective_temp(circuit, opts)], [s],
+    compiled = _DcRows(topo, [circuit.title], [_effective_temp(circuit, opts)], {}, s,
                        opts.gmin, [0.0])
     if compiled.errors:
         raise compiled.errors[0]
@@ -1212,8 +1252,8 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
         block = slice(start, start + _TRANSIENT_BLOCK)
         if memristors:
             x, s_block = xs[block], ss[block]
-            r_mem = np.column_stack([memristance_at(s_block[:, k], m.params)
-                                     for k, m in enumerate(memristors)])
+            r_mem = np.array([memristance_at(s_block[:, k], m.params)
+                              for k, m in enumerate(memristors)])
             currents, _ = compiled.kcl(np.zeros(len(x), dtype=np.intp), x, r_mem)
         else:
             x, currents = _dc_samples(compiled, opts, times[block])

@@ -62,6 +62,7 @@ __all__ = [
     "mirror_circuit",
     "PARAM_ALIASES",
     "resolve_param_path",
+    "overrides",
     "apply_override",
     "with_override",
 ]
@@ -863,14 +864,17 @@ def resolve_param_path(path: str) -> str:
     return key
 
 
-def apply_override(circuit: Circuit, path: str, value: float) -> None:
-    """Set one device parameter in place; path is ``ELEMENT.field``.
+def overrides(circuit: Circuit, path: str, values) -> tuple[int, list]:
+    """Position in ``circuit.devices`` of the device that the parameter path
+    (``ELEMENT.field``) names, and that device's record with the parameter
+    set to each of ``values``, or the :class:`ElaborationError` the value
+    raises: each value rebuilds the parameter or source record, so its
+    checks run.
 
     ``T1``/``T2`` alias the two mirror NMOS cards, ``source.vdd`` (or bare
     ``vdd``) and ``source.vbias`` (or ``vbias``) alias the supply and gate
     bias values, and a memristor accepts the pseudo-field ``m0`` (initial
-    memristance).  Unknown paths raise :class:`ElaborationError` before any
-    simulation work starts.
+    memristance).  Unknown paths raise :class:`ElaborationError`.
     """
     elem, dot, fieldname = resolve_param_path(path).partition(".")
     if not dot or not fieldname:
@@ -880,33 +884,35 @@ def apply_override(circuit: Circuit, path: str, value: float) -> None:
     if isinstance(dev, BoundSource):
         if fieldname not in ("dc_value", "amplitude", "frequency", "phase"):
             raise ElaborationError(f"source {dev.name} has no field {fieldname!r}")
-        try:
-            dev.spec = replace(dev.spec, **{fieldname: value})
-        except DeviceError as exc:
-            raise ElaborationError(str(exc)) from exc
-        return
-    if isinstance(dev, BoundMemristor) and fieldname == "m0":
-        try:
-            dev.w0 = state_for_memristance(value, dev.params).w
-        except DeviceError as exc:
-            raise ElaborationError(str(exc)) from exc
-        return
-    params = dev.params
-    if not hasattr(params, fieldname):
+        attr, build = "spec", lambda v: replace(dev.spec, **{fieldname: v})
+    elif isinstance(dev, BoundMemristor) and fieldname == "m0":
+        attr, build = "w0", lambda v: state_for_memristance(v, dev.params).w
+    elif hasattr(dev.params, fieldname):
+        attr, build = "params", lambda v: replace(dev.params, **{fieldname: v})
+    else:
         raise ElaborationError(f"{dev.name} has no parameter {fieldname!r}")
-    try:
-        dev.params = replace(params, **{fieldname: value})
-    except DeviceError as exc:
-        raise ElaborationError(str(exc)) from exc
+    records: list = []
+    for value in values:
+        try:
+            records.append(type(dev)(**{**vars(dev), attr: build(value)}))
+        except DeviceError as exc:
+            records.append(ElaborationError(str(exc)))
+            records[-1].__cause__ = exc
+    return circuit.devices.index(dev), records
+
+
+def apply_override(circuit: Circuit, path: str, value: float) -> None:
+    """Set one device parameter in place, replacing that device's record;
+    unknown paths and invalid values raise (see :func:`overrides`)."""
+    position, (record,) = overrides(circuit, path, [value])
+    if isinstance(record, Exception):
+        raise record
+    circuit.devices[position] = record
 
 
 def with_override(circuit: Circuit, path: str, value: float) -> Circuit:
-    """Copy of ``circuit`` with one parameter overridden.
-
-    Simulations share elaborated circuits across sweep points, so sweeps
-    never mutate their input; each point gets its own copy via this function
-    (see :meth:`Circuit.copy`).
-    """
+    """Copy of ``circuit`` with one parameter overridden (see
+    :meth:`Circuit.copy`); ``circuit`` itself is left as it was."""
     clone = circuit.copy()
     apply_override(clone, path, value)
     return clone

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirrorsim import engine
 from mirrorsim.analysis import (
     AnalysisError,
     AnalysisReport,
@@ -32,6 +33,7 @@ from mirrorsim.analysis import (
 )
 from mirrorsim.constants import T_REF, ZERO_CELSIUS
 from mirrorsim.devices import (
+    DeviceError,
     MemristorParams,
     ResistorParams,
     SourceSpec,
@@ -39,16 +41,19 @@ from mirrorsim.devices import (
 )
 from mirrorsim.engine import (
     SimOptions,
+    SimulationError,
     Waveform,
     run_transient,
     solve_dc,
     solve_dc_batch,
 )
 from mirrorsim.netlist import (
+    Circuit,
     ElaborationError,
     MirrorConfig,
     MirrorKind,
     mirror_circuit,
+    overrides,
     with_override,
 )
 
@@ -539,6 +544,124 @@ class TestParameterSweep:
     def test_rejects_empty_values(self):
         with pytest.raises(AnalysisError, match="at least one"):
             parameter_sweep(MirrorConfig(MirrorKind.TWO_RESISTORS), "T2.width", [])
+
+
+
+# Sweepable paths of a resistor, a MOSFET and a source, each with a range
+# that holds invalid values: a nonpositive resistance, width, length or k', a
+# negative lam, and tempcos that drive a resistance nonpositive away from
+# T_REF (a row error raised while compiling, not by the override).
+SWEEP_PATHS = [
+    ("R2.r_nominal", -10e3, 100e3), ("R2.temp_coeff", -0.05, 0.05),
+    ("T2.width", -0.1e-6, 2e-6), ("T2.length", -0.1e-6, 1e-6),
+    ("T2.vth0", -0.5, 2.5), ("T2.k_prime", -50e-6, 500e-6),
+    ("T2.lam", -0.1, 0.3), ("T2.vth_tc", -5e-3, 5e-3),
+    ("T2.mobility_exp", -3.0, 1.0), ("vdd", -1.0, 5.0),
+]
+
+
+@st.composite
+def sweep_cases(draw):
+    """A memristor-free mirror with values for every path it has, values of
+    Y2.m0 on 2m (positive, as mismatch_sweep needs), and a temperature."""
+    kind = draw(st.sampled_from([MirrorKind.TWO_RESISTORS, MirrorKind.PMOS_RESISTOR]))
+    paths = SWEEP_PATHS + ([("vbias", -0.5, 2.5)]
+                           if kind is MirrorKind.PMOS_RESISTOR else [])
+    sweeps = [(path, draw(st.lists(st.floats(lo, hi), min_size=1, max_size=4)))
+              for path, lo, hi in paths]
+    m0 = draw(st.lists(st.floats(1.0, 60e3), min_size=1, max_size=4))
+    return kind, sweeps, m0, draw(st.floats(250.0, 420.0))
+
+
+def lone_outcome(circuit, path, value, opts):
+    """What overriding one value and solving it alone gives: the operating
+    point, or the error the override or the solve raises."""
+    try:
+        return solve_dc(with_override(circuit, path, value), opts)
+    except (ElaborationError, SimulationError, DeviceError) as exc:
+        return exc
+
+
+def assert_rows_equal_lone_solves(kind, path, values, temp):
+    """Each row of a compiled-once sweep is the lone solve of its own
+    overridden circuit, field for field, or carries the same error."""
+    circuit = mirror_circuit(MirrorConfig(kind))
+    opts = SimOptions(temp=temp)
+    position, records = overrides(circuit, path, values)
+    compiled, results = engine._solve_rows(circuit, opts, [None] * len(values),
+                                           {position: records})
+    alone = [lone_outcome(circuit, path, value, opts) for value in values]
+    for result, single in zip(results, alone):
+        if isinstance(single, Exception):
+            assert type(result) is type(single)
+            assert str(result) == str(single)
+        else:
+            assert_same_op(compiled.operating_point(result), single)
+    return alone
+
+
+class TestSweepColumns:
+    """Sweeps compile their circuit once and write each value into the one
+    column it changes; every row must still be the lone solve of its own
+    overridden circuit."""
+
+    @given(case=sweep_cases())
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_rows_equal_lone_overridden_solves(self, case):
+        kind, sweeps, m0_values, temp = case
+        out_node = mirror_circuit(MirrorConfig(kind)).node_index("d2")
+        for path, values in sweeps:
+            alone = assert_rows_equal_lone_solves(kind, path, values, temp)
+            # parameter_sweep raises the first invalid value's error before
+            # solving, else the first failing row's
+            invalid = [e for e in alone if isinstance(e, ElaborationError)]
+            failed = invalid or [e for e in alone if isinstance(e, Exception)]
+            if failed:
+                with pytest.raises(type(failed[0])) as info:
+                    parameter_sweep(MirrorConfig(kind), path, values, temp=temp)
+                assert str(info.value) == str(failed[0])
+                continue
+            rows = parameter_sweep(MirrorConfig(kind), path, values, temp=temp)
+            for row, value, single in zip(rows, values, alone):
+                assert (row.value, row.i_out, row.v_out) == (
+                    value, single.device_currents["M2"],
+                    float(single.node_voltages[out_node]))
+        alone = assert_rows_equal_lone_solves(MirrorKind.TWO_MEMRISTORS, "Y2.m0",
+                                              m0_values, temp)
+        table = mismatch_sweep(MirrorConfig(MirrorKind.TWO_MEMRISTORS), m0_values,
+                               temp=temp)
+        for row, single in zip(table.rows, alone):
+            if isinstance(single, Exception):
+                assert row.error == str(single) and math.isnan(row.simulated)
+            else:
+                i1, i2 = single.device_currents["M1"], single.device_currents["M2"]
+                assert row.error is None and row.simulated == (i2 - i1) / i1
+
+    @pytest.mark.parametrize("sweep", [
+        lambda: parameter_sweep(MirrorConfig(MirrorKind.TWO_RESISTORS), "T2.width",
+                                [0.2e-6, 0.3e-6, 0.4e-6]),
+        lambda: parameter_sweep(MirrorConfig(MirrorKind.PMOS_RESISTOR), "vbias",
+                                [0.5, 0.7, 0.9]),
+        lambda: mismatch_sweep(MirrorConfig(MirrorKind.TWO_RESISTORS), GRID),
+        lambda: mismatch_sweep(MirrorConfig(MirrorKind.TWO_MEMRISTORS, m0=19e3),
+                               GRID),
+    ], ids=["param-2r", "param-pmos-r", "mismatch-2r", "mismatch-2m"])
+    def test_compiles_once_without_copies(self, monkeypatch, sweep):
+        counts = {"copy": 0, "topology": 0}
+        copy, topology = Circuit.copy, engine._Topology.__init__
+
+        def counting_copy(self):
+            counts["copy"] += 1
+            return copy(self)
+
+        def counting_topology(self, circuit):
+            counts["topology"] += 1
+            topology(self, circuit)
+
+        monkeypatch.setattr(Circuit, "copy", counting_copy)
+        monkeypatch.setattr(engine._Topology, "__init__", counting_topology)
+        sweep()
+        assert counts == {"copy": 0, "topology": 1}
 
 
 # --------------------------------------------------------------------------- #

@@ -814,6 +814,26 @@ def test_batch_rows_must_share_one_topology():
     assert solve_dc_batch([]) == []
 
 
+@pytest.mark.parametrize("kind", [MirrorKind.TWO_RESISTORS, MirrorKind.PMOS_RESISTOR,
+                                  MirrorKind.TWO_MEMRISTORS])
+def test_batch_rows_do_not_depend_on_their_neighbours(kind):
+    # rows that converge after 4 to 10 iterations leave the batch at
+    # different times, so each row sits at a different place in the
+    # shrinking stack in each order; its stamps must add the same way
+    base = mirror_circuit(MirrorConfig(kind=kind))
+    circuits = [with_override(base, path, value) for path, values in (
+        ("vdd", [1.2, 2.0, 3.5, 5.0]), ("T2.width", [0.1e-6, 1e-6, 4e-6]),
+        ("T1.vth0", [0.2, 0.6, 1.0])) for value in values]
+    temps = [250.0 + 15.0 * k for k in range(len(circuits))]
+    batch = solve_dc_batch(circuits, temps=temps)
+    backwards = solve_dc_batch(circuits[::-1], temps=temps[::-1])[::-1]
+    assert len({op.newton_iterations for op in batch}) >= 3
+    for k, (circuit, temp) in enumerate(zip(circuits, temps)):
+        (alone,) = solve_dc_batch([circuit], temps=[temp])
+        assert_same_op(batch[k], alone)
+        assert_same_op(backwards[k], alone)
+
+
 def test_batch_isolates_singular_and_nonconvergent_rows(monkeypatch):
     base = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_RESISTORS))
     good = [with_override(base, "R2.r_nominal", 20e3),
