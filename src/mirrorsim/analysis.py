@@ -47,7 +47,7 @@ from .engine import (
     SimOptions,
     SimulationError,
     Waveform,
-    _solve_rows,
+    _compile,
     run_transient,
     solve_dc,
 )
@@ -296,12 +296,10 @@ def settled_transient(circuit: Circuit, *, probe: str = "i(M2)",
 # Sweeps
 # --------------------------------------------------------------------------- #
 
-def _raise_first(results: list) -> list:
-    """``results`` when none is an error; else the first error, raised."""
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    return results
+def _raise_first(errors: dict) -> None:
+    """Raises the error of the first row in ``errors`` (row -> error), if any."""
+    if errors:
+        raise errors[min(errors)]
 
 
 @dataclass(frozen=True)
@@ -374,9 +372,11 @@ def mismatch_sweep(config: MirrorConfig, load2_values: Iterable[float], *,
     path = "Y2.m0" if memristive else "R2.r_nominal"
     circuit = mirror_circuit(config)
     position, records = overrides(circuit, path, [base] + values)
-    compiled, (base_result, *results) = _solve_rows(
-        circuit, SimOptions(temp=temp), [temp] * len(records), {position: records})
-    base_op = compiled.operating_point(_raise_first([base_result])[0])
+    solved = _compile(circuit, SimOptions(temp=temp), [temp] * len(records),
+                      records={position: records}).solve()
+    if 0 in solved.errors:
+        raise solved.errors[0]
+    base_op = solved.operating_point(0)
     vdd = config.vdd_value
     v_ds1 = float(base_op.node_voltages[circuit.node_index("d1")])
     v_ds2 = float(base_op.node_voltages[circuit.node_index("d2")])
@@ -388,18 +388,17 @@ def mismatch_sweep(config: MirrorConfig, load2_values: Iterable[float], *,
     m1, m2 = (circuit.devices.index(circuit.device(n)) for n in ("M1", "M2"))
 
     rows = []
-    for value, result in zip(values, results):
+    currents = solved.currents[1:, [m1, m2]].tolist()
+    for k, (value, (i1, i2)) in enumerate(zip(values, currents), start=1):
         rel = (value - base) / base
         predicted = k_factor * (base / value - 1.0)
         predicted_ro = delta_base - (1.0 + delta_base) * k_factor_ro * rel
-        if isinstance(result, (ElaborationError, SimulationError)):
-            rows.append(MismatchRow(value, rel, math.nan, predicted, predicted_ro,
-                                    error=str(result)))
-            continue
-        if isinstance(result, Exception):
-            raise result
-        i1, i2 = result[2][[m1, m2]].tolist()
-        rows.append(MismatchRow(value, rel, (i2 - i1) / i1, predicted, predicted_ro))
+        # a failed row reads NaN currents, so its simulated deviation is NaN
+        error = solved.errors.get(k)
+        if error and not isinstance(error, (ElaborationError, SimulationError)):
+            raise error
+        rows.append(MismatchRow(value, rel, (i2 - i1) / i1, predicted, predicted_ro,
+                                error=str(error) if error else None))
     return MismatchTable(tuple(rows), k_factor, i_d1_base, k_factor_ro)
 
 
@@ -433,9 +432,10 @@ def temperature_sweep(config: MirrorConfig,
         ops = [settled_transient(circuit, temp=T).op for T in points]
         currents = [(op.device_currents["M1"], op.device_currents["M2"]) for op in ops]
     else:
-        _, results = _solve_rows(circuit, SimOptions(), points, {})
+        solved = _compile(circuit, SimOptions(), points).solve()
+        _raise_first(solved.errors)
         m1, m2 = (circuit.devices.index(circuit.device(n)) for n in ("M1", "M2"))
-        currents = [result[2][[m1, m2]].tolist() for result in _raise_first(results)]
+        currents = solved.currents[:, [m1, m2]].tolist()
     return tuple(TemperatureRow(T, *pair) for T, pair in zip(points, currents))
 
 
@@ -465,7 +465,7 @@ def parameter_sweep(config: MirrorConfig, param_path: str,
         raise AnalysisError("parameter sweep needs at least one value")
     circuit = mirror_circuit(config)
     position, records = overrides(circuit, param_path, points)
-    _raise_first(records)
+    _raise_first({k: r for k, r in enumerate(records) if isinstance(r, Exception)})
     out_node = circuit.node_index("d2")
     if _has_memristors(circuit):
         ops = [settled_transient(with_override(circuit, param_path, value),
@@ -473,11 +473,11 @@ def parameter_sweep(config: MirrorConfig, param_path: str,
         outputs = [(op.device_currents["M2"], float(op.node_voltages[out_node]))
                    for op in ops]
     else:
-        _, results = _solve_rows(circuit, SimOptions(temp=temp), [None] * len(points),
-                                 {position: records})
+        solved = _compile(circuit, SimOptions(temp=temp), [None] * len(points),
+                          records={position: records}).solve()
+        _raise_first(solved.errors)
         m2 = circuit.devices.index(circuit.device("M2"))
-        outputs = [(float(result[2][m2]), float(result[0][out_node]))
-                   for result in _raise_first(results)]
+        outputs = zip(solved.currents[:, m2].tolist(), solved.x[:, out_node].tolist())
     return tuple(ParameterRow(value, *pair) for value, pair in zip(points, outputs))
 
 

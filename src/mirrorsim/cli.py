@@ -37,7 +37,7 @@ from .analysis import (
     temperature_sweep,
 )
 from .constants import T_REF, ZERO_CELSIUS
-from .csvio import format_number, open_output, write_csv
+from .csvio import check_output, format_number, open_output, write_csv
 from .devices import (
     DeviceError,
     MEMRISTOR_DEFAULTS,
@@ -203,14 +203,16 @@ def _write_waveforms(stream, result) -> None:
     write_csv(stream, columns, rows)
 
 
-def _run_dc(circuit: Circuit, opts: SimOptions, stream) -> None:
+def _run_dc(circuit: Circuit, opts: SimOptions, output: str) -> None:
     op = solve_dc(circuit, opts)
-    _write_operating_point(stream, circuit, op)
+    with open_output(output) as stream:
+        _write_operating_point(stream, circuit, op)
 
 
-def _run_tran(circuit: Circuit, opts: SimOptions, stream) -> None:
+def _run_tran(circuit: Circuit, opts: SimOptions, output: str) -> None:
     result = run_transient(circuit, opts, _all_probes(circuit))
-    _write_waveforms(stream, result)
+    with open_output(output) as stream:
+        _write_waveforms(stream, result)
 
 
 # --------------------------------------------------------------------------- #
@@ -237,12 +239,9 @@ def cmd_run(args) -> int:
         opts = _sim_options(sim, allow_timestep=True, t_stop_default=stop)
         if opts.dt is None:
             opts = replace(opts, dt=step)
-        with open_output(args.output) as stream:
-            _run_tran(circuit, opts, stream)
+        _run_tran(circuit, opts, args.output)
     else:
-        opts = _sim_options(sim, allow_timestep=False)
-        with open_output(args.output) as stream:
-            _run_dc(circuit, opts, stream)
+        _run_dc(circuit, _sim_options(sim, allow_timestep=False), args.output)
     return EXIT_OK
 
 
@@ -260,8 +259,9 @@ def cmd_mirror(args) -> int:
     config_sets, sim, paths = _split_sets(_parse_set_flags(args.set))
     config = _mirror_config(args, config_sets)
     if args.emit_netlist:
+        text = print_netlist(builtin_mirror(config))
         with open_output(args.output) as stream:
-            stream.write(print_netlist(builtin_mirror(config)))
+            stream.write(text)
         return EXIT_OK
     analysis = args.analysis
     if paths and analysis not in ("dc", "tran", "thd"):
@@ -277,8 +277,7 @@ def cmd_mirror(args) -> int:
         opts = _sim_options(sim, allow_timestep=False)
         circuit = mirror_circuit(config)
         _apply_paths(circuit, paths)
-        with open_output(args.output) as stream:
-            _run_dc(circuit, opts, stream)
+        _run_dc(circuit, opts, args.output)
         return EXIT_OK
 
     if analysis == "tran":
@@ -286,8 +285,7 @@ def cmd_mirror(args) -> int:
                             t_stop_default=_DEFAULT_TRAN_STOP)
         circuit = mirror_circuit(config)
         _apply_paths(circuit, paths)
-        with open_output(args.output) as stream:
-            _run_tran(circuit, opts, stream)
+        _run_tran(circuit, opts, args.output)
         return EXIT_OK
 
     if analysis == "thd":
@@ -483,6 +481,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     started = time.monotonic()
     try:
+        check_output(args.output)
         code = args.func(args)
     except _UsageError as exc:
         _diag(f"error: {exc}")

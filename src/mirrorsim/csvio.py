@@ -14,7 +14,7 @@ import sys
 from contextlib import contextmanager
 from typing import Iterable, Sequence
 
-__all__ = ["format_number", "write_csv", "open_output"]
+__all__ = ["format_number", "write_csv", "check_output", "open_output"]
 
 
 def format_number(value: float) -> str:
@@ -41,19 +41,29 @@ def write_csv(stream, columns: Sequence[str], rows: Iterable[Sequence],
         stream.write(f"# {line}\n")
 
 
-@contextmanager
-def open_output(path: str):
-    """Writable text stream for ``path``; ``-`` means stdout.
-
-    The parent directory must already exist — that is checked up front so a
-    doomed run fails before any simulation work starts.  Line endings are
-    forced to LF regardless of platform.
-    """
+def check_output(path: str) -> None:
+    """Raises OSError unless ``path`` is ``-`` (stdout) or names a file in
+    an existing directory.  The command line calls it before any simulation
+    work starts, so a doomed run fails at once."""
     if path == "-":
-        yield sys.stdout
         return
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         raise OSError(f"output directory does not exist: {parent}")
+    if os.path.isdir(path):
+        raise OSError(f"output path is a directory: {path}")
+
+
+@contextmanager
+def open_output(path: str):
+    """Writable text stream for ``path``; ``-`` means stdout.
+
+    The parent directory must already exist (see :func:`check_output`).
+    Line endings are forced to LF regardless of platform.
+    """
+    if path == "-":
+        yield sys.stdout
+        return
+    check_output(path)
     with open(path, "w", encoding="utf-8", newline="\n") as stream:
         yield stream

@@ -17,18 +17,21 @@ carry memory, so only they enter the estimate.  A DC solve has no state rows:
 the memristances stay frozen.  A circuit with no memristor carries nothing
 from one step to the next, so its transient is a DC solve per sample.
 
-DC solves have a leading batch axis.  Rows of one topology are compiled
-into per-row arrays, a device that every row shares evaluated once (so a
-sweep evaluates only its swept device per row, a memristor-free transient
-only its sources), and iterate together: each Newton iteration evaluates
-every MOSFET of every row in one array call, adds each stamp family in one
-call over flat indices, and solves the (rows, n, n) stack in one
-:func:`numpy.linalg.solve`, with damping and the convergence tests applied
-row by row.  A single DC solve is a batch of one.  A memristive transient
-compiles its circuit as one such row too, solves t = 0 as that row, and
-runs its steps on Python lists copied from it, which is the fast form for
-one small system.  Both kinds of transient read their probes a block of
-samples at a time, device currents coming from the row's batched KCL.
+DC solves have a leading batch axis.  One function compiles a circuit into
+rows of one topology as per-row arrays, a device that every row shares
+evaluated once (so a sweep evaluates only its swept device per row, a
+memristor-free transient only its sources), and the rows iterate together:
+each Newton iteration evaluates every MOSFET of every row in one array
+call, adds each stamp family in one call over flat indices, and solves the
+(rows, n, n) stack in one :func:`numpy.linalg.solve`, with damping and the
+convergence tests applied row by row.  The solve fills one array per
+quantity (solutions, iterations, device currents, KCL residuals; NaN in a
+failed row) and one dict of row errors, in place.  A single DC solve is a
+batch of one.  A memristive transient compiles its circuit as one such row
+too, solves t = 0 as that row, and runs its steps on Python lists copied
+from it, which is the fast form for one small system.  Both kinds of
+transient read their probes a block of samples at a time, device currents
+coming from the rows' batched KCL.
 
 The dense linear solves go through :func:`numpy.linalg.solve` (LAPACK LU with
 partial pivoting); circuits here have fewer than ten nodes, so no sparse
@@ -411,10 +414,6 @@ class _Topology:
         return self._flat[family][:rows * len(self.families[family][1])]
 
 
-def _effective_temp(circuit: Circuit, opts: SimOptions) -> float:
-    return circuit.temp if opts.temp is None else opts.temp
-
-
 # --------------------------------------------------------------------------- #
 # DC operating points: one batched Newton over rows of one topology
 # --------------------------------------------------------------------------- #
@@ -453,7 +452,8 @@ _CELLS = {
 
 
 class _DcRows:
-    """DC rows of one topology compiled into per-row arrays.
+    """DC rows of one topology compiled into per-row arrays under ``opts``
+    (its gmin, and the tolerances :meth:`solve` uses), and solved in place.
 
     Row k is the topology's circuit at ``temps[k]``, its sources at
     ``source_times[k]``, its memristances frozen at the normalized states
@@ -462,7 +462,11 @@ class _DcRows:
     all rows share is evaluated once.  A row fails alone: with its record
     when that is an error, else with the first
     :class:`~mirrorsim.devices.DeviceError` of its devices in kind order,
-    which is what compiling that row alone raises.
+    which is what compiling that row alone raises.  ``errors`` maps every
+    failed row, from the compile or :meth:`solve`, to its error; the solve
+    fills ``x`` (rows, unknowns), ``iterations``, ``currents`` (rows,
+    devices in circuit order; see OperatingPoint) and ``residual``, NaN in
+    a failed row.
 
     Each Newton iteration makes one array MOSFET evaluation and adds each
     stamp family (matrix, right-hand side, KCL sums) in one unbuffered
@@ -474,9 +478,9 @@ class _DcRows:
     """
 
     def __init__(self, topo: _Topology, titles, temps, records, states,
-                 gmin: float, source_times):
-        self.topo = topo
-        self.gmin = gmin
+                 opts: SimOptions, source_times):
+        self.topo, self.opts = topo, opts
+        gmin = opts.gmin
         self.titles, self.temps, self.states = list(titles), list(temps), states
         count = len(self.titles)
         devices = topo.circuit.devices
@@ -544,13 +548,6 @@ class _DcRows:
         for j, m in enumerate(topo.memristors):
             _stamp_pair(g_lin, m.n_pos, m.n_neg, 1.0 / self.r_mem[j])
 
-    def at_times(self, source_times) -> _DcRows:
-        """The topology's circuit compiled as this batch's row 0, once per
-        entry of ``source_times``, with its sources at that time."""
-        count = len(source_times)
-        return _DcRows(self.topo, self.titles[:1] * count, self.temps[:1] * count,
-                       {}, self.states, self.gmin, source_times)
-
     def _scatter(self, family: int, out, terms):
         """Stamp family ``family`` of :attr:`_Topology.families` added into
         ``out``, one array per row, in one unbuffered :func:`numpy.add.at`:
@@ -573,7 +570,7 @@ class _DcRows:
         at the guesses ``x``, one per row."""
         count, dim = x.shape
         vgs, vds, i0, gm, gds = self._mosfets(rows, x)
-        terms = np.concatenate([gm, gds, gm + gds, np.full((1, count), self.gmin)])
+        terms = np.concatenate([gm, gds, gm + gds, np.full((1, count), self.opts.gmin)])
         rhs = np.zeros(x.shape)
         rhs[:, self.topo.branch_cols] = source_scale * self.values[rows]
         return (self._scatter(0, self.g_lin[rows], terms),
@@ -602,21 +599,20 @@ class _DcRows:
         sums = self._scatter(2, np.zeros((len(rows), topo.n_nodes)), by_kind)
         return currents.T, np.abs(sums[:, 1:]).max(axis=1)
 
-    def newton(self, rows, x, opts: SimOptions, source_scale: float):
+    def newton(self, rows, x, source_scale: float) -> None:
         """Newton-Raphson on ``rows`` (ascending) from the guesses ``x``, to
         the dual tolerance: per-node voltage deltas below vntol +
         reltol*|V| and device-KCL residual below abstol, row by row.
 
-        Returns (done, failed): ``done`` maps a converged row to (x,
-        iterations, device currents, KCL residual); ``failed`` maps every
-        other row to the error a lone solve of it raises, iteration trace
-        included.
+        A converged row's solution, device currents and KCL residual are
+        written to its entries of ``x``, ``currents`` and ``residual``, and
+        its iterations added to ``iterations``; every other row gets the
+        error a lone solve of it raises, iteration trace included, in
+        ``errors``.
         """
-        topo = self.topo
+        topo, opts = self.topo, self.opts
         n, damped = topo.n_nodes, topo.damped_nodes
         vntol, reltol = opts.vntol, opts.reltol
-        done: dict[int, tuple] = {}
-        failed: dict[int, Exception] = {}
         history: list[tuple] = []  # (iteration, rows, max |dV|, residual)
 
         def trace(row: int) -> list[tuple[int, float, float]]:
@@ -636,11 +632,11 @@ class _DcRows:
                 for p in np.flatnonzero(~finite):
                     row = int(rows[p])
                     if singular is not None and singular[p]:
-                        failed[row] = SingularMatrixError(
+                        self.errors[row] = SingularMatrixError(
                             f"singular nodal matrix while solving "
                             f"{self.titles[row]!r}")
                     else:
-                        failed[row] = NonConvergenceError(
+                        self.errors[row] = NonConvergenceError(
                             "Newton produced a non-finite iterate",
                             trace=trace(row) + [(it, math.nan, math.nan)])
                 rows, x, solved = rows[finite], x[finite], solved[finite]
@@ -659,67 +655,66 @@ class _DcRows:
             history.append((it, rows, max_dv, residual))
             finished = residual < opts.abstol
             if finished.any():
-                for p in np.flatnonzero(finished):
-                    done[int(rows[p])] = (x[p], it, currents[p], residual[p])
+                done = rows[finished]
+                self.x[done], self.currents[done] = x[finished], currents[finished]
+                self.residual[done] = residual[finished]
+                self.iterations[done] += it
                 rows, x = rows[~finished], x[~finished]
         for row in rows.tolist():
             row_trace = trace(row)
-            failed[row] = NonConvergenceError(
+            self.errors[row] = NonConvergenceError(
                 f"Newton did not converge within {opts.max_newton_iters} "
                 f"iterations (last max |dV|={row_trace[-1][1]:.3g} V)",
                 trace=row_trace)
-        return done, failed
 
-    def solve(self, opts: SimOptions) -> list:
-        """Newton from a cold start on every row, then source stepping, as
-        one batch, for the rows that did not converge.  Returns one (x,
-        iterations, device currents, KCL residual) or one error per row."""
-        count, dim = len(self.titles), self.topo.dim
-        results: dict[int, object] = dict(self.errors)
+    def solve(self) -> _DcRows:
+        """Newton from a cold start on every row the compile did not fail,
+        then source stepping, as one batch, for the rows that did not
+        converge; a stepped row's ``iterations`` sums its steps'.  Fills
+        the arrays and ``errors`` in place and returns the rows."""
+        count, dim, opts = len(self.titles), self.topo.dim, self.opts
+        self.x = np.full((count, dim), math.nan)
+        self.iterations = np.zeros(count)
+        self.currents = np.full((count, len(self.topo.current_nodes)), math.nan)
+        self.residual = np.full(count, math.nan)
         rows = np.array([k for k in range(count) if k not in self.errors], dtype=int)
-        done, failed = self.newton(rows, np.zeros((len(rows), dim)), opts, 1.0)
-        results.update(done)
-        stepping = []
-        for row, exc in failed.items():
-            if isinstance(exc, NonConvergenceError) and opts.source_steps >= 2:
-                stepping.append(row)
-            else:
-                results[row] = exc
-        rows = np.array(sorted(stepping), dtype=int)
+        self.newton(rows, np.zeros((len(rows), dim)), 1.0)
+        rows = np.array(sorted(row for row, exc in self.errors.items()
+                               if isinstance(exc, NonConvergenceError)
+                               and opts.source_steps >= 2), dtype=int)
+        for row in rows.tolist():
+            del self.errors[row]
         x = np.zeros((len(rows), dim))
-        total = dict.fromkeys(stepping, 0)
         for k in range(1, opts.source_steps + 1):
             if not len(rows):
                 break
             scale = k / opts.source_steps
-            done, failed = self.newton(rows, x, opts, scale)
-            for row, exc in failed.items():
+            self.newton(rows, x, scale)
+            for row in rows.tolist():
+                exc = self.errors.get(row)
                 if isinstance(exc, NonConvergenceError):
-                    stalled = NonConvergenceError(
+                    self.errors[row] = NonConvergenceError(
                         f"source stepping stalled at scale {scale:.2f}: {exc}",
                         trace=exc.trace)
-                    stalled.__cause__ = exc
-                    exc = stalled
-                results[row] = exc
-            rows = np.array(sorted(done), dtype=int)
-            x = np.array([done[row][0] for row in rows.tolist()]).reshape(len(rows), dim)
-            for row in rows.tolist():
-                total[row] += done[row][1]
-                if k == opts.source_steps:
-                    results[row] = (done[row][0], total[row]) + done[row][2:]
-        return [results[k] for k in range(count)]
+                    self.errors[row].__cause__ = exc
+            rows = rows[~np.isin(rows, list(self.errors))]
+            x = self.x[rows]
+        failed = list(self.errors)
+        self.x[failed] = self.iterations[failed] = math.nan
+        self.currents[failed] = self.residual[failed] = math.nan
+        return self
 
-    def operating_point(self, result) -> OperatingPoint:
-        x, iterations, currents, residual = result
-        topo = self.topo
+    def operating_point(self, k: int) -> OperatingPoint:
+        """Row ``k`` of a solve that converged, as an :class:`OperatingPoint`."""
+        topo, x = self.topo, self.x[k]
         return OperatingPoint(
             node_voltages=x[: topo.n_nodes].copy(),
             source_currents={src.name: float(x[br])
                              for src, br in zip(topo.sources, topo.branch_cols)},
             device_currents=dict(zip((d.name for d in topo.circuit.devices),
-                                     currents.tolist())),
-            kcl_residual=float(residual),
-            newton_iterations=int(iterations),
+                                     self.currents[k].tolist())),
+            kcl_residual=float(self.residual[k]),
+            newton_iterations=int(self.iterations[k]),
         )
 
 
@@ -741,7 +736,7 @@ class _Steps:
     def __init__(self, rows: _DcRows):
         topo = self.topo = rows.topo
         self.title = rows.titles[0]
-        self.gmin = rows.gmin
+        self.gmin = rows.opts.gmin
         self.specs = [src.spec for src in topo.sources]
         self.branches = topo.branch_cols.tolist()
         self.g_res = rows.g_res[:, 0].tolist()
@@ -973,6 +968,25 @@ class _Steps:
         return ts, xs, ss
 
 
+def _compile(circuit: Circuit, opts: SimOptions, temps=(None,), *, records=None,
+             titles=None, states: dict[str, float] | None = None,
+             source_times=None) -> _DcRows:
+    """``circuit`` compiled under ``opts`` as :class:`_DcRows`, one row per
+    entry of ``temps`` (None: what :func:`solve_dc` would use); the other
+    arguments default to the circuit's titles, t = 0 sources and initial
+    states (``states`` in metres by name).  This is the one path from a
+    circuit to compiled rows.  A floating circuit, or one with no voltage
+    source, raises; a row's own failure goes into ``errors``."""
+    topo = _Topology(circuit)
+    if not topo.sources:
+        raise SimulationError("circuit has no voltage source")
+    s = None if states is None else _normalized(topo.memristors, states)
+    temp = circuit.temp if opts.temp is None else opts.temp
+    return _DcRows(topo, titles or [circuit.title] * len(temps),
+                   [temp if t is None else t for t in temps], records or {}, s,
+                   opts, source_times or [None] * len(temps))
+
+
 def assemble_system(circuit: Circuit, guess, states: dict[str, float] | None = None,
                     temp: float | None = None, *, gmin: float = 1e-12,
                     source_scale: float = 1.0, source_time: float | None = None):
@@ -983,12 +997,10 @@ def assemble_system(circuit: Circuit, guess, states: dict[str, float] | None = N
     (initial states when omitted); ``gmin`` lands on every non-ground node
     diagonal.  Row/column 0 is the trivial ground pin.
     """
-    topo = _Topology(circuit)
-    if len(guess) != topo.dim:
-        raise ValueError(f"guess must have {topo.dim} entries, got {len(guess)}")
-    s = None if states is None else _normalized(topo.memristors, states)
-    rows = _DcRows(topo, [circuit.title], [circuit.temp if temp is None else temp],
-                   {}, s, gmin, [source_time])
+    rows = _compile(circuit, SimOptions(gmin=gmin, temp=temp), states=states,
+                    source_times=[source_time])
+    if len(guess) != rows.topo.dim:
+        raise ValueError(f"guess must have {rows.topo.dim} entries, got {len(guess)}")
     if rows.errors:
         raise rows.errors[0]
     g_mat, rhs = rows.assemble(np.zeros(1, dtype=int),
@@ -1005,19 +1017,13 @@ def solve_dc(circuit: Circuit, opts: SimOptions | None = None, *,
     Sine sources contribute their t=0 value unless ``source_time`` picks
     another instant.  Raises :class:`NonConvergenceError` (after a source
     stepping retry) or :class:`SingularMatrixError`.  This is
-    :func:`solve_dc_batch` with one row.
+    :func:`solve_dc_batch` with one row, solved in place and read back.
     """
     opts = opts or SimOptions()
-    topo = _Topology(circuit)
-    if not topo.sources:
-        raise SimulationError("circuit has no voltage source")
-    s = None if states is None else _normalized(topo.memristors, states)
-    rows = _DcRows(topo, [circuit.title], [_effective_temp(circuit, opts)], {}, s,
-                   opts.gmin, [source_time])
-    (result,) = rows.solve(opts)
-    if isinstance(result, Exception):
-        raise result
-    return rows.operating_point(result)
+    rows = _compile(circuit, opts, states=states, source_times=[source_time]).solve()
+    if rows.errors:
+        raise rows.errors[0]
+    return rows.operating_point(0)
 
 
 def solve_dc_batch(circuits, opts: SimOptions | None = None, *,
@@ -1027,20 +1033,20 @@ def solve_dc_batch(circuits, opts: SimOptions | None = None, *,
 
     The circuits may differ in any device parameter and in temperature:
     ``temps[k]`` is row k's temperature (default: what :func:`solve_dc`
-    would use).  Memristors are frozen at their initial states.  Each entry
-    of the returned list is the :class:`OperatingPoint` that
-    ``solve_dc(circuits[k], ...)`` returns, to the bit and with the same
-    ``newton_iterations``, or the error it raises (a
-    :class:`SimulationError` or :class:`~mirrorsim.devices.DeviceError`);
-    one failing row never fails the others.  A circuit of another topology
-    raises ValueError.
+    would use).  Memristors are frozen at their initial states.  The rows
+    are compiled once and solved in place.  Each entry of the returned list
+    is the :class:`OperatingPoint` that ``solve_dc(circuits[k], ...)``
+    returns, to the bit and with the same ``newton_iterations``, or the
+    error it raises (a :class:`SimulationError` or
+    :class:`~mirrorsim.devices.DeviceError`); one failing row never fails
+    the others.  A circuit of another topology raises ValueError.
     """
     opts = opts or SimOptions()
     circuits = list(circuits)
     if not circuits:
         return []
     if temps is None:
-        temps = [_effective_temp(c, opts) for c in circuits]
+        temps = [c.temp if opts.temp is None else opts.temp for c in circuits]
     elif len(temps) != len(circuits):
         raise ValueError(f"{len(temps)} temperatures for {len(circuits)} circuits")
     signature = _signature(circuits[0])
@@ -1050,24 +1056,10 @@ def solve_dc_batch(circuits, opts: SimOptions | None = None, *,
                              f"topology of circuit 0")
     records = {j: list(column) for j, column in
                enumerate(zip(*(c.devices for c in circuits)))}
-    rows, results = _solve_rows(circuits[0], opts, temps, records,
-                                [c.title for c in circuits])
-    return [r if isinstance(r, Exception) else rows.operating_point(r) for r in results]
-
-
-def _solve_rows(circuit: Circuit, opts: SimOptions, temps, records,
-                titles=None) -> tuple:
-    """``circuit`` compiled once as one DC row per entry of ``temps`` (None:
-    what :func:`solve_dc` would use) with ``records`` replacing devices (see
-    :class:`_DcRows`), and solved as one batch: the compiled rows, and per
-    row the result of :meth:`_DcRows.solve` or the row's error."""
-    topo = _Topology(circuit)
-    if not topo.sources:
-        raise SimulationError("circuit has no voltage source")
-    temps = [_effective_temp(circuit, opts) if t is None else t for t in temps]
-    rows = _DcRows(topo, titles or [circuit.title] * len(temps), temps, records,
-                   None, opts.gmin, [None] * len(temps))
-    return rows, rows.solve(opts)
+    rows = _compile(circuits[0], opts, temps, records=records,
+                    titles=[c.title for c in circuits]).solve()
+    return [rows.errors[k] if k in rows.errors else rows.operating_point(k)
+            for k in range(len(circuits))]
 
 
 # --------------------------------------------------------------------------- #
@@ -1117,29 +1109,26 @@ def _build_probe(topo: _Topology, spec: str):
 # transient
 # --------------------------------------------------------------------------- #
 
-def _at_time(exc: SimulationError, t: float) -> SimulationError:
-    """A memristor-free transient's failing DC sample as the memristive
-    steps report theirs: the same error type and trace, naming the sample's
-    time."""
-    message = f"{exc} at t={t:.9g} s"
-    if isinstance(exc, NonConvergenceError):
-        return NonConvergenceError(message, trace=exc.trace, time=t)
-    return SingularMatrixError(message, time=t)
-
-
-def _dc_samples(compiled: _DcRows, opts: SimOptions, times: np.ndarray):
+def _dc_samples(circuit: Circuit, opts: SimOptions, times: np.ndarray):
     """Solutions and device currents, as (samples, ...) arrays, of a circuit
     with no memristor at ``times``: sample k is the DC solution with the
     sources at ``times[k]``, ``solve_dc(circuit, opts,
-    source_time=times[k])`` to the bit, all solved as rows of one batched
-    Newton.  The earliest failing sample raises its error, carrying its
-    time."""
+    source_time=times[k])`` to the bit, the samples compiled as the rows of
+    one batch and solved in place.  The earliest failing sample raises its
+    error; a :class:`SimulationError` is raised as the memristive steps
+    raise theirs, with the same type and trace, naming the sample's time."""
     block = times.tolist()
-    results = compiled.at_times(block).solve(opts)
-    for t, result in zip(block, results):
-        if isinstance(result, SimulationError):
-            raise _at_time(result, t) from result
-    return np.array([r[0] for r in results]), np.array([r[2] for r in results])
+    rows = _compile(circuit, opts, [None] * len(block), source_times=block).solve()
+    if rows.errors:
+        k = min(rows.errors)
+        exc, t = rows.errors[k], block[k]
+        if isinstance(exc, NonConvergenceError):
+            raise NonConvergenceError(f"{exc} at t={t:.9g} s", trace=exc.trace,
+                                      time=t) from exc
+        if isinstance(exc, SimulationError):
+            raise SingularMatrixError(f"{exc} at t={t:.9g} s", time=t) from exc
+        raise exc
+    return rows.x, rows.currents
 
 
 def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
@@ -1148,15 +1137,15 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     steps when ``opts.adaptive`` is set and the circuit has memristors.
 
     On the fixed grid, sample k sits at t = k*dt, sources evaluated at the
-    same instant; sample 0 is the DC solution with sources at t = 0.  The
-    circuit is compiled once, as one :class:`_DcRows` row.
+    same instant; sample 0 is the DC solution with sources at t = 0.
 
     In a circuit with memristors, each step is one Newton solve of the node
     voltages, source currents and memristor states together: every state
     s = w/L obeys its implicit update ``s_next = s_prev + dt * dwdt(s_next,
     i_next) / L``, clamped to [0, 1], so the recorded voltages, currents and
-    memristances belong to one solution.  The steps run on Python lists
-    copied from the compiled row (:class:`_Steps`).  A step whose Newton
+    memristances belong to one solution.  The circuit is compiled once, as
+    one :class:`_DcRows` row solved at t = 0, and the steps run on Python
+    lists copied from that row (:class:`_Steps`).  A step whose Newton
     runs out of iterations is cut: halved and retried, and grown back after
     each success, until it reaches its grid time, which alone is recorded.
     A step that still fails at ``dt / 2**_MAX_CUTS``, or whose Newton
@@ -1172,14 +1161,15 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     in a memristive circuit raises :class:`ValueError` instead.
 
     A circuit with no memristor keeps no state between steps, so sample k
-    is ``solve_dc(circuit, opts, source_time=k*dt)``, to the bit: the
-    samples are solved from a cold start as rows of one batched Newton, and
-    each gets the DC solve's source-stepping retry.  The earliest sample
+    is ``solve_dc(circuit, opts, source_time=k*dt)``, to the bit: each
+    block of samples is compiled as the rows of one batch and solved from a
+    cold start in place, and each sample gets the DC solve's
+    source-stepping retry.  The earliest sample
     that still fails raises its :class:`NonConvergenceError` or
     :class:`SingularMatrixError`, with its trace and ``time``.
 
     Either way the probes are read ``_TRANSIENT_BLOCK`` samples at a time,
-    device currents coming from the compiled row's batched KCL.
+    device currents coming from the compiled rows' batched KCL.
 
     ``initial_states`` replaces the netlist's initial memristor states
     (metres), letting one run continue where another settled;
@@ -1193,8 +1183,6 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
         raise ValueError("t_stop shorter than one step")
 
     topo = _Topology(circuit)
-    if not topo.sources:
-        raise SimulationError("circuit has no voltage source")
     if opts.adaptive and topo.memristors and any(
             src.spec.kind == "sine" for src in topo.sources):
         # at a window bound the state error estimate vanishes and the steps
@@ -1218,17 +1206,13 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
                     f"initial state {w} for {key} outside [0, {mem.params.length}]"
                 )
             states[key] = float(w)
-    s = _normalized(memristors, states)
-    compiled = _DcRows(topo, [circuit.title], [_effective_temp(circuit, opts)], {}, s,
-                       opts.gmin, [0.0])
-    if compiled.errors:
-        raise compiled.errors[0]
+    s: list[float] = []
     if memristors:
-        (first,) = compiled.solve(opts)
-        if isinstance(first, Exception):
-            raise first
+        compiled = _compile(circuit, opts, states=states, source_times=[0.0]).solve()
+        if compiled.errors:
+            raise compiled.errors[0]
+        s, x = compiled.states, compiled.x[0].tolist()
         steps = _Steps(compiled)
-        x = first[0].tolist()
         floor = dt / 2 ** _MAX_CUTS
         if opts.adaptive:
             ts, xs, ss = steps.march(x, s, 0.0, opts.t_stop, dt, floor, opts, True)
@@ -1256,7 +1240,7 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
                               for k, m in enumerate(memristors)])
             currents, _ = compiled.kcl(np.zeros(len(x), dtype=np.intp), x, r_mem)
         else:
-            x, currents = _dc_samples(compiled, opts, times[block])
+            x, currents = _dc_samples(circuit, opts, times[block])
             s_block = np.empty((len(x), 0))
         for buf, (_, _, read) in zip(data, probe_list):
             buf[block] = read(x, currents, s_block)

@@ -588,15 +588,16 @@ def assert_rows_equal_lone_solves(kind, path, values, temp):
     circuit = mirror_circuit(MirrorConfig(kind))
     opts = SimOptions(temp=temp)
     position, records = overrides(circuit, path, values)
-    compiled, results = engine._solve_rows(circuit, opts, [None] * len(values),
-                                           {position: records})
+    compiled = engine._compile(circuit, opts, [None] * len(values),
+                               records={position: records}).solve()
     alone = [lone_outcome(circuit, path, value, opts) for value in values]
-    for result, single in zip(results, alone):
+    for k, single in enumerate(alone):
         if isinstance(single, Exception):
-            assert type(result) is type(single)
-            assert str(result) == str(single)
+            assert type(compiled.errors[k]) is type(single)
+            assert str(compiled.errors[k]) == str(single)
         else:
-            assert_same_op(compiled.operating_point(result), single)
+            assert k not in compiled.errors
+            assert_same_op(compiled.operating_point(k), single)
     return alone
 
 
@@ -662,6 +663,25 @@ class TestSweepColumns:
         monkeypatch.setattr(engine._Topology, "__init__", counting_topology)
         sweep()
         assert counts == {"copy": 0, "topology": 1}
+
+
+    def test_sweeps_read_the_solved_arrays(self, monkeypatch):
+        # a sweep reads its rows from the solved arrays; only the mismatch
+        # baseline is read back as an OperatingPoint
+        built = []
+        operating_point = engine.OperatingPoint
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return operating_point(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "OperatingPoint", counting)
+        config = MirrorConfig(MirrorKind.TWO_RESISTORS)
+        rows = parameter_sweep(config, "T2.width", np.linspace(0.2e-6, 4e-6, 100))
+        rows += temperature_sweep(config, np.linspace(250.0, 400.0, 100))
+        assert len(rows) == 200 and not built
+        table = mismatch_sweep(config, np.linspace(30e3, 46e3, 100))
+        assert len(table.rows) == 100 and len(built) == 1
 
 
 # --------------------------------------------------------------------------- #

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from mirrorsim import engine
+from mirrorsim import cli, engine
 from mirrorsim.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_SIMULATION, main
 from mirrorsim.constants import ZERO_CELSIUS
 from mirrorsim.csvio import format_number, write_csv
@@ -184,6 +184,34 @@ class TestExitCodes:
             ["mirror", "2r", "--analysis", "dc", "-o", target], capsys)
         assert code == EXIT_IO
         assert "output directory does not exist" in err
+
+    @pytest.mark.parametrize("argv, analysis", [
+        (["mirror", "2r", "--analysis", "temp-sweep"], "temperature_sweep"),
+        (["mirror", "2r", "--analysis", "table1"], "config_report"),
+        (["calibrate"], "calibrate_mobility"),
+    ])
+    def test_missing_output_directory_fails_before_simulating(
+            self, tmp_path, monkeypatch, capsys, argv, analysis):
+        calls = []
+        monkeypatch.setattr(cli, analysis, lambda *args, **kwargs: calls.append(args))
+        for target, message in ((tmp_path / "missing" / "out.csv", "does not exist"),
+                                (tmp_path, "is a directory")):
+            code, _, err = run_cli(argv + ["-o", str(target)], capsys)
+            assert code == EXIT_IO
+            assert message in err
+        assert calls == []
+
+    @pytest.mark.parametrize("analysis", ["dc", "tran"])
+    def test_failed_simulation_leaves_the_output_file_alone(
+            self, tmp_path, monkeypatch, capsys, analysis):
+        # every source reads NaN, so the t = 0 solve fails
+        monkeypatch.setattr(engine, "source_value", lambda spec, time=None: math.nan)
+        target = tmp_path / "out.csv"
+        target.write_text("previous run\n", encoding="utf-8")
+        code, _, _ = run_cli(["mirror", "2r", "--analysis", analysis,
+                              "-o", str(target)], capsys)
+        assert code == EXIT_SIMULATION
+        assert target.read_text(encoding="utf-8") == "previous run\n"
 
     def test_calibrate_rejects_nonpositive_target(self, capsys):
         code, _, err = run_cli(["calibrate", "--target", "0"], capsys)

@@ -36,12 +36,14 @@ from mirrorsim.netlist import (
     BoundResistor,
     BoundSource,
     Circuit,
+    ElaborationError,
     MirrorConfig,
     MirrorKind,
     ResistorParams,
     SourceSpec,
     elaborate,
     mirror_circuit,
+    overrides,
     parse,
     with_override,
 )
@@ -802,6 +804,48 @@ def test_batch_steps_sources_row_by_row():
     assert batched[1].newton_iterations <= opts.max_newton_iters
     assert batched[2].newton_iterations > opts.max_newton_iters
     assert "source stepping stalled" in str(batched[3])
+
+
+def test_rows_are_solved_in_place(monkeypatch):
+    # one compiled batch with a row of each kind: converged cold, an
+    # invalid record, singular, converged by source stepping, and stalled
+    # while stepping after converging at a lower scale
+    base = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_RESISTORS))
+    values = [20e3, -1.0, 30e3, 60e3, 100e3]
+    titles = [base.title, base.title, "rank-deficient", base.title, base.title]
+    opts = SimOptions(max_newton_iters=6, source_steps=3)
+    compile_rows = engine._DcRows.__init__
+
+    def compile_with_a_singular_row(self, *args):
+        compile_rows(self, *args)
+        for k, title in enumerate(self.titles):
+            if title == "rank-deficient":
+                self.g_lin[k] = 0.0
+
+    monkeypatch.setattr(engine._DcRows, "__init__", compile_with_a_singular_row)
+    position, records = overrides(base, "R2.r_nominal", values)
+    rows = engine._compile(base, opts, [None] * len(values),
+                           records={position: records}, titles=titles).solve()
+
+    alone = []
+    for value, title in zip(values, titles):
+        try:
+            circuit = with_override(base, "R2.r_nominal", value)
+            circuit.title = title
+            alone.append(solve_dc(circuit, opts))
+        except (ElaborationError, SimulationError) as exc:
+            alone.append(exc)
+    failed = [k for k, single in enumerate(alone) if isinstance(single, Exception)]
+    assert failed == [1, 2, 4] and sorted(rows.errors) == failed
+    for k in failed:
+        assert type(rows.errors[k]) is type(alone[k])
+        assert str(rows.errors[k]) == str(alone[k])
+        for array in (rows.x, rows.iterations, rows.currents, rows.residual):
+            assert np.isnan(array[k]).all()
+    assert "stalled at scale 0.67" in str(rows.errors[4])
+    for k in (0, 3):
+        assert_same_op(rows.operating_point(k), alone[k])
+    assert rows.iterations[3] == alone[3].newton_iterations > opts.max_newton_iters
 
 
 def test_batch_rows_must_share_one_topology():
