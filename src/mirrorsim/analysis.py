@@ -531,7 +531,10 @@ def hysteresis_trace(params: MemristorParams | ResistorParams, drive: SourceSpec
     travel; resistor parameters run in the identical harness and bound the
     numerical noise floor (their loop area is zero up to integration error).
     The loop area is measured on the last cycle, after the earlier cycles
-    have washed out the initial state.
+    have washed out the initial state.  The transient takes error-controlled
+    steps and is recorded on the uniform grid of ``samples_per_cycle``
+    (``SimOptions.adaptive`` with ``dt``), every sample a DC solution at
+    its state.
     """
     if drive.kind != "sine":
         raise AnalysisError("hysteresis needs a sine drive")
@@ -560,7 +563,8 @@ def hysteresis_trace(params: MemristorParams | ResistorParams, drive: SourceSpec
         temp=temp,
     )
     dt = 1.0 / (drive.frequency * samples_per_cycle)
-    opts = SimOptions(dt=dt, t_stop=cycles / drive.frequency, temp=temp)
+    opts = SimOptions(dt=dt, t_stop=cycles / drive.frequency, temp=temp,
+                      adaptive=True)
     result = run_transient(circuit, opts, ["v(in)", current_probe])
     voltage = result.waveform("v(in)").values
     current = result.waveform(current_probe).values

@@ -13,9 +13,12 @@ a single Newton solve of the coupled system.  A step whose Newton runs out
 of iterations is halved and retried, as SPICE2 cuts its timestep (Nagel
 1975).  Error-controlled steps estimate each state's local error from a
 predictor (Milne's device) and size the next step from it; only the states
-carry memory, so only they enter the estimate.  A DC solve has no state rows:
-the memristances stay frozen.  A circuit with no memristor carries nothing
-from one step to the next, so its transient is a DC solve per sample.
+carry memory, so only they enter the estimate; a controlled run read on a
+uniform grid takes each sample's states from the quadratic through the
+accepted states around it, as BDF2's own interpolant does.  A DC solve has
+no state rows: the memristances stay frozen.  A circuit with no memristor
+carries nothing from one step to the next, so its transient is a DC solve
+per sample.
 
 DC solves have a leading batch axis.  One function compiles a circuit into
 rows of one topology as per-row arrays, a device that every row shares
@@ -31,7 +34,9 @@ batch of one.  A memristive transient compiles its circuit as one such row
 too, solves t = 0 as that row, and runs its steps on Python lists copied
 from it, which is the fast form for one small system.  Both kinds of
 transient read their probes a block of samples at a time, device currents
-coming from the rows' batched KCL.
+coming from the rows' batched KCL; a memristor-free transient and a
+controlled one read on a grid compile each block as DC rows, one per
+sample, at its source time and (frozen) states.
 
 The dense linear solves go through :func:`numpy.linalg.solve` (LAPACK LU with
 partial pivoting); circuits here have fewer than ten nodes, so no sparse
@@ -117,6 +122,15 @@ _SHRINK_LIMIT = 0.2
 _SAFETY = 0.9
 _MAX_STEP = 0.3
 
+# Controlled steps per period of a circuit's fastest sine source, at least.
+# The state error estimate vanishes where a Joglekar window pins a state at a
+# bound (f(0) = f(1) = 0), so without a cap the steps grow past the drive's
+# reversal and hold the state there; at period/200 a lone p = 2 memristor
+# stays within 0.03 L of a 25 us grid, as close as fixed steps of
+# period/2000 come, and a hysteresis loop takes about 600 steps for 3
+# cycles, where its requested grid of 2000 samples a cycle holds 6000.
+_SINE_STEPS = 200
+
 # Milne's device: BDF2's error constant -2/9 against the quadratic
 # predictor's 1 puts the corrector's local error at (2/9) / (1 + 2/9) of the
 # predictor-corrector difference (Gear 1971, ch. 9)
@@ -170,8 +184,9 @@ class SimOptions:
 
     ``adaptive=True`` lets a memristive transient choose its own steps,
     holding each step's estimated local error on every normalized memristor
-    state to ``reltol`` (see :func:`run_transient`); ``dt`` must then be
-    unset and a memristive circuit's sources DC.  Memristor-free transients
+    state to ``reltol`` (see :func:`run_transient`).  With ``dt`` unset the
+    transient records the steps it accepts; with ``dt`` set it records the
+    uniform ``dt`` grid, read from those steps.  Memristor-free transients
     keep the fixed grid either way.
     """
 
@@ -203,9 +218,6 @@ class SimOptions:
             raise ValueError("temp must be positive kelvin")
         if self.source_steps < 1:
             raise ValueError("source_steps must be >= 1")
-        if self.adaptive and self.dt is not None:
-            raise ValueError("an adaptive transient chooses its own steps; "
-                             "leave dt unset")
 
 
 @dataclass
@@ -236,7 +248,8 @@ class Waveform:
 @dataclass
 class TransientResult:
     """Recorded probes and final memristor states (metres) of a transient;
-    ``dt`` is the fixed step, or an adaptive run's first step."""
+    ``dt`` is the step of the recorded grid, or the first step of an
+    adaptive run that records its own steps."""
 
     waveforms: list[Waveform]
     final_states: dict[str, float]
@@ -457,10 +470,11 @@ class _DcRows:
 
     Row k is the topology's circuit at ``temps[k]``, its sources at
     ``source_times[k]``, its memristances frozen at the normalized states
-    ``states`` (None: its devices' initial states), and the device at each
-    position of ``records`` replaced by that list's entry k.  A device that
-    all rows share is evaluated once.  A row fails alone: with its record
-    when that is an error, else with the first
+    ``states`` (None: its devices' initial states; a memristor's entry is a
+    number, or an array of one state per row when its record is shared),
+    and the device at each position of ``records`` replaced by that list's
+    entry k.  A device that all rows share is evaluated once.  A row fails
+    alone: with its record when that is an error, else with the first
     :class:`~mirrorsim.devices.DeviceError` of its devices in kind order,
     which is what compiling that row alone raises.  ``errors`` maps every
     failed row, from the compile or :meth:`solve`, to its error; the solve
@@ -718,6 +732,31 @@ class _DcRows:
         )
 
 
+def _quadratic(t0, t1, t2, t):
+    """Weights of the values at t0, t1 and t2 in the quadratic through them,
+    evaluated at ``t`` (a float or an array): Lagrange's form.  At t = t0,
+    t1 or t2 they are exactly one and zeros."""
+    return ((t - t1) * (t - t2) / ((t0 - t1) * (t0 - t2)),
+            (t - t0) * (t - t2) / ((t1 - t0) * (t1 - t2)),
+            (t - t0) * (t - t1) / ((t2 - t0) * (t2 - t1)))
+
+
+def _dense(ts, ss, times) -> np.ndarray:
+    """States ``ss`` accepted at the increasing times ``ts``, read at
+    ``times`` within [ts[0], ts[-1]]: a time in (ts[k-1], ts[k]] takes the
+    quadratic through the accepted states k-2, k-1 and k, which is BDF2's
+    own continuous extension (the first interval takes the quadratic through
+    the first three), clamped to [0, 1] as the steps clamp their states.
+    An accepted time reads its accepted state exactly.  Returns (times,
+    memristors)."""
+    ts, ss = np.asarray(ts), np.asarray(ss)
+    if len(ts) < 3:  # a single step, recorded only at its ends
+        return ss[np.searchsorted(ts, times)]
+    k = np.clip(np.searchsorted(ts, times), 2, len(ts) - 1)
+    w0, w1, w2 = (w[:, None] for w in _quadratic(ts[k - 2], ts[k - 1], ts[k], times))
+    return np.clip(w0 * ss[k - 2] + w1 * ss[k - 1] + w2 * ss[k], 0.0, 1.0)
+
+
 class _Steps:
     """Implicit steps of a memristive circuit compiled as row 0 of a
     :class:`_DcRows`, on Python lists copied from that row, which is the
@@ -745,6 +784,10 @@ class _Steps:
         pad = [0.0] * len(topo.memristors)
         self.g_base = ([row + pad for row in rows.g_base[0].tolist()]
                        + [[0.0] * (topo.dim + len(pad)) for _ in pad])
+        # the largest controlled step: _MAX_STEP, or less with a sine source
+        self.max_step = min([_MAX_STEP] + [1.0 / (_SINE_STEPS * spec.frequency)
+                                           for spec in self.specs
+                                           if spec.kind == "sine"])
 
     def assemble(self, x, s, values, dt_eff, hist):
         """Linearized system of a step at (x, s), with the sources at
@@ -909,7 +952,9 @@ class _Steps:
         A step whose Newton runs out of iterations is halved and retried;
         one that fails at the ``floor`` raises its
         :class:`NonConvergenceError`, naming the step.  A step that
-        converges lets the next one double, up to ``_MAX_STEP``.
+        converges lets the next one double, up to ``_MAX_STEP``, or when
+        controlled up to :attr:`max_step`.  The accepted states are what
+        :func:`_dense` reads a grid from.
 
         Uncontrolled, every step is backward Euler: this is how a fixed-grid
         step that failed is cut.  Controlled, the first step is backward
@@ -923,6 +968,7 @@ class _Steps:
         """
         ts, xs, ss = [t], [x], [s]
         tol = opts.reltol
+        largest = self.max_step if controlled else _MAX_STEP
         while t < t_end:
             # the last step reaches t_end exactly, absorbing what a step
             # of size h would leave short of the floor
@@ -935,10 +981,7 @@ class _Steps:
                         for sn, sp in zip(s, ss[-2])]
                 dt_eff = (1.0 + w) / (1.0 + 2.0 * w) * h
             if controlled and len(ts) >= 3:
-                t0, t1 = ts[-3], ts[-2]
-                l0 = (t_next - t1) * (t_next - t) / ((t0 - t1) * (t0 - t))
-                l1 = (t_next - t0) * (t_next - t) / ((t1 - t0) * (t1 - t))
-                l2 = (t_next - t0) * (t_next - t1) / ((t - t0) * (t - t1))
+                l0, l1, l2 = _quadratic(ts[-3], ts[-2], t, t_next)
                 pred = [l0 * s0 + l1 * s1 + l2 * s2
                         for s0, s1, s2 in zip(ss[-3], ss[-2], s)]
             guess = s if pred is None else [min(max(p, 0.0), 1.0) for p in pred]
@@ -964,23 +1007,27 @@ class _Steps:
             ts.append(t)
             xs.append(x)
             ss.append(s)
-            h = min(max(h * factor, floor), _MAX_STEP)
+            h = min(max(h * factor, floor), largest)
         return ts, xs, ss
 
 
-def _compile(circuit: Circuit, opts: SimOptions, temps=(None,), *, records=None,
-             titles=None, states: dict[str, float] | None = None,
-             source_times=None) -> _DcRows:
+def _compile(circuit: Circuit | _Topology, opts: SimOptions, temps=(None,), *,
+             records=None, titles=None, states=None, source_times=None) -> _DcRows:
     """``circuit`` compiled under ``opts`` as :class:`_DcRows`, one row per
     entry of ``temps`` (None: what :func:`solve_dc` would use); the other
     arguments default to the circuit's titles, t = 0 sources and initial
-    states (``states`` in metres by name).  This is the one path from a
-    circuit to compiled rows.  A floating circuit, or one with no voltage
-    source, raises; a row's own failure goes into ``errors``."""
-    topo = _Topology(circuit)
+    states.  ``states`` are in metres by name (a dict), or already
+    normalized: one entry per memristor in topology order, each a number or
+    an array of one value per row.  This is the one path from a circuit to
+    compiled rows; given a built :class:`_Topology` in place of the
+    circuit, it reuses that topology's index maps and cached flat indices.
+    A floating circuit, or one with no voltage source, raises; a row's own
+    failure goes into ``errors``."""
+    topo = circuit if isinstance(circuit, _Topology) else _Topology(circuit)
+    circuit = topo.circuit
     if not topo.sources:
         raise SimulationError("circuit has no voltage source")
-    s = None if states is None else _normalized(topo.memristors, states)
+    s = _normalized(topo.memristors, states) if isinstance(states, dict) else states
     temp = circuit.temp if opts.temp is None else opts.temp
     return _DcRows(topo, titles or [circuit.title] * len(temps),
                    [temp if t is None else t for t in temps], records or {}, s,
@@ -1109,16 +1156,21 @@ def _build_probe(topo: _Topology, spec: str):
 # transient
 # --------------------------------------------------------------------------- #
 
-def _dc_samples(circuit: Circuit, opts: SimOptions, times: np.ndarray):
-    """Solutions and device currents, as (samples, ...) arrays, of a circuit
-    with no memristor at ``times``: sample k is the DC solution with the
-    sources at ``times[k]``, ``solve_dc(circuit, opts,
-    source_time=times[k])`` to the bit, the samples compiled as the rows of
-    one batch and solved in place.  The earliest failing sample raises its
-    error; a :class:`SimulationError` is raised as the memristive steps
-    raise theirs, with the same type and trace, naming the sample's time."""
+def _dc_samples(topo: _Topology, opts: SimOptions, times: np.ndarray,
+                states: np.ndarray):
+    """Solutions and device currents, as (samples, ...) arrays, of the
+    circuit of ``topo`` at ``times``: sample k is the DC solution with the
+    sources at ``times[k]`` and the memristances frozen at the normalized
+    states ``states[k]`` (states has a column per memristor, none in a
+    circuit without them; that circuit's sample k is ``solve_dc(circuit,
+    opts, source_time=times[k])`` to the bit).  The samples are compiled
+    on ``topo`` as the rows of one batch and solved in place.  The earliest
+    failing sample raises its error; a :class:`SimulationError` is raised as
+    the memristive steps raise theirs, with the same type and trace, naming
+    the sample's time."""
     block = times.tolist()
-    rows = _compile(circuit, opts, [None] * len(block), source_times=block).solve()
+    rows = _compile(topo, opts, [None] * len(block), states=list(states.T),
+                    source_times=block).solve()
     if rows.errors:
         k = min(rows.errors)
         exc, t = rows.errors[k], block[k]
@@ -1152,13 +1204,23 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     produces a non-finite iterate, raises :class:`NonConvergenceError`
     carrying its iteration trace and ``time``.
 
-    With ``opts.adaptive``, a memristive transient records the steps it
-    accepts, so the waveforms' ``t`` is not uniform: the first step is
-    ``t_stop / 10000`` and backward Euler, later steps are variable-step
-    BDF2 whose size holds each state's estimated local error to
-    ``opts.reltol`` (:meth:`_Steps.march`), and the last ends at
-    ``t_stop``.  Failing steps are cut as on the fixed grid.  A sine source
-    in a memristive circuit raises :class:`ValueError` instead.
+    With ``opts.adaptive``, a memristive transient takes error-controlled
+    steps: the first is ``dt`` (``t_stop / 10000`` when unset) and backward
+    Euler, later steps are variable-step BDF2 whose size holds each state's
+    estimated local error to ``opts.reltol`` (:meth:`_Steps.march`), and
+    a sine source caps every step, the first included, at ``1 /
+    _SINE_STEPS`` of the fastest one's period.  Failing steps are cut as on
+    the fixed grid, down to the first step over ``2**_MAX_CUTS``.  With
+    ``opts.dt`` unset the run records the steps it accepts, so the
+    waveforms' ``t`` is not uniform, and the last step ends at ``t_stop``.
+    With ``opts.dt`` set the steps end at the grid's last time and the run
+    records the fixed grid's samples: each sample's states are read from
+    the quadratic through the accepted states around it (:func:`_dense`),
+    and the sample is the DC solution at its source time with the
+    memristances frozen at those states, solved with the other samples of
+    its block as in a memristor-free transient.  Each recorded voltage and
+    current is then one exact solution, so a sample where the drive is 0 V
+    carries 0 A.
 
     A circuit with no memristor keeps no state between steps, so sample k
     is ``solve_dc(circuit, opts, source_time=k*dt)``, to the bit: each
@@ -1169,7 +1231,8 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     :class:`SingularMatrixError`, with its trace and ``time``.
 
     Either way the probes are read ``_TRANSIENT_BLOCK`` samples at a time,
-    device currents coming from the compiled rows' batched KCL.
+    device currents coming from the compiled rows' batched KCL; the blocks
+    are compiled on the run's one :class:`_Topology`.
 
     ``initial_states`` replaces the netlist's initial memristor states
     (metres), letting one run continue where another settled;
@@ -1183,12 +1246,6 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
         raise ValueError("t_stop shorter than one step")
 
     topo = _Topology(circuit)
-    if opts.adaptive and topo.memristors and any(
-            src.spec.kind == "sine" for src in topo.sources):
-        # at a window bound the state error estimate vanishes and the steps
-        # grow past where a reversing drive would free the state
-        raise ValueError("adaptive steps need DC sources in a memristive "
-                         "circuit; run a sine drive on a fixed grid")
     probe_list = [_build_probe(topo, p) for p in probes]
 
     times = np.arange(n_steps + 1) * dt
@@ -1207,18 +1264,29 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
                 )
             states[key] = float(w)
     s: list[float] = []
+    # the recorded states, and the steps' solutions when they are recorded
+    # too (None: each sample is a DC solve at its state)
+    xs, ss = None, np.empty((len(times), 0))
     if memristors:
-        compiled = _compile(circuit, opts, states=states, source_times=[0.0]).solve()
+        compiled = _compile(topo, opts, states=states, source_times=[0.0]).solve()
         if compiled.errors:
             raise compiled.errors[0]
         s, x = compiled.states, compiled.x[0].tolist()
         steps = _Steps(compiled)
-        floor = dt / 2 ** _MAX_CUTS
         if opts.adaptive:
-            ts, xs, ss = steps.march(x, s, 0.0, opts.t_stop, dt, floor, opts, True)
-            s = ss[-1]
-            times, xs, ss = np.array(ts), np.array(xs), np.array(ss)
+            # the first step is dt, or the step cap when that is smaller;
+            # on a requested grid the steps end at its last sample
+            h = min(dt, steps.max_step)
+            t_end = opts.t_stop if opts.dt is None else float(times[-1])
+            ts, xs, accepted = steps.march(x, s, 0.0, t_end, h, h / 2 ** _MAX_CUTS,
+                                           opts, True)
+            s = accepted[-1]
+            if opts.dt is None:
+                times, xs, ss, dt = np.array(ts), np.array(xs), np.array(accepted), h
+            else:
+                xs, ss = None, _dense(ts, accepted, times)
         else:
+            floor = dt / 2 ** _MAX_CUTS
             xs, ss = np.empty((len(times), len(x))), np.empty((len(times), len(s)))
             xs[0], ss[0] = x, s
             for k in range(1, n_steps + 1):
@@ -1234,14 +1302,14 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     data = [np.empty(len(times)) for _ in probe_list]
     for start in range(0, len(times), _TRANSIENT_BLOCK):
         block = slice(start, start + _TRANSIENT_BLOCK)
-        if memristors:
-            x, s_block = xs[block], ss[block]
+        s_block = ss[block]
+        if xs is None:
+            x, currents = _dc_samples(topo, opts, times[block], s_block)
+        else:
+            x = xs[block]
             r_mem = np.array([memristance_at(s_block[:, k], m.params)
                               for k, m in enumerate(memristors)])
             currents, _ = compiled.kcl(np.zeros(len(x), dtype=np.intp), x, r_mem)
-        else:
-            x, currents = _dc_samples(circuit, opts, times[block])
-            s_block = np.empty((len(x), 0))
         for buf, (_, _, read) in zip(data, probe_list):
             buf[block] = read(x, currents, s_block)
 

@@ -3,13 +3,14 @@ settling/switching semantics, sweep invariants, hysteresis loop geometry,
 and the cross-configuration report."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorsim import engine
+from mirrorsim import analysis, engine
 from mirrorsim.analysis import (
     AnalysisError,
     AnalysisReport,
@@ -33,6 +34,7 @@ from mirrorsim.analysis import (
 )
 from mirrorsim.constants import T_REF, ZERO_CELSIUS
 from mirrorsim.devices import (
+    MEMRISTOR_DEFAULTS,
     DeviceError,
     MemristorParams,
     ResistorParams,
@@ -692,6 +694,20 @@ MEM = MemristorParams(polarity=-1)
 DRIVE = SourceSpec(kind="sine", dc_value=0.0, amplitude=2.5, frequency=5.0)
 
 
+def fixed_grid_hysteresis(params, drive, *, refine=10, samples_per_cycle=2000):
+    """Reference trace, as :func:`fixed_grid_settle` is for settling:
+    :func:`hysteresis_trace` rerun with every step a fixed backward-Euler
+    step, on a grid ``refine`` times finer than ``samples_per_cycle``.  Its
+    samples at the coarse grid's times are ``current[::refine]``; its loop
+    area is the fine grid's."""
+    fixed = lambda circuit, opts, probes, **kw: run_transient(
+        circuit, replace(opts, adaptive=False), probes, **kw)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "run_transient", fixed)
+        return hysteresis_trace(params, drive,
+                                samples_per_cycle=samples_per_cycle * refine)
+
+
 class TestHysteresis:
     def test_loop_is_pinched_at_the_origin(self):
         trace = hysteresis_trace(MEM, DRIVE)
@@ -719,6 +735,17 @@ class TestHysteresis:
         residual = np.max(np.abs(i - design @ coef))
         assert residual < 0.01 * np.max(np.abs(i))
 
+    def test_memristor_loop_takes_period_over_200_steps(self, monkeypatch):
+        # three cycles at most 1/200 of a period each, against the 6000
+        # samples it records
+        steps = []
+        real = engine._Steps.newton
+        monkeypatch.setattr(engine._Steps, "newton",
+                            lambda self, *args: steps.append(args) or real(self, *args))
+        trace = hysteresis_trace(MEM, DRIVE)
+        assert len(trace.t) == 6001
+        assert 600 <= len(steps) <= 610
+
     def test_memoryless_device_encloses_no_area(self):
         trace = hysteresis_trace(ResistorParams(r_nominal=19050.0), DRIVE)
         assert trace.area <= 1e-18
@@ -728,6 +755,34 @@ class TestHysteresis:
         assert len(trace.t) == 3 * 500 + 1
         assert trace.cycle_start == len(trace.t) - 501
         assert trace.area > 0.0
+
+    # The six drives against fixed_grid_hysteresis, with the budgets that
+    # fixed steps on the 2000-per-cycle grid reached (worst |current error| /
+    # peak, loop-area error): the controlled steps may not be less accurate
+    # pointwise at any drive, and every loop area stays within 1e-3.  That
+    # area bound is tighter than the fixed grid's worst (2.2e-3 at 3 V,
+    # 5 Hz) and looser than it at 50 Hz and above (under 5e-6), where the
+    # period/200 steps' BDF2 truncation leaves about -3.3e-4: a T/400 cap
+    # takes 1,202 steps for -8.6e-5.
+    @pytest.mark.parametrize("params, amplitude, frequency, budget", [
+        (MEM, 2.5, 5.0, 4.78e-4),              # area +8.27e-4
+        (MEM, 2.5, 50.0, 2.71e-5),             # area +4.83e-6
+        (MEM, 2.5, 500.0, 2.47e-6),            # area -4.78e-6
+        (MEMRISTOR_DEFAULTS, 3.0, 5.0, 1.51e-3),    # area +2.21e-3
+        (MEMRISTOR_DEFAULTS, 1.0, 5.0, 1.71e-4),    # area +1.70e-4
+        (MEMRISTOR_DEFAULTS, 2.0, 500.0, 1.98e-6),  # area -4.83e-6
+    ], ids=["pol-1-2.5V-5Hz", "pol-1-2.5V-50Hz", "pol-1-2.5V-500Hz",
+            "3V-5Hz", "1V-5Hz", "2V-500Hz"])
+    def test_loop_is_no_less_accurate_than_the_fixed_grid(self, params, amplitude,
+                                                          frequency, budget):
+        drive = SourceSpec(kind="sine", amplitude=amplitude, frequency=frequency)
+        trace = hysteresis_trace(params, drive)
+        fine = fixed_grid_hysteresis(params, drive)
+        assert trace.t == pytest.approx(fine.t[::10], rel=1e-12, abs=1e-15)
+        reference = fine.current[::10]
+        peak = np.max(np.abs(reference))
+        assert np.max(np.abs(trace.current - reference)) / peak <= budget
+        assert abs(trace.area - fine.area) / fine.area <= 1e-3
 
     def test_rejects_bad_harness_inputs(self):
         with pytest.raises(AnalysisError, match="sine"):

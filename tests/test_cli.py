@@ -10,6 +10,7 @@ import io
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mirrorsim import cli, engine
@@ -414,6 +415,22 @@ class TestMirrorCommand:
         assert header == ["t (s)", "v (V)", "i (A)"]
         assert "# loop_area (A*V) = 0" in footers
         assert "# cycle_start_index = 4000" in footers
+
+    def test_memristor_loop_is_read_on_the_requested_grid(self, capsys):
+        code, out, _ = run_cli(
+            ["mirror", "2m", "--analysis", "hysteresis"], capsys)
+        assert code == EXIT_OK
+        header, rows, footers = parse_csv(out)
+        assert header == ["t (s)", "v (V)", "i (A)"]
+        t, v, i = (np.array([float(r[j]) for r in rows]) for j in range(3))
+        # three 5 Hz cycles at 2000 samples each, whatever steps were taken
+        assert t == pytest.approx(np.arange(6001) / 10_000, rel=1e-8, abs=1e-15)
+        assert "# cycle_start_index = 4000" in footers
+        area = [f for f in footers if f.startswith("# loop_area (A*V) = ")]
+        assert len(area) == 1 and float(area[0].rpartition("= ")[2]) > 0.0
+        # the loop is pinched exactly: every sample is a DC solution
+        assert (v == 0.0).any()
+        assert np.all(i[v == 0.0] == 0.0)
 
     def test_thd_table_lists_harmonic_amplitudes(self, capsys):
         code, out, _ = run_cli(["mirror", "2r", "--analysis", "thd"], capsys)

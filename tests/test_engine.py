@@ -306,8 +306,11 @@ def test_sim_options_validation():
         SimOptions(temp=0.0)
     with pytest.raises(ValueError):
         SimOptions(source_steps=0)
-    with pytest.raises(ValueError):
-        SimOptions(dt=1e-3, t_stop=1.0, adaptive=True)
+    # controlled steps, recorded on the dt grid
+    res = run_transient(_circuit(P2_DECK),
+                        SimOptions(dt=1e-3, t_stop=1.0, adaptive=True), ["w(Y1)"])
+    assert res.waveform("w(Y1)").t.tobytes() == (np.arange(1001) * 1e-3).tobytes()
+    assert res.dt == 1e-3
 
 
 # --------------------------------------------------------------------------- #
@@ -539,13 +542,22 @@ def test_step_cut_completes_a_lone_window_2_memristor(monkeypatch):
     assert exc.value.time == pytest.approx(0.11)
 
 
-def test_controlled_steps_refuse_a_sine_driven_memristor():
-    # the error estimate vanishes at the window bound, so controlled steps
-    # would hold this state at s = 1 from t = 0.07 s, 0.14 L away from a
-    # 25 us grid that leaves the bound as the drive reverses
+def test_controlled_steps_free_a_sine_driven_memristor_from_its_bound():
+    # the error estimate vanishes at the window bound; uncapped, controlled
+    # steps held this state at s = 1 from t = 0.07 s, 0.14 L away from a
+    # 25 us grid that leaves the bound as the drive reverses.  Capped at
+    # period/200, every accepted step stays within 0.03 L of that grid (fixed
+    # steps of period/2000 come within 0.026 L)
     cir = _circuit(P2_DECK)
-    with pytest.raises(ValueError, match="DC sources"):
-        run_transient(cir, SimOptions(t_stop=1.0, adaptive=True), ["w(Y1)"])
+    res = run_transient(cir, SimOptions(t_stop=1.0, adaptive=True), ["w(Y1)"])
+    fine = run_transient(cir, SimOptions(dt=25e-6, t_stop=1.0), ["w(Y1)"])
+    wave, reference = res.waveform("w(Y1)"), fine.waveform("w(Y1)")
+    period = 0.2
+    assert np.diff(wave.t).max() <= period / engine._SINE_STEPS * (1.0 + 1e-9)
+    assert wave.t[-1] == 1.0
+    want = np.interp(wave.t, reference.t, reference.values)
+    length = cir.device("Y1").params.length
+    assert np.max(np.abs(wave.values - want)) < 0.03 * length
 
 
 def _newton_limited(monkeypatch, largest: float) -> list:
@@ -731,6 +743,63 @@ def test_memristive_probes_follow_the_device_laws(kind, samples):
         assert current.tobytes() == want.tobytes(), d.name
         checked.add(type(d))
     assert checked == {BoundMemristor, BoundMosfet}
+
+
+def test_dense_output_reads_the_quadratic_through_three_accepted_states():
+    ts = [0.0, 0.1, 0.25, 0.3, 0.7, 1.0]
+    ss = [[0.1 + 0.8 * t ** 3] for t in ts]
+    # accepted times read their accepted states exactly
+    assert engine._dense(ts, ss, np.array(ts)).tolist() == ss
+    # a time in (ts[k-1], ts[k]] reads the quadratic through k-2, k-1 and k;
+    # the first interval the quadratic through the first three
+    for t, k in [(0.05, 2), (0.2, 2), (0.28, 3), (0.5, 4), (0.9, 5)]:
+        fit = np.polyfit(ts[k - 2:k + 1], [s for s, in ss[k - 2:k + 1]], 2)
+        got = engine._dense(ts, ss, np.array([t]))
+        assert got[0, 0] == pytest.approx(np.polyval(fit, t), rel=1e-12)
+    # a quadratic's states are read back as they are, clamped to [0, 1]
+    times = np.linspace(0.0, 1.0, 41)
+    got = engine._dense(ts, [[4.4 * t * (1.0 - t)] for t in ts], times)[:, 0]
+    assert got.max() == 1.0
+    assert got == pytest.approx(np.minimum(4.4 * times * (1.0 - times), 1.0), abs=1e-14)
+
+
+@pytest.mark.parametrize("samples", [PARTIAL_BLOCK, THREE_BLOCKS])
+def test_controlled_steps_on_a_grid_record_dc_solutions_at_their_states(samples):
+    cir = _circuit(P2_DECK)
+    dt = 2e-4
+    opts = SimOptions(dt=dt, t_stop=(samples - 1) * dt, adaptive=True)
+    res = run_transient(cir, opts, ["v(mid)", "i(Y1)", "w(Y1)"])
+    t = res.waveform("i(Y1)").t
+    assert t.tobytes() == (np.arange(samples) * dt).tobytes()
+    v, i, w = (wave.values for wave in res.waveforms)
+    # each sample is the DC solution at its source time and its state
+    for k in list(range(0, samples, 37)) + [samples - 1]:
+        op = solve_dc(cir, opts, states={"Y1": w[k]}, source_time=t[k])
+        assert i[k] == pytest.approx(op.device_currents["Y1"], rel=1e-12, abs=1e-18)
+        assert v[k] == pytest.approx(op.node_voltages[cir.node_names.index("mid")],
+                                     rel=1e-12, abs=1e-18)
+    assert v[0] == 0.0 and i[0] == 0.0  # the pinch at t = 0 is exact
+    assert res.final_states["Y1"] == w[-1]
+
+
+@pytest.mark.parametrize("build, opts, probe", [
+    (lambda: _sine_supplied(MirrorKind.TWO_RESISTORS),
+     SimOptions(dt=1e-4, t_stop=(THREE_BLOCKS - 1) * 1e-4), "i(M2)"),
+    (lambda: _circuit(P2_DECK),
+     SimOptions(dt=2e-4, t_stop=(THREE_BLOCKS - 1) * 2e-4, adaptive=True), "i(Y1)"),
+], ids=["memoryless", "memristive-grid"])
+def test_block_reads_share_the_run_topology(monkeypatch, build, opts, probe):
+    cir = build()
+    built = []
+    real = engine._Topology.__init__
+
+    def init(self, circuit):
+        built.append(circuit)
+        real(self, circuit)
+
+    monkeypatch.setattr(engine._Topology, "__init__", init)
+    run_transient(cir, opts, [probe])
+    assert built == [cir]
 
 
 @pytest.mark.parametrize("first_bad", [1, engine._TRANSIENT_BLOCK + 3])
