@@ -530,14 +530,17 @@ class TestOutputPlumbing:
 # Recorded output
 # --------------------------------------------------------------------------- #
 
-GOLDEN = Path(__file__).with_name("data") / "golden"
+DATA = Path(__file__).with_name("data")
+GOLDEN = DATA / "golden"
 
 # stdout of each command, recorded before DC solves were batched (thd_2m
 # before the memristor-free transients were, thd_2r and thd_pmos-r after,
 # tran_2m and tran_pmos-m before the memristive steps read the compiled DC
-# row, the calibrate files while calibration settled on a fixed 1 ms grid);
-# a file is named after its command's analysis and configuration, or its
-# subcommand and flags
+# row, the calibrate files while calibration settled on a fixed 1 ms grid;
+# table1, hysteresis, temp-sweep_2m, param-sweep_2m, emit-netlist and run
+# before the CLI dispatched through one analysis table); a file is named
+# after its command's analysis and configuration, or its subcommand and
+# flags
 GOLDEN_COMMANDS = {
     "dc_2r": ["mirror", "2r", "--analysis", "dc"],
     "dc_2m": ["mirror", "2m", "--analysis", "dc"],
@@ -558,6 +561,17 @@ GOLDEN_COMMANDS = {
     "thd_2m": ["mirror", "2m", "--analysis", "thd"],
     "tran_2m": ["mirror", "2m", "--analysis", "tran", "--set", "dt=5m"],
     "tran_pmos-m": ["mirror", "pmos-m", "--analysis", "tran", "--set", "dt=5m"],
+    "table1_2r": ["mirror", "2r", "--analysis", "table1"],
+    "table1_2m": ["mirror", "2m", "--analysis", "table1"],
+    "hysteresis_2r": ["mirror", "2r", "--analysis", "hysteresis"],
+    "hysteresis_2m": ["mirror", "2m", "--analysis", "hysteresis"],
+    "temp-sweep_2m": ["mirror", "2m", "--analysis", "temp-sweep"],
+    "param-sweep_2m": ["mirror", "2m", "--analysis", "param-sweep",
+                       "--param", "Y2.m0", "--values", "4k,6k"],
+    "emit-netlist_2m": ["mirror", "2m", "--emit-netlist"],
+    "emit-netlist_pmos-r": ["mirror", "pmos-r", "--emit-netlist"],
+    "run_dc": ["run", str(DATA / "mirror_2r_dc.cir")],
+    "run_tran": ["run", str(DATA / "mirror_2r_sine.cir")],
     "calibrate": ["calibrate"],
     "calibrate_target-1.0": ["calibrate", "--target", "1.0"],
     "calibrate_vdd-3.0": ["calibrate", "--vdd", "3.0"],
@@ -569,3 +583,14 @@ def test_stdout_matches_the_recording(name, capsys):
     code, out, _ = run_cli(GOLDEN_COMMANDS[name], capsys)
     assert code == EXIT_OK
     assert out.encode("utf-8") == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def test_every_cli_branch_is_recorded():
+    commands = GOLDEN_COMMANDS.values()
+    recorded = {argv[argv.index("--analysis") + 1] for argv in commands
+                if "--analysis" in argv}
+    assert recorded == set(cli.ANALYSES)
+    assert any("--emit-netlist" in argv for argv in commands)
+    decks = [parse(Path(argv[1]).read_text(encoding="utf-8"))
+             for argv in commands if argv[0] == "run"]
+    assert {elaborate(deck).analysis[0] for deck in decks} == {"dc", "tran"}
