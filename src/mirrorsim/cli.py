@@ -19,6 +19,7 @@ coloring they carry on terminals.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 import time
@@ -54,9 +55,9 @@ from .engine import (
 from .netlist import (
     BoundMemristor,
     Circuit,
-    ElaborationError,
     MirrorConfig,
     MirrorKind,
+    NetlistError,
     ParseError,
     apply_override,
     builtin_mirror,
@@ -74,14 +75,6 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_SIMULATION = 2
 EXIT_IO = 3
-
-ANALYSES = ("dc", "tran", "thd", "temp-sweep", "mismatch", "param-sweep",
-            "hysteresis", "table1")
-
-# --set keys handled at the configuration/simulation level; anything else
-# must be a dotted ELEMENT.field device path
-_CONFIG_KEYS = ("vdd", "vbias", "r_load", "m0")
-_SIM_KEYS = ("temp", "dt", "t_stop")
 
 _DEFAULT_TRAN_STOP = 3.0
 _MISMATCH_DELTAS = tuple(round(-0.20 + 0.05 * k, 2) for k in range(9))
@@ -115,104 +108,196 @@ class _UsageError(Exception):
     """Invalid flag/value combination detected after argparse."""
 
 
-def _parse_set_flags(pairs: list[str]) -> dict[str, float]:
-    """``--set key=value`` flags as an ordered mapping; values use the
-    netlist value grammar (SI suffixes included)."""
-    out: dict[str, float] = {}
+_CONFIG_KEYS = ("vdd", "vbias", "r_load", "m0")
+_SIM_KEYS = ("temp", "dt", "t_stop")
+_PATHS = "device paths"  # any dotted ELEMENT.field key
+
+# where each key applies, named in the error that refuses it elsewhere
+_KEY_SCOPE = {
+    "vdd": "mirror circuits and netlist decks (source V1)",
+    "vbias": "pmos-* mirrors and netlist decks (source VB)",
+    "r_load": "`mirror` configurations with a resistor load",
+    "m0": "`mirror` configurations with memristive loads",
+    "temp": "simulations at one temperature",
+    "dt": "transient analyses", "t_stop": "transient analyses",
+    _PATHS: "--analysis dc, tran and thd and `run`",
+}
+
+
+def _read_sets(pairs: list[str], reads, where: str, dt: float | None = None,
+               t_stop: float | None = None):
+    """(configuration keys, device paths, SimOptions) from ``--set
+    key=value`` pairs, each checked against the keys that ``where`` reads.
+    Values use the netlist grammar (SI suffixes included), ``temp`` is in
+    celsius, and ``dt``/``t_stop`` default to the deck's ``.tran``."""
+    config: dict[str, float] = {}
+    paths: dict[str, float] = {}
+    sim: dict[str, float] = {}
     for pair in pairs:
-        key, sep, raw = pair.partition("=")
-        key = key.strip()
-        if not sep or not key or not raw.strip():
+        key, sep, raw = (part.strip() for part in pair.partition("="))
+        if not sep or not key or not raw:
             raise _UsageError(f"--set expects key=value, got {pair!r}")
         try:
-            out[key] = parse_value(raw.strip())
+            value = parse_value(raw)
         except ParseError:
-            raise _UsageError(f"--set {key}: malformed value {raw.strip()!r}")
-    return out
-
-
-def _split_sets(sets: dict[str, float]):
-    """Partition --set keys into (config, sim, device-path) groups."""
-    config: dict[str, float] = {}
-    sim: dict[str, float] = {}
-    paths: dict[str, float] = {}
-    for key, value in sets.items():
-        low = key.lower()
-        if low in _CONFIG_KEYS:
-            config[low] = value
-        elif low in _SIM_KEYS:
-            sim[low] = value
-        elif "." in key:
+            raise _UsageError(f"--set {key}: malformed value {raw!r}")
+        name = key.lower()
+        if name not in _CONFIG_KEYS + _SIM_KEYS:
+            if "." not in key:
+                raise _UsageError(f"unknown --set key {key!r}; expected one of "
+                                  f"{', '.join(_CONFIG_KEYS + _SIM_KEYS)} or "
+                                  f"a dotted ELEMENT.field path")
+            name = _PATHS
+        if name not in reads:
+            raise _UsageError(f"{where} does not read --set {name}; it "
+                              f"applies to {_KEY_SCOPE[name]}")
+        if name == _PATHS:
             paths[key] = value
         else:
-            raise _UsageError(
-                f"unknown --set key {key!r}; expected one of "
-                f"{', '.join(_CONFIG_KEYS + _SIM_KEYS)} or a dotted "
-                f"ELEMENT.field path")
-    return config, sim, paths
-
-
-def _sim_options(sim: dict[str, float], *, allow_timestep: bool,
-                 t_stop_default: float | None = None) -> SimOptions:
-    """SimOptions from --set sim keys; ``temp`` is given in celsius."""
-    temp = None
-    if "temp" in sim:
-        temp = sim["temp"] + ZERO_CELSIUS
-        if temp <= 0.0:
-            raise _UsageError(f"--set temp={sim['temp']} is below absolute zero")
-    if not allow_timestep and ("dt" in sim or "t_stop" in sim):
-        raise _UsageError("--set dt/t_stop only apply to transient analyses")
-    dt = sim.get("dt")
-    t_stop = sim.get("t_stop", t_stop_default)
+            (config if name in _CONFIG_KEYS else sim)[name] = value
+    temp = sim.get("temp")
+    if temp is not None:
+        if temp + ZERO_CELSIUS <= 0.0:
+            raise _UsageError(f"--set temp={temp} is below absolute zero")
+        temp += ZERO_CELSIUS
     try:
-        return SimOptions(temp=temp, dt=dt, t_stop=t_stop)
+        opts = SimOptions(temp=temp, dt=sim.get("dt", dt),
+                          t_stop=sim.get("t_stop", t_stop))
     except ValueError as exc:
         raise _UsageError(str(exc))
+    return config, paths, opts
 
 
-def _apply_paths(circuit: Circuit, paths: dict[str, float]) -> None:
-    for path, value in paths.items():
-        apply_override(circuit, path, value)
+def _write(output: str, table) -> int:
+    """Write text, or a ``(columns, rows, footers)`` table as CSV, to
+    ``output``; the whole text is built before the output is opened, so a
+    failed run leaves an existing file alone."""
+    if not isinstance(table, str):
+        buffer = io.StringIO()
+        write_csv(buffer, *table)
+        table = buffer.getvalue()
+    with open_output(output) as stream:
+        stream.write(table)
+    return EXIT_OK
 
 
 # --------------------------------------------------------------------------- #
-# CSV table builders
+# Analyses: each maps (circuit, config, options, args) to a CSV table
 # --------------------------------------------------------------------------- #
 
-def _write_operating_point(stream, circuit: Circuit, op) -> None:
+def _temp(opts: SimOptions) -> float:
+    return T_REF if opts.temp is None else opts.temp
+
+
+def _dc(circuit: Circuit, config, opts: SimOptions, args):
+    op = solve_dc(circuit, opts)
     columns = [f"v({name}) (V)" for name in circuit.node_names[1:]]
     columns += [f"i({dev.name}) (A)" for dev in circuit.devices]
     row = [float(op.node_voltages[k]) for k in range(1, len(circuit.node_names))]
     row += [op.device_currents[dev.name] for dev in circuit.devices]
-    write_csv(stream, columns, [row])
+    return columns, [row], ()
 
 
-def _all_probes(circuit: Circuit) -> list[str]:
+def _tran(circuit: Circuit, config, opts: SimOptions, args):
     probes = [f"v({name})" for name in circuit.node_names[1:]]
     probes += [f"i({dev.name})" for dev in circuit.devices]
     probes += [f"m({dev.name})" for dev in circuit.devices
                if isinstance(dev, BoundMemristor)]
-    return probes
-
-
-def _write_waveforms(stream, result) -> None:
+    result = run_transient(circuit, opts, probes)
     columns = ["t (s)"] + [f"{w.name} ({w.unit})" for w in result.waveforms]
-    t = result.waveforms[0].t
-    series = [w.values for w in result.waveforms]
-    rows = ([t[k]] + [v[k] for v in series] for k in range(len(t)))
-    write_csv(stream, columns, rows)
+    rows = zip(result.waveforms[0].t, *(w.values for w in result.waveforms))
+    return columns, rows, ()
 
 
-def _run_dc(circuit: Circuit, opts: SimOptions, output: str) -> None:
-    op = solve_dc(circuit, opts)
-    with open_output(output) as stream:
-        _write_operating_point(stream, circuit, op)
+def _thd(circuit: Circuit, config: MirrorConfig, opts: SimOptions, args):
+    result = distortion_trace(config, circuit=circuit, temp=_temp(opts))
+    footers = [f"f0 (Hz) = {format_number(result.f0)}",
+               f"thd (fraction) = {format_number(result.thd)}",
+               f"thd (percent) = {format_number(result.thd_percent)}"]
+    return (["harmonic (n)", "amplitude (A)"],
+            enumerate([result.fundamental, *result.harmonics], 1), footers)
 
 
-def _run_tran(circuit: Circuit, opts: SimOptions, output: str) -> None:
-    result = run_transient(circuit, opts, _all_probes(circuit))
-    with open_output(output) as stream:
-        _write_waveforms(stream, result)
+def _temp_sweep(circuit, config: MirrorConfig, opts, args):
+    rows = temperature_sweep(config, [ZERO_CELSIUS + c for c in _TEMP_SWEEP_CELSIUS])
+    return (["temperature (K)", "temperature (C)", "i_in (A)", "i_out (A)"],
+            ([r.temp, r.temp - ZERO_CELSIUS, r.i_in, r.i_out] for r in rows), ())
+
+
+def _mismatch(circuit, config: MirrorConfig, opts: SimOptions, args):
+    base = config.m0 if config.kind.has_memristors else config.r_load
+    table = mismatch_sweep(config, [base * (1.0 + d) for d in _MISMATCH_DELTAS],
+                           temp=_temp(opts))
+    columns = ["load2 (ohm)", "delta_r (fraction)",
+               "simulated_delta_i (fraction)", "predicted_delta_i (fraction)",
+               "error (text)"]
+    rows = ([r.load2, r.rel_delta_r, r.simulated, r.predicted, r.error or ""]
+            for r in table.rows)
+    footers = [f"k_factor = {format_number(table.k_factor)}",
+               f"baseline_current (A) = {format_number(table.baseline_current)}"]
+    return columns, rows, footers
+
+
+def _param_sweep(circuit, config: MirrorConfig, opts: SimOptions, args):
+    if not (args.param and args.values):
+        raise _UsageError("--analysis param-sweep requires --param and --values")
+    values = [parse_value(tok.strip()) for tok in args.values.split(",")
+              if tok.strip()]
+    if not values:
+        raise _UsageError("--values must list at least one number")
+    rows = parameter_sweep(config, args.param, values, temp=opts.temp)
+    return (["value (SI)", "i_out (A)", "v_out (V)"],
+            ([r.value, r.i_out, r.v_out] for r in rows), ())
+
+
+def _hysteresis(circuit, config: MirrorConfig, opts: SimOptions, args):
+    if config.kind.has_memristors:
+        params = replace(MEMRISTOR_DEFAULTS, polarity=-1)
+    else:
+        params = ResistorParams(r_nominal=config.r_load)
+    trace = hysteresis_trace(params, _HYSTERESIS_DRIVE, temp=_temp(opts))
+    footers = [f"loop_area (A*V) = {format_number(trace.area)}",
+               f"cycle_start_index = {trace.cycle_start}"]
+    return (["t (s)", "v (V)", "i (A)"],
+            zip(trace.t, trace.voltage, trace.current), footers)
+
+
+def _table1(circuit, config: MirrorConfig, opts: SimOptions, args):
+    row = config_report(config, temp=_temp(opts))
+    columns = ["config (name)", "thd (percent)", "power (mW)", "area (um^2)",
+               "subthreshold (W)", "gate_leakage (W)", "i_in (A)", "i_out (A)",
+               "error (text)"]
+    return columns, [[row.kind, row.thd_percent, row.power_mw, row.area_um2,
+                      row.subthreshold_w, row.gate_w, row.i_in, row.i_out,
+                      row.error or ""]], REPORT_NOTES
+
+
+_CIRCUIT = frozenset(_CONFIG_KEYS + ("temp",))
+
+# each analysis and the --set keys it reads on a mirror whose kind has them
+_ANALYSIS_TABLE = {
+    "dc": (_dc, _CIRCUIT | {_PATHS}),
+    "tran": (_tran, _CIRCUIT | {_PATHS, "dt", "t_stop"}),
+    "thd": (_thd, _CIRCUIT | {_PATHS}),
+    "temp-sweep": (_temp_sweep, frozenset(_CONFIG_KEYS)),
+    "mismatch": (_mismatch, _CIRCUIT),
+    "param-sweep": (_param_sweep, _CIRCUIT),
+    "hysteresis": (_hysteresis, frozenset({"temp", "r_load"})),
+    "table1": (_table1, _CIRCUIT),
+}
+ANALYSES = tuple(_ANALYSIS_TABLE)
+
+
+def _reads(analysis: str | None, kind: MirrorKind | None) -> frozenset:
+    """The --set keys ``analysis`` (None: ``--emit-netlist``) reads on a
+    ``kind`` mirror (None: a netlist deck, where vdd/vbias alias V1/VB)."""
+    keys = frozenset(_CONFIG_KEYS) if analysis is None else _ANALYSIS_TABLE[analysis][1]
+    if kind is None:
+        return keys - {"r_load", "m0"}
+    absent = {"r_load" if kind.has_memristors else "m0"}
+    if not kind.has_pmos:
+        absent.add("vbias")
+    return keys - absent
 
 
 # --------------------------------------------------------------------------- #
@@ -220,171 +305,32 @@ def _run_tran(circuit: Circuit, opts: SimOptions, output: str) -> None:
 # --------------------------------------------------------------------------- #
 
 def cmd_run(args) -> int:
-    config, sim, paths = _split_sets(_parse_set_flags(args.set))
-    if config:
-        # vdd/vbias translate to device paths on any netlist that names the
-        # sources V1/VB; r_load and m0 only exist for built-in mirrors
-        for key in ("r_load", "m0"):
-            if key in config:
-                raise _UsageError(
-                    f"--set {key} only applies to `mirrorsim mirror` configs")
-        paths = {**{k: v for k, v in config.items()}, **paths}
     with open(args.netlist, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    circuit = elaborate(parse(text))
-    _apply_paths(circuit, paths)
-    directive = circuit.analysis
-    if directive is not None and directive[0] == "tran":
-        step, stop = directive[1], directive[2]
-        opts = _sim_options(sim, allow_timestep=True, t_stop_default=stop)
-        if opts.dt is None:
-            opts = replace(opts, dt=step)
-        _run_tran(circuit, opts, args.output)
-    else:
-        _run_dc(circuit, _sim_options(sim, allow_timestep=False), args.output)
-    return EXIT_OK
-
-
-def _mirror_config(args, config_sets: dict[str, float]) -> MirrorConfig:
-    return MirrorConfig(
-        kind=MirrorKind(args.config),
-        vdd=config_sets.get("vdd"),
-        vbias=config_sets.get("vbias"),
-        r_load=config_sets.get("r_load", 38e3),
-        m0=config_sets.get("m0", 5e3),
-    )
+        circuit = elaborate(parse(handle.read()))
+    analysis, *tran = circuit.analysis or ("dc",)  # .tran's step and stop
+    config, paths, opts = _read_sets(args.set, _reads(analysis, None),
+                                     f"`run` of a .{analysis} deck", *tran)
+    for path, value in {**config, **paths}.items():
+        apply_override(circuit, path, value)
+    return _write(args.output, _ANALYSIS_TABLE[analysis][0](circuit, None, opts, args))
 
 
 def cmd_mirror(args) -> int:
-    config_sets, sim, paths = _split_sets(_parse_set_flags(args.set))
-    config = _mirror_config(args, config_sets)
-    if args.emit_netlist:
-        text = print_netlist(builtin_mirror(config))
-        with open_output(args.output) as stream:
-            stream.write(text)
-        return EXIT_OK
-    analysis = args.analysis
-    if paths and analysis not in ("dc", "tran", "thd"):
-        raise _UsageError(
-            f"--set device paths do not apply to --analysis {analysis}; "
-            f"that analysis owns its circuit variants")
-    if analysis in ("param-sweep",) and not (args.param and args.values):
-        raise _UsageError("--analysis param-sweep requires --param and --values")
+    kind = MirrorKind(args.config)
+    analysis = None if args.emit_netlist else args.analysis
+    where = "--emit-netlist" if analysis is None else f"--analysis {analysis}"
+    sets, paths, opts = _read_sets(
+        args.set, _reads(analysis, kind), f"`mirror {args.config} {where}`",
+        t_stop=_DEFAULT_TRAN_STOP if analysis == "tran" else None)
+    config = MirrorConfig(kind, **sets)
     if analysis != "param-sweep" and (args.param or args.values):
         raise _UsageError("--param/--values only apply to --analysis param-sweep")
-
-    if analysis == "dc":
-        opts = _sim_options(sim, allow_timestep=False)
-        circuit = mirror_circuit(config)
-        _apply_paths(circuit, paths)
-        _run_dc(circuit, opts, args.output)
-        return EXIT_OK
-
-    if analysis == "tran":
-        opts = _sim_options(sim, allow_timestep=True,
-                            t_stop_default=_DEFAULT_TRAN_STOP)
-        circuit = mirror_circuit(config)
-        _apply_paths(circuit, paths)
-        _run_tran(circuit, opts, args.output)
-        return EXIT_OK
-
-    if analysis == "thd":
-        opts = _sim_options(sim, allow_timestep=False)
-        circuit = mirror_circuit(config)
-        _apply_paths(circuit, paths)
-        result = distortion_trace(config, circuit=circuit,
-                                  temp=opts.temp if opts.temp is not None
-                                  else circuit.temp)
-        amplitudes = [result.fundamental] + list(result.harmonics)
-        rows = ([k + 1, amplitudes[k]] for k in range(len(amplitudes)))
-        footers = [
-            f"f0 (Hz) = {format_number(result.f0)}",
-            f"thd (fraction) = {format_number(result.thd)}",
-            f"thd (percent) = {format_number(result.thd_percent)}",
-        ]
-        with open_output(args.output) as stream:
-            write_csv(stream, ["harmonic (n)", "amplitude (A)"], rows, footers)
-        return EXIT_OK
-
-    if analysis == "temp-sweep":
-        if "temp" in sim:
-            raise _UsageError("temp-sweep owns the temperature grid; "
-                              "--set temp does not apply")
-        _sim_options(sim, allow_timestep=False)
-        temps = [ZERO_CELSIUS + c for c in _TEMP_SWEEP_CELSIUS]
-        rows_data = temperature_sweep(config, temps)
-        rows = ([row.temp, row.temp - ZERO_CELSIUS, row.i_in, row.i_out]
-                for row in rows_data)
-        columns = ["temperature (K)", "temperature (C)", "i_in (A)", "i_out (A)"]
-        with open_output(args.output) as stream:
-            write_csv(stream, columns, rows)
-        return EXIT_OK
-
-    if analysis == "mismatch":
-        opts = _sim_options(sim, allow_timestep=False)
-        base = config.m0 if config.kind.has_memristors else config.r_load
-        grid = [base * (1.0 + d) for d in _MISMATCH_DELTAS]
-        table = mismatch_sweep(config, grid,
-                               temp=opts.temp if opts.temp is not None
-                               else T_REF)
-        columns = ["load2 (ohm)", "delta_r (fraction)",
-                   "simulated_delta_i (fraction)", "predicted_delta_i (fraction)",
-                   "error (text)"]
-        rows = ([r.load2, r.rel_delta_r, r.simulated, r.predicted, r.error or ""]
-                for r in table.rows)
-        footers = [
-            f"k_factor = {format_number(table.k_factor)}",
-            f"baseline_current (A) = {format_number(table.baseline_current)}",
-        ]
-        with open_output(args.output) as stream:
-            write_csv(stream, columns, rows, footers)
-        return EXIT_OK
-
-    if analysis == "param-sweep":
-        opts = _sim_options(sim, allow_timestep=False)
-        values = [parse_value(tok.strip()) for tok in args.values.split(",")
-                  if tok.strip()]
-        if not values:
-            raise _UsageError("--values must list at least one number")
-        rows_data = parameter_sweep(config, args.param, values,
-                                    temp=opts.temp)
-        columns = ["value (SI)", "i_out (A)", "v_out (V)"]
-        rows = ([r.value, r.i_out, r.v_out] for r in rows_data)
-        with open_output(args.output) as stream:
-            write_csv(stream, columns, rows)
-        return EXIT_OK
-
-    if analysis == "hysteresis":
-        _sim_options(sim, allow_timestep=False)
-        if config.kind.has_memristors:
-            params = replace(MEMRISTOR_DEFAULTS, polarity=-1)
-        else:
-            params = ResistorParams(r_nominal=config.r_load)
-        trace = hysteresis_trace(params, _HYSTERESIS_DRIVE)
-        columns = ["t (s)", "v (V)", "i (A)"]
-        rows = ([trace.t[k], trace.voltage[k], trace.current[k]]
-                for k in range(len(trace.t)))
-        footers = [
-            f"loop_area (A*V) = {format_number(trace.area)}",
-            f"cycle_start_index = {trace.cycle_start}",
-        ]
-        with open_output(args.output) as stream:
-            write_csv(stream, columns, rows, footers)
-        return EXIT_OK
-
-    # table1: one summary row for the named configuration
-    opts = _sim_options(sim, allow_timestep=False)
-    row = config_report(config, temp=opts.temp if opts.temp is not None
-                        else T_REF)
-    columns = ["config (name)", "thd (percent)", "power (mW)", "area (um^2)",
-               "subthreshold (W)", "gate_leakage (W)", "i_in (A)", "i_out (A)",
-               "error (text)"]
-    table_row = [row.kind, row.thd_percent, row.power_mw, row.area_um2,
-                 row.subthreshold_w, row.gate_w, row.i_in, row.i_out,
-                 row.error or ""]
-    with open_output(args.output) as stream:
-        write_csv(stream, columns, [table_row], REPORT_NOTES)
-    return EXIT_OK
+    if analysis is None:
+        return _write(args.output, print_netlist(builtin_mirror(config)))
+    circuit = mirror_circuit(config)
+    for path, value in paths.items():
+        apply_override(circuit, path, value)
+    return _write(args.output, _ANALYSIS_TABLE[analysis][0](circuit, config, opts, args))
 
 
 def cmd_calibrate(args) -> int:
@@ -403,9 +349,7 @@ def cmd_calibrate(args) -> int:
         f"roff={format_value(mem.r_off)} l={format_value(mem.length)} "
         f"uv={format_value(mem.mobility)} p={mem.window_p} pol={mem.polarity})"
     )
-    with open_output(args.output) as stream:
-        stream.write(block + "\n")
-    return EXIT_OK
+    return _write(args.output, block + "\n")
 
 
 # --------------------------------------------------------------------------- #
@@ -473,6 +417,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# error type -> exit code, first match wins (a NotSettledError is an
+# AnalysisError, a NonConvergenceError a SimulationError)
+_EXIT_CODES = (
+    ((_UsageError, NetlistError, DeviceError), EXIT_PARSE),
+    (NotSettledError, EXIT_SIMULATION),
+    (AnalysisError, EXIT_PARSE),
+    (SimulationError, EXIT_SIMULATION),
+    (OSError, EXIT_IO),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -483,32 +438,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         check_output(args.output)
         code = args.func(args)
-    except _UsageError as exc:
+    except Exception as exc:
+        code = next((code for types, code in _EXIT_CODES
+                     if isinstance(exc, types)), None)
+        if code is None:
+            raise
         _diag(f"error: {exc}")
-        return EXIT_PARSE
-    except ParseError as exc:
-        _diag(f"error: {exc}")
-        return EXIT_PARSE
-    except (ElaborationError, DeviceError) as exc:
-        _diag(f"error: {exc}")
-        return EXIT_PARSE
-    except NotSettledError as exc:
-        _diag(f"error: {exc}")
-        return EXIT_SIMULATION
-    except AnalysisError as exc:
-        _diag(f"error: {exc}")
-        return EXIT_PARSE
-    except NonConvergenceError as exc:
-        _diag(f"error: {exc}")
-        for iteration, dv, residual in exc.trace or []:
-            _diag(f"  iter {iteration}: max|dV|={dv:.3e} residual={residual:.3e}")
-        return EXIT_SIMULATION
-    except SimulationError as exc:
-        _diag(f"error: {exc}")
-        return EXIT_SIMULATION
-    except OSError as exc:
-        _diag(f"error: {exc}")
-        return EXIT_IO
+        if isinstance(exc, NonConvergenceError):
+            for iteration, dv, residual in exc.trace or []:
+                _diag(f"  iter {iteration}: max|dV|={dv:.3e} residual={residual:.3e}")
+        return code
     if args.verbose:
         elapsed = time.monotonic() - started
         print(f"[mirrorsim] {args.command} finished in {elapsed:.2f} s",

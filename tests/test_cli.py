@@ -8,6 +8,7 @@ calling ``sys.exit``), with stdout/stderr captured through pytest.
 import csv
 import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +283,31 @@ class TestExitCodes:
             ["mirror", "2r", "--set", "T9.width=1u"], capsys)
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("argv, key", [
+        (["mirror", "2m", "--set", "r_load=9k"], "r_load"),
+        (["mirror", "pmos-r", "--set", "m0=9k"], "m0"),
+        (["mirror", "2r", "--set", "vbias=0.3"], "vbias"),
+        (["mirror", "2m", "--analysis", "hysteresis", "--set", "vdd=3"], "vdd"),
+        (["mirror", "2r", "--emit-netlist", "--set", "T2.width=1u"],
+         "device paths"),
+        (["mirror", "2r", "--emit-netlist", "--set", "temp=80"], "temp"),
+    ])
+    def test_a_key_the_command_does_not_read_is_refused(self, argv, key, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert f"does not read --set {key}" in err
+
+    def test_run_reports_a_bad_transient_span_without_a_traceback(
+            self, tmp_path, capsys):
+        path = netlist_file(tmp_path, RAMP_TRAN.replace(".tran 1m 10m",
+                                                        ".tran 5m 10m"))
+        code, out, err = run_cli(["run", path, "--set", "t_stop=1m"], capsys)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "t_stop must be >= dt" in err
+        assert "Traceback" not in err
+
 
 # --------------------------------------------------------------------------- #
 # run subcommand
@@ -431,6 +457,28 @@ class TestMirrorCommand:
         # the loop is pinched exactly: every sample is a DC solution
         assert (v == 0.0).any()
         assert np.all(i[v == 0.0] == 0.0)
+
+    @pytest.mark.parametrize("argv", [
+        ["mirror", "pmos-r", "--set", "vbias=0.6"],
+        ["mirror", "pmos-m", "--emit-netlist", "--set", "vbias=0.6"],
+        ["mirror", "2m", "--set", "m0=9k"],
+        ["mirror", "2r", "--analysis", "hysteresis", "--set", "r_load=19k"],
+    ])
+    def test_a_key_the_command_reads_changes_the_output(self, argv, capsys):
+        _, base, _ = run_cli(argv[:-2], capsys)
+        code, changed, _ = run_cli(argv, capsys)
+        assert code == EXIT_OK
+        assert changed != base
+
+    def test_resistor_loop_is_read_at_the_requested_temperature(self, capsys):
+        code, out, _ = run_cli(
+            ["mirror", "2r", "--analysis", "hysteresis", "--set", "temp=80"],
+            capsys)
+        assert code == EXIT_OK
+        _, rows, _ = parse_csv(out)
+        v, i = (np.array([float(r[j]) for r in rows]) for j in (1, 2))
+        r_hot = 38e3 * (1.0 + 1e-3 * (353.15 - 300.15))  # tempco 1e-3/K
+        assert i == pytest.approx(v / r_hot, rel=1e-7, abs=1e-15)
 
     def test_thd_table_lists_harmonic_amplitudes(self, capsys):
         code, out, _ = run_cli(["mirror", "2r", "--analysis", "thd"], capsys)
@@ -594,3 +642,25 @@ def test_every_cli_branch_is_recorded():
     decks = [parse(Path(argv[1]).read_text(encoding="utf-8"))
              for argv in commands if argv[0] == "run"]
     assert {elaborate(deck).analysis[0] for deck in decks} == {"dc", "tran"}
+
+
+def test_readme_lists_the_keys_each_command_reads():
+    """The README's --set table is the dispatch table's, kind by kind."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    kinds = {"": set(MirrorKind),
+             "¹": {MirrorKind.PMOS_RESISTOR, MirrorKind.PMOS_MEMRISTOR},
+             "²": {MirrorKind.TWO_RESISTORS, MirrorKind.PMOS_RESISTOR},
+             "³": {MirrorKind.TWO_MEMRISTORS, MirrorKind.PMOS_MEMRISTOR}}
+    targets = {f"`{name}`": (name, list(MirrorKind)) for name in cli.ANALYSES}
+    targets["`--emit-netlist`"] = (None, list(MirrorKind))
+    targets["`run` of a DC deck"] = ("dc", [None])
+    targets["`run` of a `.tran` deck"] = ("tran", [None])
+    rows = dict(re.findall(r"^\| (.+?) \| (`vdd`.*|`r_load`.*) \|$", readme,
+                           re.MULTILINE))
+    assert set(rows) == set(targets)
+    for target, (analysis, kind_list) in targets.items():
+        cells = [re.fullmatch(r"`?([^`]+)`?([¹²³]?)", cell).groups()
+                 for cell in rows[target].split(", ")]
+        for kind in kind_list:
+            listed = {key for key, mark in cells if kind is None or kind in kinds[mark]}
+            assert listed == cli._reads(analysis, kind), (target, kind)
