@@ -89,7 +89,8 @@ def run_switching(out: Path):
 def run_mismatch(out: Path):
     grid = [MISMATCH_BASE * (1.0 + d) for d in MISMATCH_DELTAS]
     columns = ["load2 (ohm)", "delta_r (fraction)",
-               "simulated_delta_i (fraction)", "predicted_delta_i (fraction)"]
+               "simulated_delta_i (fraction)", "predicted_delta_i (fraction)",
+               "predicted_ro_delta_i (fraction)"]
     for label, config in (
         ("resistive", MirrorConfig(kind=MirrorKind.TWO_RESISTORS,
                                    r_load=MISMATCH_BASE)),
@@ -97,10 +98,11 @@ def run_mismatch(out: Path):
                                     m0=MISMATCH_BASE)),
     ):
         table = mismatch_sweep(config, grid)
-        rows = ([r.load2, r.rel_delta_r, r.simulated, r.predicted]
-                for r in table.rows)
+        rows = ([r.load2, r.rel_delta_r, r.simulated, r.predicted,
+                 r.predicted_ro] for r in table.rows)
         write_table(out / f"mismatch_{label}.csv", columns, rows,
                     [f"k_factor = {format_number(table.k_factor)}",
+                     f"k_factor_ro = {format_number(table.k_factor_ro)}",
                      f"baseline_current (A) = "
                      f"{format_number(table.baseline_current)}"])
     print(f"mismatch: +/-20% around {MISMATCH_BASE:g} ohm, both load classes")

@@ -230,10 +230,11 @@ def _mismatch(circuit, config: MirrorConfig, opts: SimOptions, args):
                            temp=_temp(opts))
     columns = ["load2 (ohm)", "delta_r (fraction)",
                "simulated_delta_i (fraction)", "predicted_delta_i (fraction)",
-               "error (text)"]
-    rows = ([r.load2, r.rel_delta_r, r.simulated, r.predicted, r.error or ""]
-            for r in table.rows)
+               "predicted_ro_delta_i (fraction)", "error (text)"]
+    rows = ([r.load2, r.rel_delta_r, r.simulated, r.predicted, r.predicted_ro,
+             r.error or ""] for r in table.rows)
     footers = [f"k_factor = {format_number(table.k_factor)}",
+               f"k_factor_ro = {format_number(table.k_factor_ro)}",
                f"baseline_current (A) = {format_number(table.baseline_current)}"]
     return columns, rows, footers
 

@@ -413,6 +413,18 @@ class TestMirrorCommand:
         assert any(f.startswith("# k_factor = ") for f in footers)
         assert any(f.startswith("# baseline_current (A) = ") for f in footers)
 
+    def test_mismatch_shows_the_output_resistance_prediction(self, capsys):
+        code, out, _ = run_cli(
+            ["mirror", "2r", "--analysis", "mismatch"], capsys)
+        assert code == EXIT_OK
+        header, rows, footers = parse_csv(out)
+        assert header[3:5] == ["predicted_delta_i (fraction)",
+                               "predicted_ro_delta_i (fraction)"]
+        assert any(f.startswith("# k_factor_ro = ") for f in footers)
+        for row in rows:
+            simulated, predicted_ro = float(row[2]), float(row[4])
+            assert abs(simulated - predicted_ro) <= 0.05 * abs(predicted_ro)
+
     def test_param_sweep_rows_follow_values(self, capsys):
         code, out, _ = run_cli(
             ["mirror", "2r", "--analysis", "param-sweep",
@@ -586,9 +598,9 @@ GOLDEN = DATA / "golden"
 # tran_2m and tran_pmos-m before the memristive steps read the compiled DC
 # row, the calibrate files while calibration settled on a fixed 1 ms grid;
 # table1, hysteresis, temp-sweep_2m, param-sweep_2m, emit-netlist and run
-# before the CLI dispatched through one analysis table); a file is named
-# after its command's analysis and configuration, or its subcommand and
-# flags
+# before the CLI dispatched through one analysis table, the mismatch files
+# again when they gained the r_o-aware prediction); a file is named after
+# its command's analysis and configuration, or its subcommand and flags
 GOLDEN_COMMANDS = {
     "dc_2r": ["mirror", "2r", "--analysis", "dc"],
     "dc_2m": ["mirror", "2m", "--analysis", "dc"],
