@@ -5,7 +5,7 @@ Exit codes are part of the interface and stable:
 
 * 0 — success
 * 1 — parse, usage, or input-validation error (bad netlist, unknown flag,
-  unknown ``--set`` key, malformed value)
+  unknown ``--set`` key or one the command does not read, malformed value)
 * 2 — simulation failure (Newton non-convergence, singular matrix, a
   waveform that never settles, an unreachable calibration target)
 * 3 — I/O error (unreadable input, missing output directory)
@@ -273,18 +273,18 @@ def _table1(circuit, config: MirrorConfig, opts: SimOptions, args):
                       row.error or ""]], REPORT_NOTES
 
 
-_CIRCUIT = frozenset(_CONFIG_KEYS + ("temp",))
+_CIRCUIT_KEYS = frozenset(_CONFIG_KEYS + ("temp",))
 
 # each analysis and the --set keys it reads on a mirror whose kind has them
 _ANALYSIS_TABLE = {
-    "dc": (_dc, _CIRCUIT | {_PATHS}),
-    "tran": (_tran, _CIRCUIT | {_PATHS, "dt", "t_stop"}),
-    "thd": (_thd, _CIRCUIT | {_PATHS}),
+    "dc": (_dc, _CIRCUIT_KEYS | {_PATHS}),
+    "tran": (_tran, _CIRCUIT_KEYS | {_PATHS, "dt", "t_stop"}),
+    "thd": (_thd, _CIRCUIT_KEYS | {_PATHS}),
     "temp-sweep": (_temp_sweep, frozenset(_CONFIG_KEYS)),
-    "mismatch": (_mismatch, _CIRCUIT),
-    "param-sweep": (_param_sweep, _CIRCUIT),
+    "mismatch": (_mismatch, _CIRCUIT_KEYS),
+    "param-sweep": (_param_sweep, _CIRCUIT_KEYS),
     "hysteresis": (_hysteresis, frozenset({"temp", "r_load"})),
-    "table1": (_table1, _CIRCUIT),
+    "table1": (_table1, _CIRCUIT_KEYS),
 }
 ANALYSES = tuple(_ANALYSIS_TABLE)
 
@@ -310,7 +310,7 @@ def cmd_run(args) -> int:
         circuit = elaborate(parse(handle.read()))
     analysis, *tran = circuit.analysis or ("dc",)  # .tran's step and stop
     config, paths, opts = _read_sets(args.set, _reads(analysis, None),
-                                     f"`run` of a .{analysis} deck", *tran)
+                                     f"`run` of a {'.tran' if tran else 'DC'} deck", *tran)
     for path, value in {**config, **paths}.items():
         apply_override(circuit, path, value)
     return _write(args.output, _ANALYSIS_TABLE[analysis][0](circuit, None, opts, args))
@@ -422,11 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
 # AnalysisError, a NonConvergenceError a SimulationError)
 _EXIT_CODES = (
     ((_UsageError, NetlistError, DeviceError), EXIT_PARSE),
-    (NotSettledError, EXIT_SIMULATION),
-    (AnalysisError, EXIT_PARSE),
-    (SimulationError, EXIT_SIMULATION),
-    (OSError, EXIT_IO),
+    ((NotSettledError,), EXIT_SIMULATION),
+    ((AnalysisError,), EXIT_PARSE),
+    ((SimulationError,), EXIT_SIMULATION),
+    ((OSError,), EXIT_IO),
 )
+_REPORTED = sum((types for types, _ in _EXIT_CODES), ())
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -439,11 +440,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         check_output(args.output)
         code = args.func(args)
-    except Exception as exc:
-        code = next((code for types, code in _EXIT_CODES
-                     if isinstance(exc, types)), None)
-        if code is None:
-            raise
+    except _REPORTED as exc:
+        code = next(code for types, code in _EXIT_CODES if isinstance(exc, types))
         _diag(f"error: {exc}")
         if isinstance(exc, NonConvergenceError):
             for iteration, dv, residual in exc.trace or []:

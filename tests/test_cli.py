@@ -15,10 +15,12 @@ import numpy as np
 import pytest
 
 from mirrorsim import cli, engine
+from mirrorsim.analysis import AnalysisError, NotSettledError
 from mirrorsim.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_SIMULATION, main
 from mirrorsim.constants import ZERO_CELSIUS
 from mirrorsim.csvio import format_number, write_csv
-from mirrorsim.engine import SimOptions, solve_dc
+from mirrorsim.devices import DeviceError
+from mirrorsim.engine import SimOptions, SingularMatrixError, solve_dc
 from mirrorsim.netlist import MirrorConfig, MirrorKind, elaborate, mirror_circuit, parse
 
 DIVIDER = """* divider
@@ -214,6 +216,24 @@ class TestExitCodes:
                               "-o", str(target)], capsys)
         assert code == EXIT_SIMULATION
         assert target.read_text(encoding="utf-8") == "previous run\n"
+
+    @pytest.mark.parametrize("error, expected", [
+        (NotSettledError("never settled"), EXIT_SIMULATION),
+        (AnalysisError("bad sweep"), EXIT_PARSE),
+        (DeviceError("bad device"), EXIT_PARSE),
+        (SingularMatrixError("singular"), EXIT_SIMULATION),
+        (PermissionError("denied"), EXIT_IO),
+    ])
+    def test_each_error_type_maps_to_its_exit_code(self, monkeypatch, capsys,
+                                                    error, expected):
+        def fail(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(cli, "temperature_sweep", fail)
+        code, out, err = run_cli(["mirror", "2r", "--analysis", "temp-sweep"],
+                                 capsys)
+        assert code == expected
+        assert out == ""
+        assert err == f"error: {error}\n"
 
     def test_calibrate_rejects_nonpositive_target(self, capsys):
         code, _, err = run_cli(["calibrate", "--target", "0"], capsys)
