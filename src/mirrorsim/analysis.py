@@ -18,8 +18,8 @@ Two conventions hold throughout:
   coefficients or a source value), through the same parameter record and
   checks as :func:`mirrorsim.netlist.with_override`.  Every row equals
   ``solve_dc(with_override(...))`` of that point alone, to the bit, and a
-  failing row fails alone.  Memristive points each run a settled transient
-  on their own copy, one after another.
+  failing row fails alone.  Memristive points each run their own settled
+  transient, one after another.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from .netlist import (
     MirrorKind,
     mirror_circuit,
     overrides,
-    with_override,
 )
 
 __all__ = [
@@ -197,8 +196,16 @@ def compute_thd(wave: Waveform, f0: float, n_harmonics: int, *,
 # Settling
 # --------------------------------------------------------------------------- #
 
-def switching_time(wave: Waveform, settle_band: float = 0.01) -> float:
-    """Earliest time after which every sample stays within ``settle_band``
+# switching_time's band, relative to the final value; the current a settled
+# transient watches; and the spacing of the grid it is read on, the fixed
+# step settled transients took before they were error-controlled
+_SETTLE_BAND = 0.01
+_SETTLE_PROBE = "i(M2)"
+_SETTLE_LATTICE = 1e-3
+
+
+def switching_time(wave: Waveform) -> float:
+    """Earliest time after which every sample stays within ``_SETTLE_BAND``
     (relative to the final value) of the final sample.
 
     A waveform that is in-band from its first sample switches at ``t[0]``
@@ -208,26 +215,19 @@ def switching_time(wave: Waveform, settle_band: float = 0.01) -> float:
     Raises :class:`NotSettledError` when the in-band tail covers less than
     10% of the run, which is too little evidence to call the value final.
     """
-    if settle_band <= 0.0:
-        raise AnalysisError(f"settle_band must be positive, got {settle_band}")
     t = np.asarray(wave.t, dtype=float)
     x = np.asarray(wave.values, dtype=float)
     if t.size < 2:
         raise AnalysisError("waveform too short: need at least two samples")
     final = float(x[-1])
-    band = settle_band * abs(final)
+    band = _SETTLE_BAND * abs(final)
     outside = np.nonzero(np.abs(x - final) > band)[0]
     settled_at = float(t[0]) if outside.size == 0 else float(t[outside[-1] + 1])
     if settled_at - t[0] > 0.9 * (t[-1] - t[0]):
         raise NotSettledError(
-            f"waveform only enters the {settle_band:.3g} band at t={settled_at:.6g} s "
+            f"waveform only enters the {_SETTLE_BAND:.3g} band at t={settled_at:.6g} s "
             f"of a {float(t[-1]):.6g} s run; settled tail shorter than 10% of the run")
     return settled_at
-
-
-# spacing of the grid an error-controlled settled transient is read on: the
-# fixed step settled transients took before they were error-controlled
-_SETTLE_LATTICE = 1e-3
 
 
 def _has_memristors(circuit: Circuit) -> bool:
@@ -240,7 +240,7 @@ class SettledResult:
 
     ``op`` is a DC solve with memristor states frozen at ``states`` (empty for
     circuits without memristors, which settle instantly); ``settle_time`` is
-    the switching time of the probed output current.
+    the switching time of the output current ``i(M2)``.
     """
 
     op: OperatingPoint
@@ -248,11 +248,10 @@ class SettledResult:
     settle_time: float
 
 
-def settled_transient(circuit: Circuit, *, probe: str = "i(M2)",
-                      temp: float | None = None,
-                      chunk: float = 3.0, max_time: float = 24.0,
-                      settle_band: float = 0.01) -> SettledResult:
-    """Run ``circuit`` until the probed current settles; return the end state.
+def settled_transient(circuit: Circuit, *, temp: float | None = None,
+                      chunk: float = 3.0, max_time: float = 24.0) -> SettledResult:
+    """Run ``circuit`` until its output current ``i(M2)`` settles; return
+    the end state.
 
     Circuits without memristors have no state to evolve, so a plain DC solve
     is already settled.  Otherwise the transient is extended ``chunk`` seconds
@@ -260,8 +259,8 @@ def settled_transient(circuit: Circuit, *, probe: str = "i(M2)",
     :func:`switching_time` accepts the accumulated waveform; past ``max_time``
     the :class:`NotSettledError` propagates.
 
-    Each chunk runs error-controlled steps (``SimOptions.adaptive``) and its
-    probe is resampled linearly onto a 1 ms grid, on which ``settle_time``
+    Each chunk runs error-controlled steps (``SimOptions.adaptive``) and the
+    current is resampled linearly onto a 1 ms grid, on which ``settle_time``
     falls.  That time depends on the record length, since the band is taken
     from the record's last sample: ``2m`` at 2.0 V settles at 1.900 s with
     3 s chunks and at 1.932 s with 12 s chunks.
@@ -274,22 +273,21 @@ def settled_transient(circuit: Circuit, *, probe: str = "i(M2)",
     states: dict[str, float] | None = None
     offset = 0.0
     while offset < max_time - 1e-9:
-        res = run_transient(circuit, opts, [probe], initial_states=states)
-        wave = res.waveform(probe)
+        res = run_transient(circuit, opts, [_SETTLE_PROBE], initial_states=states)
+        wave = res.waveform(_SETTLE_PROBE)
         # sample 0 of a continuation repeats the previous final sample
         first = 1 if x.size else 0
         t = np.concatenate([t, lattice[first:] + offset])
         x = np.concatenate([x, np.interp(lattice, wave.t, wave.values)[first:]])
         states, offset = dict(res.final_states), offset + chunk
         try:
-            settled_at = switching_time(Waveform(wave.name, wave.unit, t, x),
-                                        settle_band)
+            settled_at = switching_time(Waveform(wave.name, wave.unit, t, x))
         except NotSettledError:
             continue
         op = solve_dc(circuit, SimOptions(temp=temp), states=states)
         return SettledResult(op, states, settled_at)
     raise NotSettledError(
-        f"{circuit.title!r}: {probe} did not settle within {max_time} s")
+        f"{circuit.title!r}: {_SETTLE_PROBE} did not settle within {max_time} s")
 
 
 # --------------------------------------------------------------------------- #
@@ -300,6 +298,26 @@ def _raise_first(errors: dict) -> None:
     """Raises the error of the first row in ``errors`` (row -> error), if any."""
     if errors:
         raise errors[min(errors)]
+
+
+def _settled_rows(circuit: Circuit, temps: list, records: dict | None = None):
+    """Node voltages (rows, nodes) and device currents (rows, devices in
+    circuit order) of ``circuit`` settled per row as the module docstring
+    describes: row k at ``temps[k]`` (None: the circuit's own), the device
+    at each position of ``records`` replaced by that list's entry k.  The
+    first failing row's error propagates."""
+    if not _has_memristors(circuit):
+        solved = _compile(circuit, SimOptions(), temps, records=records).solve()
+        _raise_first(solved.errors)
+        return solved.x[:, :len(circuit.node_names)], solved.currents
+    ops = []
+    for k, temp in enumerate(temps):
+        row = circuit.copy() if records else circuit
+        for position, column in (records or {}).items():
+            row.devices[position] = column[k]
+        ops.append(settled_transient(row, temp=temp).op)
+    return (np.array([op.node_voltages for op in ops]),
+            np.array([list(op.device_currents.values()) for op in ops]))
 
 
 @dataclass(frozen=True)
@@ -416,11 +434,9 @@ def temperature_sweep(config: MirrorConfig,
     """Settled mirror currents across operating temperatures.
 
     Every device is re-evaluated at each temperature through its own law
-    (threshold shift, mobility exponent, resistor tempco).  Memristive
-    configurations run a settled transient per point; resistive ones are
-    one batched DC solve over all points.  Simulation failures propagate (the
-    first failing row's, in input order) — a temperature row has no
-    meaningful partial result.
+    (threshold shift, mobility exponent, resistor tempco).  The first failing
+    row's error propagates: a temperature row has no meaningful partial
+    result.
     """
     points = [float(T) for T in temps]
     if not points:
@@ -428,15 +444,10 @@ def temperature_sweep(config: MirrorConfig,
     if any(T <= 0.0 for T in points):
         raise AnalysisError("temperatures are kelvin values and must be positive")
     circuit = mirror_circuit(config)
-    if _has_memristors(circuit):
-        ops = [settled_transient(circuit, temp=T).op for T in points]
-        currents = [(op.device_currents["M1"], op.device_currents["M2"]) for op in ops]
-    else:
-        solved = _compile(circuit, SimOptions(), points).solve()
-        _raise_first(solved.errors)
-        m1, m2 = (circuit.devices.index(circuit.device(n)) for n in ("M1", "M2"))
-        currents = solved.currents[:, [m1, m2]].tolist()
-    return tuple(TemperatureRow(T, *pair) for T, pair in zip(points, currents))
+    _, currents = _settled_rows(circuit, points)
+    m1, m2 = (circuit.devices.index(circuit.device(n)) for n in ("M1", "M2"))
+    return tuple(TemperatureRow(T, *pair)
+                 for T, pair in zip(points, currents[:, [m1, m2]].tolist()))
 
 
 @dataclass(frozen=True)
@@ -456,9 +467,7 @@ def parameter_sweep(config: MirrorConfig, param_path: str,
 
     ``param_path`` is an ``ELEMENT.field`` path with the usual schematic
     aliases (``T2.width``, ``T2.vth0``, ``source.vbias``, ...).  Unknown paths
-    and invalid values fail fast, before any simulation starts.  Without
-    memristors to settle, all points are one batched DC solve of the circuit
-    compiled once; otherwise each runs its own settled transient.
+    and invalid values fail fast, before any simulation starts.
     """
     points = [float(v) for v in values]
     if not points:
@@ -466,18 +475,9 @@ def parameter_sweep(config: MirrorConfig, param_path: str,
     circuit = mirror_circuit(config)
     position, records = overrides(circuit, param_path, points)
     _raise_first({k: r for k, r in enumerate(records) if isinstance(r, Exception)})
-    out_node = circuit.node_index("d2")
-    if _has_memristors(circuit):
-        ops = [settled_transient(with_override(circuit, param_path, value),
-                                 temp=temp).op for value in points]
-        outputs = [(op.device_currents["M2"], float(op.node_voltages[out_node]))
-                   for op in ops]
-    else:
-        solved = _compile(circuit, SimOptions(temp=temp), [None] * len(points),
-                          records={position: records}).solve()
-        _raise_first(solved.errors)
-        m2 = circuit.devices.index(circuit.device("M2"))
-        outputs = zip(solved.currents[:, m2].tolist(), solved.x[:, out_node].tolist())
+    volts, currents = _settled_rows(circuit, [temp] * len(points), {position: records})
+    m2 = circuit.devices.index(circuit.device("M2"))
+    outputs = zip(currents[:, m2].tolist(), volts[:, circuit.node_index("d2")].tolist())
     return tuple(ParameterRow(value, *pair) for value, pair in zip(points, outputs))
 
 
@@ -520,35 +520,36 @@ def _loop_area(v: np.ndarray, i: np.ndarray) -> float:
     return abs(positive) + abs(negative)
 
 
+# a hysteresis trace's drive cycles, and its memristor's start on [0, L]
+_HYSTERESIS_CYCLES = 3
+_HYSTERESIS_INITIAL_FRACTION = 0.5
+
+
 def hysteresis_trace(params: MemristorParams | ResistorParams, drive: SourceSpec,
-                     cycles: int = 3, samples_per_cycle: int = 2000, *,
-                     initial_fraction: float = 0.5,
+                     samples_per_cycle: int = 2000, *,
                      temp: float = T_REF) -> HysteresisTrace:
-    """Drive a single two-terminal device with a sine and trace its I-V loop.
+    """Drive a single two-terminal device with a sine for three cycles and
+    trace its I-V loop.
 
     The harness is a source-device loop: the device hangs directly across the
-    drive.  Memristor parameters start at ``initial_fraction`` of the boundary
-    travel; resistor parameters run in the identical harness and bound the
-    numerical noise floor (their loop area is zero up to integration error).
-    The loop area is measured on the last cycle, after the earlier cycles
-    have washed out the initial state.  The transient takes error-controlled
-    steps and is recorded on the uniform grid of ``samples_per_cycle``
-    (``SimOptions.adaptive`` with ``dt``), every sample a DC solution at
-    its state.
+    drive.  Memristor parameters start at half the boundary travel; resistor
+    parameters run in the identical harness and bound the numerical noise
+    floor (their loop area is zero up to integration error).  The loop area
+    is measured on the last cycle, after the earlier cycles have washed out
+    the initial state.  The transient takes error-controlled steps and is
+    recorded on the uniform grid of ``samples_per_cycle``
+    (``SimOptions.adaptive`` with ``dt``), every sample a DC solution at its
+    state.
     """
     if drive.kind != "sine":
         raise AnalysisError("hysteresis needs a sine drive")
-    if cycles < 1:
-        raise AnalysisError(f"need at least one drive cycle, got {cycles}")
     if samples_per_cycle < 2 * _MIN_SAMPLES_PER_PERIOD:
         raise AnalysisError(
             f"need >= {2 * _MIN_SAMPLES_PER_PERIOD} samples per cycle "
             f"to resolve the loop, got {samples_per_cycle}")
     if isinstance(params, MemristorParams):
-        if not 0.0 <= initial_fraction <= 1.0:
-            raise AnalysisError(
-                f"initial_fraction must lie in [0, 1], got {initial_fraction}")
-        device = BoundMemristor("Y1", 1, 0, params, initial_fraction * params.length)
+        device = BoundMemristor("Y1", 1, 0, params,
+                                _HYSTERESIS_INITIAL_FRACTION * params.length)
         current_probe = "i(Y1)"
     elif isinstance(params, ResistorParams):
         device = BoundResistor("R1", 1, 0, params)
@@ -563,7 +564,7 @@ def hysteresis_trace(params: MemristorParams | ResistorParams, drive: SourceSpec
         temp=temp,
     )
     dt = 1.0 / (drive.frequency * samples_per_cycle)
-    opts = SimOptions(dt=dt, t_stop=cycles / drive.frequency, temp=temp,
+    opts = SimOptions(dt=dt, t_stop=_HYSTERESIS_CYCLES / drive.frequency, temp=temp,
                       adaptive=True)
     result = run_transient(circuit, opts, ["v(in)", current_probe])
     voltage = result.waveform("v(in)").values
@@ -673,6 +674,11 @@ def power_and_area(config: MirrorConfig, settled_op: OperatingPoint, *,
 _STATE_SETTLE_TIME = 6.0     # s; long enough to pin memristive loads
 _THD_DRIVE_PERIODS = 10
 _THD_SAMPLES_PER_PERIOD = 200
+# the standard sine supply drive: amplitude (V) and frequency (Hz), and the
+# harmonics its distortion sums (the fundamental counts as the first)
+_THD_AMPLITUDE = 2.5
+_THD_FREQUENCY = 50.0
+_THD_HARMONICS = 49
 
 REPORT_NOTES = (
     "thd and power compare the four configurations under one shared device "
@@ -682,13 +688,6 @@ REPORT_NOTES = (
     "place of, a layout estimate",
 )
 """Caveats attached to every emitted report table."""
-
-
-def _with_source_spec(circuit: Circuit, name: str, spec: SourceSpec) -> Circuit:
-    """Copy of ``circuit`` with one source's drive replaced wholesale."""
-    clone = circuit.copy()
-    clone.device(name).spec = spec
-    return clone
 
 
 def _settled_load_states(circuit: Circuit, temp: float) -> dict[str, float]:
@@ -704,28 +703,28 @@ def _settled_load_states(circuit: Circuit, temp: float) -> dict[str, float]:
 
 def _config_thd(circuit: Circuit, config: MirrorConfig,
                 states: dict[str, float], temp: float, amplitude: float,
-                frequency: float, n_harmonics: int) -> ThdResult:
+                frequency: float) -> ThdResult:
     """Output-current distortion under the standard sine supply drive.
 
     The sine rides on ``vdd + amplitude`` so its floor stays at the nominal
     supply and the mirror never leaves normal operation over the cycle.
     """
-    sine = SourceSpec(kind="sine", dc_value=config.vdd_value + amplitude,
-                      amplitude=amplitude, frequency=frequency)
-    driven = _with_source_spec(circuit, "V1", sine)
+    driven = circuit.copy()
+    driven.device("V1").spec = SourceSpec(kind="sine", dc_value=config.vdd_value + amplitude,
+                                          amplitude=amplitude, frequency=frequency)
     opts = SimOptions(dt=1.0 / (frequency * _THD_SAMPLES_PER_PERIOD),
                       t_stop=_THD_DRIVE_PERIODS / frequency, temp=temp)
     result = run_transient(driven, opts, ["i(M2)"],
                            initial_states=states or None)
-    return compute_thd(result.waveform("i(M2)"), frequency, n_harmonics)
+    return compute_thd(result.waveform("i(M2)"), frequency, _THD_HARMONICS)
 
 
 def distortion_trace(config: MirrorConfig, *, circuit: Circuit | None = None,
-                     temp: float = T_REF, amplitude: float = 2.5,
-                     frequency: float = 50.0,
-                     n_harmonics: int = 49) -> ThdResult:
+                     temp: float = T_REF, amplitude: float = _THD_AMPLITUDE,
+                     frequency: float = _THD_FREQUENCY) -> ThdResult:
     """Settle a mirror configuration, then measure the harmonic content of
-    its output current under the standard sine supply drive.
+    its output current under the standard sine supply drive, up to
+    harmonic 49.
 
     ``circuit`` lets a caller pass an already-elaborated (possibly
     parameter-overridden) instance of the same configuration.
@@ -733,13 +732,10 @@ def distortion_trace(config: MirrorConfig, *, circuit: Circuit | None = None,
     if circuit is None:
         circuit = mirror_circuit(config)
     states = _settled_load_states(circuit, temp)
-    return _config_thd(circuit, config, states, temp, amplitude, frequency,
-                       n_harmonics)
+    return _config_thd(circuit, config, states, temp, amplitude, frequency)
 
 
-def config_report(config: MirrorConfig, *, temp: float = T_REF,
-                  amplitude: float = 2.5, frequency: float = 50.0,
-                  n_harmonics: int = 49) -> ConfigReport:
+def config_report(config: MirrorConfig, *, temp: float = T_REF) -> ConfigReport:
     """One summary row for a configuration: settled currents, power, leakage,
     footprint, and output-current distortion.
 
@@ -752,8 +748,8 @@ def config_report(config: MirrorConfig, *, temp: float = T_REF,
         circuit = mirror_circuit(config)
         states = _settled_load_states(circuit, temp)
         op = solve_dc(circuit, SimOptions(temp=temp), states=states or None)
-        thd = _config_thd(circuit, config, states, temp, amplitude,
-                          frequency, n_harmonics).thd
+        thd = _config_thd(circuit, config, states, temp, _THD_AMPLITUDE,
+                          _THD_FREQUENCY).thd
         return power_and_area(config, op, temp=temp, thd=thd)
     except (SimulationError, ElaborationError, DeviceError, AnalysisError) as exc:
         return ConfigReport(kind=config.kind.value, i_in=math.nan,
@@ -762,21 +758,14 @@ def config_report(config: MirrorConfig, *, temp: float = T_REF,
                             area_m2=math.nan, error=str(exc))
 
 
-def table1_report(vdd: float | None = None, r_load: float = 38e3,
-                  m0: float = 5e3, temp: float = T_REF, *,
-                  amplitude: float = 2.5, frequency: float = 50.0,
-                  n_harmonics: int = 49) -> AnalysisReport:
+def table1_report() -> AnalysisReport:
     """Side-by-side distortion/power/area report over all four mirror kinds.
 
-    One :func:`config_report` row per configuration, in declaration order;
-    rows that fail are flagged but the report is still emitted.  ``vdd=None``
-    keeps each kind's per-topology default supply.
+    One :func:`config_report` row per configuration, in declaration order,
+    each at its default :class:`MirrorConfig` (per-topology supply) and
+    ``T_REF``; rows that fail are flagged but the report is still emitted.
     """
-
-    rows = tuple(config_report(MirrorConfig(kind=kind, vdd=vdd, r_load=r_load, m0=m0),
-                               temp=temp, amplitude=amplitude, frequency=frequency,
-                               n_harmonics=n_harmonics)
-                 for kind in MirrorKind)
+    rows = tuple(config_report(MirrorConfig(kind=kind)) for kind in MirrorKind)
     return AnalysisReport(rows, REPORT_NOTES)
 
 
@@ -784,28 +773,28 @@ def table1_report(vdd: float | None = None, r_load: float = 38e3,
 # Mobility calibration
 # --------------------------------------------------------------------------- #
 
-def calibrate_mobility(target: float = 1.4, *, vdd: float = 2.5,
-                       rel_tol: float = 0.01,
-                       bracket: tuple[float, float] = (2e-15, 2e-13),
-                       settle_band: float = 0.01,
-                       max_iters: int = 40) -> float:
+# calibration bisects the mobility (m^2/(V*s)) on this bracket, at most
+# _CALIBRATE_MAX_ITERS times, to a switching time within _CALIBRATE_REL_TOL
+_MOBILITY_BRACKET = (2e-15, 2e-13)
+_CALIBRATE_REL_TOL = 0.01
+_CALIBRATE_MAX_ITERS = 40
+
+
+def calibrate_mobility(target: float = 1.4, *, vdd: float = 2.5) -> float:
     """Dopant mobility that makes the memristive mirror switch in ``target``
-    seconds at supply ``vdd``.
+    seconds at supply ``vdd``, to 1 %.
 
     Switching time falls with mobility, so a log-scale bisection on the
-    bracket converges; each probe is the ``settle_time`` of a
-    :func:`settled_transient` of the two-memristor configuration.  Raises
-    :class:`AnalysisError` when the target lies outside what the bracket can
-    reach (including targets shorter than the simulation can resolve), or
-    when the settle time jumps across it (``target=3.0`` does).
+    bracket [2e-15, 2e-13] m^2/(V*s) converges; each probe is the
+    ``settle_time`` of a :func:`settled_transient` of the two-memristor
+    configuration.  Raises :class:`AnalysisError` when the target lies
+    outside what the bracket can reach (including targets shorter than the
+    simulation can resolve), or when the settle time jumps across it
+    (``target=3.0`` does).
     """
     if target <= 0.0:
         raise AnalysisError(f"switching-time target must be positive, got {target}")
-    if rel_tol <= 0.0:
-        raise AnalysisError(f"rel_tol must be positive, got {rel_tol}")
-    lo, hi = bracket
-    if not 0.0 < lo < hi:
-        raise AnalysisError(f"mobility bracket must satisfy 0 < lo < hi, got {bracket}")
+    lo, hi = _MOBILITY_BRACKET
     config = MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS, vdd=vdd)
     # Runs are capped well past the target; anything still unsettled there is
     # simply "slower than target" as far as the bisection is concerned.
@@ -815,8 +804,7 @@ def calibrate_mobility(target: float = 1.4, *, vdd: float = 2.5,
         params = replace(MEMRISTOR_DEFAULTS, mobility=mobility, polarity=-1)
         circuit = mirror_circuit(config, params)
         try:
-            return settled_transient(circuit, settle_band=settle_band,
-                                     max_time=cap).settle_time
+            return settled_transient(circuit, max_time=cap).settle_time
         except NotSettledError:
             return math.inf
 
@@ -828,12 +816,12 @@ def calibrate_mobility(target: float = 1.4, *, vdd: float = 2.5,
             f"[{s_hi:.4g}, {s_lo:.4g}] s reachable on the mobility bracket "
             f"[{lo:.3g}, {hi:.3g}]")
     for endpoint, s_end in ((lo, s_lo), (hi, s_hi)):
-        if math.isfinite(s_end) and abs(s_end - target) <= rel_tol * target:
+        if math.isfinite(s_end) and abs(s_end - target) <= _CALIBRATE_REL_TOL * target:
             return float(endpoint)
-    for _ in range(max_iters):
+    for _ in range(_CALIBRATE_MAX_ITERS):
         mid = math.sqrt(lo * hi)
         s_mid = switching_for(mid)
-        if math.isfinite(s_mid) and abs(s_mid - target) <= rel_tol * target:
+        if math.isfinite(s_mid) and abs(s_mid - target) <= _CALIBRATE_REL_TOL * target:
             return float(mid)
         if s_mid > target:
             lo = mid

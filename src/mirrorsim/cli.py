@@ -318,7 +318,9 @@ def cmd_run(args) -> int:
 
 def cmd_mirror(args) -> int:
     kind = MirrorKind(args.config)
-    analysis = None if args.emit_netlist else args.analysis
+    if args.emit_netlist and args.analysis:
+        raise _UsageError("--emit-netlist prints the netlist and runs no --analysis")
+    analysis = None if args.emit_netlist else args.analysis or "dc"
     where = "--emit-netlist" if analysis is None else f"--analysis {analysis}"
     sets, paths, opts = _read_sets(
         args.set, _reads(analysis, kind), f"`mirror {args.config} {where}`",
@@ -392,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
                                           "run an analysis against it.")
     p_mirror.add_argument("config", choices=[k.value for k in MirrorKind],
                           help="mirror configuration")
-    p_mirror.add_argument("--analysis", choices=ANALYSES, default="dc",
+    p_mirror.add_argument("--analysis", choices=ANALYSES,
                           help="analysis to run (default: dc)")
     p_mirror.add_argument("--emit-netlist", action="store_true",
                           help="print the generated netlist instead of "
@@ -452,7 +454,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[mirrorsim] {args.command} finished in {elapsed:.2f} s",
               file=sys.stderr)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

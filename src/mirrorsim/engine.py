@@ -88,6 +88,18 @@ __all__ = [
 # default number of fixed steps when SimOptions.dt is not given
 _DEFAULT_STEPS = 10_000
 
+# conductance (S) from every non-ground node to ground and across every
+# MOSFET channel, which anchors a node that only cutoff devices touch
+_GMIN = 1e-12
+
+# Newton iterations per solve (per step, in a transient) before it fails
+_MAX_NEWTON_ITERS = 100
+
+# A DC row that fails from a cold start is retried with its sources ramped
+# up in this many equal steps, each step's Newton started from the last;
+# below 2 there is no retry
+_SOURCE_STEPS = 10
+
 # Newton voltage-step limit on nodes touching a MOSFET terminal
 _DAMP_LIMIT = 0.5
 
@@ -193,21 +205,14 @@ class SimOptions:
     abstol: float = 1e-9
     reltol: float = 1e-6
     vntol: float = 1e-6
-    max_newton_iters: int = 100
-    gmin: float = 1e-12
     dt: float | None = None
     t_stop: float | None = None
     temp: float | None = None
-    source_steps: int = 10
     adaptive: bool = False
 
     def __post_init__(self) -> None:
         if self.abstol <= 0.0 or self.reltol <= 0.0 or self.vntol <= 0.0:
             raise ValueError("tolerances must be positive")
-        if self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be >= 1")
-        if self.gmin <= 0.0:
-            raise ValueError("gmin must be positive")
         if self.dt is not None and self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.t_stop is not None and self.t_stop <= 0.0:
@@ -216,8 +221,6 @@ class SimOptions:
             raise ValueError("t_stop must be >= dt")
         if self.temp is not None and self.temp <= 0.0:
             raise ValueError("temp must be positive kelvin")
-        if self.source_steps < 1:
-            raise ValueError("source_steps must be >= 1")
 
 
 @dataclass
@@ -465,8 +468,8 @@ _CELLS = {
 
 
 class _DcRows:
-    """DC rows of one topology compiled into per-row arrays under ``opts``
-    (its gmin, and the tolerances :meth:`solve` uses), and solved in place.
+    """DC rows of one topology compiled into per-row arrays, and solved in
+    place to the tolerances of ``opts``.
 
     Row k is the topology's circuit at ``temps[k]``, its sources at
     ``source_times[k]``, its memristances frozen at the normalized states
@@ -494,7 +497,6 @@ class _DcRows:
     def __init__(self, topo: _Topology, titles, temps, records, states,
                  opts: SimOptions, source_times):
         self.topo, self.opts = topo, opts
-        gmin = opts.gmin
         self.titles, self.temps, self.states = list(titles), list(temps), states
         count = len(self.titles)
         devices = topo.circuit.devices
@@ -544,7 +546,7 @@ class _DcRows:
         g_lin = np.zeros((count, topo.dim, topo.dim))
         g_lin[:, 0, 0] = 1.0  # ground row pins v0 = 0 exactly
         for n in range(1, topo.n_nodes):
-            g_lin[:, n, n] += gmin
+            g_lin[:, n, n] += _GMIN
         for j, r in enumerate(topo.resistors):
             _stamp_pair(g_lin, r.n_pos, r.n_neg, self.g_res[j])
         for src, br in zip(topo.sources, topo.branch_cols):
@@ -584,7 +586,7 @@ class _DcRows:
         at the guesses ``x``, one per row."""
         count, dim = x.shape
         vgs, vds, i0, gm, gds = self._mosfets(rows, x)
-        terms = np.concatenate([gm, gds, gm + gds, np.full((1, count), self.opts.gmin)])
+        terms = np.concatenate([gm, gds, gm + gds, np.full((1, count), _GMIN)])
         rhs = np.zeros(x.shape)
         rhs[:, self.topo.branch_cols] = source_scale * self.values[rows]
         return (self._scatter(0, self.g_lin[rows], terms),
@@ -637,7 +639,7 @@ class _DcRows:
                     out.append((it, float(max_dv[p]), float(residual[p])))
             return out
 
-        for it in range(1, opts.max_newton_iters + 1):
+        for it in range(1, _MAX_NEWTON_ITERS + 1):
             if not len(rows):
                 break
             solved, singular = _solve_stack(*self.assemble(rows, x, source_scale))
@@ -677,7 +679,7 @@ class _DcRows:
         for row in rows.tolist():
             row_trace = trace(row)
             self.errors[row] = NonConvergenceError(
-                f"Newton did not converge within {opts.max_newton_iters} "
+                f"Newton did not converge within {_MAX_NEWTON_ITERS} "
                 f"iterations (last max |dV|={row_trace[-1][1]:.3g} V)",
                 trace=row_trace)
 
@@ -686,7 +688,7 @@ class _DcRows:
         then source stepping, as one batch, for the rows that did not
         converge; a stepped row's ``iterations`` sums its steps'.  Fills
         the arrays and ``errors`` in place and returns the rows."""
-        count, dim, opts = len(self.titles), self.topo.dim, self.opts
+        count, dim = len(self.titles), self.topo.dim
         self.x = np.full((count, dim), math.nan)
         self.iterations = np.zeros(count)
         self.currents = np.full((count, len(self.topo.current_nodes)), math.nan)
@@ -695,14 +697,14 @@ class _DcRows:
         self.newton(rows, np.zeros((len(rows), dim)), 1.0)
         rows = np.array(sorted(row for row, exc in self.errors.items()
                                if isinstance(exc, NonConvergenceError)
-                               and opts.source_steps >= 2), dtype=int)
+                               and _SOURCE_STEPS >= 2), dtype=int)
         for row in rows.tolist():
             del self.errors[row]
         x = np.zeros((len(rows), dim))
-        for k in range(1, opts.source_steps + 1):
+        for k in range(1, _SOURCE_STEPS + 1):
             if not len(rows):
                 break
-            scale = k / opts.source_steps
+            scale = k / _SOURCE_STEPS
             self.newton(rows, x, scale)
             for row in rows.tolist():
                 exc = self.errors.get(row)
@@ -775,7 +777,6 @@ class _Steps:
     def __init__(self, rows: _DcRows):
         topo = self.topo = rows.topo
         self.title = rows.titles[0]
-        self.gmin = rows.opts.gmin
         self.specs = [src.spec for src in topo.sources]
         self.branches = topo.branch_cols.tolist()
         self.g_res = rows.g_res[:, 0].tolist()
@@ -811,7 +812,7 @@ class _Steps:
             gdss.append(gds)
             boths.append(gm + gds)
             ieqs.append(i0 - gm * vgs - gds * vds)
-        terms = gms + gdss + boths + [self.gmin]
+        terms = gms + gdss + boths + [_GMIN]
         for (r, c), term, sign in topo.matrix_sequence:
             g_mat[r][c] += terms[term] * sign
         for (r,), k, sign in topo.rhs_sequence:
@@ -900,7 +901,7 @@ class _Steps:
         trace: list[tuple[int, float, float]] = []
         n, dim = self.topo.n_nodes, self.topo.dim
         vntol, reltol = opts.vntol, opts.reltol
-        for it in range(1, opts.max_newton_iters + 1):
+        for it in range(1, _MAX_NEWTON_ITERS + 1):
             g_mat, rhs = self.assemble(x, s, values, dt_eff, hist)
             try:
                 solved = np.linalg.solve(g_mat, rhs).tolist()
@@ -937,7 +938,7 @@ class _Steps:
             else:
                 trace.append((it, max_dv, math.nan))
         raise _IterationLimit(
-            f"Newton did not converge within {opts.max_newton_iters} "
+            f"Newton did not converge within {_MAX_NEWTON_ITERS} "
             f"iterations at t={t:.9g} s (last max |dV|={trace[-1][1]:.3g} V)",
             trace=trace,
             time=t,
@@ -1035,16 +1036,16 @@ def _compile(circuit: Circuit | _Topology, opts: SimOptions, temps=(None,), *,
 
 
 def assemble_system(circuit: Circuit, guess, states: dict[str, float] | None = None,
-                    temp: float | None = None, *, gmin: float = 1e-12,
-                    source_scale: float = 1.0, source_time: float | None = None):
+                    temp: float | None = None, *, source_scale: float = 1.0,
+                    source_time: float | None = None):
     """Linearized MNA system (matrix, rhs) at ``guess``.
 
     ``guess`` must have one entry per node (ground included, index 0) plus one
     per voltage source.  Memristor resistances are frozen at ``states``
-    (initial states when omitted); ``gmin`` lands on every non-ground node
-    diagonal.  Row/column 0 is the trivial ground pin.
+    (initial states when omitted); gmin (1e-12 S) lands on every non-ground
+    node diagonal.  Row/column 0 is the trivial ground pin.
     """
-    rows = _compile(circuit, SimOptions(gmin=gmin, temp=temp), states=states,
+    rows = _compile(circuit, SimOptions(temp=temp), states=states,
                     source_times=[source_time])
     if len(guess) != rows.topo.dim:
         raise ValueError(f"guess must have {rows.topo.dim} entries, got {len(guess)}")

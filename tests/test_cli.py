@@ -8,7 +8,10 @@ calling ``sys.exit``), with stdout/stderr captured through pytest.
 import csv
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -414,6 +417,18 @@ class TestMirrorCommand:
         circuit = elaborate(parse(out))
         assert {d.name for d in circuit.devices} >= {"M1", "M2", "Y2"}
 
+    def test_emit_netlist_refuses_an_analysis(self, capsys):
+        code, out, err = run_cli(
+            ["mirror", "2r", "--emit-netlist", "--analysis", "tran"], capsys)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "--emit-netlist" in err and "--analysis" in err
+
+    def test_analysis_defaults_to_dc(self, capsys):
+        code, out, _ = run_cli(["mirror", "2r"], capsys)
+        assert code == EXIT_OK
+        assert out.encode("utf-8") == (GOLDEN / "dc_2r.csv").read_bytes()
+
     def test_emit_netlist_reflects_overrides(self, capsys):
         code, out, _ = run_cli(
             ["mirror", "2r", "--emit-netlist", "--set", "r_load=19k"], capsys)
@@ -696,3 +711,24 @@ def test_readme_lists_the_keys_each_command_reads():
         for kind in kind_list:
             listed = {key for key, mark in cells if kind is None or kind in kinds[mark]}
             assert listed == cli._reads(analysis, kind), (target, kind)
+
+
+def run_module(*argv):
+    """``python -m mirrorsim *argv`` in a fresh interpreter that finds the
+    package in this checkout's ``src``."""
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "mirrorsim", *argv],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_python_m_runs_the_cli():
+    done = run_module("mirror", "2m", "--emit-netlist")
+    assert done.returncode == EXIT_OK
+    assert done.stdout == (GOLDEN / "emit-netlist_2m.csv").read_bytes()
+
+
+def test_python_m_exits_with_the_cli_code():
+    done = run_module("mirror", "2r", "--frobnicate")
+    assert done.returncode == EXIT_PARSE
+    assert b"unrecognized arguments: --frobnicate" in done.stderr

@@ -139,7 +139,7 @@ def test_series_ladder_matches_voltage_divider_formula(rs, vdd):
     # the ideal divider is displaced only by the gmin node shunts: each of
     # the len(rs) non-ground nodes leaks at most gmin*vdd, seen at a tap
     # through a transfer resistance of at most the total ladder resistance
-    tol = len(rs) * SimOptions().gmin * total * vdd
+    tol = len(rs) * engine._GMIN * total * vdd
     below = total
     for k in range(len(rs)):
         expected = vdd * below / total  # analytic tap voltage, no linear algebra
@@ -274,20 +274,24 @@ def test_circuit_without_source_is_rejected():
         solve_dc(cir)
 
 
-def test_nonconvergence_carries_iteration_trace():
+def test_nonconvergence_carries_iteration_trace(monkeypatch):
+    monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 1)
+    monkeypatch.setattr(engine, "_SOURCE_STEPS", 1)
     cir = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_RESISTORS))
     with pytest.raises(NonConvergenceError) as exc:
-        solve_dc(cir, SimOptions(max_newton_iters=1, source_steps=1))
+        solve_dc(cir)
     err = exc.value
     assert len(err.trace) == 1
     iteration, max_dv, _ = err.trace[0]
     assert iteration == 1 and max_dv > 0.0
 
 
-def test_source_stepping_failure_reports_the_stalled_scale():
+def test_source_stepping_failure_reports_the_stalled_scale(monkeypatch):
+    monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 3)
+    monkeypatch.setattr(engine, "_SOURCE_STEPS", 10)
     cir = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_RESISTORS))
     with pytest.raises(NonConvergenceError) as exc:
-        solve_dc(cir, SimOptions(max_newton_iters=3, source_steps=10))
+        solve_dc(cir)
     assert "source stepping" in str(exc.value)
 
 
@@ -301,11 +305,7 @@ def test_sim_options_validation():
     with pytest.raises(ValueError):
         SimOptions(dt=2.0, t_stop=1.0)
     with pytest.raises(ValueError):
-        SimOptions(max_newton_iters=0)
-    with pytest.raises(ValueError):
         SimOptions(temp=0.0)
-    with pytest.raises(ValueError):
-        SimOptions(source_steps=0)
     # controlled steps, recorded on the dt grid
     res = run_transient(_circuit(P2_DECK),
                         SimOptions(dt=1e-3, t_stop=1.0, adaptive=True), ["w(Y1)"])
@@ -830,9 +830,10 @@ def test_non_finite_iterate_fails_after_one_iteration(monkeypatch):
         engine, "mosfet_linearized_array",
         lambda vgs, *args: (np.full_like(vgs, math.nan),) * 3,
     )
+    monkeypatch.setattr(engine, "_SOURCE_STEPS", 1)
     cir = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_RESISTORS))
     with pytest.raises(NonConvergenceError) as exc:
-        solve_dc(cir, SimOptions(source_steps=1))
+        solve_dc(cir)
     assert "non-finite" in str(exc.value)
     assert len(exc.value.trace) == 1
 
@@ -861,17 +862,19 @@ def assert_same_outcome(batched, circuit, opts):
     assert_same_op(batched, single)
 
 
-def test_batch_steps_sources_row_by_row():
+def test_batch_steps_sources_row_by_row(monkeypatch):
+    monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 6)
+    monkeypatch.setattr(engine, "_SOURCE_STEPS", 3)
     base = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_RESISTORS))
     # converges cold, converges by source stepping, stalls while stepping
     circuits = [with_override(base, "R2.r_nominal", r)
                 for r in (20e3, 38e3, 60e3, 100e3)]
-    opts = SimOptions(max_newton_iters=6, source_steps=3)
+    opts = SimOptions()
     batched = solve_dc_batch(circuits, opts)
     for circuit, result in zip(circuits, batched):
         assert_same_outcome(result, circuit, opts)
-    assert batched[1].newton_iterations <= opts.max_newton_iters
-    assert batched[2].newton_iterations > opts.max_newton_iters
+    assert batched[1].newton_iterations <= engine._MAX_NEWTON_ITERS
+    assert batched[2].newton_iterations > engine._MAX_NEWTON_ITERS
     assert "source stepping stalled" in str(batched[3])
 
 
@@ -882,7 +885,9 @@ def test_rows_are_solved_in_place(monkeypatch):
     base = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_RESISTORS))
     values = [20e3, -1.0, 30e3, 60e3, 100e3]
     titles = [base.title, base.title, "rank-deficient", base.title, base.title]
-    opts = SimOptions(max_newton_iters=6, source_steps=3)
+    monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 6)
+    monkeypatch.setattr(engine, "_SOURCE_STEPS", 3)
+    opts = SimOptions()
     compile_rows = engine._DcRows.__init__
 
     def compile_with_a_singular_row(self, *args):
@@ -914,7 +919,7 @@ def test_rows_are_solved_in_place(monkeypatch):
     assert "stalled at scale 0.67" in str(rows.errors[4])
     for k in (0, 3):
         assert_same_op(rows.operating_point(k), alone[k])
-    assert rows.iterations[3] == alone[3].newton_iterations > opts.max_newton_iters
+    assert rows.iterations[3] == alone[3].newton_iterations > engine._MAX_NEWTON_ITERS
 
 
 def test_batch_rows_must_share_one_topology():
@@ -956,7 +961,9 @@ def test_batch_isolates_singular_and_nonconvergent_rows(monkeypatch):
     slow = with_override(base, "R2.r_nominal", 60e3)
     singular = with_override(base, "R2.r_nominal", 30e3)
     singular.title = "rank-deficient"
-    opts = SimOptions(max_newton_iters=7, source_steps=1)
+    monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 7)
+    monkeypatch.setattr(engine, "_SOURCE_STEPS", 1)
+    opts = SimOptions()
     clean = solve_dc_batch(good, opts)
 
     # a compiled row with no linear part leaves the ground row empty
@@ -977,7 +984,7 @@ def test_batch_isolates_singular_and_nonconvergent_rows(monkeypatch):
     assert_same_outcome(mixed[3], slow, opts)
     assert isinstance(mixed[1], SingularMatrixError)
     assert isinstance(mixed[3], NonConvergenceError)
-    assert len(mixed[3].trace) == opts.max_newton_iters
+    assert len(mixed[3].trace) == engine._MAX_NEWTON_ITERS
 
 
 def test_initial_state_overrides_are_validated():
