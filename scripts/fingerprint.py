@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Print a bit-level fingerprint of mirrorsim's outputs, one line per run.
+
+    python scripts/fingerprint.py > after.txt
+    python scripts/fingerprint.py --root ../parent > before.txt
+    diff before.txt after.txt
+
+Each line names a run and lists every leaf of its result: the SHA-256 of
+every array (with its dtype and shape) and the repr of every scalar, so a
+change that moves any output bit shows up as a differing line.  The runs
+are every task of one cycle of the ``settle``, ``sweep`` and ``drive``
+benchmark workloads for each seed (``perfbench/workloads.py``);
+``run_transient`` on the fixed grid, with error-controlled steps, and with
+those steps read on the fixed grid, on all four built-in mirrors and on a
+lone window-2 memristor whose state reaches its bound (its fixed steps are
+cut there); and ``solve_dc`` on all four mirrors.  ``--root`` picks the
+checkout whose ``src`` and ``perfbench`` are imported (default: the one
+holding this script).  A run that raises prints its error in place of its
+result.
+"""
+
+import argparse
+import dataclasses
+import enum
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SEEDS = (1, 7)
+WORKLOADS = ("settle", "sweep", "drive")
+MIRRORS = ("2m", "pmos-m", "2r", "pmos-r")
+T_STOP = 3.0
+
+# a sine-driven lone memristor that reaches s = 1, where 10 ms steps are cut
+BOUND_DECK = """V1 in 0 SIN(0 2.5 5)
+R1 in mid 1k
+Y1 mid 0 MEM m0=5k
+.model MEM MEMRISTOR (ron=100 roff=38k l=10n uv=2e-14 p=2 pol=1)
+"""
+
+
+def leaves(obj, path: str = ""):
+    """(path, text) of every array and scalar inside ``obj``."""
+    if isinstance(obj, np.ndarray):
+        digest = hashlib.sha256(np.ascontiguousarray(obj).tobytes()).hexdigest()
+        yield path, f"{obj.dtype.str}{list(obj.shape)}:{digest}"
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from leaves(getattr(obj, field.name), f"{path}.{field.name}")
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from leaves(value, f"{path}[{key!r}]")
+    elif isinstance(obj, (list, tuple)):
+        for k, value in enumerate(obj):
+            yield from leaves(value, f"{path}[{k}]")
+    elif isinstance(obj, enum.Enum):
+        yield path, repr(obj.value)
+    else:
+        yield path, repr(obj)
+
+
+def line(label: str, run) -> str:
+    try:
+        result = run()
+    except Exception as exc:  # a failing run is part of the fingerprint
+        return f"{label} raised {type(exc).__name__}: {exc}"
+    fields = [f"{path or '.'}={text}" for path, text in leaves(result)]
+    return " ".join([label] + fields)
+
+
+def runs():
+    """(label, zero-argument call) of every fingerprinted run."""
+    import mirrorsim as ms
+    import workloads
+    from mirrorsim.netlist import BoundMemristor
+
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            for k, task in enumerate(workloads.build_tasks(workload, seed)):
+                yield (f"{workload}:{seed}:{k} {task['call']}",
+                       lambda task=task: workloads.run_task(task))
+    circuits = {kind: ms.mirror_circuit(ms.MirrorConfig(kind=ms.MirrorKind(kind)))
+                for kind in MIRRORS}
+    circuits["bound"] = ms.elaborate(ms.parse(BOUND_DECK))
+    for kind, circuit in circuits.items():
+        step = 0.01 if kind == "bound" else None
+        probes = ([f"v({node})" for node in circuit.node_names[1:]]
+                  + [f"i({d.name})" for d in circuit.devices]
+                  + [f"{p}({d.name})" for d in circuit.devices
+                     if isinstance(d, BoundMemristor) for p in "wm"])
+        for mode, opts in (
+            ("fixed", ms.SimOptions(dt=step, t_stop=T_STOP)),
+            ("adaptive", ms.SimOptions(t_stop=T_STOP, adaptive=True)),
+            ("adaptive-grid", ms.SimOptions(dt=1e-3, t_stop=T_STOP, adaptive=True)),
+        ):
+            yield (f"run_transient {kind} {mode}",
+                   lambda c=circuit, o=opts, p=probes: ms.run_transient(c, o, p))
+        if kind in MIRRORS:
+            yield f"solve_dc {kind}", lambda c=circuit: ms.solve_dc(c)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path,
+                        default=Path(__file__).resolve().parent.parent,
+                        help="checkout to fingerprint (default: this one)")
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    for label, run in runs():
+        print(line(label, run), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

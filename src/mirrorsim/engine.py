@@ -32,15 +32,18 @@ quantity (solutions, iterations, device currents, KCL residuals; NaN in a
 failed row) and one dict of row errors, in place.  A single DC solve is a
 batch of one.  A memristive transient compiles its circuit as one such row
 too, solves t = 0 as that row, and runs its steps on Python lists copied
-from it, which is the fast form for one small system.  Both kinds of
-transient read their probes a block of samples at a time, device currents
-coming from the rows' batched KCL; a memristor-free transient and a
-controlled one read on a grid compile each block as DC rows, one per
-sample, at its source time and (frozen) states.
+from it, which is the fast form for one small system: the step's system,
+bordered with the state rows and columns, is one flat list with its stamps
+compiled as (flat index, term, sign), and each Newton iteration makes one
+bare LAPACK call.  Both kinds of transient read their probes a block of
+samples at a time, device currents coming from the rows' batched KCL; a
+memristor-free transient and a controlled one read on a grid compile each
+block as DC rows, one per sample, at its source time and (frozen) states.
 
-The dense linear solves go through :func:`numpy.linalg.solve` (LAPACK LU with
-partial pivoting); circuits here have fewer than ten nodes, so no sparse
-machinery is warranted.
+The dense linear solves are LAPACK LU with partial pivoting: a DC stack
+through :func:`numpy.linalg.solve`, a memristive step through the kernel
+that function calls, to the same bits; circuits here have fewer than ten
+nodes, so no sparse machinery is warranted.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .devices import (
     DeviceError,
@@ -312,8 +316,9 @@ def _stamp_pair(g_mat, a: int, b: int, g) -> None:
 def _mosfet_stamps(mosfets):
     """The MOSFET stamps of one linearized system as sequences of updates
     ``(entry, value, sign)``, in the order they are added: the matrix's and
-    the right-hand side's.  The memristive steps apply them one by one;
-    :class:`_DcRows` scatters them to stacks through :meth:`_Topology.flat`.
+    the right-hand side's, MOSFET after MOSFET.  The memristive steps apply
+    each MOSFET's one by one; :class:`_DcRows` scatters them to stacks
+    through :meth:`_Topology.flat`.
 
     Matrix values index the columns of [gm | gds | gm + gds | gmin] (one
     column per MOSFET in each of the first three blocks); right-hand-side
@@ -392,10 +397,10 @@ class _Topology:
                           index([f.n_g for f in self.mosfets]),
                           index([f.n_s for f in self.mosfets]))
         self.branch_cols = index([self.branch_index[s.name] for s in self.sources])
-        # the MOSFET stamps of the memristive steps, in the order they add
-        # them, and the KCL sums: each device current, by its kind-ordered
-        # column, leaves one node and enters the other, in device order
-        self.matrix_sequence, self.rhs_sequence = _mosfet_stamps(self.mosfets)
+        # the MOSFET stamps, and the KCL sums: each device current, by its
+        # kind-ordered column, leaves one node and enters the other, in
+        # device order
+        matrix_sequence, rhs_sequence = _mosfet_stamps(self.mosfets)
         column = {position: k for k, position in enumerate(by_kind)}
         self.kcl_sequence = [
             ((node,), column[position], sign)
@@ -411,8 +416,8 @@ class _Topology:
                     np.array([sign for _, _, sign in sequence]).reshape(-1, 1))
 
         self.families = (
-            family(dim * dim, self.matrix_sequence, lambda r, c: r * dim + c),
-            family(dim, self.rhs_sequence, lambda r: r),
+            family(dim * dim, matrix_sequence, lambda r, c: r * dim + c),
+            family(dim, rhs_sequence, lambda r: r),
             family(self.n_nodes, self.kcl_sequence, lambda r: r),
         )
         self._flat: tuple = ()
@@ -759,6 +764,14 @@ def _dense(ts, ss, times) -> np.ndarray:
     return np.clip(w0 * ss[k - 2] + w1 * ss[k - 1] + w2 * ss[k], 0.0, 1.0)
 
 
+# LAPACK's gesv through the gufunc that numpy.linalg.solve calls for one
+# system with one right-hand side, without that function's checks and
+# wrapping (about 3 of its 10 us on a 7x7 system); where numpy.linalg.solve
+# raises LinAlgError for a singular matrix, this returns NaN and sets
+# numpy's invalid flag
+_solve1 = _umath_linalg.solve1
+
+
 class _Steps:
     """Implicit steps of a memristive circuit compiled as row 0 of a
     :class:`_DcRows`, on Python lists copied from that row, which is the
@@ -772,6 +785,17 @@ class _Steps:
     backward-Euler step has ``hist = s_prev`` and ``dt_eff = dt``, and a
     variable-step BDF2 step (:meth:`march`) a blend of the last two
     accepted states and a shortened step.
+
+    The bordered system, ``size = dim + memristors`` square, is compiled
+    once as one flat row-major list: row 0's linear part padded with zero
+    state rows and columns, and every stamp as (flat index, term, sign),
+    added in the order of :class:`_DcRows`' stamp sequences: the node block
+    (rows and columns below ``dim``) of a step's matrix is the DC row's
+    matrix with the memristances at M(s), and :meth:`kcl_residual` the DC
+    row's residual, to the bit.  Each Newton iteration copies that list,
+    adds the stamps, and makes one LAPACK call through the kernel that
+    :func:`numpy.linalg.solve` dispatches to, so its solution is that
+    function's, to the bit.
     """
 
     def __init__(self, rows: _DcRows):
@@ -779,12 +803,38 @@ class _Steps:
         self.title = rows.titles[0]
         self.specs = [src.spec for src in topo.sources]
         self.branches = topo.branch_cols.tolist()
-        self.g_res = rows.g_res[:, 0].tolist()
-        self.coeffs = rows.coeffs[:, :, 0].T.tolist()  # (sign, vth, beta, lam)
-        self.mem_entries = [_pair_entries(m.n_pos, m.n_neg) for m in topo.memristors]
-        pad = [0.0] * len(topo.memristors)
-        self.g_base = ([row + pad for row in rows.g_base[0].tolist()]
-                       + [[0.0] * (topo.dim + len(pad)) for _ in pad])
+        self.damped = [j in topo.damped_nodes for j in range(topo.n_nodes)]
+        dim = topo.dim
+        size = self.size = dim + len(topo.memristors)
+        self.g_base = [0.0] * (size * size)
+        for r, row in enumerate(rows.g_base[0].tolist()):
+            self.g_base[r * size:r * size + dim] = row
+        self.mem_stamps = [(r * size + c, k, sign)
+                           for k, m in enumerate(topo.memristors)
+                           for (r, c), sign in _pair_entries(m.n_pos, m.n_neg)]
+        # per MOSFET: its nodes, coefficients (sign, vth, beta, lam) and
+        # stamps, terms indexing (gm, gds, gm + gds, gmin); the DC rows'
+        # sequences hold the same stamps, MOSFET after MOSFET
+        self.mosfets = []
+        for f, c in zip(topo.mosfets, rows.coeffs[:, :, 0].T.tolist()):
+            matrix, rhs = _mosfet_stamps([f])
+            self.mosfets.append(((f.n_d, f.n_g, f.n_s), c,
+                                 [(r * size + col, term, sign)
+                                  for (r, col), term, sign in matrix],
+                                 [(r, sign) for (r,), _, sign in rhs]))
+        # per memristor: its nodes, parameters, state column, the flat
+        # index of its state row's diagonal, and per non-ground terminal
+        # (node, sign, flat index of the node row's state column, flat
+        # index of the state row's node column)
+        self.memristors = []
+        for k, m in enumerate(topo.memristors):
+            col = dim + k
+            ends = [(node, sign, node * size + col, col * size + node)
+                    for node, sign in ((m.n_pos, 1.0), (m.n_neg, -1.0)) if node]
+            self.memristors.append((m.n_pos, m.n_neg, m.params, col,
+                                    col * size + col, ends))
+        self.res_ends = [(g, r.n_pos, r.n_neg)
+                         for g, r in zip(rows.g_res[:, 0].tolist(), topo.resistors)]
         # the largest controlled step: _MAX_STEP, or less with a sine source
         self.max_step = min([_MAX_STEP] + [1.0 / (_SINE_STEPS * spec.frequency)
                                            for spec in self.specs
@@ -792,93 +842,81 @@ class _Steps:
 
     def assemble(self, x, s, values, dt_eff, hist):
         """Linearized system of a step at (x, s), with the sources at
-        ``values``: row 0's linear part, the memristances at ``s``, the
-        MOSFETs linearized at ``x``, then the state rows."""
-        topo = self.topo
-        g_mat = [row[:] for row in self.g_base]
-        rhs = [0.0] * len(g_mat)
+        ``values``, as (matrix, right-hand side) arrays: row 0's linear
+        part, the memristances at ``s``, the MOSFETs linearized at ``x``,
+        then the state rows."""
+        g_mat = self.g_base[:]
+        rhs = [0.0] * self.size
         for br, value in zip(self.branches, values):
             rhs[br] = value
-        for m, entries, sk in zip(topo.memristors, self.mem_entries, s):
-            g = 1.0 / memristance_at(sk, m.params)
-            for (r, c), sign in entries:
-                g_mat[r][c] += g * sign
-        gms, gdss, boths, ieqs = [], [], [], []
-        for f, c in zip(topo.mosfets, self.coeffs):
-            vgs = x[f.n_g] - x[f.n_s]
-            vds = x[f.n_d] - x[f.n_s]
+        g_mem = []
+        for (_, _, p, _, _, _), sk in zip(self.memristors, s):
+            g_mem.append(1.0 / memristance_at(sk, p))
+        for i, k, sign in self.mem_stamps:
+            g_mat[i] += g_mem[k] * sign
+        for (d, g, src), c, matrix, sources in self.mosfets:
+            vgs = x[g] - x[src]
+            vds = x[d] - x[src]
             i0, gm, gds = mosfet_square_law(vgs, vds, *c)
-            gms.append(gm)
-            gdss.append(gds)
-            boths.append(gm + gds)
-            ieqs.append(i0 - gm * vgs - gds * vds)
-        terms = gms + gdss + boths + [_GMIN]
-        for (r, c), term, sign in topo.matrix_sequence:
-            g_mat[r][c] += terms[term] * sign
-        for (r,), k, sign in topo.rhs_sequence:
-            rhs[r] += ieqs[k] * sign
-        self._stamp_states(g_mat, rhs, x, s, dt_eff, hist)
-        return np.array(g_mat), np.array(rhs)
+            terms = (gm, gds, gm + gds, _GMIN)
+            for i, term, sign in matrix:
+                g_mat[i] += terms[term] * sign
+            ieq = i0 - gm * vgs - gds * vds
+            for r, sign in sources:
+                rhs[r] += ieq * sign
+        self._stamp_states(g_mat, rhs, x, s, g_mem, dt_eff, hist)
+        return np.array(g_mat).reshape(self.size, self.size), np.array(rhs)
 
-    def _stamp_states(self, g_mat, rhs, guess, states, dt_eff, hist) -> None:
+    def _stamp_states(self, g_mat, rhs, guess, states, g_mem, dt_eff, hist) -> None:
         """State rows ``s - hist - dt_eff*(dw/dt)/L = 0`` linearized at
-        (guess, s), and the state columns of the memristors' node rows.
+        (guess, s), and the state columns of the memristors' node rows,
+        into the flat matrix ``g_mat``; ``g_mem`` holds the memristors'
+        conductances at ``states``.
 
         With M = s*Ron + (1-s)*Roff, i = v/M and dw/dt/L = c*i*f(s), the
         partials are di/ds = -v*(Ron - Roff)/M^2 and f'(s) of the Joglekar
         window.  A state at a bound whose residual points outward (the
         update would leave [0, 1]) is held there by the row ``s = bound``.
         """
-        for k, m in enumerate(self.topo.memristors):
-            p = m.params
-            col = self.topo.dim + k
-            a, b = m.n_pos, m.n_neg
-            sk = states[k]
+        for (a, b, p, col, diag, ends), sk, g, h in zip(self.memristors, states,
+                                                        g_mem, hist):
             v = guess[a] - guess[b]
-            g = 1.0 / memristance_at(sk, p)
             i = v * g
-            f = joglekar_window(sk, p.window_p)
+            q = p.window_p
+            f = joglekar_window(sk, q)
             kc = dt_eff * p.polarity * p.mobility * p.r_on / (p.length * p.length)
-            resid = sk - hist[k] - kc * i * f
+            resid = sk - h - kc * i * f
             if (sk == 1.0 and resid <= 0.0) or (sk == 0.0 and resid >= 0.0):
-                g_mat[col][col] = 1.0
+                g_mat[diag] = 1.0
                 rhs[col] = sk
                 continue
             di_ds = -i * (p.r_on - p.r_off) * g
-            if a:
-                g_mat[a][col] += di_ds
-                rhs[a] += di_ds * sk
-            if b:
-                g_mat[b][col] -= di_ds
-                rhs[b] -= di_ds * sk
-            q = p.window_p
             f_slope = -4.0 * q * (2.0 * sk - 1.0) ** (2 * q - 1) if q else 0.0
             d_ds = 1.0 - kc * (di_ds * f + i * f_slope)
             d_dv = -kc * f * g
-            g_mat[col][col] = d_ds
-            if a:
-                g_mat[col][a] += d_dv
-            if b:
-                g_mat[col][b] -= d_dv
+            g_mat[diag] = d_ds
+            for node, sign, node_col, col_node in ends:
+                g_mat[node_col] += di_ds * sign
+                rhs[node] += di_ds * sk * sign
+                g_mat[col_node] += d_dv * sign
             rhs[col] = d_ds * sk + d_dv * v - resid
 
     def kcl_residual(self, x, s) -> float:
         """Largest net device current into any non-ground node (A)."""
-        topo = self.topo
-        if topo.n_nodes == 1:
+        if self.topo.n_nodes == 1:
             return 0.0
         # device currents by kind, as _DcRows.kcl orders them
         by_kind = []
-        for g, r in zip(self.g_res, topo.resistors):
-            by_kind.append(g * (x[r.n_pos] - x[r.n_neg]))
-        for m, sk in zip(topo.memristors, s):
-            by_kind.append((x[m.n_pos] - x[m.n_neg]) / memristance_at(sk, m.params))
-        for f, c in zip(topo.mosfets, self.coeffs):
-            by_kind.append(mosfet_square_law(x[f.n_g] - x[f.n_s], x[f.n_d] - x[f.n_s], *c)[0])
+        for g, a, b in self.res_ends:
+            by_kind.append(g * (x[a] - x[b]))
+        for (a, b, p, _, _, _), sk in zip(self.memristors, s):
+            by_kind.append((x[a] - x[b]) / memristance_at(sk, p))
+        for (d, g, src), c, _, _ in self.mosfets:
+            by_kind.append(mosfet_square_law(x[g] - x[src], x[d] - x[src], *c)[0])
         for br in self.branches:
             by_kind.append(x[br])
-        sums = [0.0] * topo.n_nodes
-        for (node,), column, sign in topo.kcl_sequence:
+        sums = [0.0] * self.topo.n_nodes
+        for (node,), column, sign in self.topo.kcl_sequence:
             sums[node] += by_kind[column] * sign
         return float(max(map(abs, sums[1:])))
 
@@ -893,7 +931,8 @@ class _Steps:
         abstol.  Each iteration moves a state by at most ``_STATE_LIMIT``
         and clamps it to [0, 1].  Returns (x, s).  Running out of
         iterations raises :class:`_IterationLimit`; a non-finite iterate
-        raises :class:`NonConvergenceError` at once.
+        raises :class:`NonConvergenceError` at once, and a singular system
+        :class:`SingularMatrixError`.
         """
         x = list(x0)
         s = list(guess)
@@ -901,42 +940,55 @@ class _Steps:
         trace: list[tuple[int, float, float]] = []
         n, dim = self.topo.n_nodes, self.topo.dim
         vntol, reltol = opts.vntol, opts.reltol
-        for it in range(1, _MAX_NEWTON_ITERS + 1):
-            g_mat, rhs = self.assemble(x, s, values, dt_eff, hist)
-            try:
-                solved = np.linalg.solve(g_mat, rhs).tolist()
-            except np.linalg.LinAlgError as exc:
-                raise SingularMatrixError(
-                    f"singular nodal matrix while solving {self.title!r}"
-                ) from exc
-            if not all(map(math.isfinite, solved)):
-                trace.append((it, math.nan, math.nan))
-                raise NonConvergenceError(
-                    f"Newton produced a non-finite iterate at t={t:.9g} s",
-                    trace=trace,
-                    time=t,
-                )
-            dv = [solved[j] - x[j] for j in range(n)]
-            max_dv = max(map(abs, dv)) if n > 1 else 0.0
-            converged = all(
-                abs(d) < vntol + reltol * abs(v) for d, v in zip(dv, solved)
-            )
-            for k, target in enumerate(solved[dim:]):
-                ds = target - s[k]
-                if abs(ds) >= reltol:
-                    converged = False
-                ds = min(max(ds, -_STATE_LIMIT), _STATE_LIMIT)
-                s[k] = min(max(s[k] + ds, 0.0), 1.0)
-            for node in self.topo.damped_nodes:
-                dv[node] = min(max(dv[node], -_DAMP_LIMIT), _DAMP_LIMIT)
-            x = [v + d for v, d in zip(x, dv)] + solved[n:dim]
-            if converged:
-                residual = self.kcl_residual(x, s)
-                trace.append((it, max_dv, residual))
-                if residual < opts.abstol:
-                    return x, s
-            else:
-                trace.append((it, max_dv, math.nan))
+        damped = self.damped
+        # the bare kernel reports a singular matrix as NaN, not as a warning
+        with np.errstate(all="ignore"):
+            for it in range(1, _MAX_NEWTON_ITERS + 1):
+                g_mat, rhs = self.assemble(x, s, values, dt_eff, hist)
+                solved = _solve1(g_mat, rhs).tolist()
+                if not all(map(math.isfinite, solved)):
+                    try:  # raises where the bare kernel met a singular matrix
+                        np.linalg.solve(g_mat, rhs)
+                    except np.linalg.LinAlgError as exc:
+                        raise SingularMatrixError(
+                            f"singular nodal matrix while solving {self.title!r}"
+                        ) from exc
+                    trace.append((it, math.nan, math.nan))
+                    raise NonConvergenceError(
+                        f"Newton produced a non-finite iterate at t={t:.9g} s",
+                        trace=trace,
+                        time=t,
+                    )
+                # one pass over the nodes: largest |dV|, the convergence
+                # test, the damping and the update; then the branch
+                # currents, and the states, each moved at most
+                # _STATE_LIMIT and clamped to [0, 1]
+                max_dv, converged = 0.0, True
+                for j in range(n):
+                    v = solved[j]
+                    d = v - x[j]
+                    dv = abs(d)
+                    if dv > max_dv:
+                        max_dv = dv
+                    if dv >= vntol + reltol * abs(v):
+                        converged = False
+                    if damped[j]:
+                        d = min(max(d, -_DAMP_LIMIT), _DAMP_LIMIT)
+                    x[j] += d
+                x[n:] = solved[n:dim]
+                for k in range(len(s)):
+                    ds = solved[dim + k] - s[k]
+                    if abs(ds) >= reltol:
+                        converged = False
+                    ds = min(max(ds, -_STATE_LIMIT), _STATE_LIMIT)
+                    s[k] = min(max(s[k] + ds, 0.0), 1.0)
+                if converged:
+                    residual = self.kcl_residual(x, s)
+                    trace.append((it, max_dv, residual))
+                    if residual < opts.abstol:
+                        return x, s
+                else:
+                    trace.append((it, max_dv, math.nan))
         raise _IterationLimit(
             f"Newton did not converge within {_MAX_NEWTON_ITERS} "
             f"iterations at t={t:.9g} s (last max |dV|={trace[-1][1]:.3g} V)",

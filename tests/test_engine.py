@@ -12,6 +12,7 @@ from mirrorsim.devices import (
     MemristorState,
     joglekar_window,
     memristance,
+    memristance_at,
     mosfet_current,
     mosfet_kprime,
     mosfet_vth,
@@ -658,6 +659,83 @@ def test_a_non_finite_controlled_step_raises_without_a_cut(monkeypatch):
     assert "non-finite" in str(err)
     assert err.time == 3.0 / engine._DEFAULT_STEPS
     assert len(err.trace) == 1 and len(calls) == 1
+
+
+# --------------------------------------------------------------------------- #
+# the memristive step system
+# --------------------------------------------------------------------------- #
+
+# circuits whose step systems are checked against their DC rows: both
+# memristive mirrors, and the lone window-2 memristor, which has no MOSFET
+STEP_CIRCUITS = {
+    "2m": lambda: mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS)),
+    "pmos-m": lambda: mirror_circuit(MirrorConfig(kind=MirrorKind.PMOS_MEMRISTOR)),
+    "p2": lambda: _circuit(P2_DECK),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_CIRCUITS))
+def test_step_node_block_is_the_dc_row_at_the_states_memristances(name):
+    # the steps add their stamps in the DC rows' order, so at any (x, s) the
+    # node rows and columns of a step's matrix, and its KCL residual, are
+    # the DC row's with the memristances frozen at M(s), to the bit
+    topo = engine._Topology(STEP_CIRCUITS[name]())
+    opts = SimOptions()
+    compiled = engine._compile(topo, opts, source_times=[0.0]).solve()
+    steps = engine._Steps(compiled)
+    dim, row = topo.dim, np.zeros(1, dtype=int)
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        x = [0.0] + rng.uniform(-0.5, 3.0, dim - 1).tolist()
+        s = rng.uniform(0.0, 1.0, len(topo.memristors)).tolist()
+        t = float(rng.uniform(0.0, 1.0))
+        values = [engine.source_value(spec, t) for spec in steps.specs]
+        g_mat, _ = steps.assemble(x, s, values, 1e-3, s)
+        frozen = engine._compile(topo, opts, states=s, source_times=[t])
+        want, _ = frozen.assemble(row, np.array([x]), 1.0)
+        assert g_mat[:dim, :dim].tobytes() == want[0].tobytes()
+        r_mem = np.array([[memristance_at(sk, m.params)]
+                          for sk, m in zip(s, topo.memristors)])
+        _, residual = compiled.kcl(row, np.array([x]), r_mem)
+        assert steps.kcl_residual(x, s) == residual[0]
+
+
+@pytest.mark.parametrize("size", range(4, 10))
+def test_step_solve_is_numpy_solve_to_the_bit(size):
+    # the steps call numpy.linalg.solve's own LAPACK kernel without its
+    # wrapper; a numpy whose kernel no longer matches fails here
+    rng = np.random.default_rng(size)
+    for _ in range(50):
+        g_mat = rng.standard_normal((size, size)) + size * np.eye(size)
+        rhs = rng.standard_normal(size)
+        with np.errstate(all="ignore"):
+            solved = engine._solve1(g_mat, rhs)
+        assert solved.tobytes() == np.linalg.solve(g_mat, rhs).tobytes()
+    # a singular matrix reads NaN there, where numpy.linalg.solve raises
+    g_mat[1] = 0.0
+    with np.errstate(all="ignore"):
+        assert np.isnan(engine._solve1(g_mat, rhs)).all()
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(g_mat, rhs)
+
+
+@pytest.mark.parametrize("opts", [SimOptions(dt=1e-3, t_stop=0.01),
+                                  SimOptions(t_stop=0.01, adaptive=True)],
+                         ids=["fixed", "adaptive"])
+def test_a_singular_step_system_raises_singular_matrix_error(monkeypatch, opts):
+    # t = 0 is a DC row; every step after it has a zero node row
+    real = engine._Steps.assemble
+
+    def assemble(self, *args):
+        g_mat, rhs = real(self, *args)
+        g_mat[1] = 0.0
+        return g_mat, rhs
+
+    monkeypatch.setattr(engine._Steps, "assemble", assemble)
+    cir = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS))
+    with pytest.raises(SingularMatrixError) as exc:
+        run_transient(cir, opts, ["m(Y2)"])
+    assert str(exc.value) == f"singular nodal matrix while solving {cir.title!r}"
 
 
 def _sine_supplied(kind: MirrorKind) -> Circuit:
