@@ -13,9 +13,10 @@ benchmark workloads for each seed (``perfbench/workloads.py``);
 ``run_transient`` on the fixed grid, with error-controlled steps, and with
 those steps read on the fixed grid, on all four built-in mirrors and on a
 lone window-2 memristor whose state reaches its bound (its fixed steps are
-cut there); and ``solve_dc`` on all four mirrors.  ``--root`` picks the
-checkout whose ``src`` and ``perfbench`` are imported (default: the one
-holding this script).  A run that raises prints its error in place of its
+cut there); ``solve_dc`` on all four mirrors; and ``run_transient`` on the
+fixed grid of ``pmos-r`` with its supply and gate bias sines of different
+frequencies.  ``--root`` picks the checkout whose ``src`` and ``perfbench``
+are imported (default: the one holding this script).  A run that raises prints its error in place of its
 result.
 """
 
@@ -99,6 +100,19 @@ def runs():
                    lambda c=circuit, o=opts, p=probes: ms.run_transient(c, o, p))
         if kind in MIRRORS:
             yield f"solve_dc {kind}", lambda c=circuit: ms.solve_dc(c)
+    # pmos-r with its supply and gate bias sines of different frequencies,
+    # so its samples differ in more than one source value
+    two_sines = ms.mirror_circuit(ms.MirrorConfig(kind=ms.MirrorKind("pmos-r")))
+    two_sines.device("V1").spec = ms.SourceSpec(kind="sine", dc_value=2.4,
+                                                amplitude=0.3, frequency=50.0)
+    two_sines.device("VB").spec = ms.SourceSpec(kind="sine", dc_value=0.7,
+                                                amplitude=0.1, frequency=30.0,
+                                                phase=0.5)
+    probes = ([f"v({node})" for node in two_sines.node_names[1:]]
+              + [f"i({d.name})" for d in two_sines.devices])
+    yield ("run_transient pmos-r two-sines fixed",
+           lambda: ms.run_transient(two_sines, ms.SimOptions(dt=1e-4, t_stop=0.2),
+                                    probes))
 
 
 def main(argv=None) -> int:

@@ -35,10 +35,12 @@ too, solves t = 0 as that row, and runs its steps on Python lists copied
 from it, which is the fast form for one small system: the step's system,
 bordered with the state rows and columns, is one flat list with its stamps
 compiled as (flat index, term, sign), and each Newton iteration makes one
-bare LAPACK call.  Both kinds of transient read their probes a block of
-samples at a time, device currents coming from the rows' batched KCL; a
-memristor-free transient and a controlled one read on a grid compile each
-block as DC rows, one per sample, at its source time and (frozen) states.
+bare LAPACK call.  Both kinds of transient take their device currents
+from the rows' batched KCL.  A memristor-free transient and a controlled
+one read on a grid record DC solutions: each source's values are evaluated
+once for the whole run, the samples are keyed by the bits of their source
+values and (frozen) states, and only the distinct keys are compiled as DC
+rows and solved, a block of them at a time.
 
 The dense linear solves are LAPACK LU with partial pivoting: a DC stack
 through :func:`numpy.linalg.solve`, a memristive step through the kernel
@@ -107,10 +109,11 @@ _SOURCE_STEPS = 10
 # Newton voltage-step limit on nodes touching a MOSFET terminal
 _DAMP_LIMIT = 0.5
 
-# samples of a memristor-free transient per batched Newton: over one cycle
-# of the benchmark's drive workload (2-core Xeon VM, numpy 2.4.6), whole
-# transients as one batch raised peak RSS 34.3 -> 36.9 MB, 512-row blocks
-# 34.3 -> 34.7 MB and ran within about 15 % of their speed
+# distinct samples of a transient recorded as DC solutions per batched
+# Newton: over one cycle of the benchmark's drive workload (2-core Xeon VM,
+# numpy 2.4.6), whole transients as one batch raised peak RSS 34.3 -> 36.9
+# MB, 512-row blocks 34.3 -> 34.7 MB and ran within about 15 % of their
+# speed
 _TRANSIENT_BLOCK = 512
 
 # Newton step limit on a normalized memristor state s = w/L, the state
@@ -350,7 +353,8 @@ def _mosfet_stamps(mosfets):
 
 class _Topology:
     """Index maps of one circuit: what every circuit with the same
-    :func:`_signature` shares, whatever its parameters and temperature."""
+    :func:`_signature` shares, whatever its parameters and temperature.  A
+    floating circuit, or one with no voltage source, raises."""
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
@@ -372,6 +376,8 @@ class _Topology:
                 "no device terminal touches ground; the nodal system is "
                 "floating (gmin would mask the singularity)"
             )
+        if not self.sources:
+            raise SimulationError("circuit has no voltage source")
 
         # (node the device current leaves, node it enters), in device order
         self.current_nodes = [(d.n_d, d.n_s) if isinstance(d, BoundMosfet)
@@ -462,29 +468,49 @@ def _solve_stack(g_mat: np.ndarray, rhs: np.ndarray):
 
 
 # a compiled row's cell of one device, from its record, the row's
-# temperature (a source's: its time) and a memristor's state (None: w0)
+# temperature and a memristor's state (None: w0); sources come evaluated
 _CELLS = {
     BoundResistor: lambda d, temp, s: 1.0 / resistor_value(d.params, temp),
     BoundMemristor: lambda d, temp, s: memristance_at(
         _normalized([d])[0] if s is None else s, d.params),
     BoundMosfet: lambda d, temp, s: mosfet_coefficients(d.params, temp),
-    BoundSource: lambda d, time, s: source_value(d.spec, time),
 }
+
+
+def _source_values(topo: _Topology, records, times: np.ndarray) -> np.ndarray:
+    """Values (rows, sources) of the sources of ``topo`` at ``times``, one
+    time per row, by :func:`~mirrorsim.devices.source_value`: a source that
+    every row shares in one array call, and one whose position in
+    ``records`` gives each row its own record, record by record (a failed
+    record's row reads NaN)."""
+    devices = topo.circuit.devices
+    values = np.full((len(times), len(topo.sources)), math.nan)
+    for col, j in enumerate(topo.src_cols):
+        given = records.get(j, devices[j:j + 1])
+        if len(given) > 1:
+            values[:, col] = [math.nan if isinstance(d, Exception)
+                              else source_value(d.spec, t)
+                              for d, t in zip(given, times.tolist())]
+        elif not isinstance(given[0], Exception):
+            values[:, col] = source_value(given[0].spec, times)
+    return values
 
 
 class _DcRows:
     """DC rows of one topology compiled into per-row arrays, and solved in
     place to the tolerances of ``opts``.
 
-    Row k is the topology's circuit at ``temps[k]``, its sources at
-    ``source_times[k]``, its memristances frozen at the normalized states
-    ``states`` (None: its devices' initial states; a memristor's entry is a
-    number, or an array of one state per row when its record is shared),
-    and the device at each position of ``records`` replaced by that list's
-    entry k.  A device that all rows share is evaluated once.  A row fails
-    alone: with its record when that is an error, else with the first
-    :class:`~mirrorsim.devices.DeviceError` of its devices in kind order,
-    which is what compiling that row alone raises.  ``errors`` maps every
+    Row k is the topology's circuit at ``temps[k]``, its sources at the
+    values ``values[k]`` (one per source, evaluated by the caller), its
+    memristances frozen at the normalized states ``states`` (None: its
+    devices' initial states; a memristor's entry is a number, or an array
+    of one state per row when its record is shared), and the device at
+    each position of ``records`` replaced by that list's entry k.  A device
+    that all rows share is evaluated once.  Each row depends on its own
+    inputs alone, so which rows share a batch moves no bit of any row.  A
+    row fails alone: with its record when that is an error, else with the
+    first :class:`~mirrorsim.devices.DeviceError` of its devices in kind
+    order, which is what compiling that row alone raises.  ``errors`` maps every
     failed row, from the compile or :meth:`solve`, to its error; the solve
     fills ``x`` (rows, unknowns), ``iterations``, ``currents`` (rows,
     devices in circuit order; see OperatingPoint) and ``residual``, NaN in
@@ -500,25 +526,28 @@ class _DcRows:
     """
 
     def __init__(self, topo: _Topology, titles, temps, records, states,
-                 opts: SimOptions, source_times):
+                 opts: SimOptions, values: np.ndarray):
         self.topo, self.opts = topo, opts
         self.titles, self.temps, self.states = list(titles), list(temps), states
         count = len(self.titles)
         devices = topo.circuit.devices
         s_at = {} if states is None else dict(zip(topo.mem_cols, states))
-        same_temp, same_time = len(set(self.temps)) == 1, len(set(source_times)) == 1
+        same_temp = len(set(self.temps)) == 1
         self.errors: dict[int, Exception] = {}
         columns = []
         for j in topo.kind_order.tolist():
-            source = isinstance(devices[j], BoundSource)
-            inputs = source_times if source else self.temps
             given = records.get(j, devices[j:j + 1])
-            once = len(given) == 1 and (same_time if source else same_temp)
+            if isinstance(devices[j], BoundSource):  # its values are given
+                for k, device in enumerate(given):
+                    if isinstance(device, Exception):  # a failed record
+                        self.errors[k] = device
+                continue
+            once = len(given) == 1 and same_temp
             failed = (math.nan,) * 4 if isinstance(devices[j], BoundMosfet) else math.nan
             law, s = _CELLS[type(devices[j])], s_at.get(j)
             cells = []
             for k, (device, at) in enumerate(zip(given * count if len(given) == 1
-                                                 else given, inputs)):
+                                                 else given, self.temps)):
                 cell = failed
                 if isinstance(device, Exception):  # a failed record: its row carries it
                     self.errors[k] = device
@@ -545,7 +574,7 @@ class _DcRows:
         self.r_mem = stack(res, mem)
         # (sign, vth, beta, lam), each (MOSFETs, rows)
         self.coeffs = np.ascontiguousarray(stack(res + mem, mos, 4).transpose(2, 0, 1))
-        self.values = np.ascontiguousarray(stack(res + mem + mos, len(topo.src_cols)).T)
+        self.values = values
 
         # the linear part: gmin, resistors and sources, then memristors
         g_lin = np.zeros((count, topo.dim, topo.dim))
@@ -1065,26 +1094,32 @@ class _Steps:
 
 
 def _compile(circuit: Circuit | _Topology, opts: SimOptions, temps=(None,), *,
-             records=None, titles=None, states=None, source_times=None) -> _DcRows:
+             records=None, titles=None, states=None, source_times=None,
+             values=None) -> _DcRows:
     """``circuit`` compiled under ``opts`` as :class:`_DcRows`, one row per
     entry of ``temps`` (None: what :func:`solve_dc` would use); the other
     arguments default to the circuit's titles, t = 0 sources and initial
-    states.  ``states`` are in metres by name (a dict), or already
-    normalized: one entry per memristor in topology order, each a number or
-    an array of one value per row.  This is the one path from a circuit to
-    compiled rows; given a built :class:`_Topology` in place of the
-    circuit, it reuses that topology's index maps and cached flat indices.
-    A floating circuit, or one with no voltage source, raises; a row's own
-    failure goes into ``errors``."""
+    states.  The sources' ``values`` (rows, sources), when not given, are
+    evaluated at ``source_times`` (one per row, None meaning t = 0) by
+    :func:`_source_values`.  ``states`` are in metres by name (a dict), or
+    already normalized: one entry per memristor in topology order, each a
+    number or an array of one value per row.  This is the one path from a
+    circuit to compiled rows; given a built :class:`_Topology` in place of
+    the circuit, it reuses that topology's index maps and cached flat
+    indices.  A floating circuit, or one with no voltage source, raises (in
+    :class:`_Topology`); a row's own failure goes into ``errors``."""
     topo = circuit if isinstance(circuit, _Topology) else _Topology(circuit)
     circuit = topo.circuit
-    if not topo.sources:
-        raise SimulationError("circuit has no voltage source")
     s = _normalized(topo.memristors, states) if isinstance(states, dict) else states
     temp = circuit.temp if opts.temp is None else opts.temp
+    records = records or {}
+    if values is None:
+        times = np.array([0.0 if t is None else t
+                          for t in source_times or [None] * len(temps)])
+        values = _source_values(topo, records, times)
     return _DcRows(topo, titles or [circuit.title] * len(temps),
-                   [temp if t is None else t for t in temps], records or {}, s,
-                   opts, source_times or [None] * len(temps))
+                   [temp if t is None else t for t in temps], records, s,
+                   opts, values)
 
 
 def assemble_system(circuit: Circuit, guess, states: dict[str, float] | None = None,
@@ -1171,8 +1206,8 @@ _PROBE_RE = re.compile(r"^([viwm])\((.+)\)$", re.IGNORECASE)
 
 def _build_probe(topo: _Topology, spec: str):
     """Returns (canonical name, unit, read): ``read(x, currents, s)`` is the
-    probe's column of a block of transient samples, given their solutions,
-    device currents (see OperatingPoint) and normalized memristor states as
+    probe's column of a transient's samples, given their solutions, device
+    currents (see OperatingPoint) and normalized memristor states as
     (samples, ...) arrays."""
     m = _PROBE_RE.match(spec.replace(" ", ""))
     if not m:
@@ -1216,24 +1251,45 @@ def _dc_samples(topo: _Topology, opts: SimOptions, times: np.ndarray,
     sources at ``times[k]`` and the memristances frozen at the normalized
     states ``states[k]`` (states has a column per memristor, none in a
     circuit without them; that circuit's sample k is ``solve_dc(circuit,
-    opts, source_time=times[k])`` to the bit).  The samples are compiled
-    on ``topo`` as the rows of one batch and solved in place.  The earliest
-    failing sample raises its error; a :class:`SimulationError` is raised as
-    the memristive steps raise theirs, with the same type and trace, naming
-    the sample's time."""
-    block = times.tolist()
-    rows = _compile(topo, opts, [None] * len(block), states=list(states.T),
-                    source_times=block).solve()
-    if rows.errors:
-        k = min(rows.errors)
-        exc, t = rows.errors[k], block[k]
-        if isinstance(exc, NonConvergenceError):
-            raise NonConvergenceError(f"{exc} at t={t:.9g} s", trace=exc.trace,
-                                      time=t) from exc
-        if isinstance(exc, SimulationError):
-            raise SingularMatrixError(f"{exc} at t={t:.9g} s", time=t) from exc
-        raise exc
-    return rows.x, rows.currents
+    opts, source_time=times[k])`` to the bit).
+
+    Each source's values are evaluated once for all samples, and a sample
+    is keyed by the bits of its source values and states, one byte string
+    per sample: only the distinct keys are compiled on ``topo`` and
+    solved, in the order of their first samples, ``_TRANSIENT_BLOCK`` rows
+    to a batch, and every sample reads its key's solution.  A row depends
+    on its inputs alone, so this is each sample's own solve, to the bit.
+    The earliest failing sample, the first of the earliest failing key,
+    raises its error; a :class:`SimulationError` is raised as the
+    memristive steps raise theirs, with the same type and trace, naming the
+    sample's time."""
+    sources = len(topo.sources)
+    table = np.concatenate([_source_values(topo, {}, times), states], axis=1)
+    keys = table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the distinct keys by their first samples
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    first, distinct = first[order], table[first[order]]
+    x = np.empty((len(distinct), topo.dim))
+    currents = np.empty((len(distinct), len(topo.current_nodes)))
+    for start in range(0, len(distinct), _TRANSIENT_BLOCK):
+        block = distinct[start:start + _TRANSIENT_BLOCK]
+        rows = _compile(topo, opts, [None] * len(block),
+                        states=list(block[:, sources:].T),
+                        values=block[:, :sources]).solve()
+        if rows.errors:
+            k = min(rows.errors)
+            exc, t = rows.errors[k], float(times[first[start + k]])
+            if isinstance(exc, NonConvergenceError):
+                raise NonConvergenceError(f"{exc} at t={t:.9g} s", trace=exc.trace,
+                                          time=t) from exc
+            if isinstance(exc, SimulationError):
+                raise SingularMatrixError(f"{exc} at t={t:.9g} s", time=t) from exc
+            raise exc
+        x[start:start + len(block)] = rows.x
+        currents[start:start + len(block)] = rows.currents
+    return x[rank[inverse]], currents[rank[inverse]]
 
 
 def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
@@ -1270,22 +1326,21 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     records the fixed grid's samples: each sample's states are read from
     the quadratic through the accepted states around it (:func:`_dense`),
     and the sample is the DC solution at its source time with the
-    memristances frozen at those states, solved with the other samples of
-    its block as in a memristor-free transient.  Each recorded voltage and
-    current is then one exact solution, so a sample where the drive is 0 V
-    carries 0 A.
+    memristances frozen at those states, solved as in a memristor-free
+    transient.  Each recorded voltage and current is then one exact
+    solution, so a sample where the drive is 0 V carries 0 A.
 
     A circuit with no memristor keeps no state between steps, so sample k
-    is ``solve_dc(circuit, opts, source_time=k*dt)``, to the bit: each
-    block of samples is compiled as the rows of one batch and solved from a
-    cold start in place, and each sample gets the DC solve's
-    source-stepping retry.  The earliest sample
-    that still fails raises its :class:`NonConvergenceError` or
-    :class:`SingularMatrixError`, with its trace and ``time``.
-
-    Either way the probes are read ``_TRANSIENT_BLOCK`` samples at a time,
-    device currents coming from the compiled rows' batched KCL; the blocks
-    are compiled on the run's one :class:`_Topology`.
+    is ``solve_dc(circuit, opts, source_time=k*dt)``, to the bit, with the
+    DC solve's source-stepping retry.  The run's samples are solved
+    together (:func:`_dc_samples`): each source is evaluated once at every
+    sample time, the samples whose source values (and frozen states) agree
+    bit for bit share one solve, and the distinct ones are compiled as the
+    rows of batches on the run's one :class:`_Topology` and solved from a
+    cold start in place.  The earliest sample that fails raises its
+    :class:`NonConvergenceError` or :class:`SingularMatrixError`, with its
+    trace and ``time``.  The memristive steps' device currents come from
+    the compiled row's batched KCL.
 
     ``initial_states`` replaces the netlist's initial memristor states
     (metres), letting one run continue where another settled;
@@ -1352,23 +1407,21 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
                     x, s = cut_x[-1], cut_s[-1]
                 xs[k], ss[k] = x, s
 
-    data = [np.empty(len(times)) for _ in probe_list]
-    for start in range(0, len(times), _TRANSIENT_BLOCK):
-        block = slice(start, start + _TRANSIENT_BLOCK)
-        s_block = ss[block]
-        if xs is None:
-            x, currents = _dc_samples(topo, opts, times[block], s_block)
-        else:
+    if xs is None:
+        xs, currents = _dc_samples(topo, opts, times, ss)
+    else:  # the steps' device currents, a block of samples at a time
+        currents = np.empty((len(times), len(topo.current_nodes)))
+        for start in range(0, len(times), _TRANSIENT_BLOCK):
+            block = slice(start, start + _TRANSIENT_BLOCK)
             x = xs[block]
-            r_mem = np.array([memristance_at(s_block[:, k], m.params)
+            r_mem = np.array([memristance_at(ss[block, k], m.params)
                               for k, m in enumerate(memristors)])
-            currents, _ = compiled.kcl(np.zeros(len(x), dtype=np.intp), x, r_mem)
-        for buf, (_, _, read) in zip(data, probe_list):
-            buf[block] = read(x, currents, s_block)
+            currents[block], _ = compiled.kcl(np.zeros(len(x), dtype=np.intp), x, r_mem)
 
     waveforms = [
-        Waveform(name=name, unit=unit, t=times.copy(), values=buf)
-        for (name, unit, _), buf in zip(probe_list, data)
+        Waveform(name=name, unit=unit, t=times.copy(),
+                 values=np.array(read(xs, currents, ss), dtype=float))
+        for name, unit, read in probe_list
     ]
     final_states = {m.name: sk * m.params.length for m, sk in zip(memristors, s)}
     return TransientResult(waveforms=waveforms, final_states=final_states, dt=dt)

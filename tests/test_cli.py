@@ -7,7 +7,6 @@ calling ``sys.exit``), with stdout/stderr captured through pytest.
 
 import csv
 import io
-import math
 import os
 import re
 import subprocess
@@ -149,13 +148,9 @@ class TestExitCodes:
         assert "did not converge" in err
         assert "iter 1:" in err and "max|dV|=" in err
 
-    def test_transient_failure_prints_iteration_trace(self, monkeypatch, capsys):
+    def test_transient_failure_prints_iteration_trace(self, nan_sources, capsys):
         # sources read NaN after t = 0, so the first backward-Euler step fails
-        real = engine.source_value
-        monkeypatch.setattr(
-            engine, "source_value",
-            lambda spec, time=None: math.nan if time else real(spec, time),
-        )
+        nan_sources(lambda t: t != 0.0)
         code, out, err = run_cli(["mirror", "2m", "--analysis", "tran"], capsys)
         assert code == EXIT_SIMULATION
         assert out == ""
@@ -170,15 +165,11 @@ class TestExitCodes:
         _, rows, _ = parse_csv(out)
         assert [float(row[0]) for row in rows] == [0.0, 1.5, 3.0]
 
-    def test_resistive_transient_failure_names_the_sample_time(self, monkeypatch,
+    def test_resistive_transient_failure_names_the_sample_time(self, nan_sources,
                                                                 capsys):
         # the same NaN sources on a memristor-free mirror, whose samples are
         # DC solves: the earliest failing one is reported with its time
-        real = engine.source_value
-        monkeypatch.setattr(
-            engine, "source_value",
-            lambda spec, time=None: math.nan if time else real(spec, time),
-        )
+        nan_sources(lambda t: t != 0.0)
         code, out, err = run_cli(["mirror", "2r", "--analysis", "tran"], capsys)
         assert code == EXIT_SIMULATION
         assert out == ""
@@ -210,9 +201,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("analysis", ["dc", "tran"])
     def test_failed_simulation_leaves_the_output_file_alone(
-            self, tmp_path, monkeypatch, capsys, analysis):
+            self, tmp_path, nan_sources, capsys, analysis):
         # every source reads NaN, so the t = 0 solve fails
-        monkeypatch.setattr(engine, "source_value", lambda spec, time=None: math.nan)
+        nan_sources(lambda t: True)
         target = tmp_path / "out.csv"
         target.write_text("previous run\n", encoding="utf-8")
         code, _, _ = run_cli(["mirror", "2r", "--analysis", analysis,

@@ -1,8 +1,10 @@
 """Device-law tests: frozen reference values, oracle transcriptions,
 and property-based invariants."""
 
+import importlib.util
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from mirrorsim.devices import (
     subthreshold_leakage,
     thermal_voltage,
 )
+from mirrorsim import engine
 from mirrorsim.constants import T_REF
 
 import oracles
@@ -114,6 +117,40 @@ def test_dwdt_frozen_value_midpoint():
     p = MemristorParams(mobility=1e-14, polarity=-1)
     got = memristor_dwdt(MemristorState(w=0.5 * p.length), p, 65e-6)
     assert got == pytest.approx(-6.5e-9, rel=REL)
+
+
+# Reference checks against the papers the memristor law comes from.  The
+# expected values are worked by hand from the papers' equations, not from
+# the package's constants or oracles.
+
+@pytest.mark.parametrize("fraction", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("polarity", [1, -1])
+def test_dwdt_is_strukov_linear_ion_drift_without_a_window(fraction, polarity):
+    # Strukov, Snider, Stewart & Williams 2008 (Nature 453:80), linear ion
+    # drift: dw/dt = mu_v * R_on / D * i(t).  With D = 10 nm, mu_v = 1e-14
+    # m^2/(V s) (their 1e-10 cm^2/(V s)), R_on = 100 ohm and i = 0.1 mA:
+    # 1e-14 * 100 / 1e-8 * 1e-4 = 1e-8 m/s, the same at every w when the
+    # window is off (p = 0); the polarity only flips the sign.
+    p = MemristorParams(r_on=100.0, r_off=16e3, length=10e-9, mobility=1e-14,
+                        window_p=0, polarity=polarity)
+    got = memristor_dwdt(MemristorState(w=fraction * p.length), p, 1e-4)
+    assert got == pytest.approx(polarity * 1e-8, rel=REL)
+
+
+@pytest.mark.parametrize("p, x, want", [
+    # Joglekar & Wolf 2009 (Eur. J. Phys. 30:661), f(x) = 1 - (2x - 1)^(2p)
+    (1, 0.0, 0.0), (1, 1.0, 0.0), (1, 0.5, 1.0),
+    (1, 0.25, 0.75),                      # 1 - 0.5^2
+    (1, 0.9, 0.36),                       # 1 - 0.8^2
+    (2, 0.0, 0.0), (2, 1.0, 0.0), (2, 0.5, 1.0),
+    (2, 0.75, 0.9375),                    # 1 - 0.5^4
+    (2, 0.9, 0.5904),                     # 1 - 0.8^4 = 1 - 0.4096
+    (10, 0.0, 0.0), (10, 1.0, 0.0), (10, 0.5, 1.0),
+    (10, 0.25, 1.0 - 2.0 ** -20),         # 1 - 0.5^20
+    (10, 0.9, 0.98847078495393153024),    # 1 - 0.8^20 = 1 - 0.01152921504606846976
+])
+def test_window_is_joglekar_wolf(p, x, want):
+    assert joglekar_window(x, p) == pytest.approx(want, rel=REL, abs=1e-15)
 
 
 def test_dwdt_matches_oracle_with_calibrated_mobility():
@@ -391,6 +428,54 @@ def test_source_value_dc_and_sine():
     assert source_value(s, 0.0) == pytest.approx(5.0, rel=REL)
     assert source_value(s, 0.005) == pytest.approx(7.5, rel=REL)  # quarter period
     assert source_value(s, None) == pytest.approx(5.0, rel=REL)
+
+
+@pytest.mark.parametrize("spec", [
+    SourceSpec(kind="dc", dc_value=2.5),
+    SourceSpec(kind="sine", dc_value=1.2, amplitude=0.7, frequency=37.0, phase=0.9),
+], ids=["dc", "sine"])
+def test_source_value_on_an_array_is_the_scalar_law_to_the_bit(spec):
+    times = np.concatenate([[0.0], np.random.default_rng(3).uniform(0.0, 2.0, 500),
+                            np.arange(2001) * 1e-4])
+    got = source_value(spec, times)
+    assert got.shape == times.shape
+    want = np.array([source_value(spec, t) for t in times.tolist()])
+    assert got.tobytes() == want.tobytes()
+    # time=None is the DC value, the t = 0 one
+    assert source_value(spec, np.zeros(1)).tobytes() == np.array(
+        [source_value(spec, None)]).tobytes()
+
+
+def test_numpy_sine_is_math_sine_on_the_drive_samples(monkeypatch):
+    # The engine evaluates a memoryless transient's sources with numpy.sin
+    # and a memristive step's with math.sin: on a platform where the two
+    # differ on the benchmark's own sine samples, the THD and hysteresis
+    # outputs would move.  Record every array of sine sample times the
+    # seed-1 drive workload evaluates, and compare the two on its arguments.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("drive_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    calls = []
+    real = engine.source_value
+
+    def spy(spec, time=None):
+        if isinstance(time, np.ndarray) and spec.kind == "sine":
+            calls.append((spec, time))
+        return real(spec, time)
+
+    monkeypatch.setattr(engine, "source_value", spy)
+    tasks = workloads.build_tasks("drive", 1)
+    for task in tasks:
+        workloads.run_task(task)
+    # every THD run (2,001 samples) and hysteresis grid (6,001) was seen,
+    # besides the t = 0 rows of the memristive ones
+    lengths = [len(t) for _, t in calls]
+    assert lengths.count(2001) == lengths.count(6001) == len(tasks) // 2
+    for source, times in calls:
+        args = 2.0 * math.pi * source.frequency * times + source.phase
+        scalar = np.array([math.sin(a) for a in args.tolist()])
+        assert np.sin(args).tobytes() == scalar.tobytes(), source
 
 
 def test_source_spec_validation():

@@ -17,6 +17,7 @@ from mirrorsim.devices import (
     mosfet_kprime,
     mosfet_vth,
     resistor_value,
+    source_value,
     state_for_memristance,
 )
 from mirrorsim import engine
@@ -500,13 +501,9 @@ def test_large_steps_follow_the_default_grid():
     assert abs(wave.values[-1] - m_fine_2m) / m_fine_2m < 0.02
 
 
-def test_transient_newton_failure_carries_trace_and_time(monkeypatch):
+def test_transient_newton_failure_carries_trace_and_time(nan_sources):
     # sources read NaN after t = 0, so the first backward-Euler step fails
-    real = engine.source_value
-    monkeypatch.setattr(
-        engine, "source_value",
-        lambda spec, time=None: math.nan if time else real(spec, time),
-    )
+    nan_sources(lambda t: t != 0.0)
     cir = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS))
     with pytest.raises(NonConvergenceError) as exc:
         run_transient(cir, SimOptions(dt=1e-3, t_stop=0.01), ["m(Y2)"])
@@ -645,12 +642,8 @@ def test_a_step_failing_at_every_size_raises_at_the_floor(monkeypatch, opts):
     assert calls[-1][1] == pytest.approx(floor)
 
 
-def test_a_non_finite_controlled_step_raises_without_a_cut(monkeypatch):
-    real = engine.source_value
-    monkeypatch.setattr(
-        engine, "source_value",
-        lambda spec, time=None: math.nan if time else real(spec, time),
-    )
+def test_a_non_finite_controlled_step_raises_without_a_cut(monkeypatch, nan_sources):
+    nan_sources(lambda t: t != 0.0)
     calls = _newton_limited(monkeypatch, math.inf)
     cir = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS))
     with pytest.raises(NonConvergenceError) as exc:
@@ -880,19 +873,31 @@ def test_block_reads_share_the_run_topology(monkeypatch, build, opts, probe):
     assert built == [cir]
 
 
-@pytest.mark.parametrize("first_bad", [1, engine._TRANSIENT_BLOCK + 3])
+PAST_A_BLOCK = engine._TRANSIENT_BLOCK + 3
+
+
+@pytest.mark.parametrize("supply, first_bad", [
+    pytest.param("dc", 1, id="1"),
+    pytest.param("dc", PAST_A_BLOCK, id=f"{PAST_A_BLOCK}"),
+    pytest.param("sine", PAST_A_BLOCK, id=f"sine-{PAST_A_BLOCK}"),
+])
 def test_memoryless_transient_raises_at_the_earliest_failing_sample(
-        monkeypatch, first_bad):
+        nan_sources, supply, first_bad):
     # sources read NaN from sample ``first_bad`` on; every such sample fails
-    # its cold Newton and its source-stepping retry
+    # its cold Newton and its source-stepping retry.  Under the dc supply
+    # the samples before it share one distinct row; under a sine too slow
+    # to repeat a value each is its own, so the first failing distinct row
+    # lies past the first block of rows
     dt = 1e-3
-    real = engine.source_value
-    monkeypatch.setattr(
-        engine, "source_value",
-        lambda spec, time=None: (math.nan if time and time >= first_bad * dt
-                                 else real(spec, time)),
-    )
     cir = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_RESISTORS))
+    if supply == "sine":
+        cir.device("V1").spec = SourceSpec(kind="sine", dc_value=3.0, amplitude=0.5,
+                                           frequency=0.3)
+    sources = [d.spec for d in cir.devices if isinstance(d, BoundSource)]
+    before = {np.array([source_value(spec, k * dt) for spec in sources]).tobytes()
+              for k in range(first_bad)}
+    assert len(before) == (1 if supply == "dc" else first_bad)
+    nan_sources(lambda t: t >= first_bad * dt)
     with pytest.raises(NonConvergenceError) as exc:
         run_transient(cir, SimOptions(dt=dt, t_stop=1.0), ["i(M2)"])
     err = exc.value
@@ -900,6 +905,53 @@ def test_memoryless_transient_raises_at_the_earliest_failing_sample(
     assert f"at t={first_bad * dt:.9g} s" in str(err)
     assert "source stepping stalled" in str(err)
     assert len(err.trace) == 1 and err.trace[0][0] == 1
+
+
+def _compiled_rows(monkeypatch) -> list:
+    """Row counts of every engine._compile call from here on."""
+    counts = []
+    real = engine._compile
+
+    def spy(circuit, opts, temps=(None,), **kwargs):
+        counts.append(len(temps))
+        return real(circuit, opts, temps, **kwargs)
+
+    monkeypatch.setattr(engine, "_compile", spy)
+    return counts
+
+
+def test_memoryless_transient_compiles_each_distinct_sample_once(monkeypatch):
+    # the THD analysis's run: 10 periods of 200 samples; a sample's row is
+    # the bits of its source values, and only the distinct rows are solved
+    cir = _sine_supplied(MirrorKind.TWO_RESISTORS)
+    dt, samples = 1e-4, 2001
+    sources = [d.spec for d in cir.devices if isinstance(d, BoundSource)]
+    distinct = {np.array([source_value(spec, k * dt) for spec in sources]).tobytes()
+                for k in range(samples)}
+    counts = _compiled_rows(monkeypatch)
+    res = run_transient(cir, SimOptions(dt=dt, t_stop=(samples - 1) * dt), ["i(M2)"])
+    assert len(res.waveform("i(M2)").t) == samples
+    assert sum(counts) == len(distinct) < samples
+    assert max(counts) <= engine._TRANSIENT_BLOCK
+
+
+def test_dc_supplied_transient_compiles_one_row(monkeypatch):
+    cir = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_RESISTORS))
+    opts = SimOptions(dt=1e-3, t_stop=0.1)
+    nodes = range(1, len(cir.node_names))
+    names = [d.name for d in cir.devices]
+    counts = _compiled_rows(monkeypatch)
+    res = run_transient(cir, opts, [f"v({cir.node_names[n]})" for n in nodes]
+                        + [f"i({name})" for name in names])
+    assert counts == [1]
+    t = res.waveforms[0].t
+    assert len(t) == 101
+    for k, time in enumerate(t.tolist()):
+        op = solve_dc(cir, opts, source_time=time)
+        for j, n in enumerate(nodes):
+            assert res.waveforms[j].values[k] == op.node_voltages[n]
+        for j, name in enumerate(names):
+            assert res.waveforms[len(nodes) + j].values[k] == op.device_currents[name]
 
 
 def test_non_finite_iterate_fails_after_one_iteration(monkeypatch):
