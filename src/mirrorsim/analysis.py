@@ -111,6 +111,11 @@ class NotSettledError(AnalysisError):
 
 _MIN_SAMPLES_PER_PERIOD = 20
 
+# largest spread of a THD grid's time steps, relative to its first: the
+# steps of np.arange(n) * dt differ by rounding alone, a few ulps of the
+# last time
+_UNIFORM_GRID_RTOL = 1e-6
+
 
 @dataclass(frozen=True)
 class ThdResult:
@@ -148,9 +153,10 @@ def compute_thd(wave: Waveform, f0: float, n_harmonics: int, *,
     grid and free of spectral leakage between the measured bins.
 
     Raises :class:`AnalysisError` when the waveform is too short (fewer than
-    two whole periods after the discard), when ``f0`` is not resolvable on
-    the sample grid (fewer than 20 samples per period), or when the highest
-    requested harmonic sits at or beyond the Nyquist rate.
+    two whole periods after the discard), when its time grid is not uniform,
+    when ``f0`` is not resolvable on the sample grid (fewer than 20 samples
+    per period), or when the highest requested harmonic sits at or beyond
+    the Nyquist rate.
     """
     if f0 <= 0.0:
         raise AnalysisError(f"fundamental frequency must be positive, got {f0}")
@@ -161,6 +167,11 @@ def compute_thd(wave: Waveform, f0: float, n_harmonics: int, *,
     if t.size < 2:
         raise AnalysisError("waveform too short: need at least two samples")
     dt = float(t[1] - t[0])
+    steps = np.diff(t)
+    if np.ptp(steps) > _UNIFORM_GRID_RTOL * abs(dt):
+        raise AnalysisError(
+            f"time grid not uniform: steps range from {steps.min():.6g} to "
+            f"{steps.max():.6g} s")
     samples_per_period = 1.0 / (f0 * dt)
     if samples_per_period < _MIN_SAMPLES_PER_PERIOD:
         raise AnalysisError(
@@ -378,7 +389,8 @@ def mismatch_sweep(config: MirrorConfig, load2_values: Iterable[float], *,
     memristance for the solve — the sweep isolates the effect of a load value,
     so the state is pinned rather than allowed to drift during settling.
     Non-convergent rows are flagged and the sweep continues.  The baseline
-    and every row are one batched DC solve.
+    and every row are one batched DC solve.  A baseline that carries no
+    input current raises :class:`AnalysisError`.
     """
     values = [float(v) for v in load2_values]
     if not values:
@@ -400,6 +412,10 @@ def mismatch_sweep(config: MirrorConfig, load2_values: Iterable[float], *,
     v_ds2 = float(base_op.node_voltages[circuit.node_index("d2")])
     k_factor = 1.0 / (1.0 - v_ds1 / vdd)
     i_d1_base = base_op.device_currents["M1"]
+    if i_d1_base == 0.0:
+        raise AnalysisError(
+            f"mismatch baseline ({path}={base:g}) carries no input current: "
+            f"I_D1 = 0 A, so the relative error is undefined")
     delta_base = (base_op.device_currents["M2"] - i_d1_base) / i_d1_base
     _, _, g_ds2 = mosfet_linearized(v_ds1, v_ds2, circuit.device("M2").params, temp)
     k_factor_ro = base / (base + 1.0 / g_ds2)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import os
 import sys
 import time
@@ -337,10 +338,10 @@ def cmd_mirror(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    if args.target <= 0.0:
-        raise _UsageError(f"--target must be positive, got {args.target}")
-    if args.vdd <= 0.0:
-        raise _UsageError(f"--vdd must be positive, got {args.vdd}")
+    if not (math.isfinite(args.target) and args.target > 0.0):
+        raise _UsageError(f"--target must be positive and finite, got {args.target}")
+    if not (math.isfinite(args.vdd) and args.vdd > 0.0):
+        raise _UsageError(f"--vdd must be positive and finite, got {args.vdd}")
     try:
         mobility = calibrate_mobility(target=args.target, vdd=args.vdd)
     except AnalysisError as exc:

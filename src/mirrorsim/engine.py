@@ -85,9 +85,7 @@ __all__ = [
     "OperatingPoint",
     "Waveform",
     "TransientResult",
-    "assemble_system",
     "solve_dc",
-    "solve_dc_batch",
     "run_transient",
 ]
 
@@ -209,17 +207,19 @@ class SimOptions:
     keep the fixed grid either way.
     """
 
-    abstol: float = 1e-9
-    reltol: float = 1e-6
-    vntol: float = 1e-6
+    # Newton's tolerances, the same for every solve: the KCL residual (A),
+    # and the relative and absolute (V) node voltage steps; ``reltol`` also
+    # bounds a memristor state's step and its local error
+    abstol = 1e-9
+    reltol = 1e-6
+    vntol = 1e-6
+
     dt: float | None = None
     t_stop: float | None = None
     temp: float | None = None
     adaptive: bool = False
 
     def __post_init__(self) -> None:
-        if self.abstol <= 0.0 or self.reltol <= 0.0 or self.vntol <= 0.0:
-            raise ValueError("tolerances must be positive")
         if self.dt is not None and self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.t_stop is not None and self.t_stop <= 0.0:
@@ -276,13 +276,6 @@ class TransientResult:
 # --------------------------------------------------------------------------- #
 # topology and stamp patterns
 # --------------------------------------------------------------------------- #
-
-def _signature(circuit: Circuit) -> tuple:
-    """What circuits that share a compiled topology have in common: nodes,
-    and the kind, name and terminals of every device in order."""
-    return (tuple(circuit.node_names),
-            tuple((type(d), d.name, terminals(d)) for d in circuit.devices))
-
 
 def _normalized(memristors, states: dict[str, float] | None = None) -> list[float]:
     """Normalized states s = w/L of ``memristors``, from ``states`` (metres
@@ -352,9 +345,10 @@ def _mosfet_stamps(mosfets):
 
 
 class _Topology:
-    """Index maps of one circuit: what every circuit with the same
-    :func:`_signature` shares, whatever its parameters and temperature.  A
-    floating circuit, or one with no voltage source, raises."""
+    """Index maps of one circuit: what every circuit with the same nodes,
+    and the same kind, name and terminals of every device in order, shares,
+    whatever its parameters and temperature.  A floating circuit, or one
+    with no voltage source, raises."""
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
@@ -525,11 +519,11 @@ class _DcRows:
     iterates equal those of the same row solved alone, to the bit.
     """
 
-    def __init__(self, topo: _Topology, titles, temps, records, states,
+    def __init__(self, topo: _Topology, temps, records, states,
                  opts: SimOptions, values: np.ndarray):
         self.topo, self.opts = topo, opts
-        self.titles, self.temps, self.states = list(titles), list(temps), states
-        count = len(self.titles)
+        self.temps, self.states = list(temps), states
+        count = len(self.temps)
         devices = topo.circuit.devices
         s_at = {} if states is None else dict(zip(topo.mem_cols, states))
         same_temp = len(set(self.temps)) == 1
@@ -684,7 +678,7 @@ class _DcRows:
                     if singular is not None and singular[p]:
                         self.errors[row] = SingularMatrixError(
                             f"singular nodal matrix while solving "
-                            f"{self.titles[row]!r}")
+                            f"{topo.circuit.title!r}")
                     else:
                         self.errors[row] = NonConvergenceError(
                             "Newton produced a non-finite iterate",
@@ -722,7 +716,7 @@ class _DcRows:
         then source stepping, as one batch, for the rows that did not
         converge; a stepped row's ``iterations`` sums its steps'.  Fills
         the arrays and ``errors`` in place and returns the rows."""
-        count, dim = len(self.titles), self.topo.dim
+        count, dim = len(self.temps), self.topo.dim
         self.x = np.full((count, dim), math.nan)
         self.iterations = np.zeros(count)
         self.currents = np.full((count, len(self.topo.current_nodes)), math.nan)
@@ -829,7 +823,6 @@ class _Steps:
 
     def __init__(self, rows: _DcRows):
         topo = self.topo = rows.topo
-        self.title = rows.titles[0]
         self.specs = [src.spec for src in topo.sources]
         self.branches = topo.branch_cols.tolist()
         self.damped = [j in topo.damped_nodes for j in range(topo.n_nodes)]
@@ -980,7 +973,8 @@ class _Steps:
                         np.linalg.solve(g_mat, rhs)
                     except np.linalg.LinAlgError as exc:
                         raise SingularMatrixError(
-                            f"singular nodal matrix while solving {self.title!r}"
+                            f"singular nodal matrix while solving "
+                            f"{self.topo.circuit.title!r}"
                         ) from exc
                     trace.append((it, math.nan, math.nan))
                     raise NonConvergenceError(
@@ -1094,13 +1088,13 @@ class _Steps:
 
 
 def _compile(circuit: Circuit | _Topology, opts: SimOptions, temps=(None,), *,
-             records=None, titles=None, states=None, source_times=None,
+             records=None, states=None, source_time: float | None = None,
              values=None) -> _DcRows:
     """``circuit`` compiled under ``opts`` as :class:`_DcRows`, one row per
     entry of ``temps`` (None: what :func:`solve_dc` would use); the other
-    arguments default to the circuit's titles, t = 0 sources and initial
-    states.  The sources' ``values`` (rows, sources), when not given, are
-    evaluated at ``source_times`` (one per row, None meaning t = 0) by
+    arguments default to t = 0 sources and initial states.  The sources'
+    ``values`` (rows, sources), when not given, are evaluated at
+    ``source_time`` (None meaning t = 0) for every row by
     :func:`_source_values`.  ``states`` are in metres by name (a dict), or
     already normalized: one entry per memristor in topology order, each a
     number or an array of one value per row.  This is the one path from a
@@ -1114,33 +1108,10 @@ def _compile(circuit: Circuit | _Topology, opts: SimOptions, temps=(None,), *,
     temp = circuit.temp if opts.temp is None else opts.temp
     records = records or {}
     if values is None:
-        times = np.array([0.0 if t is None else t
-                          for t in source_times or [None] * len(temps)])
+        times = np.full(len(temps), 0.0 if source_time is None else source_time)
         values = _source_values(topo, records, times)
-    return _DcRows(topo, titles or [circuit.title] * len(temps),
-                   [temp if t is None else t for t in temps], records, s,
+    return _DcRows(topo, [temp if t is None else t for t in temps], records, s,
                    opts, values)
-
-
-def assemble_system(circuit: Circuit, guess, states: dict[str, float] | None = None,
-                    temp: float | None = None, *, source_scale: float = 1.0,
-                    source_time: float | None = None):
-    """Linearized MNA system (matrix, rhs) at ``guess``.
-
-    ``guess`` must have one entry per node (ground included, index 0) plus one
-    per voltage source.  Memristor resistances are frozen at ``states``
-    (initial states when omitted); gmin (1e-12 S) lands on every non-ground
-    node diagonal.  Row/column 0 is the trivial ground pin.
-    """
-    rows = _compile(circuit, SimOptions(temp=temp), states=states,
-                    source_times=[source_time])
-    if len(guess) != rows.topo.dim:
-        raise ValueError(f"guess must have {rows.topo.dim} entries, got {len(guess)}")
-    if rows.errors:
-        raise rows.errors[0]
-    g_mat, rhs = rows.assemble(np.zeros(1, dtype=int),
-                               np.asarray(guess, dtype=float)[None, :], source_scale)
-    return g_mat[0], rhs[0]
 
 
 def solve_dc(circuit: Circuit, opts: SimOptions | None = None, *,
@@ -1151,50 +1122,14 @@ def solve_dc(circuit: Circuit, opts: SimOptions | None = None, *,
 
     Sine sources contribute their t=0 value unless ``source_time`` picks
     another instant.  Raises :class:`NonConvergenceError` (after a source
-    stepping retry) or :class:`SingularMatrixError`.  This is
-    :func:`solve_dc_batch` with one row, solved in place and read back.
+    stepping retry) or :class:`SingularMatrixError`.  The circuit is
+    compiled as one :class:`_DcRows` row, solved in place and read back.
     """
     opts = opts or SimOptions()
-    rows = _compile(circuit, opts, states=states, source_times=[source_time]).solve()
+    rows = _compile(circuit, opts, states=states, source_time=source_time).solve()
     if rows.errors:
         raise rows.errors[0]
     return rows.operating_point(0)
-
-
-def solve_dc_batch(circuits, opts: SimOptions | None = None, *,
-                   temps=None) -> list:
-    """DC operating points of circuits that share one topology (nodes, and
-    device kinds, names and terminals in order), solved as one batch.
-
-    The circuits may differ in any device parameter and in temperature:
-    ``temps[k]`` is row k's temperature (default: what :func:`solve_dc`
-    would use).  Memristors are frozen at their initial states.  The rows
-    are compiled once and solved in place.  Each entry of the returned list
-    is the :class:`OperatingPoint` that ``solve_dc(circuits[k], ...)``
-    returns, to the bit and with the same ``newton_iterations``, or the
-    error it raises (a :class:`SimulationError` or
-    :class:`~mirrorsim.devices.DeviceError`); one failing row never fails
-    the others.  A circuit of another topology raises ValueError.
-    """
-    opts = opts or SimOptions()
-    circuits = list(circuits)
-    if not circuits:
-        return []
-    if temps is None:
-        temps = [c.temp if opts.temp is None else opts.temp for c in circuits]
-    elif len(temps) != len(circuits):
-        raise ValueError(f"{len(temps)} temperatures for {len(circuits)} circuits")
-    signature = _signature(circuits[0])
-    for k, circuit in enumerate(circuits):
-        if circuit is not circuits[0] and _signature(circuit) != signature:
-            raise ValueError(f"circuit {k} ({circuit.title!r}) does not share the "
-                             f"topology of circuit 0")
-    records = {j: list(column) for j, column in
-               enumerate(zip(*(c.devices for c in circuits)))}
-    rows = _compile(circuits[0], opts, temps, records=records,
-                    titles=[c.title for c in circuits]).solve()
-    return [rows.errors[k] if k in rows.errors else rows.operating_point(k)
-            for k in range(len(circuits))]
 
 
 # --------------------------------------------------------------------------- #
@@ -1376,7 +1311,7 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     # too (None: each sample is a DC solve at its state)
     xs, ss = None, np.empty((len(times), 0))
     if memristors:
-        compiled = _compile(topo, opts, states=states, source_times=[0.0]).solve()
+        compiled = _compile(topo, opts, states=states).solve()
         if compiled.errors:
             raise compiled.errors[0]
         s, x = compiled.states, compiled.x[0].tolist()

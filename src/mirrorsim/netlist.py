@@ -14,6 +14,7 @@ case-insensitive; node ``0`` is ground.  Anything outside the grammar is a
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -110,7 +111,8 @@ def parse_value(token: str, env: dict[str, float] | None = None, line: int = 0) 
     The suffix must be one of f p n u m k meg g (case-insensitive) and nothing
     else — ``38kohm`` is a parse error, as is an undefined parameter name.
     A suffix shifts the decimal exponent, so ``170u`` is exactly the float
-    ``170e-6`` (not ``170 * 1e-6``, which differs in the last bit).
+    ``170e-6`` (not ``170 * 1e-6``, which differs in the last bit).  A
+    literal too large for a float, such as ``1e999``, is a parse error.
     """
     m = _VALUE_RE.match(token)
     if m:
@@ -119,7 +121,10 @@ def parse_value(token: str, env: dict[str, float] | None = None, line: int = 0) 
         if shift is None:
             raise ParseError(f"unknown value suffix {suffix!r} in {token!r}", line)
         total = int(exponent or 0) + shift
-        return float(f"{mantissa}e{total}")
+        value = float(f"{mantissa}e{total}")
+        if math.isinf(value):
+            raise ParseError(f"value {token!r} overflows a float", line)
+        return value
     if env is not None and _NAME_RE.match(token):
         key = token.lower()
         if key in env:

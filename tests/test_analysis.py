@@ -47,7 +47,6 @@ from mirrorsim.engine import (
     Waveform,
     run_transient,
     solve_dc,
-    solve_dc_batch,
 )
 from mirrorsim.netlist import (
     Circuit,
@@ -156,6 +155,14 @@ class TestComputeThd:
     def test_rejects_harmonics_beyond_nyquist(self):
         with pytest.raises(AnalysisError, match="Nyquist"):
             compute_thd(sine_wave(samples_per_period=200), 1.0, 150)
+
+    def test_rejects_non_uniform_grid(self):
+        # the steps grow from 0; read as a uniform grid of its first step,
+        # this 10 % second harmonic measured 10.7 %
+        t = 10.0 * np.linspace(0.0, 1.0, 2001) ** 1.5
+        x = np.sin(2 * math.pi * t) + 0.1 * np.sin(4 * math.pi * t + 0.7)
+        with pytest.raises(AnalysisError, match="not uniform"):
+            compute_thd(Waveform("x", "V", t, x), 1.0, 9)
 
     def test_rejects_bad_fundamental_and_order(self):
         wave = sine_wave()
@@ -424,17 +431,17 @@ class TestMismatchSweep:
     def test_batched_rows_equal_single_solves(self, config, path):
         # the baseline and the rows are one batched solve; each row must be
         # the solve of its own circuit alone, Newton iteration count included
-        circuit = mirror_circuit(config)
-        opts = SimOptions(temp=T_REF)
         table = mismatch_sweep(config, GRID)
-        variants = [with_override(circuit, path, value) for value in GRID]
-        singles = [solve_dc(variant, opts) for variant in variants]
-        for batched, single in zip(solve_dc_batch(variants, opts), singles):
-            assert_same_op(batched, single)
+        singles = assert_rows_equal_lone_solves(config, path, GRID, T_REF)
         for row, single in zip(table.rows, singles):
             i1, i2 = single.device_currents["M1"], single.device_currents["M2"]
             assert row.simulated == (i2 - i1) / i1
         assert table.baseline_current == singles[2].device_currents["M1"]
+
+    def test_rejects_a_baseline_without_input_current(self):
+        # at 0.3 V both transistors are off, so I_D1 = 0 A
+        with pytest.raises(AnalysisError, match="baseline"):
+            mismatch_sweep(MirrorConfig(MirrorKind.TWO_RESISTORS, vdd=0.3), GRID)
 
     def test_rejects_empty_and_nonpositive_loads(self):
         config = MirrorConfig(MirrorKind.TWO_RESISTORS)
@@ -478,9 +485,9 @@ class TestTemperatureSweep:
         temps = [ZERO_CELSIUS + c for c in range(0, 101, 10)]
         circuit = mirror_circuit(MirrorConfig(kind))
         singles = [solve_dc(circuit, SimOptions(temp=T)) for T in temps]
-        batched = solve_dc_batch([circuit] * len(temps), temps=temps)
-        for op, single in zip(batched, singles):
-            assert_same_op(op, single)
+        batched = engine._compile(circuit, SimOptions(), temps).solve()
+        for k, single in enumerate(singles):
+            assert_same_op(batched.operating_point(k), single)
         rows = temperature_sweep(MirrorConfig(kind), temps)
         for row, T, single in zip(rows, temps, singles):
             assert (row.temp, row.i_in, row.i_out) == (
@@ -530,12 +537,8 @@ class TestParameterSweep:
         (MirrorKind.PMOS_RESISTOR, "R2.r_nominal", [20e3, 38e3, 60e3]),
     ], ids=["2r-width", "2r-vdd", "pmos-r-vbias", "pmos-r-load"])
     def test_batched_rows_equal_single_solves(self, kind, path, values):
-        circuit = mirror_circuit(MirrorConfig(kind))
-        out_node = circuit.node_index("d2")
-        variants = [with_override(circuit, path, value) for value in values]
-        singles = [solve_dc(variant) for variant in variants]
-        for op, single in zip(solve_dc_batch(variants), singles):
-            assert_same_op(op, single)
+        out_node = mirror_circuit(MirrorConfig(kind)).node_index("d2")
+        singles = assert_rows_equal_lone_solves(MirrorConfig(kind), path, values, None)
         rows = parameter_sweep(MirrorConfig(kind), path, values)
         for row, value, single in zip(rows, values, singles):
             assert (row.value, row.i_out, row.v_out) == (
@@ -600,10 +603,11 @@ def lone_outcome(circuit, path, value, opts):
         return exc
 
 
-def assert_rows_equal_lone_solves(kind, path, values, temp):
-    """Each row of a compiled-once sweep is the lone solve of its own
-    overridden circuit, field for field, or carries the same error."""
-    circuit = mirror_circuit(MirrorConfig(kind))
+def assert_rows_equal_lone_solves(config, path, values, temp):
+    """Each row of a compiled-once sweep of ``config`` is the lone solve of
+    its own overridden circuit, field for field, or carries the same error;
+    returns the lone outcomes."""
+    circuit = mirror_circuit(config)
     opts = SimOptions(temp=temp)
     position, records = overrides(circuit, path, values)
     compiled = engine._compile(circuit, opts, [None] * len(values),
@@ -630,7 +634,8 @@ class TestSweepColumns:
         kind, sweeps, m0_values, temp = case
         out_node = mirror_circuit(MirrorConfig(kind)).node_index("d2")
         for path, values in sweeps:
-            alone = assert_rows_equal_lone_solves(kind, path, values, temp)
+            alone = assert_rows_equal_lone_solves(MirrorConfig(kind), path, values,
+                                                  temp)
             # parameter_sweep raises the first invalid value's error before
             # solving, else the first failing row's
             invalid = [e for e in alone if isinstance(e, ElaborationError)]
@@ -645,8 +650,8 @@ class TestSweepColumns:
                 assert (row.value, row.i_out, row.v_out) == (
                     value, single.device_currents["M2"],
                     float(single.node_voltages[out_node]))
-        alone = assert_rows_equal_lone_solves(MirrorKind.TWO_MEMRISTORS, "Y2.m0",
-                                              m0_values, temp)
+        alone = assert_rows_equal_lone_solves(MirrorConfig(MirrorKind.TWO_MEMRISTORS),
+                                              "Y2.m0", m0_values, temp)
         table = mismatch_sweep(MirrorConfig(MirrorKind.TWO_MEMRISTORS), m0_values,
                                temp=temp)
         for row, single in zip(table.rows, alone):

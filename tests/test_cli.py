@@ -239,6 +239,38 @@ class TestExitCodes:
         assert code == EXIT_PARSE
         assert "--vdd" in err
 
+    @pytest.mark.parametrize("flag, value", [("--target", "nan"), ("--target", "inf"),
+                                             ("--vdd", "nan"), ("--vdd", "inf")])
+    def test_calibrate_rejects_non_finite_values(self, flag, value, capsys):
+        code, _, err = run_cli(["calibrate", flag, value], capsys)
+        assert code == EXIT_PARSE
+        assert err == f"error: {flag} must be positive and finite, got {value}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["mirror", "2r", "--set", "R2.r_nominal=1e999"],
+        ["mirror", "2r", "--set", "vdd=1e999"],
+        ["mirror", "2r", "--analysis", "param-sweep", "--param", "R2.r_nominal",
+         "--values", "38k,1e999"],
+    ], ids=["set-path", "set-vdd", "param-sweep"])
+    def test_a_value_that_overflows_a_float_is_a_parse_error(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_PARSE and out == ""
+        assert "'1e999'" in err
+
+    def test_a_deck_value_that_overflows_a_float_is_a_parse_error(self, tmp_path,
+                                                                 capsys):
+        path = netlist_file(tmp_path, "V1 1 0 DC 1e999\nR1 1 0 1k\n.end\n")
+        code, out, err = run_cli(["run", path], capsys)
+        assert code == EXIT_PARSE and out == ""
+        assert err == "error: line 1: value '1e999' overflows a float\n"
+
+    def test_mismatch_without_baseline_current_is_an_analysis_error(self, capsys):
+        # at 0.3 V the input transistor is off: I_D1 = 0 A
+        code, out, err = run_cli(["mirror", "2r", "--analysis", "mismatch",
+                                  "--set", "vdd=0.3"], capsys)
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("error: mismatch baseline (R2.r_nominal=38000)")
+
     def test_unreachable_calibration_target_is_simulation_error(self, capsys):
         # Far below what even the fastest-mobility endpoint can switch in.
         code, _, err = run_cli(["calibrate", "--target", "3e-4"], capsys)

@@ -82,6 +82,12 @@ def test_malformed_values_are_parse_errors(token):
         parse_value(token, line=7)
 
 
+@pytest.mark.parametrize("token", ["1e999", "-2e308", "1e306meg", "1e300g"])
+def test_values_that_overflow_a_float_are_parse_errors(token):
+    with pytest.raises(ParseError, match="overflows a float"):
+        parse_value(token, line=7)
+
+
 def test_value_error_carries_line_number():
     with pytest.raises(ParseError) as exc:
         parse_value("38kohm", line=7)
