@@ -13,9 +13,11 @@ benchmark workloads for each seed (``perfbench/workloads.py``);
 ``run_transient`` on the fixed grid, with error-controlled steps, and with
 those steps read on the fixed grid, on all four built-in mirrors and on a
 lone window-2 memristor whose state reaches its bound (its fixed steps are
-cut there); ``solve_dc`` on all four mirrors; and ``run_transient`` on the
+cut there); ``solve_dc`` on all four mirrors; ``run_transient`` on the
 fixed grid of ``pmos-r`` with its supply and gate bias sines of different
-frequencies.  ``--root`` picks the checkout whose ``src`` and ``perfbench``
+frequencies; and ``solve_dc`` and fixed and error-controlled
+``run_transient`` on ``2r`` and ``2m`` with ``circuit.temp`` set to 0 C and
+100 C.  ``--root`` picks the checkout whose ``src`` and ``perfbench``
 are imported (default: the one holding this script).  A run that raises prints its error in place of its
 result.
 """
@@ -33,6 +35,9 @@ SEEDS = (1, 7)
 WORKLOADS = ("settle", "sweep", "drive")
 MIRRORS = ("2m", "pmos-m", "2r", "pmos-r")
 T_STOP = 3.0
+# mirrors run at temperatures (K) other than their default, set on the circuit
+HOT_MIRRORS = ("2r", "2m")
+TEMPS = (273.15, 373.15)
 
 # a sine-driven lone memristor that reaches s = 1, where 10 ms steps are cut
 BOUND_DECK = """V1 in 0 SIN(0 2.5 5)
@@ -71,11 +76,21 @@ def line(label: str, run) -> str:
     return " ".join([label] + fields)
 
 
+def probes_of(circuit) -> list[str]:
+    """Every node voltage, device current, and memristor state and
+    memristance of ``circuit``."""
+    from mirrorsim.netlist import BoundMemristor
+
+    return ([f"v({node})" for node in circuit.node_names[1:]]
+            + [f"i({d.name})" for d in circuit.devices]
+            + [f"{p}({d.name})" for d in circuit.devices
+               if isinstance(d, BoundMemristor) for p in "wm"])
+
+
 def runs():
     """(label, zero-argument call) of every fingerprinted run."""
     import mirrorsim as ms
     import workloads
-    from mirrorsim.netlist import BoundMemristor
 
     for workload in WORKLOADS:
         for seed in SEEDS:
@@ -87,10 +102,7 @@ def runs():
     circuits["bound"] = ms.elaborate(ms.parse(BOUND_DECK))
     for kind, circuit in circuits.items():
         step = 0.01 if kind == "bound" else None
-        probes = ([f"v({node})" for node in circuit.node_names[1:]]
-                  + [f"i({d.name})" for d in circuit.devices]
-                  + [f"{p}({d.name})" for d in circuit.devices
-                     if isinstance(d, BoundMemristor) for p in "wm"])
+        probes = probes_of(circuit)
         for mode, opts in (
             ("fixed", ms.SimOptions(dt=step, t_stop=T_STOP)),
             ("adaptive", ms.SimOptions(t_stop=T_STOP, adaptive=True)),
@@ -108,11 +120,20 @@ def runs():
     two_sines.device("VB").spec = ms.SourceSpec(kind="sine", dc_value=0.7,
                                                 amplitude=0.1, frequency=30.0,
                                                 phase=0.5)
-    probes = ([f"v({node})" for node in two_sines.node_names[1:]]
-              + [f"i({d.name})" for d in two_sines.devices])
     yield ("run_transient pmos-r two-sines fixed",
            lambda: ms.run_transient(two_sines, ms.SimOptions(dt=1e-4, t_stop=0.2),
-                                    probes))
+                                    probes_of(two_sines)))
+    for kind in HOT_MIRRORS:
+        for temp in TEMPS:
+            circuit = ms.mirror_circuit(ms.MirrorConfig(kind=ms.MirrorKind(kind)))
+            circuit.temp = temp
+            yield f"solve_dc {kind} {temp} K", lambda c=circuit: ms.solve_dc(c)
+            for mode, opts in (
+                ("fixed", ms.SimOptions(t_stop=T_STOP)),
+                ("adaptive", ms.SimOptions(t_stop=T_STOP, adaptive=True)),
+            ):
+                yield (f"run_transient {kind} {mode} {temp} K",
+                       lambda c=circuit, o=opts: ms.run_transient(c, o, probes_of(c)))
 
 
 def main(argv=None) -> int:

@@ -208,11 +208,13 @@ def compute_thd(wave: Waveform, f0: float, n_harmonics: int, *,
 # --------------------------------------------------------------------------- #
 
 # switching_time's band, relative to the final value; the current a settled
-# transient watches; and the spacing of the grid it is read on, the fixed
-# step settled transients took before they were error-controlled
+# transient watches; the spacing of the grid it is read on, the fixed step
+# settled transients took before they were error-controlled; and the
+# seconds each of its runs adds
 _SETTLE_BAND = 0.01
 _SETTLE_PROBE = "i(M2)"
 _SETTLE_LATTICE = 1e-3
+_SETTLE_CHUNK = 3.0
 
 
 def switching_time(wave: Waveform) -> float:
@@ -260,15 +262,15 @@ class SettledResult:
 
 
 def settled_transient(circuit: Circuit, *, temp: float | None = None,
-                      chunk: float = 3.0, max_time: float = 24.0) -> SettledResult:
-    """Run ``circuit`` until its output current ``i(M2)`` settles; return
-    the end state.
+                      max_time: float = 24.0) -> SettledResult:
+    """Run ``circuit`` (at ``temp`` kelvin, when given) until its output
+    current ``i(M2)`` settles; return the end state.
 
     Circuits without memristors have no state to evolve, so a plain DC solve
-    is already settled.  Otherwise the transient is extended ``chunk`` seconds
-    at a time (continuing from the frozen memristor states) until
-    :func:`switching_time` accepts the accumulated waveform; past ``max_time``
-    the :class:`NotSettledError` propagates.
+    is already settled.  Otherwise the transient is extended
+    ``_SETTLE_CHUNK`` seconds at a time (continuing from the frozen
+    memristor states) until :func:`switching_time` accepts the accumulated
+    waveform; past ``max_time`` the :class:`NotSettledError` propagates.
 
     Each chunk runs error-controlled steps (``SimOptions.adaptive``) and the
     current is resampled linearly onto a 1 ms grid, on which ``settle_time``
@@ -276,10 +278,13 @@ def settled_transient(circuit: Circuit, *, temp: float | None = None,
     from the record's last sample: ``2m`` at 2.0 V settles at 1.900 s with
     3 s chunks and at 1.932 s with 12 s chunks.
     """
+    if temp is not None:
+        circuit = replace(circuit, temp=temp)
     if not _has_memristors(circuit):
-        return SettledResult(solve_dc(circuit, SimOptions(temp=temp)), {}, 0.0)
-    opts = SimOptions(t_stop=chunk, temp=temp, adaptive=True)
-    lattice = np.arange(math.floor(chunk / _SETTLE_LATTICE + 1e-9) + 1) * _SETTLE_LATTICE
+        return SettledResult(solve_dc(circuit), {}, 0.0)
+    opts = SimOptions(t_stop=_SETTLE_CHUNK, adaptive=True)
+    lattice = (np.arange(math.floor(_SETTLE_CHUNK / _SETTLE_LATTICE + 1e-9) + 1)
+               * _SETTLE_LATTICE)
     t = x = np.empty(0)
     states: dict[str, float] | None = None
     offset = 0.0
@@ -290,13 +295,12 @@ def settled_transient(circuit: Circuit, *, temp: float | None = None,
         first = 1 if x.size else 0
         t = np.concatenate([t, lattice[first:] + offset])
         x = np.concatenate([x, np.interp(lattice, wave.t, wave.values)[first:]])
-        states, offset = dict(res.final_states), offset + chunk
+        states, offset = dict(res.final_states), offset + _SETTLE_CHUNK
         try:
             settled_at = switching_time(Waveform(wave.name, wave.unit, t, x))
         except NotSettledError:
             continue
-        op = solve_dc(circuit, SimOptions(temp=temp), states=states)
-        return SettledResult(op, states, settled_at)
+        return SettledResult(solve_dc(circuit, states=states), states, settled_at)
     raise NotSettledError(
         f"{circuit.title!r}: {_SETTLE_PROBE} did not settle within {max_time} s")
 
@@ -318,7 +322,7 @@ def _settled_rows(circuit: Circuit, temps: list, records: dict | None = None):
     at each position of ``records`` replaced by that list's entry k.  The
     first failing row's error propagates."""
     if not _has_memristors(circuit):
-        solved = _compile(circuit, SimOptions(), temps, records=records).solve()
+        solved = _compile(circuit, temps, records=records).solve()
         _raise_first(solved.errors)
         return solved.x[:, :len(circuit.node_names)], solved.currents
     ops = []
@@ -400,10 +404,9 @@ def mismatch_sweep(config: MirrorConfig, load2_values: Iterable[float], *,
     memristive = config.kind.has_memristors
     base = config.m0 if memristive else config.r_load
     path = "Y2.m0" if memristive else "R2.r_nominal"
-    circuit = mirror_circuit(config)
+    circuit = replace(mirror_circuit(config), temp=temp)
     position, records = overrides(circuit, path, [base] + values)
-    solved = _compile(circuit, SimOptions(temp=temp), [temp] * len(records),
-                      records={position: records}).solve()
+    solved = _compile(circuit, [None] * len(records), records={position: records}).solve()
     if 0 in solved.errors:
         raise solved.errors[0]
     base_op = solved.operating_point(0)
@@ -580,8 +583,7 @@ def hysteresis_trace(params: MemristorParams | ResistorParams, drive: SourceSpec
         temp=temp,
     )
     dt = 1.0 / (drive.frequency * samples_per_cycle)
-    opts = SimOptions(dt=dt, t_stop=_HYSTERESIS_CYCLES / drive.frequency, temp=temp,
-                      adaptive=True)
+    opts = SimOptions(dt=dt, t_stop=_HYSTERESIS_CYCLES / drive.frequency, adaptive=True)
     result = run_transient(circuit, opts, ["v(in)", current_probe])
     voltage = result.waveform("v(in)").values
     current = result.waveform(current_probe).values
@@ -706,20 +708,18 @@ REPORT_NOTES = (
 """Caveats attached to every emitted report table."""
 
 
-def _settled_load_states(circuit: Circuit, temp: float) -> dict[str, float]:
+def _settled_load_states(circuit: Circuit) -> dict[str, float]:
     """Memristor states after the supply has pinned the loads (empty when the
     circuit has none)."""
     if not _has_memristors(circuit):
         return {}
-    settle = run_transient(
-        circuit, SimOptions(dt=1e-3, t_stop=_STATE_SETTLE_TIME, temp=temp),
-        ["i(M2)"])
+    settle = run_transient(circuit, SimOptions(dt=1e-3, t_stop=_STATE_SETTLE_TIME),
+                           ["i(M2)"])
     return dict(settle.final_states)
 
 
-def _config_thd(circuit: Circuit, config: MirrorConfig,
-                states: dict[str, float], temp: float, amplitude: float,
-                frequency: float) -> ThdResult:
+def _config_thd(circuit: Circuit, config: MirrorConfig, states: dict[str, float],
+                amplitude: float, frequency: float) -> ThdResult:
     """Output-current distortion under the standard sine supply drive.
 
     The sine rides on ``vdd + amplitude`` so its floor stays at the nominal
@@ -729,26 +729,30 @@ def _config_thd(circuit: Circuit, config: MirrorConfig,
     driven.device("V1").spec = SourceSpec(kind="sine", dc_value=config.vdd_value + amplitude,
                                           amplitude=amplitude, frequency=frequency)
     opts = SimOptions(dt=1.0 / (frequency * _THD_SAMPLES_PER_PERIOD),
-                      t_stop=_THD_DRIVE_PERIODS / frequency, temp=temp)
+                      t_stop=_THD_DRIVE_PERIODS / frequency)
     result = run_transient(driven, opts, ["i(M2)"],
                            initial_states=states or None)
     return compute_thd(result.waveform("i(M2)"), frequency, _THD_HARMONICS)
 
 
 def distortion_trace(config: MirrorConfig, *, circuit: Circuit | None = None,
-                     temp: float = T_REF, amplitude: float = _THD_AMPLITUDE,
+                     temp: float | None = None, amplitude: float = _THD_AMPLITUDE,
                      frequency: float = _THD_FREQUENCY) -> ThdResult:
     """Settle a mirror configuration, then measure the harmonic content of
     its output current under the standard sine supply drive, up to
     harmonic 49.
 
     ``circuit`` lets a caller pass an already-elaborated (possibly
-    parameter-overridden) instance of the same configuration.
+    parameter-overridden) instance of the same configuration.  It runs at
+    its own temperature (``T_REF`` for the one built here) unless ``temp``
+    (kelvin) replaces it.
     """
     if circuit is None:
         circuit = mirror_circuit(config)
-    states = _settled_load_states(circuit, temp)
-    return _config_thd(circuit, config, states, temp, amplitude, frequency)
+    if temp is not None:
+        circuit = replace(circuit, temp=temp)
+    return _config_thd(circuit, config, _settled_load_states(circuit), amplitude,
+                       frequency)
 
 
 def config_report(config: MirrorConfig, *, temp: float = T_REF) -> ConfigReport:
@@ -761,11 +765,10 @@ def config_report(config: MirrorConfig, *, temp: float = T_REF) -> ConfigReport:
     ``error`` field rather than raised, so report tables always assemble.
     """
     try:
-        circuit = mirror_circuit(config)
-        states = _settled_load_states(circuit, temp)
-        op = solve_dc(circuit, SimOptions(temp=temp), states=states or None)
-        thd = _config_thd(circuit, config, states, temp, _THD_AMPLITUDE,
-                          _THD_FREQUENCY).thd
+        circuit = replace(mirror_circuit(config), temp=temp)
+        states = _settled_load_states(circuit)
+        op = solve_dc(circuit, states=states or None)
+        thd = _config_thd(circuit, config, states, _THD_AMPLITUDE, _THD_FREQUENCY).thd
         return power_and_area(config, op, temp=temp, thd=thd)
     except (SimulationError, ElaborationError, DeviceError, AnalysisError) as exc:
         return ConfigReport(kind=config.kind.value, i_in=math.nan,

@@ -38,7 +38,7 @@ from .analysis import (
     parameter_sweep,
     temperature_sweep,
 )
-from .constants import T_REF, ZERO_CELSIUS
+from .constants import ZERO_CELSIUS
 from .csvio import check_output, format_number, open_output, write_csv
 from .devices import (
     DeviceError,
@@ -125,12 +125,21 @@ _KEY_SCOPE = {
 }
 
 
+def _value(flag: str, raw: str) -> float:
+    """``raw`` in the netlist grammar; a bad one is a usage error naming ``flag``."""
+    try:
+        return parse_value(raw)
+    except ParseError as exc:
+        raise _UsageError(f"{flag}: {str(exc).removeprefix(f'line {exc.line}: ')}")
+
+
 def _read_sets(pairs: list[str], reads, where: str, dt: float | None = None,
                t_stop: float | None = None):
-    """(configuration keys, device paths, SimOptions) from ``--set
+    """(configuration keys, circuit keys, SimOptions) from ``--set
     key=value`` pairs, each checked against the keys that ``where`` reads.
-    Values use the netlist grammar (SI suffixes included), ``temp`` is in
-    celsius, and ``dt``/``t_stop`` default to the deck's ``.tran``."""
+    Values use the netlist grammar (SI suffixes included); the circuit keys
+    are device paths and ``temp``, given in celsius and returned in kelvin;
+    ``dt``/``t_stop`` default to the deck's ``.tran``."""
     config: dict[str, float] = {}
     paths: dict[str, float] = {}
     sim: dict[str, float] = {}
@@ -138,10 +147,7 @@ def _read_sets(pairs: list[str], reads, where: str, dt: float | None = None,
         key, sep, raw = (part.strip() for part in pair.partition("="))
         if not sep or not key or not raw:
             raise _UsageError(f"--set expects key=value, got {pair!r}")
-        try:
-            value = parse_value(raw)
-        except ParseError:
-            raise _UsageError(f"--set {key}: malformed value {raw!r}")
+        value = _value(f"--set {key}", raw)
         name = key.lower()
         if name not in _CONFIG_KEYS + _SIM_KEYS:
             if "." not in key:
@@ -156,14 +162,13 @@ def _read_sets(pairs: list[str], reads, where: str, dt: float | None = None,
             paths[key] = value
         else:
             (config if name in _CONFIG_KEYS else sim)[name] = value
-    temp = sim.get("temp")
+    temp = sim.pop("temp", None)
     if temp is not None:
         if temp + ZERO_CELSIUS <= 0.0:
             raise _UsageError(f"--set temp={temp} is below absolute zero")
-        temp += ZERO_CELSIUS
+        paths["temp"] = temp + ZERO_CELSIUS
     try:
-        opts = SimOptions(temp=temp, dt=sim.get("dt", dt),
-                          t_stop=sim.get("t_stop", t_stop))
+        opts = SimOptions(dt=sim.get("dt", dt), t_stop=sim.get("t_stop", t_stop))
     except ValueError as exc:
         raise _UsageError(str(exc))
     return config, paths, opts
@@ -186,12 +191,8 @@ def _write(output: str, table) -> int:
 # Analyses: each maps (circuit, config, options, args) to a CSV table
 # --------------------------------------------------------------------------- #
 
-def _temp(opts: SimOptions) -> float:
-    return T_REF if opts.temp is None else opts.temp
-
-
 def _dc(circuit: Circuit, config, opts: SimOptions, args):
-    op = solve_dc(circuit, opts)
+    op = solve_dc(circuit)
     columns = [f"v({name}) (V)" for name in circuit.node_names[1:]]
     columns += [f"i({dev.name}) (A)" for dev in circuit.devices]
     row = [float(op.node_voltages[k]) for k in range(1, len(circuit.node_names))]
@@ -211,7 +212,7 @@ def _tran(circuit: Circuit, config, opts: SimOptions, args):
 
 
 def _thd(circuit: Circuit, config: MirrorConfig, opts: SimOptions, args):
-    result = distortion_trace(config, circuit=circuit, temp=_temp(opts))
+    result = distortion_trace(config, circuit=circuit)
     footers = [f"f0 (Hz) = {format_number(result.f0)}",
                f"thd (fraction) = {format_number(result.thd)}",
                f"thd (percent) = {format_number(result.thd_percent)}"]
@@ -228,7 +229,7 @@ def _temp_sweep(circuit, config: MirrorConfig, opts, args):
 def _mismatch(circuit, config: MirrorConfig, opts: SimOptions, args):
     base = config.m0 if config.kind.has_memristors else config.r_load
     table = mismatch_sweep(config, [base * (1.0 + d) for d in _MISMATCH_DELTAS],
-                           temp=_temp(opts))
+                           temp=circuit.temp)
     columns = ["load2 (ohm)", "delta_r (fraction)",
                "simulated_delta_i (fraction)", "predicted_delta_i (fraction)",
                "predicted_ro_delta_i (fraction)", "error (text)"]
@@ -243,11 +244,11 @@ def _mismatch(circuit, config: MirrorConfig, opts: SimOptions, args):
 def _param_sweep(circuit, config: MirrorConfig, opts: SimOptions, args):
     if not (args.param and args.values):
         raise _UsageError("--analysis param-sweep requires --param and --values")
-    values = [parse_value(tok.strip()) for tok in args.values.split(",")
+    values = [_value("--values", tok.strip()) for tok in args.values.split(",")
               if tok.strip()]
     if not values:
         raise _UsageError("--values must list at least one number")
-    rows = parameter_sweep(config, args.param, values, temp=opts.temp)
+    rows = parameter_sweep(config, args.param, values, temp=circuit.temp)
     return (["value (SI)", "i_out (A)", "v_out (V)"],
             ([r.value, r.i_out, r.v_out] for r in rows), ())
 
@@ -257,7 +258,7 @@ def _hysteresis(circuit, config: MirrorConfig, opts: SimOptions, args):
         params = replace(MEMRISTOR_DEFAULTS, polarity=-1)
     else:
         params = ResistorParams(r_nominal=config.r_load)
-    trace = hysteresis_trace(params, _HYSTERESIS_DRIVE, temp=_temp(opts))
+    trace = hysteresis_trace(params, _HYSTERESIS_DRIVE, temp=circuit.temp)
     footers = [f"loop_area (A*V) = {format_number(trace.area)}",
                f"cycle_start_index = {trace.cycle_start}"]
     return (["t (s)", "v (V)", "i (A)"],
@@ -265,7 +266,7 @@ def _hysteresis(circuit, config: MirrorConfig, opts: SimOptions, args):
 
 
 def _table1(circuit, config: MirrorConfig, opts: SimOptions, args):
-    row = config_report(config, temp=_temp(opts))
+    row = config_report(config, temp=circuit.temp)
     columns = ["config (name)", "thd (percent)", "power (mW)", "area (um^2)",
                "subthreshold (W)", "gate_leakage (W)", "i_in (A)", "i_out (A)",
                "error (text)"]
@@ -312,6 +313,7 @@ def cmd_run(args) -> int:
     analysis, *tran = circuit.analysis or ("dc",)  # .tran's step and stop
     config, paths, opts = _read_sets(args.set, _reads(analysis, None),
                                      f"`run` of a {'.tran' if tran else 'DC'} deck", *tran)
+    circuit.temp = paths.pop("temp", circuit.temp)
     for path, value in {**config, **paths}.items():
         apply_override(circuit, path, value)
     return _write(args.output, _ANALYSIS_TABLE[analysis][0](circuit, None, opts, args))
@@ -332,6 +334,7 @@ def cmd_mirror(args) -> int:
     if analysis is None:
         return _write(args.output, print_netlist(builtin_mirror(config)))
     circuit = mirror_circuit(config)
+    circuit.temp = paths.pop("temp", circuit.temp)
     for path, value in paths.items():
         apply_override(circuit, path, value)
     return _write(args.output, _ANALYSIS_TABLE[analysis][0](circuit, config, opts, args))

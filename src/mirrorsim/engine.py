@@ -21,26 +21,27 @@ carries nothing from one step to the next, so its transient is a DC solve
 per sample.
 
 DC solves have a leading batch axis.  One function compiles a circuit into
-rows of one topology as per-row arrays, a device that every row shares
-evaluated once (so a sweep evaluates only its swept device per row, a
-memristor-free transient only its sources), and the rows iterate together:
-each Newton iteration evaluates every MOSFET of every row in one array
-call, adds each stamp family in one call over flat indices, and solves the
-(rows, n, n) stack in one :func:`numpy.linalg.solve`, with damping and the
-convergence tests applied row by row.  The solve fills one array per
-quantity (solutions, iterations, device currents, KCL residuals; NaN in a
-failed row) and one dict of row errors, in place.  A single DC solve is a
-batch of one.  A memristive transient compiles its circuit as one such row
-too, solves t = 0 as that row, and runs its steps on Python lists copied
-from it, which is the fast form for one small system: the step's system,
-bordered with the state rows and columns, is one flat list with its stamps
-compiled as (flat index, term, sign), and each Newton iteration makes one
-bare LAPACK call.  Both kinds of transient take their device currents
-from the rows' batched KCL.  A memristor-free transient and a controlled
-one read on a grid record DC solutions: each source's values are evaluated
-once for the whole run, the samples are keyed by the bits of their source
-values and (frozen) states, and only the distinct keys are compiled as DC
-rows and solved, a block of them at a time.
+rows of one topology as per-row arrays, each at the circuit's temperature or
+its own, a device that every row shares evaluated once (so a sweep evaluates
+only its swept device per row, a memristor-free transient only its sources),
+and the rows iterate together: each Newton iteration evaluates every MOSFET
+of every row in one array call, adds each stamp family in one call over flat
+indices, and solves the (rows, n, n) stack in one
+:func:`numpy.linalg.solve`, with damping and the convergence tests applied
+row by row.  The solve fills one array per quantity (solutions, iterations,
+device currents, KCL residuals; NaN in a failed row) and one dict of row
+errors, in place.  A single DC solve is a batch of one.  A memristive
+transient compiles its circuit as one such row too, solves t = 0 as that
+row, and runs its steps on Python lists copied from it, which is the fast
+form for one small system: the step's system, bordered with the state rows
+and columns, is one flat list with its stamps compiled as (flat index, term,
+sign), and each Newton iteration makes one bare LAPACK call.  Both kinds of
+transient take their device currents from the rows' batched KCL.  A
+memristor-free transient and a controlled one read on a grid record DC
+solutions: each source's values are evaluated once for the whole run, the
+samples are keyed by the bits of their source values and (frozen) states,
+and only the distinct keys are compiled as DC rows and solved, a block of
+them at a time.
 
 The dense linear solves are LAPACK LU with partial pivoting: a DC stack
 through :func:`numpy.linalg.solve`, a memristive step through the kernel
@@ -193,11 +194,10 @@ class UnknownProbeError(SimulationError):
 
 @dataclass(frozen=True)
 class SimOptions:
-    """Solver settings; defaults suit the second-scale circuits in this repo.
-
-    ``temp=None`` defers to the circuit's own temperature (which the `.temp`
-    directive sets); passing a value overrides it.  ``dt=None`` picks
-    ``t_stop / 10000``.
+    """A transient's settings; defaults suit the second-scale circuits in
+    this repo.  ``dt=None`` picks ``t_stop / 10000``.  The temperature is
+    the circuit's own (:attr:`Circuit.temp`, which the `.temp` directive
+    sets).
 
     ``adaptive=True`` lets a memristive transient choose its own steps,
     holding each step's estimated local error on every normalized memristor
@@ -216,7 +216,6 @@ class SimOptions:
 
     dt: float | None = None
     t_stop: float | None = None
-    temp: float | None = None
     adaptive: bool = False
 
     def __post_init__(self) -> None:
@@ -226,8 +225,6 @@ class SimOptions:
             raise ValueError("t_stop must be positive")
         if self.dt is not None and self.t_stop is not None and self.t_stop < self.dt:
             raise ValueError("t_stop must be >= dt")
-        if self.temp is not None and self.temp <= 0.0:
-            raise ValueError("temp must be positive kelvin")
 
 
 @dataclass
@@ -492,7 +489,7 @@ def _source_values(topo: _Topology, records, times: np.ndarray) -> np.ndarray:
 
 class _DcRows:
     """DC rows of one topology compiled into per-row arrays, and solved in
-    place to the tolerances of ``opts``.
+    place to Newton's tolerances (:class:`SimOptions`).
 
     Row k is the topology's circuit at ``temps[k]``, its sources at the
     values ``values[k]`` (one per source, evaluated by the caller), its
@@ -519,10 +516,8 @@ class _DcRows:
     iterates equal those of the same row solved alone, to the bit.
     """
 
-    def __init__(self, topo: _Topology, temps, records, states,
-                 opts: SimOptions, values: np.ndarray):
-        self.topo, self.opts = topo, opts
-        self.temps, self.states = list(temps), states
+    def __init__(self, topo: _Topology, temps, records, states, values: np.ndarray):
+        self.topo, self.temps, self.states = topo, temps, states
         count = len(self.temps)
         devices = topo.circuit.devices
         s_at = {} if states is None else dict(zip(topo.mem_cols, states))
@@ -654,9 +649,9 @@ class _DcRows:
         error a lone solve of it raises, iteration trace included, in
         ``errors``.
         """
-        topo, opts = self.topo, self.opts
+        topo = self.topo
         n, damped = topo.n_nodes, topo.damped_nodes
-        vntol, reltol = opts.vntol, opts.reltol
+        vntol, reltol = SimOptions.vntol, SimOptions.reltol
         history: list[tuple] = []  # (iteration, rows, max |dV|, residual)
 
         def trace(row: int) -> list[tuple[int, float, float]]:
@@ -697,7 +692,7 @@ class _DcRows:
                 currents[converged], residual[converged] = self.kcl(
                     rows[converged], x[converged])
             history.append((it, rows, max_dv, residual))
-            finished = residual < opts.abstol
+            finished = residual < SimOptions.abstol
             if finished.any():
                 done = rows[finished]
                 self.x[done], self.currents[done] = x[finished], currents[finished]
@@ -942,7 +937,7 @@ class _Steps:
             sums[node] += by_kind[column] * sign
         return float(max(map(abs, sums[1:])))
 
-    def newton(self, x0, guess, hist, opts, t: float, dt_eff: float):
+    def newton(self, x0, guess, hist, t: float, dt_eff: float):
         """One step to time ``t``: Newton-Raphson on the node voltages,
         source currents and memristor states together, from the previous
         step's solution ``x0`` and the state guess ``guess``, on the state
@@ -961,7 +956,7 @@ class _Steps:
         values = [source_value(spec, t) for spec in self.specs]
         trace: list[tuple[int, float, float]] = []
         n, dim = self.topo.n_nodes, self.topo.dim
-        vntol, reltol = opts.vntol, opts.reltol
+        vntol, reltol = SimOptions.vntol, SimOptions.reltol
         damped = self.damped
         # the bare kernel reports a singular matrix as NaN, not as a warning
         with np.errstate(all="ignore"):
@@ -1008,7 +1003,7 @@ class _Steps:
                 if converged:
                     residual = self.kcl_residual(x, s)
                     trace.append((it, max_dv, residual))
-                    if residual < opts.abstol:
+                    if residual < SimOptions.abstol:
                         return x, s
                 else:
                     trace.append((it, max_dv, math.nan))
@@ -1020,7 +1015,7 @@ class _Steps:
         )
 
     def march(self, x, s, t: float, t_end: float, h: float, floor: float,
-              opts: SimOptions, controlled: bool):
+              controlled: bool):
         """Steps from the solution (x, s) at time ``t`` to ``t_end``, the
         first of size ``h``; returns the accepted times, solutions and
         states as lists, the start included.
@@ -1038,12 +1033,12 @@ class _Steps:
         third step on, Newton starts from the quadratic through the last
         three accepted states, and the predictor-corrector difference times
         ``_MILNE`` estimates each state's local error: a step is accepted
-        when no estimate exceeds ``opts.reltol`` (or when it is already at
+        when no estimate exceeds ``SimOptions.reltol`` (or when it is at
         the floor), and the next step is the one the estimate predicts,
         within the growth and shrink limits.
         """
         ts, xs, ss = [t], [x], [s]
-        tol = opts.reltol
+        tol = SimOptions.reltol
         largest = self.max_step if controlled else _MAX_STEP
         while t < t_end:
             # the last step reaches t_end exactly, absorbing what a step
@@ -1062,7 +1057,7 @@ class _Steps:
                         for s0, s1, s2 in zip(ss[-3], ss[-2], s)]
             guess = s if pred is None else [min(max(p, 0.0), 1.0) for p in pred]
             try:
-                x_new, s_new = self.newton(x, guess, hist, opts, t_next, dt_eff)
+                x_new, s_new = self.newton(x, guess, hist, t_next, dt_eff)
             except _IterationLimit as exc:
                 if h / 2.0 < floor:
                     raise NonConvergenceError(
@@ -1087,12 +1082,12 @@ class _Steps:
         return ts, xs, ss
 
 
-def _compile(circuit: Circuit | _Topology, opts: SimOptions, temps=(None,), *,
-             records=None, states=None, source_time: float | None = None,
-             values=None) -> _DcRows:
-    """``circuit`` compiled under ``opts`` as :class:`_DcRows`, one row per
-    entry of ``temps`` (None: what :func:`solve_dc` would use); the other
-    arguments default to t = 0 sources and initial states.  The sources'
+def _compile(circuit: Circuit | _Topology, temps=(None,), *, records=None,
+             states=None, source_time: float | None = None, values=None) -> _DcRows:
+    """``circuit`` compiled as :class:`_DcRows`, one row at each of
+    ``temps`` (None: the circuit's temperature; one that is not positive
+    kelvin raises :class:`DeviceError`); the other arguments default to
+    t = 0 sources and initial states.  The sources'
     ``values`` (rows, sources), when not given, are evaluated at
     ``source_time`` (None meaning t = 0) for every row by
     :func:`_source_values`.  ``states`` are in metres by name (a dict), or
@@ -1105,28 +1100,29 @@ def _compile(circuit: Circuit | _Topology, opts: SimOptions, temps=(None,), *,
     topo = circuit if isinstance(circuit, _Topology) else _Topology(circuit)
     circuit = topo.circuit
     s = _normalized(topo.memristors, states) if isinstance(states, dict) else states
-    temp = circuit.temp if opts.temp is None else opts.temp
+    temps = [circuit.temp if t is None else t for t in temps]
+    for temp in temps:
+        if not temp > 0.0:
+            raise DeviceError(f"temperature must be positive kelvin, got {temp}")
     records = records or {}
     if values is None:
         times = np.full(len(temps), 0.0 if source_time is None else source_time)
         values = _source_values(topo, records, times)
-    return _DcRows(topo, [temp if t is None else t for t in temps], records, s,
-                   opts, values)
+    return _DcRows(topo, temps, records, s, values)
 
 
-def solve_dc(circuit: Circuit, opts: SimOptions | None = None, *,
-             states: dict[str, float] | None = None,
+def solve_dc(circuit: Circuit, *, states: dict[str, float] | None = None,
              source_time: float | None = None) -> OperatingPoint:
     """DC operating point with memristor states frozen (at their initial
     values unless ``states`` overrides them).
 
     Sine sources contribute their t=0 value unless ``source_time`` picks
     another instant.  Raises :class:`NonConvergenceError` (after a source
-    stepping retry) or :class:`SingularMatrixError`.  The circuit is
+    stepping retry), :class:`SingularMatrixError`, or, for a ``circuit.temp``
+    that is not positive kelvin, :class:`DeviceError`.  The circuit is
     compiled as one :class:`_DcRows` row, solved in place and read back.
     """
-    opts = opts or SimOptions()
-    rows = _compile(circuit, opts, states=states, source_time=source_time).solve()
+    rows = _compile(circuit, states=states, source_time=source_time).solve()
     if rows.errors:
         raise rows.errors[0]
     return rows.operating_point(0)
@@ -1179,14 +1175,13 @@ def _build_probe(topo: _Topology, spec: str):
 # transient
 # --------------------------------------------------------------------------- #
 
-def _dc_samples(topo: _Topology, opts: SimOptions, times: np.ndarray,
-                states: np.ndarray):
+def _dc_samples(topo: _Topology, times: np.ndarray, states: np.ndarray):
     """Solutions and device currents, as (samples, ...) arrays, of the
     circuit of ``topo`` at ``times``: sample k is the DC solution with the
     sources at ``times[k]`` and the memristances frozen at the normalized
     states ``states[k]`` (states has a column per memristor, none in a
     circuit without them; that circuit's sample k is ``solve_dc(circuit,
-    opts, source_time=times[k])`` to the bit).
+    source_time=times[k])`` to the bit).
 
     Each source's values are evaluated once for all samples, and a sample
     is keyed by the bits of its source values and states, one byte string
@@ -1210,7 +1205,7 @@ def _dc_samples(topo: _Topology, opts: SimOptions, times: np.ndarray,
     currents = np.empty((len(distinct), len(topo.current_nodes)))
     for start in range(0, len(distinct), _TRANSIENT_BLOCK):
         block = distinct[start:start + _TRANSIENT_BLOCK]
-        rows = _compile(topo, opts, [None] * len(block),
+        rows = _compile(topo, [None] * len(block),
                         states=list(block[:, sources:].T),
                         values=block[:, :sources]).solve()
         if rows.errors:
@@ -1230,7 +1225,8 @@ def _dc_samples(topo: _Topology, opts: SimOptions, times: np.ndarray,
 def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
                   initial_states: dict[str, float] | None = None) -> TransientResult:
     """Transient on a fixed backward-Euler grid, or with error-controlled
-    steps when ``opts.adaptive`` is set and the circuit has memristors.
+    steps when ``opts.adaptive`` is set and the circuit has memristors, at
+    the circuit's temperature.
 
     On the fixed grid, sample k sits at t = k*dt, sources evaluated at the
     same instant; sample 0 is the DC solution with sources at t = 0.
@@ -1251,7 +1247,7 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     With ``opts.adaptive``, a memristive transient takes error-controlled
     steps: the first is ``dt`` (``t_stop / 10000`` when unset) and backward
     Euler, later steps are variable-step BDF2 whose size holds each state's
-    estimated local error to ``opts.reltol`` (:meth:`_Steps.march`), and
+    estimated local error to ``SimOptions.reltol`` (:meth:`_Steps.march`), and
     a sine source caps every step, the first included, at ``1 /
     _SINE_STEPS`` of the fastest one's period.  Failing steps are cut as on
     the fixed grid, down to the first step over ``2**_MAX_CUTS``.  With
@@ -1266,7 +1262,7 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     solution, so a sample where the drive is 0 V carries 0 A.
 
     A circuit with no memristor keeps no state between steps, so sample k
-    is ``solve_dc(circuit, opts, source_time=k*dt)``, to the bit, with the
+    is ``solve_dc(circuit, source_time=k*dt)``, to the bit, with the
     DC solve's source-stepping retry.  The run's samples are solved
     together (:func:`_dc_samples`): each source is evaluated once at every
     sample time, the samples whose source values (and frozen states) agree
@@ -1311,7 +1307,7 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     # too (None: each sample is a DC solve at its state)
     xs, ss = None, np.empty((len(times), 0))
     if memristors:
-        compiled = _compile(topo, opts, states=states).solve()
+        compiled = _compile(topo, states=states).solve()
         if compiled.errors:
             raise compiled.errors[0]
         s, x = compiled.states, compiled.x[0].tolist()
@@ -1322,7 +1318,7 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
             h = min(dt, steps.max_step)
             t_end = opts.t_stop if opts.dt is None else float(times[-1])
             ts, xs, accepted = steps.march(x, s, 0.0, t_end, h, h / 2 ** _MAX_CUTS,
-                                           opts, True)
+                                           True)
             s = accepted[-1]
             if opts.dt is None:
                 times, xs, ss, dt = np.array(ts), np.array(xs), np.array(accepted), h
@@ -1334,16 +1330,16 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
             xs[0], ss[0] = x, s
             for k in range(1, n_steps + 1):
                 try:
-                    x, s = steps.newton(x, s, s, opts, float(times[k]), dt)
+                    x, s = steps.newton(x, s, s, float(times[k]), dt)
                 except _IterationLimit:
                     _, cut_x, cut_s = steps.march(x, s, float(times[k - 1]),
                                                   float(times[k]), dt / 2.0,
-                                                  floor, opts, False)
+                                                  floor, False)
                     x, s = cut_x[-1], cut_s[-1]
                 xs[k], ss[k] = x, s
 
     if xs is None:
-        xs, currents = _dc_samples(topo, opts, times, ss)
+        xs, currents = _dc_samples(topo, times, ss)
     else:  # the steps' device currents, a block of samples at a time
         currents = np.empty((len(times), len(topo.current_nodes)))
         for start in range(0, len(times), _TRANSIENT_BLOCK):

@@ -568,10 +568,6 @@ class Circuit:
                 return d
         raise ElaborationError(f"unknown device {name!r}")
 
-    @property
-    def sources(self) -> list[BoundSource]:
-        return [d for d in self.devices if isinstance(d, BoundSource)]
-
     def copy(self) -> Circuit:
         """Copy with its own node list and device records, sharing the
         frozen parameter and source records, which an override replaces

@@ -217,10 +217,12 @@ def fixed_grid_settle(circuit, dt, *, temp=None, chunk=3.0, max_time=24.0):
     ``chunk``-second runs, each continuing from the last one's final states,
     until :func:`switching_time` accepts the output current accumulated so
     far; then a DC solve at those states."""
+    if temp is not None:
+        circuit = replace(circuit, temp=temp)
     t_parts, x_parts, states, offset = [], [], None, 0.0
     while offset < max_time:
-        res = run_transient(circuit, SimOptions(dt=dt, t_stop=chunk, temp=temp),
-                            ["i(M2)"], initial_states=states)
+        res = run_transient(circuit, SimOptions(dt=dt, t_stop=chunk), ["i(M2)"],
+                            initial_states=states)
         wave = res.waveform("i(M2)")
         # sample 0 of a continuation repeats the previous final sample
         t_parts.append(wave.t[1:] + offset if t_parts else wave.t)
@@ -231,7 +233,7 @@ def fixed_grid_settle(circuit, dt, *, temp=None, chunk=3.0, max_time=24.0):
                 "i(M2)", "A", np.concatenate(t_parts), np.concatenate(x_parts)))
         except NotSettledError:
             continue
-        op = solve_dc(circuit, SimOptions(temp=temp), states=states)
+        op = solve_dc(circuit, states=states)
         return SettledResult(op, states, settle)
     raise NotSettledError(f"i(M2) did not settle within {max_time} s")
 
@@ -240,7 +242,7 @@ class TestSettledTransient:
     def test_resistive_mirror_is_settled_at_dc(self):
         circuit = mirror_circuit(MirrorConfig(MirrorKind.TWO_RESISTORS))
         settled = settled_transient(circuit)
-        reference = solve_dc(circuit, SimOptions())
+        reference = solve_dc(circuit)
         assert settled.settle_time == 0.0
         assert settled.states == {}
         assert settled.op.device_currents["M2"] == reference.device_currents["M2"]
@@ -264,10 +266,11 @@ class TestSettledTransient:
         (MirrorKind.TWO_MEMRISTORS, 2.5, 1.0),
     ], ids=["2m-2.0V", "2m-2.5V", "2m-3.0V", "pmos-m", "2m-1s-chunks"])
     def test_controlled_steps_match_a_quarter_millisecond_grid(self, kind, vdd,
-                                                               chunk):
+                                                               chunk, monkeypatch):
+        monkeypatch.setattr(analysis, "_SETTLE_CHUNK", chunk)
         circuit = mirror_circuit(MirrorConfig(kind, vdd=vdd))
         fine = fixed_grid_settle(circuit, 2.5e-4, chunk=chunk)
-        controlled = settled_transient(circuit, chunk=chunk)
+        controlled = settled_transient(circuit)
         assert abs(controlled.settle_time - fine.settle_time) <= 1e-3 + 1e-12
         # read on the 1 ms lattice, as the fixed-step default was
         lattice_point = round(controlled.settle_time / 1e-3) * 1e-3
@@ -275,8 +278,7 @@ class TestSettledTransient:
         assert controlled.op.device_currents["M2"] == pytest.approx(
             fine.op.device_currents["M2"], rel=1e-4)
         # the settled point is the DC solve at the final states
-        assert_same_op(controlled.op, solve_dc(circuit, SimOptions(),
-                                               states=controlled.states))
+        assert_same_op(controlled.op, solve_dc(circuit, states=controlled.states))
 
     @given(two_m=st.booleans(), u=st.floats(0.0, 1.0),
            m0=st.floats(3e3, 10e3), temp_c=st.floats(0.0, 100.0))
@@ -315,7 +317,7 @@ class TestMismatchSweep:
         config = MirrorConfig(MirrorKind.TWO_RESISTORS, r_load=19e3)
         table = mismatch_sweep(config, [19e3])
         circuit = mirror_circuit(config)
-        op = solve_dc(circuit, SimOptions())
+        op = solve_dc(circuit)
         v_ds1 = float(op.node_voltages[circuit.node_index("d1")])
         assert table.k_factor == pytest.approx(
             1.0 / (1.0 - v_ds1 / config.vdd_value), rel=1e-12)
@@ -370,7 +372,7 @@ class TestMismatchSweep:
         config = MirrorConfig(MirrorKind.TWO_RESISTORS, r_load=base)
         table = mismatch_sweep(config, GRID)
         circuit = mirror_circuit(config)
-        op = solve_dc(circuit, SimOptions())
+        op = solve_dc(circuit)
         v_d1 = float(op.node_voltages[circuit.node_index("d1")])
         v_d2 = float(op.node_voltages[circuit.node_index("d2")])
         _, _, g_ds2 = mosfet_linearized(v_d1, v_d2, circuit.device("M2").params,
@@ -484,8 +486,8 @@ class TestTemperatureSweep:
     def test_batched_rows_equal_single_solves(self, kind):
         temps = [ZERO_CELSIUS + c for c in range(0, 101, 10)]
         circuit = mirror_circuit(MirrorConfig(kind))
-        singles = [solve_dc(circuit, SimOptions(temp=T)) for T in temps]
-        batched = engine._compile(circuit, SimOptions(), temps).solve()
+        singles = [solve_dc(replace(circuit, temp=T)) for T in temps]
+        batched = engine._compile(circuit, temps).solve()
         for k, single in enumerate(singles):
             assert_same_op(batched.operating_point(k), single)
         rows = temperature_sweep(MirrorConfig(kind), temps)
@@ -538,7 +540,7 @@ class TestParameterSweep:
     ], ids=["2r-width", "2r-vdd", "pmos-r-vbias", "pmos-r-load"])
     def test_batched_rows_equal_single_solves(self, kind, path, values):
         out_node = mirror_circuit(MirrorConfig(kind)).node_index("d2")
-        singles = assert_rows_equal_lone_solves(MirrorConfig(kind), path, values, None)
+        singles = assert_rows_equal_lone_solves(MirrorConfig(kind), path, values, T_REF)
         rows = parameter_sweep(MirrorConfig(kind), path, values)
         for row, value, single in zip(rows, values, singles):
             assert (row.value, row.i_out, row.v_out) == (
@@ -594,11 +596,11 @@ def sweep_cases(draw):
     return kind, sweeps, m0, draw(st.floats(250.0, 420.0))
 
 
-def lone_outcome(circuit, path, value, opts):
+def lone_outcome(circuit, path, value):
     """What overriding one value and solving it alone gives: the operating
     point, or the error the override or the solve raises."""
     try:
-        return solve_dc(with_override(circuit, path, value), opts)
+        return solve_dc(with_override(circuit, path, value))
     except (ElaborationError, SimulationError, DeviceError) as exc:
         return exc
 
@@ -607,12 +609,11 @@ def assert_rows_equal_lone_solves(config, path, values, temp):
     """Each row of a compiled-once sweep of ``config`` is the lone solve of
     its own overridden circuit, field for field, or carries the same error;
     returns the lone outcomes."""
-    circuit = mirror_circuit(config)
-    opts = SimOptions(temp=temp)
+    circuit = replace(mirror_circuit(config), temp=temp)
     position, records = overrides(circuit, path, values)
-    compiled = engine._compile(circuit, opts, [None] * len(values),
+    compiled = engine._compile(circuit, [None] * len(values),
                                records={position: records}).solve()
-    alone = [lone_outcome(circuit, path, value, opts) for value in values]
+    alone = [lone_outcome(circuit, path, value) for value in values]
     for k, single in enumerate(alone):
         if isinstance(single, Exception):
             assert type(compiled.errors[k]) is type(single)
@@ -812,6 +813,9 @@ class TestHysteresis:
             hysteresis_trace(MEM, DRIVE, samples_per_cycle=8)
         with pytest.raises(AnalysisError, match="parameters"):
             hysteresis_trace(object(), DRIVE)
+        # a resistor stays positive at 0 K; the solve refuses the temperature
+        with pytest.raises(DeviceError, match="positive kelvin"):
+            hysteresis_trace(ResistorParams(r_nominal=38e3), DRIVE, temp=0.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -821,7 +825,7 @@ class TestHysteresis:
 class TestPowerAndArea:
     def test_power_decomposes_into_core_and_leakage(self):
         config = MirrorConfig(MirrorKind.TWO_RESISTORS)
-        op = solve_dc(mirror_circuit(config), SimOptions())
+        op = solve_dc(mirror_circuit(config))
         report = power_and_area(config, op)
         core = config.vdd_value * (report.i_in + report.i_out)
         assert report.power_w == pytest.approx(
@@ -830,7 +834,7 @@ class TestPowerAndArea:
 
     def test_cutoff_mirror_draws_only_leakage(self):
         config = MirrorConfig(MirrorKind.TWO_RESISTORS, vdd=0.2)  # below vth
-        op = solve_dc(mirror_circuit(config), SimOptions())
+        op = solve_dc(mirror_circuit(config))
         report = power_and_area(config, op)
         assert report.i_in == 0.0 and report.i_out == 0.0
         assert report.power_w == report.subthreshold_w + report.gate_w
@@ -848,7 +852,7 @@ class TestPowerAndArea:
         }
         for kind, expected in cases.items():
             config = MirrorConfig(kind)
-            op = solve_dc(mirror_circuit(config), SimOptions())
+            op = solve_dc(mirror_circuit(config))
             report = power_and_area(config, op)
             assert report.area_m2 == pytest.approx(expected, rel=1e-12)
             assert report.area_um2 == pytest.approx(expected * 1e12, rel=1e-12)
@@ -892,6 +896,15 @@ class TestTable1Report:
         trace = distortion_trace(MirrorConfig(MirrorKind.TWO_RESISTORS))
         assert trace.thd == row.thd
         assert trace.fundamental > 0.0
+
+    def test_distortion_of_a_given_circuit_is_at_its_own_temperature(self):
+        config = MirrorConfig(MirrorKind.TWO_RESISTORS)
+        hot = replace(mirror_circuit(config), temp=373.15)
+        own = distortion_trace(config, circuit=hot)
+        named = distortion_trace(config, circuit=hot, temp=373.15)
+        assert (own.fundamental, own.thd) == (named.fundamental, named.thd)
+        assert own.thd != distortion_trace(config, circuit=hot, temp=T_REF).thd
+        assert hot.temp == 373.15  # the caller's circuit is left as it was
 
     def test_failed_configuration_is_flagged_not_raised(self):
         row = config_report(MirrorConfig(MirrorKind.TWO_RESISTORS, r_load=-5.0))

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from mirrorsim.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_SIMULATION, main
 from mirrorsim.constants import ZERO_CELSIUS
 from mirrorsim.csvio import format_number, write_csv
 from mirrorsim.devices import DeviceError
-from mirrorsim.engine import SimOptions, SingularMatrixError, solve_dc
+from mirrorsim.engine import SingularMatrixError, solve_dc
 from mirrorsim.netlist import MirrorConfig, MirrorKind, elaborate, mirror_circuit, parse
 
 DIVIDER = """* divider
@@ -257,6 +258,21 @@ class TestExitCodes:
         assert code == EXIT_PARSE and out == ""
         assert "'1e999'" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["mirror", "2r", "--set", "vdd=1e999"],
+         "--set vdd: value '1e999' overflows a float"),
+        (["mirror", "2r", "--set", "vdd=2kohm"],
+         "--set vdd: unknown value suffix 'kohm' in '2kohm'"),
+        (["mirror", "2r", "--analysis", "param-sweep", "--param", "R2.r_nominal",
+          "--values", "38k,duck"], "--values: malformed value 'duck'"),
+        (["mirror", "2r", "--analysis", "param-sweep", "--param", "R2.r_nominal",
+          "--values", "38k,1e999"], "--values: value '1e999' overflows a float"),
+    ], ids=["set-overflow", "set-suffix", "values-malformed", "values-overflow"])
+    def test_a_bad_value_names_its_flag_and_the_reason(self, argv, message, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_PARSE and out == ""
+        assert err == f"error: {message}\n"
+
     def test_a_deck_value_that_overflows_a_float_is_a_parse_error(self, tmp_path,
                                                                  capsys):
         path = netlist_file(tmp_path, "V1 1 0 DC 1e999\nR1 1 0 1k\n.end\n")
@@ -401,6 +417,16 @@ class TestRunCommand:
         record = dict(zip(header, map(float, rows[0])))
         assert record["v(mid) (V)"] == pytest.approx(0.5, rel=1e-6)
 
+    def test_set_temp_replaces_the_deck_temperature(self, tmp_path, capsys):
+        def deck(celsius):
+            return netlist_file(tmp_path, DIVIDER.replace(".end", f".temp {celsius}\n.end"),
+                                f"divider_{celsius}.cir")
+
+        _, hot, _ = run_cli(["run", deck(100)], capsys)
+        code, out, _ = run_cli(["run", deck(100), "--set", "temp=27"], capsys)
+        assert code == EXIT_OK
+        assert out == run_cli(["run", deck(27)], capsys)[1] != hot
+
     def test_set_t_stop_shortens_transient(self, tmp_path, capsys):
         path = netlist_file(tmp_path, RAMP_TRAN)
         code, out, _ = run_cli(
@@ -533,6 +559,11 @@ class TestMirrorCommand:
         ["mirror", "pmos-m", "--emit-netlist", "--set", "vbias=0.6"],
         ["mirror", "2m", "--set", "m0=9k"],
         ["mirror", "2r", "--analysis", "hysteresis", "--set", "r_load=19k"],
+        # --set temp on every analysis that reads it
+        *(["mirror", "2r", "--analysis", *analysis, "--set", "temp=100"]
+          for analysis in (["dc"], ["tran", "--set", "t_stop=10m"], ["thd"],
+                           ["mismatch"], ["table1"],
+                           ["param-sweep", "--param", "T2.width", "--values", "0.3u"])),
     ])
     def test_a_key_the_command_reads_changes_the_output(self, argv, capsys):
         _, base, _ = run_cli(argv[:-2], capsys)
@@ -622,7 +653,7 @@ class TestOutputPlumbing:
         rows = []
         for celsius in range(0, 101, 10):
             temp = ZERO_CELSIUS + celsius
-            op = solve_dc(circuit, SimOptions(temp=temp))
+            op = solve_dc(replace(circuit, temp=temp))
             rows.append([temp, temp - ZERO_CELSIUS, op.device_currents["M1"],
                          op.device_currents["M2"]])
         expected = io.StringIO()

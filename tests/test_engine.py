@@ -2,6 +2,7 @@
 error paths, and backward-Euler transient behavior."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrorsim.devices import (
+    DeviceError,
     MemristorState,
     joglekar_window,
     memristance,
@@ -60,7 +62,7 @@ def _circuit(text: str) -> Circuit:
 def assemble(circuit: Circuit, guess, source_scale: float = 1.0):
     """The linearized system (matrix, right-hand side) of ``circuit``,
     compiled as one DC row, at ``guess``."""
-    g_mat, rhs = engine._compile(circuit, SimOptions()).assemble(
+    g_mat, rhs = engine._compile(circuit).assemble(
         np.zeros(1, dtype=int), np.array([guess], dtype=float), source_scale)
     return g_mat[0], rhs[0]
 
@@ -157,10 +159,19 @@ def test_temp_directive_scales_resistance():
     assert op.device_currents["R1"] == pytest.approx(2.5 / r_hot, rel=1e-9)
 
 
-def test_options_temp_overrides_circuit_temp():
-    cir = _circuit("V1 a 0 DC 2.5\nR1 a 0 1k\n.temp 100\n")
-    op = solve_dc(cir, SimOptions(temp=300.15))
-    assert op.device_currents["R1"] == pytest.approx(2.5e-3, rel=1e-9)
+@pytest.mark.parametrize("temp", [0.0, -1.0, math.nan])
+def test_a_temperature_that_is_not_positive_kelvin_is_a_device_error(temp):
+    # resistors stay positive at these temperatures, so only the check
+    # where every temperature enters a solve can refuse them
+    cir = _circuit("V1 a 0 DC 1\nR1 a b 1k\nR2 b 0 1k\n")
+    cir.temp = temp
+    with pytest.raises(DeviceError, match="temperature must be positive kelvin"):
+        solve_dc(cir)
+    with pytest.raises(DeviceError, match="temperature must be positive kelvin"):
+        run_transient(cir, SimOptions(dt=1e-3, t_stop=0.01), ["v(b)"])
+    # a row's own temperature is checked the same way
+    with pytest.raises(DeviceError, match="temperature must be positive kelvin"):
+        engine._compile(replace(cir, temp=300.15), [300.15, temp])
 
 
 # --------------------------------------------------------------------------- #
@@ -300,12 +311,15 @@ def test_source_stepping_failure_reports_the_stalled_scale(monkeypatch):
 def test_sim_options_validation():
     with pytest.raises(TypeError):
         SimOptions(abstol=1e-9)
+    with pytest.raises(TypeError):  # the temperature is the circuit's
+        SimOptions(temp=300.15)
+    assert [f.name for f in fields(SimOptions)] == ["dt", "t_stop", "adaptive"]
+    assert (SimOptions().abstol, SimOptions().reltol, SimOptions().vntol) == (
+        1e-9, 1e-6, 1e-6)
     with pytest.raises(ValueError):
         SimOptions(dt=0.0)
     with pytest.raises(ValueError):
         SimOptions(dt=2.0, t_stop=1.0)
-    with pytest.raises(ValueError):
-        SimOptions(temp=0.0)
     # controlled steps, recorded on the dt grid
     res = run_transient(_circuit(P2_DECK),
                         SimOptions(dt=1e-3, t_stop=1.0, adaptive=True), ["w(Y1)"])
@@ -563,12 +577,12 @@ def _newton_limited(monkeypatch, largest: float) -> list:
     real = engine._Steps.newton
     calls = []
 
-    def newton(self, x0, guess, hist, opts, t, dt_eff):
+    def newton(self, x0, guess, hist, t, dt_eff):
         calls.append((t, dt_eff))
         if dt_eff > largest:
             raise engine._IterationLimit(
                 f"limit at t={t:.9g} s", trace=[(1, 0.5, math.nan)], time=t)
-        return real(self, x0, guess, hist, opts, t, dt_eff)
+        return real(self, x0, guess, hist, t, dt_eff)
 
     monkeypatch.setattr(engine._Steps, "newton", newton)
     return calls
@@ -671,8 +685,7 @@ def test_step_node_block_is_the_dc_row_at_the_states_memristances(name):
     # node rows and columns of a step's matrix, and its KCL residual, are
     # the DC row's with the memristances frozen at M(s), to the bit
     topo = engine._Topology(STEP_CIRCUITS[name]())
-    opts = SimOptions()
-    compiled = engine._compile(topo, opts).solve()
+    compiled = engine._compile(topo).solve()
     steps = engine._Steps(compiled)
     dim, row = topo.dim, np.zeros(1, dtype=int)
     rng = np.random.default_rng(14)
@@ -682,7 +695,7 @@ def test_step_node_block_is_the_dc_row_at_the_states_memristances(name):
         t = float(rng.uniform(0.0, 1.0))
         values = [engine.source_value(spec, t) for spec in steps.specs]
         g_mat, _ = steps.assemble(x, s, values, 1e-3, s)
-        frozen = engine._compile(topo, opts, states=s, source_time=t)
+        frozen = engine._compile(topo, states=s, source_time=t)
         want, _ = frozen.assemble(row, np.array([x]), 1.0)
         assert g_mat[:dim, :dim].tobytes() == want[0].tobytes()
         r_mem = np.array([[memristance_at(sk, m.params)]
@@ -773,7 +786,7 @@ def test_memoryless_samples_equal_lone_dc_solves(name, samples):
     t = res.waveforms[0].t
     assert len(t) == samples
     for k, time in enumerate(t.tolist()):
-        op = solve_dc(cir, opts, source_time=time)
+        op = solve_dc(cir, source_time=time)
         for n, v in zip(nodes, voltages):
             assert v[k] == op.node_voltages[n]
         for name, i in zip(names, currents):
@@ -843,7 +856,7 @@ def test_controlled_steps_on_a_grid_record_dc_solutions_at_their_states(samples)
     v, i, w = (wave.values for wave in res.waveforms)
     # each sample is the DC solution at its source time and its state
     for k in list(range(0, samples, 37)) + [samples - 1]:
-        op = solve_dc(cir, opts, states={"Y1": w[k]}, source_time=t[k])
+        op = solve_dc(cir, states={"Y1": w[k]}, source_time=t[k])
         assert i[k] == pytest.approx(op.device_currents["Y1"], rel=1e-12, abs=1e-18)
         assert v[k] == pytest.approx(op.node_voltages[cir.node_names.index("mid")],
                                      rel=1e-12, abs=1e-18)
@@ -910,9 +923,9 @@ def _compiled_rows(monkeypatch) -> list:
     counts = []
     real = engine._compile
 
-    def spy(circuit, opts, temps=(None,), **kwargs):
+    def spy(circuit, temps=(None,), **kwargs):
         counts.append(len(temps))
-        return real(circuit, opts, temps, **kwargs)
+        return real(circuit, temps, **kwargs)
 
     monkeypatch.setattr(engine, "_compile", spy)
     return counts
@@ -945,7 +958,7 @@ def test_dc_supplied_transient_compiles_one_row(monkeypatch):
     t = res.waveforms[0].t
     assert len(t) == 101
     for k, time in enumerate(t.tolist()):
-        op = solve_dc(cir, opts, source_time=time)
+        op = solve_dc(cir, source_time=time)
         for j, n in enumerate(nodes):
             assert res.waveforms[j].values[k] == op.node_voltages[n]
         for j, name in enumerate(names):
@@ -975,11 +988,11 @@ def assert_same_op(a, b):
     assert a.newton_iterations == b.newton_iterations
 
 
-def assert_same_outcome(batched, circuit, opts):
+def assert_same_outcome(batched, circuit):
     """A batch row is what solving ``circuit`` alone gives: the same
     operating point or the same error."""
     try:
-        single = solve_dc(circuit, opts)
+        single = solve_dc(circuit)
     except SimulationError as exc:
         assert type(batched) is type(exc)
         assert str(batched) == str(exc)
@@ -990,13 +1003,13 @@ def assert_same_outcome(batched, circuit, opts):
     assert_same_op(batched, single)
 
 
-def solve_together(circuits, opts: SimOptions, temps=None) -> list:
+def solve_together(circuits, temps=None) -> list:
     """``circuits``, of one topology, compiled as the rows of one batch, each
     device's column taken from them, and solved: each row's operating point,
     or its error."""
     records = {j: list(column)
                for j, column in enumerate(zip(*(c.devices for c in circuits)))}
-    rows = engine._compile(circuits[0], opts, temps or [None] * len(circuits),
+    rows = engine._compile(circuits[0], temps or [None] * len(circuits),
                            records=records).solve()
     return [rows.errors.get(k) or rows.operating_point(k)
             for k in range(len(circuits))]
@@ -1025,10 +1038,9 @@ def test_batch_steps_sources_row_by_row(monkeypatch):
     # converges cold, converges by source stepping, stalls while stepping
     circuits = [with_override(base, "R2.r_nominal", r)
                 for r in (20e3, 38e3, 60e3, 100e3)]
-    opts = SimOptions()
-    batched = solve_together(circuits, opts)
+    batched = solve_together(circuits)
     for circuit, result in zip(circuits, batched):
-        assert_same_outcome(result, circuit, opts)
+        assert_same_outcome(result, circuit)
     assert batched[1].newton_iterations <= engine._MAX_NEWTON_ITERS
     assert batched[2].newton_iterations > engine._MAX_NEWTON_ITERS
     assert "source stepping stalled" in str(batched[3])
@@ -1042,16 +1054,15 @@ def test_rows_are_solved_in_place(monkeypatch):
     values = [20e3, -1.0, 30e3, 60e3, 100e3]
     monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 6)
     monkeypatch.setattr(engine, "_SOURCE_STEPS", 3)
-    opts = SimOptions()
     singular_where_r2_is(monkeypatch, 30e3)
     position, records = overrides(base, "R2.r_nominal", values)
-    rows = engine._compile(base, opts, [None] * len(values),
+    rows = engine._compile(base, [None] * len(values),
                            records={position: records}).solve()
 
     alone = []
     for value in values:
         try:
-            alone.append(solve_dc(with_override(base, "R2.r_nominal", value), opts))
+            alone.append(solve_dc(with_override(base, "R2.r_nominal", value)))
         except (ElaborationError, SimulationError) as exc:
             alone.append(exc)
     failed = [k for k, single in enumerate(alone) if isinstance(single, Exception)]
@@ -1079,12 +1090,11 @@ def test_batch_rows_do_not_depend_on_their_neighbours(kind):
         ("vdd", [1.2, 2.0, 3.5, 5.0]), ("T2.width", [0.1e-6, 1e-6, 4e-6]),
         ("T1.vth0", [0.2, 0.6, 1.0])) for value in values]
     temps = [250.0 + 15.0 * k for k in range(len(circuits))]
-    opts = SimOptions()
-    batch = solve_together(circuits, opts, temps)
-    backwards = solve_together(circuits[::-1], opts, temps[::-1])[::-1]
+    batch = solve_together(circuits, temps)
+    backwards = solve_together(circuits[::-1], temps[::-1])[::-1]
     assert len({op.newton_iterations for op in batch}) >= 3
     for k, (circuit, temp) in enumerate(zip(circuits, temps)):
-        alone = solve_dc(circuit, SimOptions(temp=temp))
+        alone = solve_dc(replace(circuit, temp=temp))
         assert_same_op(batch[k], alone)
         assert_same_op(backwards[k], alone)
 
@@ -1099,17 +1109,16 @@ def test_batch_isolates_singular_and_nonconvergent_rows(monkeypatch):
     singular = with_override(base, "R2.r_nominal", 30e3)
     monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 7)
     monkeypatch.setattr(engine, "_SOURCE_STEPS", 1)
-    opts = SimOptions()
-    clean = solve_together(good, opts)
+    clean = solve_together(good)
 
     # a compiled row with no linear part leaves the ground row empty
     singular_where_r2_is(monkeypatch, 30e3)
-    mixed = solve_together([good[0], singular, good[1], slow, good[2]], opts)
+    mixed = solve_together([good[0], singular, good[1], slow, good[2]])
     for batched, alone in zip([mixed[0], mixed[2], mixed[4]], clean):
         assert_same_op(batched, alone)
     # each bad row carries what its own solve raises
-    assert_same_outcome(mixed[1], singular, opts)
-    assert_same_outcome(mixed[3], slow, opts)
+    assert_same_outcome(mixed[1], singular)
+    assert_same_outcome(mixed[3], slow)
     assert isinstance(mixed[1], SingularMatrixError)
     assert isinstance(mixed[3], NonConvergenceError)
     assert len(mixed[3].trace) == engine._MAX_NEWTON_ITERS
