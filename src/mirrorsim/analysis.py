@@ -141,12 +141,11 @@ class ThdResult:
         return 100.0 * self.thd
 
 
-def compute_thd(wave: Waveform, f0: float, n_harmonics: int, *,
-                settle: float | None = None) -> ThdResult:
+def compute_thd(wave: Waveform, f0: float, n_harmonics: int) -> ThdResult:
     """Harmonic amplitudes of ``wave`` at ``k*f0`` and their distortion ratio.
 
-    The leading ``settle`` seconds are discarded (default: 20% of the run or
-    two periods of ``f0``, whichever is longer) and the analysis window is the
+    The leading 20% of the run or two periods of ``f0``, whichever is
+    longer, are discarded as settling, and the analysis window is the
     trailing whole number of periods that survives, so drives need not start
     on a period boundary.  Amplitudes come from direct correlation with
     ``exp(-2j*pi*k*f0*t)`` over that window, which is exact for tones on the
@@ -182,7 +181,7 @@ def compute_thd(wave: Waveform, f0: float, n_harmonics: int, *,
             f"harmonic {n_harmonics} of f0={f0} Hz is at or beyond the Nyquist "
             f"rate for dt={dt}")
     span = float(t[-1] - t[0])
-    discard = max(0.2 * span, 2.0 / f0) if settle is None else float(settle)
+    discard = max(0.2 * span, 2.0 / f0)
     periods = int(math.floor((span - discard) * f0 + 1e-9))
     if periods < 2:
         raise AnalysisError(
@@ -539,13 +538,15 @@ def _loop_area(v: np.ndarray, i: np.ndarray) -> float:
     return abs(positive) + abs(negative)
 
 
-# a hysteresis trace's drive cycles, and its memristor's start on [0, L]
+# a hysteresis trace's drive cycles, its memristor's start on [0, L], and
+# its recorded samples per cycle (read at call time, so a test can
+# monkeypatch it)
 _HYSTERESIS_CYCLES = 3
 _HYSTERESIS_INITIAL_FRACTION = 0.5
+_HYSTERESIS_SAMPLES = 2000
 
 
-def hysteresis_trace(params: MemristorParams | ResistorParams, drive: SourceSpec,
-                     samples_per_cycle: int = 2000, *,
+def hysteresis_trace(params: MemristorParams | ResistorParams, drive: SourceSpec, *,
                      temp: float = T_REF) -> HysteresisTrace:
     """Drive a single two-terminal device with a sine for three cycles and
     trace its I-V loop.
@@ -556,16 +557,12 @@ def hysteresis_trace(params: MemristorParams | ResistorParams, drive: SourceSpec
     floor (their loop area is zero up to integration error).  The loop area
     is measured on the last cycle, after the earlier cycles have washed out
     the initial state.  The transient takes error-controlled steps and is
-    recorded on the uniform grid of ``samples_per_cycle``
+    recorded on a uniform grid of ``_HYSTERESIS_SAMPLES`` per cycle
     (``SimOptions.adaptive`` with ``dt``), every sample a DC solution at its
     state.
     """
     if drive.kind != "sine":
         raise AnalysisError("hysteresis needs a sine drive")
-    if samples_per_cycle < 2 * _MIN_SAMPLES_PER_PERIOD:
-        raise AnalysisError(
-            f"need >= {2 * _MIN_SAMPLES_PER_PERIOD} samples per cycle "
-            f"to resolve the loop, got {samples_per_cycle}")
     if isinstance(params, MemristorParams):
         device = BoundMemristor("Y1", 1, 0, params,
                                 _HYSTERESIS_INITIAL_FRACTION * params.length)
@@ -582,13 +579,13 @@ def hysteresis_trace(params: MemristorParams | ResistorParams, drive: SourceSpec
         devices=[BoundSource("V1", 1, 0, drive), device],
         temp=temp,
     )
-    dt = 1.0 / (drive.frequency * samples_per_cycle)
+    dt = 1.0 / (drive.frequency * _HYSTERESIS_SAMPLES)
     opts = SimOptions(dt=dt, t_stop=_HYSTERESIS_CYCLES / drive.frequency, adaptive=True)
     result = run_transient(circuit, opts, ["v(in)", current_probe])
     voltage = result.waveform("v(in)").values
     current = result.waveform(current_probe).values
     t = result.waveform("v(in)").t
-    start = len(voltage) - (samples_per_cycle + 1)
+    start = len(voltage) - (_HYSTERESIS_SAMPLES + 1)
     area = _loop_area(voltage[start:], current[start:])
     return HysteresisTrace(t=t, voltage=voltage, current=current,
                            area=area, cycle_start=start)
@@ -718,15 +715,17 @@ def _settled_load_states(circuit: Circuit) -> dict[str, float]:
     return dict(settle.final_states)
 
 
-def _config_thd(circuit: Circuit, config: MirrorConfig, states: dict[str, float],
-                amplitude: float, frequency: float) -> ThdResult:
+def _config_thd(circuit: Circuit, states: dict[str, float], amplitude: float,
+                frequency: float) -> ThdResult:
     """Output-current distortion under the standard sine supply drive.
 
-    The sine rides on ``vdd + amplitude`` so its floor stays at the nominal
-    supply and the mirror never leaves normal operation over the cycle.
+    The sine replaces the supply ``V1``: it rides on V1's DC value plus
+    ``amplitude``, so its floor stays at the circuit's own supply and the
+    mirror never leaves normal operation over the cycle.
     """
     driven = circuit.copy()
-    driven.device("V1").spec = SourceSpec(kind="sine", dc_value=config.vdd_value + amplitude,
+    supply = driven.device("V1").spec.dc_value
+    driven.device("V1").spec = SourceSpec(kind="sine", dc_value=supply + amplitude,
                                           amplitude=amplitude, frequency=frequency)
     opts = SimOptions(dt=1.0 / (frequency * _THD_SAMPLES_PER_PERIOD),
                       t_stop=_THD_DRIVE_PERIODS / frequency)
@@ -751,8 +750,7 @@ def distortion_trace(config: MirrorConfig, *, circuit: Circuit | None = None,
         circuit = mirror_circuit(config)
     if temp is not None:
         circuit = replace(circuit, temp=temp)
-    return _config_thd(circuit, config, _settled_load_states(circuit), amplitude,
-                       frequency)
+    return _config_thd(circuit, _settled_load_states(circuit), amplitude, frequency)
 
 
 def config_report(config: MirrorConfig, *, temp: float = T_REF) -> ConfigReport:
@@ -768,7 +766,7 @@ def config_report(config: MirrorConfig, *, temp: float = T_REF) -> ConfigReport:
         circuit = replace(mirror_circuit(config), temp=temp)
         states = _settled_load_states(circuit)
         op = solve_dc(circuit, states=states or None)
-        thd = _config_thd(circuit, config, states, _THD_AMPLITUDE, _THD_FREQUENCY).thd
+        thd = _config_thd(circuit, states, _THD_AMPLITUDE, _THD_FREQUENCY).thd
         return power_and_area(config, op, temp=temp, thd=thd)
     except (SimulationError, ElaborationError, DeviceError, AnalysisError) as exc:
         return ConfigReport(kind=config.kind.value, i_in=math.nan,

@@ -2,8 +2,9 @@
 
 All device laws live here as free functions over small frozen parameter
 records, so the simulation engine, the analysis layer and the tests all
-evaluate exactly the same arithmetic.  Everything is SI unless a docstring
-says otherwise.
+evaluate exactly the same arithmetic; each device rule (the memristor drift
+law, its [0, L] state check, the kelvin check) is one function, here only.
+Everything is SI unless a docstring says otherwise.
 """
 
 from __future__ import annotations
@@ -33,11 +34,14 @@ __all__ = [
     "MEMRISTOR_DEFAULTS",
     "RESISTOR_DEFAULTS",
     "CALIBRATED_MOBILITY",
+    "kelvin",
     "thermal_voltage",
     "joglekar_window",
+    "memristor_state",
     "memristance",
     "memristance_at",
     "state_for_memristance",
+    "memristor_drift",
     "memristor_dwdt",
     "mosfet_vth",
     "mosfet_kprime",
@@ -191,11 +195,16 @@ RESISTOR_DEFAULTS = ResistorParams(r_nominal=38e3)
 # Small shared pieces
 # --------------------------------------------------------------------------- #
 
-def thermal_voltage(temp: float) -> float:
-    """Thermal voltage kT/q (V).  ``temp`` must be a positive kelvin value."""
-    if temp <= 0.0:
+def kelvin(temp: float) -> float:
+    """``temp``, unless it is not a positive kelvin value (NaN included)."""
+    if not temp > 0.0:
         raise DeviceError(f"temperature must be positive kelvin, got {temp}")
-    return BOLTZMANN * temp / ELEMENTARY_CHARGE
+    return temp
+
+
+def thermal_voltage(temp: float) -> float:
+    """Thermal voltage kT/q (V) at the :func:`kelvin` value ``temp``."""
+    return BOLTZMANN * kelvin(temp) / ELEMENTARY_CHARGE
 
 
 def joglekar_window(x: float, p: int) -> float:
@@ -221,12 +230,17 @@ def memristance_at(s, params: MemristorParams):
     return s * params.r_on + (1.0 - s) * params.r_off
 
 
+def memristor_state(w: float, params: MemristorParams) -> float:
+    """State s = w/L of the boundary position ``w`` (m), within [0, L] only."""
+    s = w / params.length
+    if not 0.0 <= s <= 1.0:
+        raise DeviceError(f"state w={w} outside [0, L={params.length}]")
+    return s
+
+
 def memristance(state: MemristorState, params: MemristorParams) -> float:
     """Instantaneous resistance M(w) = (w/L) Ron + (1 - w/L) Roff (ohm)."""
-    x = state.w / params.length
-    if not 0.0 <= x <= 1.0:
-        raise DeviceError(f"state w={state.w} outside [0, L={params.length}]")
-    return memristance_at(x, params)
+    return memristance_at(memristor_state(state.w, params), params)
 
 
 def state_for_memristance(m0: float, params: MemristorParams) -> MemristorState:
@@ -239,15 +253,23 @@ def state_for_memristance(m0: float, params: MemristorParams) -> MemristorState:
     return MemristorState(w=x * params.length)
 
 
-def memristor_dwdt(state: MemristorState, params: MemristorParams, current: float) -> float:
-    """Boundary drift rate dw/dt (m/s) for the given device current (A).
+def memristor_drift(s: float, params: MemristorParams, dt: float) -> tuple:
+    """Linear ion drift over a step ``dt`` (s) at the normalized state ``s``:
+    ``(k, f, f')`` with ``ds = k*i*f`` for a device current i (A),
+    ``k = dt * polarity * uv * Ron / L^2``, f the Joglekar window and f' its
+    slope ``-4p (2s - 1)^(2p - 1)`` (0 when p = 0)."""
+    q = params.window_p
+    k = dt * params.polarity * params.mobility * params.r_on / (params.length * params.length)
+    slope = -4.0 * q * (2.0 * s - 1.0) ** (2 * q - 1) if q else 0.0
+    return k, joglekar_window(s, q), slope
 
-    Linear ion drift scaled by the Joglekar window:
-    ``polarity * uv * (Ron/L) * i * f(w/L)``.
-    """
-    x = state.w / params.length
-    f = joglekar_window(min(max(x, 0.0), 1.0), params.window_p)
-    return params.polarity * params.mobility * (params.r_on / params.length) * current * f
+
+def memristor_dwdt(state: MemristorState, params: MemristorParams, current: float) -> float:
+    """Boundary drift rate dw/dt (m/s) for the given device current (A):
+    ``L*k*i*f`` of :func:`memristor_drift` over 1 s, w clamped to [0, L]."""
+    s = min(max(state.w / params.length, 0.0), 1.0)
+    k, f, _ = memristor_drift(s, params, 1.0)
+    return params.length * k * current * f
 
 
 # --------------------------------------------------------------------------- #
@@ -261,9 +283,7 @@ def mosfet_vth(params: MosfetParams, temp: float = T_REF) -> float:
 
 def mosfet_kprime(params: MosfetParams, temp: float = T_REF) -> float:
     """Transconductance parameter at ``temp``: k' * (T/T0)^mobility_exp."""
-    if temp <= 0.0:
-        raise DeviceError(f"temperature must be positive kelvin, got {temp}")
-    return params.k_prime * (temp / T_REF) ** params.mobility_exp
+    return params.k_prime * (kelvin(temp) / T_REF) ** params.mobility_exp
 
 
 def mosfet_linearized(

@@ -7,11 +7,13 @@ row), indices 1..N-1 are node voltages, and the next entries are voltage
 source branch currents (positive into the source's + terminal, the usual
 SPICE sign convention, so a supply delivering power reads negative).  A
 transient step appends one more unknown per memristor, its normalized state
-s = w/L, with the implicit update as its row (the way Ho, Ruehli &
-Brennan's modified nodal analysis admits any extra unknown), so each step is
-a single Newton solve of the coupled system.  A step whose Newton runs out
-of iterations is halved and retried, as SPICE2 cuts its timestep (Nagel
-1975).  Error-controlled steps estimate each state's local error from a
+s = w/L, with the implicit update of the drift law as its row (the way Ho,
+Ruehli & Brennan's modified nodal analysis admits any extra unknown), so
+each step is a single Newton solve of the coupled system.  Every device
+rule, that drift law and the state and kelvin checks included, is called
+from :mod:`mirrorsim.devices`; none is repeated here.  A step whose Newton
+runs out of iterations is halved and retried, as SPICE2 cuts its timestep
+(Nagel 1975).  Error-controlled steps estimate each state's local error from a
 predictor (Milne's device) and size the next step from it; only the states
 carry memory, so only they enter the estimate; a controlled run read on a
 uniform grid takes each sample's states from the quadratic through the
@@ -60,8 +62,10 @@ from numpy.linalg import _umath_linalg
 
 from .devices import (
     DeviceError,
-    joglekar_window,
+    kelvin,
     memristance_at,
+    memristor_drift,
+    memristor_state,
     mosfet_coefficients,
     mosfet_linearized_array,
     mosfet_square_law,
@@ -274,19 +278,6 @@ class TransientResult:
 # topology and stamp patterns
 # --------------------------------------------------------------------------- #
 
-def _normalized(memristors, states: dict[str, float] | None = None) -> list[float]:
-    """Normalized states s = w/L of ``memristors``, from ``states`` (metres
-    by device name) or, when that is None, from each device's ``w0``."""
-    out = []
-    for m in memristors:
-        w = m.w0 if states is None else states[m.name]
-        s = w / m.params.length
-        if not 0.0 <= s <= 1.0:
-            raise DeviceError(f"state w={w} outside [0, L={m.params.length}]")
-        out.append(s)
-    return out
-
-
 def _pair_entries(a: int, b: int) -> list[tuple[tuple[int, int], float]]:
     """(entry, sign) of a conductance between nodes a and b (0 is ground)."""
     entries = []
@@ -463,7 +454,7 @@ def _solve_stack(g_mat: np.ndarray, rhs: np.ndarray):
 _CELLS = {
     BoundResistor: lambda d, temp, s: 1.0 / resistor_value(d.params, temp),
     BoundMemristor: lambda d, temp, s: memristance_at(
-        _normalized([d])[0] if s is None else s, d.params),
+        memristor_state(d.w0, d.params) if s is None else s, d.params),
     BoundMosfet: lambda d, temp, s: mosfet_coefficients(d.params, temp),
 }
 
@@ -633,8 +624,6 @@ class _DcRows:
         ])
         currents = np.empty_like(by_kind)
         currents[topo.kind_order] = by_kind
-        if topo.n_nodes == 1:
-            return currents.T, np.zeros(len(rows))
         sums = self._scatter(2, np.zeros((len(rows), topo.n_nodes)), by_kind)
         return currents.T, np.abs(sums[:, 1:]).max(axis=1)
 
@@ -681,7 +670,7 @@ class _DcRows:
                 rows, x, solved = rows[finite], x[finite], solved[finite]
             dv = solved[:, :n] - x[:, :n]
             abs_dv = np.abs(dv)
-            max_dv = abs_dv.max(axis=1) if n > 1 else np.zeros(len(rows))
+            max_dv = abs_dv.max(axis=1)
             converged = (abs_dv < vntol + reltol * np.abs(solved[:, :n])).all(axis=1)
             dv[:, damped] = np.minimum(np.maximum(dv[:, damped], -_DAMP_LIMIT),
                                        _DAMP_LIMIT)
@@ -890,25 +879,24 @@ class _Steps:
         into the flat matrix ``g_mat``; ``g_mem`` holds the memristors'
         conductances at ``states``.
 
-        With M = s*Ron + (1-s)*Roff, i = v/M and dw/dt/L = c*i*f(s), the
-        partials are di/ds = -v*(Ron - Roff)/M^2 and f'(s) of the Joglekar
-        window.  A state at a bound whose residual points outward (the
-        update would leave [0, 1]) is held there by the row ``s = bound``.
+        With M = s*Ron + (1-s)*Roff and i = v/M, the step's drift is
+        ``k*i*f(s)``, its ``k``, window ``f`` and window slope ``f'`` taken
+        from :func:`~mirrorsim.devices.memristor_drift`; the partials are
+        di/ds = -v*(Ron - Roff)/M^2 and f'(s).  A state at a bound whose
+        residual points outward (the update would leave [0, 1]) is held
+        there by the row ``s = bound``.
         """
         for (a, b, p, col, diag, ends), sk, g, h in zip(self.memristors, states,
                                                         g_mem, hist):
             v = guess[a] - guess[b]
             i = v * g
-            q = p.window_p
-            f = joglekar_window(sk, q)
-            kc = dt_eff * p.polarity * p.mobility * p.r_on / (p.length * p.length)
+            kc, f, f_slope = memristor_drift(sk, p, dt_eff)
             resid = sk - h - kc * i * f
             if (sk == 1.0 and resid <= 0.0) or (sk == 0.0 and resid >= 0.0):
                 g_mat[diag] = 1.0
                 rhs[col] = sk
                 continue
             di_ds = -i * (p.r_on - p.r_off) * g
-            f_slope = -4.0 * q * (2.0 * sk - 1.0) ** (2 * q - 1) if q else 0.0
             d_ds = 1.0 - kc * (di_ds * f + i * f_slope)
             d_dv = -kc * f * g
             g_mat[diag] = d_ds
@@ -920,8 +908,6 @@ class _Steps:
 
     def kcl_residual(self, x, s) -> float:
         """Largest net device current into any non-ground node (A)."""
-        if self.topo.n_nodes == 1:
-            return 0.0
         # device currents by kind, as _DcRows.kcl orders them
         by_kind = []
         for g, a, b in self.res_ends:
@@ -1099,16 +1085,14 @@ def _compile(circuit: Circuit | _Topology, temps=(None,), *, records=None,
     :class:`_Topology`); a row's own failure goes into ``errors``."""
     topo = circuit if isinstance(circuit, _Topology) else _Topology(circuit)
     circuit = topo.circuit
-    s = _normalized(topo.memristors, states) if isinstance(states, dict) else states
-    temps = [circuit.temp if t is None else t for t in temps]
-    for temp in temps:
-        if not temp > 0.0:
-            raise DeviceError(f"temperature must be positive kelvin, got {temp}")
+    if isinstance(states, dict):
+        states = [memristor_state(states[m.name], m.params) for m in topo.memristors]
+    temps = [kelvin(circuit.temp if t is None else t) for t in temps]
     records = records or {}
     if values is None:
         times = np.full(len(temps), 0.0 if source_time is None else source_time)
         values = _source_values(topo, records, times)
-    return _DcRows(topo, temps, records, s, values)
+    return _DcRows(topo, temps, records, states, values)
 
 
 def solve_dc(circuit: Circuit, *, states: dict[str, float] | None = None,
@@ -1274,15 +1258,14 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     the compiled row's batched KCL.
 
     ``initial_states`` replaces the netlist's initial memristor states
-    (metres), letting one run continue where another settled;
-    ``final_states`` reports them in metres too.
+    (metres), letting one run continue where another settled: an unknown
+    name raises :class:`SimulationError`, a state outside [0, L]
+    :class:`DeviceError`.  ``final_states`` reports them in metres too.
     """
     if opts.t_stop is None:
         raise ValueError("run_transient needs opts.t_stop")
     dt = opts.dt if opts.dt is not None else opts.t_stop / _DEFAULT_STEPS
     n_steps = int(math.floor(opts.t_stop / dt + 1e-9))
-    if n_steps < 1:
-        raise ValueError("t_stop shorter than one step")
 
     topo = _Topology(circuit)
     probe_list = [_build_probe(topo, p) for p in probes]
@@ -1296,11 +1279,6 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
             key = name.upper()
             if key not in states:
                 raise SimulationError(f"no memristor named {name!r} to initialize")
-            mem = memristors[topo.state_index[key]]
-            if not 0.0 <= w <= mem.params.length:
-                raise SimulationError(
-                    f"initial state {w} for {key} outside [0, {mem.params.length}]"
-                )
             states[key] = float(w)
     s: list[float] = []
     # the recorded states, and the steps' solutions when they are recorded

@@ -28,6 +28,7 @@ from .devices import (
     PMOS_DEFAULTS,
     ResistorParams,
     SourceSpec,
+    memristor_state,
     state_for_memristance,
 )
 
@@ -597,8 +598,7 @@ def _memristor_from_model(card: MemristorCard, model: ModelCard):
         )
         if "w0" in card.params:
             w0 = card.params["w0"]
-            if not 0.0 <= w0 <= params.length:
-                raise DeviceError(f"w0={w0} outside [0, L]")
+            memristor_state(w0, params)  # raises outside [0, L]
         elif "m0" in card.params:
             w0 = state_for_memristance(card.params["m0"], params).w
         else:

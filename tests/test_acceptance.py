@@ -40,7 +40,6 @@ from mirrorsim.cli import main
 from mirrorsim.constants import T_REF, ZERO_CELSIUS
 from mirrorsim.devices import (
     CALIBRATED_MOBILITY,
-    MEMRISTOR_DEFAULTS,
     MemristorParams,
     MemristorState,
     MosfetParams,

@@ -13,10 +13,6 @@ from hypothesis import strategies as st
 from mirrorsim import analysis, engine
 from mirrorsim.analysis import (
     AnalysisError,
-    AnalysisReport,
-    ConfigReport,
-    HysteresisTrace,
-    MismatchTable,
     NotSettledError,
     SettledResult,
     calibrate_mobility,
@@ -137,12 +133,6 @@ class TestComputeThd:
         thd_199 = compute_thd(wave, 1.0, 199).thd
         limit = math.sqrt(math.pi ** 2 / 8.0 - 1.0)  # all odd harmonics summed
         assert thd_49 < thd_199 < limit
-
-    def test_settle_discard_can_be_overridden(self):
-        wave = sine_wave(periods=4)
-        # default discard (20% or two periods) leaves only two periods here;
-        # an explicit zero-length settle keeps all four
-        assert compute_thd(wave, 1.0, 9, settle=0.0).thd < 1e-6
 
     def test_rejects_waveform_with_too_few_periods(self):
         with pytest.raises(AnalysisError, match="too short"):
@@ -716,18 +706,19 @@ MEM = MemristorParams(polarity=-1)
 DRIVE = SourceSpec(kind="sine", dc_value=0.0, amplitude=2.5, frequency=5.0)
 
 
-def fixed_grid_hysteresis(params, drive, *, refine=10, samples_per_cycle=2000):
+def fixed_grid_hysteresis(params, drive, *, refine=10):
     """Reference trace, as :func:`fixed_grid_settle` is for settling:
     :func:`hysteresis_trace` rerun with every step a fixed backward-Euler
-    step, on a grid ``refine`` times finer than ``samples_per_cycle``.  Its
-    samples at the coarse grid's times are ``current[::refine]``; its loop
-    area is the fine grid's."""
+    step, on a grid ``refine`` times finer than its own.  Its samples at
+    the coarse grid's times are ``current[::refine]``; its loop area is the
+    fine grid's."""
     fixed = lambda circuit, opts, probes, **kw: run_transient(
         circuit, replace(opts, adaptive=False), probes, **kw)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(analysis, "run_transient", fixed)
-        return hysteresis_trace(params, drive,
-                                samples_per_cycle=samples_per_cycle * refine)
+        patch.setattr(analysis, "_HYSTERESIS_SAMPLES",
+                      analysis._HYSTERESIS_SAMPLES * refine)
+        return hysteresis_trace(params, drive)
 
 
 class TestHysteresis:
@@ -772,8 +763,9 @@ class TestHysteresis:
         trace = hysteresis_trace(ResistorParams(r_nominal=19050.0), DRIVE)
         assert trace.area <= 1e-18
 
-    def test_trace_shape_and_cycle_slice(self):
-        trace = hysteresis_trace(MEM, DRIVE, samples_per_cycle=500)
+    def test_trace_shape_and_cycle_slice(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_HYSTERESIS_SAMPLES", 500)
+        trace = hysteresis_trace(MEM, DRIVE)
         assert len(trace.t) == 3 * 500 + 1
         assert trace.cycle_start == len(trace.t) - 501
         assert trace.area > 0.0
@@ -809,8 +801,6 @@ class TestHysteresis:
     def test_rejects_bad_harness_inputs(self):
         with pytest.raises(AnalysisError, match="sine"):
             hysteresis_trace(MEM, SourceSpec(kind="dc", dc_value=1.0))
-        with pytest.raises(AnalysisError, match="samples"):
-            hysteresis_trace(MEM, DRIVE, samples_per_cycle=8)
         with pytest.raises(AnalysisError, match="parameters"):
             hysteresis_trace(object(), DRIVE)
         # a resistor stays positive at 0 K; the solve refuses the temperature

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mirrorsim import cli, engine
+from mirrorsim import cli
 from mirrorsim.analysis import AnalysisError, NotSettledError
 from mirrorsim.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_SIMULATION, main
 from mirrorsim.constants import ZERO_CELSIUS
@@ -592,6 +592,19 @@ class TestMirrorCommand:
         percent = [f for f in footers if f.startswith("# thd (percent) = ")]
         assert len(percent) == 1
         assert 0.5 < float(percent[0].rpartition("= ")[2]) < 5.0
+
+    def test_thd_drive_rides_on_the_circuit_supply_however_it_is_set(self, capsys):
+        # the sine replaces V1 and rides on V1's own DC value, so a supply
+        # set by device path drives the same table as the config's vdd
+        outs = []
+        for setting in ("vdd=3.0", "V1.dc_value=3.0", "source.vdd=3.0"):
+            code, out, _ = run_cli(["mirror", "2r", "--analysis", "thd",
+                                    "--set", setting], capsys)
+            assert code == EXIT_OK
+            outs.append(out)
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+        _, default, _ = run_cli(["mirror", "2r", "--analysis", "thd"], capsys)
+        assert default != outs[0]
 
     def test_table1_emits_one_row_for_the_config(self, capsys):
         code, out, _ = run_cli(

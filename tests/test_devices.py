@@ -24,10 +24,14 @@ from mirrorsim.devices import (
     gate_leakage,
     gate_leakage_coefficients,
     joglekar_window,
+    kelvin,
     memristance,
+    memristor_drift,
     memristor_dwdt,
+    memristor_state,
     mosfet_coefficients,
     mosfet_current,
+    mosfet_kprime,
     mosfet_linearized,
     mosfet_linearized_array,
     mosfet_vth,
@@ -60,10 +64,12 @@ def test_thermal_voltage_at_300k():
 
 
 def test_thermal_voltage_rejects_nonpositive_kelvin():
-    with pytest.raises(DeviceError):
-        thermal_voltage(0.0)
-    with pytest.raises(DeviceError):
-        thermal_voltage(-20.0)
+    # one check, kelvin(), which passes a valid value through and refuses NaN
+    assert kelvin(300.15) == 300.15
+    for law in (kelvin, thermal_voltage, lambda t: mosfet_kprime(NMOS_DEFAULTS, t)):
+        for temp in (0.0, -20.0, math.nan):
+            with pytest.raises(DeviceError, match="temperature must be positive kelvin"):
+                law(temp)
 
 
 @given(st.floats(min_value=1.0, max_value=2000.0))
@@ -179,6 +185,37 @@ def test_dwdt_matches_transcription(x, current, p):
                           params.polarity, p, current)
     got = memristor_dwdt(s, params, current)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+@pytest.mark.parametrize("s", [0.0, 0.2, 0.5, 0.85, 1.0])
+def test_drift_law_is_rate_window_and_window_slope(s, p):
+    params = MemristorParams(window_p=p, polarity=-1)
+    dt = 1e-3
+    k, f, slope = memristor_drift(s, params, dt)
+    assert k == dt * -1 * params.mobility * params.r_on / (params.length * params.length)
+    assert f == joglekar_window(s, p)
+    h = 1e-6
+    lo, hi = max(s - h, 0.0), min(s + h, 1.0)
+    numeric = (joglekar_window(hi, p) - joglekar_window(lo, p)) / (hi - lo)
+    assert slope == pytest.approx(numeric, rel=1e-5, abs=1e-9)
+    if p == 0:
+        assert slope == 0.0
+    # dw/dt is the same law over one second, in metres
+    current = 4e-5
+    want = oracles.o_dwdt(s * params.length, params.length, params.r_on,
+                          params.mobility, -1, p, current)
+    got = memristor_dwdt(MemristorState(w=s * params.length), params, current)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def test_memristor_state_is_w_over_l_inside_the_device_only():
+    p = MEMRISTOR_DEFAULTS
+    assert memristor_state(0.25 * p.length, p) == 0.25 * p.length / p.length
+    assert memristor_state(0.0, p) == 0.0 and memristor_state(p.length, p) == 1.0
+    for w in (-1e-12, 1.01 * p.length, math.nan):
+        with pytest.raises(DeviceError, match=r"outside \[0, L="):
+            memristor_state(w, p)
 
 
 def test_memristor_params_validation():
@@ -321,8 +358,6 @@ def test_array_law_equals_the_scalar_law(params, temp):
 
 def test_vth_and_kprime_temperature_laws():
     assert mosfet_vth(NMOS_DEFAULTS, 310.0) == pytest.approx(0.44015, rel=REL)
-    from mirrorsim.devices import mosfet_kprime
-
     assert mosfet_kprime(NMOS_DEFAULTS, 350.0) == pytest.approx(
         0.00013500640609549988, rel=REL
     )

@@ -280,6 +280,24 @@ def test_parallel_voltage_sources_are_singular():
         solve_dc(cir)
 
 
+def test_a_ground_only_deck_is_singular():
+    # every source's branch row is zero when its terminals are both ground
+    cir = _circuit("V1 0 0 DC 1\nR1 0 0 1k\n")
+    assert cir.node_names == ["0"]
+    with pytest.raises(SingularMatrixError):
+        solve_dc(cir)
+    with pytest.raises(SingularMatrixError):
+        run_transient(cir, SimOptions(dt=1e-3, t_stop=0.01), ["i(R1)"])
+
+
+def test_a_source_between_two_nodes_stacks_on_the_one_below():
+    cir = _circuit("V1 a b DC 1\nV2 b 0 DC 1\nR1 a 0 1k\n")
+    op = solve_dc(cir)
+    assert op.node_voltages[cir.node_index("a")] == pytest.approx(2.0, rel=1e-12)
+    assert op.node_voltages[cir.node_index("b")] == pytest.approx(1.0, rel=1e-12)
+    assert op.device_currents["R1"] == pytest.approx(2e-3, rel=1e-9)
+
+
 def test_circuit_without_source_is_rejected():
     params = ResistorParams(r_nominal=1e3)
     cir = Circuit("r only", ["0", "a"], [BoundResistor("R1", 1, 0, params)])
@@ -1129,8 +1147,43 @@ def test_initial_state_overrides_are_validated():
     opts = SimOptions(dt=1e-3, t_stop=0.01)
     with pytest.raises(SimulationError):
         run_transient(cir, opts, ["m(Y2)"], initial_states={"Y9": 1e-9})
-    with pytest.raises(SimulationError):
-        run_transient(cir, opts, ["m(Y2)"], initial_states={"Y2": 2e-8})
+    # a state outside [0, L] is the device's error, as in solve_dc(states=)
+    for run in (lambda states: run_transient(cir, opts, ["m(Y2)"],
+                                             initial_states=states),
+                lambda states: solve_dc(cir, states=states)):
+        with pytest.raises(DeviceError, match=r"state w=2e-08 outside \[0, L="):
+            run({"Y1": 5e-9, "Y2": 2e-8})
+
+
+def test_memoryless_samples_name_their_time_or_carry_the_device_error():
+    opts = SimOptions(dt=1e-3, t_stop=0.01)
+    parallel = _circuit("V1 a 0 SIN(1 1 50)\nV2 a 0 DC 1\nR1 a 0 1k\n")
+    with pytest.raises(SingularMatrixError, match="at t=0 s") as exc:
+        run_transient(parallel, opts, ["v(a)"])
+    assert exc.value.time == 0.0
+    # 1 + tc*(T - T0) < 0 at 100 C: the resistor law refuses the sample
+    hot = _circuit("V1 a 0 DC 1\nR1 a 0 1k tc=-1\n.temp 100\n")
+    with pytest.raises(DeviceError, match="resistance"):
+        run_transient(hot, opts, ["v(a)"])
+
+
+def test_a_singular_memristive_start_raises_before_any_step():
+    cir = _circuit("V1 a 0 DC 1\nV2 a 0 DC 2\nY1 a 0 MEM m0=5k\n"
+                   ".model MEM MEMRISTOR (ron=100 roff=38k l=10n uv=2e-14 p=1 pol=1)\n")
+    for adaptive in (False, True):
+        with pytest.raises(SingularMatrixError):
+            run_transient(cir, SimOptions(dt=1e-3, t_stop=0.01, adaptive=adaptive),
+                          ["w(Y1)"])
+
+
+def test_one_controlled_step_records_its_two_ends():
+    cir = _circuit(P2_DECK)
+    res = run_transient(cir, SimOptions(dt=1e-3, t_stop=1e-3, adaptive=True),
+                        ["w(Y1)"])
+    wave = res.waveform("w(Y1)")
+    assert wave.t.tolist() == [0.0, 1e-3]
+    assert wave.values[0] == cir.device("Y1").w0
+    assert wave.values[-1] == res.final_states["Y1"]
 
 
 def test_transient_requires_t_stop():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from mirrorsim.devices import MEMRISTOR_DEFAULTS, SourceSpec
 from mirrorsim.netlist import (
-    BoundMemristor,
     BoundMosfet,
     BoundResistor,
     BoundSource,
@@ -21,7 +20,6 @@ from mirrorsim.netlist import (
     MirrorKind,
     ModelCard,
     MosfetCard,
-    NetlistAst,
     ParamCard,
     ParseError,
     ResistorCard,
@@ -393,6 +391,17 @@ def test_undefined_model_and_kind_mismatch():
         ".model MEM MEMRISTOR (ron=100)\n"
     )
     with pytest.raises(ElaborationError):
+        elaborate(parse(text))
+
+
+@pytest.mark.parametrize("w0", ["-1n", "11n"])
+def test_an_initial_state_outside_the_device_is_an_elaboration_error(w0):
+    text = (
+        "V1 a 0 DC 1\n"
+        f"Y1 a 0 MEM w0={w0}\n"
+        ".model MEM MEMRISTOR (ron=100 roff=38k l=10n)\n"
+    )
+    with pytest.raises(ElaborationError, match=r"^Y1: state w=.* outside \[0, L=1e-08\]"):
         elaborate(parse(text))
 
 
