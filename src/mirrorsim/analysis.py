@@ -246,6 +246,29 @@ def _has_memristors(circuit: Circuit) -> bool:
     return any(isinstance(d, BoundMemristor) for d in circuit.devices)
 
 
+def _sine_drive(circuit: Circuit, frequency: float, periods: int, samples: int,
+                probes: list[str], *, states: dict[str, float] | None = None,
+                adaptive: bool = False) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Times and probe values of ``circuit`` over ``periods`` periods of a
+    sine drive at ``frequency``, recorded ``samples`` times a period: t =
+    k*dt with dt = 1/(frequency*samples), ``periods*samples + 1`` samples.
+
+    A memristive circuit runs the whole transient, from ``states`` (metres
+    by name; None or empty: its initial states), with error-controlled
+    steps when ``adaptive``.  A circuit with no memristor carries no state, so each
+    period is the same solve in exact arithmetic: only samples
+    0..samples-1 are solved, and they are tiled over the run.
+    """
+    dt = 1.0 / (frequency * samples)
+    t = np.arange(periods * samples + 1) * dt
+    if _has_memristors(circuit):
+        opts = SimOptions(dt=dt, t_stop=periods / frequency, adaptive=adaptive)
+        result = run_transient(circuit, opts, probes, initial_states=states)
+        return t, [w.values for w in result.waveforms]
+    result = run_transient(circuit, SimOptions(dt=dt, t_stop=(samples - 1) * dt), probes)
+    return t, [np.resize(w.values, len(t)) for w in result.waveforms]
+
+
 @dataclass(frozen=True)
 class SettledResult:
     """A circuit driven to its settled operating point.
@@ -554,12 +577,13 @@ def hysteresis_trace(params: MemristorParams | ResistorParams, drive: SourceSpec
     The harness is a source-device loop: the device hangs directly across the
     drive.  Memristor parameters start at half the boundary travel; resistor
     parameters run in the identical harness and bound the numerical noise
-    floor (their loop area is zero up to integration error).  The loop area
-    is measured on the last cycle, after the earlier cycles have washed out
-    the initial state.  The transient takes error-controlled steps and is
-    recorded on a uniform grid of ``_HYSTERESIS_SAMPLES`` per cycle
-    (``SimOptions.adaptive`` with ``dt``), every sample a DC solution at its
-    state.
+    floor (their loop area is zero up to rounding).  The loop area is
+    measured on the last cycle, after the earlier cycles have washed out
+    the initial state.  The trace is recorded on a uniform grid of
+    ``_HYSTERESIS_SAMPLES`` per cycle (:func:`_sine_drive`): a memristor's
+    transient takes error-controlled steps (``SimOptions.adaptive`` with
+    ``dt``), every sample a DC solution at its state, and a resistor, which
+    carries no state, solves the first cycle and tiles it over three.
     """
     if drive.kind != "sine":
         raise AnalysisError("hysteresis needs a sine drive")
@@ -579,12 +603,9 @@ def hysteresis_trace(params: MemristorParams | ResistorParams, drive: SourceSpec
         devices=[BoundSource("V1", 1, 0, drive), device],
         temp=temp,
     )
-    dt = 1.0 / (drive.frequency * _HYSTERESIS_SAMPLES)
-    opts = SimOptions(dt=dt, t_stop=_HYSTERESIS_CYCLES / drive.frequency, adaptive=True)
-    result = run_transient(circuit, opts, ["v(in)", current_probe])
-    voltage = result.waveform("v(in)").values
-    current = result.waveform(current_probe).values
-    t = result.waveform("v(in)").t
+    t, (voltage, current) = _sine_drive(circuit, drive.frequency, _HYSTERESIS_CYCLES,
+                                        _HYSTERESIS_SAMPLES, ["v(in)", current_probe],
+                                        adaptive=True)
     start = len(voltage) - (_HYSTERESIS_SAMPLES + 1)
     area = _loop_area(voltage[start:], current[start:])
     return HysteresisTrace(t=t, voltage=voltage, current=current,
@@ -717,21 +738,23 @@ def _settled_load_states(circuit: Circuit) -> dict[str, float]:
 
 def _config_thd(circuit: Circuit, states: dict[str, float], amplitude: float,
                 frequency: float) -> ThdResult:
-    """Output-current distortion under the standard sine supply drive.
+    """Output-current distortion under the standard sine supply drive, over
+    ``_THD_DRIVE_PERIODS`` periods of ``_THD_SAMPLES_PER_PERIOD`` samples.
 
     The sine replaces the supply ``V1``: it rides on V1's DC value plus
     ``amplitude``, so its floor stays at the circuit's own supply and the
-    mirror never leaves normal operation over the cycle.
+    mirror never leaves normal operation over the cycle.  A memristive
+    mirror steps the whole drive from ``states`` on the fixed grid; a
+    resistive one carries no state, so its first period is solved and
+    tiled (:func:`_sine_drive`).
     """
     driven = circuit.copy()
     supply = driven.device("V1").spec.dc_value
     driven.device("V1").spec = SourceSpec(kind="sine", dc_value=supply + amplitude,
                                           amplitude=amplitude, frequency=frequency)
-    opts = SimOptions(dt=1.0 / (frequency * _THD_SAMPLES_PER_PERIOD),
-                      t_stop=_THD_DRIVE_PERIODS / frequency)
-    result = run_transient(driven, opts, ["i(M2)"],
-                           initial_states=states or None)
-    return compute_thd(result.waveform("i(M2)"), frequency, _THD_HARMONICS)
+    t, (current,) = _sine_drive(driven, frequency, _THD_DRIVE_PERIODS,
+                                _THD_SAMPLES_PER_PERIOD, ["i(M2)"], states=states)
+    return compute_thd(Waveform("i(M2)", "A", t, current), frequency, _THD_HARMONICS)
 
 
 def distortion_trace(config: MirrorConfig, *, circuit: Circuit | None = None,
@@ -739,7 +762,8 @@ def distortion_trace(config: MirrorConfig, *, circuit: Circuit | None = None,
                      frequency: float = _THD_FREQUENCY) -> ThdResult:
     """Settle a mirror configuration, then measure the harmonic content of
     its output current under the standard sine supply drive, up to
-    harmonic 49.
+    harmonic 49 (see :func:`_config_thd`: a resistive mirror solves one
+    period of the drive and tiles it).
 
     ``circuit`` lets a caller pass an already-elaborated (possibly
     parameter-overridden) instance of the same configuration.  It runs at

@@ -11,7 +11,11 @@ Exit codes are part of the interface and stable:
 * 3 — I/O error (unreadable input, missing output directory)
 
 Every value printed to stdout or an output file is a pure function of the
-invocation, so identical invocations produce byte-identical output.
+invocation, so identical invocations produce byte-identical output.  A
+harmonic amplitude and a loop area print only the digits at or above
+``_RESOLUTION`` times their scale (the fundamental, or the loop's peak
+voltage times its peak current), so two solves that agree to the solver's
+precision print the same table.
 Diagnostics go to stderr; set ``MIRRORSIM_NO_COLOR`` to strip the ANSI
 coloring they carry on terminals.
 """
@@ -26,6 +30,8 @@ import sys
 import time
 from dataclasses import replace
 
+import numpy as np
+
 from .analysis import (
     AnalysisError,
     NotSettledError,
@@ -39,7 +45,7 @@ from .analysis import (
     temperature_sweep,
 )
 from .constants import ZERO_CELSIUS
-from .csvio import check_output, format_number, open_output, write_csv
+from .csvio import check_output, format_number, format_resolved, open_output, write_csv
 from .devices import (
     DeviceError,
     MEMRISTOR_DEFAULTS,
@@ -68,6 +74,7 @@ from .netlist import (
     parse,
     parse_value,
     print_netlist,
+    resolve_param_path,
 )
 
 __all__ = ["main", "build_parser"]
@@ -82,6 +89,18 @@ _MISMATCH_DELTAS = tuple(round(-0.20 + 0.05 * k, 2) for k in range(9))
 _TEMP_SWEEP_CELSIUS = tuple(range(0, 101, 10))
 _HYSTERESIS_DRIVE = SourceSpec(kind="sine", dc_value=0.0, amplitude=2.5,
                                frequency=5.0)
+
+# the resolution of a printed harmonic amplitude or loop area, relative to
+# its scale: above the solver's noise (harmonics 18-49 of `thd_2m` reach
+# 6.0e-12 of the fundamental, those of `thd_2r` 6.9e-13; the lone
+# resistor's loop, 0 in exact arithmetic, reads 1.4e-20 A*V against a scale
+# of 1.6e-4) and far above what periods solved apart rather than tiled move
+# (7.3e-16 of the fundamental)
+_RESOLUTION = 1e-11
+
+# device paths `--analysis thd` refuses: its standard sine drive replaces
+# these fields of the supply V1 (it reads only V1's DC value)
+_THD_DRIVE_PATHS = ("v1.amplitude", "v1.frequency", "v1.phase")
 
 
 def _color_enabled() -> bool:
@@ -216,8 +235,10 @@ def _thd(circuit: Circuit, config: MirrorConfig, opts: SimOptions, args):
     footers = [f"f0 (Hz) = {format_number(result.f0)}",
                f"thd (fraction) = {format_number(result.thd)}",
                f"thd (percent) = {format_number(result.thd_percent)}"]
-    return (["harmonic (n)", "amplitude (A)"],
-            enumerate([result.fundamental, *result.harmonics], 1), footers)
+    resolution = _RESOLUTION * result.fundamental
+    amplitudes = [format_resolved(a, resolution)
+                  for a in [result.fundamental, *result.harmonics]]
+    return ["harmonic (n)", "amplitude (A)"], enumerate(amplitudes, 1), footers
 
 
 def _temp_sweep(circuit, config: MirrorConfig, opts, args):
@@ -259,7 +280,8 @@ def _hysteresis(circuit, config: MirrorConfig, opts: SimOptions, args):
     else:
         params = ResistorParams(r_nominal=config.r_load)
     trace = hysteresis_trace(params, _HYSTERESIS_DRIVE, temp=circuit.temp)
-    footers = [f"loop_area (A*V) = {format_number(trace.area)}",
+    scale = np.abs(trace.voltage).max() * np.abs(trace.current).max()
+    footers = [f"loop_area (A*V) = {format_resolved(trace.area, _RESOLUTION * scale)}",
                f"cycle_start_index = {trace.cycle_start}"]
     return (["t (s)", "v (V)", "i (A)"],
             zip(trace.t, trace.voltage, trace.current), footers)
@@ -324,10 +346,15 @@ def cmd_mirror(args) -> int:
     if args.emit_netlist and args.analysis:
         raise _UsageError("--emit-netlist prints the netlist and runs no --analysis")
     analysis = None if args.emit_netlist else args.analysis or "dc"
-    where = "--emit-netlist" if analysis is None else f"--analysis {analysis}"
+    flag = "--emit-netlist" if analysis is None else f"--analysis {analysis}"
+    where = f"`mirror {args.config} {flag}`"
     sets, paths, opts = _read_sets(
-        args.set, _reads(analysis, kind), f"`mirror {args.config} {where}`",
+        args.set, _reads(analysis, kind), where,
         t_stop=_DEFAULT_TRAN_STOP if analysis == "tran" else None)
+    for path in paths:
+        if analysis == "thd" and resolve_param_path(path).lower() in _THD_DRIVE_PATHS:
+            raise _UsageError(f"{where} does not read --set {path}; its standard "
+                              f"sine drive replaces V1's amplitude, frequency and phase")
     config = MirrorConfig(kind, **sets)
     if analysis != "param-sweep" and (args.param or args.values):
         raise _UsageError("--param/--values only apply to --analysis param-sweep")

@@ -1,25 +1,39 @@
 """CSV emission shared by the command-line front-end.
 
 One dialect everywhere: a header row of ``name (unit)`` column labels, comma
-separators, ``.`` decimal points, LF line endings, and numbers printed to
-9 significant digits.  Trailing comment lines (prefixed ``# ``) carry scalar
-summaries such as loop areas or report notes.  Output is a pure function of
-the rows, so identical invocations produce byte-identical files.
+separators, ``.`` decimal points, LF line endings, and numbers printed to at
+most 9 significant digits; a value that the solver resolves only to a
+resolution, such as a harmonic amplitude, prints only the digits at or above
+it (:func:`format_resolved`).  Trailing comment lines (prefixed ``# ``)
+carry scalar summaries such as loop areas or report notes.  Output is a pure
+function of the rows, so identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from contextlib import contextmanager
 from typing import Iterable, Sequence
 
-__all__ = ["format_number", "write_csv", "check_output", "open_output"]
+__all__ = ["format_number", "format_resolved", "write_csv", "check_output",
+           "open_output"]
 
 
 def format_number(value: float) -> str:
     """9-significant-digit decimal rendering (``%.9g``)."""
     return f"{value:.9g}"
+
+
+def format_resolved(value: float, resolution: float) -> str:
+    """Finite ``value`` printed only to the decimal places at or above
+    ``resolution`` (positive), and to at most 9 significant digits: ``0``
+    when ``|value| < resolution``, else one significant digit at least."""
+    if abs(value) < resolution:
+        return "0"
+    digits = math.floor(math.log10(abs(value))) - math.ceil(math.log10(resolution)) + 1
+    return f"{value:.{min(max(digits, 1), 9)}g}"
 
 
 def _cell(value) -> str:

@@ -498,11 +498,12 @@ class _DcRows:
     devices in circuit order; see OperatingPoint) and ``residual``, NaN in
     a failed row.
 
-    Each Newton iteration makes one array MOSFET evaluation and adds each
-    stamp family (matrix, right-hand side, KCL sums) in one unbuffered
-    :func:`numpy.add.at`, so every entry takes its terms in the order of
-    the stamp sequences that :class:`_Steps` applies one by one, after a
-    row's linear part.  With the device law evaluated by
+    Each Newton iteration makes one array MOSFET evaluation (none without
+    MOSFETs, whose rows are assembled and solved once: see :meth:`newton`)
+    and adds each stamp family (matrix, right-hand side, KCL sums) in one
+    unbuffered :func:`numpy.add.at`, so every entry takes its terms in the
+    order of the stamp sequences that :class:`_Steps` applies one by one,
+    after a row's linear part.  With the device law evaluated by
     :func:`~mirrorsim.devices.mosfet_square_law`'s operations, each row's
     iterates equal those of the same row solved alone, to the bit.
     """
@@ -589,9 +590,12 @@ class _DcRows:
         return out
 
     def _mosfets(self, rows, x):
-        """(vgs, vds, id, gm, gds) of every MOSFET, (MOSFETs, rows) each."""
+        """(vgs, vds, id, gm, gds) of every MOSFET, (MOSFETs, rows) each;
+        without MOSFETs, five empty arrays and no device-law call."""
         d, g, s = (x.T[nodes] for nodes in self.topo.mos_nodes)
         vgs, vds = g - s, d - s
+        if not self.topo.mosfets:
+            return vgs, vds, vgs, vgs, vgs
         return (vgs, vds) + mosfet_linearized_array(vgs, vds,
                                                     *self.coeffs.take(rows, axis=2))
 
@@ -637,8 +641,14 @@ class _DcRows:
         its iterations added to ``iterations``; every other row gets the
         error a lone solve of it raises, iteration trace included, in
         ``errors``.
+
+        Without MOSFETs a row's linearized system does not depend on its
+        guess, so it is assembled and solved in the first iteration only,
+        and every later iteration reuses that solution of each row still
+        running: the same bits a fresh solve gives.
         """
         topo = self.topo
+        linear = not topo.mosfets
         n, damped = topo.n_nodes, topo.damped_nodes
         vntol, reltol = SimOptions.vntol, SimOptions.reltol
         history: list[tuple] = []  # (iteration, rows, max |dV|, residual)
@@ -654,7 +664,8 @@ class _DcRows:
         for it in range(1, _MAX_NEWTON_ITERS + 1):
             if not len(rows):
                 break
-            solved, singular = _solve_stack(*self.assemble(rows, x, source_scale))
+            if it == 1 or not linear:
+                solved, singular = _solve_stack(*self.assemble(rows, x, source_scale))
             finite = np.isfinite(solved).all(axis=1)
             if not finite.all():
                 for p in np.flatnonzero(~finite):
@@ -687,7 +698,7 @@ class _DcRows:
                 self.x[done], self.currents[done] = x[finished], currents[finished]
                 self.residual[done] = residual[finished]
                 self.iterations[done] += it
-                rows, x = rows[~finished], x[~finished]
+                rows, x, solved = rows[~finished], x[~finished], solved[~finished]
         for row in rows.tolist():
             row_trace = trace(row)
             self.errors[row] = NonConvergenceError(
@@ -1087,7 +1098,9 @@ def _compile(circuit: Circuit | _Topology, temps=(None,), *, records=None,
     circuit = topo.circuit
     if isinstance(states, dict):
         states = [memristor_state(states[m.name], m.params) for m in topo.memristors]
-    temps = [kelvin(circuit.temp if t is None else t) for t in temps]
+    checked = {t: kelvin(circuit.temp if t is None else t)
+               for t in dict.fromkeys(temps)}  # each distinct one once
+    temps = [checked[t] for t in temps]
     records = records or {}
     if values is None:
         times = np.full(len(temps), 0.0 if source_time is None else source_time)

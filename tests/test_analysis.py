@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorsim import analysis, engine
+from mirrorsim import analysis, cli, engine
 from mirrorsim.analysis import (
     AnalysisError,
     NotSettledError,
@@ -806,6 +806,124 @@ class TestHysteresis:
         # a resistor stays positive at 0 K; the solve refuses the temperature
         with pytest.raises(DeviceError, match="positive kelvin"):
             hysteresis_trace(ResistorParams(r_nominal=38e3), DRIVE, temp=0.0)
+
+
+# --------------------------------------------------------------------------- #
+# Memoryless periodic drives: one period solved and tiled
+# --------------------------------------------------------------------------- #
+
+def whole_record(circuit, frequency, periods, samples, probes, **kwargs):
+    """:func:`analysis._sine_drive` of a memoryless circuit without the
+    tiling: every sample of the record solved by :func:`run_transient`."""
+    opts = SimOptions(dt=1.0 / (frequency * samples), t_stop=periods / frequency)
+    result = run_transient(circuit, opts, probes)
+    return result.waveforms[0].t, [w.values for w in result.waveforms]
+
+
+def tiled_and_whole(monkeypatch, call):
+    """``call()`` with one period tiled, then with the whole record solved,
+    each with the (t, values) its drive returned."""
+    outcomes = []
+    for drive in (analysis._sine_drive, whole_record):
+        seen = []
+
+        def spy(*args, drive=drive, **kwargs):
+            seen.append(drive(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(analysis, "_sine_drive", spy)
+        outcomes.append((call(), *seen))
+    return outcomes
+
+
+def assert_same_drive(tiled, whole, samples):
+    """The tiled record has the whole one's times to the bit, its first
+    period to the bit, and every value within 1e-14 of the probe's peak."""
+    (t_tiled, values_tiled), (t_whole, values_whole) = tiled, whole
+    assert t_tiled.tobytes() == t_whole.tobytes()
+    for got, want in zip(values_tiled, values_whole):
+        assert got[:samples].tobytes() == want[:samples].tobytes()
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def count_drive(monkeypatch, call):
+    """The rows of every :func:`engine._compile` and the samples of every
+    transient that ``call()`` makes, in call order."""
+    rows, records = [], []
+    compile_, transient = engine._compile, analysis.run_transient
+
+    def counting_compile(circuit, temps=(None,), **kwargs):
+        rows.append(len(temps))
+        return compile_(circuit, temps, **kwargs)
+
+    def counting_transient(*args, **kwargs):
+        result = transient(*args, **kwargs)
+        records.append(len(result.waveforms[0].t))
+        return result
+
+    monkeypatch.setattr(engine, "_compile", counting_compile)
+    monkeypatch.setattr(analysis, "run_transient", counting_transient)
+    call()
+    return rows, records
+
+
+class TestPeriodTiling:
+    @pytest.mark.parametrize("kind", ["2r", "pmos-r"])
+    def test_distortion_matches_the_whole_record(self, monkeypatch, kind):
+        config = MirrorConfig(MirrorKind(kind))
+        (tiled, tiled_drive), (whole, whole_drive) = tiled_and_whole(
+            monkeypatch, lambda: distortion_trace(config))
+        assert_same_drive(tiled_drive, whole_drive, analysis._THD_SAMPLES_PER_PERIOD)
+        scale = 1e-14 * whole.fundamental
+        assert abs(tiled.fundamental - whole.fundamental) <= scale
+        assert np.max(np.abs(tiled.harmonics - whole.harmonics)) <= scale
+        assert tiled.thd == pytest.approx(whole.thd, rel=1e-12)
+
+    def test_resistor_loop_matches_the_whole_record(self, monkeypatch):
+        params = ResistorParams(r_nominal=38e3)
+        (tiled, tiled_drive), (whole, whole_drive) = tiled_and_whole(
+            monkeypatch, lambda: hysteresis_trace(params, DRIVE))
+        assert_same_drive(tiled_drive, whole_drive, analysis._HYSTERESIS_SAMPLES)
+        scale = np.max(np.abs(whole.voltage)) * np.max(np.abs(whole.current))
+        assert max(tiled.area, whole.area) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("argv", [
+        ["mirror", "2r", "--analysis", "thd"],
+        ["mirror", "pmos-r", "--analysis", "thd"],
+        ["mirror", "2r", "--analysis", "hysteresis"],
+    ], ids=["thd-2r", "thd-pmos-r", "hysteresis-2r"])
+    def test_both_paths_print_the_same_table(self, monkeypatch, capsys, argv):
+        # a hysteresis table prints its samples in full, so only its
+        # footers, the loop area's among them, are compared
+        def printed():
+            assert cli.main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            return lines if "thd" in argv else [x for x in lines if x.startswith("# ")]
+
+        (tiled, _), (whole, _) = tiled_and_whole(monkeypatch, printed)
+        assert tiled == whole
+
+    @pytest.mark.parametrize("call, period", [
+        (lambda: distortion_trace(MirrorConfig(MirrorKind.TWO_RESISTORS)), 200),
+        (lambda: distortion_trace(MirrorConfig(MirrorKind.PMOS_RESISTOR)), 200),
+        (lambda: hysteresis_trace(ResistorParams(r_nominal=38e3), DRIVE), 2000),
+    ], ids=["thd-2r", "thd-pmos-r", "resistor-loop"])
+    def test_a_memoryless_drive_compiles_one_period_at_most(self, monkeypatch, call,
+                                                            period):
+        rows, records = count_drive(monkeypatch, call)
+        assert records == [period] and sum(rows) <= period
+
+    @pytest.mark.parametrize("call, rows, records", [
+        # the THD drive steps its whole record after the settling run, each
+        # run compiling its t = 0 row; the loop's grid is all DC rows
+        (lambda: distortion_trace(MirrorConfig(MirrorKind.TWO_MEMRISTORS)), 2,
+         [6001, 2001]),
+        (lambda: hysteresis_trace(MEM, DRIVE), 1 + 6001, [6001]),
+    ], ids=["thd-2m", "memristor-loop"])
+    def test_a_memristive_drive_runs_its_whole_record(self, monkeypatch, call, rows,
+                                                      records):
+        compiled, recorded = count_drive(monkeypatch, call)
+        assert (sum(compiled), recorded) == (rows, records)
 
 
 # --------------------------------------------------------------------------- #

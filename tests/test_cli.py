@@ -21,7 +21,7 @@ from mirrorsim import cli
 from mirrorsim.analysis import AnalysisError, NotSettledError
 from mirrorsim.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_SIMULATION, main
 from mirrorsim.constants import ZERO_CELSIUS
-from mirrorsim.csvio import format_number, write_csv
+from mirrorsim.csvio import format_number, format_resolved, write_csv
 from mirrorsim.devices import DeviceError
 from mirrorsim.engine import SingularMatrixError, solve_dc
 from mirrorsim.netlist import MirrorConfig, MirrorKind, elaborate, mirror_circuit, parse
@@ -353,6 +353,12 @@ class TestExitCodes:
         (["mirror", "2r", "--emit-netlist", "--set", "T2.width=1u"],
          "device paths"),
         (["mirror", "2r", "--emit-netlist", "--set", "temp=80"], "temp"),
+        # the standard THD drive replaces the supply's sine fields
+        (["mirror", "2r", "--analysis", "thd", "--set", "V1.amplitude=1"],
+         "V1.amplitude"),
+        (["mirror", "pmos-r", "--analysis", "thd", "--set", "v1.frequency=10"],
+         "v1.frequency"),
+        (["mirror", "2m", "--analysis", "thd", "--set", "V1.phase=1"], "V1.phase"),
     ])
     def test_a_key_the_command_does_not_read_is_refused(self, argv, key, capsys):
         code, out, err = run_cli(argv, capsys)
@@ -657,6 +663,22 @@ class TestOutputPlumbing:
         for cell in rows[0]:
             assert cell == format_number(float(cell))
 
+    @pytest.mark.parametrize("value, resolution, cell", [
+        (5.89379778e-05, 5.9e-16, "5.89379778e-05"),  # at most 9 digits
+        (5.21037632e-07, 5.9e-16, "5.21037632e-07"),
+        (7.66764661e-08, 5.9e-16, "7.6676466e-08"),
+        (3.80713871e-14, 5.9e-16, "3.8e-14"),
+        (1.00689993e-14, 5.9e-16, "1e-14"),
+        (-2.62937457e-15, 5.9e-16, "-3e-15"),
+        (6.85158887e-16, 5.9e-16, "7e-16"),  # one digit at least
+        (2.12916649e-16, 5.9e-16, "0"),
+        (1.36e-20, 1.6e-15, "0"),
+        (0.0, 1e-15, "0"),
+    ])
+    def test_resolved_cells_print_the_digits_at_or_above_the_resolution(
+            self, value, resolution, cell):
+        assert format_resolved(value, resolution) == cell
+
     @pytest.mark.parametrize("config", ["2r", "pmos-r"])
     def test_sweep_output_equals_single_solves(self, config, capsys):
         # the temp-sweep rows are one batched solve; the table must be the
@@ -695,11 +717,12 @@ class TestOutputPlumbing:
 DATA = Path(__file__).with_name("data")
 GOLDEN = DATA / "golden"
 
-# stdout of each command, recorded before DC solves were batched (thd_2m
-# before the memristor-free transients were, thd_2r and thd_pmos-r after,
-# tran_2m and tran_pmos-m before the memristive steps read the compiled DC
+# stdout of each command, recorded before DC solves were batched (the thd
+# files and hysteresis_2r again when harmonic amplitudes and loop areas
+# began to print only their resolved digits and memoryless drives to solve
+# one period, tran_2m and tran_pmos-m before the memristive steps read the compiled DC
 # row, the calibrate files while calibration settled on a fixed 1 ms grid;
-# table1, hysteresis, temp-sweep_2m, param-sweep_2m, emit-netlist and run
+# table1, hysteresis_2m, temp-sweep_2m, param-sweep_2m, emit-netlist and run
 # before the CLI dispatched through one analysis table, the mismatch files
 # again when they gained the r_o-aware prediction); a file is named after
 # its command's analysis and configuration, or its subcommand and flags

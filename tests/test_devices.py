@@ -503,10 +503,12 @@ def test_numpy_sine_is_math_sine_on_the_drive_samples(monkeypatch):
     tasks = workloads.build_tasks("drive", 1)
     for task in tasks:
         workloads.run_task(task)
-    # every THD run (2,001 samples) and hysteresis grid (6,001) was seen,
-    # besides the t = 0 rows of the memristive ones
+    # every THD run's one period (200 samples), resistor loop's one cycle
+    # (2,000) and memristor loop's grid (6,001) was seen, besides the t = 0
+    # rows of the memristive ones
     lengths = [len(t) for _, t in calls]
-    assert lengths.count(2001) == lengths.count(6001) == len(tasks) // 2
+    assert lengths.count(200) == len(tasks) // 2
+    assert lengths.count(2000) == lengths.count(6001) == len(tasks) // 4
     for source, times in calls:
         args = 2.0 * math.pi * source.frequency * times + source.phase
         scalar = np.array([math.sin(a) for a in args.tolist()])

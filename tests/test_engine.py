@@ -174,6 +174,15 @@ def test_a_temperature_that_is_not_positive_kelvin_is_a_device_error(temp):
         engine._compile(replace(cir, temp=300.15), [300.15, temp])
 
 
+def test_compile_checks_each_distinct_temperature_once(monkeypatch):
+    checked = []
+    monkeypatch.setattr(engine, "kelvin", lambda temp: checked.append(temp) or temp)
+    cir = _circuit("V1 a 0 DC 1\nR1 a b 1k\nR2 b 0 1k\n")
+    rows = engine._compile(cir, [None] * 512 + [350.0, None, 350.0])
+    assert checked == [cir.temp, 350.0]
+    assert rows.temps == [cir.temp] * 512 + [350.0, cir.temp, 350.0]
+
+
 # --------------------------------------------------------------------------- #
 # DC: the mirror against an independent scalar oracle
 # --------------------------------------------------------------------------- #
@@ -981,6 +990,20 @@ def test_dc_supplied_transient_compiles_one_row(monkeypatch):
             assert res.waveforms[j].values[k] == op.node_voltages[n]
         for j, name in enumerate(names):
             assert res.waveforms[len(nodes) + j].values[k] == op.device_currents[name]
+
+
+def test_mosfet_free_rows_are_assembled_and_solved_once(monkeypatch):
+    # a MOSFET-free system does not depend on Newton's guess: each block's
+    # first iteration solves it, and no MOSFET law is evaluated
+    calls = []
+    for name in ("_solve_stack", "mosfet_linearized_array"):
+        real = getattr(engine, name)
+        monkeypatch.setattr(engine, name, lambda *args, name=name, real=real:
+                            calls.append(name) or real(*args))
+    counts = _compiled_rows(monkeypatch)
+    build, dt = MEMORYLESS["resistor-loop"]
+    run_transient(build(), SimOptions(dt=dt, t_stop=(THREE_BLOCKS - 1) * dt), ["i(R1)"])
+    assert len(counts) >= 2 and calls == ["_solve_stack"] * len(counts)
 
 
 def test_non_finite_iterate_fails_after_one_iteration(monkeypatch):
