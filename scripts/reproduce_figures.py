@@ -36,9 +36,9 @@ from mirrorsim.analysis import (
 )
 from mirrorsim.constants import ZERO_CELSIUS
 from mirrorsim.csvio import format_number, write_csv
-from mirrorsim.devices import MemristorParams, SourceSpec
+from mirrorsim.devices import SourceSpec
 from mirrorsim.engine import SimOptions, run_transient
-from mirrorsim.netlist import MirrorConfig, MirrorKind, mirror_circuit
+from mirrorsim.netlist import MIRROR_MEMRISTOR, MirrorConfig, MirrorKind, mirror_circuit
 
 MISMATCH_BASE = 19e3
 MISMATCH_DELTAS = tuple(round(-0.20 + 0.05 * k, 2) for k in range(9))
@@ -51,7 +51,7 @@ def write_table(path: Path, columns, rows, footers=()):
 
 
 def run_hysteresis(out: Path):
-    params = MemristorParams(polarity=-1)
+    params = MIRROR_MEMRISTOR
     areas = []
     for freq in (5.0, 10.0, 50.0, 500.0):
         drive = SourceSpec(kind="sine", dc_value=0.0, amplitude=2.5,

@@ -33,7 +33,6 @@ import numpy as np
 from .constants import T_REF
 from .devices import (
     DeviceError,
-    MEMRISTOR_DEFAULTS,
     MemristorParams,
     ResistorParams,
     SourceSpec,
@@ -58,6 +57,7 @@ from .netlist import (
     BoundSource,
     Circuit,
     ElaborationError,
+    MIRROR_MEMRISTOR,
     MirrorConfig,
     MirrorKind,
     mirror_circuit,
@@ -842,7 +842,7 @@ def calibrate_mobility(target: float = 1.4, *, vdd: float = 2.5) -> float:
     cap = max(6.0, 6.0 * target)
 
     def switching_for(mobility: float) -> float:
-        params = replace(MEMRISTOR_DEFAULTS, mobility=mobility, polarity=-1)
+        params = replace(MIRROR_MEMRISTOR, mobility=mobility)
         circuit = mirror_circuit(config, params)
         try:
             return settled_transient(circuit, max_time=cap).settle_time

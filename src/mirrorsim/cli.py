@@ -48,7 +48,6 @@ from .constants import ZERO_CELSIUS
 from .csvio import check_output, format_number, format_resolved, open_output, write_csv
 from .devices import (
     DeviceError,
-    MEMRISTOR_DEFAULTS,
     ResistorParams,
     SourceSpec,
 )
@@ -62,6 +61,7 @@ from .engine import (
 from .netlist import (
     BoundMemristor,
     Circuit,
+    MIRROR_MEMRISTOR,
     MirrorConfig,
     MirrorKind,
     NetlistError,
@@ -71,6 +71,7 @@ from .netlist import (
     elaborate,
     format_value,
     mirror_circuit,
+    model_card,
     parse,
     parse_value,
     print_netlist,
@@ -276,7 +277,7 @@ def _param_sweep(circuit, config: MirrorConfig, opts: SimOptions, args):
 
 def _hysteresis(circuit, config: MirrorConfig, opts: SimOptions, args):
     if config.kind.has_memristors:
-        params = replace(MEMRISTOR_DEFAULTS, polarity=-1)
+        params = MIRROR_MEMRISTOR
     else:
         params = ResistorParams(r_nominal=config.r_load)
     trace = hysteresis_trace(params, _HYSTERESIS_DRIVE, temp=circuit.temp)
@@ -377,13 +378,10 @@ def cmd_calibrate(args) -> int:
     except AnalysisError as exc:
         _diag(f"error: {exc}")
         return EXIT_SIMULATION
-    mem = replace(MEMRISTOR_DEFAULTS, mobility=mobility, polarity=-1)
-    block = (
-        f".model MEM memristor (ron={format_value(mem.r_on)} "
-        f"roff={format_value(mem.r_off)} l={format_value(mem.length)} "
-        f"uv={format_value(mem.mobility)} p={mem.window_p} pol={mem.polarity})"
-    )
-    return _write(args.output, block + "\n")
+    card = model_card("MEM", "memristor", replace(MIRROR_MEMRISTOR, mobility=mobility))
+    keys = " ".join(f"{k}={v if isinstance(v, int) else format_value(v)}"
+                    for k, v in card.params.items())
+    return _write(args.output, f".model MEM memristor ({keys})\n")
 
 
 # --------------------------------------------------------------------------- #

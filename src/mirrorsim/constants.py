@@ -14,9 +14,6 @@ BOLTZMANN = 1.380649e-23
 ELEMENTARY_CHARGE = 1.602176634e-19
 """Elementary charge q (C).  Exact."""
 
-PLANCK = 6.62607015e-34
-"""Planck constant h (J s).  Exact."""
-
 REDUCED_PLANCK = 1.054571817e-34
 """Reduced Planck constant h/2pi (J s)."""
 

@@ -104,6 +104,8 @@ class MemristorParams:
             raise DeviceError(f"require 0 < r_on < r_off, got {self.r_on}, {self.r_off}")
         if self.length <= 0.0 or self.mobility <= 0.0:
             raise DeviceError("memristor length and mobility must be positive")
+        if self.length * self.length == 0.0:  # the drift law divides by L*L
+            raise DeviceError(f"memristor length {self.length} m squared underflows to 0")
         if self.window_p < 0 or int(self.window_p) != self.window_p:
             raise DeviceError(f"window_p must be a nonnegative integer, got {self.window_p}")
         if self.polarity not in (-1, 1):
@@ -282,8 +284,13 @@ def mosfet_vth(params: MosfetParams, temp: float = T_REF) -> float:
 
 
 def mosfet_kprime(params: MosfetParams, temp: float = T_REF) -> float:
-    """Transconductance parameter at ``temp``: k' * (T/T0)^mobility_exp."""
-    return params.k_prime * (kelvin(temp) / T_REF) ** params.mobility_exp
+    """Transconductance parameter at ``temp``: k' * (T/T0)^mobility_exp;
+    a power that overflows a float raises :class:`DeviceError`."""
+    try:
+        return params.k_prime * (kelvin(temp) / T_REF) ** params.mobility_exp
+    except OverflowError:
+        raise DeviceError(f"(T/T0)^mobility_exp overflows at T={temp} K "
+                          f"(mobility_exp={params.mobility_exp})") from None
 
 
 def mosfet_linearized(
@@ -451,10 +458,8 @@ def resistor_value(params: ResistorParams, temp: float = T_REF) -> float:
     return r
 
 
-def source_value(spec: SourceSpec,
-                 time: float | np.ndarray | None = None) -> float | np.ndarray:
-    """Source voltage at ``time`` (s); ``time=None`` means the DC analysis
-    value, which for a sine source is its value at t = 0.
+def source_value(spec: SourceSpec, time: float | np.ndarray) -> float | np.ndarray:
+    """Source voltage at ``time`` (s).
 
     ``time`` may also be an array of times, which gives an array of
     values: the same operations in the same order, the sine through
@@ -463,7 +468,6 @@ def source_value(spec: SourceSpec,
     array = isinstance(time, np.ndarray)
     if spec.kind == "dc":
         return np.full(time.shape, spec.dc_value) if array else spec.dc_value
-    t = 0.0 if time is None else time
     return spec.dc_value + spec.amplitude * (np.sin if array else math.sin)(
-        2.0 * math.pi * spec.frequency * t + spec.phase
+        2.0 * math.pi * spec.frequency * time + spec.phase
     )

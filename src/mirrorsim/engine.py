@@ -78,7 +78,7 @@ from .netlist import (
     BoundResistor,
     BoundSource,
     Circuit,
-    terminals,
+    unsolvable,
 )
 
 __all__ = [
@@ -335,10 +335,14 @@ def _mosfet_stamps(mosfets):
 class _Topology:
     """Index maps of one circuit: what every circuit with the same nodes,
     and the same kind, name and terminals of every device in order, shares,
-    whatever its parameters and temperature.  A floating circuit, or one
-    with no voltage source, raises."""
+    whatever its parameters and temperature.  A circuit that a nodal solve
+    cannot take (:func:`~mirrorsim.netlist.unsolvable`) raises
+    :class:`SingularMatrixError`."""
 
     def __init__(self, circuit: Circuit):
+        reason = unsolvable(circuit.node_names, circuit.devices)
+        if reason:
+            raise SingularMatrixError(reason)
         self.circuit = circuit
         self.n_nodes = len(circuit.node_names)
         devices = circuit.devices
@@ -353,13 +357,6 @@ class _Topology:
         self.dim = self.n_nodes + len(self.sources)
         damped = {n for m in self.mosfets for n in (m.n_d, m.n_g, m.n_s)}
         self.damped_nodes = sorted(n for n in damped if n != 0)
-        if not any(0 in terminals(d) for d in devices):
-            raise SingularMatrixError(
-                "no device terminal touches ground; the nodal system is "
-                "floating (gmin would mask the singularity)"
-            )
-        if not self.sources:
-            raise SimulationError("circuit has no voltage source")
 
         # (node the device current leaves, node it enters), in device order
         self.current_nodes = [(d.n_d, d.n_s) if isinstance(d, BoundMosfet)
@@ -1092,7 +1089,7 @@ def _compile(circuit: Circuit | _Topology, temps=(None,), *, records=None,
     number or an array of one value per row.  This is the one path from a
     circuit to compiled rows; given a built :class:`_Topology` in place of
     the circuit, it reuses that topology's index maps and cached flat
-    indices.  A floating circuit, or one with no voltage source, raises (in
+    indices.  A circuit a nodal solve cannot take raises (in
     :class:`_Topology`); a row's own failure goes into ``errors``."""
     topo = circuit if isinstance(circuit, _Topology) else _Topology(circuit)
     circuit = topo.circuit

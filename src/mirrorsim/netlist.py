@@ -26,6 +26,7 @@ from .devices import (
     MosfetParams,
     NMOS_DEFAULTS,
     PMOS_DEFAULTS,
+    RESISTOR_DEFAULTS,
     ResistorParams,
     SourceSpec,
     memristor_state,
@@ -58,8 +59,11 @@ __all__ = [
     "BoundMosfet",
     "BoundSource",
     "terminals",
+    "unsolvable",
+    "model_card",
     "MirrorKind",
     "MirrorConfig",
+    "MIRROR_MEMRISTOR",
     "builtin_mirror",
     "mirror_circuit",
     "PARAM_ALIASES",
@@ -271,20 +275,31 @@ def _split_kv(token: str, line: int) -> tuple[str, str]:
     return key.lower(), val
 
 
-_MODEL_KEYS = {
-    "memristor": {"ron", "roff", "l", "uv", "p", "pol"},
-    "nmos": {"vth0", "kp", "lambda", "nsub", "tox", "phiox", "mox", "bex", "vtc"},
-    "pmos": {"vth0", "kp", "lambda", "nsub", "tox", "phiox", "mox", "bex", "vtc"},
+_MOSFET_MODEL_FIELDS = {
+    "vth0": "vth0", "kp": "k_prime", "lambda": "lam", "nsub": "n_sub",
+    "tox": "t_ox", "phiox": "phi_ox", "mox": "m_ox", "bex": "mobility_exp",
+    "vtc": "vth_tc",
 }
 
-_INSTANCE_KEYS = {
-    "R": {"tc", "w", "l"},
-    "Y": {"w0", "m0"},
-    "M": {"w", "l"},
+_MODEL_FIELDS = {
+    "memristor": {"ron": "r_on", "roff": "r_off", "l": "length", "uv": "mobility",
+                  "p": "window_p", "pol": "polarity"},
+    "nmos": _MOSFET_MODEL_FIELDS,
+    "pmos": _MOSFET_MODEL_FIELDS,
 }
+"""The keys of each `.model` type, and the parameter-record field each sets."""
+
+_INSTANCE_FIELDS = {
+    "R": {"tc": "temp_coeff", "w": "footprint_w", "l": "footprint_l"},
+    "Y": {"w0": "w0", "m0": "m0"},
+    "M": {"w": "width", "l": "length"},
+}
+"""The instance keys of each element class, and the field each sets: a
+parameter-record field, or for a memristor its initial boundary position
+``w0`` or the override pseudo-field ``m0`` (see :func:`overrides`)."""
 
 
-def _parse_params(tokens: list[str], allowed: set[str], env, line) -> dict[str, float]:
+def _parse_params(tokens: list[str], allowed, env, line) -> dict[str, float]:
     out: dict[str, float] = {}
     for tok in tokens:
         key, val = _split_kv(tok, line)
@@ -308,7 +323,7 @@ def _parse_element(tokens: list[str], env, line: int) -> Card:
         value = parse_value(rest[2], env, line)
         if value <= 0.0:
             raise ParseError(f"resistor {name} must have a positive value", line)
-        params = _parse_params(rest[3:], _INSTANCE_KEYS["R"], env, line)
+        params = _parse_params(rest[3:], _INSTANCE_FIELDS["R"], env, line)
         return ResistorCard(name, rest[0].lower(), rest[1].lower(), value, params, line)
     if kind == "Y":
         if len(rest) < 3:
@@ -316,7 +331,7 @@ def _parse_element(tokens: list[str], env, line: int) -> Card:
         model = rest[2].upper()
         if not _NAME_RE.match(model):
             raise ParseError(f"malformed model name {rest[2]!r}", line)
-        params = _parse_params(rest[3:], _INSTANCE_KEYS["Y"], env, line)
+        params = _parse_params(rest[3:], _INSTANCE_FIELDS["Y"], env, line)
         if "w0" in params and "m0" in params:
             raise ParseError(f"memristor {name}: give w0 or m0, not both", line)
         return MemristorCard(name, rest[0].lower(), rest[1].lower(), model, params, line)
@@ -326,7 +341,7 @@ def _parse_element(tokens: list[str], env, line: int) -> Card:
         model = rest[4].upper()
         if not _NAME_RE.match(model):
             raise ParseError(f"malformed model name {rest[4]!r}", line)
-        params = _parse_params(rest[5:], _INSTANCE_KEYS["M"], env, line)
+        params = _parse_params(rest[5:], _INSTANCE_FIELDS["M"], env, line)
         return MosfetCard(
             name, rest[0].lower(), rest[1].lower(), rest[2].lower(), rest[3].lower(),
             model, params, line,
@@ -372,12 +387,12 @@ def _parse_directive(tokens: list[str], env, line: int) -> Card:
         if len(rest) < 2:
             raise ParseError(".model needs a name and a type", line)
         name, kind = rest[0].upper(), rest[1].lower()
-        if kind not in _MODEL_KEYS:
+        if kind not in _MODEL_FIELDS:
             raise ParseError(f"unknown model type {rest[1]!r}", line)
         body = rest[2:]
         if not body or body[0] != "(" or body[-1] != ")":
             raise ParseError(".model parameters must be parenthesized", line)
-        params = _parse_params(body[1:-1], _MODEL_KEYS[kind], env, line)
+        params = _parse_params(body[1:-1], _MODEL_FIELDS[kind], env, line)
         return ModelCard(name, kind, params, line)
     if word == ".tran":
         if len(rest) != 2:
@@ -580,63 +595,85 @@ class Circuit:
                        self.analysis)
 
 
-def _as_int(value: float) -> int | float:
-    """Keep exact integers as int; leave anything else for validation to reject."""
-    return int(value) if value == int(value) else value
+def _record(defaults, table: dict[str, str], params: dict[str, float], **fields):
+    """``defaults`` with ``fields`` and each key of card ``params`` set on
+    its field in ``table``; an integer field keeps exact integers as int
+    (anything else is left for the record's checks to reject)."""
+    for key, value in params.items():
+        name = table[key]
+        if type(getattr(defaults, name)) is int and value == int(value):
+            value = int(value)
+        fields[name] = value
+    return replace(defaults, **fields)
 
 
-def _memristor_from_model(card: MemristorCard, model: ModelCard):
-    p = model.params
-    try:
-        params = MemristorParams(
-            r_on=p.get("ron", MEMRISTOR_DEFAULTS.r_on),
-            r_off=p.get("roff", MEMRISTOR_DEFAULTS.r_off),
-            length=p.get("l", MEMRISTOR_DEFAULTS.length),
-            mobility=p.get("uv", MEMRISTOR_DEFAULTS.mobility),
-            window_p=_as_int(p.get("p", MEMRISTOR_DEFAULTS.window_p)),
-            polarity=_as_int(p.get("pol", MEMRISTOR_DEFAULTS.polarity)),
-        )
-        if "w0" in card.params:
-            w0 = card.params["w0"]
-            memristor_state(w0, params)  # raises outside [0, L]
-        elif "m0" in card.params:
-            w0 = state_for_memristance(card.params["m0"], params).w
-        else:
-            w0 = 0.5 * params.length
-    except DeviceError as exc:
-        raise ElaborationError(f"{card.name}: {exc}") from exc
-    return params, w0
+def _bind(card, models: dict[str, ModelCard], intern):
+    """The bound device of an element card, its nodes interned in terminal
+    order; a value out of its device's domain raises :class:`DeviceError`."""
+    if isinstance(card, SourceCard):
+        return BoundSource(card.name, intern(card.n_pos), intern(card.n_neg), card.spec)
+    if isinstance(card, ResistorCard):
+        params = _record(RESISTOR_DEFAULTS, _INSTANCE_FIELDS["R"], card.params,
+                         r_nominal=card.value)
+        return BoundResistor(card.name, intern(card.n_pos), intern(card.n_neg), params)
+    model = models.get(card.model)
+    if model is None:
+        raise ElaborationError(f"{card.name}: undefined model {card.model}")
+    if isinstance(card, MosfetCard):
+        if model.kind not in ("nmos", "pmos"):
+            raise ElaborationError(f"{card.name}: model {card.model} is not a MOSFET")
+        params = _record(NMOS_DEFAULTS if model.kind == "nmos" else PMOS_DEFAULTS,
+                         {**_MODEL_FIELDS[model.kind], **_INSTANCE_FIELDS["M"]},
+                         {**model.params, **card.params})
+        return BoundMosfet(card.name, intern(card.n_d), intern(card.n_g),
+                           intern(card.n_s), intern(card.n_b), params)
+    if model.kind != "memristor":
+        raise ElaborationError(f"{card.name}: model {card.model} is not a memristor")
+    params = _record(MEMRISTOR_DEFAULTS, _MODEL_FIELDS["memristor"], model.params)
+    if "w0" in card.params:
+        w0 = card.params["w0"]
+        memristor_state(w0, params)  # raises outside [0, L]
+    elif "m0" in card.params:
+        w0 = state_for_memristance(card.params["m0"], params).w
+    else:
+        w0 = 0.5 * params.length
+    return BoundMemristor(card.name, intern(card.n_pos), intern(card.n_neg), params, w0)
 
 
-def _mosfet_from_model(card: MosfetCard, model: ModelCard):
-    p = model.params
-    base = NMOS_DEFAULTS if model.kind == "nmos" else PMOS_DEFAULTS
-    try:
-        return replace(
-            base,
-            vth0=p.get("vth0", base.vth0),
-            k_prime=p.get("kp", base.k_prime),
-            lam=p.get("lambda", base.lam),
-            n_sub=p.get("nsub", base.n_sub),
-            t_ox=p.get("tox", base.t_ox),
-            phi_ox=p.get("phiox", base.phi_ox),
-            m_ox=p.get("mox", base.m_ox),
-            mobility_exp=p.get("bex", base.mobility_exp),
-            vth_tc=p.get("vtc", base.vth_tc),
-            width=card.params.get("w", base.width),
-            length=card.params.get("l", base.length),
-        )
-    except DeviceError as exc:
-        raise ElaborationError(f"{card.name}: {exc}") from exc
+def unsolvable(node_names: list[str], devices: list) -> str | None:
+    """Why a nodal solve cannot take ``devices`` on ``node_names``, or
+    None: there are no devices, no terminal touches ground (node 0), there
+    is no voltage source, or a non-ground node is not reachable from a
+    source through device connectivity (an island the nodal matrix cannot
+    pin down; the reason names its nodes)."""
+    if not devices:
+        return "netlist has no devices"
+    ends = [terminals(d) for d in devices]
+    if not any(0 in ts for ts in ends):
+        return "no device terminal touches ground (node 0)"
+    linked: list[set[int]] = [set() for _ in node_names]
+    for ts in ends:
+        for t in ts:
+            linked[t].update(ts)
+    seen = {t for d, ts in zip(devices, ends) if isinstance(d, BoundSource) for t in ts}
+    if not seen:
+        return "netlist has no voltage source"
+    frontier = seen
+    while frontier:
+        frontier = set().union(*(linked[n] for n in frontier)) - seen
+        seen |= frontier
+    unreachable = [node_names[i] for i in range(1, len(node_names)) if i not in seen]
+    if unreachable:
+        return f"node(s) {', '.join(sorted(unreachable))} not reachable from any source"
+    return None
 
 
 def elaborate(ast: NetlistAst) -> Circuit:
     """Bind an AST to device instances with interned node indices.
 
     Checks performed here (each failure is an :class:`ElaborationError`):
-    models exist and are unique, some terminal touches ground, and every
-    non-ground node is reachable from a voltage source through device
-    connectivity.
+    models exist and are unique, and the circuit is one a nodal solve can
+    take (see :func:`unsolvable`, which the engine also applies).
     """
     models: dict[str, ModelCard] = {}
     for c in ast.cards:
@@ -656,37 +693,11 @@ def elaborate(ast: NetlistAst) -> Circuit:
     temp = T_REF
     analysis: tuple | None = None
     for c in ast.cards:
-        if isinstance(c, ResistorCard):
-            params = ResistorParams(
-                r_nominal=c.value,
-                temp_coeff=c.params.get("tc", 1e-3),
-                footprint_w=c.params.get("w", 2e-6),
-                footprint_l=c.params.get("l", 10e-6),
-            )
-            devices.append(BoundResistor(c.name, intern(c.n_pos), intern(c.n_neg), params))
-        elif isinstance(c, MemristorCard):
-            if c.model not in models:
-                raise ElaborationError(f"{c.name}: undefined model {c.model}")
-            model = models[c.model]
-            if model.kind != "memristor":
-                raise ElaborationError(f"{c.name}: model {c.model} is not a memristor")
-            params, w0 = _memristor_from_model(c, model)
-            devices.append(
-                BoundMemristor(c.name, intern(c.n_pos), intern(c.n_neg), params, w0)
-            )
-        elif isinstance(c, MosfetCard):
-            if c.model not in models:
-                raise ElaborationError(f"{c.name}: undefined model {c.model}")
-            model = models[c.model]
-            if model.kind not in ("nmos", "pmos"):
-                raise ElaborationError(f"{c.name}: model {c.model} is not a MOSFET")
-            params = _mosfet_from_model(c, model)
-            devices.append(
-                BoundMosfet(c.name, intern(c.n_d), intern(c.n_g), intern(c.n_s),
-                            intern(c.n_b), params)
-            )
-        elif isinstance(c, SourceCard):
-            devices.append(BoundSource(c.name, intern(c.n_pos), intern(c.n_neg), c.spec))
+        if isinstance(c, (ResistorCard, MemristorCard, MosfetCard, SourceCard)):
+            try:
+                devices.append(_bind(c, models, intern))
+            except DeviceError as exc:
+                raise ElaborationError(f"{c.name}: {exc}") from exc
         elif isinstance(c, TempCard):
             temp = c.celsius + ZERO_CELSIUS
             if temp <= 0.0:
@@ -697,31 +708,9 @@ def elaborate(ast: NetlistAst) -> Circuit:
             analysis = ("dc",)
         # ModelCard, ParamCard, EndCard carry no devices
 
-    if not devices:
-        raise ElaborationError("netlist has no devices")
-
-    if not any(0 in terminals(d) for d in devices):
-        raise ElaborationError("no device terminal touches ground (node 0)")
-
-    # every non-ground node must be reachable from a source through devices
-    adjacency: dict[int, set[int]] = {i: set() for i in range(len(node_names))}
-    for d in devices:
-        ts = terminals(d)
-        for a in ts:
-            adjacency[a].update(t for t in ts if t != a)
-    frontier = {t for s in devices if isinstance(s, BoundSource) for t in terminals(s)}
-    if not frontier:
-        raise ElaborationError("netlist has no voltage source")
-    seen = set(frontier)
-    while frontier:
-        frontier = {n for cur in frontier for n in adjacency[cur]} - seen
-        seen |= frontier
-    unreachable = [node_names[i] for i in range(1, len(node_names)) if i not in seen]
-    if unreachable:
-        raise ElaborationError(
-            f"node(s) {', '.join(sorted(unreachable))} not reachable from any source"
-        )
-
+    reason = unsolvable(node_names, devices)
+    if reason:
+        raise ElaborationError(reason)
     return Circuit(ast.title, node_names, devices, temp, analysis)
 
 
@@ -757,7 +746,7 @@ class MirrorConfig:
     kind: MirrorKind = MirrorKind.TWO_RESISTORS
     vdd: float | None = None
     vbias: float | None = None
-    r_load: float = 38e3
+    r_load: float = RESISTOR_DEFAULTS.r_nominal
     m0: float = 5e3
 
     @property
@@ -779,22 +768,28 @@ _TITLES = {
 }
 
 
+MIRROR_MEMRISTOR = replace(MEMRISTOR_DEFAULTS, polarity=-1)
+"""The mirrors' load memristor: polarity -1, so that positive branch
+current drives the memristance up toward r_off."""
+
+
+def model_card(name: str, kind: str, record, keys=None) -> ModelCard:
+    """`.model` card of type ``kind`` that sets ``keys`` (default: all of
+    the type's keys) to the values of their fields in ``record``."""
+    table = _MODEL_FIELDS[kind]
+    return ModelCard(name, kind, {k: getattr(record, table[k]) for k in keys or table})
+
+
 def builtin_mirror(config: MirrorConfig,
-                   memristor_params: MemristorParams | None = None) -> NetlistAst:
+                   memristor_params: MemristorParams = MIRROR_MEMRISTOR) -> NetlistAst:
     """Netlist for one of the four reference mirror topologies.
 
     Both branches hang from ``vdd``: the input branch load feeds the
     diode-connected M1 (alias T1) at node ``d1``, and M2 (alias T2), gated
     from ``d1``, pulls the output branch load at node ``d2``.  PMOS variants
     replace the input-branch load with a PMOS whose gate sits at ``vbias``.
-    Memristor cards carry polarity -1 so that positive branch current drives
-    the memristance up toward r_off.
+    Memristor loads default to :data:`MIRROR_MEMRISTOR`.
     """
-    if memristor_params is None:
-        # positive branch current must push the boundary toward r_off
-        mem = replace(MEMRISTOR_DEFAULTS, polarity=-1)
-    else:
-        mem = memristor_params
     kind = config.kind
     ast = NetlistAst(title=_TITLES[kind])
     cards = ast.cards
@@ -802,36 +797,27 @@ def builtin_mirror(config: MirrorConfig,
     if kind.has_pmos:
         cards.append(SourceCard("VB", "vb", "0", SourceSpec(kind="dc", dc_value=config.vbias_value)))
         cards.append(MosfetCard("MP1", "d1", "vb", "vdd", "vdd", "PCH"))
+    elif kind.has_memristors:
+        cards.append(MemristorCard("Y1", "vdd", "d1", "MEM", {"m0": config.m0}))
     else:
-        load1 = "Y" if kind.has_memristors else "R"
-        if load1 == "R":
-            cards.append(ResistorCard("R1", "vdd", "d1", config.r_load))
-        else:
-            cards.append(MemristorCard("Y1", "vdd", "d1", "MEM", {"m0": config.m0}))
+        cards.append(ResistorCard("R1", "vdd", "d1", config.r_load))
     if kind.has_memristors:
         cards.append(MemristorCard("Y2", "vdd", "d2", "MEM", {"m0": config.m0}))
     else:
         cards.append(ResistorCard("R2", "vdd", "d2", config.r_load))
     cards.append(MosfetCard("M1", "d1", "d1", "0", "0", "NCH"))
     cards.append(MosfetCard("M2", "d2", "d1", "0", "0", "NCH"))
-    n = NMOS_DEFAULTS
-    cards.append(ModelCard("NCH", "nmos",
-                           {"vth0": n.vth0, "kp": n.k_prime, "lambda": n.lam}))
+    mosfet_keys = ("vth0", "kp", "lambda")
+    cards.append(model_card("NCH", "nmos", NMOS_DEFAULTS, mosfet_keys))
     if kind.has_pmos:
-        p = PMOS_DEFAULTS
-        cards.append(ModelCard("PCH", "pmos",
-                               {"vth0": p.vth0, "kp": p.k_prime, "lambda": p.lam}))
+        cards.append(model_card("PCH", "pmos", PMOS_DEFAULTS, mosfet_keys))
     if kind.has_memristors:
-        cards.append(ModelCard("MEM", "memristor", {
-            "ron": mem.r_on, "roff": mem.r_off, "l": mem.length,
-            "uv": mem.mobility, "p": float(mem.window_p),
-            "pol": float(mem.polarity),
-        }))
+        cards.append(model_card("MEM", "memristor", memristor_params))
     return ast
 
 
 def mirror_circuit(config: MirrorConfig,
-                   memristor_params: MemristorParams | None = None) -> Circuit:
+                   memristor_params: MemristorParams = MIRROR_MEMRISTOR) -> Circuit:
     """Elaborated form of :func:`builtin_mirror`."""
     return elaborate(builtin_mirror(config, memristor_params))
 

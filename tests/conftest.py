@@ -22,14 +22,13 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture
 def nan_sources(monkeypatch):
     """``nan_sources(when)`` makes ``engine.source_value`` read NaN at every
-    time t where ``when(t)`` holds (t = 0 for ``time=None``) and the real
-    law elsewhere, at one time or elementwise on an array of times, the two
-    ways the engine calls it."""
+    time t where ``when(t)`` holds and the real law elsewhere, at one time
+    or elementwise on an array of times, the two ways the engine calls it."""
     real = engine.source_value
 
     def patch(when):
-        def law(spec, time=None):
-            bad = when(0.0 if time is None else time)
+        def law(spec, time):
+            bad = when(time)
             if isinstance(time, np.ndarray):
                 return np.where(bad, math.nan, real(spec, time))
             return math.nan if bad else real(spec, time)

@@ -457,12 +457,13 @@ def test_resistor_matches_oracle(r, temp):
 
 def test_source_value_dc_and_sine():
     dc = SourceSpec(kind="dc", dc_value=2.5)
-    assert source_value(dc) == 2.5
+    assert source_value(dc, 0.0) == 2.5
     assert source_value(dc, 123.0) == 2.5
     s = SourceSpec(kind="sine", dc_value=5.0, amplitude=2.5, frequency=50.0)
     assert source_value(s, 0.0) == pytest.approx(5.0, rel=REL)
     assert source_value(s, 0.005) == pytest.approx(7.5, rel=REL)  # quarter period
-    assert source_value(s, None) == pytest.approx(5.0, rel=REL)
+    with pytest.raises(TypeError):  # a time is always given
+        source_value(s)
 
 
 @pytest.mark.parametrize("spec", [
@@ -476,9 +477,6 @@ def test_source_value_on_an_array_is_the_scalar_law_to_the_bit(spec):
     assert got.shape == times.shape
     want = np.array([source_value(spec, t) for t in times.tolist()])
     assert got.tobytes() == want.tobytes()
-    # time=None is the DC value, the t = 0 one
-    assert source_value(spec, np.zeros(1)).tobytes() == np.array(
-        [source_value(spec, None)]).tobytes()
 
 
 def test_numpy_sine_is_math_sine_on_the_drive_samples(monkeypatch):
@@ -494,7 +492,7 @@ def test_numpy_sine_is_math_sine_on_the_drive_samples(monkeypatch):
     calls = []
     real = engine.source_value
 
-    def spy(spec, time=None):
+    def spy(spec, time):
         if isinstance(time, np.ndarray) and spec.kind == "sine":
             calls.append((spec, time))
         return real(spec, time)

@@ -314,6 +314,30 @@ def test_circuit_without_source_is_rejected():
         solve_dc(cir)
 
 
+def _island() -> Circuit:
+    """A driven divider and, apart from it, R2 between nodes x and y: the
+    deck ``V1 a 0 DC 1 / R1 a 0 1k / R2 x y 1k`` built without elaborate."""
+    params = ResistorParams(r_nominal=1e3)
+    return Circuit("island", ["0", "a", "x", "y"], [
+        BoundSource("V1", 1, 0, SourceSpec(kind="dc", dc_value=1.0)),
+        BoundResistor("R1", 1, 0, params),
+        BoundResistor("R2", 2, 3, params),
+    ])
+
+
+@pytest.mark.parametrize("solve", [
+    solve_dc,
+    lambda circuit: run_transient(circuit, SimOptions(dt=1e-3, t_stop=0.01), ["v(a)"]),
+], ids=["solve_dc", "run_transient"])
+def test_a_hand_built_island_is_singular_naming_its_nodes(solve):
+    # gmin would pin x and y to 0 V; the engine refuses the circuit instead,
+    # with the reason elaborate gives the same deck
+    with pytest.raises(SingularMatrixError, match=r"^node\(s\) x, y not reachable"):
+        solve(_island())
+    with pytest.raises(ElaborationError, match=r"^node\(s\) x, y not reachable"):
+        _circuit("V1 a 0 DC 1\nR1 a 0 1k\nR2 x y 1k\n")
+
+
 def test_nonconvergence_carries_iteration_trace(monkeypatch):
     monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 1)
     monkeypatch.setattr(engine, "_SOURCE_STEPS", 1)

@@ -1,7 +1,9 @@
 """Netlist front-end tests: value grammar, parse/print round-trip,
 parse and elaboration diagnostics, built-in mirror topologies, overrides."""
 
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 
 from mirrorsim.devices import MEMRISTOR_DEFAULTS, SourceSpec
 from mirrorsim.netlist import (
+    _INSTANCE_FIELDS,
+    _MODEL_FIELDS,
     BoundMosfet,
     BoundResistor,
     BoundSource,
@@ -456,6 +460,67 @@ def test_window_p_and_polarity_must_be_integral():
     )
     with pytest.raises(ElaborationError):
         elaborate(parse(text))
+
+
+# a distinct valid value for every key of each card kind: none is its
+# field's default, so a key that sets the wrong field, or none, shows
+_KEY_VALUES = {
+    "memristor": {"ron": 150.0, "roff": 40e3, "l": 12e-9, "uv": 3e-14, "p": 2, "pol": -1},
+    "nmos": {"vth0": 0.41, "kp": 160e-6, "lambda": 0.07, "nsub": 1.3, "tox": 3e-9,
+             "phiox": 3.2, "mox": 2e-31, "bex": -1.2, "vtc": -2e-3},
+    "pmos": {"vth0": -0.42, "kp": 55e-6, "lambda": 0.06, "nsub": 1.4, "tox": 5e-9,
+             "phiox": 3.3, "mox": 3e-31, "bex": -1.3, "vtc": 2e-3},
+    "R": {"tc": 2e-3, "w": 3e-6, "l": 9e-6},
+    "M": {"w": 1e-6, "l": 0.5e-6},
+    "Y": {"w0": 3e-9},
+}
+_KEY_TABLES = {**_MODEL_FIELDS, **_INSTANCE_FIELDS}
+_KEY_DECKS = {  # the deck of each card kind, with its keys at {keys}
+    "memristor": "V1 a 0 DC 1\nY1 a 0 MEM\n.model MEM memristor ({keys})\n",
+    "nmos": "V1 a 0 DC 1\nM1 a a 0 0 NCH\n.model NCH nmos ({keys})\n",
+    "pmos": "V1 a 0 DC 1\nM1 0 a a a PCH\n.model PCH pmos ({keys})\n",
+    "R": "V1 a 0 DC 1\nR1 a 0 1k {keys}\n",
+    "M": "V1 a 0 DC 1\nM1 a a 0 0 NCH {keys}\n.model NCH nmos ()\n",
+    "Y": "V1 a 0 DC 1\nY1 a 0 MEM {keys}\n.model MEM memristor ()\n",
+}
+
+
+@pytest.mark.parametrize("kind", list(_KEY_DECKS))
+def test_every_key_sets_its_own_field(kind):
+    table = _KEY_TABLES[kind]
+    values = _KEY_VALUES[kind]
+    # Y's m0 sets w0 too, so it takes its own deck below
+    assert set(values) | ({"m0"} if kind == "Y" else set()) == set(table)
+    keys = " ".join(f"{key}={format_value(v)}" for key, v in values.items())
+    device = elaborate(parse(_KEY_DECKS[kind].format(keys=keys))).devices[1]
+    record = device if kind == "Y" else device.params
+    for key, value in values.items():
+        got = getattr(record, table[key])
+        assert (got, type(got)) == (value, type(value)), key
+
+
+def test_the_m0_key_is_the_m0_override():
+    deck = _KEY_DECKS["Y"].format(keys="m0=7k")
+    base = elaborate(parse(_KEY_DECKS["Y"].format(keys="")))
+    assert (elaborate(parse(deck)).device("Y1")
+            == with_override(base, f"Y1.{_INSTANCE_FIELDS['Y']['m0']}", 7e3).device("Y1"))
+
+
+def test_the_docs_map_every_key_to_its_field():
+    text = (Path(__file__).resolve().parents[1] / "docs" / "netlist.md").read_text()
+    sections = {
+        "`.model <NAME> memristor": ("memristor", "Y"),
+        "`.model <NAME> NMOS": ("nmos", "pmos", "M"),
+        "Resistors": ("R",),
+    }
+    for section in text.split("\n### ")[1:]:
+        title = next((t for t in sections if section.startswith(t)), None)
+        if title is None:
+            continue
+        rows = set(re.findall(r"^\|\s*`(\w+)`\s*\|\s*`(\w+)`\s*\|", section, re.M))
+        for kind in sections.pop(title):
+            assert set(_KEY_TABLES[kind].items()) <= rows, (title, kind)
+    assert not sections  # every section was found
 
 
 # --------------------------------------------------------------------------- #

@@ -1,0 +1,160 @@
+"""Netlist fuzzing: random decks from the grammar of docs/netlist.md, run
+through the CLI, and the same decks with one token broken.
+
+Every deck must end in an exit code of the CLI's table (0, 1 or 2), never
+a traceback; a DC deck that exits 0 must solve to a KCL residual within
+``SimOptions.abstol``.  Model and instance keys come from the netlist's own
+key tables, so a key the parser accepts is a key the fuzzer writes.
+
+Each generated token carries what may be done to it such that the deck
+must then fail to parse: a node name is any word, so a garbled node is
+still a deck; an optional ``key=value``, ``.dc`` or ``.end`` may be
+dropped; and a SIN argument may be dropped or doubled, since the phase is
+optional.  Every other token, dropped, doubled or replaced by ``@``, breaks
+the grammar.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mirrorsim.cli import main
+from mirrorsim.engine import SimOptions, solve_dc
+from mirrorsim.netlist import _INSTANCE_FIELDS, _MODEL_FIELDS, elaborate, parse
+
+NODES = ("0", "a", "b", "c", "d")
+ANY, NODE, OPTIONAL, SINE_ARG = "drop double garble", "drop double", "double garble", "garble"
+
+# values for every key: the first two valid, the third out of its device's
+# domain where the device has one (drawn one time in eleven)
+KEY_VALUES = {
+    "ron": ("100", "1k", "-5"), "roff": ("38k", "20k", "50"), "l": ("10n", "20n", "0"),
+    "uv": ("2e-14", "1e-13", "-1e-14"), "p": ("1", "2", "1.5"), "pol": ("1", "-1", "0"),
+    "vth0": ("0.45", "0.3", "-0.45"), "kp": ("170u", "60u", "0"),
+    "lambda": ("0.05", "0.1", "-0.1"), "nsub": ("1.5", "1.2", "0"),
+    "tox": ("4n", "2n", "-4n"), "phiox": ("3.1", "2.5", "0"), "mox": ("2.7e-31", "1e-31", "0"),
+    "bex": ("-1.5", "-1", "-2"), "vtc": ("-1m", "1m", "2m"),
+    "tc": ("1m", "0", "-2m"), "w": ("1u", "2u", "-1u"), "m0": ("5k", "20k", "50k"),
+    "w0": ("5n", "1n", "11n"),
+}
+MODELS = {"MEM": "memristor", "NCH": "nmos", "PCH": "pmos"}
+
+
+@st.composite
+def key_values(draw, keys, at_most=3):
+    chosen = draw(st.lists(st.sampled_from(sorted(keys)), unique=True, max_size=at_most))
+    return [(f"{k}={draw(st.sampled_from(KEY_VALUES[k][:2] * 5 + KEY_VALUES[k][2:]))}",
+             OPTIONAL) for k in chosen]
+
+
+@st.composite
+def decks(draw):
+    """A deck as lines of (token, mutations) pairs, and whether it is DC."""
+    lines = [[("*", ""), ("fuzz", "")]] if draw(st.booleans()) else []
+    value = st.sampled_from(["1k", "38k", "4.7k", "100", "2meg", "p1"])
+    if draw(st.booleans()):
+        lines.append([(".param", ANY), (f"p1={draw(st.sampled_from(['10k', '1k']))}", ANY)])
+    else:
+        value = value.filter(lambda v: v != "p1")
+    node = st.sampled_from(NODES)
+    supply = draw(st.sampled_from(["2.5", "1", "5", "0.7"]))
+    if draw(st.integers(0, 3)) == 0:
+        args = [supply, draw(st.sampled_from(["0.5", "1"])), draw(st.sampled_from(["5", "50"]))]
+        args += [draw(st.sampled_from(["0", "0.3"]))] if draw(st.booleans()) else []
+        drive = [("SIN", ANY), ("(", ANY)] + [(v, SINE_ARG) for v in args] + [(")", ANY)]
+    else:
+        drive = [("DC", ANY), (supply, ANY)]
+    lines.append([("V1", ANY), ("a", NODE), ("0", NODE)] + drive)
+    if draw(st.booleans()):
+        # on node a, VB parallels V1: a singular system
+        lines.append([("VB", ANY), (draw(st.sampled_from("bbba")), NODE), ("0", NODE),
+                      ("DC", ANY), ("0.7", ANY)])
+    used = set()
+    for k in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from("RYM"))
+        if kind == "R":
+            card = [(f"R{k}", ANY), (draw(node), NODE), (draw(node), NODE), (draw(value), ANY)]
+            card += draw(key_values(_INSTANCE_FIELDS["R"]))
+        elif kind == "Y":
+            used.add("MEM")
+            card = [(f"Y{k}", ANY), (draw(node), NODE), (draw(node), NODE), ("MEM", ANY)]
+            card += draw(key_values(_INSTANCE_FIELDS["Y"], at_most=1))
+        else:
+            model = draw(st.sampled_from(["NCH", "PCH"]))
+            used.add(model)
+            card = [(f"M{k}", ANY)] + [(draw(node), NODE) for _ in range(4)] + [(model, ANY)]
+            card += draw(key_values(_INSTANCE_FIELDS["M"]))
+        lines.append(card)
+    for name in sorted(used):
+        params = draw(key_values(_MODEL_FIELDS[MODELS[name]]))
+        lines.append([(".model", ANY), (name, ANY), (MODELS[name], ANY), ("(", ANY)]
+                     + params + [(")", ANY)])
+    analysis = draw(st.sampled_from(["", ".dc", ".tran"]))
+    if analysis == ".dc":
+        lines.append([(".dc", OPTIONAL)])
+    elif analysis == ".tran":
+        step = draw(st.sampled_from([1, 5]))  # ms
+        stop = step * draw(st.integers(1, 200))
+        lines.append([(".tran", ANY), (f"{step}m", ANY), (f"{stop}m", ANY)])
+    if draw(st.booleans()):
+        lines.append([(".temp", ANY), (draw(st.sampled_from(["27", "-40", "125"])), ANY)])
+    if draw(st.booleans()):
+        lines.append([(".end", OPTIONAL)])
+    return lines, analysis != ".tran"
+
+
+def _render(lines) -> str:
+    return "".join(" ".join(token for token, _ in line) + "\n" for line in lines)
+
+
+def _mutations(lines):
+    """Every (line, token, mutation) the grammar must reject."""
+    return [(i, j, how) for i, line in enumerate(lines) for j, (_, allowed) in enumerate(line)
+            for how in ("drop", "double", "garble") if how in allowed]
+
+
+def _mutate(lines, i, j, how):
+    line = list(lines[i])
+    if how == "drop":
+        del line[j]
+    elif how == "double":
+        line.insert(j, line[j])
+    else:
+        line[j] = ("@", "")
+    return lines[:i] + [line] + lines[i + 1:]
+
+
+def _run(tmp_path_factory, text: str) -> int:
+    folder = tmp_path_factory.mktemp("deck")
+    deck = folder / "deck.cir"
+    deck.write_text(text, encoding="utf-8")
+    return main(["run", str(deck), "-o", str(folder / "out.csv")])
+
+
+@given(deck=decks(), pick=st.integers(min_value=0))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_a_deck_ends_in_an_exit_code_and_a_broken_deck_is_refused(tmp_path_factory,
+                                                                    deck, pick):
+    lines, dc = deck
+    text = _render(lines)
+    code = _run(tmp_path_factory, text)
+    assert code in (0, 1, 2), text
+    if code == 0 and dc:
+        assert solve_dc(elaborate(parse(text))).kcl_residual <= SimOptions.abstol, text
+    mutations = _mutations(lines)
+    i, j, how = mutations[pick % len(mutations)]
+    broken = _render(_mutate(lines, i, j, how))
+    assert _run(tmp_path_factory, broken) in (1, 2), broken
+
+
+@pytest.mark.parametrize("deck, message", [
+    # (T/T0)^bex overflowed in Python's float power: OverflowError
+    ("V1 a 0 DC 1\nR1 a d 1k\nM1 d d 0 0 NCH\n.model NCH nmos (bex=-1e4)\n.temp -200\n",
+     "error: (T/T0)^mobility_exp overflows at T=73.1"),
+    # the drift law's L*L underflowed to 0 in a transient: ZeroDivisionError
+    ("V1 a 0 DC 1\nR1 a b 1k\nY1 b 0 MEM\n.model MEM memristor (l=1e-170)\n.tran 5m 10m\n",
+     "error: Y1: memristor length 1e-170 m squared underflows to 0"),
+], ids=["mosfet-mobility-power", "memristor-length-square"])
+def test_decks_that_raised_a_traceback_exit_1(tmp_path_factory, capsys, deck, message):
+    assert _run(tmp_path_factory, deck) == 1
+    assert capsys.readouterr().err.startswith(message)
