@@ -147,9 +147,10 @@ def compute_thd(wave: Waveform, f0: float, n_harmonics: int) -> ThdResult:
     The leading 20% of the run or two periods of ``f0``, whichever is
     longer, are discarded as settling, and the analysis window is the
     trailing whole number of periods that survives, so drives need not start
-    on a period boundary.  Amplitudes come from direct correlation with
-    ``exp(-2j*pi*k*f0*t)`` over that window, which is exact for tones on the
-    grid and free of spectral leakage between the measured bins.
+    on a period boundary.  The window holds P whole periods, so harmonic k
+    is bin k*P of its discrete Fourier transform, taken by one real FFT
+    (Cooley & Tukey 1965): exact for tones on the grid and free of
+    spectral leakage between the measured bins.
 
     Raises :class:`AnalysisError` when the waveform is too short (fewer than
     two whole periods after the discard), when its time grid is not uniform,
@@ -189,11 +190,8 @@ def compute_thd(wave: Waveform, f0: float, n_harmonics: int) -> ThdResult:
             f"{discard:.3g} s settle discard covers fewer than two periods of "
             f"{f0} Hz")
     count = int(round(periods * samples_per_period))
-    tw = t[-count:]
     xw = x[-count:]
-    orders = np.arange(1, n_harmonics + 1, dtype=float)
-    basis = np.exp(-2j * math.pi * f0 * np.outer(orders, tw))
-    mags = np.abs(basis @ xw) * (2.0 / count)
+    mags = np.abs(np.fft.rfft(xw)[periods * np.arange(1, n_harmonics + 1)]) * (2.0 / count)
     fundamental = float(mags[0])
     if fundamental == 0.0:
         raise AnalysisError("no component at the fundamental frequency")
@@ -534,7 +532,9 @@ class HysteresisTrace:
     cycle (A*V).  The two lobes of a pinched loop are integrated per
     half-plane so they add instead of cancelling; a drive-proportional
     (memoryless) device encloses no area.  ``cycle_start`` indexes where
-    that final cycle begins in the stored arrays.
+    that final cycle begins in the stored arrays.  A periodic loop (see
+    :func:`hysteresis_trace`) stores its first cycle three times, so its
+    final cycle is its first and its last sample repeats the first.
     """
 
     t: np.ndarray
@@ -578,12 +578,23 @@ def hysteresis_trace(params: MemristorParams | ResistorParams, drive: SourceSpec
     drive.  Memristor parameters start at half the boundary travel; resistor
     parameters run in the identical harness and bound the numerical noise
     floor (their loop area is zero up to rounding).  The loop area is
-    measured on the last cycle, after the earlier cycles have washed out
-    the initial state.  The trace is recorded on a uniform grid of
+    measured on the last cycle.  The trace is recorded on a uniform grid of
     ``_HYSTERESIS_SAMPLES`` per cycle (:func:`_sine_drive`): a memristor's
     transient takes error-controlled steps (``SimOptions.adaptive`` with
     ``dt``), every sample a DC solution at its state, and a resistor, which
     carries no state, solves the first cycle and tiles it over three.
+
+    A memristor's loop is periodic from its first cycle when the drive has
+    no DC offset and the state stays strictly inside (0, L): the flux
+    across the device, the integral of a zero-mean sine, is then periodic;
+    the state is a function of the charge alone, and the memristance dphi/dq
+    is positive, so the charge, the state and the current repeat with the
+    flux (Chua 1971; Joglekar & Wolf 2009).  So a memristor on a zero-mean
+    drive steps one cycle, and when its recorded states (clamped as the
+    steps clamp them, on a grid ten times finer than the steps) stay inside
+    (0, L), that cycle is tiled over three.  A loop with an offset, or whose
+    state reaches a bound (a p = 0 window, or a device fast enough to lock
+    at r_on), depends on its history and steps all three cycles.
     """
     if drive.kind != "sine":
         raise AnalysisError("hysteresis needs a sine drive")
@@ -603,10 +614,20 @@ def hysteresis_trace(params: MemristorParams | ResistorParams, drive: SourceSpec
         devices=[BoundSource("V1", 1, 0, drive), device],
         temp=temp,
     )
-    t, (voltage, current) = _sine_drive(circuit, drive.frequency, _HYSTERESIS_CYCLES,
-                                        _HYSTERESIS_SAMPLES, ["v(in)", current_probe],
-                                        adaptive=True)
-    start = len(voltage) - (_HYSTERESIS_SAMPLES + 1)
+    cycles, samples = _HYSTERESIS_CYCLES, _HYSTERESIS_SAMPLES
+    probes = ["v(in)", current_probe]
+    periodic = False
+    if isinstance(params, MemristorParams) and drive.dc_value == 0.0:
+        t, (voltage, current, w) = _sine_drive(circuit, drive.frequency, 1, samples,
+                                               probes + ["w(Y1)"], adaptive=True)
+        periodic = 0.0 < w.min() and w.max() < params.length
+    if periodic:
+        t = np.arange(cycles * samples + 1) * t[1]
+        voltage, current = (np.resize(x[:samples], len(t)) for x in (voltage, current))
+    else:
+        t, (voltage, current) = _sine_drive(circuit, drive.frequency, cycles, samples,
+                                            probes, adaptive=True)
+    start = len(voltage) - (samples + 1)
     area = _loop_area(voltage[start:], current[start:])
     return HysteresisTrace(t=t, voltage=voltage, current=current,
                            area=area, cycle_start=start)

@@ -358,13 +358,17 @@ def mosfet_square_law(
     return sign * i, gm, gds
 
 
+@np.errstate(all="ignore")
 def mosfet_linearized_array(vgs, vds, sign, vth, beta, lam):
     """:func:`mosfet_square_law` elementwise over arrays of bias points and
     :func:`mosfet_coefficients`.
 
     Every element goes through the scalar law's operations in the scalar
     law's order, so each result equals the scalar law's to the bit, signed
-    zeros included.
+    zeros included.  Both branches of every region are evaluated, so an
+    extreme bias point or coefficient may overflow in a branch it does not
+    take: numpy's floating-point warnings are silenced, and a non-finite
+    result is left for the caller's solve to reject.
     """
     vgs_r = sign * vgs
     vds_r = sign * vds
@@ -449,11 +453,12 @@ def gate_leakage(vox: float, params: MosfetParams) -> float:
 # --------------------------------------------------------------------------- #
 
 def resistor_value(params: ResistorParams, temp: float = T_REF) -> float:
-    """Resistance at ``temp``: r_nominal * (1 + temp_coeff*(T - T0)) (ohm)."""
+    """Resistance at ``temp``: r_nominal * (1 + temp_coeff*(T - T0)) (ohm),
+    positive and finite only."""
     r = params.r_nominal * (1.0 + params.temp_coeff * (temp - T_REF))
-    if r <= 0.0:
+    if not 0.0 < r < math.inf:
         raise DeviceError(
-            f"resistance {r} <= 0 at T={temp} K (temp_coeff={params.temp_coeff})"
+            f"resistance {r} outside (0, inf) at T={temp} K (temp_coeff={params.temp_coeff})"
         )
     return r
 

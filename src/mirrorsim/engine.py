@@ -149,8 +149,8 @@ _MAX_STEP = 0.3
 # bound (f(0) = f(1) = 0), so without a cap the steps grow past the drive's
 # reversal and hold the state there; at period/200 a lone p = 2 memristor
 # stays within 0.03 L of a 25 us grid, as close as fixed steps of
-# period/2000 come, and a hysteresis loop takes about 600 steps for 3
-# cycles, where its requested grid of 2000 samples a cycle holds 6000.
+# period/2000 come, and a hysteresis loop takes about 200 steps a cycle,
+# where its requested grid holds 2000 samples a cycle.
 _SINE_STEPS = 200
 
 # Milne's device: BDF2's error constant -2/9 against the quadratic
@@ -447,12 +447,15 @@ def _solve_stack(g_mat: np.ndarray, rhs: np.ndarray):
 
 
 # a compiled row's cell of one device, from its record, the row's
-# temperature and a memristor's state (None: w0); sources come evaluated
+# temperature and a memristor's state (None: w0), and what the cell holds;
+# sources come evaluated
 _CELLS = {
-    BoundResistor: lambda d, temp, s: 1.0 / resistor_value(d.params, temp),
-    BoundMemristor: lambda d, temp, s: memristance_at(
-        memristor_state(d.w0, d.params) if s is None else s, d.params),
-    BoundMosfet: lambda d, temp, s: mosfet_coefficients(d.params, temp),
+    BoundResistor: (lambda d, temp, s: 1.0 / resistor_value(d.params, temp),
+                    "conductance (S)"),
+    BoundMemristor: (lambda d, temp, s: memristance_at(
+        memristor_state(d.w0, d.params) if s is None else s, d.params), "memristance (ohm)"),
+    BoundMosfet: (lambda d, temp, s: mosfet_coefficients(d.params, temp),
+                  "square-law coefficients (sign, vth, beta, lam)"),
 }
 
 
@@ -489,7 +492,9 @@ class _DcRows:
     inputs alone, so which rows share a batch moves no bit of any row.  A
     row fails alone: with its record when that is an error, else with the
     first :class:`~mirrorsim.devices.DeviceError` of its devices in kind
-    order, which is what compiling that row alone raises.  ``errors`` maps every
+    order, or, when no law raised, with one naming the first device whose
+    law gave a number that is not finite: what compiling that row alone
+    raises.  A law's error is prefixed with its device's name.  ``errors`` maps every
     failed row, from the compile or :meth:`solve`, to its error; the solve
     fills ``x`` (rows, unknowns), ``iterations``, ``currents`` (rows,
     devices in circuit order; see OperatingPoint) and ``residual``, NaN in
@@ -522,7 +527,7 @@ class _DcRows:
                 continue
             once = len(given) == 1 and same_temp
             failed = (math.nan,) * 4 if isinstance(devices[j], BoundMosfet) else math.nan
-            law, s = _CELLS[type(devices[j])], s_at.get(j)
+            law, s = _CELLS[type(devices[j])][0], s_at.get(j)
             cells = []
             for k, (device, at) in enumerate(zip(given * count if len(given) == 1
                                                  else given, self.temps)):
@@ -533,6 +538,7 @@ class _DcRows:
                     try:
                         cell = law(device, at, s)
                     except DeviceError as exc:
+                        exc = DeviceError(f"{device.name}: {exc}")
                         for row in range(count) if once else (k,):
                             self.errors.setdefault(row, exc)
                 cells.append(cell)
@@ -552,6 +558,18 @@ class _DcRows:
         self.r_mem = stack(res, mem)
         # (sign, vth, beta, lam), each (MOSFETs, rows)
         self.coeffs = np.ascontiguousarray(stack(res + mem, mos, 4).transpose(2, 0, 1))
+        # a law that gave a number that is not finite fails the row as a law
+        # that raises would: the first such device in kind order names it
+        finite = np.concatenate([np.isfinite(self.g_res), np.isfinite(self.r_mem),
+                                 np.isfinite(self.coeffs).all(axis=0)])
+        for k in np.flatnonzero(~finite.all(axis=0)).tolist():
+            if k not in self.errors:
+                c = int(np.argmin(finite[:, k]))
+                device = [*topo.resistors, *topo.memristors, *topo.mosfets][c]
+                cell = [*self.g_res, *self.r_mem, *self.coeffs.transpose(1, 0, 2)][c][..., k]
+                self.errors[k] = DeviceError(
+                    f"{device.name}: non-finite {_CELLS[type(device)][1]} at "
+                    f"T={self.temps[k]} K: {cell.tolist()}")
         self.values = values
 
         # the linear part: gmin, resistors and sources, then memristors

@@ -3,10 +3,14 @@
 These deliberately repeat the arithmetic (and the physical constants) rather
 than importing anything from the package under test: each function is a
 direct transcription of one closed-form device law, used as the reference
-the implementation must reproduce to 1e-12 relative.
+the implementation must reproduce to 1e-12 relative.  The memristor loop is
+the exception: a closed-form solution of a driven device, which the
+stepped transient must reproduce within its truncation budget.
 """
 
 import math
+
+import numpy as np
 
 K_B = 1.380649e-23            # J/K
 Q = 1.602176634e-19           # C
@@ -88,3 +92,43 @@ def o_square_wave_thd(n_harmonics):
     amplitudes 4/(n*pi) for odd n, so THD = sqrt(sum_{odd 3..N} 1/n^2)."""
     s = sum(1.0 / (n * n) for n in range(3, n_harmonics + 1, 2))
     return math.sqrt(s)
+
+
+def o_memristor_loop(params, amplitude, frequency, t, s0=0.5):
+    """Current (A) at the times ``t`` (an array) of a p = 1 Joglekar
+    memristor driven by ``amplitude * sin(2*pi*frequency*t)`` across its
+    terminals from the state ``s0 = w/L`` (Joglekar & Wolf 2009).
+
+    With f(s) = 4s(1 - s) the state is a logistic function of the charge q,
+    logit s = logit s0 + 4Kq with K = polarity*uv*Ron/L^2, so the flux
+    phi(q) = int M dq is closed-form: Roff*q - (Roff - Ron)/(4K) *
+    [softplus(a + 4Kq) - softplus(a)], a = logit s0.  It rises strictly
+    (dphi/dq = M > 0), and the drive's flux (A/w)(1 - cos wt) is known at
+    every time, so each sample's charge is the root of phi(q) = phi(t)
+    (Chua 1971), found by Newton from the side where it converges
+    monotonically, and i = v / M(s(q))."""
+    t = np.asarray(t, dtype=float)
+    omega = 2.0 * math.pi * frequency
+    r_on, r_off = params.r_on, params.r_off
+    k4 = 4.0 * params.polarity * params.mobility * r_on / (params.length * params.length)
+    a = math.log(s0 / (1.0 - s0))
+    flux = amplitude / omega * (1.0 - np.cos(omega * t))
+
+    def state(q):
+        return 1.0 / (1.0 + np.exp(-(a + k4 * q)))
+
+    def phi(q):
+        lift = np.logaddexp(0.0, a + k4 * q) - np.logaddexp(0.0, a)
+        return r_off * q - (r_off - r_on) / k4 * lift
+
+    # flux >= 0 and Ron <= M <= Roff, so the root lies in [flux/Roff,
+    # flux/Ron]: phi is concave for K > 0 (start left), convex for K < 0
+    q = flux / (r_off if k4 > 0.0 else r_on)
+    for _ in range(200):
+        s = state(q)
+        step = (phi(q) - flux) / (s * r_on + (1.0 - s) * r_off)
+        q = q - step
+        if np.all(np.abs(step) <= 1e-15 * np.maximum(np.abs(q), 1e-30)):
+            break
+    s = state(q)
+    return amplitude * np.sin(omega * t) / (s * r_on + (1.0 - s) * r_off)

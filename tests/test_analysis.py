@@ -30,6 +30,7 @@ from mirrorsim.analysis import (
 )
 from mirrorsim.constants import T_REF, ZERO_CELSIUS
 from mirrorsim.devices import (
+    CALIBRATED_MOBILITY,
     MEMRISTOR_DEFAULTS,
     DeviceError,
     MemristorParams,
@@ -45,6 +46,8 @@ from mirrorsim.engine import (
     solve_dc,
 )
 from mirrorsim.netlist import (
+    BoundMemristor,
+    BoundSource,
     Circuit,
     ElaborationError,
     MirrorConfig,
@@ -749,15 +752,15 @@ class TestHysteresis:
         assert residual < 0.01 * np.max(np.abs(i))
 
     def test_memristor_loop_takes_period_over_200_steps(self, monkeypatch):
-        # three cycles at most 1/200 of a period each, against the 6000
-        # samples it records
+        # one cycle of steps at most 1/200 of a period each, against the
+        # 2000 samples it solves and the 6000 it records
         steps = []
         real = engine._Steps.newton
         monkeypatch.setattr(engine._Steps, "newton",
                             lambda self, *args: steps.append(args) or real(self, *args))
         trace = hysteresis_trace(MEM, DRIVE)
         assert len(trace.t) == 6001
-        assert 600 <= len(steps) <= 610
+        assert 200 <= len(steps) <= 210
 
     def test_memoryless_device_encloses_no_area(self):
         trace = hysteresis_trace(ResistorParams(r_nominal=19050.0), DRIVE)
@@ -797,6 +800,62 @@ class TestHysteresis:
         peak = np.max(np.abs(reference))
         assert np.max(np.abs(trace.current - reference)) / peak <= budget
         assert abs(trace.area - fine.area) / fine.area <= 1e-3
+
+    # The twelve drives against the closed-form loop, with budgets (worst
+    # |current error| / peak, |loop-area error|) set about 10 % above the
+    # errors of the three-cycle run, which the one-cycle run moved by at
+    # most 1.3e-6 of the peak and 8.3e-6 of the area.  Every area error is
+    # negative, -1.6e-4 to -6.3e-4: the period/200 steps' truncation.
+    @pytest.mark.parametrize("params, frequency, amplitude, budget, area_budget", [
+        (MEMRISTOR_DEFAULTS, 5.0, 1.0, 4.0e-5, 4.4e-4),
+        (MEMRISTOR_DEFAULTS, 5.0, 3.0, 2.4e-4, 6.9e-4),
+        (MEMRISTOR_DEFAULTS, 50.0, 1.0, 3.3e-6, 3.7e-4),
+        (MEMRISTOR_DEFAULTS, 50.0, 3.0, 1.0e-5, 3.8e-4),
+        (MEMRISTOR_DEFAULTS, 500.0, 1.0, 3.2e-7, 3.6e-4),
+        (MEMRISTOR_DEFAULTS, 500.0, 3.0, 9.6e-7, 3.6e-4),
+        (MEM, 5.0, 1.0, 2.7e-5, 3.0e-4),
+        (MEM, 5.0, 3.0, 6.7e-5, 1.8e-4),
+        (MEM, 50.0, 1.0, 3.1e-6, 3.5e-4),
+        (MEM, 50.0, 3.0, 9.0e-6, 3.4e-4),
+        (MEM, 500.0, 1.0, 3.2e-7, 3.6e-4),
+        (MEM, 500.0, 3.0, 9.5e-7, 3.6e-4),
+    ], ids=[f"{name}-{f:g}Hz-{a:g}V" for name in ("defaults", "pol-1")
+            for f in (5, 50, 500) for a in (1, 3)])
+    def test_loop_matches_the_closed_form(self, params, frequency, amplitude, budget,
+                                          area_budget):
+        drive = SourceSpec(kind="sine", amplitude=amplitude, frequency=frequency)
+        trace = hysteresis_trace(params, drive)
+        exact = oracles.o_memristor_loop(params, amplitude, frequency, trace.t)
+        peak = np.max(np.abs(exact))
+        assert np.max(np.abs(trace.current - exact)) / peak <= budget
+        start = trace.cycle_start
+        area = analysis._loop_area(trace.voltage[start:], exact[start:])
+        assert abs(trace.area - area) / area <= area_budget
+
+    @pytest.mark.parametrize("params, drive", [
+        (MEMRISTOR_DEFAULTS, SourceSpec(kind="sine", dc_value=0.5, amplitude=2.5,
+                                        frequency=5.0)),
+        (MemristorParams(mobility=100 * CALIBRATED_MOBILITY),
+         SourceSpec(kind="sine", amplitude=3.0, frequency=5.0)),
+    ], ids=["dc-offset", "locks-at-r_on"])
+    def test_a_loop_with_a_history_runs_every_cycle(self, params, drive):
+        # an offset drive's flux grows cycle by cycle, and a state that
+        # reaches a bound forgets where it came from: cycles 1 and 3 differ
+        # (by 99 % and 23 % of the peak), so all three are stepped
+        trace = hysteresis_trace(params, drive)
+        circuit = Circuit(title="sine-driven device loop", node_names=["0", "in"],
+                          devices=[BoundSource("V1", 1, 0, drive),
+                                   BoundMemristor("Y1", 1, 0, params,
+                                                  0.5 * params.length)])
+        t, (voltage, current) = analysis._sine_drive(
+            circuit, drive.frequency, analysis._HYSTERESIS_CYCLES,
+            analysis._HYSTERESIS_SAMPLES, ["v(in)", "i(Y1)"], adaptive=True)
+        assert trace.t.tobytes() == t.tobytes()
+        assert trace.voltage.tobytes() == voltage.tobytes()
+        assert trace.current.tobytes() == current.tobytes()
+        cycle = analysis._HYSTERESIS_SAMPLES + 1
+        assert np.max(np.abs(current[:cycle] - current[-cycle:])) > 0.2 * np.max(
+            np.abs(current))
 
     def test_rejects_bad_harness_inputs(self):
         with pytest.raises(AnalysisError, match="sine"):
@@ -915,10 +974,11 @@ class TestPeriodTiling:
 
     @pytest.mark.parametrize("call, rows, records", [
         # the THD drive steps its whole record after the settling run, each
-        # run compiling its t = 0 row; the loop's grid is all DC rows
+        # run compiling its t = 0 row; the periodic loop steps one cycle,
+        # whose grid is all DC rows, and tiles it
         (lambda: distortion_trace(MirrorConfig(MirrorKind.TWO_MEMRISTORS)), 2,
          [6001, 2001]),
-        (lambda: hysteresis_trace(MEM, DRIVE), 1 + 6001, [6001]),
+        (lambda: hysteresis_trace(MEM, DRIVE), 1 + 2001, [2001]),
     ], ids=["thd-2m", "memristor-loop"])
     def test_a_memristive_drive_runs_its_whole_record(self, monkeypatch, call, rows,
                                                       records):

@@ -326,6 +326,14 @@ def test_mosfet_linearized_derivatives_match_finite_differences(vgs, vds):
     assert gds == pytest.approx(gds_fd, rel=1e-5, abs=1e-12)
 
 
+def test_array_law_overflows_without_a_warning():
+    # every branch is evaluated at every point, so the saturation branch of a
+    # triode point overflows too; the suite turns a numpy warning into an error
+    vgs, vds = np.array([1e300, 1e300, 0.5]), np.array([1e300, 1.0, -1e300])
+    i, gm, gds = mosfet_linearized_array(vgs, vds, 1.0, -1e300, 1e10, 1e300)
+    assert not np.isfinite(i[:2]).any()
+
+
 @pytest.mark.parametrize("params", [NMOS_DEFAULTS, PMOS_DEFAULTS],
                          ids=["nmos", "pmos"])
 @pytest.mark.parametrize("temp", [250.0, 300.15, 373.0])
@@ -502,11 +510,11 @@ def test_numpy_sine_is_math_sine_on_the_drive_samples(monkeypatch):
     for task in tasks:
         workloads.run_task(task)
     # every THD run's one period (200 samples), resistor loop's one cycle
-    # (2,000) and memristor loop's grid (6,001) was seen, besides the t = 0
-    # rows of the memristive ones
+    # (2,000) and memristor loop's one cycle (2,001, ends included) was
+    # seen, besides the t = 0 rows of the memristive ones
     lengths = [len(t) for _, t in calls]
     assert lengths.count(200) == len(tasks) // 2
-    assert lengths.count(2000) == lengths.count(6001) == len(tasks) // 4
+    assert lengths.count(2000) == lengths.count(2001) == len(tasks) // 4
     for source, times in calls:
         args = 2.0 * math.pi * source.frequency * times + source.phase
         scalar = np.array([math.sin(a) for a in args.tolist()])

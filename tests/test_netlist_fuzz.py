@@ -150,11 +150,33 @@ def test_a_deck_ends_in_an_exit_code_and_a_broken_deck_is_refused(tmp_path_facto
 @pytest.mark.parametrize("deck, message", [
     # (T/T0)^bex overflowed in Python's float power: OverflowError
     ("V1 a 0 DC 1\nR1 a d 1k\nM1 d d 0 0 NCH\n.model NCH nmos (bex=-1e4)\n.temp -200\n",
-     "error: (T/T0)^mobility_exp overflows at T=73.1"),
+     "error: M1: (T/T0)^mobility_exp overflows at T=73.1"),
     # the drift law's L*L underflowed to 0 in a transient: ZeroDivisionError
     ("V1 a 0 DC 1\nR1 a b 1k\nY1 b 0 MEM\n.model MEM memristor (l=1e-170)\n.tran 5m 10m\n",
      "error: Y1: memristor length 1e-170 m squared underflows to 0"),
 ], ids=["mosfet-mobility-power", "memristor-length-square"])
 def test_decks_that_raised_a_traceback_exit_1(tmp_path_factory, capsys, deck, message):
     assert _run(tmp_path_factory, deck) == 1
+    assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("deck, code, message", [
+    # 0.5*beta*veff^2 overflows in the array law's saturation branch: no
+    # warning (the suite turns warnings into errors), a singular system
+    ("V1 a 0 DC 2.5\nVB a 0 DC 0.7\nM0 0 0 c d PCH w=2u\nR1 c a 1e-300\n"
+     ".model PCH pmos (vth0=-1e300 mox=1e300)\n.dc\n", 2,
+     "error: singular nodal matrix"),
+    # beta = kp*W/L overflows to inf: the compiled cell names its device
+    ("V1 a 0 DC 2.5\nR1 a d 1k\nM1 d d 0 0 NCH w=1e300 l=1e-300\n"
+     ".model NCH nmos (kp=1e300)\n.dc\n", 1,
+     "error: M1: non-finite square-law coefficients"),
+    # a conductance of 1/1e-320 overflows to inf
+    ("V1 a 0 DC 2.5\nR1 a 0 1e-320\n.dc\n", 1, "error: R1: non-finite conductance"),
+    # r*(1 + tc*(T - T0)) overflows to inf, which would read as an open
+    ("V1 a 0 DC 2.5\nR1 a 0 1k tc=1e308\n.temp 125\n.dc\n", 1,
+     "error: R1: resistance inf outside (0, inf)"),
+], ids=["array-law-overflow", "mosfet-beta", "resistor-conductance", "resistor-value"])
+def test_an_overflowing_deck_exits_with_a_named_error(tmp_path_factory, capsys, deck,
+                                                       code, message):
+    assert _run(tmp_path_factory, deck) == code
     assert capsys.readouterr().err.startswith(message)
