@@ -425,8 +425,10 @@ def mismatch_sweep(config: MirrorConfig, load2_values: Iterable[float], *,
     base = config.m0 if memristive else config.r_load
     path = "Y2.m0" if memristive else "R2.r_nominal"
     circuit = replace(mirror_circuit(config), temp=temp)
-    position, records = overrides(circuit, path, [base] + values)
-    solved = _compile(circuit, [None] * len(records), records={position: records}).solve()
+    position, records, errors = overrides(circuit, path, [base] + values)
+    solved = _compile(circuit, [None] * len(records), records={position: records})
+    solved.errors.update(errors)
+    solved.solve()
     if 0 in solved.errors:
         raise solved.errors[0]
     base_op = solved.operating_point(0)
@@ -512,8 +514,8 @@ def parameter_sweep(config: MirrorConfig, param_path: str,
     if not points:
         raise AnalysisError("parameter sweep needs at least one value")
     circuit = mirror_circuit(config)
-    position, records = overrides(circuit, param_path, points)
-    _raise_first({k: r for k, r in enumerate(records) if isinstance(r, Exception)})
+    position, records, errors = overrides(circuit, param_path, points)
+    _raise_first(errors)
     volts, currents = _settled_rows(circuit, [temp] * len(points), {position: records})
     m2 = circuit.devices.index(circuit.device("M2"))
     outputs = zip(currents[:, m2].tolist(), volts[:, circuit.node_index("d2")].tolist())

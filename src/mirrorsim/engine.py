@@ -36,14 +36,14 @@ errors, in place.  A single DC solve is a batch of one.  A memristive
 transient compiles its circuit as one such row too, solves t = 0 as that
 row, and runs its steps on Python lists copied from it, which is the fast
 form for one small system: the step's system, bordered with the state rows
-and columns, is one flat list with its stamps compiled as (flat index, term,
-sign), and each Newton iteration makes one bare LAPACK call.  Both kinds of
-transient take their device currents from the rows' batched KCL.  A
-memristor-free transient and a controlled one read on a grid record DC
-solutions: each source's values are evaluated once for the whole run, the
-samples are keyed by the bits of their source values and (frozen) states,
-and only the distinct keys are compiled as DC rows and solved, a block of
-them at a time.
+and columns, is one flat list, and each Newton iteration makes one bare
+LAPACK call.  One stamp table per topology orders every entry's terms for
+the rows and the steps alike.  Both kinds of transient take their device
+currents from the rows' batched KCL.  A memristor-free transient and a
+controlled one read on a grid record DC solutions: each source's values are
+evaluated once for the whole run, the samples are keyed by the bits of
+their source values and (frozen) states, and only the distinct keys are
+compiled as DC rows and solved, a block of them at a time.
 
 The dense linear solves are LAPACK LU with partial pivoting: a DC stack
 through :func:`numpy.linalg.solve`, a memristive step through the kernel
@@ -96,6 +96,11 @@ __all__ = [
 
 # default number of fixed steps when SimOptions.dt is not given
 _DEFAULT_STEPS = 10_000
+
+# the most steps of a transient's grid, refused up front beyond: a run keeps
+# each sample in a few arrays, about 130 MB per million samples of a
+# resistive mirror (2-core VM, numpy 2.4.6), which numpy fails to allocate
+_MAX_STEPS = 10**7
 
 # conductance (S) from every non-ground node to ground and across every
 # MOSFET channel, which anchors a node that only cutoff devices touch
@@ -199,9 +204,9 @@ class UnknownProbeError(SimulationError):
 @dataclass(frozen=True)
 class SimOptions:
     """A transient's settings; defaults suit the second-scale circuits in
-    this repo.  ``dt=None`` picks ``t_stop / 10000``.  The temperature is
-    the circuit's own (:attr:`Circuit.temp`, which the `.temp` directive
-    sets).
+    this repo.  ``dt=None`` picks ``t_stop / 10000``; a grid of more than
+    ``_MAX_STEPS`` steps is refused.  The temperature is the circuit's own
+    (:attr:`Circuit.temp`, which the `.temp` directive sets).
 
     ``adaptive=True`` lets a memristive transient choose its own steps,
     holding each step's estimated local error on every normalized memristor
@@ -227,8 +232,14 @@ class SimOptions:
             raise ValueError("dt must be positive")
         if self.t_stop is not None and self.t_stop <= 0.0:
             raise ValueError("t_stop must be positive")
-        if self.dt is not None and self.t_stop is not None and self.t_stop < self.dt:
-            raise ValueError("t_stop must be >= dt")
+        if self.t_stop is not None:
+            dt = self.t_stop / _DEFAULT_STEPS if self.dt is None else self.dt
+            if self.t_stop < dt:
+                raise ValueError("t_stop must be >= dt")
+            steps = self.t_stop / dt if dt else math.inf  # dt may underflow to 0
+            if steps > _MAX_STEPS:
+                raise ValueError(f"t_stop / dt = {steps:.3g} steps; at most "
+                                 f"{_MAX_STEPS:.0e} are taken")
 
 
 @dataclass
@@ -280,38 +291,23 @@ class TransientResult:
 
 def _pair_entries(a: int, b: int) -> list[tuple[tuple[int, int], float]]:
     """(entry, sign) of a conductance between nodes a and b (0 is ground)."""
-    entries = []
-    if a:
-        entries.append(((a, a), 1.0))
-    if b:
-        entries.append(((b, b), 1.0))
-    if a and b:
-        entries += [((a, b), -1.0), ((b, a), -1.0)]
-    return entries
-
-
-def _stamp_pair(g_mat, a: int, b: int, g) -> None:
-    """Conductance ``g`` between nodes a and b into a stack of matrices;
-    ``g`` is a scalar or one value per matrix."""
-    for (r, c), sign in _pair_entries(a, b):
-        g_mat[:, r, c] += g * sign
+    entries = [((n, n), 1.0) for n in (a, b) if n]
+    return entries + ([((a, b), -1.0), ((b, a), -1.0)] if a and b else [])
 
 
 def _mosfet_stamps(mosfets):
     """The MOSFET stamps of one linearized system as sequences of updates
-    ``(entry, value, sign)``, in the order they are added: the matrix's and
-    the right-hand side's, MOSFET after MOSFET.  The memristive steps apply
-    each MOSFET's one by one; :class:`_DcRows` scatters them to stacks
-    through :meth:`_Topology.flat`.
+    ``(entry, term, sign)``, in the order each entry takes them: the
+    matrix's and the right-hand side's, MOSFET after MOSFET.
 
-    Matrix values index the columns of [gm | gds | gm + gds | gmin] (one
-    column per MOSFET in each of the first three blocks); right-hand-side
-    values index the MOSFETs' equivalent currents ieq.
+    Matrix terms index the columns of [gm | gds | gm + gds | gmin] (one
+    column per MOSFET in each block); right-hand-side terms index the
+    MOSFETs' equivalent currents ieq.
     """
     count = len(mosfets)
     matrix, rhs = [], []
     for k, f in enumerate(mosfets):
-        gm, gds, both, gmin = k, count + k, 2 * count + k, 3 * count
+        gm, gds, both, gmin = k, count + k, 2 * count + k, 3 * count + k
         d, g, s = f.n_d, f.n_g, f.n_s
         if d:
             matrix.append(((d, d), gds, 1.0))
@@ -333,11 +329,19 @@ def _mosfet_stamps(mosfets):
 
 
 class _Topology:
-    """Index maps of one circuit: what every circuit with the same nodes,
-    and the same kind, name and terminals of every device in order, shares,
-    whatever its parameters and temperature.  A circuit that a nodal solve
-    cannot take (:func:`~mirrorsim.netlist.unsolvable`) raises
-    :class:`SingularMatrixError`."""
+    """Index maps and the one stamp table of a circuit: what every circuit
+    with the same nodes, and the same kind, name and terminals of every
+    device in order, shares, whatever its parameters and temperature.  A
+    circuit that a nodal solve cannot take
+    (:func:`~mirrorsim.netlist.unsolvable`) raises
+    :class:`SingularMatrixError`.
+
+    ``fixed`` is the matrix no device value enters (the ground pin, gmin,
+    the source incidences); ``stamps`` holds every other stamp as ``(entry,
+    term, sign)`` sequences: resistor and memristor conductances, MOSFET
+    matrix and right-hand side (:func:`_mosfet_stamps`), and KCL sums.
+    :class:`_DcRows` and :class:`_Steps` both add ``fixed`` and then these
+    in order, so every entry takes its terms in one order in both."""
 
     def __init__(self, circuit: Circuit):
         reason = unsolvable(circuit.node_names, circuit.devices)
@@ -354,7 +358,7 @@ class _Topology:
             s.name: self.n_nodes + k for k, s in enumerate(self.sources)
         }
         self.state_index = {m.name: k for k, m in enumerate(self.memristors)}
-        self.dim = self.n_nodes + len(self.sources)
+        dim = self.dim = self.n_nodes + len(self.sources)
         damped = {n for m in self.mosfets for n in (m.n_d, m.n_g, m.n_s)}
         self.damped_nodes = sorted(n for n in damped if n != 0)
 
@@ -382,40 +386,49 @@ class _Topology:
                           index([f.n_g for f in self.mosfets]),
                           index([f.n_s for f in self.mosfets]))
         self.branch_cols = index([self.branch_index[s.name] for s in self.sources])
-        # the MOSFET stamps, and the KCL sums: each device current, by its
-        # kind-ordered column, leaves one node and enters the other, in
-        # device order
-        matrix_sequence, rhs_sequence = _mosfet_stamps(self.mosfets)
+
+        # the ground row pins v0 = 0 exactly; gmin from every other node
+        self.fixed = np.diag([1.0] + [_GMIN] * (self.n_nodes - 1) + [0.0] * len(self.sources))
+        for src, br in zip(self.sources, self.branch_cols.tolist()):
+            for node, sign in ((src.n_pos, 1.0), (src.n_neg, -1.0)):
+                if node:
+                    self.fixed[node, br] += sign
+                    self.fixed[br, node] += sign
+
+        def conductances(pairs):
+            return [(entry, k, sign) for k, d in enumerate(pairs)
+                    for entry, sign in _pair_entries(d.n_pos, d.n_neg)]
+
+        # each device current, by its kind-ordered column, leaves one node
+        # and enters the other, in device order
         column = {position: k for k, position in enumerate(by_kind)}
-        self.kcl_sequence = [
-            ((node,), column[position], sign)
-            for position, nodes in enumerate(self.current_nodes)
-            for node, sign in zip(nodes, (-1.0, 1.0)) if node]
+        self.stamps = dict(zip(("res", "mem", "mos", "ieq", "kcl"), (
+            conductances(self.resistors), conductances(self.memristors),
+            *_mosfet_stamps(self.mosfets),
+            [((node,), column[position], sign)
+             for position, nodes in enumerate(self.current_nodes)
+             for node, sign in zip(nodes, (-1.0, 1.0)) if node])))
         # the batched solve's stamp families as (size, entries, term rows,
-        # signs): the matrix's, the right-hand side's and the KCL sums'
-        dim = self.dim
-
-        def family(size, sequence, flat):
-            return (size, index([flat(*e) for e, _, _ in sequence]),
-                    index([v for _, v, _ in sequence]),
-                    np.array([sign for _, _, sign in sequence]).reshape(-1, 1))
-
-        self.families = (
-            family(dim * dim, matrix_sequence, lambda r, c: r * dim + c),
-            family(dim, rhs_sequence, lambda r: r),
-            family(self.n_nodes, self.kcl_sequence, lambda r: r),
-        )
-        self._flat: tuple = ()
+        # signs): flat indices into one row's matrix or vector
+        sizes = {"ieq": dim, "kcl": self.n_nodes}
+        self.families = {
+            name: (sizes.get(name, dim * dim),
+                   index([e[0] * dim + e[1] if len(e) == 2 else e[0]
+                          for e, _, _ in sequence]),
+                   index([term for _, term, _ in sequence]),
+                   np.array([sign for _, _, sign in sequence]).reshape(-1, 1))
+            for name, sequence in self.stamps.items()}
+        self._flat: dict = {}
         self._flat_rows = 0
 
-    def flat(self, family: int, rows: int) -> np.ndarray:
-        """Flat indices of stamp family ``family`` (see ``families``) into
-        ``rows`` stacked arrays, row by row and each row's terms in sequence
-        order; built for the most rows asked for, and sliced."""
+    def flat(self, family: str, rows: int) -> np.ndarray:
+        """Flat indices of stamp family ``family`` into ``rows`` stacked
+        arrays, row by row and each row's terms in sequence order; built
+        for the most rows asked for, and sliced."""
         if rows > self._flat_rows:
             offsets = np.arange(rows, dtype=np.intp)[:, None]
-            self._flat = tuple((offsets * size + entries).ravel()
-                               for size, entries, _, _ in self.families)
+            self._flat = {name: (offsets * size + entries).ravel()
+                          for name, (size, entries, _, _) in self.families.items()}
             self._flat_rows = rows
         return self._flat[family][:rows * len(self.families[family][1])]
 
@@ -463,18 +476,13 @@ def _source_values(topo: _Topology, records, times: np.ndarray) -> np.ndarray:
     """Values (rows, sources) of the sources of ``topo`` at ``times``, one
     time per row, by :func:`~mirrorsim.devices.source_value`: a source that
     every row shares in one array call, and one whose position in
-    ``records`` gives each row its own record, record by record (a failed
-    record's row reads NaN)."""
+    ``records`` gives each row its own record, record by record."""
     devices = topo.circuit.devices
-    values = np.full((len(times), len(topo.sources)), math.nan)
+    values = np.empty((len(times), len(topo.sources)))
     for col, j in enumerate(topo.src_cols):
         given = records.get(j, devices[j:j + 1])
-        if len(given) > 1:
-            values[:, col] = [math.nan if isinstance(d, Exception)
-                              else source_value(d.spec, t)
-                              for d, t in zip(given, times.tolist())]
-        elif not isinstance(given[0], Exception):
-            values[:, col] = source_value(given[0].spec, times)
+        values[:, col] = ([source_value(d.spec, t) for d, t in zip(given, times.tolist())]
+                          if len(given) > 1 else source_value(given[0].spec, times))
     return values
 
 
@@ -490,22 +498,24 @@ class _DcRows:
     each position of ``records`` replaced by that list's entry k.  A device
     that all rows share is evaluated once.  Each row depends on its own
     inputs alone, so which rows share a batch moves no bit of any row.  A
-    row fails alone: with its record when that is an error, else with the
-    first :class:`~mirrorsim.devices.DeviceError` of its devices in kind
-    order, or, when no law raised, with one naming the first device whose
-    law gave a number that is not finite: what compiling that row alone
-    raises.  A law's error is prefixed with its device's name.  ``errors`` maps every
-    failed row, from the compile or :meth:`solve`, to its error; the solve
-    fills ``x`` (rows, unknowns), ``iterations``, ``currents`` (rows,
+    row fails alone: with the first :class:`~mirrorsim.devices.DeviceError`
+    of its devices in kind order, or, when no law raised, with one naming
+    the first device whose law gave a number that is not finite: what
+    compiling that row alone raises.  A law's error is prefixed with its
+    device's name.  ``errors`` maps every failed row to its error; a row
+    that a caller adds to it before :meth:`solve` (an override's invalid
+    value, see :func:`~mirrorsim.netlist.overrides`) is not solved.  The
+    solve fills ``x`` (rows, unknowns), ``iterations``, ``currents`` (rows,
     devices in circuit order; see OperatingPoint) and ``residual``, NaN in
     a failed row.
 
-    Each Newton iteration makes one array MOSFET evaluation (none without
-    MOSFETs, whose rows are assembled and solved once: see :meth:`newton`)
-    and adds each stamp family (matrix, right-hand side, KCL sums) in one
-    unbuffered :func:`numpy.add.at`, so every entry takes its terms in the
-    order of the stamp sequences that :class:`_Steps` applies one by one,
-    after a row's linear part.  With the device law evaluated by
+    The linear part is the topology's fixed matrix plus its resistor and
+    memristor families; each Newton iteration makes one array MOSFET
+    evaluation (none without MOSFETs, whose rows are assembled and solved
+    once: see :meth:`newton`) and adds each further family in one
+    unbuffered :func:`numpy.add.at`, in the order of
+    :attr:`_Topology.stamps`, which :class:`_Steps` applies one by one.
+    With the device law evaluated by
     :func:`~mirrorsim.devices.mosfet_square_law`'s operations, each row's
     iterates equal those of the same row solved alone, to the bit.
     """
@@ -519,28 +529,21 @@ class _DcRows:
         self.errors: dict[int, Exception] = {}
         columns = []
         for j in topo.kind_order.tolist():
-            given = records.get(j, devices[j:j + 1])
             if isinstance(devices[j], BoundSource):  # its values are given
-                for k, device in enumerate(given):
-                    if isinstance(device, Exception):  # a failed record
-                        self.errors[k] = device
                 continue
+            given = records.get(j, devices[j:j + 1])
             once = len(given) == 1 and same_temp
             failed = (math.nan,) * 4 if isinstance(devices[j], BoundMosfet) else math.nan
             law, s = _CELLS[type(devices[j])][0], s_at.get(j)
             cells = []
             for k, (device, at) in enumerate(zip(given * count if len(given) == 1
                                                  else given, self.temps)):
-                cell = failed
-                if isinstance(device, Exception):  # a failed record: its row carries it
-                    self.errors[k] = device
-                else:
-                    try:
-                        cell = law(device, at, s)
-                    except DeviceError as exc:
-                        exc = DeviceError(f"{device.name}: {exc}")
-                        for row in range(count) if once else (k,):
-                            self.errors.setdefault(row, exc)
+                try:
+                    cell = law(device, at, s)
+                except DeviceError as exc:
+                    cell, exc = failed, DeviceError(f"{device.name}: {exc}")
+                    for row in range(count) if once else (k,):
+                        self.errors.setdefault(row, exc)
                 cells.append(cell)
                 if once:  # one cell serves every row
                     break
@@ -572,29 +575,13 @@ class _DcRows:
                     f"T={self.temps[k]} K: {cell.tolist()}")
         self.values = values
 
-        # the linear part: gmin, resistors and sources, then memristors
-        g_lin = np.zeros((count, topo.dim, topo.dim))
-        g_lin[:, 0, 0] = 1.0  # ground row pins v0 = 0 exactly
-        for n in range(1, topo.n_nodes):
-            g_lin[:, n, n] += _GMIN
-        for j, r in enumerate(topo.resistors):
-            _stamp_pair(g_lin, r.n_pos, r.n_neg, self.g_res[j])
-        for src, br in zip(topo.sources, topo.branch_cols):
-            p, n = src.n_pos, src.n_neg
-            if p:
-                g_lin[:, p, br] += 1.0
-                g_lin[:, br, p] += 1.0
-            if n:
-                g_lin[:, n, br] -= 1.0
-                g_lin[:, br, n] -= 1.0
-        # the memristive steps start each system from row 0's part without
-        # memristors; no entry holds both a source and a memristor, so every
-        # entry still sums gmin, resistors, memristors and MOSFETs in order
-        self.g_base, self.g_lin = g_lin[:1].copy(), g_lin
-        for j, m in enumerate(topo.memristors):
-            _stamp_pair(g_lin, m.n_pos, m.n_neg, 1.0 / self.r_mem[j])
+        # the linear part: the fixed matrix and the resistors; the
+        # memristive steps start each system from row 0's, then memristors
+        g_lin = np.repeat(topo.fixed[None], count, axis=0)
+        self.g_base = self._scatter("res", g_lin, self.g_res)[:1].copy()
+        self.g_lin = self._scatter("mem", g_lin, 1.0 / self.r_mem)
 
-    def _scatter(self, family: int, out, terms):
+    def _scatter(self, family: str, out, terms):
         """Stamp family ``family`` of :attr:`_Topology.families` added into
         ``out``, one array per row, in one unbuffered :func:`numpy.add.at`:
         each entry takes its terms, the rows of ``terms`` (columns, rows)
@@ -619,11 +606,11 @@ class _DcRows:
         at the guesses ``x``, one per row."""
         count, dim = x.shape
         vgs, vds, i0, gm, gds = self._mosfets(rows, x)
-        terms = np.concatenate([gm, gds, gm + gds, np.full((1, count), _GMIN)])
+        terms = np.concatenate([gm, gds, gm + gds, np.full(gm.shape, _GMIN)])
         rhs = np.zeros(x.shape)
         rhs[:, self.topo.branch_cols] = source_scale * self.values[rows]
-        return (self._scatter(0, self.g_lin[rows], terms),
-                self._scatter(1, rhs, i0 - gm * vgs - gds * vds))
+        return (self._scatter("mos", self.g_lin[rows], terms),
+                self._scatter("ieq", rhs, i0 - gm * vgs - gds * vds))
 
     def kcl(self, rows, x, r_mem=None):
         """Device currents (rows, devices in circuit order; see
@@ -643,7 +630,7 @@ class _DcRows:
         ])
         currents = np.empty_like(by_kind)
         currents[topo.kind_order] = by_kind
-        sums = self._scatter(2, np.zeros((len(rows), topo.n_nodes)), by_kind)
+        sums = self._scatter("kcl", np.zeros((len(rows), topo.n_nodes)), by_kind)
         return currents.T, np.abs(sums[:, 1:]).max(axis=1)
 
     def newton(self, rows, x, source_scale: float) -> None:
@@ -819,16 +806,18 @@ class _Steps:
     variable-step BDF2 step (:meth:`march`) a blend of the last two
     accepted states and a shortened step.
 
-    The bordered system, ``size = dim + memristors`` square, is compiled
-    once as one flat row-major list: row 0's linear part padded with zero
-    state rows and columns, and every stamp as (flat index, term, sign),
-    added in the order of :class:`_DcRows`' stamp sequences: the node block
-    (rows and columns below ``dim``) of a step's matrix is the DC row's
-    matrix with the memristances at M(s), and :meth:`kcl_residual` the DC
-    row's residual, to the bit.  Each Newton iteration copies that list,
-    adds the stamps, and makes one LAPACK call through the kernel that
-    :func:`numpy.linalg.solve` dispatches to, so its solution is that
-    function's, to the bit.
+    The bordered system, ``size = dim + memristors`` square, is one flat
+    row-major list: row 0's linear part without memristors (the fixed
+    matrix and the resistors), padded with zero state rows and columns.
+    Its stamps are the topology's own sequences (:attr:`_Topology.stamps`)
+    with each matrix entry mapped to its flat index, applied one by one in
+    sequence order, memristors and then MOSFETs, as :class:`_DcRows` adds
+    them: the node block (rows and columns below ``dim``) of a step's
+    matrix is the DC row's matrix with the memristances at M(s), and
+    :meth:`kcl_residual` the DC row's residual, to the bit.  Each Newton
+    iteration copies that list, adds the stamps, and makes one LAPACK call
+    through the kernel that :func:`numpy.linalg.solve` dispatches to, so
+    its solution is that function's, to the bit.
     """
 
     def __init__(self, rows: _DcRows):
@@ -841,19 +830,19 @@ class _Steps:
         self.g_base = [0.0] * (size * size)
         for r, row in enumerate(rows.g_base[0].tolist()):
             self.g_base[r * size:r * size + dim] = row
-        self.mem_stamps = [(r * size + c, k, sign)
-                           for k, m in enumerate(topo.memristors)
-                           for (r, c), sign in _pair_entries(m.n_pos, m.n_neg)]
-        # per MOSFET: its nodes, coefficients (sign, vth, beta, lam) and
-        # stamps, terms indexing (gm, gds, gm + gds, gmin); the DC rows'
-        # sequences hold the same stamps, MOSFET after MOSFET
-        self.mosfets = []
-        for f, c in zip(topo.mosfets, rows.coeffs[:, :, 0].T.tolist()):
-            matrix, rhs = _mosfet_stamps([f])
-            self.mosfets.append(((f.n_d, f.n_g, f.n_s), c,
-                                 [(r * size + col, term, sign)
-                                  for (r, col), term, sign in matrix],
-                                 [(r, sign) for (r,), _, sign in rhs]))
+        # the topology's stamps with matrix entries as flat indices of the
+        # bordered system: the memristors', and per MOSFET k (term column
+        # block * MOSFETs + k) its nodes, coefficients and stamps
+        stamps = {name: [(e[0] * size + e[1] if len(e) == 2 else e[0], term, sign)
+                         for e, term, sign in topo.stamps[name]]
+                  for name in ("mem", "mos", "ieq")}
+        self.mem_sequence, count = stamps["mem"], len(topo.mosfets)
+        self.mosfets = [((f.n_d, f.n_g, f.n_s), c, [], []) for f, c in
+                        zip(topo.mosfets, rows.coeffs[:, :, 0].T.tolist())]
+        for i, term, sign in stamps["mos"]:
+            self.mosfets[term % count][2].append((i, term // count, sign))
+        for r, k, sign in stamps["ieq"]:
+            self.mosfets[k][3].append((r, sign))
         # per memristor: its nodes, parameters, state column, the flat
         # index of its state row's diagonal, and per non-ground terminal
         # (node, sign, flat index of the node row's state column, flat
@@ -884,7 +873,7 @@ class _Steps:
         g_mem = []
         for (_, _, p, _, _, _), sk in zip(self.memristors, s):
             g_mem.append(1.0 / memristance_at(sk, p))
-        for i, k, sign in self.mem_stamps:
+        for i, k, sign in self.mem_sequence:
             g_mat[i] += g_mem[k] * sign
         for (d, g, src), c, matrix, sources in self.mosfets:
             vgs = x[g] - x[src]
@@ -945,7 +934,7 @@ class _Steps:
         for br in self.branches:
             by_kind.append(x[br])
         sums = [0.0] * self.topo.n_nodes
-        for (node,), column, sign in self.topo.kcl_sequence:
+        for (node,), column, sign in self.topo.stamps["kcl"]:
             sums[node] += by_kind[column] * sign
         return float(max(map(abs, sums[1:])))
 
@@ -1054,7 +1043,10 @@ class _Steps:
         largest = self.max_step if controlled else _MAX_STEP
         while t < t_end:
             # the last step reaches t_end exactly, absorbing what a step
-            # of size h would leave short of the floor
+            # of size h would leave short of the floor; t_next - t may round
+            # above the size asked for, so a step asked at the floor is
+            # known as one by ``asked``
+            asked = h
             t_next = t_end if t + h >= t_end - floor else t + h
             h = t_next - t
             hist, dt_eff, pred = s, h, None
@@ -1083,7 +1075,7 @@ class _Steps:
                 if err > 0.0:
                     factor = min(max(_SAFETY * (tol / err) ** (1.0 / 3.0),
                                      _SHRINK_LIMIT), _GROWTH_LIMIT)
-                if err > tol and h > floor:
+                if err > tol and h > floor and asked > floor:
                     h = max(h * factor, floor)
                     continue
             t, x, s = t_next, x_new, s_new
@@ -1099,16 +1091,18 @@ def _compile(circuit: Circuit | _Topology, temps=(None,), *, records=None,
     """``circuit`` compiled as :class:`_DcRows`, one row at each of
     ``temps`` (None: the circuit's temperature; one that is not positive
     kelvin raises :class:`DeviceError`); the other arguments default to
-    t = 0 sources and initial states.  The sources'
-    ``values`` (rows, sources), when not given, are evaluated at
-    ``source_time`` (None meaning t = 0) for every row by
-    :func:`_source_values`.  ``states`` are in metres by name (a dict), or
+    t = 0 sources and initial states.  ``records`` maps a position in
+    ``circuit.devices`` to one record per row (see
+    :func:`~mirrorsim.netlist.overrides`, whose errors a caller adds to the
+    rows' ``errors``).  The sources' ``values`` (rows, sources), when not
+    given, are evaluated at ``source_time`` (None meaning t = 0) for every
+    row by :func:`_source_values`.  ``states`` are in metres by name, or
     already normalized: one entry per memristor in topology order, each a
     number or an array of one value per row.  This is the one path from a
     circuit to compiled rows; given a built :class:`_Topology` in place of
-    the circuit, it reuses that topology's index maps and cached flat
-    indices.  A circuit a nodal solve cannot take raises (in
-    :class:`_Topology`); a row's own failure goes into ``errors``."""
+    the circuit, it reuses that topology's stamps and cached flat indices.
+    A circuit a nodal solve cannot take raises (in :class:`_Topology`); a
+    row's own failure goes into ``errors``."""
     topo = circuit if isinstance(circuit, _Topology) else _Topology(circuit)
     circuit = topo.circuit
     if isinstance(states, dict):

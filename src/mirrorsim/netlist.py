@@ -851,12 +851,14 @@ def resolve_param_path(path: str) -> str:
     return key
 
 
-def overrides(circuit: Circuit, path: str, values) -> tuple[int, list]:
-    """Position in ``circuit.devices`` of the device that the parameter path
-    (``ELEMENT.field``) names, and that device's record with the parameter
-    set to each of ``values``, or the :class:`ElaborationError` the value
-    raises: each value rebuilds the parameter or source record, so its
-    checks run.
+def overrides(circuit: Circuit, path: str, values) -> tuple[int, list, dict]:
+    """``(position, records, errors)``: the position in ``circuit.devices``
+    of the device that the parameter path (``ELEMENT.field``) names, that
+    device's record with the parameter set to each of ``values``, and the
+    :class:`ElaborationError` of each value that fails its checks, by the
+    value's index.  Each value rebuilds the parameter or source record, so
+    its checks run; a failed value's slot in ``records`` holds the device
+    unchanged, and its error carries the check's as ``__cause__``.
 
     ``T1``/``T2`` alias the two mirror NMOS cards, ``source.vdd`` (or bare
     ``vdd``) and ``source.vbias`` (or ``vbias``) alias the supply and gate
@@ -878,22 +880,23 @@ def overrides(circuit: Circuit, path: str, values) -> tuple[int, list]:
         attr, build = "params", lambda v: replace(dev.params, **{fieldname: v})
     else:
         raise ElaborationError(f"{dev.name} has no parameter {fieldname!r}")
-    records: list = []
-    for value in values:
+    records, errors = [], {}
+    for k, value in enumerate(values):
         try:
             records.append(type(dev)(**{**vars(dev), attr: build(value)}))
         except DeviceError as exc:
-            records.append(ElaborationError(str(exc)))
-            records[-1].__cause__ = exc
-    return circuit.devices.index(dev), records
+            records.append(dev)
+            errors[k] = ElaborationError(str(exc))
+            errors[k].__cause__ = exc
+    return circuit.devices.index(dev), records, errors
 
 
 def apply_override(circuit: Circuit, path: str, value: float) -> None:
     """Set one device parameter in place, replacing that device's record;
     unknown paths and invalid values raise (see :func:`overrides`)."""
-    position, (record,) = overrides(circuit, path, [value])
-    if isinstance(record, Exception):
-        raise record
+    position, (record,), errors = overrides(circuit, path, [value])
+    if errors:
+        raise errors[0]
     circuit.devices[position] = record
 
 

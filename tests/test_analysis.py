@@ -603,9 +603,10 @@ def assert_rows_equal_lone_solves(config, path, values, temp):
     its own overridden circuit, field for field, or carries the same error;
     returns the lone outcomes."""
     circuit = replace(mirror_circuit(config), temp=temp)
-    position, records = overrides(circuit, path, values)
-    compiled = engine._compile(circuit, [None] * len(values),
-                               records={position: records}).solve()
+    position, records, errors = overrides(circuit, path, values)
+    compiled = engine._compile(circuit, [None] * len(values), records={position: records})
+    compiled.errors.update(errors)
+    compiled.solve()
     alone = [lone_outcome(circuit, path, value) for value in values]
     for k, single in enumerate(alone):
         if isinstance(single, Exception):
@@ -856,6 +857,28 @@ class TestHysteresis:
         cycle = analysis._HYSTERESIS_SAMPLES + 1
         assert np.max(np.abs(current[:cycle] - current[-cycle:])) > 0.2 * np.max(
             np.abs(current))
+
+    def test_a_state_clamped_under_a_flat_window_does_not_stall(self, monkeypatch):
+        # With p = 0 the window does not stop the drift at a bound, so the
+        # steps clamp the state there and the error estimate fails at the
+        # floor; t + floor - t rounded above the floor, so the step was
+        # rejected and retried unchanged forever.  A spy ends a stall in
+        # seconds instead of hanging the suite.
+        calls = []
+        newton = engine._Steps.newton
+
+        def counted(self, *args):
+            calls.append(1)
+            if len(calls) > 20_000:
+                raise AssertionError("the controlled steps stall")
+            return newton(self, *args)
+
+        monkeypatch.setattr(engine._Steps, "newton", counted)
+        trace = hysteresis_trace(MemristorParams(window_p=0,
+                                                 mobility=10 * CALIBRATED_MOBILITY),
+                                 SourceSpec(kind="sine", amplitude=3.0, frequency=5.0))
+        assert len(trace.t) == 6001 and trace.cycle_start == 4000
+        assert np.isfinite(trace.current).all() and trace.area > 0.0
 
     def test_rejects_bad_harness_inputs(self):
         with pytest.raises(AnalysisError, match="sine"):

@@ -376,6 +376,13 @@ class TestExitCodes:
         assert "t_stop must be >= dt" in err
         assert "Traceback" not in err
 
+    def test_a_stop_time_whose_default_step_underflows_is_refused(self, capsys):
+        # t_stop / 10000 rounds to 0, which the transient divided by
+        code, out, err = run_cli(["mirror", "2r", "--analysis", "tran",
+                                  "--set", "t_stop=1e-320"], capsys)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == "error: t_stop / dt = inf steps; at most 1e+07 are taken\n"
+
 
 # --------------------------------------------------------------------------- #
 # run subcommand

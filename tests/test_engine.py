@@ -1120,9 +1120,10 @@ def test_rows_are_solved_in_place(monkeypatch):
     monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 6)
     monkeypatch.setattr(engine, "_SOURCE_STEPS", 3)
     singular_where_r2_is(monkeypatch, 30e3)
-    position, records = overrides(base, "R2.r_nominal", values)
-    rows = engine._compile(base, [None] * len(values),
-                           records={position: records}).solve()
+    position, records, errors = overrides(base, "R2.r_nominal", values)
+    rows = engine._compile(base, [None] * len(values), records={position: records})
+    rows.errors.update(errors)
+    rows.solve()
 
     alone = []
     for value in values:
@@ -1142,6 +1143,30 @@ def test_rows_are_solved_in_place(monkeypatch):
     for k in (0, 3):
         assert_same_op(rows.operating_point(k), alone[k])
     assert rows.iterations[3] == alone[3].newton_iterations > engine._MAX_NEWTON_ITERS
+
+
+@pytest.mark.parametrize("circuit, path, values", [
+    (mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_RESISTORS)), "R2.r_nominal",
+     [1e3, -1.0]),
+    (_circuit("V1 a 0 SIN(0 1 50)\nR1 a 0 1k\n"), "V1.frequency", [50.0, -1.0]),
+], ids=["resistor", "sine-frequency"])
+def test_a_failed_override_is_a_row_error_not_a_record(circuit, path, values):
+    position, records, errors = overrides(circuit, path, values)
+    assert records[1] is circuit.devices[position]
+    assert list(errors) == [1] and type(errors[1]) is ElaborationError
+    assert type(errors[1].__cause__) is DeviceError
+    with pytest.raises(ElaborationError) as alone:
+        with_override(circuit, path, values[1])
+    assert str(errors[1]) == str(alone.value) == str(errors[1].__cause__)
+    # the failed row carries that error and is not solved
+    rows = engine._compile(circuit, [None, None], records={position: records})
+    rows.errors.update(errors)
+    rows.solve()
+    assert rows.errors == {1: errors[1]}
+    assert_same_op(rows.operating_point(0), solve_dc(with_override(circuit, path,
+                                                                   values[0])))
+    for array in (rows.x, rows.iterations, rows.currents, rows.residual):
+        assert np.isnan(array[1]).all()
 
 
 @pytest.mark.parametrize("kind", [MirrorKind.TWO_RESISTORS, MirrorKind.PMOS_RESISTOR,

@@ -39,11 +39,19 @@ KEY_VALUES = {
 }
 MODELS = {"MEM": "memristor", "NCH": "nmos", "PCH": "pmos"}
 
+# magnitudes at the ends of the float range, subnormal 1e-320 included
+EXTREMES = ("1e300", "-1e300", "1e-300", "1e-320")
+
+
+def rare_extreme(values):
+    """One of ``values``, or about one time in ten one of ``EXTREMES``."""
+    return st.sampled_from(list(values) * (36 // len(values)) + list(EXTREMES))
+
 
 @st.composite
 def key_values(draw, keys, at_most=3):
     chosen = draw(st.lists(st.sampled_from(sorted(keys)), unique=True, max_size=at_most))
-    return [(f"{k}={draw(st.sampled_from(KEY_VALUES[k][:2] * 5 + KEY_VALUES[k][2:]))}",
+    return [(f"{k}={draw(rare_extreme(KEY_VALUES[k][:2] * 5 + KEY_VALUES[k][2:]))}",
              OPTIONAL) for k in chosen]
 
 
@@ -59,8 +67,9 @@ def decks(draw):
     node = st.sampled_from(NODES)
     supply = draw(st.sampled_from(["2.5", "1", "5", "0.7"]))
     if draw(st.integers(0, 3)) == 0:
-        args = [supply, draw(st.sampled_from(["0.5", "1"])), draw(st.sampled_from(["5", "50"]))]
-        args += [draw(st.sampled_from(["0", "0.3"]))] if draw(st.booleans()) else []
+        args = [draw(rare_extreme([supply])), draw(rare_extreme(["0.5", "1"])),
+                draw(rare_extreme(["5", "50"]))]
+        args += [draw(rare_extreme(["0", "0.3"]))] if draw(st.booleans()) else []
         drive = [("SIN", ANY), ("(", ANY)] + [(v, SINE_ARG) for v in args] + [(")", ANY)]
     else:
         drive = [("DC", ANY), (supply, ANY)]
@@ -95,9 +104,10 @@ def decks(draw):
     elif analysis == ".tran":
         step = draw(st.sampled_from([1, 5]))  # ms
         stop = step * draw(st.integers(1, 200))
-        lines.append([(".tran", ANY), (f"{step}m", ANY), (f"{stop}m", ANY)])
+        lines.append([(".tran", ANY), (draw(rare_extreme([f"{step}m"])), ANY),
+                      (draw(rare_extreme([f"{stop}m"])), ANY)])
     if draw(st.booleans()):
-        lines.append([(".temp", ANY), (draw(st.sampled_from(["27", "-40", "125"])), ANY)])
+        lines.append([(".temp", ANY), (draw(rare_extreme(["27", "-40", "125"])), ANY)])
     if draw(st.booleans()):
         lines.append([(".end", OPTIONAL)])
     return lines, analysis != ".tran"
@@ -180,3 +190,15 @@ def test_an_overflowing_deck_exits_with_a_named_error(tmp_path_factory, capsys, 
                                                        code, message):
     assert _run(tmp_path_factory, deck) == code
     assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("tran, steps", [
+    (".tran 1e-300 5m", "5e+297"),  # numpy refused the grid: ValueError
+    (".tran 1e-320 1e-300", "1e+20"),
+    (".tran 1m 1e300", "1e+303"),
+    (".tran 1e-320 116m", "inf"),  # int(inf) raised OverflowError
+], ids=["fine-step", "subnormal-step", "long-stop", "infinite-ratio"])
+def test_a_grid_too_fine_to_hold_exits_1(tmp_path_factory, capsys, tran, steps):
+    assert _run(tmp_path_factory, f"V1 a 0 DC 1\nR1 a 0 1k\n{tran}\n") == 1
+    assert capsys.readouterr().err == (
+        f"error: t_stop / dt = {steps} steps; at most 1e+07 are taken\n")

@@ -1,8 +1,9 @@
 """The suite's own pytest configuration: warnings are errors, except the one
-that Hypothesis's failure report triggers."""
+that Hypothesis's failure report triggers, and a stalled test names its line."""
 
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 GIVEN_FAILS = '''
@@ -31,3 +32,12 @@ def test_a_failing_given_test_does_not_end_the_session(tmp_path):
         cwd=tmp_path, capture_output=True, text=True)
     assert "INTERNALERROR" not in done.stdout + done.stderr
     assert "1 failed, 1 passed" in done.stdout
+
+
+def test_a_stalled_test_dumps_its_traceback():
+    # faulthandler prints every thread's stack once a test runs this long,
+    # so a test that stalls names the line it is stuck on
+    config = Path(__file__).parents[1] / "pyproject.toml"
+    with open(config, "rb") as handle:
+        options = tomllib.load(handle)["tool"]["pytest"]["ini_options"]
+    assert options["faulthandler_timeout"] == 60
