@@ -317,10 +317,15 @@ def mosfet_coefficients(
     """Per-device inputs of :func:`mosfet_square_law` and
     :func:`mosfet_linearized_array` at ``temp``:
     ``(sign, vth, beta, lam)`` with sign +1.0 (NMOS) or -1.0 (PMOS) and
-    ``beta = k'(T) * W / L``."""
+    ``beta = k'(T) * W / L``, positive and finite only: a beta that
+    underflows to 0 would read as an open channel."""
     kp = mosfet_kprime(params, temp)
     sign = -1.0 if params.polarity == "pmos" else 1.0
-    return sign, mosfet_vth(params, temp), kp * params.width / params.length, params.lam
+    beta = kp * params.width / params.length
+    if not 0.0 < beta < math.inf:
+        raise DeviceError(f"beta {beta} outside (0, inf) at T={temp} K "
+                          f"(k'(T)={kp}, W={params.width}, L={params.length})")
+    return sign, mosfet_vth(params, temp), beta, params.lam
 
 
 def mosfet_square_law(

@@ -109,9 +109,10 @@ _GMIN = 1e-12
 # Newton iterations per solve (per step, in a transient) before it fails
 _MAX_NEWTON_ITERS = 100
 
-# A DC row that fails from a cold start is retried with its sources ramped
-# up in this many equal steps, each step's Newton started from the last;
-# below 2 there is no retry
+# A DC row whose first Newton (started at its own source values, see
+# _DcRows.solve) fails is retried with its sources ramped up in this many
+# equal steps from 0 V, each step's Newton started from the last; below 2
+# there is no retry
 _SOURCE_STEPS = 10
 
 # Newton voltage-step limit on nodes touching a MOSFET terminal
@@ -394,6 +395,13 @@ class _Topology:
                 if node:
                     self.fixed[node, br] += sign
                     self.fixed[br, node] += sign
+        # (node, source column, sign) of each source that ties a node to
+        # ground: the node sits at sign * the source's value
+        tied = [(src.n_pos or src.n_neg, col, 1.0 if src.n_pos else -1.0)
+                for col, src in enumerate(self.sources)
+                if (src.n_pos == 0) != (src.n_neg == 0)]
+        self.grounded = (index([t[0] for t in tied]), index([t[1] for t in tied]),
+                         np.array([t[2] for t in tied]))
 
         def conductances(pairs):
             return [(entry, k, sign) for k, d in enumerate(pairs)
@@ -709,17 +717,24 @@ class _DcRows:
                 trace=row_trace)
 
     def solve(self) -> _DcRows:
-        """Newton from a cold start on every row the compile did not fail,
-        then source stepping, as one batch, for the rows that did not
-        converge; a stepped row's ``iterations`` sums its steps'.  Fills
-        the arrays and ``errors`` in place and returns the rows."""
+        """Newton on every row the compile did not fail, each started at
+        its own source values (every node that a source ties to ground at
+        that source's value in the row, every other unknown at 0), then
+        source stepping from 0 V, as one batch, for the rows that did not
+        converge; a stepped row's ``iterations`` sums its steps'.  The
+        start is a function of the row's own inputs, so a row's iterates do
+        not depend on its batch.  Fills the arrays and ``errors`` in place
+        and returns the rows."""
         count, dim = len(self.temps), self.topo.dim
         self.x = np.full((count, dim), math.nan)
         self.iterations = np.zeros(count)
         self.currents = np.full((count, len(self.topo.current_nodes)), math.nan)
         self.residual = np.full(count, math.nan)
         rows = np.array([k for k in range(count) if k not in self.errors], dtype=int)
-        self.newton(rows, np.zeros((len(rows), dim)), 1.0)
+        nodes, cols, signs = self.topo.grounded
+        start = np.zeros((len(rows), dim))
+        start[:, nodes] = signs * self.values[rows][:, cols]
+        self.newton(rows, start, 1.0)
         rows = np.array(sorted(row for row, exc in self.errors.items()
                                if isinstance(exc, NonConvergenceError)
                                and _SOURCE_STEPS >= 2), dtype=int)
@@ -1273,10 +1288,10 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     together (:func:`_dc_samples`): each source is evaluated once at every
     sample time, the samples whose source values (and frozen states) agree
     bit for bit share one solve, and the distinct ones are compiled as the
-    rows of batches on the run's one :class:`_Topology` and solved from a
-    cold start in place.  The earliest sample that fails raises its
-    :class:`NonConvergenceError` or :class:`SingularMatrixError`, with its
-    trace and ``time``.  The memristive steps' device currents come from
+    rows of batches on the run's one :class:`_Topology` and solved in
+    place, each row started at its own source values.  The earliest sample
+    that fails raises its :class:`NonConvergenceError` or
+    :class:`SingularMatrixError`, with its trace and ``time``.  The memristive steps' device currents come from
     the compiled row's batched KCL.
 
     ``initial_states`` replaces the netlist's initial memristor states

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .constants import T_REF, ZERO_CELSIUS
 from .devices import (
@@ -595,16 +595,19 @@ class Circuit:
                        self.analysis)
 
 
-def _record(defaults, table: dict[str, str], params: dict[str, float], **fields):
-    """``defaults`` with ``fields`` and each key of card ``params`` set on
-    its field in ``table``; an integer field keeps exact integers as int
-    (anything else is left for the record's checks to reject)."""
+def _record(defaults, table: dict[str, str], params: dict[str, float], **given):
+    """``defaults`` with the fields ``given`` and each key of card
+    ``params`` set on its field in ``table``; an integer field takes an
+    integral value that a float holds exactly (|v| <= 2**53) as int
+    (anything else is left for the record's checks to reject, and their
+    messages print it as the float it is)."""
     for key, value in params.items():
         name = table[key]
-        if type(getattr(defaults, name)) is int and value == int(value):
+        if (type(getattr(defaults, name)) is int and abs(value) <= 2**53
+                and value == int(value)):
             value = int(value)
-        fields[name] = value
-    return replace(defaults, **fields)
+        given[name] = value
+    return replace(defaults, **given)
 
 
 def _bind(card, models: dict[str, ModelCard], intern):
@@ -851,14 +854,36 @@ def resolve_param_path(path: str) -> str:
     return key
 
 
+def _copy_with(record, name: str, value):
+    """Copy of the dataclass ``record`` with field ``name`` set to
+    ``value``, made without its generated ``__init__``, which would take
+    every field again."""
+    copy = object.__new__(type(record))
+    vars(copy).update(vars(record))
+    vars(copy)[name] = value
+    return copy
+
+
+def _with_field(record, name: str, value):
+    """``dataclasses.replace(record, **{name: value})`` for a frozen
+    parameter or source record: a copy with the one field set, then the
+    record's own ``__post_init__`` checks, which raise as ``replace``
+    would."""
+    copy = _copy_with(record, name, value)
+    copy.__post_init__()
+    return copy
+
+
 def overrides(circuit: Circuit, path: str, values) -> tuple[int, list, dict]:
     """``(position, records, errors)``: the position in ``circuit.devices``
     of the device that the parameter path (``ELEMENT.field``) names, that
     device's record with the parameter set to each of ``values``, and the
     :class:`ElaborationError` of each value that fails its checks, by the
-    value's index.  Each value rebuilds the parameter or source record, so
-    its checks run; a failed value's slot in ``records`` holds the device
-    unchanged, and its error carries the check's as ``__cause__``.
+    value's index.  Each value's records are copies of the device's with
+    only the swept field set (:func:`_with_field`), equal to what
+    :func:`dataclasses.replace` gives, and the parameter or source record's
+    own checks run on each; a failed value's slot in ``records`` holds the
+    device unchanged, and its error carries the check's as ``__cause__``.
 
     ``T1``/``T2`` alias the two mirror NMOS cards, ``source.vdd`` (or bare
     ``vdd``) and ``source.vbias`` (or ``vbias``) alias the supply and gate
@@ -873,17 +898,17 @@ def overrides(circuit: Circuit, path: str, values) -> tuple[int, list, dict]:
     if isinstance(dev, BoundSource):
         if fieldname not in ("dc_value", "amplitude", "frequency", "phase"):
             raise ElaborationError(f"source {dev.name} has no field {fieldname!r}")
-        attr, build = "spec", lambda v: replace(dev.spec, **{fieldname: v})
+        attr, build = "spec", lambda v: _with_field(dev.spec, fieldname, v)
     elif isinstance(dev, BoundMemristor) and fieldname == "m0":
         attr, build = "w0", lambda v: state_for_memristance(v, dev.params).w
-    elif hasattr(dev.params, fieldname):
-        attr, build = "params", lambda v: replace(dev.params, **{fieldname: v})
+    elif fieldname in {f.name for f in fields(dev.params)}:
+        attr, build = "params", lambda v: _with_field(dev.params, fieldname, v)
     else:
         raise ElaborationError(f"{dev.name} has no parameter {fieldname!r}")
     records, errors = [], {}
     for k, value in enumerate(values):
         try:
-            records.append(type(dev)(**{**vars(dev), attr: build(value)}))
+            records.append(_copy_with(dev, attr, build(value)))
         except DeviceError as exc:
             records.append(dev)
             errors[k] = ElaborationError(str(exc))

@@ -2,6 +2,7 @@
 settling/switching semantics, sweep invariants, hysteresis loop geometry,
 and the cross-configuration report."""
 
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorsim import analysis, cli, engine
+from mirrorsim import analysis, cli, engine, netlist
 from mirrorsim.analysis import (
     AnalysisError,
     NotSettledError,
@@ -530,7 +531,10 @@ class TestParameterSweep:
         (MirrorKind.TWO_RESISTORS, "vdd", [2.0, 2.5, 3.0]),
         (MirrorKind.PMOS_RESISTOR, "vbias", [0.5, 0.7, 0.9]),
         (MirrorKind.PMOS_RESISTOR, "R2.r_nominal", [20e3, 38e3, 60e3]),
-    ], ids=["2r-width", "2r-vdd", "pmos-r-vbias", "pmos-r-load"])
+        # the supply value sets the first Newton's start; values this far
+        # apart would move bits if a row started from its batch's values
+        (MirrorKind.PMOS_RESISTOR, "vdd", [1.5, 2.4, 3.3]),
+    ], ids=["2r-width", "2r-vdd", "pmos-r-vbias", "pmos-r-load", "pmos-r-vdd"])
     def test_batched_rows_equal_single_solves(self, kind, path, values):
         out_node = mirror_circuit(MirrorConfig(kind)).node_index("d2")
         singles = assert_rows_equal_lone_solves(MirrorConfig(kind), path, values, T_REF)
@@ -539,6 +543,40 @@ class TestParameterSweep:
             assert (row.value, row.i_out, row.v_out) == (
                 value, single.device_currents["M2"],
                 float(single.node_voltages[out_node]))
+
+    def test_a_pmos_r_supply_sweep_takes_at_most_7_newton_passes(self, monkeypatch):
+        # each row starts at its own supply and gate bias, so the PMOS nodes
+        # tied to them are not damped up from 0 V (11 passes when every row
+        # started at 0 V); a count, so it repeats exactly on any host
+        passes = []
+        assemble = engine._DcRows.assemble
+
+        def counted(self, *args):
+            passes.append(args[0])
+            return assemble(self, *args)
+
+        monkeypatch.setattr(engine._DcRows, "assemble", counted)
+        parameter_sweep(MirrorConfig(MirrorKind.PMOS_RESISTOR), "vdd",
+                        np.linspace(1.8, 2.4, 150))
+        assert len(passes[0]) == 150 and len(passes) <= 7
+
+    def test_swept_records_are_not_rebuilt_by_replace_per_value(self, monkeypatch):
+        calls = []
+        real = dataclasses.replace
+
+        def counted(*args, **changes):
+            calls.append(changes)
+            return real(*args, **changes)
+
+        for module in (dataclasses, netlist, analysis):
+            monkeypatch.setattr(module, "replace", counted)
+        counts = []
+        for n in (1, 150):
+            calls.clear()
+            parameter_sweep(MirrorConfig(MirrorKind.PMOS_RESISTOR), "T2.width",
+                            np.linspace(0.2e-6, 0.4e-6, n))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_memristive_rows_equal_lone_settled_transients(self):
         config, values, temp = MirrorConfig(MirrorKind.TWO_MEMRISTORS), [4e3, 6e3], 320.0

@@ -1189,6 +1189,38 @@ def test_batch_rows_do_not_depend_on_their_neighbours(kind):
         assert_same_op(backwards[k], alone)
 
 
+def test_first_newton_starts_at_each_rows_own_source_values(monkeypatch):
+    # V1 ties a to ground, V2 ties b to ground from above (b sits at minus
+    # its value), V3 ties c only to a: c, the branch currents and the
+    # MOSFET-only node d start at 0
+    cir = _circuit("V1 a 0 DC 2\nV2 0 b DC 0.5\nV3 c a DC 1\nR1 a d 1k\n"
+                   "R2 c b 2k\nM1 d d b b NCH\n.model NCH nmos ()\n")
+    starts = []
+    newton = engine._DcRows.newton
+
+    def spy(self, rows, x, source_scale):
+        starts.append((x.copy(), source_scale))
+        return newton(self, rows, x, source_scale)
+
+    monkeypatch.setattr(engine._DcRows, "newton", spy)
+    position, records, _ = overrides(cir, "V1.dc_value", [2.0, 3.0])
+    rows = engine._compile(cir, [None, None], records={position: records}).solve()
+    assert not rows.errors
+    x, scale = starts[0]
+    expected = np.zeros((2, engine._Topology(cir).dim))
+    expected[:, cir.node_index("a")] = [2.0, 3.0]
+    expected[:, cir.node_index("b")] = -0.5
+    assert scale == 1.0 and x.tobytes() == expected.tobytes()
+
+    # the source-stepping retry still ramps up from 0 V
+    starts.clear()
+    monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 1)
+    engine._compile(cir).solve()
+    (first, _), (retry, scale) = starts[:2]
+    assert first[0, cir.node_index("a")] == 2.0
+    assert scale == 1.0 / engine._SOURCE_STEPS and not retry.any()
+
+
 def test_batch_isolates_singular_and_nonconvergent_rows(monkeypatch):
     base = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_RESISTORS))
     good = [with_override(base, "R2.r_nominal", 20e3),

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mirrorsim.devices import MEMRISTOR_DEFAULTS, SourceSpec
+from mirrorsim.devices import (
+    DeviceError,
+    MEMRISTOR_DEFAULTS,
+    SourceSpec,
+    state_for_memristance,
+)
 from mirrorsim.netlist import (
     _INSTANCE_FIELDS,
     _MODEL_FIELDS,
@@ -35,6 +40,7 @@ from mirrorsim.netlist import (
     elaborate,
     format_value,
     mirror_circuit,
+    overrides,
     parse,
     parse_value,
     print_netlist,
@@ -462,6 +468,19 @@ def test_window_p_and_polarity_must_be_integral():
         elaborate(parse(text))
 
 
+def test_integral_values_bind_as_int_only_where_a_float_holds_them_exactly():
+    def memristor(params: str):
+        return elaborate(parse(f"V1 a 0 DC 1\nY1 a 0 MEM\n.model MEM MEMRISTOR ({params})\n"))
+
+    for pol in (1, -1):
+        params = memristor(f"pol={pol} p=2").device("Y1").params
+        assert (params.polarity, params.window_p) == (pol, 2)
+        assert type(params.polarity) is int and type(params.window_p) is int
+    # 1e300 is integral, but no exact integer: the check prints the float
+    with pytest.raises(ElaborationError, match=r"polarity must be \+1 or -1, got 1e\+300$"):
+        memristor("pol=1e300")
+
+
 # a distinct valid value for every key of each card kind: none is its
 # field's default, so a key that sets the wrong field, or none, shows
 _KEY_VALUES = {
@@ -663,11 +682,40 @@ def test_override_paths_cover_sources_and_memristors():
 
 def test_override_rejects_unknown_paths():
     cir = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_RESISTORS))
-    for path in ("T2", "nope.width", "M2.nope", "V1.width"):
+    # attributes of a record that are not its fields included
+    for path in ("T2", "nope.width", "M2.nope", "V1.width", "M2.__doc__",
+                 "M2.__post_init__", "R2.__class__"):
         with pytest.raises(ElaborationError):
             apply_override(cir, path, 1.0)
     with pytest.raises(ElaborationError):
         apply_override(cir, "R2.r_nominal", -1.0)  # device validation still applies
+
+
+@pytest.mark.parametrize("kind, path, values", [
+    (MirrorKind.TWO_RESISTORS, "T2.width", [0.2e-6, 0.4e-6, -1.0]),
+    (MirrorKind.TWO_RESISTORS, "R2.r_nominal", [20e3, 60e3, 0.0]),
+    (MirrorKind.TWO_RESISTORS, "V1.dc_value", [2.0, 3.0]),
+    (MirrorKind.TWO_MEMRISTORS, "Y2.m0", [5e3, 19e3, 1.0]),
+], ids=["mosfet", "resistor", "source", "memristor-m0"])
+def test_override_records_equal_dataclass_replace(kind, path, values):
+    cir = mirror_circuit(MirrorConfig(kind=kind))
+    position, records, errors = overrides(cir, path, values)
+    dev = cir.devices[position]
+    field = path.partition(".")[2]
+    for k, value in enumerate(values):
+        try:
+            if field == "m0":
+                expected = replace(dev, w0=state_for_memristance(value, dev.params).w)
+            elif field == "dc_value":
+                expected = replace(dev, spec=replace(dev.spec, dc_value=value))
+            else:
+                expected = replace(dev, params=replace(dev.params, **{field: value}))
+        except DeviceError as exc:
+            assert records[k] is dev and str(errors[k]) == str(exc)
+            continue
+        assert k not in errors
+        assert records[k] == expected and type(records[k]) is type(expected)
+        assert records[k] is not dev
 
 
 def test_override_validation_errors_are_elaboration_errors():

@@ -176,16 +176,21 @@ def test_decks_that_raised_a_traceback_exit_1(tmp_path_factory, capsys, deck, me
     ("V1 a 0 DC 2.5\nVB a 0 DC 0.7\nM0 0 0 c d PCH w=2u\nR1 c a 1e-300\n"
      ".model PCH pmos (vth0=-1e300 mox=1e300)\n.dc\n", 2,
      "error: singular nodal matrix"),
-    # beta = kp*W/L overflows to inf: the compiled cell names its device
+    # beta = kp*W/L overflows to inf: the MOSFET law names it
     ("V1 a 0 DC 2.5\nR1 a d 1k\nM1 d d 0 0 NCH w=1e300 l=1e-300\n"
      ".model NCH nmos (kp=1e300)\n.dc\n", 1,
-     "error: M1: non-finite square-law coefficients"),
+     "error: M1: beta inf outside (0, inf)"),
+    # (T/T0)^-1.5 underflows to 0 at 1e300 K, and so does beta, which
+    # would read as an open channel
+    ("V1 a 0 DC 2.5\nR1 a b 1k\nM1 b b 0 0 NCH\n.model NCH nmos ()\n.temp 1e300\n"
+     ".dc\n", 1, "error: M1: beta 0.0 outside (0, inf) at T=1e+300 K"),
     # a conductance of 1/1e-320 overflows to inf
     ("V1 a 0 DC 2.5\nR1 a 0 1e-320\n.dc\n", 1, "error: R1: non-finite conductance"),
     # r*(1 + tc*(T - T0)) overflows to inf, which would read as an open
     ("V1 a 0 DC 2.5\nR1 a 0 1k tc=1e308\n.temp 125\n.dc\n", 1,
      "error: R1: resistance inf outside (0, inf)"),
-], ids=["array-law-overflow", "mosfet-beta", "resistor-conductance", "resistor-value"])
+], ids=["array-law-overflow", "mosfet-beta", "mosfet-beta-underflow",
+        "resistor-conductance", "resistor-value"])
 def test_an_overflowing_deck_exits_with_a_named_error(tmp_path_factory, capsys, deck,
                                                        code, message):
     assert _run(tmp_path_factory, deck) == code
