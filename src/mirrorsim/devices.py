@@ -4,7 +4,10 @@ All device laws live here as free functions over small frozen parameter
 records, so the simulation engine, the analysis layer and the tests all
 evaluate exactly the same arithmetic; each device rule (the memristor drift
 law, its [0, L] state check, the kelvin check) is one function, here only.
-Everything is SI unless a docstring says otherwise.
+A record that builds and a law that returns have given what the engine can
+solve with: finite values, and finite conductances wherever it divides by a
+resistance; anything else raises :class:`DeviceError`.  Everything is SI
+unless a docstring says otherwise.
 """
 
 from __future__ import annotations
@@ -78,13 +81,17 @@ class MemristorParams:
     Parameters
     ----------
     r_on, r_off : float
-        Fully-doped and fully-undoped resistances (ohm), ``0 < r_on < r_off``.
+        Fully-doped and fully-undoped resistances (ohm),
+        ``0 < r_on < r_off < inf`` with ``1/r_on`` finite: every memristance
+        lies in [r_on, r_off], so every conductance of one is finite.
     length : float
         Device thickness L (m) that the doped/undoped boundary travels.
     mobility : float
         Dopant drift mobility uv (m^2 V^-1 s^-1).
     window_p : int
-        Joglekar window exponent p; ``p = 0`` disables the window entirely.
+        Joglekar window exponent p, at most 2**53 (above it every float is
+        even, and the slope's power ``2p - 1`` would lose its sign);
+        ``p = 0`` disables the window entirely.
     polarity : int
         +1 if positive applied current grows the doped region (w increases),
         -1 for the opposite orientation.
@@ -100,14 +107,16 @@ class MemristorParams:
     footprint_l: float = 90e-9
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.r_on < self.r_off):
-            raise DeviceError(f"require 0 < r_on < r_off, got {self.r_on}, {self.r_off}")
+        if not (0.0 < self.r_on < self.r_off < math.inf):
+            raise DeviceError(f"require 0 < r_on < r_off < inf, got {self.r_on}, {self.r_off}")
+        if 1.0 / self.r_on == math.inf:
+            raise DeviceError(f"r_on {self.r_on}: its conductance 1/r_on overflows")
         if self.length <= 0.0 or self.mobility <= 0.0:
             raise DeviceError("memristor length and mobility must be positive")
         if self.length * self.length == 0.0:  # the drift law divides by L*L
             raise DeviceError(f"memristor length {self.length} m squared underflows to 0")
-        if self.window_p < 0 or int(self.window_p) != self.window_p:
-            raise DeviceError(f"window_p must be a nonnegative integer, got {self.window_p}")
+        if not 0 <= self.window_p <= 2**53 or int(self.window_p) != self.window_p:
+            raise DeviceError(f"window_p must be an integer in [0, 2**53], got {self.window_p}")
         if self.polarity not in (-1, 1):
             raise DeviceError(f"polarity must be +1 or -1, got {self.polarity}")
 
@@ -148,8 +157,9 @@ class MosfetParams:
         for name in ("k_prime", "n_sub", "t_ox", "phi_ox", "m_ox", "width", "length"):
             if getattr(self, name) <= 0.0:
                 raise DeviceError(f"{name} must be positive")
-        if self.lam < 0.0:
-            raise DeviceError("lam (channel-length modulation) must be >= 0")
+        if not 0.0 <= self.lam < math.inf:
+            raise DeviceError(f"lam (channel-length modulation) must be in [0, inf), "
+                              f"got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -317,15 +327,20 @@ def mosfet_coefficients(
     """Per-device inputs of :func:`mosfet_square_law` and
     :func:`mosfet_linearized_array` at ``temp``:
     ``(sign, vth, beta, lam)`` with sign +1.0 (NMOS) or -1.0 (PMOS) and
-    ``beta = k'(T) * W / L``, positive and finite only: a beta that
-    underflows to 0 would read as an open channel."""
+    ``beta = k'(T) * W / L``, all four finite: beta positive only, as a
+    beta that underflows to 0 would read as an open channel, and the
+    threshold ``vth(T)`` finite only."""
     kp = mosfet_kprime(params, temp)
     sign = -1.0 if params.polarity == "pmos" else 1.0
     beta = kp * params.width / params.length
     if not 0.0 < beta < math.inf:
         raise DeviceError(f"beta {beta} outside (0, inf) at T={temp} K "
                           f"(k'(T)={kp}, W={params.width}, L={params.length})")
-    return sign, mosfet_vth(params, temp), beta, params.lam
+    vth = mosfet_vth(params, temp)
+    if not math.isfinite(vth):
+        raise DeviceError(f"threshold {vth} not finite at T={temp} K "
+                          f"(vth0={params.vth0}, vth_tc={params.vth_tc})")
+    return sign, vth, beta, params.lam
 
 
 def mosfet_square_law(
@@ -459,12 +474,14 @@ def gate_leakage(vox: float, params: MosfetParams) -> float:
 
 def resistor_value(params: ResistorParams, temp: float = T_REF) -> float:
     """Resistance at ``temp``: r_nominal * (1 + temp_coeff*(T - T0)) (ohm),
-    positive and finite only."""
+    positive and finite only, and with a finite conductance ``1/r``."""
     r = params.r_nominal * (1.0 + params.temp_coeff * (temp - T_REF))
     if not 0.0 < r < math.inf:
         raise DeviceError(
             f"resistance {r} outside (0, inf) at T={temp} K (temp_coeff={params.temp_coeff})"
         )
+    if 1.0 / r == math.inf:
+        raise DeviceError(f"resistance {r}: its conductance 1/r overflows at T={temp} K")
     return r
 
 

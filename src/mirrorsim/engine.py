@@ -28,9 +28,9 @@ its own, a device that every row shares evaluated once (so a sweep evaluates
 only its swept device per row, a memristor-free transient only its sources),
 and the rows iterate together: each Newton iteration evaluates every MOSFET
 of every row in one array call, adds each stamp family in one call over flat
-indices, and solves the (rows, n, n) stack in one
-:func:`numpy.linalg.solve`, with damping and the convergence tests applied
-row by row.  The solve fills one array per quantity (solutions, iterations,
+indices, and solves the (rows, n, n) stack in one bare LAPACK call, with
+damping and the convergence tests applied row by row; a singular row fails
+alone.  The solve fills one array per quantity (solutions, iterations,
 device currents, KCL residuals; NaN in a failed row) and one dict of row
 errors, in place.  A single DC solve is a batch of one.  A memristive
 transient compiles its circuit as one such row too, solves t = 0 as that
@@ -45,10 +45,13 @@ evaluated once for the whole run, the samples are keyed by the bits of
 their source values and (frozen) states, and only the distinct keys are
 compiled as DC rows and solved, a block of them at a time.
 
-The dense linear solves are LAPACK LU with partial pivoting: a DC stack
-through :func:`numpy.linalg.solve`, a memristive step through the kernel
-that function calls, to the same bits; circuits here have fewer than ten
-nodes, so no sparse machinery is warranted.
+The dense linear solves are LAPACK LU with partial pivoting, each through
+the kernel that :func:`numpy.linalg.solve` calls, to the same bits, without
+that function's checks: a singular system reads NaN in its own row of the
+stack, as does one whose solution overflows, and for such a row alone
+:func:`numpy.linalg.solve` tells the two apart (:func:`_solve_error`).
+Circuits here have fewer than ten nodes, so no sparse machinery is
+warranted.
 """
 
 from __future__ import annotations
@@ -445,38 +448,40 @@ class _Topology:
 # DC operating points: one batched Newton over rows of one topology
 # --------------------------------------------------------------------------- #
 
-def _solve_stack(g_mat: np.ndarray, rhs: np.ndarray):
-    """Solutions of a stack of linear systems, and a mask of the singular
-    ones (None when there are none; their solution rows are NaN).
+# LAPACK's gesv through the gufunc that numpy.linalg.solve calls for
+# systems with one right-hand side each, one system or a stack, without
+# that function's checks and wrapping (about 3 of its 10 us on one 7x7
+# system); LAPACK factors each system of a stack on its own, and where
+# numpy.linalg.solve raises LinAlgError for a singular matrix, this returns
+# NaN in that system's solution alone and sets numpy's invalid flag
+_solve1 = _umath_linalg.solve1
 
-    LAPACK factors each matrix of the stack on its own, so a row's solution
-    does not depend on the rest of the stack.  A singular matrix fails the
-    whole call, so only then are the rows solved one at a time to find it.
-    """
+
+def _solve_error(g_mat, rhs, title: str, trace, time: float | None = None):
+    """The error of a Newton iteration whose :func:`_solve1` of the system
+    (``g_mat``, ``rhs``) is not finite: :class:`SingularMatrixError` where
+    :func:`numpy.linalg.solve` refuses the matrix as singular, else a
+    :class:`NonConvergenceError` with ``trace``, the failed iteration
+    included, and ``time``."""
     try:
-        return np.linalg.solve(g_mat, rhs[..., None])[..., 0], None
+        np.linalg.solve(g_mat, rhs)
     except np.linalg.LinAlgError:
-        pass
-    solved = np.full(rhs.shape, np.nan)
-    singular = np.zeros(len(rhs), dtype=bool)
-    for k in range(len(rhs)):
-        try:
-            solved[k] = np.linalg.solve(g_mat[k:k + 1], rhs[k:k + 1, :, None])[0, :, 0]
-        except np.linalg.LinAlgError:
-            singular[k] = True
-    return solved, singular
+        return SingularMatrixError(f"singular nodal matrix while solving {title!r}")
+    at = "" if time is None else f" at t={time:.9g} s"
+    return NonConvergenceError(f"Newton produced a non-finite iterate{at}",
+                               trace=trace, time=time)
 
 
 # a compiled row's cell of one device, from its record, the row's
-# temperature and a memristor's state (None: w0), and what the cell holds;
-# sources come evaluated
+# temperature and a memristor's state (None: w0): a conductance (S), a
+# memristance (ohm) or the square-law coefficients (sign, vth, beta, lam),
+# finite, with a finite conductance, or the law raises; sources come
+# evaluated
 _CELLS = {
-    BoundResistor: (lambda d, temp, s: 1.0 / resistor_value(d.params, temp),
-                    "conductance (S)"),
-    BoundMemristor: (lambda d, temp, s: memristance_at(
-        memristor_state(d.w0, d.params) if s is None else s, d.params), "memristance (ohm)"),
-    BoundMosfet: (lambda d, temp, s: mosfet_coefficients(d.params, temp),
-                  "square-law coefficients (sign, vth, beta, lam)"),
+    BoundResistor: lambda d, temp, s: 1.0 / resistor_value(d.params, temp),
+    BoundMemristor: lambda d, temp, s: memristance_at(
+        memristor_state(d.w0, d.params) if s is None else s, d.params),
+    BoundMosfet: lambda d, temp, s: mosfet_coefficients(d.params, temp),
 }
 
 
@@ -507,15 +512,15 @@ class _DcRows:
     that all rows share is evaluated once.  Each row depends on its own
     inputs alone, so which rows share a batch moves no bit of any row.  A
     row fails alone: with the first :class:`~mirrorsim.devices.DeviceError`
-    of its devices in kind order, or, when no law raised, with one naming
-    the first device whose law gave a number that is not finite: what
-    compiling that row alone raises.  A law's error is prefixed with its
-    device's name.  ``errors`` maps every failed row to its error; a row
-    that a caller adds to it before :meth:`solve` (an override's invalid
-    value, see :func:`~mirrorsim.netlist.overrides`) is not solved.  The
-    solve fills ``x`` (rows, unknowns), ``iterations``, ``currents`` (rows,
-    devices in circuit order; see OperatingPoint) and ``residual``, NaN in
-    a failed row.
+    of its devices in kind order, prefixed with its device's name, which
+    is what compiling that row alone raises (a law that returns has
+    returned cells the solve can use), or in :meth:`newton`.  ``errors``
+    maps every failed row to its error; a row that a caller adds to it
+    before :meth:`solve` (an override's invalid value, see
+    :func:`~mirrorsim.netlist.overrides`) is not solved.  The solve fills
+    ``x`` (rows, unknowns), ``iterations``, ``currents`` (rows, devices in
+    circuit order; see OperatingPoint) and ``residual``, NaN in a failed
+    row.
 
     The linear part is the topology's fixed matrix plus its resistor and
     memristor families; each Newton iteration makes one array MOSFET
@@ -542,7 +547,7 @@ class _DcRows:
             given = records.get(j, devices[j:j + 1])
             once = len(given) == 1 and same_temp
             failed = (math.nan,) * 4 if isinstance(devices[j], BoundMosfet) else math.nan
-            law, s = _CELLS[type(devices[j])][0], s_at.get(j)
+            law, s = _CELLS[type(devices[j])], s_at.get(j)
             cells = []
             for k, (device, at) in enumerate(zip(given * count if len(given) == 1
                                                  else given, self.temps)):
@@ -569,18 +574,6 @@ class _DcRows:
         self.r_mem = stack(res, mem)
         # (sign, vth, beta, lam), each (MOSFETs, rows)
         self.coeffs = np.ascontiguousarray(stack(res + mem, mos, 4).transpose(2, 0, 1))
-        # a law that gave a number that is not finite fails the row as a law
-        # that raises would: the first such device in kind order names it
-        finite = np.concatenate([np.isfinite(self.g_res), np.isfinite(self.r_mem),
-                                 np.isfinite(self.coeffs).all(axis=0)])
-        for k in np.flatnonzero(~finite.all(axis=0)).tolist():
-            if k not in self.errors:
-                c = int(np.argmin(finite[:, k]))
-                device = [*topo.resistors, *topo.memristors, *topo.mosfets][c]
-                cell = [*self.g_res, *self.r_mem, *self.coeffs.transpose(1, 0, 2)][c][..., k]
-                self.errors[k] = DeviceError(
-                    f"{device.name}: non-finite {_CELLS[type(device)][1]} at "
-                    f"T={self.temps[k]} K: {cell.tolist()}")
         self.values = values
 
         # the linear part: the fixed matrix and the resistors; the
@@ -646,6 +639,8 @@ class _DcRows:
         the dual tolerance: per-node voltage deltas below vntol +
         reltol*|V| and device-KCL residual below abstol, row by row.
 
+        Each iteration solves the stack in one :func:`_solve1` call, and a
+        row whose solution is not finite gets :func:`_solve_error`'s error.
         A converged row's solution, device currents and KCL residual are
         written to its entries of ``x``, ``currents`` and ``residual``, and
         its iterations added to ``iterations``; every other row gets the
@@ -675,19 +670,16 @@ class _DcRows:
             if not len(rows):
                 break
             if it == 1 or not linear:
-                solved, singular = _solve_stack(*self.assemble(rows, x, source_scale))
+                g_mat, rhs = self.assemble(rows, x, source_scale)
+                with np.errstate(all="ignore"):  # a singular row reads NaN
+                    solved = _solve1(g_mat, rhs)
             finite = np.isfinite(solved).all(axis=1)
             if not finite.all():
-                for p in np.flatnonzero(~finite):
+                for p in np.flatnonzero(~finite).tolist():
                     row = int(rows[p])
-                    if singular is not None and singular[p]:
-                        self.errors[row] = SingularMatrixError(
-                            f"singular nodal matrix while solving "
-                            f"{topo.circuit.title!r}")
-                    else:
-                        self.errors[row] = NonConvergenceError(
-                            "Newton produced a non-finite iterate",
-                            trace=trace(row) + [(it, math.nan, math.nan)])
+                    self.errors[row] = _solve_error(
+                        g_mat[p], rhs[p], topo.circuit.title,
+                        trace(row) + [(it, math.nan, math.nan)])
                 rows, x, solved = rows[finite], x[finite], solved[finite]
             dv = solved[:, :n] - x[:, :n]
             abs_dv = np.abs(dv)
@@ -797,14 +789,6 @@ def _dense(ts, ss, times) -> np.ndarray:
     k = np.clip(np.searchsorted(ts, times), 2, len(ts) - 1)
     w0, w1, w2 = (w[:, None] for w in _quadratic(ts[k - 2], ts[k - 1], ts[k], times))
     return np.clip(w0 * ss[k - 2] + w1 * ss[k - 1] + w2 * ss[k], 0.0, 1.0)
-
-
-# LAPACK's gesv through the gufunc that numpy.linalg.solve calls for one
-# system with one right-hand side, without that function's checks and
-# wrapping (about 3 of its 10 us on a 7x7 system); where numpy.linalg.solve
-# raises LinAlgError for a singular matrix, this returns NaN and sets
-# numpy's invalid flag
-_solve1 = _umath_linalg.solve1
 
 
 class _Steps:
@@ -964,8 +948,9 @@ class _Steps:
         abstol.  Each iteration moves a state by at most ``_STATE_LIMIT``
         and clamps it to [0, 1].  Returns (x, s).  Running out of
         iterations raises :class:`_IterationLimit`; a non-finite iterate
-        raises :class:`NonConvergenceError` at once, and a singular system
-        :class:`SingularMatrixError`.
+        raises :func:`_solve_error`'s error at once:
+        :class:`SingularMatrixError` for a singular system, else
+        :class:`NonConvergenceError`.
         """
         x = list(x0)
         s = list(guess)
@@ -980,19 +965,8 @@ class _Steps:
                 g_mat, rhs = self.assemble(x, s, values, dt_eff, hist)
                 solved = _solve1(g_mat, rhs).tolist()
                 if not all(map(math.isfinite, solved)):
-                    try:  # raises where the bare kernel met a singular matrix
-                        np.linalg.solve(g_mat, rhs)
-                    except np.linalg.LinAlgError as exc:
-                        raise SingularMatrixError(
-                            f"singular nodal matrix while solving "
-                            f"{self.topo.circuit.title!r}"
-                        ) from exc
                     trace.append((it, math.nan, math.nan))
-                    raise NonConvergenceError(
-                        f"Newton produced a non-finite iterate at t={t:.9g} s",
-                        trace=trace,
-                        time=t,
-                    )
+                    raise _solve_error(g_mat, rhs, self.topo.circuit.title, trace, t)
                 # one pass over the nodes: largest |dV|, the convergence
                 # test, the damping and the update; then the branch
                 # currents, and the states, each moved at most

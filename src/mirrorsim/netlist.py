@@ -883,7 +883,9 @@ def overrides(circuit: Circuit, path: str, values) -> tuple[int, list, dict]:
     only the swept field set (:func:`_with_field`), equal to what
     :func:`dataclasses.replace` gives, and the parameter or source record's
     own checks run on each; a failed value's slot in ``records`` holds the
-    device unchanged, and its error carries the check's as ``__cause__``.
+    device unchanged, and its error is the check's prefixed with the
+    device's name, as :func:`elaborate` gives it, and carries the check's
+    as ``__cause__``.
 
     ``T1``/``T2`` alias the two mirror NMOS cards, ``source.vdd`` (or bare
     ``vdd``) and ``source.vbias`` (or ``vbias``) alias the supply and gate
@@ -911,7 +913,7 @@ def overrides(circuit: Circuit, path: str, values) -> tuple[int, list, dict]:
             records.append(_copy_with(dev, attr, build(value)))
         except DeviceError as exc:
             records.append(dev)
-            errors[k] = ElaborationError(str(exc))
+            errors[k] = ElaborationError(f"{dev.name}: {exc}")
             errors[k].__cause__ = exc
     return circuit.devices.index(dev), records, errors
 

@@ -3,7 +3,7 @@ and property-based invariants."""
 
 import importlib.util
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ from mirrorsim.devices import (
     MosfetParams,
     NMOS_DEFAULTS,
     PMOS_DEFAULTS,
+    RESISTOR_DEFAULTS,
     ResistorParams,
     SourceSpec,
     gate_leakage,
@@ -26,6 +27,7 @@ from mirrorsim.devices import (
     joglekar_window,
     kelvin,
     memristance,
+    memristance_at,
     memristor_drift,
     memristor_dwdt,
     memristor_state,
@@ -43,6 +45,7 @@ from mirrorsim.devices import (
 )
 from mirrorsim import engine
 from mirrorsim.constants import T_REF
+from mirrorsim.netlist import BoundMemristor, BoundMosfet, BoundResistor
 
 import oracles
 
@@ -439,6 +442,69 @@ def test_gate_leakage_matches_oracle(vox):
         vox, phi_ox=d.phi_ox, m_ox=d.m_ox, t_ox=d.t_ox, width=d.width, length=d.length
     )
     assert rel_err(gate_leakage(vox, d), want) < REL
+
+
+# --------------------------------------------------------------------------- #
+# compiled cells: what a law returns, the engine can solve with
+# --------------------------------------------------------------------------- #
+
+# the ends of the float range, subnormal 1e-320 included, and inf
+EXTREMES = (1e300, -1e300, 1e-300, 1e-320, math.inf)
+
+
+def drawn_fields(draw, record, **ordinary):
+    """Keyword arguments for ``type(record)``: each numeric field its
+    default half of the time, else one of its ``ordinary`` values (twice
+    and minus its default, unless given) or of ``EXTREMES``."""
+    out = {}
+    for f in fields(record):
+        v = getattr(record, f.name)
+        if not isinstance(v, str):
+            others = ordinary.get(f.name, (2 * v, -v))
+            out[f.name] = draw(st.sampled_from([v] * (len(others) + 5)
+                                               + [*others, *EXTREMES]))
+    return out
+
+
+@st.composite
+def compiled_devices(draw, kind):
+    """A bound device of ``kind``, its fields drawn by :func:`drawn_fields`
+    (a record whose checks refuse them raises DeviceError)."""
+    if kind == "R":
+        return BoundResistor("R1", 1, 0, ResistorParams(
+            **drawn_fields(draw, RESISTOR_DEFAULTS, temp_coeff=(0.0, -2e-3))))
+    if kind == "Y":
+        params = MemristorParams(**drawn_fields(
+            draw, MEMRISTOR_DEFAULTS, window_p=(0, 2), polarity=(-1, 2)))
+        length = MEMRISTOR_DEFAULTS.length
+        w0 = draw(st.sampled_from([0.0, 0.5 * length, length, *EXTREMES]))
+        return BoundMemristor("Y1", 1, 0, params, w0)
+    defaults = NMOS_DEFAULTS if kind == "nmos" else PMOS_DEFAULTS
+    return BoundMosfet("M1", 1, 1, 0, 0, MosfetParams(**{
+        **drawn_fields(draw, defaults, lam=(0.0, -0.05)), "polarity": kind}))
+
+
+@pytest.mark.parametrize("kind", ["R", "Y", "nmos", "pmos"])
+@given(data=st.data(), temp=st.sampled_from([1e-300, 1.0, 300.15, 1e300, math.inf]),
+       state=st.sampled_from([None, 0.0, 0.5, 1.0]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_a_law_returns_cells_the_solve_can_use_or_raises(kind, data, temp, state):
+    # the DC rows take each law's cells as they come: a record that builds
+    # and a law that returns give finite cells, and a finite conductance
+    # wherever the engine divides by a resistance (a memristor at any state
+    # in [0, 1], where its steps read it)
+    try:
+        device = data.draw(compiled_devices(kind))
+        cell = engine._CELLS[type(device)](device, temp, state)
+    except DeviceError:
+        return
+    assert all(map(math.isfinite, np.ravel(cell)))
+    if kind == "R":
+        assert cell > 0.0
+    if kind == "Y":
+        for m in (cell, memristance_at(0.0, device.params),
+                  memristance_at(1.0, device.params)):
+            assert m > 0.0 and math.isfinite(1.0 / m)
 
 
 # --------------------------------------------------------------------------- #

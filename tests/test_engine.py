@@ -757,8 +757,8 @@ def test_step_node_block_is_the_dc_row_at_the_states_memristances(name):
 
 @pytest.mark.parametrize("size", range(4, 10))
 def test_step_solve_is_numpy_solve_to_the_bit(size):
-    # the steps call numpy.linalg.solve's own LAPACK kernel without its
-    # wrapper; a numpy whose kernel no longer matches fails here
+    # the steps and the DC rows call numpy.linalg.solve's own LAPACK kernel
+    # without its wrapper; a numpy whose kernel no longer matches fails here
     rng = np.random.default_rng(size)
     for _ in range(50):
         g_mat = rng.standard_normal((size, size)) + size * np.eye(size)
@@ -772,6 +772,19 @@ def test_step_solve_is_numpy_solve_to_the_bit(size):
         assert np.isnan(engine._solve1(g_mat, rhs)).all()
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(g_mat, rhs)
+    # on a stack, as the DC rows solve, each system is solved on its own:
+    # a singular one reads NaN in its own row alone
+    for count in (1, 7, 512):
+        g_mat = rng.standard_normal((count, size, size)) + size * np.eye(size)
+        rhs = rng.standard_normal((count, size))
+        want = np.linalg.solve(g_mat, rhs[..., None])[..., 0]
+        assert engine._solve1(g_mat, rhs).tobytes() == want.tobytes()
+        g_mat[count // 2, 1] = 0.0
+        with np.errstate(all="ignore"):
+            solved = engine._solve1(g_mat, rhs)
+        assert np.isnan(solved[count // 2]).all()
+        others = np.arange(count) != count // 2
+        assert solved[others].tobytes() == want[others].tobytes()
 
 
 @pytest.mark.parametrize("opts", [SimOptions(dt=1e-3, t_stop=0.01),
@@ -1020,14 +1033,14 @@ def test_mosfet_free_rows_are_assembled_and_solved_once(monkeypatch):
     # a MOSFET-free system does not depend on Newton's guess: each block's
     # first iteration solves it, and no MOSFET law is evaluated
     calls = []
-    for name in ("_solve_stack", "mosfet_linearized_array"):
+    for name in ("_solve1", "mosfet_linearized_array"):
         real = getattr(engine, name)
         monkeypatch.setattr(engine, name, lambda *args, name=name, real=real:
                             calls.append(name) or real(*args))
     counts = _compiled_rows(monkeypatch)
     build, dt = MEMORYLESS["resistor-loop"]
     run_transient(build(), SimOptions(dt=dt, t_stop=(THREE_BLOCKS - 1) * dt), ["i(R1)"])
-    assert len(counts) >= 2 and calls == ["_solve_stack"] * len(counts)
+    assert len(counts) >= 2 and calls == ["_solve1"] * len(counts)
 
 
 def test_non_finite_iterate_fails_after_one_iteration(monkeypatch):
@@ -1157,7 +1170,8 @@ def test_a_failed_override_is_a_row_error_not_a_record(circuit, path, values):
     assert type(errors[1].__cause__) is DeviceError
     with pytest.raises(ElaborationError) as alone:
         with_override(circuit, path, values[1])
-    assert str(errors[1]) == str(alone.value) == str(errors[1].__cause__)
+    name = circuit.devices[position].name
+    assert str(errors[1]) == str(alone.value) == f"{name}: {errors[1].__cause__}"
     # the failed row carries that error and is not solved
     rows = engine._compile(circuit, [None, None], records={position: records})
     rows.errors.update(errors)

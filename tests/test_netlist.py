@@ -711,7 +711,7 @@ def test_override_records_equal_dataclass_replace(kind, path, values):
             else:
                 expected = replace(dev, params=replace(dev.params, **{field: value}))
         except DeviceError as exc:
-            assert records[k] is dev and str(errors[k]) == str(exc)
+            assert records[k] is dev and str(errors[k]) == f"{dev.name}: {exc}"
             continue
         assert k not in errors
         assert records[k] == expected and type(records[k]) is type(expected)

@@ -25,8 +25,10 @@ from mirrorsim.netlist import _INSTANCE_FIELDS, _MODEL_FIELDS, elaborate, parse
 NODES = ("0", "a", "b", "c", "d")
 ANY, NODE, OPTIONAL, SINE_ARG = "drop double garble", "drop double", "double garble", "garble"
 
-# values for every key: the first two valid, the third out of its device's
-# domain where the device has one (drawn one time in eleven)
+# values for every key: all but the last valid, the last out of its
+# device's domain where the device has one (drawn one time in eleven, or in
+# sixteen after three valid ones); w0 = 10n (= L) and m0 = 100 (= r_on)
+# start a memristor at its r_on bound, where an extreme ron is read
 KEY_VALUES = {
     "ron": ("100", "1k", "-5"), "roff": ("38k", "20k", "50"), "l": ("10n", "20n", "0"),
     "uv": ("2e-14", "1e-13", "-1e-14"), "p": ("1", "2", "1.5"), "pol": ("1", "-1", "0"),
@@ -34,8 +36,8 @@ KEY_VALUES = {
     "lambda": ("0.05", "0.1", "-0.1"), "nsub": ("1.5", "1.2", "0"),
     "tox": ("4n", "2n", "-4n"), "phiox": ("3.1", "2.5", "0"), "mox": ("2.7e-31", "1e-31", "0"),
     "bex": ("-1.5", "-1", "-2"), "vtc": ("-1m", "1m", "2m"),
-    "tc": ("1m", "0", "-2m"), "w": ("1u", "2u", "-1u"), "m0": ("5k", "20k", "50k"),
-    "w0": ("5n", "1n", "11n"),
+    "tc": ("1m", "0", "-2m"), "w": ("1u", "2u", "-1u"), "m0": ("5k", "20k", "100", "50k"),
+    "w0": ("5n", "1n", "10n", "11n"),
 }
 MODELS = {"MEM": "memristor", "NCH": "nmos", "PCH": "pmos"}
 
@@ -51,7 +53,7 @@ def rare_extreme(values):
 @st.composite
 def key_values(draw, keys, at_most=3):
     chosen = draw(st.lists(st.sampled_from(sorted(keys)), unique=True, max_size=at_most))
-    return [(f"{k}={draw(rare_extreme(KEY_VALUES[k][:2] * 5 + KEY_VALUES[k][2:]))}",
+    return [(f"{k}={draw(rare_extreme(KEY_VALUES[k][:-1] * 5 + KEY_VALUES[k][-1:]))}",
              OPTIONAL) for k in chosen]
 
 
@@ -185,16 +187,33 @@ def test_decks_that_raised_a_traceback_exit_1(tmp_path_factory, capsys, deck, me
     ("V1 a 0 DC 2.5\nR1 a b 1k\nM1 b b 0 0 NCH\n.model NCH nmos ()\n.temp 1e300\n"
      ".dc\n", 1, "error: M1: beta 0.0 outside (0, inf) at T=1e+300 K"),
     # a conductance of 1/1e-320 overflows to inf
-    ("V1 a 0 DC 2.5\nR1 a 0 1e-320\n.dc\n", 1, "error: R1: non-finite conductance"),
+    ("V1 a 0 DC 2.5\nR1 a 0 1e-320\n.dc\n", 1,
+     "error: R1: resistance 1e-320: its conductance 1/r overflows"),
+    # a memristor at w0 = L has memristance r_on, whose conductance
+    # overflowed in the DC rows (a numpy warning, then 100 iterations)
+    *[(f"V1 a 0 DC 2.5\nR1 a b 1k\nY1 b 0 MEM w0=10n\n"
+       f".model MEM memristor (ron=1e-320 roff=38k)\n{analysis}\n", 1,
+       "error: Y1: r_on 1e-320: its conductance 1/r_on overflows")
+      for analysis in (".dc", ".tran 1m 10m")],
+    # vth0 + vth_tc*(T - T0) overflows to inf
+    ("V1 a 0 DC 2.5\nR1 a b 1k\nM1 b b 0 0 NCH\n.model NCH nmos (vtc=1e308)\n"
+     ".temp 100\n.dc\n", 1, "error: M1: threshold inf not finite at T=373.15 K"),
+    # the window slope's -4p (2s - 1)^(2p - 1) was -inf * 0 at p = 1e308: a
+    # non-finite iterate
+    ("V1 a 0 DC 2.5\nR1 a b 1k\nY1 b 0 MEM\n.model MEM memristor (p=1e308)\n"
+     ".tran 1m 10m\n", 1, "error: Y1: window_p must be an integer in [0, 2**53], "
+     "got 1e+308"),
     # r*(1 + tc*(T - T0)) overflows to inf, which would read as an open
     ("V1 a 0 DC 2.5\nR1 a 0 1k tc=1e308\n.temp 125\n.dc\n", 1,
      "error: R1: resistance inf outside (0, inf)"),
 ], ids=["array-law-overflow", "mosfet-beta", "mosfet-beta-underflow",
-        "resistor-conductance", "resistor-value"])
+        "resistor-conductance", "memristor-conductance-dc", "memristor-conductance-tran",
+        "mosfet-threshold", "memristor-window-exponent", "resistor-value"])
 def test_an_overflowing_deck_exits_with_a_named_error(tmp_path_factory, capsys, deck,
                                                        code, message):
     assert _run(tmp_path_factory, deck) == code
-    assert capsys.readouterr().err.startswith(message)
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("tran, steps", [
