@@ -87,7 +87,8 @@ class MemristorParams:
     length : float
         Device thickness L (m) that the doped/undoped boundary travels.
     mobility : float
-        Dopant drift mobility uv (m^2 V^-1 s^-1).
+        Dopant drift mobility uv (m^2 V^-1 s^-1), positive, with a finite
+        drift rate ``uv * r_on / L^2`` (the state's rate per ampere).
     window_p : int
         Joglekar window exponent p, at most 2**53 (above it every float is
         even, and the slope's power ``2p - 1`` would lose its sign);
@@ -115,6 +116,10 @@ class MemristorParams:
             raise DeviceError("memristor length and mobility must be positive")
         if self.length * self.length == 0.0:  # the drift law divides by L*L
             raise DeviceError(f"memristor length {self.length} m squared underflows to 0")
+        rate = self.mobility * self.r_on / (self.length * self.length)
+        if not math.isfinite(rate):
+            raise DeviceError(f"drift rate uv*r_on/L^2 = {rate} not finite "
+                              f"(uv={self.mobility}, r_on={self.r_on}, L={self.length})")
         if not 0 <= self.window_p <= 2**53 or int(self.window_p) != self.window_p:
             raise DeviceError(f"window_p must be an integer in [0, 2**53], got {self.window_p}")
         if self.polarity not in (-1, 1):

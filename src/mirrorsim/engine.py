@@ -32,18 +32,21 @@ indices, and solves the (rows, n, n) stack in one bare LAPACK call, with
 damping and the convergence tests applied row by row; a singular row fails
 alone.  The solve fills one array per quantity (solutions, iterations,
 device currents, KCL residuals; NaN in a failed row) and one dict of row
-errors, in place.  A single DC solve is a batch of one.  A memristive
+errors, in place.  Stacks of two or more rows iterate so; a batch of one
+row, which a single DC solve compiles, iterates instead on Python lists
+copied from it, which is the fast form for one small system, in the
+Newton loop of the memristive steps, to the same bits.  A memristive
 transient compiles its circuit as one such row too, solves t = 0 as that
-row, and runs its steps on Python lists copied from it, which is the fast
-form for one small system: the step's system, bordered with the state rows
-and columns, is one flat list, and each Newton iteration makes one bare
-LAPACK call.  One stamp table per topology orders every entry's terms for
-the rows and the steps alike.  Both kinds of transient take their device
-currents from the rows' batched KCL.  A memristor-free transient and a
-controlled one read on a grid record DC solutions: each source's values are
-evaluated once for the whole run, the samples are keyed by the bits of
-their source values and (frozen) states, and only the distinct keys are
-compiled as DC rows and solved, a block of them at a time.
+row, and runs its steps on lists copied from it: the step's system,
+bordered with the state rows and columns, is one flat list, and each
+Newton iteration makes one bare LAPACK call.  One stamp table per topology
+orders every entry's terms for the rows and the steps alike.  Both kinds of
+transient take their device currents from the rows' batched KCL.  A
+memristor-free transient and a controlled one read on a grid record DC
+solutions: each source's values are evaluated once for the whole run, the
+samples are keyed by the bits of their source values and (frozen) states,
+and only the distinct keys are compiled as DC rows and solved, a block of
+them at a time (a block of one distinct key is a lone row).
 
 The dense linear solves are LAPACK LU with partial pivoting, each through
 the kernel that :func:`numpy.linalg.solve` calls, to the same bits, without
@@ -530,7 +533,10 @@ class _DcRows:
     :attr:`_Topology.stamps`, which :class:`_Steps` applies one by one.
     With the device law evaluated by
     :func:`~mirrorsim.devices.mosfet_square_law`'s operations, each row's
-    iterates equal those of the same row solved alone, to the bit.
+    iterates equal those of the same row solved alone, to the bit.  A
+    batch of one row is that row solved alone: :meth:`solve` runs
+    :meth:`lone`, the list Newton of :class:`_Steps` on the row's own
+    system, in place of the stacked :meth:`newton`.
     """
 
     def __init__(self, topo: _Topology, temps, records, states, values: np.ndarray):
@@ -634,6 +640,7 @@ class _DcRows:
         sums = self._scatter("kcl", np.zeros((len(rows), topo.n_nodes)), by_kind)
         return currents.T, np.abs(sums[:, 1:]).max(axis=1)
 
+    @np.errstate(all="ignore")  # a non-finite cell or row is rejected below
     def newton(self, rows, x, source_scale: float) -> None:
         """Newton-Raphson on ``rows`` (ascending) from the guesses ``x``, to
         the dual tolerance: per-node voltage deltas below vntol +
@@ -671,8 +678,7 @@ class _DcRows:
                 break
             if it == 1 or not linear:
                 g_mat, rhs = self.assemble(rows, x, source_scale)
-                with np.errstate(all="ignore"):  # a singular row reads NaN
-                    solved = _solve1(g_mat, rhs)
+                solved = _solve1(g_mat, rhs)  # a singular row reads NaN
             finite = np.isfinite(solved).all(axis=1)
             if not finite.all():
                 for p in np.flatnonzero(~finite).tolist():
@@ -708,9 +714,29 @@ class _DcRows:
                 f"iterations (last max |dV|={row_trace[-1][1]:.3g} V)",
                 trace=row_trace)
 
+    def lone(self, rows, x, source_scale: float) -> None:
+        """:meth:`newton` of a batch of one row, on the list Newton of the
+        memristive steps (:meth:`_Steps.iterate`), built frozen: the fast
+        form for one small system, with the iterates, the trace, the error
+        and the filled entries of :meth:`newton`, to the bit."""
+        if not len(rows):
+            return
+        steps = _Steps(self, frozen=True)
+        values = [source_scale * v for v in self.values[0].tolist()]
+        try:
+            with np.errstate(all="ignore"):  # a singular system reads NaN
+                x, _, it = steps.iterate(x[0].tolist(), [], values, 0.0, [])
+        except SimulationError as exc:
+            self.errors[0] = exc
+            return
+        currents, self.residual[0] = steps.kcl(x, [])
+        self.x[0], self.currents[0, self.topo.kind_order] = x, currents
+        self.iterations[0] += it
+
     def solve(self) -> _DcRows:
-        """Newton on every row the compile did not fail, each started at
-        its own source values (every node that a source ties to ground at
+        """Newton (:meth:`newton`, or :meth:`lone` for a batch of one row)
+        on every row the compile did not fail, each started at its own
+        source values (every node that a source ties to ground at
         that source's value in the row, every other unknown at 0), then
         source stepping from 0 V, as one batch, for the rows that did not
         converge; a stepped row's ``iterations`` sums its steps'.  The
@@ -726,7 +752,8 @@ class _DcRows:
         nodes, cols, signs = self.topo.grounded
         start = np.zeros((len(rows), dim))
         start[:, nodes] = signs * self.values[rows][:, cols]
-        self.newton(rows, start, 1.0)
+        newton = self.newton if count > 1 else self.lone
+        newton(rows, start, 1.0)
         rows = np.array(sorted(row for row, exc in self.errors.items()
                                if isinstance(exc, NonConvergenceError)
                                and _SOURCE_STEPS >= 2), dtype=int)
@@ -737,7 +764,7 @@ class _DcRows:
             if not len(rows):
                 break
             scale = k / _SOURCE_STEPS
-            self.newton(rows, x, scale)
+            newton(rows, x, scale)
             for row in rows.tolist():
                 exc = self.errors.get(row)
                 if isinstance(exc, NonConvergenceError):
@@ -813,21 +840,28 @@ class _Steps:
     sequence order, memristors and then MOSFETs, as :class:`_DcRows` adds
     them: the node block (rows and columns below ``dim``) of a step's
     matrix is the DC row's matrix with the memristances at M(s), and
-    :meth:`kcl_residual` the DC row's residual, to the bit.  Each Newton
-    iteration copies that list, adds the stamps, and makes one LAPACK call
-    through the kernel that :func:`numpy.linalg.solve` dispatches to, so
-    its solution is that function's, to the bit.
+    :meth:`kcl` the DC row's currents and residual, to the bit.  Each
+    Newton iteration copies that list, adds the stamps, and makes one
+    LAPACK call through the kernel that :func:`numpy.linalg.solve`
+    dispatches to, so its solution is that function's, to the bit.
+
+    Built ``frozen``, the system is row 0's DC system itself, for
+    :meth:`_DcRows.lone`: no state rows, and the memristors at the row's
+    compiled memristances, in its linear part.  Its Newton is the steps'
+    own (:meth:`iterate`) with no states, so it iterates as
+    :meth:`_DcRows.newton` iterates that row, to the bit.
     """
 
-    def __init__(self, rows: _DcRows):
+    def __init__(self, rows: _DcRows, frozen: bool = False):
         topo = self.topo = rows.topo
         self.specs = [src.spec for src in topo.sources]
         self.branches = topo.branch_cols.tolist()
         self.damped = [j in topo.damped_nodes for j in range(topo.n_nodes)]
         dim = topo.dim
-        size = self.size = dim + len(topo.memristors)
+        stepped = [] if frozen else topo.memristors
+        size = self.size = dim + len(stepped)
         self.g_base = [0.0] * (size * size)
-        for r, row in enumerate(rows.g_base[0].tolist()):
+        for r, row in enumerate((rows.g_lin if frozen else rows.g_base)[0].tolist()):
             self.g_base[r * size:r * size + dim] = row
         # the topology's stamps with matrix entries as flat indices of the
         # bordered system: the memristors', and per MOSFET k (term column
@@ -835,7 +869,8 @@ class _Steps:
         stamps = {name: [(e[0] * size + e[1] if len(e) == 2 else e[0], term, sign)
                          for e, term, sign in topo.stamps[name]]
                   for name in ("mem", "mos", "ieq")}
-        self.mem_sequence, count = stamps["mem"], len(topo.mosfets)
+        self.mem_sequence = [] if frozen else stamps["mem"]
+        count = len(topo.mosfets)
         self.mosfets = [((f.n_d, f.n_g, f.n_s), c, [], []) for f, c in
                         zip(topo.mosfets, rows.coeffs[:, :, 0].T.tolist())]
         for i, term, sign in stamps["mos"]:
@@ -847,7 +882,7 @@ class _Steps:
         # (node, sign, flat index of the node row's state column, flat
         # index of the state row's node column)
         self.memristors = []
-        for k, m in enumerate(topo.memristors):
+        for k, m in enumerate(stepped):
             col = dim + k
             ends = [(node, sign, node * size + col, col * size + node)
                     for node, sign in ((m.n_pos, 1.0), (m.n_neg, -1.0)) if node]
@@ -855,6 +890,10 @@ class _Steps:
                                     col * size + col, ends))
         self.res_ends = [(g, r.n_pos, r.n_neg)
                          for g, r in zip(rows.g_res[:, 0].tolist(), topo.resistors)]
+        # every memristor's nodes, and row 0's memristances, which the KCL
+        # reads when frozen
+        self.mem_ends = [(m.n_pos, m.n_neg) for m in topo.memristors]
+        self.r_mem = rows.r_mem[:, 0].tolist()
         # the largest controlled step: _MAX_STEP, or less with a sine source
         self.max_step = min([_MAX_STEP] + [1.0 / (_SINE_STEPS * spec.frequency)
                                            for spec in self.specs
@@ -920,14 +959,18 @@ class _Steps:
                 g_mat[col_node] += d_dv * sign
             rhs[col] = d_ds * sk + d_dv * v - resid
 
-    def kcl_residual(self, x, s) -> float:
-        """Largest net device current into any non-ground node (A)."""
-        # device currents by kind, as _DcRows.kcl orders them
+    def kcl(self, x, s):
+        """Device currents by kind, as :meth:`_DcRows.kcl` orders them
+        (see OperatingPoint), and the largest net current into any
+        non-ground node (A), with the memristances at the states ``s``, or
+        at row 0's when frozen."""
         by_kind = []
         for g, a, b in self.res_ends:
             by_kind.append(g * (x[a] - x[b]))
-        for (a, b, p, _, _, _), sk in zip(self.memristors, s):
-            by_kind.append((x[a] - x[b]) / memristance_at(sk, p))
+        r_mem = ([memristance_at(sk, m[2]) for m, sk in zip(self.memristors, s)]
+                 if self.memristors else self.r_mem)
+        for (a, b), r in zip(self.mem_ends, r_mem):
+            by_kind.append((x[a] - x[b]) / r)
         for (d, g, src), c, _, _ in self.mosfets:
             by_kind.append(mosfet_square_law(x[g] - x[src], x[d] - x[src], *c)[0])
         for br in self.branches:
@@ -935,75 +978,82 @@ class _Steps:
         sums = [0.0] * self.topo.n_nodes
         for (node,), column, sign in self.topo.stamps["kcl"]:
             sums[node] += by_kind[column] * sign
-        return float(max(map(abs, sums[1:])))
+        return by_kind, max(map(abs, sums[1:]))
 
     def newton(self, x0, guess, hist, t: float, dt_eff: float):
-        """One step to time ``t``: Newton-Raphson on the node voltages,
+        """One step to time ``t``: :meth:`iterate` on the node voltages,
         source currents and memristor states together, from the previous
         step's solution ``x0`` and the state guess ``guess``, on the state
-        rows ``s = hist + dt_eff*(dw/dt)/L``.
+        rows ``s = hist + dt_eff*(dw/dt)/L``, with the sources at ``t``.
+        Returns (x, s); running out of iterations raises
+        :class:`_IterationLimit`."""
+        values = [source_value(spec, t) for spec in self.specs]
+        x, s, _ = self.iterate(list(x0), list(guess), values, dt_eff, hist, t)
+        return x, s
+
+    def iterate(self, x, s, values, dt_eff, hist, t: float | None = None):
+        """Newton-Raphson from (x, s), updated in place, with the sources
+        at ``values``: a step to time ``t`` (:meth:`newton`), or, built
+        ``frozen`` and given ``s`` empty, row 0's DC solve as
+        :meth:`_DcRows.newton` iterates it, to the bit (:meth:`_DcRows.lone`).
+        Call it inside ``np.errstate(all="ignore")``: the bare kernel
+        reports a singular matrix as NaN.
 
         Converged means per-node voltage deltas below vntol + reltol*|V|,
         every state delta below reltol, and the device-KCL residual below
         abstol.  Each iteration moves a state by at most ``_STATE_LIMIT``
-        and clamps it to [0, 1].  Returns (x, s).  Running out of
-        iterations raises :class:`_IterationLimit`; a non-finite iterate
-        raises :func:`_solve_error`'s error at once:
+        and clamps it to [0, 1].  Returns (x, s, iterations).  Running out
+        of iterations raises :class:`_IterationLimit` at a time, the DC
+        rows' :class:`NonConvergenceError` without one; a non-finite
+        iterate raises :func:`_solve_error`'s error at once:
         :class:`SingularMatrixError` for a singular system, else
         :class:`NonConvergenceError`.
         """
-        x = list(x0)
-        s = list(guess)
-        values = [source_value(spec, t) for spec in self.specs]
         trace: list[tuple[int, float, float]] = []
         n, dim = self.topo.n_nodes, self.topo.dim
         vntol, reltol = SimOptions.vntol, SimOptions.reltol
         damped = self.damped
-        # the bare kernel reports a singular matrix as NaN, not as a warning
-        with np.errstate(all="ignore"):
-            for it in range(1, _MAX_NEWTON_ITERS + 1):
-                g_mat, rhs = self.assemble(x, s, values, dt_eff, hist)
-                solved = _solve1(g_mat, rhs).tolist()
-                if not all(map(math.isfinite, solved)):
-                    trace.append((it, math.nan, math.nan))
-                    raise _solve_error(g_mat, rhs, self.topo.circuit.title, trace, t)
-                # one pass over the nodes: largest |dV|, the convergence
-                # test, the damping and the update; then the branch
-                # currents, and the states, each moved at most
-                # _STATE_LIMIT and clamped to [0, 1]
-                max_dv, converged = 0.0, True
-                for j in range(n):
-                    v = solved[j]
-                    d = v - x[j]
-                    dv = abs(d)
-                    if dv > max_dv:
-                        max_dv = dv
-                    if dv >= vntol + reltol * abs(v):
-                        converged = False
-                    if damped[j]:
-                        d = min(max(d, -_DAMP_LIMIT), _DAMP_LIMIT)
-                    x[j] += d
-                x[n:] = solved[n:dim]
-                for k in range(len(s)):
-                    ds = solved[dim + k] - s[k]
-                    if abs(ds) >= reltol:
-                        converged = False
-                    ds = min(max(ds, -_STATE_LIMIT), _STATE_LIMIT)
-                    s[k] = min(max(s[k] + ds, 0.0), 1.0)
-                if converged:
-                    residual = self.kcl_residual(x, s)
-                    trace.append((it, max_dv, residual))
-                    if residual < SimOptions.abstol:
-                        return x, s
-                else:
-                    trace.append((it, max_dv, math.nan))
-        raise _IterationLimit(
-            f"Newton did not converge within {_MAX_NEWTON_ITERS} "
-            f"iterations at t={t:.9g} s (last max |dV|={trace[-1][1]:.3g} V)",
-            trace=trace,
-            time=t,
-        )
+        for it in range(1, _MAX_NEWTON_ITERS + 1):
+            g_mat, rhs = self.assemble(x, s, values, dt_eff, hist)
+            solved = _solve1(g_mat, rhs).tolist()
+            if not all(map(math.isfinite, solved)):
+                trace.append((it, math.nan, math.nan))
+                raise _solve_error(g_mat, rhs, self.topo.circuit.title, trace, t)
+            # one pass over the nodes: largest |dV|, the convergence test,
+            # the damping and the update; then the branch currents, and the
+            # states, each moved at most _STATE_LIMIT and clamped to [0, 1]
+            max_dv, converged = 0.0, True
+            for j in range(n):
+                v = solved[j]
+                d = v - x[j]
+                dv = abs(d)
+                if dv > max_dv:
+                    max_dv = dv
+                if dv >= vntol + reltol * abs(v):
+                    converged = False
+                if damped[j]:
+                    d = min(max(d, -_DAMP_LIMIT), _DAMP_LIMIT)
+                x[j] += d
+            x[n:] = solved[n:dim]
+            for k in range(len(s)):
+                ds = solved[dim + k] - s[k]
+                if abs(ds) >= reltol:
+                    converged = False
+                ds = min(max(ds, -_STATE_LIMIT), _STATE_LIMIT)
+                s[k] = min(max(s[k] + ds, 0.0), 1.0)
+            if converged:
+                residual = self.kcl(x, s)[1]
+                trace.append((it, max_dv, residual))
+                if residual < SimOptions.abstol:
+                    return x, s, it
+            else:
+                trace.append((it, max_dv, math.nan))
+        at = "" if t is None else f" at t={t:.9g} s"
+        raise (NonConvergenceError if t is None else _IterationLimit)(
+            f"Newton did not converge within {_MAX_NEWTON_ITERS} iterations{at} "
+            f"(last max |dV|={trace[-1][1]:.3g} V)", trace=trace, time=t)
 
+    @np.errstate(all="ignore")  # for iterate's kernel, once per march
     def march(self, x, s, t: float, t_end: float, h: float, floor: float,
               controlled: bool):
         """Steps from the solution (x, s) at time ``t`` to ``t_end``, the
@@ -1115,7 +1165,9 @@ def solve_dc(circuit: Circuit, *, states: dict[str, float] | None = None,
     another instant.  Raises :class:`NonConvergenceError` (after a source
     stepping retry), :class:`SingularMatrixError`, or, for a ``circuit.temp``
     that is not positive kelvin, :class:`DeviceError`.  The circuit is
-    compiled as one :class:`_DcRows` row, solved in place and read back.
+    compiled as one :class:`_DcRows` row, solved in place on the list
+    Newton of a lone row (:meth:`_DcRows.lone`) and read back: the row a
+    stack of rows would give it, to the bit.
     """
     rows = _compile(circuit, states=states, source_time=source_time).solve()
     if rows.errors:
@@ -1317,15 +1369,16 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
             floor = dt / 2 ** _MAX_CUTS
             xs, ss = np.empty((len(times), len(x))), np.empty((len(times), len(s)))
             xs[0], ss[0] = x, s
-            for k in range(1, n_steps + 1):
-                try:
-                    x, s = steps.newton(x, s, s, float(times[k]), dt)
-                except _IterationLimit:
-                    _, cut_x, cut_s = steps.march(x, s, float(times[k - 1]),
-                                                  float(times[k]), dt / 2.0,
-                                                  floor, False)
-                    x, s = cut_x[-1], cut_s[-1]
-                xs[k], ss[k] = x, s
+            with np.errstate(all="ignore"):  # for the steps' kernel
+                for k in range(1, n_steps + 1):
+                    try:
+                        x, s = steps.newton(x, s, s, float(times[k]), dt)
+                    except _IterationLimit:
+                        _, cut_x, cut_s = steps.march(x, s, float(times[k - 1]),
+                                                      float(times[k]), dt / 2.0,
+                                                      floor, False)
+                        x, s = cut_x[-1], cut_s[-1]
+                    xs[k], ss[k] = x, s
 
     if xs is None:
         xs, currents = _dc_samples(topo, times, ss)

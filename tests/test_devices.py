@@ -492,7 +492,8 @@ def test_a_law_returns_cells_the_solve_can_use_or_raises(kind, data, temp, state
     # the DC rows take each law's cells as they come: a record that builds
     # and a law that returns give finite cells, and a finite conductance
     # wherever the engine divides by a resistance (a memristor at any state
-    # in [0, 1], where its steps read it)
+    # in [0, 1], where its steps read it), and a memristor a finite drift
+    # rate over a 1 s step
     try:
         device = data.draw(compiled_devices(kind))
         cell = engine._CELLS[type(device)](device, temp, state)
@@ -505,6 +506,7 @@ def test_a_law_returns_cells_the_solve_can_use_or_raises(kind, data, temp, state
         for m in (cell, memristance_at(0.0, device.params),
                   memristance_at(1.0, device.params)):
             assert m > 0.0 and math.isfinite(1.0 / m)
+        assert math.isfinite(memristor_drift(0.5, device.params, 1.0)[0])
 
 
 # --------------------------------------------------------------------------- #

@@ -23,6 +23,7 @@ from mirrorsim.devices import (
     state_for_memristance,
 )
 from mirrorsim import engine
+from mirrorsim.analysis import settled_transient
 from mirrorsim.engine import (
     NonConvergenceError,
     SimOptions,
@@ -752,7 +753,7 @@ def test_step_node_block_is_the_dc_row_at_the_states_memristances(name):
         r_mem = np.array([[memristance_at(sk, m.params)]
                           for sk, m in zip(s, topo.memristors)])
         _, residual = compiled.kcl(row, np.array([x]), r_mem)
-        assert steps.kcl_residual(x, s) == residual[0]
+        assert steps.kcl(x, s)[1] == residual[0]
 
 
 @pytest.mark.parametrize("size", range(4, 10))
@@ -1044,7 +1045,9 @@ def test_mosfet_free_rows_are_assembled_and_solved_once(monkeypatch):
 
 
 def test_non_finite_iterate_fails_after_one_iteration(monkeypatch):
-    # DC solves evaluate their MOSFETs through the array law
+    # a lone row evaluates its MOSFETs through the scalar law, a stack of
+    # rows through the array law
+    monkeypatch.setattr(engine, "mosfet_square_law", lambda *args: (math.nan,) * 3)
     monkeypatch.setattr(
         engine, "mosfet_linearized_array",
         lambda vgs, *args: (np.full_like(vgs, math.nan),) * 3,
@@ -1053,8 +1056,22 @@ def test_non_finite_iterate_fails_after_one_iteration(monkeypatch):
     cir = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_RESISTORS))
     with pytest.raises(NonConvergenceError) as exc:
         solve_dc(cir)
-    assert "non-finite" in str(exc.value)
-    assert len(exc.value.trace) == 1
+    stack = engine._compile(cir, [None, None]).solve()
+    for err in (exc.value, stack.errors[0], stack.errors[1]):
+        assert type(err) is NonConvergenceError
+        assert "non-finite" in str(err)
+        assert len(err.trace) == 1
+
+
+def test_a_stack_whose_mosfet_law_overflows_fails_as_its_lone_row():
+    # at vgs = -1e300 the square law reads inf - inf: the stacked Newton
+    # raised numpy's RuntimeWarning (an error in this suite) where a lone
+    # row, on Python floats, finds the system singular
+    cir = _circuit("V1 a 0 SIN(-1e300 0.5 5)\nM0 a 0 0 0 NCH\n.model NCH nmos ()\n")
+    with pytest.raises(SingularMatrixError) as alone:
+        solve_dc(cir)
+    rows = engine._compile(cir, [None, None]).solve()
+    assert [str(err) for err in rows.errors.values()] == [str(alone.value)] * 2
 
 
 def assert_same_op(a, b):
@@ -1183,8 +1200,7 @@ def test_a_failed_override_is_a_row_error_not_a_record(circuit, path, values):
         assert np.isnan(array[1]).all()
 
 
-@pytest.mark.parametrize("kind", [MirrorKind.TWO_RESISTORS, MirrorKind.PMOS_RESISTOR,
-                                  MirrorKind.TWO_MEMRISTORS])
+@pytest.mark.parametrize("kind", list(MirrorKind))
 def test_batch_rows_do_not_depend_on_their_neighbours(kind):
     # rows that converge after 4 to 10 iterations leave the batch at
     # different times, so each row sits at a different place in the
@@ -1203,6 +1219,32 @@ def test_batch_rows_do_not_depend_on_their_neighbours(kind):
         assert_same_op(backwards[k], alone)
 
 
+def test_lone_rows_solve_on_the_list_newton_and_are_not_steps(monkeypatch):
+    # a lone DC row never runs the batched Newton: solve_dc, and the t = 0
+    # row and final operating point of a settled transient, each take one
+    # list Newton (none of these needs source stepping), which the step
+    # Newton, and so every step count, does not count
+    calls = []
+    for owner, name, label in ((engine._DcRows, "newton", "stack"),
+                               (engine._Steps, "iterate", "list"),
+                               (engine._Steps, "newton", "step")):
+        def spy(self, *args, real=getattr(owner, name), label=label):
+            calls.append(label)
+            return real(self, *args)
+
+        monkeypatch.setattr(owner, name, spy)
+    for kind in MirrorKind:
+        solve_dc(mirror_circuit(MirrorConfig(kind=kind)))
+    assert calls == ["list"] * len(MirrorKind)
+    calls.clear()
+    settled_transient(mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS)))
+    steps = calls.count("step")
+    assert "stack" not in calls and steps > 100
+    # each step is one list Newton; the first and last are DC rows
+    assert calls.count("list") == steps + 2 and len(calls) == 2 * steps + 2
+    assert calls[0] == calls[-1] == "list" and calls[1] == "step"
+
+
 def test_first_newton_starts_at_each_rows_own_source_values(monkeypatch):
     # V1 ties a to ground, V2 ties b to ground from above (b sits at minus
     # its value), V3 ties c only to a: c, the branch currents and the
@@ -1210,13 +1252,13 @@ def test_first_newton_starts_at_each_rows_own_source_values(monkeypatch):
     cir = _circuit("V1 a 0 DC 2\nV2 0 b DC 0.5\nV3 c a DC 1\nR1 a d 1k\n"
                    "R2 c b 2k\nM1 d d b b NCH\n.model NCH nmos ()\n")
     starts = []
-    newton = engine._DcRows.newton
+    # a stack of rows starts on the batched Newton, a lone row on the list one
+    for name in ("newton", "lone"):
+        def spy(self, rows, x, source_scale, real=getattr(engine._DcRows, name)):
+            starts.append((x.copy(), source_scale))
+            return real(self, rows, x, source_scale)
 
-    def spy(self, rows, x, source_scale):
-        starts.append((x.copy(), source_scale))
-        return newton(self, rows, x, source_scale)
-
-    monkeypatch.setattr(engine._DcRows, "newton", spy)
+        monkeypatch.setattr(engine._DcRows, name, spy)
     position, records, _ = overrides(cir, "V1.dc_value", [2.0, 3.0])
     rows = engine._compile(cir, [None, None], records={position: records}).solve()
     assert not rows.errors
@@ -1227,12 +1269,13 @@ def test_first_newton_starts_at_each_rows_own_source_values(monkeypatch):
     assert scale == 1.0 and x.tobytes() == expected.tobytes()
 
     # the source-stepping retry still ramps up from 0 V
-    starts.clear()
     monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 1)
-    engine._compile(cir).solve()
-    (first, _), (retry, scale) = starts[:2]
-    assert first[0, cir.node_index("a")] == 2.0
-    assert scale == 1.0 / engine._SOURCE_STEPS and not retry.any()
+    for count in (1, 2):
+        starts.clear()
+        engine._compile(cir, [None] * count).solve()
+        (first, _), (retry, scale) = starts[:2]
+        assert (first[:, cir.node_index("a")] == 2.0).all()
+        assert scale == 1.0 / engine._SOURCE_STEPS and not retry.any()
 
 
 def test_batch_isolates_singular_and_nonconvergent_rows(monkeypatch):

@@ -14,13 +14,23 @@ optional.  Every other token, dropped, doubled or replaced by ``@``, breaks
 the grammar.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirrorsim import engine
 from mirrorsim.cli import main
-from mirrorsim.engine import SimOptions, solve_dc
-from mirrorsim.netlist import _INSTANCE_FIELDS, _MODEL_FIELDS, elaborate, parse
+from mirrorsim.devices import DeviceError
+from mirrorsim.engine import SimOptions, SimulationError, solve_dc
+from mirrorsim.netlist import (
+    _INSTANCE_FIELDS,
+    _MODEL_FIELDS,
+    NetlistError,
+    elaborate,
+    parse,
+)
 
 NODES = ("0", "a", "b", "c", "d")
 ANY, NODE, OPTIONAL, SINE_ARG = "drop double garble", "drop double", "double garble", "garble"
@@ -159,6 +169,42 @@ def test_a_deck_ends_in_an_exit_code_and_a_broken_deck_is_refused(tmp_path_facto
     assert _run(tmp_path_factory, broken) in (1, 2), broken
 
 
+def _outcome(result):
+    """A solve's operating point or error as comparable values: each field
+    of the point, node voltages by their bytes, or the error's type, text
+    and trace (whose NaN residuals compare unequal to themselves)."""
+    if isinstance(result, Exception):
+        return type(result), str(result), repr(getattr(result, "trace", None))
+    return (result.node_voltages.tobytes(), repr(result.device_currents),
+            repr(result.source_currents), repr(result.kcl_residual),
+            result.newton_iterations)
+
+
+@given(deck=decks(), limit=st.sampled_from([engine._MAX_NEWTON_ITERS, 3]))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_a_lone_dc_row_is_its_row_of_a_stack(deck, limit):
+    # a lone row runs the list Newton of the memristive steps, a stack of
+    # rows the batched one: each row of a two-row stack is the deck's
+    # solve_dc, to the bit, or fails with its error, text and trace; a
+    # 3-iteration limit sends most decks through source stepping
+    try:
+        circuit = elaborate(parse(_render(deck[0])))
+    except (NetlistError, DeviceError):
+        return
+    with mock.patch.object(engine, "_MAX_NEWTON_ITERS", limit):
+        try:
+            alone = solve_dc(circuit)
+        except (SimulationError, DeviceError) as exc:
+            alone = exc
+        try:
+            rows = engine._compile(circuit, [None, None]).solve()
+            stack = [rows.errors.get(k) or rows.operating_point(k) for k in (0, 1)]
+        except (SimulationError, DeviceError) as exc:  # raised before any row
+            stack = [exc]
+    for row in stack:
+        assert _outcome(row) == _outcome(alone)
+
+
 @pytest.mark.parametrize("deck, message", [
     # (T/T0)^bex overflowed in Python's float power: OverflowError
     ("V1 a 0 DC 1\nR1 a d 1k\nM1 d d 0 0 NCH\n.model NCH nmos (bex=-1e4)\n.temp -200\n",
@@ -206,9 +252,15 @@ def test_decks_that_raised_a_traceback_exit_1(tmp_path_factory, capsys, deck, me
     # r*(1 + tc*(T - T0)) overflows to inf, which would read as an open
     ("V1 a 0 DC 2.5\nR1 a 0 1k tc=1e308\n.temp 125\n.dc\n", 1,
      "error: R1: resistance inf outside (0, inf)"),
+    # the drift law's k = dt*uv*Ron/L^2 was inf: a non-finite iterate at
+    # the first step
+    ("V1 a 0 DC 2.5\nR1 a b 1k\nY1 b 0 MEM\n"
+     ".model MEM memristor (uv=1e300 ron=1e300 roff=1e301 l=1e-150)\n.tran 1m 10m\n", 1,
+     "error: Y1: drift rate uv*r_on/L^2 = inf not finite"),
 ], ids=["array-law-overflow", "mosfet-beta", "mosfet-beta-underflow",
         "resistor-conductance", "memristor-conductance-dc", "memristor-conductance-tran",
-        "mosfet-threshold", "memristor-window-exponent", "resistor-value"])
+        "mosfet-threshold", "memristor-window-exponent", "resistor-value",
+        "memristor-drift-rate"])
 def test_an_overflowing_deck_exits_with_a_named_error(tmp_path_factory, capsys, deck,
                                                        code, message):
     assert _run(tmp_path_factory, deck) == code
