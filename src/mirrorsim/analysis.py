@@ -15,8 +15,8 @@ Two conventions hold throughout:
   memristor to settle, a sweep compiles it once and solves all its points
   as one batch: a swept parameter's value goes straight into the one
   per-row column it changes (a conductance, a frozen memristance, MOSFET
-  coefficients or a source value), through the same parameter record and
-  checks as :func:`mirrorsim.netlist.with_override`.  Every row equals
+  coefficients or a source value), through the parameter records and
+  checks of :func:`mirrorsim.netlist.overrides`.  Every row equals
   ``solve_dc(with_override(...))`` of that point alone, to the bit, and a
   failing row fails alone.  Memristive points each run their own settled
   transient, one after another.
@@ -158,7 +158,7 @@ def compute_thd(wave: Waveform, f0: float, n_harmonics: int) -> ThdResult:
     per period), or when the highest requested harmonic sits at or beyond
     the Nyquist rate.
     """
-    if f0 <= 0.0:
+    if not f0 > 0.0:  # NaN included
         raise AnalysisError(f"fundamental frequency must be positive, got {f0}")
     if n_harmonics < 2:
         raise AnalysisError("need n_harmonics >= 2 (distortion sums harmonics 2..N)")
@@ -412,14 +412,15 @@ def mismatch_sweep(config: MirrorConfig, load2_values: Iterable[float], *,
     steps through ``load2_values``.  Memristive loads are held at the stated
     memristance for the solve — the sweep isolates the effect of a load value,
     so the state is pinned rather than allowed to drift during settling.
-    Non-convergent rows are flagged and the sweep continues.  The baseline
-    and every row are one batched DC solve.  A baseline that carries no
-    input current raises :class:`AnalysisError`.
+    A row that fails (its load's checks, compile or solve) is flagged and
+    the sweep continues.  The baseline and every row are one batched DC
+    solve.  A baseline that carries no input current raises
+    :class:`AnalysisError`.
     """
     values = [float(v) for v in load2_values]
     if not values:
         raise AnalysisError("mismatch sweep needs at least one output-load value")
-    if any(v <= 0.0 for v in values):
+    if not all(0.0 < v < math.inf for v in values):
         raise AnalysisError("output-load values must be positive")
     memristive = config.kind.has_memristors
     base = config.m0 if memristive else config.r_load
@@ -454,8 +455,6 @@ def mismatch_sweep(config: MirrorConfig, load2_values: Iterable[float], *,
         predicted_ro = delta_base - (1.0 + delta_base) * k_factor_ro * rel
         # a failed row reads NaN currents, so its simulated deviation is NaN
         error = solved.errors.get(k)
-        if error and not isinstance(error, (ElaborationError, SimulationError)):
-            raise error
         rows.append(MismatchRow(value, rel, (i2 - i1) / i1, predicted, predicted_ro,
                                 error=str(error) if error else None))
     return MismatchTable(tuple(rows), k_factor, i_d1_base, k_factor_ro)
@@ -482,7 +481,7 @@ def temperature_sweep(config: MirrorConfig,
     points = [float(T) for T in temps]
     if not points:
         raise AnalysisError("temperature sweep needs at least one temperature")
-    if any(T <= 0.0 for T in points):
+    if not all(0.0 < T < math.inf for T in points):
         raise AnalysisError("temperatures are kelvin values and must be positive")
     circuit = mirror_circuit(config)
     _, currents = _settled_rows(circuit, points)

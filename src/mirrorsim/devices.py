@@ -128,7 +128,7 @@ class MemristorParams:
 
 @dataclass
 class MemristorState:
-    """Mutable boundary position w (m), kept in ``[0, length]`` by the engine."""
+    """Mutable boundary position w (m) of a memristor."""
 
     w: float
 
@@ -198,8 +198,8 @@ class SourceSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("dc", "sine"):
             raise DeviceError(f"source kind must be 'dc' or 'sine', got {self.kind!r}")
-        if self.kind == "sine" and self.frequency <= 0.0:
-            raise DeviceError("sine source requires frequency > 0")
+        if self.kind == "sine" and not 0.0 < self.frequency < math.inf:
+            raise DeviceError("sine source requires a finite frequency > 0")
 
 
 NMOS_DEFAULTS = MosfetParams()

@@ -40,13 +40,13 @@ transient compiles its circuit as one such row too, solves t = 0 as that
 row, and runs its steps on lists copied from it: the step's system,
 bordered with the state rows and columns, is one flat list, and each
 Newton iteration makes one bare LAPACK call.  One stamp table per topology
-orders every entry's terms for the rows and the steps alike.  Both kinds of
-transient take their device currents from the rows' batched KCL.  A
-memristor-free transient and a controlled one read on a grid record DC
-solutions: each source's values are evaluated once for the whole run, the
-samples are keyed by the bits of their source values and (frozen) states,
-and only the distinct keys are compiled as DC rows and solved, a block of
-them at a time (a block of one distinct key is a lone row).
+orders every entry's terms for the rows and the steps alike.  A recorded
+step carries the device currents whose KCL residual its own Newton
+accepted.  A memristor-free transient and a controlled one read on a grid
+record DC solutions: each source's values are evaluated once for the whole
+run, the samples are keyed by the bits of their source values and (frozen)
+states, and only the distinct keys are compiled as DC rows and solved, a
+block of them at a time (a block of one distinct key is a lone row).
 
 The dense linear solves are LAPACK LU with partial pivoting, each through
 the kernel that :func:`numpy.linalg.solve` calls, to the same bits, without
@@ -235,10 +235,10 @@ class SimOptions:
     adaptive: bool = False
 
     def __post_init__(self) -> None:
-        if self.dt is not None and self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.t_stop is not None and self.t_stop <= 0.0:
-            raise ValueError("t_stop must be positive")
+        for name in ("dt", "t_stop"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.t_stop is not None:
             dt = self.t_stop / _DEFAULT_STEPS if self.dt is None else self.dt
             if self.t_stop < dt:
@@ -619,19 +619,16 @@ class _DcRows:
         return (self._scatter("mos", self.g_lin[rows], terms),
                 self._scatter("ieq", rhs, i0 - gm * vgs - gds * vds))
 
-    def kcl(self, rows, x, r_mem=None):
+    def kcl(self, rows, x):
         """Device currents (rows, devices in circuit order; see
         OperatingPoint) and the largest net current into any non-ground node
-        of each row (A), with memristances ``r_mem`` (memristors, rows)
-        when given in place of the compiled ones."""
+        of each row (A)."""
         topo = self.topo
         (rp, rn), (mp, mn) = topo.res_nodes, topo.mem_nodes
-        if r_mem is None:
-            r_mem = self.r_mem.take(rows, axis=1)
         v = x.T
         by_kind = np.concatenate([
             self.g_res.take(rows, axis=1) * (v[rp] - v[rn]),
-            (v[mp] - v[mn]) / r_mem,
+            (v[mp] - v[mn]) / self.r_mem.take(rows, axis=1),
             self._mosfets(rows, x)[2],
             v[topo.branch_cols],
         ])
@@ -725,12 +722,13 @@ class _DcRows:
         values = [source_scale * v for v in self.values[0].tolist()]
         try:
             with np.errstate(all="ignore"):  # a singular system reads NaN
-                x, _, it = steps.iterate(x[0].tolist(), [], values, 0.0, [])
+                x, _, currents, residual, it = steps.iterate(
+                    x[0].tolist(), [], values, 0.0, [])
         except SimulationError as exc:
             self.errors[0] = exc
             return
-        currents, self.residual[0] = steps.kcl(x, [])
         self.x[0], self.currents[0, self.topo.kind_order] = x, currents
+        self.residual[0] = residual
         self.iterations[0] += it
 
     def solve(self) -> _DcRows:
@@ -985,11 +983,12 @@ class _Steps:
         source currents and memristor states together, from the previous
         step's solution ``x0`` and the state guess ``guess``, on the state
         rows ``s = hist + dt_eff*(dw/dt)/L``, with the sources at ``t``.
-        Returns (x, s); running out of iterations raises
-        :class:`_IterationLimit`."""
+        Returns (x, s, currents), the currents by kind (:meth:`kcl`);
+        running out of iterations raises :class:`_IterationLimit`."""
         values = [source_value(spec, t) for spec in self.specs]
-        x, s, _ = self.iterate(list(x0), list(guess), values, dt_eff, hist, t)
-        return x, s
+        x, s, currents, _, _ = self.iterate(list(x0), list(guess), values,
+                                            dt_eff, hist, t)
+        return x, s, currents
 
     def iterate(self, x, s, values, dt_eff, hist, t: float | None = None):
         """Newton-Raphson from (x, s), updated in place, with the sources
@@ -1002,7 +1001,8 @@ class _Steps:
         Converged means per-node voltage deltas below vntol + reltol*|V|,
         every state delta below reltol, and the device-KCL residual below
         abstol.  Each iteration moves a state by at most ``_STATE_LIMIT``
-        and clamps it to [0, 1].  Returns (x, s, iterations).  Running out
+        and clamps it to [0, 1].  Returns (x, s, currents, residual,
+        iterations), with :meth:`kcl` at the accepted (x, s).  Running out
         of iterations raises :class:`_IterationLimit` at a time, the DC
         rows' :class:`NonConvergenceError` without one; a non-finite
         iterate raises :func:`_solve_error`'s error at once:
@@ -1042,10 +1042,10 @@ class _Steps:
                 ds = min(max(ds, -_STATE_LIMIT), _STATE_LIMIT)
                 s[k] = min(max(s[k] + ds, 0.0), 1.0)
             if converged:
-                residual = self.kcl(x, s)[1]
+                currents, residual = self.kcl(x, s)
                 trace.append((it, max_dv, residual))
                 if residual < SimOptions.abstol:
-                    return x, s, it
+                    return x, s, currents, residual, it
             else:
                 trace.append((it, max_dv, math.nan))
         at = "" if t is None else f" at t={t:.9g} s"
@@ -1054,11 +1054,11 @@ class _Steps:
             f"(last max |dV|={trace[-1][1]:.3g} V)", trace=trace, time=t)
 
     @np.errstate(all="ignore")  # for iterate's kernel, once per march
-    def march(self, x, s, t: float, t_end: float, h: float, floor: float,
-              controlled: bool):
-        """Steps from the solution (x, s) at time ``t`` to ``t_end``, the
-        first of size ``h``; returns the accepted times, solutions and
-        states as lists, the start included.
+    def march(self, x, s, currents, t: float, t_end: float, h: float,
+              floor: float, controlled: bool):
+        """Steps from the solution (x, s, currents) at time ``t`` to
+        ``t_end``, the first of size ``h``; returns the accepted times,
+        solutions, states and device currents as lists, the start included.
 
         A step whose Newton runs out of iterations is halved and retried;
         one that fails at the ``floor`` raises its
@@ -1077,7 +1077,7 @@ class _Steps:
         the floor), and the next step is the one the estimate predicts,
         within the growth and shrink limits.
         """
-        ts, xs, ss = [t], [x], [s]
+        ts, xs, ss, cs = [t], [x], [s], [currents]
         tol = SimOptions.reltol
         largest = self.max_step if controlled else _MAX_STEP
         while t < t_end:
@@ -1100,7 +1100,7 @@ class _Steps:
                         for s0, s1, s2 in zip(ss[-3], ss[-2], s)]
             guess = s if pred is None else [min(max(p, 0.0), 1.0) for p in pred]
             try:
-                x_new, s_new = self.newton(x, guess, hist, t_next, dt_eff)
+                x_new, s_new, c_new = self.newton(x, guess, hist, t_next, dt_eff)
             except _IterationLimit as exc:
                 if h / 2.0 < floor:
                     raise NonConvergenceError(
@@ -1121,8 +1121,9 @@ class _Steps:
             ts.append(t)
             xs.append(x)
             ss.append(s)
+            cs.append(c_new)
             h = min(max(h * factor, floor), largest)
-        return ts, xs, ss
+        return ts, xs, ss, cs
 
 
 def _compile(circuit: Circuit | _Topology, temps=(None,), *, records=None,
@@ -1317,8 +1318,9 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     rows of batches on the run's one :class:`_Topology` and solved in
     place, each row started at its own source values.  The earliest sample
     that fails raises its :class:`NonConvergenceError` or
-    :class:`SingularMatrixError`, with its trace and ``time``.  The memristive steps' device currents come from
-    the compiled row's batched KCL.
+    :class:`SingularMatrixError`, with its trace and ``time``.  So every
+    recorded sample is a DC row or a step, whose device currents are those
+    its Newton accepted.
 
     ``initial_states`` replaces the netlist's initial memristor states
     (metres), letting one run continue where another settled: an unknown
@@ -1344,52 +1346,49 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
                 raise SimulationError(f"no memristor named {name!r} to initialize")
             states[key] = float(w)
     s: list[float] = []
-    # the recorded states, and the steps' solutions when they are recorded
-    # too (None: each sample is a DC solve at its state)
+    # the recorded states, and the steps' solutions and currents by kind
+    # when they are recorded too (None: each sample is a DC solve at its state)
     xs, ss = None, np.empty((len(times), 0))
     if memristors:
         compiled = _compile(topo, states=states).solve()
         if compiled.errors:
             raise compiled.errors[0]
         s, x = compiled.states, compiled.x[0].tolist()
+        c = compiled.currents[0, topo.kind_order].tolist()
         steps = _Steps(compiled)
         if opts.adaptive:
             # the first step is dt, or the step cap when that is smaller;
             # on a requested grid the steps end at its last sample
             h = min(dt, steps.max_step)
             t_end = opts.t_stop if opts.dt is None else float(times[-1])
-            ts, xs, accepted = steps.march(x, s, 0.0, t_end, h, h / 2 ** _MAX_CUTS,
-                                           True)
+            ts, xs, accepted, cs = steps.march(x, s, c, 0.0, t_end, h,
+                                               h / 2 ** _MAX_CUTS, True)
             s = accepted[-1]
             if opts.dt is None:
-                times, xs, ss, dt = np.array(ts), np.array(xs), np.array(accepted), h
+                times, dt = np.array(ts), h
+                xs, ss, cs = np.array(xs), np.array(accepted), np.array(cs)
             else:
                 xs, ss = None, _dense(ts, accepted, times)
         else:
             floor = dt / 2 ** _MAX_CUTS
-            xs, ss = np.empty((len(times), len(x))), np.empty((len(times), len(s)))
-            xs[0], ss[0] = x, s
+            xs, ss, cs = (np.empty((len(times), len(v))) for v in (x, s, c))
+            xs[0], ss[0], cs[0] = x, s, c
             with np.errstate(all="ignore"):  # for the steps' kernel
                 for k in range(1, n_steps + 1):
                     try:
-                        x, s = steps.newton(x, s, s, float(times[k]), dt)
+                        x, s, c = steps.newton(x, s, s, float(times[k]), dt)
                     except _IterationLimit:
-                        _, cut_x, cut_s = steps.march(x, s, float(times[k - 1]),
-                                                      float(times[k]), dt / 2.0,
-                                                      floor, False)
-                        x, s = cut_x[-1], cut_s[-1]
-                    xs[k], ss[k] = x, s
+                        _, cut_x, cut_s, cut_c = steps.march(
+                            x, s, c, float(times[k - 1]), float(times[k]),
+                            dt / 2.0, floor, False)
+                        x, s, c = cut_x[-1], cut_s[-1], cut_c[-1]
+                    xs[k], ss[k], cs[k] = x, s, c
 
     if xs is None:
         xs, currents = _dc_samples(topo, times, ss)
-    else:  # the steps' device currents, a block of samples at a time
-        currents = np.empty((len(times), len(topo.current_nodes)))
-        for start in range(0, len(times), _TRANSIENT_BLOCK):
-            block = slice(start, start + _TRANSIENT_BLOCK)
-            x = xs[block]
-            r_mem = np.array([memristance_at(ss[block, k], m.params)
-                              for k, m in enumerate(memristors)])
-            currents[block], _ = compiled.kcl(np.zeros(len(x), dtype=np.intp), x, r_mem)
+    else:  # the steps' own device currents, into circuit order
+        currents = np.empty_like(cs)
+        currents[:, topo.kind_order] = cs
 
     waveforms = [
         Waveform(name=name, unit=unit, t=times.copy(),

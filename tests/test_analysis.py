@@ -162,6 +162,8 @@ class TestComputeThd:
         wave = sine_wave()
         with pytest.raises(AnalysisError, match="positive"):
             compute_thd(wave, 0.0, 9)
+        with pytest.raises(AnalysisError, match="positive"):
+            compute_thd(wave, math.nan, 9)
         with pytest.raises(AnalysisError, match="n_harmonics"):
             compute_thd(wave, 1.0, 1)
 
@@ -445,6 +447,18 @@ class TestMismatchSweep:
             mismatch_sweep(config, [])
         with pytest.raises(AnalysisError, match="positive"):
             mismatch_sweep(config, [38e3, -1.0])
+        for load in (math.nan, math.inf):
+            with pytest.raises(AnalysisError, match="positive"):
+                mismatch_sweep(config, [38e3, load])
+
+    def test_a_load_whose_row_fails_to_compile_is_flagged(self):
+        # 1e-320 ohm passes the record's check, and its row's compile fails
+        # (its conductance overflows): flagged in its row, as an
+        # out-of-range memristance is, while the sweep continues
+        table = mismatch_sweep(MirrorConfig(MirrorKind.TWO_RESISTORS), [1e-320, 30e3])
+        assert table.rows[0].error.startswith("R2: resistance 1e-320")
+        assert math.isnan(table.rows[0].simulated)
+        assert table.rows[1].error is None and math.isfinite(table.rows[1].simulated)
 
 
 # --------------------------------------------------------------------------- #
@@ -504,6 +518,9 @@ class TestTemperatureSweep:
             temperature_sweep(config, [])
         with pytest.raises(AnalysisError, match="kelvin"):
             temperature_sweep(config, [300.0, -10.0])
+        for temp in (math.nan, math.inf):
+            with pytest.raises(AnalysisError, match="kelvin"):
+                temperature_sweep(config, [300.0, temp])
 
 
 # --------------------------------------------------------------------------- #

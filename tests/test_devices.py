@@ -592,5 +592,9 @@ def test_numpy_sine_is_math_sine_on_the_drive_samples(monkeypatch):
 def test_source_spec_validation():
     with pytest.raises(DeviceError):
         SourceSpec(kind="sine", dc_value=1.0, amplitude=1.0, frequency=0.0)
+    # a sine whose frequency is not finite has no period to sample
+    for frequency in (math.nan, math.inf):
+        with pytest.raises(DeviceError, match="finite frequency"):
+            SourceSpec(kind="sine", amplitude=1.0, frequency=frequency)
     with pytest.raises(DeviceError):
         SourceSpec(kind="noise")

@@ -14,7 +14,6 @@ from mirrorsim.devices import (
     MemristorState,
     joglekar_window,
     memristance,
-    memristance_at,
     mosfet_current,
     mosfet_kprime,
     mosfet_vth,
@@ -372,6 +371,13 @@ def test_sim_options_validation():
         SimOptions(dt=0.0)
     with pytest.raises(ValueError):
         SimOptions(dt=2.0, t_stop=1.0)
+    # a NaN or infinite step or stop time is refused by name, where a run
+    # failed converting the step count to an integer
+    for kwargs in ({"t_stop": math.nan}, {"dt": math.nan, "t_stop": 1.0},
+                   {"t_stop": math.inf}, {"dt": math.inf}, {"dt": math.nan}):
+        name = "dt" if "dt" in kwargs else "t_stop"
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            SimOptions(**kwargs)
     # controlled steps, recorded on the dt grid
     res = run_transient(_circuit(P2_DECK),
                         SimOptions(dt=1e-3, t_stop=1.0, adaptive=True), ["w(Y1)"])
@@ -718,6 +724,41 @@ def test_a_non_finite_controlled_step_raises_without_a_cut(monkeypatch, nan_sour
     assert len(err.trace) == 1 and len(calls) == 1
 
 
+@pytest.mark.parametrize("opts, cut", [(SimOptions(dt=0.05, t_stop=3.0), False),
+                                       (ADAPTIVE, False),
+                                       (SimOptions(dt=0.05, t_stop=3.0), True)],
+                         ids=["fixed", "controlled", "fixed-cut"])
+def test_memristive_steps_record_the_currents_their_newton_accepted(
+        monkeypatch, opts, cut):
+    # every recorded step carries the device currents of the KCL its own
+    # Newton accepted, with no second pass over the samples; they are the
+    # batched KCL of a DC row at the step's solution, with the memristances
+    # at its states (the m(...) probes), to the bit
+    cir = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS))
+    topo = engine._Topology(cir)
+    real = engine._DcRows.kcl
+    calls = []
+    monkeypatch.setattr(engine._DcRows, "kcl",
+                        lambda self, *args: calls.append(args) or real(self, *args))
+    steps = _newton_limited(monkeypatch, 0.01) if cut else []
+    nodes = [f"v({n})" for n in cir.node_names[1:]]
+    currents = [f"i({d.name})" for d in cir.devices]
+    res = run_transient(cir, opts, nodes + currents + ["m(Y1)", "m(Y2)"])
+    assert len(calls) == 0  # no batched KCL after the steps
+    assert not cut or any(dt_eff < 0.05 for _, dt_eff in steps)
+    t = res.waveform("i(M2)").t
+    x = np.zeros((len(t), topo.dim))
+    x[:, 1:topo.n_nodes] = np.array([res.waveform(n).values for n in nodes]).T
+    x[:, topo.branch_cols] = np.array([res.waveform(f"i({s.name})").values
+                                       for s in topo.sources]).T
+    rows = engine._compile(topo, [None] * len(t))
+    rows.r_mem = np.array([res.waveform(m).values for m in ("m(Y1)", "m(Y2)")])
+    want, residual = real(rows, np.arange(len(t)), x)
+    assert (residual < SimOptions.abstol).all()
+    for k, name in enumerate(currents):
+        assert res.waveform(name).values.tobytes() == want[:, k].tobytes(), name
+
+
 # --------------------------------------------------------------------------- #
 # the memristive step system
 # --------------------------------------------------------------------------- #
@@ -734,8 +775,9 @@ STEP_CIRCUITS = {
 @pytest.mark.parametrize("name", sorted(STEP_CIRCUITS))
 def test_step_node_block_is_the_dc_row_at_the_states_memristances(name):
     # the steps add their stamps in the DC rows' order, so at any (x, s) the
-    # node rows and columns of a step's matrix, and its KCL residual, are
-    # the DC row's with the memristances frozen at M(s), to the bit
+    # node rows and columns of a step's matrix, its device currents and its
+    # KCL residual are the DC row's with the memristances frozen at M(s), to
+    # the bit
     topo = engine._Topology(STEP_CIRCUITS[name]())
     compiled = engine._compile(topo).solve()
     steps = engine._Steps(compiled)
@@ -750,10 +792,10 @@ def test_step_node_block_is_the_dc_row_at_the_states_memristances(name):
         frozen = engine._compile(topo, states=s, source_time=t)
         want, _ = frozen.assemble(row, np.array([x]), 1.0)
         assert g_mat[:dim, :dim].tobytes() == want[0].tobytes()
-        r_mem = np.array([[memristance_at(sk, m.params)]
-                          for sk, m in zip(s, topo.memristors)])
-        _, residual = compiled.kcl(row, np.array([x]), r_mem)
-        assert steps.kcl(x, s)[1] == residual[0]
+        currents, residual = frozen.kcl(row, np.array([x]))
+        by_kind, step_residual = steps.kcl(x, s)
+        assert np.array(by_kind).tobytes() == currents[0, topo.kind_order].tobytes()
+        assert step_residual == residual[0]
 
 
 @pytest.mark.parametrize("size", range(4, 10))
