@@ -17,9 +17,11 @@ cut there); ``solve_dc`` on all four mirrors; ``run_transient`` on the
 fixed grid of ``pmos-r`` with its supply and gate bias sines of different
 frequencies; and ``solve_dc`` and fixed and error-controlled
 ``run_transient`` on ``2r`` and ``2m`` with ``circuit.temp`` set to 0 C and
-100 C.  ``--root`` picks the checkout whose ``src`` and ``perfbench``
-are imported (default: the one holding this script).  A run that raises prints its error in place of its
-result.
+100 C; and one stack of ``2r`` DC rows over four ``R2`` loads, solved with
+6 Newton iterations and 3 source steps, whose rows converge cold, converge
+by source stepping and stall while stepping.  ``--root`` picks the checkout
+whose ``src`` and ``perfbench`` are imported (default: the one holding this
+script).  A run that raises prints its error in place of its result.
 """
 
 import argparse
@@ -45,6 +47,11 @@ R1 in mid 1k
 Y1 mid 0 MEM m0=5k
 .model MEM MEMRISTOR (ron=100 roff=38k l=10n uv=2e-14 p=2 pol=1)
 """
+
+# R2 loads (ohm) of a 2r stack at these Newton and source-stepping limits:
+# 20k and 38k converge cold, 60k by source stepping, 100k stalls stepping
+STEPPED_LOADS = (20e3, 38e3, 60e3, 100e3)
+STEPPED_LIMITS = (6, 3)
 
 
 def leaves(obj, path: str = ""):
@@ -85,6 +92,28 @@ def probes_of(circuit) -> list[str]:
             + [f"i({d.name})" for d in circuit.devices]
             + [f"{p}({d.name})" for d in circuit.devices
                if isinstance(d, BoundMemristor) for p in "wm"])
+
+
+def stepped_stack():
+    """The ``STEPPED_LOADS`` stack solved at ``STEPPED_LIMITS``: its
+    arrays, and each row's operating point, or its error and trace."""
+    import mirrorsim as ms
+    from mirrorsim import engine
+    from mirrorsim.netlist import overrides
+
+    base = ms.mirror_circuit(ms.MirrorConfig(kind=ms.MirrorKind("2r")))
+    position, records, _ = overrides(base, "R2.r_nominal", list(STEPPED_LOADS))
+    limits = engine._MAX_NEWTON_ITERS, engine._SOURCE_STEPS
+    engine._MAX_NEWTON_ITERS, engine._SOURCE_STEPS = STEPPED_LIMITS
+    try:
+        rows = engine._compile(base, [None] * len(STEPPED_LOADS),
+                               records={position: records}).solve()
+    finally:
+        engine._MAX_NEWTON_ITERS, engine._SOURCE_STEPS = limits
+    outcomes = [(f"{type(rows.errors[k]).__name__}: {rows.errors[k]}",
+                 rows.errors[k].trace) if k in rows.errors else rows.operating_point(k)
+                for k in range(len(STEPPED_LOADS))]
+    return [rows.x, rows.iterations, rows.currents, rows.residual, outcomes]
 
 
 def runs():
@@ -134,6 +163,7 @@ def runs():
             ):
                 yield (f"run_transient {kind} {mode} {temp} K",
                        lambda c=circuit, o=opts: ms.run_transient(c, o, probes_of(c)))
+    yield "solve 2r stack stepped", stepped_stack
 
 
 def main(argv=None) -> int:

@@ -811,7 +811,7 @@ def config_report(config: MirrorConfig, *, temp: float = T_REF) -> ConfigReport:
     try:
         circuit = replace(mirror_circuit(config), temp=temp)
         states = _settled_load_states(circuit)
-        op = solve_dc(circuit, states=states or None)
+        op = solve_dc(circuit, states=states)
         thd = _config_thd(circuit, states, _THD_AMPLITUDE, _THD_FREQUENCY).thd
         return power_and_area(config, op, temp=temp, thd=thd)
     except (SimulationError, ElaborationError, DeviceError, AnalysisError) as exc:

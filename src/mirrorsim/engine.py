@@ -29,30 +29,33 @@ only its swept device per row, a memristor-free transient only its sources),
 and the rows iterate together: each Newton iteration evaluates every MOSFET
 of every row in one array call, adds each stamp family in one call over flat
 indices, and solves the (rows, n, n) stack in one bare LAPACK call, with
-damping and the convergence tests applied row by row; a singular row fails
-alone.  The solve fills one array per quantity (solutions, iterations,
-device currents, KCL residuals; NaN in a failed row) and one dict of row
-errors, in place.  Stacks of two or more rows iterate so; a batch of one
-row, which a single DC solve compiles, iterates instead on Python lists
+damping and the convergence tests applied row by row.  That stacked Newton
+only converges rows: a row whose solve is not finite, or that reaches the
+iteration limit, leaves the stack and is solved alone on Python lists
 copied from it, which is the fast form for one small system, in the
-Newton loop of the memristive steps, to the same bits.  A memristive
-transient compiles its circuit as one such row too, solves t = 0 as that
-row, and runs its steps on lists copied from it: the step's system,
-bordered with the state rows and columns, is one flat list, and each
-Newton iteration makes one bare LAPACK call.  One stamp table per topology
-orders every entry's terms for the rows and the steps alike.  A recorded
-step carries the device currents whose KCL residual its own Newton
-accepted.  A memristor-free transient and a controlled one read on a grid
-record DC solutions: each source's values are evaluated once for the whole
-run, the samples are keyed by the bits of their source values and (frozen)
-states, and only the distinct keys are compiled as DC rows and solved, a
-block of them at a time (a block of one distinct key is a lone row).
+Newton loop of the memristive steps, to the same bits; so is the row of a
+batch of one, which a single DC solve compiles.  That list Newton alone
+makes a DC row's error, its trace and its source-stepping retry.  The
+solve fills one array per quantity (solutions, iterations, device
+currents, KCL residuals; NaN in a failed row) and one dict of row errors,
+in place.  A memristive transient compiles its circuit as one such row
+too, solves t = 0 as that row, and runs its steps on lists copied from it:
+the step's system, bordered with the state rows and columns, is one flat
+list, and each Newton iteration makes one bare LAPACK call.  One stamp
+table per topology orders every entry's terms for the rows and the steps
+alike.  A recorded step carries the device currents whose KCL residual its
+own Newton accepted.  A memristor-free transient and a controlled one
+read on a grid record DC solutions: each source's values are evaluated
+once for the whole run, the samples are keyed by the bits of their source
+values and (frozen) states, and only the distinct keys are compiled as DC
+rows and solved, a block of them at a time (a block of one distinct key
+is a lone row).
 
 The dense linear solves are LAPACK LU with partial pivoting, each through
 the kernel that :func:`numpy.linalg.solve` calls, to the same bits, without
 that function's checks: a singular system reads NaN in its own row of the
-stack, as does one whose solution overflows, and for such a row alone
-:func:`numpy.linalg.solve` tells the two apart (:func:`_solve_error`).
+stack, as does one whose solution overflows, and for such a row, solved
+alone, :func:`numpy.linalg.solve` tells the two apart (:func:`_solve_error`).
 Circuits here have fewer than ten nodes, so no sparse machinery is
 warranted.
 """
@@ -116,9 +119,9 @@ _GMIN = 1e-12
 _MAX_NEWTON_ITERS = 100
 
 # A DC row whose first Newton (started at its own source values, see
-# _DcRows.solve) fails is retried with its sources ramped up in this many
-# equal steps from 0 V, each step's Newton started from the last; below 2
-# there is no retry
+# _DcRows.start) fails is retried alone (_DcRows.lone) with its sources
+# ramped up in this many equal steps from 0 V, each step's Newton started
+# from the last; below 2 there is no retry
 _SOURCE_STEPS = 10
 
 # Newton voltage-step limit on nodes touching a MOSFET terminal
@@ -361,10 +364,6 @@ class _Topology:
         self.resistors = [d for d in devices if isinstance(d, BoundResistor)]
         self.memristors = [d for d in devices if isinstance(d, BoundMemristor)]
         self.mosfets = [d for d in devices if isinstance(d, BoundMosfet)]
-        self.branch_index = {
-            s.name: self.n_nodes + k for k, s in enumerate(self.sources)
-        }
-        self.state_index = {m.name: k for k, m in enumerate(self.memristors)}
         dim = self.dim = self.n_nodes + len(self.sources)
         damped = {n for m in self.mosfets for n in (m.n_d, m.n_g, m.n_s)}
         self.damped_nodes = sorted(n for n in damped if n != 0)
@@ -392,7 +391,7 @@ class _Topology:
         self.mos_nodes = (index([f.n_d for f in self.mosfets]),
                           index([f.n_g for f in self.mosfets]),
                           index([f.n_s for f in self.mosfets]))
-        self.branch_cols = index([self.branch_index[s.name] for s in self.sources])
+        self.branch_cols = np.arange(self.n_nodes, dim, dtype=np.intp)
 
         # the ground row pins v0 = 0 exactly; gmin from every other node
         self.fixed = np.diag([1.0] + [_GMIN] * (self.n_nodes - 1) + [0.0] * len(self.sources))
@@ -517,7 +516,7 @@ class _DcRows:
     row fails alone: with the first :class:`~mirrorsim.devices.DeviceError`
     of its devices in kind order, prefixed with its device's name, which
     is what compiling that row alone raises (a law that returns has
-    returned cells the solve can use), or in :meth:`newton`.  ``errors``
+    returned cells the solve can use), or in :meth:`lone`.  ``errors``
     maps every failed row to its error; a row that a caller adds to it
     before :meth:`solve` (an override's invalid value, see
     :func:`~mirrorsim.netlist.overrides`) is not solved.  The solve fills
@@ -533,10 +532,11 @@ class _DcRows:
     :attr:`_Topology.stamps`, which :class:`_Steps` applies one by one.
     With the device law evaluated by
     :func:`~mirrorsim.devices.mosfet_square_law`'s operations, each row's
-    iterates equal those of the same row solved alone, to the bit.  A
-    batch of one row is that row solved alone: :meth:`solve` runs
-    :meth:`lone`, the list Newton of :class:`_Steps` on the row's own
-    system, in place of the stacked :meth:`newton`.
+    iterates equal those of the same row solved alone, to the bit.  The
+    stacked :meth:`newton` only converges rows; a row it leaves, and the
+    row of a batch of one, is solved alone (:meth:`lone`), on the list
+    Newton of :class:`_Steps` on the row's own system, which alone makes a
+    DC row's error, trace and source-stepping retry.
     """
 
     def __init__(self, topo: _Topology, temps, records, states, values: np.ndarray):
@@ -608,14 +608,13 @@ class _DcRows:
         return (vgs, vds) + mosfet_linearized_array(vgs, vds,
                                                     *self.coeffs.take(rows, axis=2))
 
-    def assemble(self, rows, x, source_scale: float):
+    def assemble(self, rows, x):
         """Stacked linearized systems (matrices, right-hand sides) of ``rows``
         at the guesses ``x``, one per row."""
-        count, dim = x.shape
         vgs, vds, i0, gm, gds = self._mosfets(rows, x)
         terms = np.concatenate([gm, gds, gm + gds, np.full(gm.shape, _GMIN)])
         rhs = np.zeros(x.shape)
-        rhs[:, self.topo.branch_cols] = source_scale * self.values[rows]
+        rhs[:, self.topo.branch_cols] = self.values[rows]
         return (self._scatter("mos", self.g_lin[rows], terms),
                 self._scatter("ieq", rhs, i0 - gm * vgs - gds * vds))
 
@@ -637,144 +636,123 @@ class _DcRows:
         sums = self._scatter("kcl", np.zeros((len(rows), topo.n_nodes)), by_kind)
         return currents.T, np.abs(sums[:, 1:]).max(axis=1)
 
-    @np.errstate(all="ignore")  # a non-finite cell or row is rejected below
-    def newton(self, rows, x, source_scale: float) -> None:
-        """Newton-Raphson on ``rows`` (ascending) from the guesses ``x``, to
-        the dual tolerance: per-node voltage deltas below vntol +
-        reltol*|V| and device-KCL residual below abstol, row by row.
+    def start(self, rows) -> np.ndarray:
+        """Newton's first guesses (rows, unknowns) for ``rows``: every node
+        that a source ties to ground at that source's value in the row,
+        every other unknown at 0; a function of the row's own inputs."""
+        nodes, cols, signs = self.topo.grounded
+        x = np.zeros((len(rows), self.topo.dim))
+        x[:, nodes] = signs * self.values[rows][:, cols]
+        return x
 
-        Each iteration solves the stack in one :func:`_solve1` call, and a
-        row whose solution is not finite gets :func:`_solve_error`'s error.
-        A converged row's solution, device currents and KCL residual are
-        written to its entries of ``x``, ``currents`` and ``residual``, and
-        its iterations added to ``iterations``; every other row gets the
-        error a lone solve of it raises, iteration trace included, in
-        ``errors``.
+    @np.errstate(all="ignore")  # a row whose solution is not finite is left
+    def newton(self, rows, x) -> list[int]:
+        """Newton-Raphson on ``rows`` (ascending) from the guesses ``x``, as
+        one stack, to the dual tolerance: per-node voltage deltas below
+        vntol + reltol*|V| and device-KCL residual below abstol, row by row.
+
+        The fast path for a stack: it only converges rows.  Each iteration
+        solves the stack in one :func:`_solve1` call.  A converged row's
+        solution, device currents, KCL residual and iterations are written
+        to its entries.  Returns the rows it leaves, ascending: a row whose
+        solution is not finite, and one still running at
+        ``_MAX_NEWTON_ITERS``.  Such a row is solved again alone
+        (:meth:`lone`), which makes its error, trace and retry.
 
         Without MOSFETs a row's linearized system does not depend on its
         guess, so it is assembled and solved in the first iteration only,
         and every later iteration reuses that solution of each row still
         running: the same bits a fresh solve gives.
         """
-        topo = self.topo
-        linear = not topo.mosfets
-        n, damped = topo.n_nodes, topo.damped_nodes
+        n, damped = self.topo.n_nodes, self.topo.damped_nodes
+        linear = not self.topo.mosfets
         vntol, reltol = SimOptions.vntol, SimOptions.reltol
-        history: list[tuple] = []  # (iteration, rows, max |dV|, residual)
-
-        def trace(row: int) -> list[tuple[int, float, float]]:
-            out = []
-            for it, its_rows, max_dv, residual in history:
-                p = int(np.searchsorted(its_rows, row))
-                if p < len(its_rows) and its_rows[p] == row:
-                    out.append((it, float(max_dv[p]), float(residual[p])))
-            return out
-
+        left: list[int] = []
         for it in range(1, _MAX_NEWTON_ITERS + 1):
             if not len(rows):
                 break
             if it == 1 or not linear:
-                g_mat, rhs = self.assemble(rows, x, source_scale)
-                solved = _solve1(g_mat, rhs)  # a singular row reads NaN
+                solved = _solve1(*self.assemble(rows, x))  # a singular row reads NaN
             finite = np.isfinite(solved).all(axis=1)
             if not finite.all():
-                for p in np.flatnonzero(~finite).tolist():
-                    row = int(rows[p])
-                    self.errors[row] = _solve_error(
-                        g_mat[p], rhs[p], topo.circuit.title,
-                        trace(row) + [(it, math.nan, math.nan)])
+                left += rows[~finite].tolist()
                 rows, x, solved = rows[finite], x[finite], solved[finite]
             dv = solved[:, :n] - x[:, :n]
-            abs_dv = np.abs(dv)
-            max_dv = abs_dv.max(axis=1)
-            converged = (abs_dv < vntol + reltol * np.abs(solved[:, :n])).all(axis=1)
+            converged = (np.abs(dv) < vntol + reltol * np.abs(solved[:, :n])).all(axis=1)
             dv[:, damped] = np.minimum(np.maximum(dv[:, damped], -_DAMP_LIMIT),
                                        _DAMP_LIMIT)
             x = np.concatenate([x[:, :n] + dv, solved[:, n:]], axis=1)
             residual = np.full(len(rows), math.nan)
-            currents = np.empty((len(rows), len(topo.current_nodes)))
+            currents = np.empty((len(rows), len(self.topo.current_nodes)))
             if converged.any():
                 currents[converged], residual[converged] = self.kcl(
                     rows[converged], x[converged])
-            history.append((it, rows, max_dv, residual))
             finished = residual < SimOptions.abstol
             if finished.any():
                 done = rows[finished]
                 self.x[done], self.currents[done] = x[finished], currents[finished]
-                self.residual[done] = residual[finished]
-                self.iterations[done] += it
+                self.residual[done], self.iterations[done] = residual[finished], it
                 rows, x, solved = rows[~finished], x[~finished], solved[~finished]
-        for row in rows.tolist():
-            row_trace = trace(row)
-            self.errors[row] = NonConvergenceError(
-                f"Newton did not converge within {_MAX_NEWTON_ITERS} "
-                f"iterations (last max |dV|={row_trace[-1][1]:.3g} V)",
-                trace=row_trace)
+        return sorted(left + rows.tolist())
 
-    def lone(self, rows, x, source_scale: float) -> None:
-        """:meth:`newton` of a batch of one row, on the list Newton of the
-        memristive steps (:meth:`_Steps.iterate`), built frozen: the fast
-        form for one small system, with the iterates, the trace, the error
-        and the filled entries of :meth:`newton`, to the bit."""
-        if not len(rows):
-            return
-        steps = _Steps(self, frozen=True)
-        values = [source_scale * v for v in self.values[0].tolist()]
+    def lone(self, k: int) -> None:
+        """Row ``k`` solved alone: the one definition of a DC row's solve,
+        on the list Newton of the memristive steps (:meth:`_Steps.iterate`)
+        built frozen on the row, the fast form for one small system, which
+        iterates as :meth:`newton` iterates the row, to the bit.
+
+        Newton starts at :meth:`start`.  Where it fails to converge (a
+        :class:`NonConvergenceError`), it is retried with the sources
+        ramped up from 0 V in ``_SOURCE_STEPS`` equal steps, each step's
+        Newton started from the last's solution; a stepped row's
+        iterations sum its steps'.  The row's entries are written only on
+        success; otherwise ``errors[k]`` is the error, with its trace:
+        ``iterate``'s, or the stepping's "source stepping stalled"."""
+        steps = _Steps(self, k, frozen=True)
+        values = self.values[k].tolist()
         try:
             with np.errstate(all="ignore"):  # a singular system reads NaN
-                x, _, currents, residual, it = steps.iterate(
-                    x[0].tolist(), [], values, 0.0, [])
+                try:
+                    x, _, currents, residual, its = steps.iterate(
+                        self.start([k])[0].tolist(), [], values, 0.0, [])
+                except NonConvergenceError:
+                    if _SOURCE_STEPS < 2:
+                        raise
+                    x, its = [0.0] * self.topo.dim, 0
+                    for step in range(1, _SOURCE_STEPS + 1):
+                        scale = step / _SOURCE_STEPS
+                        try:
+                            x, _, currents, residual, it = steps.iterate(
+                                x, [], [scale * v for v in values], 0.0, [])
+                        except NonConvergenceError as exc:
+                            raise NonConvergenceError(
+                                f"source stepping stalled at scale {scale:.2f}: {exc}",
+                                trace=exc.trace) from exc
+                        its += it
         except SimulationError as exc:
-            self.errors[0] = exc
+            self.errors[k] = exc
             return
-        self.x[0], self.currents[0, self.topo.kind_order] = x, currents
-        self.residual[0] = residual
-        self.iterations[0] += it
+        self.x[k], self.currents[k, self.topo.kind_order] = x, currents
+        self.residual[k], self.iterations[k] = residual, its
 
     def solve(self) -> _DcRows:
-        """Newton (:meth:`newton`, or :meth:`lone` for a batch of one row)
-        on every row the compile did not fail, each started at its own
-        source values (every node that a source ties to ground at
-        that source's value in the row, every other unknown at 0), then
-        source stepping from 0 V, as one batch, for the rows that did not
-        converge; a stepped row's ``iterations`` sums its steps'.  The
-        start is a function of the row's own inputs, so a row's iterates do
-        not depend on its batch.  Fills the arrays and ``errors`` in place
-        and returns the rows."""
-        count, dim = len(self.temps), self.topo.dim
-        self.x = np.full((count, dim), math.nan)
-        self.iterations = np.zeros(count)
+        """Every row the compile did not fail, solved: a stack of two or
+        more rows runs :meth:`newton` once, from :meth:`start`, and each
+        row it leaves, like the row of a batch of one, is solved alone
+        (:meth:`lone`), where every DC error and the source-stepping retry
+        are made.  A row's iterates depend on its own inputs alone, not on
+        its batch.  Fills ``x``, ``iterations``, ``currents``, ``residual``
+        (NaN in a failed row) and ``errors`` in place and returns the
+        rows."""
+        count = len(self.temps)
+        self.x = np.full((count, self.topo.dim), math.nan)
+        self.iterations = np.full(count, math.nan)
         self.currents = np.full((count, len(self.topo.current_nodes)), math.nan)
         self.residual = np.full(count, math.nan)
         rows = np.array([k for k in range(count) if k not in self.errors], dtype=int)
-        nodes, cols, signs = self.topo.grounded
-        start = np.zeros((len(rows), dim))
-        start[:, nodes] = signs * self.values[rows][:, cols]
-        newton = self.newton if count > 1 else self.lone
-        newton(rows, start, 1.0)
-        rows = np.array(sorted(row for row, exc in self.errors.items()
-                               if isinstance(exc, NonConvergenceError)
-                               and _SOURCE_STEPS >= 2), dtype=int)
-        for row in rows.tolist():
-            del self.errors[row]
-        x = np.zeros((len(rows), dim))
-        for k in range(1, _SOURCE_STEPS + 1):
-            if not len(rows):
-                break
-            scale = k / _SOURCE_STEPS
-            newton(rows, x, scale)
-            for row in rows.tolist():
-                exc = self.errors.get(row)
-                if isinstance(exc, NonConvergenceError):
-                    self.errors[row] = NonConvergenceError(
-                        f"source stepping stalled at scale {scale:.2f}: {exc}",
-                        trace=exc.trace)
-                    self.errors[row].__cause__ = exc
-            rows = rows[~np.isin(rows, list(self.errors))]
-            x = self.x[rows]
-        failed = list(self.errors)
-        self.x[failed] = self.iterations[failed] = math.nan
-        self.currents[failed] = self.residual[failed] = math.nan
+        left = self.newton(rows, self.start(rows)) if count > 1 else rows.tolist()
+        for k in left:
+            self.lone(k)
         return self
 
     def operating_point(self, k: int) -> OperatingPoint:
@@ -843,14 +821,15 @@ class _Steps:
     LAPACK call through the kernel that :func:`numpy.linalg.solve`
     dispatches to, so its solution is that function's, to the bit.
 
-    Built ``frozen``, the system is row 0's DC system itself, for
-    :meth:`_DcRows.lone`: no state rows, and the memristors at the row's
-    compiled memristances, in its linear part.  Its Newton is the steps'
-    own (:meth:`iterate`) with no states, so it iterates as
-    :meth:`_DcRows.newton` iterates that row, to the bit.
+    Built ``frozen`` on any ``row``, the system is that row's DC system
+    itself, for :meth:`_DcRows.lone`: no state rows, and the memristors at
+    the row's compiled memristances, in its linear part.  Its Newton is
+    the steps' own (:meth:`iterate`) with no states, so it iterates as
+    :meth:`_DcRows.newton` iterates that row, to the bit, and it alone
+    makes a DC row's error, trace and source-stepping retry.
     """
 
-    def __init__(self, rows: _DcRows, frozen: bool = False):
+    def __init__(self, rows: _DcRows, row: int = 0, frozen: bool = False):
         topo = self.topo = rows.topo
         self.specs = [src.spec for src in topo.sources]
         self.branches = topo.branch_cols.tolist()
@@ -859,8 +838,8 @@ class _Steps:
         stepped = [] if frozen else topo.memristors
         size = self.size = dim + len(stepped)
         self.g_base = [0.0] * (size * size)
-        for r, row in enumerate((rows.g_lin if frozen else rows.g_base)[0].tolist()):
-            self.g_base[r * size:r * size + dim] = row
+        for r, line in enumerate((rows.g_lin if frozen else rows.g_base)[row].tolist()):
+            self.g_base[r * size:r * size + dim] = line
         # the topology's stamps with matrix entries as flat indices of the
         # bordered system: the memristors', and per MOSFET k (term column
         # block * MOSFETs + k) its nodes, coefficients and stamps
@@ -870,7 +849,7 @@ class _Steps:
         self.mem_sequence = [] if frozen else stamps["mem"]
         count = len(topo.mosfets)
         self.mosfets = [((f.n_d, f.n_g, f.n_s), c, [], []) for f, c in
-                        zip(topo.mosfets, rows.coeffs[:, :, 0].T.tolist())]
+                        zip(topo.mosfets, rows.coeffs[:, :, row].T.tolist())]
         for i, term, sign in stamps["mos"]:
             self.mosfets[term % count][2].append((i, term // count, sign))
         for r, k, sign in stamps["ieq"]:
@@ -887,11 +866,11 @@ class _Steps:
             self.memristors.append((m.n_pos, m.n_neg, m.params, col,
                                     col * size + col, ends))
         self.res_ends = [(g, r.n_pos, r.n_neg)
-                         for g, r in zip(rows.g_res[:, 0].tolist(), topo.resistors)]
-        # every memristor's nodes, and row 0's memristances, which the KCL
+                         for g, r in zip(rows.g_res[:, row].tolist(), topo.resistors)]
+        # every memristor's nodes, and the row's memristances, which the KCL
         # reads when frozen
         self.mem_ends = [(m.n_pos, m.n_neg) for m in topo.memristors]
-        self.r_mem = rows.r_mem[:, 0].tolist()
+        self.r_mem = rows.r_mem[:, row].tolist()
         # the largest controlled step: _MAX_STEP, or less with a sine source
         self.max_step = min([_MAX_STEP] + [1.0 / (_SINE_STEPS * spec.frequency)
                                            for spec in self.specs
@@ -961,7 +940,7 @@ class _Steps:
         """Device currents by kind, as :meth:`_DcRows.kcl` orders them
         (see OperatingPoint), and the largest net current into any
         non-ground node (A), with the memristances at the states ``s``, or
-        at row 0's when frozen."""
+        at the row's when frozen."""
         by_kind = []
         for g, a, b in self.res_ends:
             by_kind.append(g * (x[a] - x[b]))
@@ -993,7 +972,7 @@ class _Steps:
     def iterate(self, x, s, values, dt_eff, hist, t: float | None = None):
         """Newton-Raphson from (x, s), updated in place, with the sources
         at ``values``: a step to time ``t`` (:meth:`newton`), or, built
-        ``frozen`` and given ``s`` empty, row 0's DC solve as
+        ``frozen`` and given ``s`` empty, the row's DC solve as
         :meth:`_DcRows.newton` iterates it, to the bit (:meth:`_DcRows.lone`).
         Call it inside ``np.errstate(all="ignore")``: the bare kernel
         reports a singular matrix as NaN.
@@ -1136,9 +1115,11 @@ def _compile(circuit: Circuit | _Topology, temps=(None,), *, records=None,
     :func:`~mirrorsim.netlist.overrides`, whose errors a caller adds to the
     rows' ``errors``).  The sources' ``values`` (rows, sources), when not
     given, are evaluated at ``source_time`` (None meaning t = 0) for every
-    row by :func:`_source_values`.  ``states`` are in metres by name, or
-    already normalized: one entry per memristor in topology order, each a
-    number or an array of one value per row.  This is the one path from a
+    row by :func:`_source_values`.  ``states`` are in metres by name, the
+    name in any case, each memristor not named at its netlist state (a
+    name no memristor has raises :class:`SimulationError`), or already
+    normalized: one entry per memristor in topology order, each a number
+    or an array of one value per row.  This is the one path from a
     circuit to compiled rows; given a built :class:`_Topology` in place of
     the circuit, it reuses that topology's stamps and cached flat indices.
     A circuit a nodal solve cannot take raises (in :class:`_Topology`); a
@@ -1146,7 +1127,12 @@ def _compile(circuit: Circuit | _Topology, temps=(None,), *, records=None,
     topo = circuit if isinstance(circuit, _Topology) else _Topology(circuit)
     circuit = topo.circuit
     if isinstance(states, dict):
-        states = [memristor_state(states[m.name], m.params) for m in topo.memristors]
+        metres = {m.name: m.w0 for m in topo.memristors}
+        for name, w in states.items():
+            if name.upper() not in metres:
+                raise SimulationError(f"no memristor named {name!r} to initialize")
+            metres[name.upper()] = float(w)
+        states = [memristor_state(metres[m.name], m.params) for m in topo.memristors]
     checked = {t: kelvin(circuit.temp if t is None else t)
                for t in dict.fromkeys(temps)}  # each distinct one once
     temps = [checked[t] for t in temps]
@@ -1159,16 +1145,18 @@ def _compile(circuit: Circuit | _Topology, temps=(None,), *, records=None,
 
 def solve_dc(circuit: Circuit, *, states: dict[str, float] | None = None,
              source_time: float | None = None) -> OperatingPoint:
-    """DC operating point with memristor states frozen (at their initial
-    values unless ``states`` overrides them).
+    """DC operating point with memristor states frozen: at their netlist
+    values, or at the state (metres) that ``states`` gives a memristor by
+    name, in any case, as ``run_transient``'s ``initial_states`` does.
 
     Sine sources contribute their t=0 value unless ``source_time`` picks
     another instant.  Raises :class:`NonConvergenceError` (after a source
-    stepping retry), :class:`SingularMatrixError`, or, for a ``circuit.temp``
-    that is not positive kelvin, :class:`DeviceError`.  The circuit is
-    compiled as one :class:`_DcRows` row, solved in place on the list
-    Newton of a lone row (:meth:`_DcRows.lone`) and read back: the row a
-    stack of rows would give it, to the bit.
+    stepping retry), :class:`SingularMatrixError`, :class:`SimulationError`
+    for a state name no memristor has, or :class:`DeviceError` for a state
+    outside [0, L] or a ``circuit.temp`` that is not positive kelvin.  The
+    circuit is compiled as one :class:`_DcRows` row, solved in place on
+    the list Newton of a lone row (:meth:`_DcRows.lone`) and read back:
+    the row a stack of rows would give it, to the bit.
     """
     rows = _compile(circuit, states=states, source_time=source_time).solve()
     if rows.errors:
@@ -1212,7 +1200,7 @@ def _build_probe(topo: _Topology, spec: str):
         raise UnknownProbeError(
             f"probe {spec!r} needs a memristor, {dev_name} is not one"
         )
-    k = topo.state_index[dev_name]
+    k = topo.memristors.index(dev)
     p = dev.params
     if kind == "w":
         return f"w({dev_name})", "m", lambda x, currents, s: s[:, k] * p.length
@@ -1322,10 +1310,12 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     recorded sample is a DC row or a step, whose device currents are those
     its Newton accepted.
 
-    ``initial_states`` replaces the netlist's initial memristor states
-    (metres), letting one run continue where another settled: an unknown
-    name raises :class:`SimulationError`, a state outside [0, L]
-    :class:`DeviceError`.  ``final_states`` reports them in metres too.
+    ``initial_states`` replaces the netlist's initial state (metres) of
+    each memristor it names, in any case, letting one run continue where
+    another settled; it is merged as ``solve_dc``'s ``states`` is
+    (:func:`_compile`): an unknown name raises :class:`SimulationError`, a
+    state outside [0, L] :class:`DeviceError`.  ``final_states`` reports
+    the states in metres too.
     """
     if opts.t_stop is None:
         raise ValueError("run_transient needs opts.t_stop")
@@ -1338,19 +1328,12 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     times = np.arange(n_steps + 1) * dt
 
     memristors = topo.memristors
-    states = {m.name: m.w0 for m in memristors}
-    if initial_states is not None:
-        for name, w in initial_states.items():
-            key = name.upper()
-            if key not in states:
-                raise SimulationError(f"no memristor named {name!r} to initialize")
-            states[key] = float(w)
     s: list[float] = []
     # the recorded states, and the steps' solutions and currents by kind
     # when they are recorded too (None: each sample is a DC solve at its state)
     xs, ss = None, np.empty((len(times), 0))
     if memristors:
-        compiled = _compile(topo, states=states).solve()
+        compiled = _compile(topo, states=initial_states or {}).solve()
         if compiled.errors:
             raise compiled.errors[0]
         s, x = compiled.states, compiled.x[0].tolist()
@@ -1383,6 +1366,8 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
                             dt / 2.0, floor, False)
                         x, s, c = cut_x[-1], cut_s[-1], cut_c[-1]
                     xs[k], ss[k], cs[k] = x, s, c
+    elif initial_states:  # without memristors every name is unknown
+        _compile(topo, states=initial_states)
 
     if xs is None:
         xs, currents = _dc_samples(topo, times, ss)

@@ -51,6 +51,7 @@ from mirrorsim.netlist import (
     BoundSource,
     Circuit,
     ElaborationError,
+    MIRROR_MEMRISTOR,
     MirrorConfig,
     MirrorKind,
     mirror_circuit,
@@ -166,6 +167,11 @@ class TestComputeThd:
             compute_thd(wave, math.nan, 9)
         with pytest.raises(AnalysisError, match="n_harmonics"):
             compute_thd(wave, 1.0, 1)
+
+    def test_rejects_a_waveform_with_no_fundamental(self):
+        wave = sine_wave()
+        with pytest.raises(AnalysisError, match="no component at the fundamental"):
+            compute_thd(Waveform("x", "V", wave.t, np.zeros_like(wave.t)), 1.0, 9)
 
 
 # --------------------------------------------------------------------------- #
@@ -302,6 +308,12 @@ GRID = [19e3 * (1 + d) for d in (-0.2, -0.1, 0.0, 0.1, 0.2)]
 
 
 class TestMismatchSweep:
+    def test_a_failed_baseline_raises_its_error(self):
+        # at 1e-300 K, M1's (T/T0)^mobility_exp overflows in every row,
+        # the baseline row first
+        with pytest.raises(DeviceError, match=r"^M1: .* overflows at T=1e-300 K"):
+            mismatch_sweep(MirrorConfig(MirrorKind.TWO_RESISTORS), [19e3], temp=1e-300)
+
     def test_matched_loads_give_zero_error(self):
         table = mismatch_sweep(MirrorConfig(MirrorKind.TWO_RESISTORS, r_load=19e3),
                                [19e3])
@@ -1167,3 +1179,17 @@ class TestCalibration:
     def test_unreachable_target_is_reported(self):
         with pytest.raises(AnalysisError, match="outside the range"):
             calibrate_mobility(target=3e-4)
+
+    def test_a_target_at_a_bracket_end_returns_that_end(self):
+        # the bracket's fast end settles well within the 6 s cap that a
+        # sub-second target gets
+        lo, hi = analysis._MOBILITY_BRACKET
+        fast = mirror_circuit(MirrorConfig(MirrorKind.TWO_MEMRISTORS),
+                              replace(MIRROR_MEMRISTOR, mobility=hi))
+        target = settled_transient(fast, max_time=6.0).settle_time
+        assert target < 1.0 and calibrate_mobility(target=target) == hi
+
+    def test_a_bisection_that_runs_out_of_probes_is_reported(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_CALIBRATE_MAX_ITERS", 0)
+        with pytest.raises(AnalysisError, match="did not converge"):
+            calibrate_mobility(target=1.4)

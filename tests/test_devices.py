@@ -120,6 +120,12 @@ def test_window_bounded_and_symmetric(x, p):
         assert f == 1.0
 
 
+@pytest.mark.parametrize("x", [-1e-12, 1.5, math.nan])
+def test_window_refuses_an_argument_outside_the_device(x):
+    with pytest.raises(DeviceError, match=r"window argument must lie in \[0, 1\]"):
+        joglekar_window(x, 2)
+
+
 def test_dwdt_frozen_value_midpoint():
     # straight transcription, uv=1e-14 kept fixed independent of calibration:
     # -1 * 1e-14 * (100/10e-9) * 65e-6 * 1.0  (window is 1 at the midpoint)

@@ -59,11 +59,11 @@ def _circuit(text: str) -> Circuit:
     return elaborate(parse(text))
 
 
-def assemble(circuit: Circuit, guess, source_scale: float = 1.0):
+def assemble(circuit: Circuit, guess):
     """The linearized system (matrix, right-hand side) of ``circuit``,
     compiled as one DC row, at ``guess``."""
     g_mat, rhs = engine._compile(circuit).assemble(
-        np.zeros(1, dtype=int), np.array([guess], dtype=float), source_scale)
+        np.zeros(1, dtype=int), np.array([guess], dtype=float))
     return g_mat[0], rhs[0]
 
 
@@ -105,11 +105,28 @@ def test_cutoff_mosfet_stamps_only_gmin_scale_terms():
     assert rhs[g] == 0.0
 
 
-def test_source_scale_ramps_the_rhs():
-    cir = _circuit("V1 1 0 DC 2.5\nR1 1 0 1k\n")
-    _, rhs_full = assemble(cir, np.zeros(3))
-    _, rhs_half = assemble(cir, np.zeros(3), source_scale=0.5)
-    assert rhs_half == pytest.approx(0.5 * rhs_full)
+def test_source_stepping_scales_a_rows_sources(monkeypatch):
+    # a row that converges only by stepping: its Newton at full sources
+    # fails, and each step's Newton gets the row's source values times
+    # k / _SOURCE_STEPS, the last at exactly the row's own values
+    monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 6)
+    monkeypatch.setattr(engine, "_SOURCE_STEPS", 3)
+    cir = with_override(mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_RESISTORS)),
+                        "R2.r_nominal", 60e3)
+    calls = []
+    iterate = engine._Steps.iterate
+
+    def spy(self, x, s, values, *args):
+        calls.append(list(values))
+        return iterate(self, x, s, values, *args)
+
+    monkeypatch.setattr(engine._Steps, "iterate", spy)
+    solve_dc(cir)
+    values = [src.spec.dc_value for src in engine._Topology(cir).sources]
+    assert calls[0] == values and len(calls) == 1 + engine._SOURCE_STEPS
+    for k, stepped in enumerate(calls[1:], start=1):
+        assert stepped == [k / engine._SOURCE_STEPS * v for v in values]
+    assert calls[-1] == values
 
 
 # --------------------------------------------------------------------------- #
@@ -790,7 +807,7 @@ def test_step_node_block_is_the_dc_row_at_the_states_memristances(name):
         values = [engine.source_value(spec, t) for spec in steps.specs]
         g_mat, _ = steps.assemble(x, s, values, 1e-3, s)
         frozen = engine._compile(topo, states=s, source_time=t)
-        want, _ = frozen.assemble(row, np.array([x]), 1.0)
+        want, _ = frozen.assemble(row, np.array([x]))
         assert g_mat[:dim, :dim].tobytes() == want[0].tobytes()
         currents, residual = frozen.kcl(row, np.array([x]))
         by_kind, step_residual = steps.kcl(x, s)
@@ -1293,31 +1310,66 @@ def test_first_newton_starts_at_each_rows_own_source_values(monkeypatch):
     # MOSFET-only node d start at 0
     cir = _circuit("V1 a 0 DC 2\nV2 0 b DC 0.5\nV3 c a DC 1\nR1 a d 1k\n"
                    "R2 c b 2k\nM1 d d b b NCH\n.model NCH nmos ()\n")
-    starts = []
-    # a stack of rows starts on the batched Newton, a lone row on the list one
-    for name in ("newton", "lone"):
-        def spy(self, rows, x, source_scale, real=getattr(engine._DcRows, name)):
-            starts.append((x.copy(), source_scale))
-            return real(self, rows, x, source_scale)
+    stack, starts = [], []
+    newton, iterate = engine._DcRows.newton, engine._Steps.iterate
 
-        monkeypatch.setattr(engine._DcRows, name, spy)
+    def stack_spy(self, rows, x):
+        stack.append(x.copy())
+        return newton(self, rows, x)
+
+    def list_spy(self, x, s, values, *args):
+        starts.append((list(x), list(values)))
+        return iterate(self, x, s, values, *args)
+
+    monkeypatch.setattr(engine._DcRows, "newton", stack_spy)
+    monkeypatch.setattr(engine._Steps, "iterate", list_spy)
     position, records, _ = overrides(cir, "V1.dc_value", [2.0, 3.0])
     rows = engine._compile(cir, [None, None], records={position: records}).solve()
-    assert not rows.errors
-    x, scale = starts[0]
+    assert not rows.errors and not starts
     expected = np.zeros((2, engine._Topology(cir).dim))
     expected[:, cir.node_index("a")] = [2.0, 3.0]
     expected[:, cir.node_index("b")] = -0.5
-    assert scale == 1.0 and x.tobytes() == expected.tobytes()
+    assert len(stack) == 1 and stack[0].tobytes() == expected.tobytes()
+    # a lone row starts the list Newton at its own source values
+    for k, value in enumerate([2.0, 3.0]):
+        starts.clear()
+        solve_dc(with_override(cir, "V1.dc_value", value))
+        x, values = starts[0]
+        assert len(starts) == 1 and np.array(x).tobytes() == expected[k].tobytes()
+        assert values == [value, 0.5, 1.0]
 
-    # the source-stepping retry still ramps up from 0 V
+    # the source-stepping retry still ramps up from 0 V, on the list
+    # Newton, for the lone row and for each row the stack leaves
     monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 1)
     for count in (1, 2):
         starts.clear()
         engine._compile(cir, [None] * count).solve()
-        (first, _), (retry, scale) = starts[:2]
-        assert (first[:, cir.node_index("a")] == 2.0).all()
-        assert scale == 1.0 / engine._SOURCE_STEPS and not retry.any()
+        assert len(starts) == 2 * count
+        for (first, values), (retry, scaled) in zip(starts[::2], starts[1::2]):
+            assert first[cir.node_index("a")] == 2.0 and values == [2.0, 0.5, 1.0]
+            assert not any(retry)
+            assert scaled == [v / engine._SOURCE_STEPS for v in values]
+
+
+def test_a_stack_row_that_needs_stepping_is_solved_alone(monkeypatch):
+    # converges cold, converges cold, converges by source stepping, stalls
+    # while stepping: the stacked Newton runs once and leaves the last two
+    # rows, which lone solves, stepping them
+    monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 6)
+    monkeypatch.setattr(engine, "_SOURCE_STEPS", 3)
+    calls = []
+    for name in ("newton", "lone"):
+        def spy(self, *args, real=getattr(engine._DcRows, name), name=name):
+            calls.append((name, args[0] if name == "lone" else list(args[0])))
+            return real(self, *args)
+
+        monkeypatch.setattr(engine._DcRows, name, spy)
+    base = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_RESISTORS))
+    position, records, _ = overrides(base, "R2.r_nominal", [20e3, 38e3, 60e3, 100e3])
+    rows = engine._compile(base, [None] * 4, records={position: records}).solve()
+    assert calls == [("newton", [0, 1, 2, 3]), ("lone", 2), ("lone", 3)]
+    assert rows.iterations[2] > engine._MAX_NEWTON_ITERS >= rows.iterations[1]
+    assert list(rows.errors) == [3] and "source stepping stalled" in str(rows.errors[3])
 
 
 def test_batch_isolates_singular_and_nonconvergent_rows(monkeypatch):
@@ -1356,6 +1408,21 @@ def test_initial_state_overrides_are_validated():
                 lambda states: solve_dc(cir, states=states)):
         with pytest.raises(DeviceError, match=r"state w=2e-08 outside \[0, L="):
             run({"Y1": 5e-9, "Y2": 2e-8})
+    # solve_dc merges its states as run_transient does: an omitted
+    # memristor keeps its netlist state, a name matches in any case, and
+    # an unknown name raises
+    w0 = cir.device("Y2").w0
+    both = solve_dc(cir, states={"Y1": 5e-9, "Y2": w0})
+    for states in ({"Y1": 5e-9}, {"y1": 5e-9, "y2": w0}):
+        op = solve_dc(cir, states=states)
+        assert op.node_voltages.tobytes() == both.node_voltages.tobytes()
+        assert op.device_currents == both.device_currents
+    with pytest.raises(SimulationError, match="no memristor named 'Y9'"):
+        solve_dc(cir, states={"Y1": 5e-9, "Y9": 1e-9})
+    # a memristor-free transient refuses any name
+    resistive = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_RESISTORS))
+    with pytest.raises(SimulationError, match="no memristor named 'Y1'"):
+        run_transient(resistive, opts, ["i(R2)"], initial_states={"Y1": 5e-9})
 
 
 def test_memoryless_samples_name_their_time_or_carry_the_device_error():

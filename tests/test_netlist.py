@@ -282,6 +282,22 @@ def test_tran_validation():
         parse(".tran 1u\n")
 
 
+@pytest.mark.parametrize("deck, message", [
+    ("R2 a 0 1k tc=\n", "malformed key=value 'tc='"),
+    (".param =5\n", "malformed key=value '=5'"),
+    ("Y1 a 0\n", "memristor Y1 needs 2 nodes and a model"),
+    ("V2 a 0\n", "source V2 needs 2 nodes and a drive"),
+    (".model X\n", ".model needs a name and a type"),
+    (".dc 1\n", ".dc takes no arguments"),
+    (".param 1x=5\n", "malformed parameter name '1x'"),
+    (".end foo\n", ".end takes no arguments"),
+])
+def test_malformed_cards_name_their_line(deck, message):
+    with pytest.raises(ParseError) as exc:
+        parse("V1 a 0 DC 1\nR1 a 0 1k\n" + deck)
+    assert str(exc.value) == f"line 3: {message}"
+
+
 def test_unknown_directive():
     with pytest.raises(ParseError):
         parse(".ac dec 10 1 1meg\n")
@@ -436,6 +452,16 @@ def test_floating_island_is_an_elaboration_error():
 def test_netlist_without_any_source_is_rejected():
     with pytest.raises(ElaborationError):
         elaborate(parse("R1 a 0 1k\n"))
+
+
+def test_empty_deck_unknown_node_and_subzero_temp_are_elaboration_errors():
+    with pytest.raises(ElaborationError, match="^netlist has no devices$"):
+        elaborate(parse(""))
+    circuit = elaborate(parse("V1 a 0 DC 1\nR1 a 0 1k\n"))
+    with pytest.raises(ElaborationError, match="^unknown node 'nope'$"):
+        circuit.node_index("nope")
+    with pytest.raises(ElaborationError, match=r"^\.temp -300\.0 C is below absolute zero$"):
+        elaborate(parse("V1 a 0 DC 1\nR1 a 0 1k\n.temp -300\n"))
 
 
 def test_temp_directive_converts_celsius_to_kelvin():
