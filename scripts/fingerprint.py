@@ -17,9 +17,11 @@ cut there); ``solve_dc`` on all four mirrors; ``run_transient`` on the
 fixed grid of ``pmos-r`` with its supply and gate bias sines of different
 frequencies; and ``solve_dc`` and fixed and error-controlled
 ``run_transient`` on ``2r`` and ``2m`` with ``circuit.temp`` set to 0 C and
-100 C; and one stack of ``2r`` DC rows over four ``R2`` loads, solved with
+100 C; one stack of ``2r`` DC rows over four ``R2`` loads, solved with
 6 Newton iterations and 3 source steps, whose rows converge cold, converge
-by source stepping and stall while stepping.  ``--root`` picks the checkout
+by source stepping and stall while stepping; and ``run_transient`` on the
+fixed grid of a sine-driven resistive ladder, whose stacked DC rows each
+converge in Newton's second iteration.  ``--root`` picks the checkout
 whose ``src`` and ``perfbench`` are imported (default: the one holding this
 script).  A run that raises prints its error in place of its result.
 """
@@ -46,6 +48,14 @@ BOUND_DECK = """V1 in 0 SIN(0 2.5 5)
 R1 in mid 1k
 Y1 mid 0 MEM m0=5k
 .model MEM MEMRISTOR (ron=100 roff=38k l=10n uv=2e-14 p=2 pol=1)
+"""
+
+# a MOSFET-free ladder whose inner nodes start at 0 V, so each of its 56
+# distinct DC rows takes a second Newton iteration
+LADDER_DECK = """V1 in 0 SIN(1 0.5 50)
+R1 in a 200
+R2 a b 300
+R3 b 0 500
 """
 
 # R2 loads (ohm) of a 2r stack at these Newton and source-stepping limits:
@@ -164,6 +174,10 @@ def runs():
                 yield (f"run_transient {kind} {mode} {temp} K",
                        lambda c=circuit, o=opts: ms.run_transient(c, o, probes_of(c)))
     yield "solve 2r stack stepped", stepped_stack
+    ladder = ms.elaborate(ms.parse(LADDER_DECK))
+    yield ("run_transient ladder fixed",
+           lambda: ms.run_transient(ladder, ms.SimOptions(dt=5e-4, t_stop=0.04),
+                                    probes_of(ladder)))
 
 
 def main(argv=None) -> int:

@@ -155,12 +155,12 @@ def compute_thd(wave: Waveform, f0: float, n_harmonics: int) -> ThdResult:
     Raises :class:`AnalysisError` when the waveform is too short (fewer than
     two whole periods after the discard), when its time grid is not uniform,
     when ``f0`` is not resolvable on the sample grid (fewer than 20 samples
-    per period), or when the highest requested harmonic sits at or beyond
-    the Nyquist rate.
+    per period), when the highest requested harmonic sits at or beyond
+    the Nyquist rate, or when a sample of the window is not finite.
     """
     if not f0 > 0.0:  # NaN included
         raise AnalysisError(f"fundamental frequency must be positive, got {f0}")
-    if n_harmonics < 2:
+    if not n_harmonics >= 2:  # NaN included
         raise AnalysisError("need n_harmonics >= 2 (distortion sums harmonics 2..N)")
     t = np.asarray(wave.t, dtype=float)
     x = np.asarray(wave.values, dtype=float)
@@ -191,6 +191,8 @@ def compute_thd(wave: Waveform, f0: float, n_harmonics: int) -> ThdResult:
             f"{f0} Hz")
     count = int(round(periods * samples_per_period))
     xw = x[-count:]
+    if not np.isfinite(xw).all():
+        raise AnalysisError("waveform has a non-finite sample in its analysis window")
     mags = np.abs(np.fft.rfft(xw)[periods * np.arange(1, n_harmonics + 1)]) * (2.0 / count)
     fundamental = float(mags[0])
     if fundamental == 0.0:
@@ -223,12 +225,16 @@ def switching_time(wave: Waveform) -> float:
     waveform with more in-band samples does not move the switching time.
 
     Raises :class:`NotSettledError` when the in-band tail covers less than
-    10% of the run, which is too little evidence to call the value final.
+    10% of the run, which is too little evidence to call the value final,
+    and :class:`AnalysisError` for fewer than two samples or a sample that
+    is not finite.
     """
     t = np.asarray(wave.t, dtype=float)
     x = np.asarray(wave.values, dtype=float)
     if t.size < 2:
         raise AnalysisError("waveform too short: need at least two samples")
+    if not np.isfinite(x).all():
+        raise AnalysisError("waveform has a non-finite sample")
     final = float(x[-1])
     band = _SETTLE_BAND * abs(final)
     outside = np.nonzero(np.abs(x - final) > band)[0]

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,6 +168,16 @@ _MAX_STEP = 0.3
 # period/2000 come, and a hysteresis loop takes about 200 steps a cycle,
 # where its requested grid holds 2000 samples a cycle.
 _SINE_STEPS = 200
+
+# The most steps a controlled run may need at its largest step (t_end /
+# _Steps.max_step), refused up front beyond.  Each accepted step keeps its
+# time, solution, states and currents as Python floats in lists: 515 B a
+# step against 88 B a fixed-grid sample for a lone memristor, 755 B against
+# 160 B for the 2m mirror (tracemalloc peaks, numpy 2.4.6), 5.9 and 4.7
+# times as much.  A tenth of _MAX_STEPS leaves a margin for the extra steps
+# the error control takes, so the largest controlled run needs no more
+# memory than the largest fixed grid.
+_MAX_CONTROLLED_STEPS = _MAX_STEPS // 10
 
 # Milne's device: BDF2's error constant -2/9 against the quadratic
 # predictor's 1 puts the corrector's local error at (2/9) / (1 + 2/9) of the
@@ -525,11 +536,11 @@ class _DcRows:
     row.
 
     The linear part is the topology's fixed matrix plus its resistor and
-    memristor families; each Newton iteration makes one array MOSFET
-    evaluation (none without MOSFETs, whose rows are assembled and solved
-    once: see :meth:`newton`) and adds each further family in one
-    unbuffered :func:`numpy.add.at`, in the order of
-    :attr:`_Topology.stamps`, which :class:`_Steps` applies one by one.
+    memristor families; each Newton iteration assembles and solves every
+    row still running, with one array MOSFET evaluation (none without
+    MOSFETs) and each further family added in one unbuffered
+    :func:`numpy.add.at`, in the order of :attr:`_Topology.stamps`, which
+    :class:`_Steps` applies one by one.
     With the device law evaluated by
     :func:`~mirrorsim.devices.mosfet_square_law`'s operations, each row's
     iterates equal those of the same row solved alone, to the bit.  The
@@ -582,10 +593,9 @@ class _DcRows:
         self.coeffs = np.ascontiguousarray(stack(res + mem, mos, 4).transpose(2, 0, 1))
         self.values = values
 
-        # the linear part: the fixed matrix and the resistors; the
-        # memristive steps start each system from row 0's, then memristors
-        g_lin = np.repeat(topo.fixed[None], count, axis=0)
-        self.g_base = self._scatter("res", g_lin, self.g_res)[:1].copy()
+        # the linear part: the fixed matrix, the resistors, the memristors
+        g_lin = self._scatter("res", np.repeat(topo.fixed[None], count, axis=0),
+                              self.g_res)
         self.g_lin = self._scatter("mem", g_lin, 1.0 / self.r_mem)
 
     def _scatter(self, family: str, out, terms):
@@ -658,21 +668,14 @@ class _DcRows:
         solution is not finite, and one still running at
         ``_MAX_NEWTON_ITERS``.  Such a row is solved again alone
         (:meth:`lone`), which makes its error, trace and retry.
-
-        Without MOSFETs a row's linearized system does not depend on its
-        guess, so it is assembled and solved in the first iteration only,
-        and every later iteration reuses that solution of each row still
-        running: the same bits a fresh solve gives.
         """
         n, damped = self.topo.n_nodes, self.topo.damped_nodes
-        linear = not self.topo.mosfets
         vntol, reltol = SimOptions.vntol, SimOptions.reltol
         left: list[int] = []
         for it in range(1, _MAX_NEWTON_ITERS + 1):
             if not len(rows):
                 break
-            if it == 1 or not linear:
-                solved = _solve1(*self.assemble(rows, x))  # a singular row reads NaN
+            solved = _solve1(*self.assemble(rows, x))  # a singular row reads NaN
             finite = np.isfinite(solved).all(axis=1)
             if not finite.all():
                 left += rows[~finite].tolist()
@@ -692,7 +695,7 @@ class _DcRows:
                 done = rows[finished]
                 self.x[done], self.currents[done] = x[finished], currents[finished]
                 self.residual[done], self.iterations[done] = residual[finished], it
-                rows, x, solved = rows[~finished], x[~finished], solved[~finished]
+                rows, x = rows[~finished], x[~finished]
         return sorted(left + rows.tolist())
 
     def lone(self, k: int) -> None:
@@ -809,8 +812,9 @@ class _Steps:
     accepted states and a shortened step.
 
     The bordered system, ``size = dim + memristors`` square, is one flat
-    row-major list: row 0's linear part without memristors (the fixed
-    matrix and the resistors), padded with zero state rows and columns.
+    row-major list: row 0's linear part without memristors, the fixed
+    matrix and the resistors added by the same :meth:`_DcRows._scatter`
+    that compiles the DC rows, padded with zero state rows and columns.
     Its stamps are the topology's own sequences (:attr:`_Topology.stamps`)
     with each matrix entry mapped to its flat index, applied one by one in
     sequence order, memristors and then MOSFETs, as :class:`_DcRows` adds
@@ -837,8 +841,10 @@ class _Steps:
         dim = topo.dim
         stepped = [] if frozen else topo.memristors
         size = self.size = dim + len(stepped)
+        linear = (rows.g_lin[row] if frozen else  # the memristors go in per step
+                  rows._scatter("res", topo.fixed[None].copy(), rows.g_res[:, row:row + 1])[0])
         self.g_base = [0.0] * (size * size)
-        for r, line in enumerate((rows.g_lin if frozen else rows.g_base)[row].tolist()):
+        for r, line in enumerate(linear.tolist()):
             self.g_base[r * size:r * size + dim] = line
         # the topology's stamps with matrix entries as flat indices of the
         # bordered system: the memristors', and per MOSFET k (term column
@@ -1286,9 +1292,13 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     estimated local error to ``SimOptions.reltol`` (:meth:`_Steps.march`), and
     a sine source caps every step, the first included, at ``1 /
     _SINE_STEPS`` of the fastest one's period.  Failing steps are cut as on
-    the fixed grid, down to the first step over ``2**_MAX_CUTS``.  With
-    ``opts.dt`` unset the run records the steps it accepts, so the
-    waveforms' ``t`` is not uniform, and the last step ends at ``t_stop``.
+    the fixed grid, down to the first step over ``2**_MAX_CUTS``.  A run
+    that needs more than ``_MAX_CONTROLLED_STEPS`` steps at its largest
+    step, or whose smallest step squared underflows, raises
+    :class:`ValueError` before its first step, as :class:`SimOptions`
+    refuses too fine a grid.  With ``opts.dt`` unset the run records the
+    steps it accepts, so the waveforms' ``t`` is not uniform, and the last
+    step ends at ``t_stop``.
     With ``opts.dt`` set the steps end at the grid's last time and the run
     records the fixed grid's samples: each sample's states are read from
     the quadratic through the accepted states around it (:func:`_dense`),
@@ -1344,8 +1354,15 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
             # on a requested grid the steps end at its last sample
             h = min(dt, steps.max_step)
             t_end = opts.t_stop if opts.dt is None else float(times[-1])
-            ts, xs, accepted, cs = steps.march(x, s, c, 0.0, t_end, h,
-                                               h / 2 ** _MAX_CUTS, True)
+            floor, count = h / 2 ** _MAX_CUTS, t_end / steps.max_step
+            if count > _MAX_CONTROLLED_STEPS:
+                raise ValueError(f"{t_end:.3g} s at most {steps.max_step:.3g} s a step "
+                                 f"= {count:.3g} controlled steps; at most "
+                                 f"{_MAX_CONTROLLED_STEPS:.0e} are taken")
+            if floor * floor < sys.float_info.min:  # _quadratic divides by it
+                raise ValueError(f"a controlled step cut to {floor:.3g} s squared "
+                                 "underflows")
+            ts, xs, accepted, cs = steps.march(x, s, c, 0.0, t_end, h, floor, True)
             s = accepted[-1]
             if opts.dt is None:
                 times, dt = np.array(ts), h

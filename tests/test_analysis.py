@@ -168,6 +168,21 @@ class TestComputeThd:
         with pytest.raises(AnalysisError, match="n_harmonics"):
             compute_thd(wave, 1.0, 1)
 
+    @pytest.mark.parametrize("samples, bad, n_harmonics, message", [
+        (None, None, math.nan, "n_harmonics"),  # escaped numpy's arange
+        (None, math.nan, 9, "non-finite sample in its analysis window"),  # thd = nan
+        (None, math.inf, 9, "non-finite sample in its analysis window"),  # rfft warned
+        (1, None, 9, "at least two samples"),
+    ], ids=["nan-order", "nan-sample", "inf-sample", "one-sample"])
+    def test_rejects_unusable_inputs(self, samples, bad, n_harmonics, message):
+        wave = sine_wave()
+        x = wave.values.copy()
+        if bad is not None:
+            x[-7] = bad
+        with pytest.raises(AnalysisError, match=message):
+            compute_thd(Waveform("x", "V", wave.t[:samples], x[:samples]), 1.0,
+                        n_harmonics)
+
     def test_rejects_a_waveform_with_no_fundamental(self):
         wave = sine_wave()
         with pytest.raises(AnalysisError, match="no component at the fundamental"):
@@ -190,6 +205,16 @@ class TestSwitchingTime:
         # 3*exp(-t) falls below 1% of the final value 5 at t = ln(3/0.05)
         analytic = math.log(3.0 / 0.05)
         assert switching_time(wave) == pytest.approx(analytic, abs=0.011)
+
+    @pytest.mark.parametrize("values, message", [
+        ([2.0], "at least two samples"),
+        ([math.nan] * 5, "non-finite sample"),  # read as settled at t[0]
+        ([1.0, math.nan, 1.0, 1.0, 1.0], "non-finite sample"),
+    ], ids=["one-sample", "all-nan", "one-nan"])
+    def test_rejects_unusable_waveforms(self, values, message):
+        t = np.arange(len(values), dtype=float)
+        with pytest.raises(AnalysisError, match=message):
+            switching_time(Waveform("x", "A", t, np.array(values)))
 
     def test_ramp_never_settles(self):
         t = np.linspace(0.0, 10.0, 1001)

@@ -267,7 +267,10 @@ class TestExitCodes:
           "--values", "38k,duck"], "--values: malformed value 'duck'"),
         (["mirror", "2r", "--analysis", "param-sweep", "--param", "R2.r_nominal",
           "--values", "38k,1e999"], "--values: value '1e999' overflows a float"),
-    ], ids=["set-overflow", "set-suffix", "values-malformed", "values-overflow"])
+        (["mirror", "2r", "--analysis", "param-sweep", "--param", "R2.r_nominal",
+          "--values", ","], "--values must list at least one number"),
+    ], ids=["set-overflow", "set-suffix", "values-malformed", "values-overflow",
+            "values-empty"])
     def test_a_bad_value_names_its_flag_and_the_reason(self, argv, message, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == EXIT_PARSE and out == ""
@@ -685,6 +688,14 @@ class TestOutputPlumbing:
     def test_resolved_cells_print_the_digits_at_or_above_the_resolution(
             self, value, resolution, cell):
         assert format_resolved(value, resolution) == cell
+
+    def test_a_missing_value_prints_an_empty_cell(self):
+        # as table1 prints the THD of a configuration that failed (None)
+        out = io.StringIO()
+        write_csv(out, ["config (name)", "thd (percent)", "error (text)"],
+                  [["2r", None, "R1: r_nominal must be positive"]])
+        assert out.getvalue() == ("config (name),thd (percent),error (text)\n"
+                                  "2r,,R1: r_nominal must be positive\n")
 
     @pytest.mark.parametrize("config", ["2r", "pmos-r"])
     def test_sweep_output_equals_single_solves(self, config, capsys):

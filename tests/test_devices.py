@@ -240,6 +240,11 @@ def test_memristor_params_validation():
         memristance(MemristorState(w=11e-9), MEMRISTOR_DEFAULTS)
 
 
+def test_mosfet_params_refuse_an_unknown_polarity():
+    with pytest.raises(DeviceError, match="polarity must be 'nmos' or 'pmos', got 'cmos'"):
+        MosfetParams(polarity="cmos")
+
+
 # --------------------------------------------------------------------------- #
 # MOSFET square law
 # --------------------------------------------------------------------------- #

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrorsim.devices import (
+    MEMRISTOR_DEFAULTS,
     DeviceError,
     MemristorState,
     joglekar_window,
@@ -22,7 +23,7 @@ from mirrorsim.devices import (
     state_for_memristance,
 )
 from mirrorsim import engine
-from mirrorsim.analysis import settled_transient
+from mirrorsim.analysis import hysteresis_trace, settled_transient
 from mirrorsim.engine import (
     NonConvergenceError,
     SimOptions,
@@ -400,6 +401,52 @@ def test_sim_options_validation():
                         SimOptions(dt=1e-3, t_stop=1.0, adaptive=True), ["w(Y1)"])
     assert res.waveform("w(Y1)").t.tobytes() == (np.arange(1001) * 1e-3).tobytes()
     assert res.dt == 1e-3
+
+
+# a lone window-2 memristor on a 1 MHz sine: its controlled steps are capped
+# at 5 ns
+MHZ_LOOP_DECK = """V1 in 0 SIN(0 2.5 1MEG)
+Y1 in 0 MEM m0=5k
+.model MEM MEMRISTOR (ron=100 roff=38k l=10n uv=2e-14 p=2 pol=1)
+"""
+
+
+def _hysteresis_at(frequency):
+    return lambda: hysteresis_trace(MEMRISTOR_DEFAULTS, SourceSpec(
+        kind="sine", amplitude=2.5, frequency=frequency))
+
+
+@pytest.mark.parametrize("run, message", [
+    # 1e300 s at 0.3 s a step: the run kept every step and never returned
+    (_hysteresis_at(1e-300), r"= 3\.33e\+300 controlled steps; at most 1e\+06 are taken"),
+    # 10,103 steps at t_stop = 3000 s; 1e9 s was accepted
+    (lambda: run_transient(mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS)),
+                           SimOptions(t_stop=1e9, adaptive=True), ["i(M2)"]),
+     r"= 3\.33e\+09 controlled steps"),
+    (lambda: run_transient(_circuit(MHZ_LOOP_DECK), SimOptions(t_stop=1000.0, adaptive=True),
+                           ["i(Y1)"]),
+     r"^1e\+03 s at most 5e-09 s a step = 2e\+11 controlled steps"),
+    # steps of about 5e-304 s: the product of two step differences in
+    # _quadratic underflowed to 0 and raised ZeroDivisionError
+    (_hysteresis_at(1e300), r"cut to 4\.88e-307 s squared underflows"),
+], ids=["1e-300-hz", "2m-1e9-s", "1-mhz-1000-s", "1e300-hz"])
+def test_a_controlled_run_too_long_or_too_fine_is_refused_before_its_first_step(
+        monkeypatch, run, message):
+    def newton(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(engine._Steps, "newton", newton)
+    with pytest.raises(ValueError, match=message):
+        run()
+
+
+def test_a_controlled_run_at_the_step_bound_is_taken(monkeypatch):
+    # 3 s at the 0.3 s cap needs 10 steps, 3.3 s needs 11
+    monkeypatch.setattr(engine, "_MAX_CONTROLLED_STEPS", 10)
+    cir = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS))
+    assert run_transient(cir, ADAPTIVE, ["i(M2)"]).waveform("i(M2)").t[-1] == 3.0
+    with pytest.raises(ValueError, match=r"= 11 controlled steps; at most 1e\+01"):
+        run_transient(cir, SimOptions(t_stop=3.3, adaptive=True), ["i(M2)"])
 
 
 # --------------------------------------------------------------------------- #

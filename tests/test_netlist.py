@@ -341,6 +341,12 @@ def test_round_trip_for_all_builtin_mirrors():
         assert parse(print_netlist(ast)) == ast
 
 
+def test_round_trip_keeps_a_dc_directive():
+    ast = parse("V1 a 0 DC 1\nR1 a 0 1k\n.dc\n")
+    assert print_netlist(ast).splitlines()[-1] == ".dc"
+    assert parse(print_netlist(ast)) == ast
+
+
 def test_round_trip_ignores_line_numbers():
     a = parse("R1 a 0 1k\n")
     b = parse("* c\n\n\nR1 a 0 1k\n")
