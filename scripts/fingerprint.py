@@ -24,6 +24,14 @@ fixed grid of a sine-driven resistive ladder, whose stacked DC rows each
 converge in Newton's second iteration.  ``--root`` picks the checkout
 whose ``src`` and ``perfbench`` are imported (default: the one holding this
 script).  A run that raises prints its error in place of its result.
+
+A run that takes error-controlled memristive steps (every ``settle`` task,
+the memristor ``hysteresis_trace`` and the memristive ``adaptive`` and
+``adaptive-grid`` runs) ends its line with ``steps=`` its accepted steps
+and ``newton=`` the list-Newton iterations those steps ran, rejected and
+cut ones included; the script counts them by wrapping ``_Steps.march`` and
+``_Steps.iterate``, so a diff against ``--root`` shows where a change in
+work comes from.  No other line carries counts.
 """
 
 import argparse
@@ -84,12 +92,49 @@ def leaves(obj, path: str = ""):
         yield path, repr(obj)
 
 
-def line(label: str, run) -> str:
+def count_controlled_steps(engine) -> list:
+    """Wrap ``engine._Steps.march`` and ``engine._Steps.iterate`` so that
+    the returned list [accepted steps, list-Newton iterations] sums every
+    controlled ``march`` until the caller clears it.  A Newton that raises
+    counts the iterations of its trace."""
+    counts = [0, 0]
+    march, iterate = engine._Steps.march, engine._Steps.iterate
+    marching = [False]  # inside a controlled march
+
+    def counted_march(self, x, s, currents, t, t_end, h, floor, controlled):
+        marching[0] = controlled
+        try:
+            result = march(self, x, s, currents, t, t_end, h, floor, controlled)
+        finally:
+            marching[0] = False
+        if controlled:
+            counts[0] += len(result[0]) - 1
+        return result
+
+    def counted_iterate(self, *args):
+        if not marching[0]:
+            return iterate(self, *args)
+        try:
+            result = iterate(self, *args)
+        except engine.NonConvergenceError as exc:
+            counts[1] += len(exc.trace)
+            raise
+        counts[1] += result[4]
+        return result
+
+    engine._Steps.march, engine._Steps.iterate = counted_march, counted_iterate
+    return counts
+
+
+def line(label: str, run, counts: list) -> str:
+    counts[:] = [0, 0]
     try:
         result = run()
     except Exception as exc:  # a failing run is part of the fingerprint
         return f"{label} raised {type(exc).__name__}: {exc}"
     fields = [f"{path or '.'}={text}" for path, text in leaves(result)]
+    if counts[0]:
+        fields += [f"steps={counts[0]}", f"newton={counts[1]}"]
     return " ".join([label] + fields)
 
 
@@ -188,8 +233,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    from mirrorsim import engine
+
+    counts = count_controlled_steps(engine)
     for label, run in runs():
-        print(line(label, run), flush=True)
+        print(line(label, run, counts), flush=True)
     return 0
 
 

@@ -154,9 +154,10 @@ def compute_thd(wave: Waveform, f0: float, n_harmonics: int) -> ThdResult:
 
     Raises :class:`AnalysisError` when the waveform is too short (fewer than
     two whole periods after the discard), when its time grid is not uniform,
-    when ``f0`` is not resolvable on the sample grid (fewer than 20 samples
-    per period), when the highest requested harmonic sits at or beyond
-    the Nyquist rate, or when a sample of the window is not finite.
+    when a time is not finite, when ``f0`` is not resolvable on the sample
+    grid (fewer than 20 samples per period), when the highest requested
+    harmonic sits at or beyond the Nyquist rate, or when a sample of the
+    window is not finite.
     """
     if not f0 > 0.0:  # NaN included
         raise AnalysisError(f"fundamental frequency must be positive, got {f0}")
@@ -166,6 +167,8 @@ def compute_thd(wave: Waveform, f0: float, n_harmonics: int) -> ThdResult:
     x = np.asarray(wave.values, dtype=float)
     if t.size < 2:
         raise AnalysisError("waveform too short: need at least two samples")
+    if not np.isfinite(t).all():
+        raise AnalysisError("waveform has a non-finite time")
     dt = float(t[1] - t[0])
     steps = np.diff(t)
     if np.ptp(steps) > _UNIFORM_GRID_RTOL * abs(dt):
@@ -226,13 +229,15 @@ def switching_time(wave: Waveform) -> float:
 
     Raises :class:`NotSettledError` when the in-band tail covers less than
     10% of the run, which is too little evidence to call the value final,
-    and :class:`AnalysisError` for fewer than two samples or a sample that
-    is not finite.
+    and :class:`AnalysisError` for fewer than two samples, or a time or a
+    sample that is not finite.
     """
     t = np.asarray(wave.t, dtype=float)
     x = np.asarray(wave.values, dtype=float)
     if t.size < 2:
         raise AnalysisError("waveform too short: need at least two samples")
+    if not np.isfinite(t).all():
+        raise AnalysisError("waveform has a non-finite time")
     if not np.isfinite(x).all():
         raise AnalysisError("waveform has a non-finite sample")
     final = float(x[-1])

@@ -170,18 +170,26 @@ class TestComputeThd:
 
     @pytest.mark.parametrize("samples, bad, n_harmonics, message", [
         (None, None, math.nan, "n_harmonics"),  # escaped numpy's arange
-        (None, math.nan, 9, "non-finite sample in its analysis window"),  # thd = nan
-        (None, math.inf, 9, "non-finite sample in its analysis window"),  # rfft warned
+        (None, ("values", -7, math.nan), 9,
+         "non-finite sample in its analysis window"),  # thd = nan
+        (None, ("values", -7, math.inf), 9,
+         "non-finite sample in its analysis window"),  # rfft warned
         (1, None, 9, "at least two samples"),
-    ], ids=["nan-order", "nan-sample", "inf-sample", "one-sample"])
+        # NaN passed the uniform-grid test: thd 2.5e-16
+        (None, ("t", 1000, math.nan), 9, "non-finite time"),
+        (None, ("t", -1, math.inf), 9, "non-finite time"),  # read as not uniform
+        (None, ("t", 0, -math.inf), 9, "non-finite time"),
+    ], ids=["nan-order", "nan-sample", "inf-sample", "one-sample", "nan-time",
+            "inf-last-time", "minus-inf-first-time"])
     def test_rejects_unusable_inputs(self, samples, bad, n_harmonics, message):
         wave = sine_wave()
-        x = wave.values.copy()
+        arrays = {"t": wave.t.copy(), "values": wave.values.copy()}
         if bad is not None:
-            x[-7] = bad
+            name, index, value = bad
+            arrays[name][index] = value
         with pytest.raises(AnalysisError, match=message):
-            compute_thd(Waveform("x", "V", wave.t[:samples], x[:samples]), 1.0,
-                        n_harmonics)
+            compute_thd(Waveform("x", "V", arrays["t"][:samples],
+                                 arrays["values"][:samples]), 1.0, n_harmonics)
 
     def test_rejects_a_waveform_with_no_fundamental(self):
         wave = sine_wave()
@@ -206,13 +214,19 @@ class TestSwitchingTime:
         analytic = math.log(3.0 / 0.05)
         assert switching_time(wave) == pytest.approx(analytic, abs=0.011)
 
-    @pytest.mark.parametrize("values, message", [
-        ([2.0], "at least two samples"),
-        ([math.nan] * 5, "non-finite sample"),  # read as settled at t[0]
-        ([1.0, math.nan, 1.0, 1.0, 1.0], "non-finite sample"),
-    ], ids=["one-sample", "all-nan", "one-nan"])
-    def test_rejects_unusable_waveforms(self, values, message):
+    @pytest.mark.parametrize("values, bad_time, message", [
+        ([2.0], None, "at least two samples"),
+        ([math.nan] * 5, None, "non-finite sample"),  # read as settled at t[0]
+        ([1.0, math.nan, 1.0, 1.0, 1.0], None, "non-finite sample"),
+        ([1.0] * 5, (-1, math.nan), "non-finite time"),  # settled at 0.0
+        ([1.0] * 5, (0, math.inf), "non-finite time"),  # numpy warned
+        ([1.0] * 5, (2, math.nan), "non-finite time"),
+    ], ids=["one-sample", "all-nan", "one-nan", "nan-last-time", "inf-first-time",
+            "nan-time"])
+    def test_rejects_unusable_waveforms(self, values, bad_time, message):
         t = np.arange(len(values), dtype=float)
+        if bad_time is not None:
+            t[bad_time[0]] = bad_time[1]
         with pytest.raises(AnalysisError, match=message):
             switching_time(Waveform("x", "A", t, np.array(values)))
 

@@ -699,12 +699,12 @@ def _newton_limited(monkeypatch, largest: float) -> list:
     real = engine._Steps.newton
     calls = []
 
-    def newton(self, x0, guess, hist, t, dt_eff):
+    def newton(self, x0, guess, hist, t, dt_eff, *predicted):
         calls.append((t, dt_eff))
         if dt_eff > largest:
             raise engine._IterationLimit(
                 f"limit at t={t:.9g} s", trace=[(1, 0.5, math.nan)], time=t)
-        return real(self, x0, guess, hist, t, dt_eff)
+        return real(self, x0, guess, hist, t, dt_eff, *predicted)
 
     monkeypatch.setattr(engine._Steps, "newton", newton)
     return calls
@@ -821,6 +821,203 @@ def test_memristive_steps_record_the_currents_their_newton_accepted(
     assert (residual < SimOptions.abstol).all()
     for k, name in enumerate(currents):
         assert res.waveform(name).values.tobytes() == want[:, k].tobytes(), name
+
+
+# --------------------------------------------------------------------------- #
+# controlled steps: the predicted start and the first-iterate stop
+# --------------------------------------------------------------------------- #
+
+def _spy_iterate(monkeypatch) -> list:
+    """Every step's call of ``_Steps.iterate`` (a DC row's, which has no
+    time, is left out), as a dict: its start ``x`` and ``s``, copied
+    before Newton moves them, its time ``t`` and ``predicted`` flag, the
+    contraction its ``_Steps`` held before it, and its ``result`` (None
+    when it raised)."""
+    calls = []
+    real = engine._Steps.iterate
+
+    def spy(self, x, s, values, dt_eff, hist, t=None, predicted=False):
+        if t is None:
+            return real(self, x, s, values, dt_eff, hist, t, predicted)
+        call = dict(x=list(x), s=list(s), t=t, predicted=predicted,
+                    contraction=self.contraction, result=None)
+        calls.append(call)
+        call["result"] = real(self, x, s, values, dt_eff, hist, t, predicted)
+        return call["result"]
+
+    monkeypatch.setattr(engine._Steps, "iterate", spy)
+    return calls
+
+
+def _spy_march(monkeypatch) -> list:
+    """The (times, solutions, states, currents) every ``_Steps.march``
+    returns."""
+    marches = []
+    real = engine._Steps.march
+    monkeypatch.setattr(engine._Steps, "march", lambda self, *args:
+                        marches.append(real(self, *args)) or marches[-1])
+    return marches
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("kind", [MirrorKind.TWO_MEMRISTORS, MirrorKind.PMOS_MEMRISTOR])
+def test_controlled_steps_start_at_their_predictor_from_the_third(monkeypatch, kind):
+    # the first two steps start at the last accepted solution; from the
+    # third, every unknown starts at the quadratic through the last three
+    # accepted solutions, the states clamped to [0, 1]; a rejected step's
+    # retry predicts again from the same three
+    calls = _spy_iterate(monkeypatch)
+    marches = _spy_march(monkeypatch)
+    run_transient(mirror_circuit(MirrorConfig(kind=kind)), ADAPTIVE, ["i(M2)"])
+    (ts, xs, ss, _), = marches
+    k = 1  # solutions accepted before the call, the start included
+    for call in calls:
+        if k < 3:
+            want_x, want_s = xs[k - 1], ss[k - 1]
+        else:
+            l0, l1, l2 = engine._quadratic(ts[k - 3], ts[k - 2], ts[k - 1], call["t"])
+            want_x = [l0 * a + l1 * b + l2 * c
+                      for a, b, c in zip(xs[k - 3], xs[k - 2], xs[k - 1])]
+            want_s = [min(max(l0 * a + l1 * b + l2 * c, 0.0), 1.0)
+                      for a, b, c in zip(ss[k - 3], ss[k - 2], ss[k - 1])]
+        assert call["predicted"] == (k >= 3)
+        assert _bits(call["x"]) == _bits(want_x)
+        assert _bits(call["s"]) == _bits(want_s)
+        if k < len(xs) and call["result"] is not None and call["result"][0] is xs[k]:
+            k += 1
+    assert k == len(xs) and len(calls) > k  # every accepted step, and rejections
+
+
+@pytest.mark.parametrize("dt, cut", [(0.005, False), (0.05, True)], ids=["fixed", "cut"])
+def test_fixed_grid_and_cut_steps_start_at_the_previous_solution(monkeypatch, dt, cut):
+    limited = _newton_limited(monkeypatch, 0.01)  # cuts every step over 10 ms
+    calls = _spy_iterate(monkeypatch)
+    run_transient(mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS)),
+                  SimOptions(dt=dt, t_stop=0.5), ["i(M2)"])
+    assert cut == any(dt_eff < dt for _, dt_eff in limited)
+    for previous, call in zip(calls, calls[1:]):
+        assert not call["predicted"]
+        assert _bits(call["x"]) == _bits(previous["result"][0])
+        assert _bits(call["s"]) == _bits(previous["result"][1])
+
+
+def test_dc_rows_fixed_grid_and_cut_steps_never_stop_at_a_first_iterate(monkeypatch):
+    # with _KAPPA infinite, the stop takes every first iterate it may; these
+    # Newtons give the bits they give with it at 0, where it never fires,
+    # and measure no contraction
+    limited = _newton_limited(monkeypatch, 0.01)
+    decks = [mirror_circuit(MirrorConfig(kind=kind)) for kind in MirrorKind]
+    cir = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS))
+
+    def outputs():
+        ops = [solve_dc(deck) for deck in decks]
+        runs = [run_transient(cir, SimOptions(dt=dt, t_stop=0.5), ["i(M2)", "m(Y2)"])
+                for dt in (0.005, 0.05)]
+        return ([(_bits(op.node_voltages), op.newton_iterations) for op in ops]
+                + [w.values.tobytes() for res in runs for w in res.waveforms])
+
+    monkeypatch.setattr(engine, "_KAPPA", 0.0)
+    never = outputs()
+    monkeypatch.setattr(engine, "_KAPPA", math.inf)
+    calls = _spy_iterate(monkeypatch)
+    assert outputs() == never
+    assert any(dt_eff < 0.05 for _, dt_eff in limited)
+    assert calls and not any(c["predicted"] or c["contraction"] is not None
+                             for c in calls)
+
+
+def test_a_predicted_step_stops_early_only_after_a_contraction_is_measured(
+        monkeypatch):
+    # the first predicted step has no contraction to go by, so even with
+    # _KAPPA infinite it takes a second iteration, which measures one; then
+    # the predicted steps stop at their first iterates
+    monkeypatch.setattr(engine, "_KAPPA", math.inf)
+    calls = _spy_iterate(monkeypatch)
+    run_transient(mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS)),
+                  ADAPTIVE, ["i(M2)"])
+    predicted = [c for c in calls if c["predicted"]]
+    assert predicted[0]["contraction"] is None and predicted[0]["result"][4] >= 2
+    assert all(c["contraction"] > 0.0 for c in predicted[1:])
+    assert sum(c["result"][4] == 1 for c in predicted[1:]) >= 0.9 * len(predicted[1:])
+
+
+def _a_converged_step():
+    """A ``_Steps`` of ``2m`` and one backward-Euler step it converged:
+    (steps, x, s, and the (values, dt_eff, hist, t) of its system)."""
+    compiled = engine._compile(mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS)),
+                               states={}).solve()
+    steps = engine._Steps(compiled)
+    t = dt = 0.01
+    with np.errstate(all="ignore"):
+        x, s, _ = steps.newton(compiled.x[0].tolist(), compiled.states,
+                               compiled.states, t, dt)
+    values = [engine.source_value(spec, t) for spec in steps.specs]
+    return steps, x, s, (values, dt, compiled.states, t)
+
+
+@pytest.mark.parametrize("node_shift, state_shift, contraction, tried", [
+    (0.3, 0.0, 1e-300, True),
+    (0.6, 0.0, 1e-300, False),  # the node's update is clipped at _DAMP_LIMIT
+    (0.0, 0.1, 1e-300, True),
+    (0.0, 0.3, 1e-300, False),  # the state's update is clipped at _STATE_LIMIT
+    (1e-4, 0.0, None, False),   # no contraction measured yet
+], ids=["node", "node-clipped", "state", "state-clipped", "unmeasured"])
+def test_the_stop_is_tried_only_on_an_unclipped_first_update(
+        monkeypatch, node_shift, state_shift, contraction, tried):
+    # a predicted Newton started off a step's solution, its update far
+    # above its tolerance: the stop is tried (KCL is evaluated right after
+    # the first solve) only with a contraction measured and no update
+    # clipped; else Newton takes its second iteration
+    steps, x, s, (values, dt_eff, hist, t) = _a_converged_step()
+    start_x, start_s = list(x), list(s)
+    start_x[steps.topo.damped_nodes[-1]] += node_shift
+    start_s[0] -= state_shift
+    events = []
+    for name in ("assemble", "kcl"):
+        real = getattr(engine._Steps, name)
+        monkeypatch.setattr(engine._Steps, name, lambda self, *args, real=real, name=name:
+                            events.append(name) or real(self, *args))
+    steps.contraction = contraction
+    with np.errstate(all="ignore"):
+        *_, iterations = steps.iterate(start_x, start_s, values, dt_eff, hist, t, True)
+    assert (events[:2] == ["assemble", "kcl"]) == tried
+    assert tried or iterations >= 2
+
+
+def test_a_first_iterate_is_taken_only_below_kappa():
+    # 0.1 mV off a step's solution, w1 tolerances: with C * w1**2 at half
+    # _KAPPA the first iterate is taken, at twice _KAPPA Newton takes its
+    # second iteration
+    steps, x, s, (values, dt_eff, hist, t) = _a_converged_step()
+    node = steps.topo.damped_nodes[-1]
+    start = list(x)
+    start[node] += 1e-4
+    w1 = 1e-4 / (SimOptions.vntol + SimOptions.reltol * abs(x[node]))
+    taken = []
+    for model in (0.5 * engine._KAPPA, 2.0 * engine._KAPPA):
+        steps.contraction = model / (w1 * w1)
+        with np.errstate(all="ignore"):
+            taken.append(steps.iterate(list(start), list(s), values, dt_eff, hist, t,
+                                       True)[4])
+    assert taken == [1, 2]
+
+
+@pytest.mark.parametrize("kind", [MirrorKind.TWO_MEMRISTORS, MirrorKind.PMOS_MEMRISTOR])
+def test_a_settled_transient_takes_about_one_iteration_per_step(monkeypatch, kind):
+    # 2.38 list-Newton iterations per accepted step started at the last
+    # solution and stopped by the update test alone; about 1.05 with the
+    # predicted start and the first-iterate stop (rejected and cut steps'
+    # iterations included)
+    calls = _spy_iterate(monkeypatch)
+    marches = _spy_march(monkeypatch)
+    settled_transient(mirror_circuit(MirrorConfig(kind=kind)))
+    steps = sum(len(ts) - 1 for ts, *_ in marches)
+    iterations = sum(engine._MAX_NEWTON_ITERS if c["result"] is None else c["result"][4]
+                     for c in calls)
+    assert steps > 100 and iterations <= 1.2 * steps
 
 
 # --------------------------------------------------------------------------- #
