@@ -96,15 +96,17 @@ def count_controlled_steps(engine) -> list:
     """Wrap ``engine._Steps.march`` and ``engine._Steps.iterate`` so that
     the returned list [accepted steps, list-Newton iterations] sums every
     controlled ``march`` until the caller clears it.  A Newton that raises
-    counts the iterations of its trace."""
+    counts the iterations of its trace.  Only ``march``'s last argument
+    (``controlled``) and ``iterate``'s last result (its iterations) are
+    read, so the counts hold across changes to the other arguments."""
     counts = [0, 0]
     march, iterate = engine._Steps.march, engine._Steps.iterate
     marching = [False]  # inside a controlled march
 
-    def counted_march(self, x, s, currents, t, t_end, h, floor, controlled):
-        marching[0] = controlled
+    def counted_march(self, *args):
+        controlled = marching[0] = args[-1]
         try:
-            result = march(self, x, s, currents, t, t_end, h, floor, controlled)
+            result = march(self, *args)
         finally:
             marching[0] = False
         if controlled:
@@ -119,7 +121,7 @@ def count_controlled_steps(engine) -> list:
         except engine.NonConvergenceError as exc:
             counts[1] += len(exc.trace)
             raise
-        counts[1] += result[4]
+        counts[1] += result[-1]
         return result
 
     engine._Steps.march, engine._Steps.iterate = counted_march, counted_iterate

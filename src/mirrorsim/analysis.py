@@ -152,7 +152,8 @@ def compute_thd(wave: Waveform, f0: float, n_harmonics: int) -> ThdResult:
     (Cooley & Tukey 1965): exact for tones on the grid and free of
     spectral leakage between the measured bins.
 
-    Raises :class:`AnalysisError` when the waveform is too short (fewer than
+    Raises :class:`AnalysisError` when ``n_harmonics`` is not a whole
+    number of at least 2, when the waveform is too short (fewer than
     two whole periods after the discard), when its time grid is not uniform,
     when a time is not finite, when ``f0`` is not resolvable on the sample
     grid (fewer than 20 samples per period), when the highest requested
@@ -163,6 +164,9 @@ def compute_thd(wave: Waveform, f0: float, n_harmonics: int) -> ThdResult:
         raise AnalysisError(f"fundamental frequency must be positive, got {f0}")
     if not n_harmonics >= 2:  # NaN included
         raise AnalysisError("need n_harmonics >= 2 (distortion sums harmonics 2..N)")
+    if n_harmonics % 1:  # inf % 1 is NaN
+        raise AnalysisError(f"n_harmonics must be a whole number, got {n_harmonics}")
+    n_harmonics = int(n_harmonics)
     t = np.asarray(wave.t, dtype=float)
     x = np.asarray(wave.values, dtype=float)
     if t.size < 2:
@@ -308,7 +312,12 @@ def settled_transient(circuit: Circuit, *, temp: float | None = None,
     falls.  That time depends on the record length, since the band is taken
     from the record's last sample: ``2m`` at 2.0 V settles at 1.900 s with
     3 s chunks and at 1.932 s with 12 s chunks.
+
+    A ``max_time`` that is not positive and finite raises
+    :class:`AnalysisError` before any run.
     """
+    if not 0.0 < max_time < math.inf:  # NaN included
+        raise AnalysisError(f"max_time must be positive and finite, got {max_time}")
     if temp is not None:
         circuit = replace(circuit, temp=temp)
     if not _has_memristors(circuit):
@@ -801,8 +810,12 @@ def distortion_trace(config: MirrorConfig, *, circuit: Circuit | None = None,
     ``circuit`` lets a caller pass an already-elaborated (possibly
     parameter-overridden) instance of the same configuration.  It runs at
     its own temperature (``T_REF`` for the one built here) unless ``temp``
-    (kelvin) replaces it.
+    (kelvin) replaces it.  An ``amplitude`` that is not positive and
+    finite raises :class:`AnalysisError` before any run: a zero drive has
+    no distortion to measure, and a negative one dips below the supply.
     """
+    if not 0.0 < amplitude < math.inf:  # NaN included
+        raise AnalysisError(f"drive amplitude must be positive and finite, got {amplitude}")
     if circuit is None:
         circuit = mirror_circuit(config)
     if temp is not None:
@@ -861,13 +874,15 @@ def calibrate_mobility(target: float = 1.4, *, vdd: float = 2.5) -> float:
     Switching time falls with mobility, so a log-scale bisection on the
     bracket [2e-15, 2e-13] m^2/(V*s) converges; each probe is the
     ``settle_time`` of a :func:`settled_transient` of the two-memristor
-    configuration.  Raises :class:`AnalysisError` when the target lies
+    configuration.  Raises :class:`AnalysisError` before any run when the
+    target is not positive and finite, and after when it lies
     outside what the bracket can reach (including targets shorter than the
     simulation can resolve), or when the settle time jumps across it
     (``target=3.0`` does).
     """
-    if target <= 0.0:
-        raise AnalysisError(f"switching-time target must be positive, got {target}")
+    if not 0.0 < target < math.inf:  # NaN included
+        raise AnalysisError(
+            f"switching-time target must be positive and finite, got {target}")
     lo, hi = _MOBILITY_BRACKET
     config = MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS, vdd=vdd)
     # Runs are capped well past the target; anything still unsettled there is

@@ -198,8 +198,18 @@ class SourceSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("dc", "sine"):
             raise DeviceError(f"source kind must be 'dc' or 'sine', got {self.kind!r}")
-        if self.kind == "sine" and not 0.0 < self.frequency < math.inf:
-            raise DeviceError("sine source requires a finite frequency > 0")
+        for name in ("dc_value", "amplitude", "phase"):
+            if not math.isfinite(getattr(self, name)):
+                raise DeviceError(f"source {name} must be finite, got {getattr(self, name)}")
+        if self.kind == "sine":
+            if not 0.0 < self.frequency < math.inf:
+                raise DeviceError("sine source requires a finite frequency > 0")
+            # source_value adds the sine to the DC level and scales the
+            # frequency by 2*pi; either overflowing gives inf or NaN values
+            if math.isinf(abs(float(self.dc_value)) + abs(float(self.amplitude))):
+                raise DeviceError("sine source peak |dc| + |amplitude| overflows")
+            if math.isinf(2.0 * math.pi * float(self.frequency)):
+                raise DeviceError("sine source 2*pi*frequency overflows")
 
 
 NMOS_DEFAULTS = MosfetParams()

@@ -9,7 +9,8 @@ SPICE sign convention, so a supply delivering power reads negative).  A
 transient step appends one more unknown per memristor, its normalized state
 s = w/L, with the implicit update of the drift law as its row (the way Ho,
 Ruehli & Brennan's modified nodal analysis admits any extra unknown), so
-each step is a single Newton solve of the coupled system.  Every device
+each step is a single Newton solve of the coupled system, and its solution
+is one list: the nodes, the branches, then the states.  Every device
 rule, that drift law and the state and kelvin checks included, is called
 from :mod:`mirrorsim.devices`; none is repeated here.  A step whose Newton
 runs out of iterations is halved and retried, as SPICE2 cuts its timestep
@@ -730,8 +731,8 @@ class _DcRows:
         try:
             with np.errstate(all="ignore"):  # a singular system reads NaN
                 try:
-                    x, _, currents, residual, its = steps.iterate(
-                        self.start([k])[0].tolist(), [], values, 0.0, [])
+                    x, currents, residual, its = steps.iterate(
+                        self.start([k])[0].tolist(), values)
                 except NonConvergenceError:
                     if _SOURCE_STEPS < 2:
                         raise
@@ -739,8 +740,8 @@ class _DcRows:
                     for step in range(1, _SOURCE_STEPS + 1):
                         scale = step / _SOURCE_STEPS
                         try:
-                            x, _, currents, residual, it = steps.iterate(
-                                x, [], [scale * v for v in values], 0.0, [])
+                            x, currents, residual, it = steps.iterate(
+                                x, [scale * v for v in values])
                         except NonConvergenceError as exc:
                             raise NonConvergenceError(
                                 f"source stepping stalled at scale {scale:.2f}: {exc}",
@@ -816,14 +817,16 @@ class _Steps:
     :class:`_DcRows`, on Python lists copied from that row, which is the
     fast form for one small system.
 
-    Memristor states travel as a list ``s`` of normalized positions
-    ``w / L`` in the order of the topology's memristors; the unknown vector
-    ``x`` is a list of floats in the layout the module docstring gives,
-    and a step's system borders it with one state row and column per
-    memristor.  Every step solves ``s = hist + dt_eff * (dw/dt)/L``: a
-    backward-Euler step has ``hist = s_prev`` and ``dt_eff = dt``, and a
-    variable-step BDF2 step (:meth:`march`) a blend of the last two
-    accepted states and a shortened step.
+    A step's unknowns are one list of floats ``x``, ``size = dim +
+    memristors`` long: the layout the module docstring gives, then one
+    normalized state ``w / L`` per memristor, in the order of the
+    topology's memristors, at ``x[dim:]`` (each memristor's column ``col``
+    in :attr:`memristors`).  A step's system borders the DC row's with one
+    state row and column per memristor.  Every step solves ``s = hist +
+    dt_eff * (dw/dt)/L``: a backward-Euler step has ``hist`` the previous
+    states and ``dt_eff = dt``, and a variable-step BDF2 step
+    (:meth:`march`) a blend of the last two accepted states and a
+    shortened step.
 
     The bordered system, ``size = dim + memristors`` square, is one flat
     row-major list: row 0's linear part without memristors, the fixed
@@ -840,11 +843,11 @@ class _Steps:
     dispatches to, so its solution is that function's, to the bit.
 
     Built ``frozen`` on any ``row``, the system is that row's DC system
-    itself, for :meth:`_DcRows.lone`: no state rows, and the memristors at
-    the row's compiled memristances, in its linear part.  Its Newton is
-    the steps' own (:meth:`iterate`) with no states, so it iterates as
-    :meth:`_DcRows.newton` iterates that row, to the bit, and it alone
-    makes a DC row's error, trace and source-stepping retry.
+    itself, for :meth:`_DcRows.lone`: no state rows (``size == dim``), and
+    the memristors at the row's compiled memristances, in its linear part.
+    Its Newton is the steps' own (:meth:`iterate`) with no states, so it
+    iterates as :meth:`_DcRows.newton` iterates that row, to the bit, and
+    it alone makes a DC row's error, trace and source-stepping retry.
     """
 
     def __init__(self, rows: _DcRows, row: int = 0, frozen: bool = False):
@@ -899,18 +902,18 @@ class _Steps:
         # measured one (see iterate)
         self.contraction: float | None = None
 
-    def assemble(self, x, s, values, dt_eff, hist):
-        """Linearized system of a step at (x, s), with the sources at
+    def assemble(self, x, values, dt_eff, hist):
+        """Linearized system of a step at ``x``, with the sources at
         ``values``, as (matrix, right-hand side) arrays: row 0's linear
-        part, the memristances at ``s``, the MOSFETs linearized at ``x``,
-        then the state rows."""
+        part, the memristances at the states ``x[dim:]``, the MOSFETs
+        linearized at ``x``, then the state rows."""
         g_mat = self.g_base[:]
         rhs = [0.0] * self.size
         for br, value in zip(self.branches, values):
             rhs[br] = value
         g_mem = []
-        for (_, _, p, _, _, _), sk in zip(self.memristors, s):
-            g_mem.append(1.0 / memristance_at(sk, p))
+        for _, _, p, col, _, _ in self.memristors:
+            g_mem.append(1.0 / memristance_at(x[col], p))
         for i, k, sign in self.mem_sequence:
             g_mat[i] += g_mem[k] * sign
         for (d, g, src), c, matrix, sources in self.mosfets:
@@ -923,14 +926,14 @@ class _Steps:
             ieq = i0 - gm * vgs - gds * vds
             for r, sign in sources:
                 rhs[r] += ieq * sign
-        self._stamp_states(g_mat, rhs, x, s, g_mem, dt_eff, hist)
+        self._stamp_states(g_mat, rhs, x, g_mem, dt_eff, hist)
         return np.array(g_mat).reshape(self.size, self.size), np.array(rhs)
 
-    def _stamp_states(self, g_mat, rhs, guess, states, g_mem, dt_eff, hist) -> None:
+    def _stamp_states(self, g_mat, rhs, x, g_mem, dt_eff, hist) -> None:
         """State rows ``s - hist - dt_eff*(dw/dt)/L = 0`` linearized at
-        (guess, s), and the state columns of the memristors' node rows,
-        into the flat matrix ``g_mat``; ``g_mem`` holds the memristors'
-        conductances at ``states``.
+        ``x``, each state s at its column ``x[col]``, and the state columns
+        of the memristors' node rows, into the flat matrix ``g_mat``;
+        ``g_mem`` holds the memristors' conductances at their states.
 
         With M = s*Ron + (1-s)*Roff and i = v/M, the step's drift is
         ``k*i*f(s)``, its ``k``, window ``f`` and window slope ``f'`` taken
@@ -939,9 +942,9 @@ class _Steps:
         residual points outward (the update would leave [0, 1]) is held
         there by the row ``s = bound``.
         """
-        for (a, b, p, col, diag, ends), sk, g, h in zip(self.memristors, states,
-                                                        g_mem, hist):
-            v = guess[a] - guess[b]
+        for (a, b, p, col, diag, ends), g, h in zip(self.memristors, g_mem, hist):
+            sk = x[col]
+            v = x[a] - x[b]
             i = v * g
             kc, f, f_slope = memristor_drift(sk, p, dt_eff)
             resid = sk - h - kc * i * f
@@ -959,15 +962,15 @@ class _Steps:
                 g_mat[col_node] += d_dv * sign
             rhs[col] = d_ds * sk + d_dv * v - resid
 
-    def kcl(self, x, s):
+    def kcl(self, x):
         """Device currents by kind, as :meth:`_DcRows.kcl` orders them
         (see OperatingPoint), and the largest net current into any
-        non-ground node (A), with the memristances at the states ``s``, or
-        at the row's when frozen."""
+        non-ground node (A), with the memristances at the states
+        ``x[dim:]``, or at the row's when frozen."""
         by_kind = []
         for g, a, b in self.res_ends:
             by_kind.append(g * (x[a] - x[b]))
-        r_mem = ([memristance_at(sk, m[2]) for m, sk in zip(self.memristors, s)]
+        r_mem = ([memristance_at(x[m[3]], m[2]) for m in self.memristors]
                  if self.memristors else self.r_mem)
         for (a, b), r in zip(self.mem_ends, r_mem):
             by_kind.append((x[a] - x[b]) / r)
@@ -980,34 +983,20 @@ class _Steps:
             sums[node] += by_kind[column] * sign
         return by_kind, max(map(abs, sums[1:]))
 
-    def newton(self, x0, guess, hist, t: float, dt_eff: float,
-               predicted: bool = False):
-        """One step to time ``t``: :meth:`iterate` on the node voltages,
-        source currents and memristor states together, started at ``x0``
-        and the state guess ``guess`` (the previous step's solution, or a
-        ``predicted`` step's predictor), on the state rows ``s = hist +
-        dt_eff*(dw/dt)/L``, with the sources at ``t``.  Returns (x, s,
-        currents), the currents by kind (:meth:`kcl`); running out of
-        iterations raises :class:`_IterationLimit`."""
-        values = [source_value(spec, t) for spec in self.specs]
-        x, s, currents, _, _ = self.iterate(list(x0), list(guess), values,
-                                            dt_eff, hist, t, predicted)
-        return x, s, currents
-
-    def iterate(self, x, s, values, dt_eff, hist, t: float | None = None,
+    def iterate(self, x, values, dt_eff=0.0, hist=(), t: float | None = None,
                 predicted: bool = False):
-        """Newton-Raphson from (x, s), updated in place, with the sources
-        at ``values``: a step to time ``t`` (:meth:`newton`), or, built
-        ``frozen`` and given ``s`` empty, the row's DC solve as
-        :meth:`_DcRows.newton` iterates it, to the bit (:meth:`_DcRows.lone`).
-        Call it inside ``np.errstate(all="ignore")``: the bare kernel
-        reports a singular matrix as NaN.
+        """Newton-Raphson from ``x``, updated in place, with the sources
+        at ``values``: a step to time ``t`` on the state rows ``s = hist +
+        dt_eff*(dw/dt)/L`` (:meth:`march`), or, built ``frozen``, the row's
+        DC solve as :meth:`_DcRows.newton` iterates it, to the bit
+        (:meth:`_DcRows.lone`).  Call it inside ``np.errstate(all="ignore")``:
+        the bare kernel reports a singular matrix as NaN.
 
         Converged means per-node voltage deltas below vntol + reltol*|V|,
         every state delta below reltol, and the device-KCL residual below
         abstol.  Each iteration moves a state by at most ``_STATE_LIMIT``
-        and clamps it to [0, 1].  Returns (x, s, currents, residual,
-        iterations), with :meth:`kcl` at the accepted (x, s).  Running out
+        and clamps it to [0, 1].  Returns (x, currents, residual,
+        iterations), with :meth:`kcl` at the accepted ``x``.  Running out
         of iterations raises :class:`_IterationLimit` at a time, the DC
         rows' :class:`NonConvergenceError` without one; a non-finite
         iterate raises :func:`_solve_error`'s error at once:
@@ -1024,12 +1013,12 @@ class _Steps:
         its update unclipped and its KCL residual below abstol.
         """
         trace: list[tuple[int, float, float]] = []
-        n, dim = self.topo.n_nodes, self.topo.dim
+        n, dim, size = self.topo.n_nodes, self.topo.dim, self.size
         vntol, reltol = SimOptions.vntol, SimOptions.reltol
         damped = self.damped
         w1, free = 0.0, False  # the first update's ratio, and not clipped
         for it in range(1, _MAX_NEWTON_ITERS + 1):
-            g_mat, rhs = self.assemble(x, s, values, dt_eff, hist)
+            g_mat, rhs = self.assemble(x, values, dt_eff, hist)
             solved = _solve1(g_mat, rhs).tolist()
             if not all(map(math.isfinite, solved)):
                 trace.append((it, math.nan, math.nan))
@@ -1055,9 +1044,9 @@ class _Steps:
                     d = _DAMP_LIMIT if d > 0.0 else -_DAMP_LIMIT
                     clipped = True
                 x[j] += d
-            x[n:] = solved[n:dim]
-            for k in range(len(s)):
-                ds = solved[dim + k] - s[k]
+            x[n:dim] = solved[n:dim]
+            for col in range(dim, size):
+                ds = solved[col] - x[col]
                 dsa = abs(ds)
                 if dsa >= reltol:
                     converged = False
@@ -1067,7 +1056,7 @@ class _Steps:
                 if dsa > _STATE_LIMIT:
                     ds = _STATE_LIMIT if ds > 0.0 else -_STATE_LIMIT
                     clipped = True
-                s[k] = min(max(s[k] + ds, 0.0), 1.0)
+                x[col] = min(max(x[col] + ds, 0.0), 1.0)
             if predicted and it == 1:
                 w1, free = ratio, not clipped
                 if free and self.contraction is not None:
@@ -1075,10 +1064,10 @@ class _Steps:
             elif predicted and it == 2 and free and w1 > 0.0 and ratio > 0.0:
                 self.contraction = ratio / (w1 * w1)
             if converged:
-                currents, residual = self.kcl(x, s)
+                currents, residual = self.kcl(x)
                 trace.append((it, max_dv, residual))
                 if residual < SimOptions.abstol:
-                    return x, s, currents, residual, it
+                    return x, currents, residual, it
             else:
                 trace.append((it, max_dv, math.nan))
         at = "" if t is None else f" at t={t:.9g} s"
@@ -1087,18 +1076,21 @@ class _Steps:
             f"(last max |dV|={trace[-1][1]:.3g} V)", trace=trace, time=t)
 
     @np.errstate(all="ignore")  # for iterate's kernel, once per march
-    def march(self, x, s, currents, t: float, t_end: float, h: float,
+    def march(self, x, currents, t: float, t_end: float, h: float,
               floor: float, controlled: bool):
-        """Steps from the solution (x, s, currents) at time ``t`` to
-        ``t_end``, the first of size ``h``; returns the accepted times,
-        solutions, states and device currents as lists, the start included.
+        """Steps from the solution ``x`` (states included) and its device
+        ``currents`` at time ``t`` to ``t_end``, the first of size ``h``;
+        returns the accepted times, solutions and device currents as lists,
+        the start included.  Each step is :meth:`iterate` on a copy of its
+        start, with the sources at its end time.
 
         A step whose Newton runs out of iterations is halved and retried;
         one that fails at the ``floor`` raises its
         :class:`NonConvergenceError`, naming the step.  A step that
         converges lets the next one double, up to ``_MAX_STEP``, or when
-        controlled up to :attr:`max_step`.  The accepted states are what
-        :func:`_dense` reads a grid from.
+        controlled up to :attr:`max_step`.  The accepted states
+        (``x[dim:]`` of each solution) are what :func:`_dense` reads a grid
+        from.
 
         Uncontrolled, every step is backward Euler: this is how a fixed-grid
         step that failed is cut; its Newton starts at the previous solution.
@@ -1114,7 +1106,8 @@ class _Steps:
         it is at the floor), and the next step is the one the estimate
         predicts, within the growth and shrink limits.
         """
-        ts, xs, ss, cs = [t], [x], [s], [currents]
+        dim = self.topo.dim
+        ts, xs, cs = [t], [x], [currents]
         tol = SimOptions.reltol
         largest = self.max_step if controlled else _MAX_STEP
         while t < t_end:
@@ -1125,22 +1118,21 @@ class _Steps:
             asked = h
             t_next = t_end if t + h >= t_end - floor else t + h
             h = t_next - t
-            hist, dt_eff, pred = s, h, None
+            hist, dt_eff, pred, start = x[dim:], h, None, x[:]
             if controlled and len(ts) >= 2:
                 w = h / (t - ts[-2])
                 hist = [((1.0 + w) ** 2 * sn - w * w * sp) / (1.0 + 2.0 * w)
-                        for sn, sp in zip(s, ss[-2])]
+                        for sn, sp in zip(hist, xs[-2][dim:])]
                 dt_eff = (1.0 + w) / (1.0 + 2.0 * w) * h
-            start, guess = x, s
             if controlled and len(ts) >= 3:
                 l0, l1, l2 = _quadratic(ts[-3], ts[-2], t, t_next)
-                pred = [l0 * s0 + l1 * s1 + l2 * s2
-                        for s0, s1, s2 in zip(ss[-3], ss[-2], s)]
                 start = [l0 * x0 + l1 * x1 + l2 * x2
                          for x0, x1, x2 in zip(xs[-3], xs[-2], x)]
-                guess = [min(max(p, 0.0), 1.0) for p in pred]
+                pred = start[dim:]
+                start[dim:] = [min(max(p, 0.0), 1.0) for p in pred]
+            values = [source_value(spec, t_next) for spec in self.specs]
             try:
-                x_new, s_new, c_new = self.newton(start, guess, hist, t_next, dt_eff,
+                x_new, c_new, _, _ = self.iterate(start, values, dt_eff, hist, t_next,
                                                   pred is not None)
             except _IterationLimit as exc:
                 if h / 2.0 < floor:
@@ -1151,20 +1143,19 @@ class _Steps:
                 continue
             factor = _GROWTH_LIMIT
             if pred is not None:
-                err = _MILNE * max(abs(c - p) for c, p in zip(s_new, pred))
+                err = _MILNE * max(abs(c - p) for c, p in zip(x_new[dim:], pred))
                 if err > 0.0:
                     factor = min(max(_SAFETY * (tol / err) ** (1.0 / 3.0),
                                      _SHRINK_LIMIT), _GROWTH_LIMIT)
                 if err > tol and h > floor and asked > floor:
                     h = max(h * factor, floor)
                     continue
-            t, x, s = t_next, x_new, s_new
+            t, x = t_next, x_new
             ts.append(t)
             xs.append(x)
-            ss.append(s)
             cs.append(c_new)
             h = min(max(h * factor, floor), largest)
-        return ts, xs, ss, cs
+        return ts, xs, cs
 
 
 def _compile(circuit: Circuit | _Topology, temps=(None,), *, records=None,
@@ -1335,7 +1326,8 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     i_next) / L``, clamped to [0, 1], so the recorded voltages, currents and
     memristances belong to one solution.  The circuit is compiled once, as
     one :class:`_DcRows` row solved at t = 0, and the steps run on Python
-    lists copied from that row (:class:`_Steps`).  A step whose Newton
+    lists copied from that row, its states appended as the last unknowns
+    (:class:`_Steps`).  A step whose Newton
     runs out of iterations is cut: halved and retried, and grown back after
     each success, until it reaches its grid time, which alone is recorded.
     A step that still fails at ``dt / 2**_MAX_CUTS``, or whose Newton
@@ -1393,8 +1385,8 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
 
     times = np.arange(n_steps + 1) * dt
 
-    memristors = topo.memristors
-    s: list[float] = []
+    memristors, dim = topo.memristors, topo.dim
+    x: list[float] = []  # the last solution, its states at x[dim:]
     # the recorded states, and the steps' solutions and currents by kind
     # when they are recorded too (None: each sample is a DC solve at its state)
     xs, ss = None, np.empty((len(times), 0))
@@ -1402,7 +1394,7 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
         compiled = _compile(topo, states=initial_states or {}).solve()
         if compiled.errors:
             raise compiled.errors[0]
-        s, x = compiled.states, compiled.x[0].tolist()
+        x = compiled.x[0].tolist() + compiled.states
         c = compiled.currents[0, topo.kind_order].tolist()
         steps = _Steps(compiled)
         if opts.adaptive:
@@ -1418,27 +1410,30 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
             if floor * floor < sys.float_info.min:  # _quadratic divides by it
                 raise ValueError(f"a controlled step cut to {floor:.3g} s squared "
                                  "underflows")
-            ts, xs, accepted, cs = steps.march(x, s, c, 0.0, t_end, h, floor, True)
-            s = accepted[-1]
+            ts, accepted, cs = steps.march(x, c, 0.0, t_end, h, floor, True)
+            x = accepted[-1]
             if opts.dt is None:
                 times, dt = np.array(ts), h
-                xs, ss, cs = np.array(xs), np.array(accepted), np.array(cs)
+                xs, cs = np.array(accepted), np.array(cs)
+                ss = xs[:, dim:]
             else:
-                xs, ss = None, _dense(ts, accepted, times)
+                ss = _dense(ts, np.array(accepted)[:, dim:], times)
         else:
             floor = dt / 2 ** _MAX_CUTS
-            xs, ss, cs = (np.empty((len(times), len(v))) for v in (x, s, c))
-            xs[0], ss[0], cs[0] = x, s, c
+            xs, cs = (np.empty((len(times), len(v))) for v in (x, c))
+            xs[0], cs[0] = x, c
             with np.errstate(all="ignore"):  # for the steps' kernel
                 for k in range(1, n_steps + 1):
+                    t = float(times[k])
+                    values = [source_value(spec, t) for spec in steps.specs]
                     try:
-                        x, s, c = steps.newton(x, s, s, float(times[k]), dt)
+                        x, c, _, _ = steps.iterate(x[:], values, dt, x[dim:], t)
                     except _IterationLimit:
-                        _, cut_x, cut_s, cut_c = steps.march(
-                            x, s, c, float(times[k - 1]), float(times[k]),
-                            dt / 2.0, floor, False)
-                        x, s, c = cut_x[-1], cut_s[-1], cut_c[-1]
-                    xs[k], ss[k], cs[k] = x, s, c
+                        _, cut_x, cut_c = steps.march(x, c, float(times[k - 1]), t,
+                                                      dt / 2.0, floor, False)
+                        x, c = cut_x[-1], cut_c[-1]
+                    xs[k], cs[k] = x, c
+            ss = xs[:, dim:]
     elif initial_states:  # without memristors every name is unknown
         _compile(topo, states=initial_states)
 
@@ -1453,5 +1448,6 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
                  values=np.array(read(xs, currents, ss), dtype=float))
         for name, unit, read in probe_list
     ]
-    final_states = {m.name: sk * m.params.length for m, sk in zip(memristors, s)}
+    final_states = {m.name: sk * m.params.length
+                    for m, sk in zip(memristors, x[dim:])}
     return TransientResult(waveforms=waveforms, final_states=final_states, dt=dt)

@@ -167,6 +167,9 @@ class TestComputeThd:
             compute_thd(wave, math.nan, 9)
         with pytest.raises(AnalysisError, match="n_harmonics"):
             compute_thd(wave, 1.0, 1)
+        # a non-integral order escaped as numpy's IndexError
+        with pytest.raises(AnalysisError, match="n_harmonics must be a whole number"):
+            compute_thd(wave, 1.0, 2.5)
 
     @pytest.mark.parametrize("samples, bad, n_harmonics, message", [
         (None, None, math.nan, "n_harmonics"),  # escaped numpy's arange
@@ -337,6 +340,19 @@ class TestSettledTransient:
         for name in ("M1", "M2"):
             assert controlled.op.device_currents[name] == pytest.approx(
                 fixed.op.device_currents[name], rel=1e-3)
+
+    @pytest.mark.parametrize("max_time", [math.nan, 0.0, -1.0, math.inf])
+    def test_a_max_time_outside_zero_to_inf_is_refused_before_any_run(
+            self, monkeypatch, max_time):
+        # NaN and 0 raised NotSettledError without a step; at inf a deck
+        # that does not settle never returned
+        runs = []
+        monkeypatch.setattr(analysis, "run_transient",
+                            lambda *args, **kwargs: runs.append(args))
+        with pytest.raises(AnalysisError, match="max_time") as exc:
+            settled_transient(mirror_circuit(MirrorConfig(MirrorKind.TWO_MEMRISTORS)),
+                              max_time=max_time)
+        assert type(exc.value) is AnalysisError and not runs
 
 
 # --------------------------------------------------------------------------- #
@@ -593,6 +609,19 @@ class TestParameterSweep:
         # at the nominal threshold the mirror is symmetric: V_out = V_D1
         nominal = rows[2]
         assert nominal.v_out == pytest.approx(0.994141, abs=5e-6)
+
+    def test_a_non_finite_supply_is_refused_before_any_solve(self, monkeypatch):
+        # each ran the full source-stepping retry, which stalled on a
+        # non-finite iterate
+        def solve(self):
+            raise AssertionError("a DC row was solved")
+
+        monkeypatch.setattr(engine._DcRows, "solve", solve)
+        with pytest.raises(ElaborationError, match="V1: source dc_value must be finite"):
+            parameter_sweep(MirrorConfig(MirrorKind.TWO_RESISTORS), "vdd",
+                            [2.5, math.inf])
+        with pytest.raises(DeviceError, match="dc_value must be finite, got nan"):
+            solve_dc(mirror_circuit(MirrorConfig(vdd=math.nan)))
 
     @pytest.mark.parametrize("kind, path, values", [
         (MirrorKind.TWO_RESISTORS, "T2.width", [0.2e-6, 0.27e-6, 0.4e-6]),
@@ -862,9 +891,14 @@ class TestHysteresis:
         # one cycle of steps at most 1/200 of a period each, against the
         # 2000 samples it solves and the 6000 it records
         steps = []
-        real = engine._Steps.newton
-        monkeypatch.setattr(engine._Steps, "newton",
-                            lambda self, *args: steps.append(args) or real(self, *args))
+        real = engine._Steps.iterate
+
+        def iterate(self, x, values, *step):  # a step has a time, a DC row none
+            if step:
+                steps.append(step)
+            return real(self, x, values, *step)
+
+        monkeypatch.setattr(engine._Steps, "iterate", iterate)
         trace = hysteresis_trace(MEM, DRIVE)
         assert len(trace.t) == 6001
         assert 200 <= len(steps) <= 210
@@ -971,15 +1005,16 @@ class TestHysteresis:
         # rejected and retried unchanged forever.  A spy ends a stall in
         # seconds instead of hanging the suite.
         calls = []
-        newton = engine._Steps.newton
+        iterate = engine._Steps.iterate
 
-        def counted(self, *args):
-            calls.append(1)
+        def counted(self, x, values, *step):  # a step has a time, a DC row none
+            if step:
+                calls.append(1)
             if len(calls) > 20_000:
                 raise AssertionError("the controlled steps stall")
-            return newton(self, *args)
+            return iterate(self, x, values, *step)
 
-        monkeypatch.setattr(engine._Steps, "newton", counted)
+        monkeypatch.setattr(engine._Steps, "iterate", counted)
         trace = hysteresis_trace(MemristorParams(window_p=0,
                                                  mobility=10 * CALIBRATED_MOBILITY),
                                  SourceSpec(kind="sine", amplitude=3.0, frequency=5.0))
@@ -1203,6 +1238,19 @@ class TestTable1Report:
         assert own.thd != distortion_trace(config, circuit=hot, temp=T_REF).thd
         assert hot.temp == 373.15  # the caller's circuit is left as it was
 
+    @pytest.mark.parametrize("amplitude", [0.0, -1.0, math.nan, math.inf])
+    def test_a_drive_amplitude_outside_zero_to_inf_is_refused(self, monkeypatch,
+                                                              amplitude):
+        # at 0 V the THD read 1.726, a ratio of rounding noise; at -1 V the
+        # drive dipped 2 V below the supply and read 0.0505; NaN ran the
+        # source-stepping retry and stalled on a non-finite iterate
+        runs = []
+        monkeypatch.setattr(analysis, "_settled_load_states",
+                            lambda *args: runs.append(args))
+        with pytest.raises(AnalysisError, match="drive amplitude must be positive"):
+            distortion_trace(MirrorConfig(MirrorKind.TWO_RESISTORS), amplitude=amplitude)
+        assert not runs
+
     def test_failed_configuration_is_flagged_not_raised(self):
         row = config_report(MirrorConfig(MirrorKind.TWO_RESISTORS, r_load=-5.0))
         assert row.error is not None
@@ -1211,9 +1259,16 @@ class TestTable1Report:
 
 
 class TestCalibration:
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(AnalysisError, match="target"):
-            calibrate_mobility(target=0.0)
+    def test_rejects_bad_arguments(self, monkeypatch):
+        # before any run: inf capped the settles at inf, and NaN was
+        # reported outside the reachable range only after two settles
+        runs = []
+        monkeypatch.setattr(analysis, "run_transient",
+                            lambda *args, **kwargs: runs.append(args))
+        for target in (0.0, math.nan, math.inf):
+            with pytest.raises(AnalysisError, match="target must be positive and finite"):
+                calibrate_mobility(target=target)
+        assert not runs
 
     def test_unreachable_target_is_reported(self):
         with pytest.raises(AnalysisError, match="outside the range"):

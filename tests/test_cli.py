@@ -283,6 +283,19 @@ class TestExitCodes:
         assert code == EXIT_PARSE and out == ""
         assert err == "error: line 1: value '1e999' overflows a float\n"
 
+    @pytest.mark.parametrize("drive, message", [
+        # the peak 2e308 overflowed in source_value's add
+        ("SIN(1e308 1e308 5)", "sine source peak |dc| + |amplitude| overflows"),
+        # 2*pi*f overflowed, and 2*pi*f times t = 0 was NaN
+        ("SIN(0 1 1e308)", "sine source 2*pi*frequency overflows"),
+    ], ids=["peak", "frequency"])
+    def test_a_sine_whose_values_overflow_is_a_parse_error(self, tmp_path, drive,
+                                                           message, capsys):
+        path = netlist_file(tmp_path, f"V1 a 0 {drive}\nR1 a 0 1\n.tran 1m 100m\n")
+        code, out, err = run_cli(["run", path], capsys)
+        assert code == EXIT_PARSE and out == ""
+        assert err == f"error: line 1: source V1: {message}\n"
+
     def test_mismatch_without_baseline_current_is_an_analysis_error(self, capsys):
         # at 0.3 V the input transistor is off: I_D1 = 0 A
         code, out, err = run_cli(["mirror", "2r", "--analysis", "mismatch",

@@ -609,3 +609,17 @@ def test_source_spec_validation():
             SourceSpec(kind="sine", amplitude=1.0, frequency=frequency)
     with pytest.raises(DeviceError):
         SourceSpec(kind="noise")
+    # a field that is not finite, of either kind, has no value a solve can use
+    for kind in ("dc", "sine"):
+        for name in ("dc_value", "amplitude", "phase"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(DeviceError, match=f"{name} must be finite"):
+                    SourceSpec(kind=kind, frequency=5.0, **{name: bad})
+    # a sine whose peak or whose 2*pi*f overflows gives inf or NaN values
+    with pytest.raises(DeviceError, match="peak"):
+        SourceSpec(kind="sine", dc_value=1e308, amplitude=-1e308, frequency=5.0)
+    with pytest.raises(DeviceError, match="frequency overflows"):
+        SourceSpec(kind="sine", amplitude=1.0, frequency=1e308)
+    # a dc source ignores its sine fields; the largest finite values pass
+    SourceSpec(kind="dc", dc_value=1e308, amplitude=1e308)
+    SourceSpec(kind="sine", dc_value=8e307, amplitude=-8e307, frequency=1e307)

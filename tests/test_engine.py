@@ -117,9 +117,9 @@ def test_source_stepping_scales_a_rows_sources(monkeypatch):
     calls = []
     iterate = engine._Steps.iterate
 
-    def spy(self, x, s, values, *args):
+    def spy(self, x, values, *args):
         calls.append(list(values))
-        return iterate(self, x, s, values, *args)
+        return iterate(self, x, values, *args)
 
     monkeypatch.setattr(engine._Steps, "iterate", spy)
     solve_dc(cir)
@@ -432,10 +432,10 @@ def _hysteresis_at(frequency):
 ], ids=["1e-300-hz", "2m-1e9-s", "1-mhz-1000-s", "1e300-hz"])
 def test_a_controlled_run_too_long_or_too_fine_is_refused_before_its_first_step(
         monkeypatch, run, message):
-    def newton(*args):
+    def march(*args):
         raise AssertionError("a step was taken")
 
-    monkeypatch.setattr(engine._Steps, "newton", newton)
+    monkeypatch.setattr(engine._Steps, "march", march)
     with pytest.raises(ValueError, match=message):
         run()
 
@@ -695,18 +695,21 @@ def test_controlled_steps_free_a_sine_driven_memristor_from_its_bound():
 def _newton_limited(monkeypatch, largest: float) -> list:
     """Memristive steps whose Newton runs out of iterations on every
     effective step longer than ``largest`` seconds; returns the list of
-    (time, effective step) of every Newton call."""
-    real = engine._Steps.newton
+    (time, effective step) of every step's Newton call (a DC row's, which
+    has no time, is left out)."""
+    real = engine._Steps.iterate
     calls = []
 
-    def newton(self, x0, guess, hist, t, dt_eff, *predicted):
+    def iterate(self, x, values, dt_eff=0.0, hist=(), t=None, *predicted):
+        if t is None:
+            return real(self, x, values)
         calls.append((t, dt_eff))
         if dt_eff > largest:
             raise engine._IterationLimit(
                 f"limit at t={t:.9g} s", trace=[(1, 0.5, math.nan)], time=t)
-        return real(self, x0, guess, hist, t, dt_eff, *predicted)
+        return real(self, x, values, dt_eff, hist, t, *predicted)
 
-    monkeypatch.setattr(engine._Steps, "newton", newton)
+    monkeypatch.setattr(engine._Steps, "iterate", iterate)
     return calls
 
 
@@ -829,20 +832,22 @@ def test_memristive_steps_record_the_currents_their_newton_accepted(
 
 def _spy_iterate(monkeypatch) -> list:
     """Every step's call of ``_Steps.iterate`` (a DC row's, which has no
-    time, is left out), as a dict: its start ``x`` and ``s``, copied
-    before Newton moves them, its time ``t`` and ``predicted`` flag, the
+    time, is left out), as a dict: its start ``x`` (nodes and branches)
+    and ``s`` (states), copied before Newton moves them, its time ``t``
+    and ``predicted`` flag, the
     contraction its ``_Steps`` held before it, and its ``result`` (None
     when it raised)."""
     calls = []
     real = engine._Steps.iterate
 
-    def spy(self, x, s, values, dt_eff, hist, t=None, predicted=False):
+    def spy(self, x, values, dt_eff=0.0, hist=(), t=None, predicted=False):
         if t is None:
-            return real(self, x, s, values, dt_eff, hist, t, predicted)
-        call = dict(x=list(x), s=list(s), t=t, predicted=predicted,
+            return real(self, x, values, dt_eff, hist, t, predicted)
+        dim = self.topo.dim
+        call = dict(x=x[:dim], s=x[dim:], t=t, predicted=predicted,
                     contraction=self.contraction, result=None)
         calls.append(call)
-        call["result"] = real(self, x, s, values, dt_eff, hist, t, predicted)
+        call["result"] = real(self, x, values, dt_eff, hist, t, predicted)
         return call["result"]
 
     monkeypatch.setattr(engine._Steps, "iterate", spy)
@@ -850,8 +855,8 @@ def _spy_iterate(monkeypatch) -> list:
 
 
 def _spy_march(monkeypatch) -> list:
-    """The (times, solutions, states, currents) every ``_Steps.march``
-    returns."""
+    """The (times, solutions, currents) every ``_Steps.march`` returns,
+    each solution's states at its end."""
     marches = []
     real = engine._Steps.march
     monkeypatch.setattr(engine._Steps, "march", lambda self, *args:
@@ -872,7 +877,9 @@ def test_controlled_steps_start_at_their_predictor_from_the_third(monkeypatch, k
     calls = _spy_iterate(monkeypatch)
     marches = _spy_march(monkeypatch)
     run_transient(mirror_circuit(MirrorConfig(kind=kind)), ADAPTIVE, ["i(M2)"])
-    (ts, xs, ss, _), = marches
+    (ts, solutions, _), = marches
+    dim = len(calls[0]["x"])
+    xs, ss = [x[:dim] for x in solutions], [x[dim:] for x in solutions]
     k = 1  # solutions accepted before the call, the start included
     for call in calls:
         if k < 3:
@@ -886,22 +893,24 @@ def test_controlled_steps_start_at_their_predictor_from_the_third(monkeypatch, k
         assert call["predicted"] == (k >= 3)
         assert _bits(call["x"]) == _bits(want_x)
         assert _bits(call["s"]) == _bits(want_s)
-        if k < len(xs) and call["result"] is not None and call["result"][0] is xs[k]:
+        if (k < len(xs) and call["result"] is not None
+                and call["result"][0] is solutions[k]):
             k += 1
     assert k == len(xs) and len(calls) > k  # every accepted step, and rejections
 
 
 @pytest.mark.parametrize("dt, cut", [(0.005, False), (0.05, True)], ids=["fixed", "cut"])
 def test_fixed_grid_and_cut_steps_start_at_the_previous_solution(monkeypatch, dt, cut):
-    limited = _newton_limited(monkeypatch, 0.01)  # cuts every step over 10 ms
     calls = _spy_iterate(monkeypatch)
+    limited = _newton_limited(monkeypatch, 0.01)  # cuts every step over 10 ms
     run_transient(mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS)),
                   SimOptions(dt=dt, t_stop=0.5), ["i(M2)"])
     assert cut == any(dt_eff < dt for _, dt_eff in limited)
     for previous, call in zip(calls, calls[1:]):
         assert not call["predicted"]
-        assert _bits(call["x"]) == _bits(previous["result"][0])
-        assert _bits(call["s"]) == _bits(previous["result"][1])
+        dim = len(call["x"])
+        assert _bits(call["x"]) == _bits(previous["result"][0][:dim])
+        assert _bits(call["s"]) == _bits(previous["result"][0][dim:])
 
 
 def test_dc_rows_fixed_grid_and_cut_steps_never_stop_at_a_first_iterate(monkeypatch):
@@ -939,9 +948,9 @@ def test_a_predicted_step_stops_early_only_after_a_contraction_is_measured(
     run_transient(mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS)),
                   ADAPTIVE, ["i(M2)"])
     predicted = [c for c in calls if c["predicted"]]
-    assert predicted[0]["contraction"] is None and predicted[0]["result"][4] >= 2
+    assert predicted[0]["contraction"] is None and predicted[0]["result"][-1] >= 2
     assert all(c["contraction"] > 0.0 for c in predicted[1:])
-    assert sum(c["result"][4] == 1 for c in predicted[1:]) >= 0.9 * len(predicted[1:])
+    assert sum(c["result"][-1] == 1 for c in predicted[1:]) >= 0.9 * len(predicted[1:])
 
 
 def _a_converged_step():
@@ -951,11 +960,12 @@ def _a_converged_step():
                                states={}).solve()
     steps = engine._Steps(compiled)
     t = dt = 0.01
-    with np.errstate(all="ignore"):
-        x, s, _ = steps.newton(compiled.x[0].tolist(), compiled.states,
-                               compiled.states, t, dt)
     values = [engine.source_value(spec, t) for spec in steps.specs]
-    return steps, x, s, (values, dt, compiled.states, t)
+    with np.errstate(all="ignore"):
+        x, *_ = steps.iterate(compiled.x[0].tolist() + compiled.states, values, dt,
+                              compiled.states, t)
+    dim = steps.topo.dim
+    return steps, x[:dim], x[dim:], (values, dt, compiled.states, t)
 
 
 @pytest.mark.parametrize("node_shift, state_shift, contraction, tried", [
@@ -982,7 +992,7 @@ def test_the_stop_is_tried_only_on_an_unclipped_first_update(
                             events.append(name) or real(self, *args))
     steps.contraction = contraction
     with np.errstate(all="ignore"):
-        *_, iterations = steps.iterate(start_x, start_s, values, dt_eff, hist, t, True)
+        *_, iterations = steps.iterate(start_x + start_s, values, dt_eff, hist, t, True)
     assert (events[:2] == ["assemble", "kcl"]) == tried
     assert tried or iterations >= 2
 
@@ -1000,8 +1010,7 @@ def test_a_first_iterate_is_taken_only_below_kappa():
     for model in (0.5 * engine._KAPPA, 2.0 * engine._KAPPA):
         steps.contraction = model / (w1 * w1)
         with np.errstate(all="ignore"):
-            taken.append(steps.iterate(list(start), list(s), values, dt_eff, hist, t,
-                                       True)[4])
+            taken.append(steps.iterate(start + s, values, dt_eff, hist, t, True)[-1])
     assert taken == [1, 2]
 
 
@@ -1015,7 +1024,7 @@ def test_a_settled_transient_takes_about_one_iteration_per_step(monkeypatch, kin
     marches = _spy_march(monkeypatch)
     settled_transient(mirror_circuit(MirrorConfig(kind=kind)))
     steps = sum(len(ts) - 1 for ts, *_ in marches)
-    iterations = sum(engine._MAX_NEWTON_ITERS if c["result"] is None else c["result"][4]
+    iterations = sum(engine._MAX_NEWTON_ITERS if c["result"] is None else c["result"][-1]
                      for c in calls)
     assert steps > 100 and iterations <= 1.2 * steps
 
@@ -1049,12 +1058,12 @@ def test_step_node_block_is_the_dc_row_at_the_states_memristances(name):
         s = rng.uniform(0.0, 1.0, len(topo.memristors)).tolist()
         t = float(rng.uniform(0.0, 1.0))
         values = [engine.source_value(spec, t) for spec in steps.specs]
-        g_mat, _ = steps.assemble(x, s, values, 1e-3, s)
+        g_mat, _ = steps.assemble(x + s, values, 1e-3, s)
         frozen = engine._compile(topo, states=s, source_time=t)
         want, _ = frozen.assemble(row, np.array([x]))
         assert g_mat[:dim, :dim].tobytes() == want[0].tobytes()
         currents, residual = frozen.kcl(row, np.array([x]))
-        by_kind, step_residual = steps.kcl(x, s)
+        by_kind, step_residual = steps.kcl(x + s)
         assert np.array(by_kind).tobytes() == currents[0, topo.kind_order].tobytes()
         assert step_residual == residual[0]
 
@@ -1529,9 +1538,10 @@ def test_lone_rows_solve_on_the_list_newton_and_are_not_steps(monkeypatch):
     # Newton, and so every step count, does not count
     calls = []
     for owner, name, label in ((engine._DcRows, "newton", "stack"),
-                               (engine._Steps, "iterate", "list"),
-                               (engine._Steps, "newton", "step")):
+                               (engine._Steps, "iterate", "list")):
         def spy(self, *args, real=getattr(owner, name), label=label):
+            if label == "list" and len(args) > 2:  # a step has a time
+                calls.append("step")
             calls.append(label)
             return real(self, *args)
 
@@ -1561,9 +1571,9 @@ def test_first_newton_starts_at_each_rows_own_source_values(monkeypatch):
         stack.append(x.copy())
         return newton(self, rows, x)
 
-    def list_spy(self, x, s, values, *args):
+    def list_spy(self, x, values, *args):
         starts.append((list(x), list(values)))
-        return iterate(self, x, s, values, *args)
+        return iterate(self, x, values, *args)
 
     monkeypatch.setattr(engine._DcRows, "newton", stack_spy)
     monkeypatch.setattr(engine._Steps, "iterate", list_spy)
