@@ -27,9 +27,11 @@ script).  A run that raises prints its error in place of its result.
 
 A run that takes error-controlled memristive steps (every ``settle`` task,
 the memristor ``hysteresis_trace`` and the memristive ``adaptive`` and
-``adaptive-grid`` runs) ends its line with ``steps=`` its accepted steps
-and ``newton=`` the list-Newton iterations those steps ran, rejected and
-cut ones included; the script counts them by wrapping ``_Steps.march`` and
+``adaptive-grid`` runs) ends its line with ``steps=`` its accepted steps,
+``newton=`` the list-Newton iterations those steps ran, rejected and cut
+ones included, and, where ``_Steps`` counts its accepted steps per order
+(``_Steps.orders``), ``orders=`` those counts from order 1 up, joined by
+``/``; the script counts them by wrapping ``_Steps.march`` and
 ``_Steps.iterate``, so a diff against ``--root`` shows where a change in
 work comes from.  No other line carries counts.
 """
@@ -94,23 +96,29 @@ def leaves(obj, path: str = ""):
 
 def count_controlled_steps(engine) -> list:
     """Wrap ``engine._Steps.march`` and ``engine._Steps.iterate`` so that
-    the returned list [accepted steps, list-Newton iterations] sums every
-    controlled ``march`` until the caller clears it.  A Newton that raises
-    counts the iterations of its trace.  Only ``march``'s last argument
-    (``controlled``) and ``iterate``'s last result (its iterations) are
-    read, so the counts hold across changes to the other arguments."""
-    counts = [0, 0]
+    the returned list [accepted steps, list-Newton iterations, accepted
+    steps per order] sums every controlled ``march`` until the caller
+    clears it.  A Newton that raises counts the iterations of its trace.
+    Only ``march``'s last argument (``controlled``), ``iterate``'s last
+    result (its iterations) and ``_Steps.orders``, where it exists (None
+    otherwise), are read, so the counts hold across changes to the other
+    arguments."""
+    counts = [0, 0, None]
     march, iterate = engine._Steps.march, engine._Steps.iterate
     marching = [False]  # inside a controlled march
 
     def counted_march(self, *args):
         controlled = marching[0] = args[-1]
+        before = list(getattr(self, "orders", ()))
         try:
             result = march(self, *args)
         finally:
             marching[0] = False
         if controlled:
             counts[0] += len(result[0]) - 1
+            if before:
+                taken = [n - b for n, b in zip(self.orders, before)]
+                counts[2] = [a + b for a, b in zip(counts[2] or [0] * len(taken), taken)]
         return result
 
     def counted_iterate(self, *args):
@@ -129,7 +137,7 @@ def count_controlled_steps(engine) -> list:
 
 
 def line(label: str, run, counts: list) -> str:
-    counts[:] = [0, 0]
+    counts[:] = [0, 0, None]
     try:
         result = run()
     except Exception as exc:  # a failing run is part of the fingerprint
@@ -137,6 +145,8 @@ def line(label: str, run, counts: list) -> str:
     fields = [f"{path or '.'}={text}" for path, text in leaves(result)]
     if counts[0]:
         fields += [f"steps={counts[0]}", f"newton={counts[1]}"]
+    if counts[2]:
+        fields.append("orders=" + "/".join(map(str, counts[2][1:])))
     return " ".join([label] + fields)
 
 

@@ -8,7 +8,8 @@ The package is layered bottom-up:
 * :mod:`mirrorsim.netlist` — netlist dialect: parse, print, elaborate to a
   :class:`~mirrorsim.netlist.Circuit`; built-in mirror configurations.
 * :mod:`mirrorsim.engine` — nodal analysis: Newton DC solves; transients
-  with memristor state, fixed-grid backward Euler or error-controlled BDF2.
+  with memristor state, fixed-grid backward Euler or error-controlled,
+  variable-order BDF.
 * :mod:`mirrorsim.analysis` — measurements over the engine: distortion,
   switching time, mismatch/temperature/parameter sweeps, hysteresis loops,
   power/area reports, mobility calibration.

@@ -47,6 +47,7 @@ from .engine import (
     SimulationError,
     Waveform,
     _compile,
+    _quadratic_read,
     run_transient,
     solve_dc,
 )
@@ -306,12 +307,15 @@ def settled_transient(circuit: Circuit, *, temp: float | None = None,
     ``_SETTLE_CHUNK`` seconds at a time (continuing from the frozen
     memristor states) until :func:`switching_time` accepts the accumulated
     waveform; past ``max_time`` the :class:`NotSettledError` propagates.
+    At least one chunk runs, however short ``max_time`` is.
 
     Each chunk runs error-controlled steps (``SimOptions.adaptive``) and the
-    current is resampled linearly onto a 1 ms grid, on which ``settle_time``
-    falls.  That time depends on the record length, since the band is taken
-    from the record's last sample: ``2m`` at 2.0 V settles at 1.900 s with
-    3 s chunks and at 1.932 s with 12 s chunks.
+    current is read onto a 1 ms grid, on which ``settle_time`` falls, by
+    the quadratic through the three accepted steps around each grid time
+    (:func:`~mirrorsim.engine._quadratic_read`), steps some 50 ms apart.
+    That time depends on the record length, since the band is taken from
+    the record's last sample: ``2m`` at 2.0 V settles at 1.900 s with 3 s
+    chunks and at 1.932 s with 12 s chunks.
 
     A ``max_time`` that is not positive and finite raises
     :class:`AnalysisError` before any run.
@@ -328,13 +332,14 @@ def settled_transient(circuit: Circuit, *, temp: float | None = None,
     t = x = np.empty(0)
     states: dict[str, float] | None = None
     offset = 0.0
-    while offset < max_time - 1e-9:
+    while offset == 0.0 or offset < max_time - 1e-9:  # one chunk at least
         res = run_transient(circuit, opts, [_SETTLE_PROBE], initial_states=states)
         wave = res.waveform(_SETTLE_PROBE)
         # sample 0 of a continuation repeats the previous final sample
         first = 1 if x.size else 0
         t = np.concatenate([t, lattice[first:] + offset])
-        x = np.concatenate([x, np.interp(lattice, wave.t, wave.values)[first:]])
+        read = _quadratic_read(wave.t, wave.values[:, None], lattice)[:, 0]
+        x = np.concatenate([x, read[first:]])
         states, offset = dict(res.final_states), offset + _SETTLE_CHUNK
         try:
             settled_at = switching_time(Waveform(wave.name, wave.unit, t, x))

@@ -1,6 +1,7 @@
 """Numerical core: MNA assembly, Newton-Raphson DC solve, and transient
 simulation with the memristor states solved inside Newton, on a fixed
-backward-Euler grid or with error-controlled variable-step BDF2 steps.
+backward-Euler grid or with error-controlled, variable-step, variable-order
+BDF steps (orders 1 to ``_MAX_ORDER``).
 
 Unknown vector layout: index 0 is the ground node (pinned to 0 V by a trivial
 row), indices 1..N-1 are node voltages, and the next entries are voltage
@@ -15,14 +16,15 @@ rule, that drift law and the state and kelvin checks included, is called
 from :mod:`mirrorsim.devices`; none is repeated here.  A step whose Newton
 runs out of iterations is halved and retried, as SPICE2 cuts its timestep
 (Nagel 1975).  Error-controlled steps estimate each state's local error from a
-predictor (Milne's device) and size the next step from it; only the states
-carry memory, so only they enter the estimate.  The same predictor, the
-quadratic through the last three accepted solutions, starts each step's
-Newton at every unknown, and such a step stops at its first iterate when
-Newton's own measured contraction puts the next update well within the
-tolerance (DASSL's test: Brenan, Campbell & Petzold 1989).  A controlled
-run read on a uniform grid takes each sample's states from the quadratic
-through the accepted states around it, as BDF2's own interpolant does.
+predictor (Milne's device) and size the next step and choose the next
+order from it, as DASSL does (Brenan, Campbell & Petzold 1989); only the
+states carry memory, so only they enter the estimate.  The same
+predictor, the polynomial of the step's order k through the last k + 1
+accepted solutions, starts each step's Newton at every unknown, and such a
+step stops at its first iterate when Newton's own measured contraction
+puts the next update well within the tolerance (DASSL's test).  A
+controlled run read on a uniform grid takes each sample's states from the
+quadratic through the accepted states around it.
 A DC solve has no state rows: the memristances stay frozen.  A circuit
 with no memristor carries nothing from one step to the next, so its
 transient is a DC solve per sample.
@@ -68,6 +70,7 @@ warranted.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -151,18 +154,34 @@ _STATE_LIMIT = 0.25
 # the cuts cost at most ten times one step's iteration limit
 _MAX_CUTS = 10
 
-# Step-size limits of the error-controlled steps.  Variable-step BDF2 is
-# zero-stable for step ratios below 1 + sqrt(2) (Grigorieff 1983), so a step
-# at most doubles; one rejected estimate shrinks it at most to a fifth, so a
-# single outlier cannot collapse it; 0.9 is the usual safety factor on the
-# step the estimate predicts.  The largest step bounds the steps of a
-# settled tail, whose error estimate vanishes: 0.3 s is the smaller of the
-# two fixed steps at which both built-in memristive mirrors converge uncut
-# and end within 2 % of the default grid, and keeps ten steps in a 3 s
-# settling chunk.
-_GROWTH_LIMIT = 2.0
+# The highest order of the error-controlled steps, variable-step BDF-k for k
+# = 1 (backward Euler) to this: DASSL's top order (Brenan, Campbell &
+# Petzold 1989), as in the MATLAB and scipy BDF codes (Shampine & Reichelt
+# 1997)
+_MAX_ORDER = 5
+
+# Step-size limits of the error-controlled steps.  Variable-step BDF-k is
+# zero-stable only while consecutive steps grow by less than a bound that
+# falls with k: on a constant ratio r the recurrence BDF-k runs on y' = 0
+# keeps its roots in the unit disk for r below 1 + sqrt(2) at k = 2
+# (Grigorieff 1983; backward Euler's one root is 1 at any r), and,
+# computed from the same roots with the corrector's own weights,
+# below (1 + sqrt(5))/2, 1.2807 and 1.1271 at k = 3, 4 and 5.  So a step at
+# order k grows at most by _GROWTH_LIMIT[k]: 2 up to order 2, as a doubling
+# step always has, and a little under each bound above it (index 0 unused).
+# One rejected estimate shrinks a step at most to a fifth, so a single
+# outlier cannot collapse it.  The next step is 0.8 of the one the estimate
+# predicts: the higher orders' estimates grow faster with the step than
+# h**(k+1) where the solution bends, and on the benchmark's settle tasks
+# (seeds 1 and 7) the usual 0.9 rejected 100 of 1,451 steps tried, 0.8 16
+# of 1,487, for 1,571 and 1,590 Newton iterations.  The largest step bounds
+# the steps of a settled tail, whose error estimate vanishes: 0.3 s is the
+# smaller of the two fixed steps at which both built-in memristive mirrors
+# converge uncut and end within 2 % of the default grid, and keeps ten steps
+# in a 3 s settling chunk.
+_GROWTH_LIMIT = (0.0, 2.0, 2.0, 1.6, 1.25, 1.12)
 _SHRINK_LIMIT = 0.2
-_SAFETY = 0.9
+_SAFETY = 0.8
 _MAX_STEP = 0.3
 
 # The first-iterate stop of a predicted controlled step (_Steps.iterate):
@@ -194,10 +213,11 @@ _SINE_STEPS = 200
 # memory than the largest fixed grid.
 _MAX_CONTROLLED_STEPS = _MAX_STEPS // 10
 
-# Milne's device: BDF2's error constant -2/9 against the quadratic
-# predictor's 1 puts the corrector's local error at (2/9) / (1 + 2/9) of the
+# Milne's device per order k (index 0 unused): BDF-k's error constant C =
+# 1 / ((k + 1) * (1 + 1/2 + ... + 1/k)) against the degree-k predictor's 1
+# puts the corrector's local error at C / (1 + C) of the
 # predictor-corrector difference (Gear 1971, ch. 9)
-_MILNE = 2.0 / 11.0
+_MILNE = (0.0, 1.0 / 3.0, 2.0 / 11.0, 3.0 / 25.0, 12.0 / 137.0, 10.0 / 147.0)
 
 
 class SimulationError(Exception):
@@ -244,11 +264,11 @@ class SimOptions:
     ``_MAX_STEPS`` steps is refused.  The temperature is the circuit's own
     (:attr:`Circuit.temp`, which the `.temp` directive sets).
 
-    ``adaptive=True`` lets a memristive transient choose its own steps,
-    holding each step's estimated local error on every normalized memristor
-    state to ``reltol`` (see :func:`run_transient`).  With ``dt`` unset the
-    transient records the steps it accepts; with ``dt`` set it records the
-    uniform ``dt`` grid, read from those steps.  Memristor-free transients
+    ``adaptive=True`` lets a memristive transient choose its own steps and
+    their BDF order, holding each step's estimated local error on every
+    normalized memristor state to ``reltol`` (see :func:`run_transient`).
+    With ``dt`` unset the transient records the steps it accepts; with
+    ``dt`` set it records the uniform ``dt`` grid, read from those steps.  Memristor-free transients
     keep the fixed grid either way.
     """
 
@@ -787,29 +807,68 @@ class _DcRows:
         )
 
 
-def _quadratic(t0, t1, t2, t):
-    """Weights of the values at t0, t1 and t2 in the quadratic through them,
-    evaluated at ``t`` (a float or an array): Lagrange's form.  At t = t0,
-    t1 or t2 they are exactly one and zeros."""
-    return ((t - t1) * (t - t2) / ((t0 - t1) * (t0 - t2)),
-            (t - t0) * (t - t2) / ((t1 - t0) * (t1 - t2)),
-            (t - t0) * (t - t1) / ((t2 - t0) * (t2 - t1)))
+def _lagrange(nodes, t):
+    """Weights at ``t`` of the polynomials through the latest of the
+    distinct ``nodes``: entry q holds the weights, in node order, of the
+    values at the last q + 1 nodes in the polynomial of degree q through
+    them.  Each weight is Lagrange's product of ratios of differences,
+    built by adding the nodes from the latest back: an added node a
+    multiplies each weight j by (t - a) / (t_j - a) and takes the product
+    of (t - t_j) / (a - t_j) itself.  ``t`` and the nodes may be floats, or
+    arrays of one node (or time) per point read.  At a node the weights are
+    exactly one and zeros."""
+    out = [[1.0]]
+    for back in range(2, len(nodes) + 1):
+        a = nodes[-back]
+        level, first, ta = [0.0], 1.0, t - a
+        for w, m in zip(out[-1], nodes[1 - back:]):
+            gap = m - a
+            first = first * ((t - m) / -gap)
+            level.append(w * (ta / gap))
+        level[0] = first
+        out.append(level)
+    return out
+
+
+def _bdf(nodes, t, extrapolant):
+    """``(dt_eff, weights)`` of the BDF step from the accepted times
+    ``nodes`` (k of them, the last the latest) to ``t``, given the
+    ``extrapolant``'s weights at ``t`` through those nodes
+    (:func:`_lagrange`): the step ``s = sum(w_j * s_j) + dt_eff * ds/dt``
+    that makes the derivative at ``t`` of the polynomial through (t, s) and
+    the accepted (t_j, s_j) the drift.  The basis polynomial of node j has
+    slope -e_j / (t - t_j) there, e_j the node's extrapolant weight, and the
+    new point's slope is the sum of 1 / (t - t_j); the step h = t -
+    nodes[-1] scales both, so that at k = 1 the step is backward Euler to
+    the bit: ``(h, [1.0])``."""
+    h = t - nodes[-1]
+    ratios = [h / (t - n) for n in nodes]
+    total = sum(ratios)
+    return h / total, [e * r / total for e, r in zip(extrapolant, ratios)]
+
+
+def _quadratic_read(ts, values, times) -> np.ndarray:
+    """``values`` (samples, columns) accepted at the increasing times
+    ``ts``, read at ``times`` within [ts[0], ts[-1]]: a time in (ts[k-1],
+    ts[k]] takes the quadratic through the accepted samples k-2, k-1 and k
+    (the first interval the quadratic through the first three).  An
+    accepted time reads its accepted sample exactly.  Returns (times,
+    columns)."""
+    ts, values = np.asarray(ts), np.asarray(values)
+    if len(ts) < 3:  # a single step, recorded only at its ends
+        return values[np.searchsorted(ts, times)]
+    k = np.clip(np.searchsorted(ts, times), 2, len(ts) - 1)
+    w0, w1, w2 = (w[:, None] for w in _lagrange([ts[k - 2], ts[k - 1], ts[k]], times)[2])
+    return w0 * values[k - 2] + w1 * values[k - 1] + w2 * values[k]
 
 
 def _dense(ts, ss, times) -> np.ndarray:
     """States ``ss`` accepted at the increasing times ``ts``, read at
-    ``times`` within [ts[0], ts[-1]]: a time in (ts[k-1], ts[k]] takes the
-    quadratic through the accepted states k-2, k-1 and k, which is BDF2's
-    own continuous extension (the first interval takes the quadratic through
-    the first three), clamped to [0, 1] as the steps clamp their states.
-    An accepted time reads its accepted state exactly.  Returns (times,
-    memristors)."""
-    ts, ss = np.asarray(ts), np.asarray(ss)
-    if len(ts) < 3:  # a single step, recorded only at its ends
-        return ss[np.searchsorted(ts, times)]
-    k = np.clip(np.searchsorted(ts, times), 2, len(ts) - 1)
-    w0, w1, w2 = (w[:, None] for w in _quadratic(ts[k - 2], ts[k - 1], ts[k], times))
-    return np.clip(w0 * ss[k - 2] + w1 * ss[k - 1] + w2 * ss[k], 0.0, 1.0)
+    ``times`` by :func:`_quadratic_read`, clamped to [0, 1] as the steps
+    clamp their states.  The read stays quadratic whatever the steps'
+    order: a drive's steps are at most 1/_SINE_STEPS of its period apart.
+    Returns (times, memristors)."""
+    return np.clip(_quadratic_read(ts, ss, times), 0.0, 1.0)
 
 
 class _Steps:
@@ -824,9 +883,10 @@ class _Steps:
     in :attr:`memristors`).  A step's system borders the DC row's with one
     state row and column per memristor.  Every step solves ``s = hist +
     dt_eff * (dw/dt)/L``: a backward-Euler step has ``hist`` the previous
-    states and ``dt_eff = dt``, and a variable-step BDF2 step
-    (:meth:`march`) a blend of the last two accepted states and a
-    shortened step.
+    states and ``dt_eff = dt``, and a variable-step BDF step of order k
+    (:meth:`march`, :func:`_bdf`) a blend of the last k accepted states
+    and a shortened step.  :attr:`orders` counts the steps :meth:`march`
+    accepts at each order.
 
     The bordered system, ``size = dim + memristors`` square, is one flat
     row-major list: row 0's linear part without memristors, the fixed
@@ -901,6 +961,8 @@ class _Steps:
         # Newton's contraction w2 / w1**2 from the last predicted step that
         # measured one (see iterate)
         self.contraction: float | None = None
+        # accepted steps of march by order (index 0 unused)
+        self.orders = [0] * (_MAX_ORDER + 1)
 
     def assemble(self, x, values, dt_eff, hist):
         """Linearized system of a step at ``x``, with the sources at
@@ -1082,7 +1144,8 @@ class _Steps:
         ``currents`` at time ``t`` to ``t_end``, the first of size ``h``;
         returns the accepted times, solutions and device currents as lists,
         the start included.  Each step is :meth:`iterate` on a copy of its
-        start, with the sources at its end time.
+        start, with the sources at its end time, and adds one to
+        ``orders[k]``, k its order.
 
         A step whose Newton runs out of iterations is halved and retried;
         one that fails at the ``floor`` raises its
@@ -1094,22 +1157,49 @@ class _Steps:
 
         Uncontrolled, every step is backward Euler: this is how a fixed-grid
         step that failed is cut; its Newton starts at the previous solution.
-        Controlled, the first step is backward Euler and every later one
-        variable-step BDF2 (Gear 1971).  The first two start at the previous
-        solution.  From the third step on, the quadratic through the last
-        three accepted solutions predicts every unknown (node voltages,
-        branch currents and states, clamped to [0, 1]); Newton starts
-        there and may stop at its first iterate (:meth:`iterate`'s
-        ``predicted``), and the predictor-corrector difference of the
-        states times ``_MILNE`` estimates each state's local error: a step
-        is accepted when no estimate exceeds ``SimOptions.reltol`` (or when
-        it is at the floor), and the next step is the one the estimate
-        predicts, within the growth and shrink limits.
+        Controlled, the steps are variable-step, variable-order BDF (Gear
+        1971; Brenan, Campbell & Petzold 1989, ch. 5): a step at order k
+        blends the last k accepted states (:func:`_bdf`).  The first step
+        is backward Euler from the previous solution.  From the second on,
+        the degree-k extrapolant through the last k + 1 accepted solutions
+        predicts every unknown (node voltages, branch currents and states,
+        clamped to [0, 1]); Newton starts there and may stop at its first
+        iterate (:meth:`iterate`'s ``predicted``), and the
+        predictor-corrector difference of the states times ``_MILNE[k]``
+        estimates each state's local error: a step is accepted when no
+        estimate exceeds ``SimOptions.reltol`` (or when it is at the
+        floor), and the next step is the one the estimate predicts
+        (:func:`_growth`).
+
+        The order starts at 1 and, in DASSL's initial phase, rises by one
+        after every predicted step whose estimate lets the next step grow by
+        its order's whole ``_GROWTH_LIMIT``, up to ``_MAX_ORDER``; the first
+        step the estimate limits, or rejects, ends the phase.  After it,
+        once k + 1 steps have been accepted at order k, the next accepted
+        step also estimates the errors of orders k - 1 and k + 1:
+        ``_MILNE[q]`` times the distance of the accepted states from the
+        degree-q extrapolant through the last q + 1 before them.  Of the
+        three, the order whose estimate allows the largest next step is
+        taken, and among those the order at the cap allows alike, the one
+        with the smallest estimate (DASSL's rule; a step held at
+        ``largest`` gains accuracy, not length, from its order); then k + 1
+        more steps are taken before the next choice.  A step that leaves a
+        state at 0 or 1, where the clamp breaks the smooth history the
+        higher orders extrapolate, drops the order to 1 (Brenan, Campbell &
+        Petzold 1989, ch. 5).
+
+        The weights depend on the accepted times only through their offsets
+        from the step's end, so a step of the order and sizes of the last
+        reuses its weights: a step held at its cap computes them once per
+        binade of ``t``, in which ``t + h - t`` rounds alike.
         """
         dim = self.topo.dim
         ts, xs, cs = [t], [x], [currents]
-        tol = SimOptions.reltol
+        ss = [x[dim:]]  # the accepted states
         largest = self.max_step if controlled else _MAX_STEP
+        order, run = 1, 0  # the order, and the steps accepted since it was set
+        rising = controlled  # DASSL's initial phase
+        cached = (None,)  # the last (order, offsets), and their weights and _bdf
         while t < t_end:
             # the last step reaches t_end exactly, absorbing what a step
             # of size h would leave short of the floor; t_next - t may round
@@ -1118,18 +1208,24 @@ class _Steps:
             asked = h
             t_next = t_end if t + h >= t_end - floor else t + h
             h = t_next - t
-            hist, dt_eff, pred, start = x[dim:], h, None, x[:]
-            if controlled and len(ts) >= 2:
-                w = h / (t - ts[-2])
-                hist = [((1.0 + w) ** 2 * sn - w * w * sp) / (1.0 + 2.0 * w)
-                        for sn, sp in zip(hist, xs[-2][dim:])]
-                dt_eff = (1.0 + w) / (1.0 + 2.0 * w) * h
-            if controlled and len(ts) >= 3:
-                l0, l1, l2 = _quadratic(ts[-3], ts[-2], t, t_next)
-                start = [l0 * x0 + l1 * x1 + l2 * x2
-                         for x0, x1, x2 in zip(xs[-3], xs[-2], x)]
+            # the extrapolants through the last 1 to order + 1 solutions, and
+            # order + 2 when the order is chosen after this step: the
+            # corrector's, the predictor and the neighbouring orders'
+            check = controlled and run >= order
+            back = min(order + 1 + check, _MAX_ORDER + 1) if controlled else 1
+            offsets = tuple([m - t_next for m in ts[-back:]])
+            if (order, offsets) != cached[0]:
+                weights = _lagrange(offsets, 0.0)
+                cached = ((order, offsets), weights,
+                          _bdf(offsets[-order:], 0.0, weights[order - 1]))
+            _, weights, (dt_eff, blend) = cached
+            hist = _combine(blend, ss[-order:])
+            if controlled and len(ts) > order:
+                start = _combine(weights[order], xs[-order - 1:])
                 pred = start[dim:]
                 start[dim:] = [min(max(p, 0.0), 1.0) for p in pred]
+            else:
+                pred, start = None, x[:]
             values = [source_value(spec, t_next) for spec in self.specs]
             try:
                 x_new, c_new, _, _ = self.iterate(start, values, dt_eff, hist, t_next,
@@ -1141,21 +1237,60 @@ class _Steps:
                         time=exc.time) from exc
                 h /= 2.0
                 continue
-            factor = _GROWTH_LIMIT
-            if pred is not None:
-                err = _MILNE * max(abs(c - p) for c, p in zip(x_new[dim:], pred))
-                if err > 0.0:
-                    factor = min(max(_SAFETY * (tol / err) ** (1.0 / 3.0),
-                                     _SHRINK_LIMIT), _GROWTH_LIMIT)
-                if err > tol and h > floor and asked > floor:
-                    h = max(h * factor, floor)
-                    continue
-            t, x = t_next, x_new
+            states = x_new[dim:]
+            err = 0.0 if pred is None else _error(order, states, pred)
+            if err > SimOptions.reltol and h > floor and asked > floor:
+                h = max(h * _growth(err, order), floor)
+                rising = False
+                continue
+            self.orders[order] += 1
+            run += 1
+            growth = _growth(err, order)
+            step = min(max(h * growth, floor), largest)
+            if 0.0 in states or 1.0 in states:
+                order, run, rising = 1, 0, False
+            elif rising and pred is not None:
+                rising = growth == _GROWTH_LIMIT[order] and order < _MAX_ORDER
+                if rising:
+                    order, run = order + 1, 0
+            elif check and pred is not None:
+                chosen = order
+                for q in (order - 1, order + 1):
+                    if 0 < q <= _MAX_ORDER and len(ts) > q:
+                        err_q = _error(q, states, _combine(weights[q], ss[-q - 1:]))
+                        step_q = min(max(h * _growth(err_q, q), floor), largest)
+                        if (step_q, -err_q) > (step, -err):
+                            step, err, chosen = step_q, err_q, q
+                order, run = chosen, 0
+            t, x, h = t_next, x_new, step
             ts.append(t)
             xs.append(x)
+            ss.append(states)
             cs.append(c_new)
-            h = min(max(h * factor, floor), largest)
         return ts, xs, cs
+
+
+def _combine(weights, rows) -> list:
+    """``sum(weights[j] * rows[j])`` entry by entry, over lists of floats,
+    each entry summed in row order."""
+    return [sum(map(operator.mul, weights, column)) for column in zip(*rows)]
+
+
+def _error(order, states, predicted) -> float:
+    """The largest estimated local error of the ``states`` a BDF step of
+    ``order`` accepted, from the ``predicted`` ones: Milne's device."""
+    return _MILNE[order] * max(abs(s - p) for s, p in zip(states, predicted))
+
+
+def _growth(err, order) -> float:
+    """The factor on a step of ``order`` whose estimated local error is
+    ``err`` that the next step takes: ``_SAFETY * (reltol / err) **
+    (1 / (order + 1))``, within ``_SHRINK_LIMIT`` and
+    ``_GROWTH_LIMIT[order]``."""
+    if err == 0.0:
+        return _GROWTH_LIMIT[order]
+    return min(max(_SAFETY * (SimOptions.reltol / err) ** (1.0 / (order + 1)),
+                   _SHRINK_LIMIT), _GROWTH_LIMIT[order])
 
 
 def _compile(circuit: Circuit | _Topology, temps=(None,), *, records=None,
@@ -1336,8 +1471,9 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
 
     With ``opts.adaptive``, a memristive transient takes error-controlled
     steps: the first is ``dt`` (``t_stop / 10000`` when unset) and backward
-    Euler, later steps are variable-step BDF2 whose size holds each state's
-    estimated local error to ``SimOptions.reltol`` (:meth:`_Steps.march`), and
+    Euler, later steps are variable-step BDF of orders 1 to ``_MAX_ORDER``
+    whose size and order hold each state's estimated local error to
+    ``SimOptions.reltol`` with the fewest steps (:meth:`_Steps.march`), and
     a sine source caps every step, the first included, at ``1 /
     _SINE_STEPS`` of the fastest one's period.  Failing steps are cut as on
     the fixed grid, down to the first step over ``2**_MAX_CUTS``.  A run
@@ -1368,6 +1504,9 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     recorded sample is a DC row or a step, whose device currents are those
     its Newton accepted.
 
+    A sine source whose phase 2*pi*frequency*t overflows by ``t_stop``
+    raises :class:`DeviceError`, naming it, before any solve.
+
     ``initial_states`` replaces the netlist's initial state (metres) of
     each memristor it names, in any case, letting one run continue where
     another settled; it is merged as ``solve_dc``'s ``states`` is
@@ -1381,6 +1520,12 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     n_steps = int(math.floor(opts.t_stop / dt + 1e-9))
 
     topo = _Topology(circuit)
+    for source in topo.sources:  # a phase that overflows reads NaN
+        spec = source.spec
+        if (spec.kind == "sine"
+                and math.isinf(2.0 * math.pi * spec.frequency * opts.t_stop + spec.phase)):
+            raise DeviceError(f"source {source.name}: sine phase 2*pi*frequency*t "
+                              f"overflows by t={opts.t_stop:.9g} s")
     probe_list = [_build_probe(topo, p) for p in probes]
 
     times = np.arange(n_steps + 1) * dt
@@ -1407,7 +1552,9 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
                 raise ValueError(f"{t_end:.3g} s at most {steps.max_step:.3g} s a step "
                                  f"= {count:.3g} controlled steps; at most "
                                  f"{_MAX_CONTROLLED_STEPS:.0e} are taken")
-            if floor * floor < sys.float_info.min:  # _quadratic divides by it
+            # a step below about 1.5e-154 s, far finer than any of these
+            # circuits needs, is refused
+            if floor * floor < sys.float_info.min:
                 raise ValueError(f"a controlled step cut to {floor:.3g} s squared "
                                  "underflows")
             ts, accepted, cs = steps.march(x, c, 0.0, t_end, h, floor, True)

@@ -5,7 +5,9 @@ than importing anything from the package under test: each function is a
 direct transcription of one closed-form device law, used as the reference
 the implementation must reproduce to 1e-12 relative.  The memristor loop is
 the exception: a closed-form solution of a driven device, which the
-stepped transient must reproduce within its truncation budget.
+stepped transient must reproduce within its truncation budget.  So is the
+classical Runge-Kutta integrator of a circuit's memristor states, whose
+device currents the caller supplies.
 """
 
 import math
@@ -132,3 +134,28 @@ def o_memristor_loop(params, amplitude, frequency, t, s0=0.5):
             break
     s = state(q)
     return amplitude * np.sin(omega * t) / (s * r_on + (1.0 - s) * r_off)
+
+
+def o_rk4_states(currents, params, s0, t_stop, steps):
+    """Normalized states s = w/L at ``t_stop`` of memristors started at
+    ``s0``, by the classical fourth-order Runge-Kutta method in ``steps``
+    equal steps on ds/dt = o_dwdt(s*L, ...) / L.  ``params`` holds each
+    memristor's parameters, and ``currents(s)`` its current (A) with the
+    states at s: a DC solve with the memristances frozen there makes this
+    the reduced state ODE of a memristive transient, whose node voltages
+    follow the states at once.  The states must stay inside [0, 1]."""
+    h = t_stop / steps
+
+    def rate(s):
+        return np.array([o_dwdt(sk * p.length, p.length, p.r_on, p.mobility, p.polarity,
+                                p.window_p, i) / p.length
+                         for sk, p, i in zip(s, params, currents(s))])
+
+    s = np.array(s0, dtype=float)
+    for _ in range(steps):
+        k1 = rate(s)
+        k2 = rate(s + 0.5 * h * k1)
+        k3 = rate(s + 0.5 * h * k2)
+        k4 = rate(s + h * k3)
+        s = s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return s

@@ -354,6 +354,13 @@ class TestSettledTransient:
                               max_time=max_time)
         assert type(exc.value) is AnalysisError and not runs
 
+    @pytest.mark.parametrize("max_time", [1e-10, 1e-9, 1.0])
+    def test_a_max_time_shorter_than_a_chunk_runs_one_chunk(self, max_time):
+        # at or below 1e-9 s the loop took no chunk and raised NotSettledError
+        cir = mirror_circuit(MirrorConfig(MirrorKind.TWO_MEMRISTORS))
+        assert (settled_transient(cir, max_time=max_time).settle_time
+                == settled_transient(cir).settle_time)
+
 
 # --------------------------------------------------------------------------- #
 # Mismatch sweep

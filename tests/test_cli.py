@@ -755,8 +755,10 @@ GOLDEN = DATA / "golden"
 # row, the calibrate files while calibration settled on a fixed 1 ms grid;
 # table1, hysteresis_2m, temp-sweep_2m, param-sweep_2m, emit-netlist and run
 # before the CLI dispatched through one analysis table, the mismatch files
-# again when they gained the r_o-aware prediction); a file is named after
-# its command's analysis and configuration, or its subcommand and flags
+# again when they gained the r_o-aware prediction, hysteresis_2m,
+# temp-sweep_2m and param-sweep_2m again when the error-controlled steps
+# became variable-order BDF); a file is named after its command's analysis
+# and configuration, or its subcommand and flags
 GOLDEN_COMMANDS = {
     "dc_2r": ["mirror", "2r", "--analysis", "dc"],
     "dc_2m": ["mirror", "2m", "--analysis", "dc"],
@@ -834,12 +836,12 @@ def test_readme_lists_the_keys_each_command_reads():
             assert listed == cli._reads(analysis, kind), (target, kind)
 
 
-def run_module(*argv):
-    """``python -m mirrorsim *argv`` in a fresh interpreter that finds the
-    package in this checkout's ``src``."""
+def run_module(*argv, flags=()):
+    """``python *flags -m mirrorsim *argv`` in a fresh interpreter that
+    finds the package in this checkout's ``src``."""
     src = str(Path(__file__).parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "mirrorsim", *argv],
+    return subprocess.run([sys.executable, *flags, "-m", "mirrorsim", *argv],
                           capture_output=True, env={**os.environ, "PYTHONPATH": path})
 
 
@@ -847,6 +849,16 @@ def test_python_m_runs_the_cli():
     done = run_module("mirror", "2m", "--emit-netlist")
     assert done.returncode == EXIT_OK
     assert done.stdout == (GOLDEN / "emit-netlist_2m.csv").read_bytes()
+
+
+def test_a_sine_that_overflows_within_the_run_is_refused_under_w_error(tmp_path):
+    # 2*pi*f*t overflowed at t = 1e9 s: numpy warned and the run exited 2
+    # with "source stepping stalled", and under -W error in a traceback
+    path = netlist_file(tmp_path, "V1 a 0 SIN(0 1 1e300)\nR1 a 0 1\n.tran 1e9 1e10\n")
+    done = run_module("run", path, flags=("-W", "error"))
+    assert done.returncode == EXIT_PARSE and done.stdout == b""
+    assert done.stderr == (b"error: source V1: sine phase 2*pi*frequency*t overflows "
+                           b"by t=1e+10 s\n")
 
 
 def test_python_m_exits_with_the_cli_code():
