@@ -19,9 +19,10 @@ frequencies; and ``solve_dc`` and fixed and error-controlled
 ``run_transient`` on ``2r`` and ``2m`` with ``circuit.temp`` set to 0 C and
 100 C; one stack of ``2r`` DC rows over four ``R2`` loads, solved with
 6 Newton iterations and 3 source steps, whose rows converge cold, converge
-by source stepping and stall while stepping; and ``run_transient`` on the
-fixed grid of a sine-driven resistive ladder, whose stacked DC rows each
-converge in Newton's second iteration.  ``--root`` picks the checkout
+by source stepping and stall while stepping; ``2m`` DC rows with ``Y2.m0``
+records, one solved alone and three as one stack; and ``run_transient`` on
+the fixed grid of a sine-driven resistive ladder, whose stacked DC rows
+each converge in Newton's second iteration.  ``--root`` picks the checkout
 whose ``src`` and ``perfbench`` are imported (default: the one holding this
 script).  A run that raises prints its error in place of its result.
 
@@ -72,6 +73,10 @@ R3 b 0 500
 # 20k and 38k converge cold, 60k by source stepping, 100k stalls stepping
 STEPPED_LOADS = (20e3, 38e3, 60e3, 100e3)
 STEPPED_LIMITS = (6, 3)
+
+# initial memristances (ohm) of 2m's Y2 as Y2.m0 records: the first solved
+# alone, and all three as one stack
+RECORD_M0 = (10e3, 20e3, 30e3)
 
 
 def leaves(obj, path: str = ""):
@@ -183,6 +188,21 @@ def stepped_stack():
     return [rows.x, rows.iterations, rows.currents, rows.residual, outcomes]
 
 
+def record_rows():
+    """``2m`` with ``Y2.m0`` records at ``RECORD_M0``: the operating point
+    of the first solved as a batch of one, then each row's of the three
+    solved as one stack."""
+    import mirrorsim as ms
+    from mirrorsim import engine
+    from mirrorsim.netlist import overrides
+
+    base = ms.mirror_circuit(ms.MirrorConfig(kind=ms.MirrorKind("2m")))
+    position, records, _ = overrides(base, "Y2.m0", list(RECORD_M0))
+    lone = engine._compile(base, [None], records={position: records[:1]}).solve()
+    stack = engine._compile(base, [None] * len(records), records={position: records}).solve()
+    return [lone.operating_point(0)] + [stack.operating_point(k) for k in range(len(records))]
+
+
 def runs():
     """(label, zero-argument call) of every fingerprinted run."""
     import mirrorsim as ms
@@ -231,6 +251,7 @@ def runs():
                 yield (f"run_transient {kind} {mode} {temp} K",
                        lambda c=circuit, o=opts: ms.run_transient(c, o, probes_of(c)))
     yield "solve 2r stack stepped", stepped_stack
+    yield "solve 2m Y2.m0 records alone and stacked", record_rows
     ladder = ms.elaborate(ms.parse(LADDER_DECK))
     yield ("run_transient ladder fixed",
            lambda: ms.run_transient(ladder, ms.SimOptions(dt=5e-4, t_stop=0.04),

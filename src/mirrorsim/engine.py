@@ -8,10 +8,16 @@ row), indices 1..N-1 are node voltages, and the next entries are voltage
 source branch currents (positive into the source's + terminal, the usual
 SPICE sign convention, so a supply delivering power reads negative).  A
 transient step appends one more unknown per memristor, its normalized state
-s = w/L, with the implicit update of the drift law as its row (the way Ho,
-Ruehli & Brennan's modified nodal analysis admits any extra unknown), so
+s = w/L, with the implicit update of the drift law as its equation (the way
+Ho, Ruehli & Brennan's modified nodal analysis admits any extra unknown), so
 each step is a single Newton solve of the coupled system, and its solution
-is one list: the nodes, the branches, then the states.  Every device
+is one list: the nodes, the branches, then the states.  Each state's
+equation holds that one state, so each Newton iteration solves it for the
+state and substitutes it into the node rows (block elimination): the
+system solved is the nodal one, each memristor adding a conductance and a
+right-hand-side share, and the states follow from the node voltages.  At a
+zero step from its own states, each memristor stamps its frozen
+memristance: that is a DC solve.  Every device
 rule, that drift law and the state and kelvin checks included, is called
 from :mod:`mirrorsim.devices`; none is repeated here.  A step whose Newton
 runs out of iterations is halved and retried, as SPICE2 cuts its timestep
@@ -25,9 +31,9 @@ step stops at its first iterate when Newton's own measured contraction
 puts the next update well within the tolerance (DASSL's test).  A
 controlled run read on a uniform grid takes each sample's states from the
 quadratic through the accepted states around it.
-A DC solve has no state rows: the memristances stay frozen.  A circuit
-with no memristor carries nothing from one step to the next, so its
-transient is a DC solve per sample.
+A DC solve keeps the memristances frozen.  A circuit with no memristor
+carries nothing from one step to the next, so its transient is a DC solve
+per sample.
 
 DC solves have a leading batch axis.  One function compiles a circuit into
 rows of one topology as per-row arrays, each at the circuit's temperature or
@@ -39,18 +45,18 @@ indices, and solves the (rows, n, n) stack in one bare LAPACK call, with
 damping and the convergence tests applied row by row.  That stacked Newton
 only converges rows: a row whose solve is not finite, or that reaches the
 iteration limit, leaves the stack and is solved alone on Python lists
-copied from it, which is the fast form for one small system, in the
-Newton loop of the memristive steps, to the same bits; so is the row of a
+copied from it, which is the fast form for one small system, as a
+memristive step of zero length, to the same bits; so is the row of a
 batch of one, which a single DC solve compiles.  That list Newton alone
 makes a DC row's error, its trace and its source-stepping retry.  The
 solve fills one array per quantity (solutions, iterations, device
 currents, KCL residuals; NaN in a failed row) and one dict of row errors,
 in place.  A memristive transient compiles its circuit as one such row
 too, solves t = 0 as that row, and runs its steps on lists copied from it:
-the step's system, bordered with the state rows and columns, is one flat
-list, and each Newton iteration makes one bare LAPACK call.  One stamp
-table per topology orders every entry's terms for the rows and the steps
-alike.  A recorded step carries the device currents whose KCL residual its
+the step's system, the DC row's with each memristor's condensed stamp, is
+one flat list, and each Newton iteration makes one bare LAPACK call.  One
+stamp table per topology orders every entry's terms for the rows and the
+steps alike.  A recorded step carries the device currents whose KCL residual its
 own Newton accepted.  A memristor-free transient and a controlled one
 read on a grid record DC solutions: each source's values are evaluated
 once for the whole run, the samples are keyed by the bits of their source
@@ -72,7 +78,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -580,13 +585,14 @@ class _DcRows:
     :func:`~mirrorsim.devices.mosfet_square_law`'s operations, each row's
     iterates equal those of the same row solved alone, to the bit.  The
     stacked :meth:`newton` only converges rows; a row it leaves, and the
-    row of a batch of one, is solved alone (:meth:`lone`), on the list
-    Newton of :class:`_Steps` on the row's own system, which alone makes a
-    DC row's error, trace and source-stepping retry.
+    row of a batch of one, is solved alone (:meth:`lone`), as a step of
+    zero length of :class:`_Steps` built on the row, its own records and
+    states, which alone makes a DC row's error, trace and source-stepping
+    retry.
     """
 
     def __init__(self, topo: _Topology, temps, records, states, values: np.ndarray):
-        self.topo, self.temps, self.states = topo, temps, states
+        self.topo, self.temps, self.records, self.states = topo, temps, records, states
         count = len(self.temps)
         devices = topo.circuit.devices
         s_at = {} if states is None else dict(zip(topo.mem_cols, states))
@@ -736,8 +742,10 @@ class _DcRows:
     def lone(self, k: int) -> None:
         """Row ``k`` solved alone: the one definition of a DC row's solve,
         on the list Newton of the memristive steps (:meth:`_Steps.iterate`)
-        built frozen on the row, the fast form for one small system, which
-        iterates as :meth:`newton` iterates the row, to the bit.
+        built on the row, the fast form for one small system: a step at
+        ``dt_eff = 0`` whose history is the row's states, so that each
+        memristor stamps its frozen memristance and its state stays put, and
+        which iterates as :meth:`newton` iterates the row, to the bit.
 
         Newton starts at :meth:`start`.  Where it fails to converge (a
         :class:`NonConvergenceError`), it is retried with the sources
@@ -746,22 +754,22 @@ class _DcRows:
         iterations sum its steps'.  The row's entries are written only on
         success; otherwise ``errors[k]`` is the error, with its trace:
         ``iterate``'s, or the stepping's "source stepping stalled"."""
-        steps = _Steps(self, k, frozen=True)
-        values = self.values[k].tolist()
+        steps = _Steps(self, k)
+        values, states = self.values[k].tolist(), steps.states
         try:
             with np.errstate(all="ignore"):  # a singular system reads NaN
                 try:
                     x, currents, residual, its = steps.iterate(
-                        self.start([k])[0].tolist(), values)
+                        self.start([k])[0].tolist() + states, values, 0.0, states)
                 except NonConvergenceError:
                     if _SOURCE_STEPS < 2:
                         raise
-                    x, its = [0.0] * self.topo.dim, 0
+                    x, its = [0.0] * self.topo.dim + states, 0
                     for step in range(1, _SOURCE_STEPS + 1):
                         scale = step / _SOURCE_STEPS
                         try:
                             x, currents, residual, it = steps.iterate(
-                                x, [scale * v for v in values])
+                                x, [scale * v for v in values], 0.0, states)
                         except NonConvergenceError as exc:
                             raise NonConvergenceError(
                                 f"source stepping stalled at scale {scale:.2f}: {exc}",
@@ -770,7 +778,7 @@ class _DcRows:
         except SimulationError as exc:
             self.errors[k] = exc
             return
-        self.x[k], self.currents[k, self.topo.kind_order] = x, currents
+        self.x[k], self.currents[k, self.topo.kind_order] = x[:self.topo.dim], currents
         self.residual[k], self.iterations[k] = residual, its
 
     def solve(self) -> _DcRows:
@@ -872,64 +880,49 @@ def _dense(ts, ss, times) -> np.ndarray:
 
 
 class _Steps:
-    """Implicit steps of a memristive circuit compiled as row 0 of a
+    """Implicit steps of a memristive circuit compiled as row ``row`` of a
     :class:`_DcRows`, on Python lists copied from that row, which is the
     fast form for one small system.
 
-    A step's unknowns are one list of floats ``x``, ``size = dim +
-    memristors`` long: the layout the module docstring gives, then one
-    normalized state ``w / L`` per memristor, in the order of the
-    topology's memristors, at ``x[dim:]`` (each memristor's column ``col``
-    in :attr:`memristors`).  A step's system borders the DC row's with one
-    state row and column per memristor.  Every step solves ``s = hist +
-    dt_eff * (dw/dt)/L``: a backward-Euler step has ``hist`` the previous
-    states and ``dt_eff = dt``, and a variable-step BDF step of order k
-    (:meth:`march`, :func:`_bdf`) a blend of the last k accepted states
-    and a shortened step.  :attr:`orders` counts the steps :meth:`march`
-    accepts at each order.
+    A step's unknowns are one list of floats ``x``: the layout the module
+    docstring gives, then the normalized states ``w / L`` of the
+    topology's memristors at ``x[dim:]`` (each memristor's column ``col``
+    in :attr:`memristors`); :attr:`states` are the row's own.  Every step
+    solves ``s = hist + dt_eff * (dw/dt)/L``: a backward-Euler step has
+    ``hist`` the previous states and ``dt_eff = dt``, and a variable-step
+    BDF step of order k (:meth:`march`, :func:`_bdf`) a blend of the last k
+    accepted states and a shortened step.  :attr:`orders` counts the steps
+    :meth:`march` accepts at each order.
 
-    The bordered system, ``size = dim + memristors`` square, is one flat
-    row-major list: row 0's linear part without memristors, the fixed
-    matrix and the resistors added by the same :meth:`_DcRows._scatter`
-    that compiles the DC rows, padded with zero state rows and columns.
-    Its stamps are the topology's own sequences (:attr:`_Topology.stamps`)
-    with each matrix entry mapped to its flat index, applied one by one in
-    sequence order, memristors and then MOSFETs, as :class:`_DcRows` adds
-    them: the node block (rows and columns below ``dim``) of a step's
-    matrix is the DC row's matrix with the memristances at M(s), and
-    :meth:`kcl` the DC row's currents and residual, to the bit.  Each
-    Newton iteration copies that list, adds the stamps, and makes one
-    LAPACK call through the kernel that :func:`numpy.linalg.solve`
-    dispatches to, so its solution is that function's, to the bit.
-
-    Built ``frozen`` on any ``row``, the system is that row's DC system
-    itself, for :meth:`_DcRows.lone`: no state rows (``size == dim``), and
-    the memristors at the row's compiled memristances, in its linear part.
-    Its Newton is the steps' own (:meth:`iterate`) with no states, so it
-    iterates as :meth:`_DcRows.newton` iterates that row, to the bit, and
-    it alone makes a DC row's error, trace and source-stepping retry.
+    The step's system is the DC row's, ``dim`` square, one flat row-major
+    list: the row's fixed matrix and resistors, added by the same
+    :meth:`_DcRows._scatter` that compiles the DC rows, then the
+    topology's stamp sequences (:attr:`_Topology.stamps`) one by one,
+    memristors and then MOSFETs, as :class:`_DcRows` adds them, each
+    memristor's state solved out of its own equation into a conductance and
+    a right-hand-side share (:meth:`_condense`).  So a step at ``dt_eff =
+    0`` whose ``hist`` is its states is the DC row, its matrix, right-hand
+    side and :meth:`kcl` to the bit, which is how :meth:`_DcRows.lone`
+    solves a row.  Each Newton iteration makes one LAPACK call through the
+    kernel that :func:`numpy.linalg.solve` dispatches to, so its solution
+    is that function's, to the bit.
     """
 
-    def __init__(self, rows: _DcRows, row: int = 0, frozen: bool = False):
+    def __init__(self, rows: _DcRows, row: int = 0):
         topo = self.topo = rows.topo
         self.specs = [src.spec for src in topo.sources]
         self.branches = topo.branch_cols.tolist()
         self.damped = [j in topo.damped_nodes for j in range(topo.n_nodes)]
         dim = topo.dim
-        stepped = [] if frozen else topo.memristors
-        size = self.size = dim + len(stepped)
-        linear = (rows.g_lin[row] if frozen else  # the memristors go in per step
-                  rows._scatter("res", topo.fixed[None].copy(), rows.g_res[:, row:row + 1])[0])
-        self.g_base = [0.0] * (size * size)
-        for r, line in enumerate(linear.tolist()):
-            self.g_base[r * size:r * size + dim] = line
-        # the topology's stamps with matrix entries as flat indices of the
-        # bordered system: the memristors', and per MOSFET k (term column
-        # block * MOSFETs + k) its nodes, coefficients and stamps
-        stamps = {name: [(e[0] * size + e[1] if len(e) == 2 else e[0], term, sign)
+        self.g_base = rows._scatter("res", topo.fixed[None].copy(),
+                                    rows.g_res[:, row:row + 1]).ravel().tolist()
+        # the topology's stamps with matrix entries as flat indices: the
+        # memristors', and per MOSFET k (term column block * MOSFETs + k)
+        # its nodes, coefficients and stamps
+        stamps = {name: [(e[0] * dim + e[1] if len(e) == 2 else e[0], term, sign)
                          for e, term, sign in topo.stamps[name]]
                   for name in ("mem", "mos", "ieq")}
-        self.mem_sequence = [] if frozen else stamps["mem"]
+        self.mem_sequence = stamps["mem"]
         count = len(topo.mosfets)
         self.mosfets = [((f.n_d, f.n_g, f.n_s), c, [], []) for f, c in
                         zip(topo.mosfets, rows.coeffs[:, :, row].T.tolist())]
@@ -937,23 +930,21 @@ class _Steps:
             self.mosfets[term % count][2].append((i, term // count, sign))
         for r, k, sign in stamps["ieq"]:
             self.mosfets[k][3].append((r, sign))
-        # per memristor: its nodes, parameters, state column, the flat
-        # index of its state row's diagonal, and per non-ground terminal
-        # (node, sign, flat index of the node row's state column, flat
-        # index of the state row's node column)
-        self.memristors = []
-        for k, m in enumerate(stepped):
-            col = dim + k
-            ends = [(node, sign, node * size + col, col * size + node)
-                    for node, sign in ((m.n_pos, 1.0), (m.n_neg, -1.0)) if node]
-            self.memristors.append((m.n_pos, m.n_neg, m.params, col,
-                                    col * size + col, ends))
+        # per memristor: its nodes, the row's parameters, its state column
+        # and its non-ground terminals as (node, sign); and the row's state
+        devices = topo.circuit.devices
+        self.memristors, self.states = [], []
+        for k, (j, m) in enumerate(zip(topo.mem_cols, topo.memristors)):
+            given = rows.records.get(j, devices[j:j + 1])
+            record = given[row if len(given) > 1 else 0]
+            s = (memristor_state(record.w0, record.params) if rows.states is None
+                 else rows.states[k])
+            self.states.append(float(s[row] if np.ndim(s) else s))
+            self.memristors.append((m.n_pos, m.n_neg, record.params, dim + k,
+                                    [(node, sign) for node, sign in
+                                     ((m.n_pos, 1.0), (m.n_neg, -1.0)) if node]))
         self.res_ends = [(g, r.n_pos, r.n_neg)
                          for g, r in zip(rows.g_res[:, row].tolist(), topo.resistors)]
-        # every memristor's nodes, and the row's memristances, which the KCL
-        # reads when frozen
-        self.mem_ends = [(m.n_pos, m.n_neg) for m in topo.memristors]
-        self.r_mem = rows.r_mem[:, row].tolist()
         # the largest controlled step: _MAX_STEP, or less with a sine source
         self.max_step = min([_MAX_STEP] + [1.0 / (_SINE_STEPS * spec.frequency)
                                            for spec in self.specs
@@ -966,16 +957,15 @@ class _Steps:
 
     def assemble(self, x, values, dt_eff, hist):
         """Linearized system of a step at ``x``, with the sources at
-        ``values``, as (matrix, right-hand side) arrays: row 0's linear
-        part, the memristances at the states ``x[dim:]``, the MOSFETs
-        linearized at ``x``, then the state rows."""
+        ``values``: (matrix, right-hand side) arrays, ``dim`` square, of
+        the row's linear part, each memristor's condensed stamp
+        (:meth:`_condense`) and the MOSFETs linearized at ``x``, and per
+        memristor the (rs, d_dv, d_ds) of its state after the solve."""
         g_mat = self.g_base[:]
-        rhs = [0.0] * self.size
+        rhs = [0.0] * self.topo.dim
         for br, value in zip(self.branches, values):
             rhs[br] = value
-        g_mem = []
-        for _, _, p, col, _, _ in self.memristors:
-            g_mem.append(1.0 / memristance_at(x[col], p))
+        g_mem, states = self._condense(rhs, x, dt_eff, hist)
         for i, k, sign in self.mem_sequence:
             g_mat[i] += g_mem[k] * sign
         for (d, g, src), c, matrix, sources in self.mosfets:
@@ -988,54 +978,64 @@ class _Steps:
             ieq = i0 - gm * vgs - gds * vds
             for r, sign in sources:
                 rhs[r] += ieq * sign
-        self._stamp_states(g_mat, rhs, x, g_mem, dt_eff, hist)
-        return np.array(g_mat).reshape(self.size, self.size), np.array(rhs)
+        dim = self.topo.dim
+        return np.array(g_mat).reshape(dim, dim), np.array(rhs), states
 
-    def _stamp_states(self, g_mat, rhs, x, g_mem, dt_eff, hist) -> None:
-        """State rows ``s - hist - dt_eff*(dw/dt)/L = 0`` linearized at
-        ``x``, each state s at its column ``x[col]``, and the state columns
-        of the memristors' node rows, into the flat matrix ``g_mat``;
-        ``g_mem`` holds the memristors' conductances at their states.
+    def _condense(self, rhs, x, dt_eff, hist):
+        """Each memristor's state equation ``s - hist - dt_eff*(dw/dt)/L =
+        0``, linearized at ``x``, each state s at its column ``x[col]``,
+        and solved for s: returns the memristors' conductances and per
+        memristor the (rs, d_dv, d_ds) of its state after the node solve,
+        ``s = (rs - d_dv*(v_a - v_b))/d_ds``, and adds their
+        right-hand-side shares into ``rhs``.
 
-        With M = s*Ron + (1-s)*Roff and i = v/M, the step's drift is
-        ``k*i*f(s)``, its ``k``, window ``f`` and window slope ``f'`` taken
-        from :func:`~mirrorsim.devices.memristor_drift`; the partials are
-        di/ds = -v*(Ron - Roff)/M^2 and f'(s).  A state at a bound whose
-        residual points outward (the update would leave [0, 1]) is held
-        there by the row ``s = bound``.
+        With M = s*Ron + (1-s)*Roff, g = 1/M and i = v*g, the step's drift
+        is ``k*i*f(s)``, its ``k``, window ``f`` and window slope ``f'``
+        taken from :func:`~mirrorsim.devices.memristor_drift`.  The
+        equation, linearized, reads d_ds*s + d_dv*v = rs, with di/ds =
+        -i*(Ron - Roff)*g, d_ds = 1 - k*(di/ds*f + i*f'), d_dv = -k*f*g and
+        rs = d_ds*s + d_dv*v less its residual, all at ``x``.  Substituted into
+        the linearized current g*v + di/ds*(s - s_x), it leaves the
+        conductance g - di/ds*d_dv/d_ds and the share di/ds*(s_x - rs/d_ds),
+        added at n_pos and taken at n_neg: block elimination of one
+        system.  A state at a bound whose residual points outward (the
+        update would leave [0, 1]) is held there: it keeps g, adds no share
+        and stays put.  At ``dt_eff = 0`` with ``hist`` the states, both
+        terms reduce to the frozen memristance, to the bit.
         """
-        for (a, b, p, col, diag, ends), g, h in zip(self.memristors, g_mem, hist):
+        g_mem, states = [], []
+        for (a, b, p, col, ends), h in zip(self.memristors, hist):
             sk = x[col]
             v = x[a] - x[b]
+            g = 1.0 / memristance_at(sk, p)
             i = v * g
             kc, f, f_slope = memristor_drift(sk, p, dt_eff)
             resid = sk - h - kc * i * f
             if (sk == 1.0 and resid <= 0.0) or (sk == 0.0 and resid >= 0.0):
-                g_mat[diag] = 1.0
-                rhs[col] = sk
+                g_mem.append(g)
+                states.append((sk, 0.0, 1.0))
                 continue
             di_ds = -i * (p.r_on - p.r_off) * g
             d_ds = 1.0 - kc * (di_ds * f + i * f_slope)
             d_dv = -kc * f * g
-            g_mat[diag] = d_ds
-            for node, sign, node_col, col_node in ends:
-                g_mat[node_col] += di_ds * sign
-                rhs[node] += di_ds * sk * sign
-                g_mat[col_node] += d_dv * sign
-            rhs[col] = d_ds * sk + d_dv * v - resid
+            rs = d_ds * sk + d_dv * v - resid
+            g_mem.append(g - di_ds * d_dv / d_ds)
+            share = di_ds * (sk - rs / d_ds)
+            for node, sign in ends:
+                rhs[node] += share * sign
+            states.append((rs, d_dv, d_ds))
+        return g_mem, states
 
     def kcl(self, x):
         """Device currents by kind, as :meth:`_DcRows.kcl` orders them
         (see OperatingPoint), and the largest net current into any
         non-ground node (A), with the memristances at the states
-        ``x[dim:]``, or at the row's when frozen."""
+        ``x[dim:]``."""
         by_kind = []
         for g, a, b in self.res_ends:
             by_kind.append(g * (x[a] - x[b]))
-        r_mem = ([memristance_at(x[m[3]], m[2]) for m in self.memristors]
-                 if self.memristors else self.r_mem)
-        for (a, b), r in zip(self.mem_ends, r_mem):
-            by_kind.append((x[a] - x[b]) / r)
+        for a, b, p, col, _ in self.memristors:
+            by_kind.append((x[a] - x[b]) / memristance_at(x[col], p))
         for (d, g, src), c, _, _ in self.mosfets:
             by_kind.append(mosfet_square_law(x[g] - x[src], x[d] - x[src], *c)[0])
         for br in self.branches:
@@ -1045,20 +1045,23 @@ class _Steps:
             sums[node] += by_kind[column] * sign
         return by_kind, max(map(abs, sums[1:]))
 
-    def iterate(self, x, values, dt_eff=0.0, hist=(), t: float | None = None,
+    def iterate(self, x, values, dt_eff, hist, t: float | None = None,
                 predicted: bool = False):
         """Newton-Raphson from ``x``, updated in place, with the sources
-        at ``values``: a step to time ``t`` on the state rows ``s = hist +
-        dt_eff*(dw/dt)/L`` (:meth:`march`), or, built ``frozen``, the row's
-        DC solve as :meth:`_DcRows.newton` iterates it, to the bit
-        (:meth:`_DcRows.lone`).  Call it inside ``np.errstate(all="ignore")``:
-        the bare kernel reports a singular matrix as NaN.
+        at ``values``, each state on its equation ``s = hist +
+        dt_eff*(dw/dt)/L``: a step to time ``t`` (:meth:`march`), or, at
+        ``dt_eff = 0`` with ``hist`` the states and no time, the row's DC
+        solve as :meth:`_DcRows.newton` iterates it, to the bit
+        (:meth:`_DcRows.lone`).  Call it inside
+        ``np.errstate(all="ignore")``: the bare kernel reports a singular
+        matrix as NaN.
 
         Converged means per-node voltage deltas below vntol + reltol*|V|,
         every state delta below reltol, and the device-KCL residual below
-        abstol.  Each iteration moves a state by at most ``_STATE_LIMIT``
-        and clamps it to [0, 1].  Returns (x, currents, residual,
-        iterations), with :meth:`kcl` at the accepted ``x``.  Running out
+        abstol.  Each iteration takes the states that the solved node
+        voltages give (:meth:`_condense`), moves each by at most
+        ``_STATE_LIMIT`` and clamps it to [0, 1].  Returns (x, currents,
+        residual, iterations), with :meth:`kcl` at the accepted ``x``.  Running out
         of iterations raises :class:`_IterationLimit` at a time, the DC
         rows' :class:`NonConvergenceError` without one; a non-finite
         iterate raises :func:`_solve_error`'s error at once:
@@ -1075,12 +1078,12 @@ class _Steps:
         its update unclipped and its KCL residual below abstol.
         """
         trace: list[tuple[int, float, float]] = []
-        n, dim, size = self.topo.n_nodes, self.topo.dim, self.size
+        n, dim = self.topo.n_nodes, self.topo.dim
         vntol, reltol = SimOptions.vntol, SimOptions.reltol
         damped = self.damped
         w1, free = 0.0, False  # the first update's ratio, and not clipped
         for it in range(1, _MAX_NEWTON_ITERS + 1):
-            g_mat, rhs = self.assemble(x, values, dt_eff, hist)
+            g_mat, rhs, states = self.assemble(x, values, dt_eff, hist)
             solved = _solve1(g_mat, rhs).tolist()
             if not all(map(math.isfinite, solved)):
                 trace.append((it, math.nan, math.nan))
@@ -1107,8 +1110,8 @@ class _Steps:
                     clipped = True
                 x[j] += d
             x[n:dim] = solved[n:dim]
-            for col in range(dim, size):
-                ds = solved[col] - x[col]
+            for (a, b, _, col, _), (rs, d_dv, d_ds) in zip(self.memristors, states):
+                ds = (rs - d_dv * (solved[a] - solved[b])) / d_ds - x[col]
                 dsa = abs(ds)
                 if dsa >= reltol:
                     converged = False
@@ -1478,9 +1481,8 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     _SINE_STEPS`` of the fastest one's period.  Failing steps are cut as on
     the fixed grid, down to the first step over ``2**_MAX_CUTS``.  A run
     that needs more than ``_MAX_CONTROLLED_STEPS`` steps at its largest
-    step, or whose smallest step squared underflows, raises
-    :class:`ValueError` before its first step, as :class:`SimOptions`
-    refuses too fine a grid.  With ``opts.dt`` unset the run records the
+    step raises :class:`ValueError` before its first step, as
+    :class:`SimOptions` refuses too fine a grid.  With ``opts.dt`` unset the run records the
     steps it accepts, so the waveforms' ``t`` is not uniform, and the last
     step ends at ``t_stop``.
     With ``opts.dt`` set the steps end at the grid's last time and the run
@@ -1539,9 +1541,9 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
         compiled = _compile(topo, states=initial_states or {}).solve()
         if compiled.errors:
             raise compiled.errors[0]
-        x = compiled.x[0].tolist() + compiled.states
-        c = compiled.currents[0, topo.kind_order].tolist()
         steps = _Steps(compiled)
+        x = compiled.x[0].tolist() + steps.states
+        c = compiled.currents[0, topo.kind_order].tolist()
         if opts.adaptive:
             # the first step is dt, or the step cap when that is smaller;
             # on a requested grid the steps end at its last sample
@@ -1552,11 +1554,6 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
                 raise ValueError(f"{t_end:.3g} s at most {steps.max_step:.3g} s a step "
                                  f"= {count:.3g} controlled steps; at most "
                                  f"{_MAX_CONTROLLED_STEPS:.0e} are taken")
-            # a step below about 1.5e-154 s, far finer than any of these
-            # circuits needs, is refused
-            if floor * floor < sys.float_info.min:
-                raise ValueError(f"a controlled step cut to {floor:.3g} s squared "
-                                 "underflows")
             ts, accepted, cs = steps.march(x, c, 0.0, t_end, h, floor, True)
             x = accepted[-1]
             if opts.dt is None:

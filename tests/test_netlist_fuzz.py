@@ -23,14 +23,17 @@ from hypothesis import strategies as st
 from mirrorsim import engine
 from mirrorsim.cli import main
 from mirrorsim.devices import DeviceError
-from mirrorsim.engine import SimOptions, SimulationError, solve_dc
+from mirrorsim.engine import SimOptions, SimulationError, run_transient, solve_dc
 from mirrorsim.netlist import (
     _INSTANCE_FIELDS,
     _MODEL_FIELDS,
+    BoundMemristor,
     NetlistError,
     elaborate,
     parse,
 )
+
+import oracles
 
 NODES = ("0", "a", "b", "c", "d")
 ANY, NODE, OPTIONAL, SINE_ARG = "drop double garble", "drop double", "double garble", "garble"
@@ -203,6 +206,53 @@ def test_a_lone_dc_row_is_its_row_of_a_stack(deck, limit):
             stack = [exc]
     for row in stack:
         assert _outcome(row) == _outcome(alone)
+
+
+def _memristive_tran(deck) -> bool:
+    lines, dc = deck
+    return not dc and any(line[0][0].startswith("Y") for line in lines)
+
+
+@given(deck=decks().filter(_memristive_tran))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_a_transient_deck_s_states_take_their_backward_euler_steps(deck):
+    # each recorded state of a .tran deck that runs is the backward-Euler
+    # update, from the state one grid step before, at its own recorded
+    # current: s_k = s_{k-1} + dt*k*i_k*f(s_k), with k and f the oracles'
+    # drift law, within reltol, or it sits at a bound; a grid step that
+    # _Steps.march cut is exempt
+    text = _render(deck[0])
+    try:
+        circuit = elaborate(parse(text))
+        _, step, stop = circuit.analysis
+        opts = SimOptions(dt=step, t_stop=stop)
+    except (NetlistError, DeviceError, ValueError):
+        return
+    memristors = [d for d in circuit.devices if isinstance(d, BoundMemristor)]
+    cut, march = set(), engine._Steps.march
+
+    def spy(self, x, currents, t, t_end, *args):
+        cut.add(t_end)
+        return march(self, x, currents, t, t_end, *args)
+
+    probes = [f"{kind}({m.name})" for m in memristors for kind in "iw"]
+    with mock.patch.object(engine._Steps, "march", spy):
+        try:
+            res = run_transient(circuit, opts, probes)
+        except (SimulationError, DeviceError):
+            return
+    for m in memristors:
+        p = m.params
+        t = res.waveform(f"i({m.name})").t
+        i = res.waveform(f"i({m.name})").values
+        w = res.waveform(f"w({m.name})").values
+        s = w / p.length
+        for k in range(1, len(t)):
+            if t[k] in cut or s[k] in (0.0, 1.0):
+                continue
+            drift = oracles.o_dwdt(w[k], p.length, p.r_on, p.mobility, p.polarity,
+                                   p.window_p, i[k]) / p.length
+            assert abs(s[k] - s[k - 1] - step * drift) <= SimOptions.reltol, (text, m.name, k)
 
 
 @pytest.mark.parametrize("deck, message", [
