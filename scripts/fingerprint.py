@@ -19,7 +19,10 @@ frequencies; and ``solve_dc`` and fixed and error-controlled
 ``run_transient`` on ``2r`` and ``2m`` with ``circuit.temp`` set to 0 C and
 100 C; one stack of ``2r`` DC rows over four ``R2`` loads, solved with
 6 Newton iterations and 3 source steps, whose rows converge cold, converge
-by source stepping and stall while stepping; ``2m`` DC rows with ``Y2.m0``
+by source stepping and stall while stepping (its line ends with
+``newton=`` the list-Newton iterations its rows solved alone ran, counted
+by wrapping ``_Steps.iterate``, a Newton that raises by its trace);
+``2m`` DC rows with ``Y2.m0``
 records, one solved alone and three as one stack; and ``run_transient`` on
 the fixed grid of a sine-driven resistive ladder, whose stacked DC rows
 each converge in Newton's second iteration.  ``--root`` picks the checkout
@@ -34,7 +37,8 @@ ones included, and, where ``_Steps`` counts its accepted steps per order
 (``_Steps.orders``), ``orders=`` those counts from order 1 up, joined by
 ``/``; the script counts them by wrapping ``_Steps.march`` and
 ``_Steps.iterate``, so a diff against ``--root`` shows where a change in
-work comes from.  No other line carries counts.
+work comes from.  No other line carries counts but the stepped stack's
+``newton=``.
 """
 
 import argparse
@@ -149,7 +153,9 @@ def line(label: str, run, counts: list) -> str:
         return f"{label} raised {type(exc).__name__}: {exc}"
     fields = [f"{path or '.'}={text}" for path, text in leaves(result)]
     if counts[0]:
-        fields += [f"steps={counts[0]}", f"newton={counts[1]}"]
+        fields.append(f"steps={counts[0]}")
+    if counts[1]:
+        fields.append(f"newton={counts[1]}")
     if counts[2]:
         fields.append("orders=" + "/".join(map(str, counts[2][1:])))
     return " ".join([label] + fields)
@@ -166,22 +172,35 @@ def probes_of(circuit) -> list[str]:
                if isinstance(d, BoundMemristor) for p in "wm"])
 
 
-def stepped_stack():
+def stepped_stack(counts: list):
     """The ``STEPPED_LOADS`` stack solved at ``STEPPED_LIMITS``: its
-    arrays, and each row's operating point, or its error and trace."""
+    arrays, and each row's operating point, or its error and trace; adds
+    the list-Newton iterations its rows ran alone to ``counts[1]``."""
     import mirrorsim as ms
     from mirrorsim import engine
     from mirrorsim.netlist import overrides
 
+    def counted(self, *args):
+        try:
+            result = iterate(self, *args)
+        except engine.NonConvergenceError as exc:
+            counts[1] += len(exc.trace)
+            raise
+        counts[1] += result[-1]
+        return result
+
     base = ms.mirror_circuit(ms.MirrorConfig(kind=ms.MirrorKind("2r")))
     position, records, _ = overrides(base, "R2.r_nominal", list(STEPPED_LOADS))
     limits = engine._MAX_NEWTON_ITERS, engine._SOURCE_STEPS
+    iterate = engine._Steps.iterate
     engine._MAX_NEWTON_ITERS, engine._SOURCE_STEPS = STEPPED_LIMITS
+    engine._Steps.iterate = counted
     try:
         rows = engine._compile(base, [None] * len(STEPPED_LOADS),
                                records={position: records}).solve()
     finally:
         engine._MAX_NEWTON_ITERS, engine._SOURCE_STEPS = limits
+        engine._Steps.iterate = iterate
     outcomes = [(f"{type(rows.errors[k]).__name__}: {rows.errors[k]}",
                  rows.errors[k].trace) if k in rows.errors else rows.operating_point(k)
                 for k in range(len(STEPPED_LOADS))]
@@ -203,8 +222,9 @@ def record_rows():
     return [lone.operating_point(0)] + [stack.operating_point(k) for k in range(len(records))]
 
 
-def runs():
-    """(label, zero-argument call) of every fingerprinted run."""
+def runs(counts: list):
+    """(label, zero-argument call) of every fingerprinted run; the stepped
+    stack adds its counts to ``counts``."""
     import mirrorsim as ms
     import workloads
 
@@ -250,7 +270,7 @@ def runs():
             ):
                 yield (f"run_transient {kind} {mode} {temp} K",
                        lambda c=circuit, o=opts: ms.run_transient(c, o, probes_of(c)))
-    yield "solve 2r stack stepped", stepped_stack
+    yield "solve 2r stack stepped", lambda: stepped_stack(counts)
     yield "solve 2m Y2.m0 records alone and stacked", record_rows
     ladder = ms.elaborate(ms.parse(LADDER_DECK))
     yield ("run_transient ladder fixed",
@@ -269,7 +289,7 @@ def main(argv=None) -> int:
     from mirrorsim import engine
 
     counts = count_controlled_steps(engine)
-    for label, run in runs():
+    for label, run in runs(counts):
         print(line(label, run, counts), flush=True)
     return 0
 

@@ -35,6 +35,18 @@ A DC solve keeps the memristances frozen.  A circuit with no memristor
 carries nothing from one step to the next, so its transient is a DC solve
 per sample.
 
+One list-form row, :class:`_Steps`, built on one compiled row and on
+Python lists copied from it (the fast form for one small system), solves
+every lone DC row, every memristive step and the t = 0 point of a
+memristive transient, in the one layout above: nodes, branches, states.
+Its system, the DC row's with each memristor's condensed stamp, is one
+flat list, and each Newton iteration makes one bare LAPACK call.  Its DC
+solve (:meth:`_Steps.solve`) is a step of zero length from its own states,
+with the source-stepping retry; that list Newton alone makes a DC row's
+error and trace.  Every recorded sample is a row of that layout too: a
+step's solution, or a DC solution with the states it was frozen at
+appended.
+
 DC solves have a leading batch axis.  One function compiles a circuit into
 rows of one topology as per-row arrays, each at the circuit's temperature or
 its own, a device that every row shares evaluated once (so a sweep evaluates
@@ -44,25 +56,21 @@ of every row in one array call, adds each stamp family in one call over flat
 indices, and solves the (rows, n, n) stack in one bare LAPACK call, with
 damping and the convergence tests applied row by row.  That stacked Newton
 only converges rows: a row whose solve is not finite, or that reaches the
-iteration limit, leaves the stack and is solved alone on Python lists
-copied from it, which is the fast form for one small system, as a
-memristive step of zero length, to the same bits; so is the row of a
-batch of one, which a single DC solve compiles.  That list Newton alone
-makes a DC row's error, its trace and its source-stepping retry.  The
-solve fills one array per quantity (solutions, iterations, device
-currents, KCL residuals; NaN in a failed row) and one dict of row errors,
-in place.  A memristive transient compiles its circuit as one such row
-too, solves t = 0 as that row, and runs its steps on lists copied from it:
-the step's system, the DC row's with each memristor's condensed stamp, is
-one flat list, and each Newton iteration makes one bare LAPACK call.  One
-stamp table per topology orders every entry's terms for the rows and the
-steps alike.  A recorded step carries the device currents whose KCL residual its
-own Newton accepted.  A memristor-free transient and a controlled one
-read on a grid record DC solutions: each source's values are evaluated
-once for the whole run, the samples are keyed by the bits of their source
-values and (frozen) states, and only the distinct keys are compiled as DC
-rows and solved, a block of them at a time (a block of one distinct key
-is a lone row).
+iteration limit, leaves the stack and is solved alone by the DC solve of a
+:class:`_Steps` built on it, to the same bits; so is the row of a batch of
+one, which a single DC solve compiles.  The solve fills one array per
+quantity (solutions, iterations, device currents, KCL residuals; NaN in a
+failed row) and one dict of row errors, in place.  A memristive transient
+compiles its circuit as one such row and builds one :class:`_Steps` on
+it, which solves t = 0 and then steps.  One stamp table per topology, its
+entries as flat indices, orders every entry's terms for the rows and the
+steps alike.  A recorded step carries the device currents whose KCL
+residual its own Newton accepted.  A memristor-free transient and a
+controlled one read on a grid record DC solutions: each source's values
+are evaluated once for the whole run, the samples are keyed by the bits of
+their source values and (frozen) states, and only the distinct keys are
+compiled as DC rows and solved, a block of them at a time (a block of one
+distinct key is a lone row).
 
 The dense linear solves are LAPACK LU with partial pivoting, each through
 the kernel that :func:`numpy.linalg.solve` calls, to the same bits, without
@@ -133,7 +141,7 @@ _GMIN = 1e-12
 _MAX_NEWTON_ITERS = 100
 
 # A DC row whose first Newton (started at its own source values, see
-# _DcRows.start) fails is retried alone (_DcRows.lone) with its sources
+# _DcRows.start) fails is retried alone (_Steps.solve) with its sources
 # ramped up in this many equal steps from 0 V, each step's Newton started
 # from the last; below 2 there is no retry
 _SOURCE_STEPS = 10
@@ -398,11 +406,13 @@ class _Topology:
     :class:`SingularMatrixError`.
 
     ``fixed`` is the matrix no device value enters (the ground pin, gmin,
-    the source incidences); ``stamps`` holds every other stamp as ``(entry,
-    term, sign)`` sequences: resistor and memristor conductances, MOSFET
-    matrix and right-hand side (:func:`_mosfet_stamps`), and KCL sums.
-    :class:`_DcRows` and :class:`_Steps` both add ``fixed`` and then these
-    in order, so every entry takes its terms in one order in both."""
+    the source incidences); ``stamps`` holds every other stamp as ``(index,
+    term, sign)`` sequences, each entry as its flat index into one row's
+    row-major matrix or its vector: resistor and memristor conductances,
+    MOSFET matrix and right-hand side (:func:`_mosfet_stamps`), and KCL
+    sums.  :class:`_DcRows` (through ``families``) and :class:`_Steps`
+    both add ``fixed`` and then these in order, so every entry takes its
+    terms in one order in both."""
 
     def __init__(self, circuit: Circuit):
         reason = unsolvable(circuit.node_names, circuit.devices)
@@ -464,21 +474,23 @@ class _Topology:
                     for entry, sign in _pair_entries(d.n_pos, d.n_neg)]
 
         # each device current, by its kind-ordered column, leaves one node
-        # and enters the other, in device order
+        # and enters the other, in device order; every entry as its flat
+        # index into one row's row-major matrix or its vector
         column = {position: k for k, position in enumerate(by_kind)}
-        self.stamps = dict(zip(("res", "mem", "mos", "ieq", "kcl"), (
-            conductances(self.resistors), conductances(self.memristors),
-            *_mosfet_stamps(self.mosfets),
-            [((node,), column[position], sign)
-             for position, nodes in enumerate(self.current_nodes)
-             for node, sign in zip(nodes, (-1.0, 1.0)) if node])))
+        self.stamps = {
+            name: [(e[0] * dim + e[1] if len(e) == 2 else e[0], term, sign)
+                   for e, term, sign in sequence]
+            for name, sequence in zip(("res", "mem", "mos", "ieq", "kcl"), (
+                conductances(self.resistors), conductances(self.memristors),
+                *_mosfet_stamps(self.mosfets),
+                [((node,), column[position], sign)
+                 for position, nodes in enumerate(self.current_nodes)
+                 for node, sign in zip(nodes, (-1.0, 1.0)) if node]))}
         # the batched solve's stamp families as (size, entries, term rows,
-        # signs): flat indices into one row's matrix or vector
+        # signs)
         sizes = {"ieq": dim, "kcl": self.n_nodes}
         self.families = {
-            name: (sizes.get(name, dim * dim),
-                   index([e[0] * dim + e[1] if len(e) == 2 else e[0]
-                          for e, _, _ in sequence]),
+            name: (sizes.get(name, dim * dim), index([i for i, _, _ in sequence]),
                    index([term for _, term, _ in sequence]),
                    np.array([sign for _, _, sign in sequence]).reshape(-1, 1))
             for name, sequence in self.stamps.items()}
@@ -567,13 +579,13 @@ class _DcRows:
     row fails alone: with the first :class:`~mirrorsim.devices.DeviceError`
     of its devices in kind order, prefixed with its device's name, which
     is what compiling that row alone raises (a law that returns has
-    returned cells the solve can use), or in :meth:`lone`.  ``errors``
+    returned cells the solve can use), or in :meth:`solve`.  ``errors``
     maps every failed row to its error; a row that a caller adds to it
     before :meth:`solve` (an override's invalid value, see
     :func:`~mirrorsim.netlist.overrides`) is not solved.  The solve fills
-    ``x`` (rows, unknowns), ``iterations``, ``currents`` (rows, devices in
-    circuit order; see OperatingPoint) and ``residual``, NaN in a failed
-    row.
+    ``x`` (rows, nodes and branches), ``iterations``, ``currents`` (rows,
+    devices in circuit order; see OperatingPoint) and ``residual``, NaN in
+    a failed row.
 
     The linear part is the topology's fixed matrix plus its resistor and
     memristor families; each Newton iteration assembles and solves every
@@ -585,10 +597,10 @@ class _DcRows:
     :func:`~mirrorsim.devices.mosfet_square_law`'s operations, each row's
     iterates equal those of the same row solved alone, to the bit.  The
     stacked :meth:`newton` only converges rows; a row it leaves, and the
-    row of a batch of one, is solved alone (:meth:`lone`), as a step of
-    zero length of :class:`_Steps` built on the row, its own records and
-    states, which alone makes a DC row's error, trace and source-stepping
-    retry.
+    row of a batch of one, is solved alone by :meth:`_Steps.solve`, a step
+    of zero length of a :class:`_Steps` built on the row, its own records
+    and states, which alone makes a DC row's error, trace and
+    source-stepping retry.
     """
 
     def __init__(self, topo: _Topology, temps, records, states, values: np.ndarray):
@@ -697,7 +709,7 @@ class _DcRows:
         return x
 
     @np.errstate(all="ignore")  # a row whose solution is not finite is left
-    def newton(self, rows, x) -> list[int]:
+    def newton(self, rows, x) -> tuple[list[int], list[int]]:
         """Newton-Raphson on ``rows`` (ascending) from the guesses ``x``, as
         one stack, to the dual tolerance: per-node voltage deltas below
         vntol + reltol*|V| and device-KCL residual below abstol, row by row.
@@ -705,10 +717,10 @@ class _DcRows:
         The fast path for a stack: it only converges rows.  Each iteration
         solves the stack in one :func:`_solve1` call.  A converged row's
         solution, device currents, KCL residual and iterations are written
-        to its entries.  Returns the rows it leaves, ascending: a row whose
-        solution is not finite, and one still running at
-        ``_MAX_NEWTON_ITERS``.  Such a row is solved again alone
-        (:meth:`lone`), which makes its error, trace and retry.
+        to its entries.  Returns the rows it leaves, as two lists: those
+        whose solution is not finite, and those still running at
+        ``_MAX_NEWTON_ITERS``.  :meth:`solve` solves each alone, which
+        makes its error, trace and retry.
         """
         n, damped = self.topo.n_nodes, self.topo.damped_nodes
         vntol, reltol = SimOptions.vntol, SimOptions.reltol
@@ -737,68 +749,39 @@ class _DcRows:
                 self.x[done], self.currents[done] = x[finished], currents[finished]
                 self.residual[done], self.iterations[done] = residual[finished], it
                 rows, x = rows[~finished], x[~finished]
-        return sorted(left + rows.tolist())
-
-    def lone(self, k: int) -> None:
-        """Row ``k`` solved alone: the one definition of a DC row's solve,
-        on the list Newton of the memristive steps (:meth:`_Steps.iterate`)
-        built on the row, the fast form for one small system: a step at
-        ``dt_eff = 0`` whose history is the row's states, so that each
-        memristor stamps its frozen memristance and its state stays put, and
-        which iterates as :meth:`newton` iterates the row, to the bit.
-
-        Newton starts at :meth:`start`.  Where it fails to converge (a
-        :class:`NonConvergenceError`), it is retried with the sources
-        ramped up from 0 V in ``_SOURCE_STEPS`` equal steps, each step's
-        Newton started from the last's solution; a stepped row's
-        iterations sum its steps'.  The row's entries are written only on
-        success; otherwise ``errors[k]`` is the error, with its trace:
-        ``iterate``'s, or the stepping's "source stepping stalled"."""
-        steps = _Steps(self, k)
-        values, states = self.values[k].tolist(), steps.states
-        try:
-            with np.errstate(all="ignore"):  # a singular system reads NaN
-                try:
-                    x, currents, residual, its = steps.iterate(
-                        self.start([k])[0].tolist() + states, values, 0.0, states)
-                except NonConvergenceError:
-                    if _SOURCE_STEPS < 2:
-                        raise
-                    x, its = [0.0] * self.topo.dim + states, 0
-                    for step in range(1, _SOURCE_STEPS + 1):
-                        scale = step / _SOURCE_STEPS
-                        try:
-                            x, currents, residual, it = steps.iterate(
-                                x, [scale * v for v in values], 0.0, states)
-                        except NonConvergenceError as exc:
-                            raise NonConvergenceError(
-                                f"source stepping stalled at scale {scale:.2f}: {exc}",
-                                trace=exc.trace) from exc
-                        its += it
-        except SimulationError as exc:
-            self.errors[k] = exc
-            return
-        self.x[k], self.currents[k, self.topo.kind_order] = x[:self.topo.dim], currents
-        self.residual[k], self.iterations[k] = residual, its
+        return left, rows.tolist()
 
     def solve(self) -> _DcRows:
         """Every row the compile did not fail, solved: a stack of two or
         more rows runs :meth:`newton` once, from :meth:`start`, and each
-        row it leaves, like the row of a batch of one, is solved alone
-        (:meth:`lone`), where every DC error and the source-stepping retry
-        are made.  A row's iterates depend on its own inputs alone, not on
-        its batch.  Fills ``x``, ``iterations``, ``currents``, ``residual``
-        (NaN in a failed row) and ``errors`` in place and returns the
-        rows."""
+        row it leaves, like the row of a batch of one, is solved alone by
+        the DC solve of a :class:`_Steps` built on it (:meth:`_Steps.solve`),
+        which makes every DC error and the source-stepping retry.  A row
+        the stack left still running at ``_MAX_NEWTON_ITERS`` goes straight
+        to that retry: its own first Newton, from :meth:`start`, would run
+        the stack's iterates again, to the same limit.  A row's iterates
+        depend on its own inputs alone, not on its batch.  Fills ``x``,
+        ``iterations``, ``currents``, ``residual`` (NaN in a failed row) and
+        ``errors`` in place and returns the rows."""
         count = len(self.temps)
         self.x = np.full((count, self.topo.dim), math.nan)
         self.iterations = np.full(count, math.nan)
         self.currents = np.full((count, len(self.topo.current_nodes)), math.nan)
         self.residual = np.full(count, math.nan)
         rows = np.array([k for k in range(count) if k not in self.errors], dtype=int)
-        left = self.newton(rows, self.start(rows)) if count > 1 else rows.tolist()
-        for k in left:
-            self.lone(k)
+        failed, running = (self.newton(rows, self.start(rows)) if count > 1
+                           else (rows.tolist(), []))
+        for k in sorted(failed + running):
+            cold = k in failed or _SOURCE_STEPS < 2
+            try:
+                x, currents, residual, its = _Steps(self, k).solve(
+                    self.start([k])[0].tolist() if cold else None,
+                    self.values[k].tolist())
+            except SimulationError as exc:
+                self.errors[k] = exc
+                continue
+            self.x[k], self.currents[k, self.topo.kind_order] = x[:self.topo.dim], currents
+            self.residual[k], self.iterations[k] = residual, its
         return self
 
     def operating_point(self, k: int) -> OperatingPoint:
@@ -870,24 +853,17 @@ def _quadratic_read(ts, values, times) -> np.ndarray:
     return w0 * values[k - 2] + w1 * values[k - 1] + w2 * values[k]
 
 
-def _dense(ts, ss, times) -> np.ndarray:
-    """States ``ss`` accepted at the increasing times ``ts``, read at
-    ``times`` by :func:`_quadratic_read`, clamped to [0, 1] as the steps
-    clamp their states.  The read stays quadratic whatever the steps'
-    order: a drive's steps are at most 1/_SINE_STEPS of its period apart.
-    Returns (times, memristors)."""
-    return np.clip(_quadratic_read(ts, ss, times), 0.0, 1.0)
-
-
 class _Steps:
-    """Implicit steps of a memristive circuit compiled as row ``row`` of a
-    :class:`_DcRows`, on Python lists copied from that row, which is the
-    fast form for one small system.
+    """The list-form row: the DC solve (:meth:`solve`) and the implicit
+    steps of a circuit compiled as row ``row`` of a :class:`_DcRows`, on
+    Python lists copied from that row, which is the fast form for one
+    small system.
 
-    A step's unknowns are one list of floats ``x``: the layout the module
-    docstring gives, then the normalized states ``w / L`` of the
-    topology's memristors at ``x[dim:]`` (each memristor's column ``col``
-    in :attr:`memristors`); :attr:`states` are the row's own.  Every step
+    Its unknowns are one list of floats ``x``: the layout the module
+    docstring gives, the nodes and branches, then the normalized states
+    ``w / L`` of the topology's memristors at ``x[dim:]`` (each
+    memristor's column ``col`` in :attr:`memristors`); :attr:`states` are
+    the row's own.  Every step
     solves ``s = hist + dt_eff * (dw/dt)/L``: a backward-Euler step has
     ``hist`` the previous states and ``dt_eff = dt``, and a variable-step
     BDF step of order k (:meth:`march`, :func:`_bdf`) a blend of the last k
@@ -902,8 +878,8 @@ class _Steps:
     memristor's state solved out of its own equation into a conductance and
     a right-hand-side share (:meth:`_condense`).  So a step at ``dt_eff =
     0`` whose ``hist`` is its states is the DC row, its matrix, right-hand
-    side and :meth:`kcl` to the bit, which is how :meth:`_DcRows.lone`
-    solves a row.  Each Newton iteration makes one LAPACK call through the
+    side and :meth:`kcl` to the bit, which is how :meth:`solve` solves the
+    row.  Each Newton iteration makes one LAPACK call through the
     kernel that :func:`numpy.linalg.solve` dispatches to, so its solution
     is that function's, to the bit.
     """
@@ -913,22 +889,16 @@ class _Steps:
         self.specs = [src.spec for src in topo.sources]
         self.branches = topo.branch_cols.tolist()
         self.damped = [j in topo.damped_nodes for j in range(topo.n_nodes)]
-        dim = topo.dim
         self.g_base = rows._scatter("res", topo.fixed[None].copy(),
                                     rows.g_res[:, row:row + 1]).ravel().tolist()
-        # the topology's stamps with matrix entries as flat indices: the
-        # memristors', and per MOSFET k (term column block * MOSFETs + k)
-        # its nodes, coefficients and stamps
-        stamps = {name: [(e[0] * dim + e[1] if len(e) == 2 else e[0], term, sign)
-                         for e, term, sign in topo.stamps[name]]
-                  for name in ("mem", "mos", "ieq")}
-        self.mem_sequence = stamps["mem"]
+        # per MOSFET k (term column block * MOSFETs + k): its nodes,
+        # coefficients and stamps
         count = len(topo.mosfets)
         self.mosfets = [((f.n_d, f.n_g, f.n_s), c, [], []) for f, c in
                         zip(topo.mosfets, rows.coeffs[:, :, row].T.tolist())]
-        for i, term, sign in stamps["mos"]:
+        for i, term, sign in topo.stamps["mos"]:
             self.mosfets[term % count][2].append((i, term // count, sign))
-        for r, k, sign in stamps["ieq"]:
+        for r, k, sign in topo.stamps["ieq"]:
             self.mosfets[k][3].append((r, sign))
         # per memristor: its nodes, the row's parameters, its state column
         # and its non-ground terminals as (node, sign); and the row's state
@@ -940,7 +910,7 @@ class _Steps:
             s = (memristor_state(record.w0, record.params) if rows.states is None
                  else rows.states[k])
             self.states.append(float(s[row] if np.ndim(s) else s))
-            self.memristors.append((m.n_pos, m.n_neg, record.params, dim + k,
+            self.memristors.append((m.n_pos, m.n_neg, record.params, topo.dim + k,
                                     [(node, sign) for node, sign in
                                      ((m.n_pos, 1.0), (m.n_neg, -1.0)) if node]))
         self.res_ends = [(g, r.n_pos, r.n_neg)
@@ -966,7 +936,7 @@ class _Steps:
         for br, value in zip(self.branches, values):
             rhs[br] = value
         g_mem, states = self._condense(rhs, x, dt_eff, hist)
-        for i, k, sign in self.mem_sequence:
+        for i, k, sign in self.topo.stamps["mem"]:
             g_mat[i] += g_mem[k] * sign
         for (d, g, src), c, matrix, sources in self.mosfets:
             vgs = x[g] - x[src]
@@ -1041,9 +1011,46 @@ class _Steps:
         for br in self.branches:
             by_kind.append(x[br])
         sums = [0.0] * self.topo.n_nodes
-        for (node,), column, sign in self.topo.stamps["kcl"]:
+        for node, column, sign in self.topo.stamps["kcl"]:
             sums[node] += by_kind[column] * sign
         return by_kind, max(map(abs, sums[1:]))
+
+    @np.errstate(all="ignore")  # for iterate's kernel
+    def solve(self, x, values):
+        """The row's DC solve with the sources at ``values``: a step at
+        ``dt_eff = 0`` whose history is the row's :attr:`states`, so that
+        each memristor stamps its frozen memristance and its state stays
+        put, and which iterates as :meth:`_DcRows.newton` iterates the row,
+        to the bit.  Returns :meth:`iterate`'s (x, currents, residual,
+        iterations), ``x`` in the step layout, its states at ``x[dim:]``.
+
+        Newton starts at ``x``, the nodes and branches (the row's
+        :meth:`_DcRows.start`).  Where it fails to converge (a
+        :class:`NonConvergenceError`), or where ``x`` is None, the sources
+        are ramped up from 0 V in ``_SOURCE_STEPS`` equal steps, each
+        step's Newton started from the last's solution; a stepped row's
+        iterations sum its steps'.  A failure raises: ``iterate``'s error,
+        with its trace, or the stepping's "source stepping stalled"; below
+        two steps there is no ramp, and ``x`` must be given."""
+        states = self.states
+        if x is not None:
+            try:
+                return self.iterate(x + states, values, 0.0, states)
+            except NonConvergenceError:
+                if _SOURCE_STEPS < 2:
+                    raise
+        x, its = [0.0] * self.topo.dim + states, 0
+        for step in range(1, _SOURCE_STEPS + 1):
+            scale = step / _SOURCE_STEPS
+            try:
+                x, currents, residual, it = self.iterate(
+                    x, [scale * v for v in values], 0.0, states)
+            except NonConvergenceError as exc:
+                raise NonConvergenceError(
+                    f"source stepping stalled at scale {scale:.2f}: {exc}",
+                    trace=exc.trace) from exc
+            its += it
+        return x, currents, residual, its
 
     def iterate(self, x, values, dt_eff, hist, t: float | None = None,
                 predicted: bool = False):
@@ -1052,7 +1059,7 @@ class _Steps:
         dt_eff*(dw/dt)/L``: a step to time ``t`` (:meth:`march`), or, at
         ``dt_eff = 0`` with ``hist`` the states and no time, the row's DC
         solve as :meth:`_DcRows.newton` iterates it, to the bit
-        (:meth:`_DcRows.lone`).  Call it inside
+        (:meth:`solve`).  Call it inside
         ``np.errstate(all="ignore")``: the bare kernel reports a singular
         matrix as NaN.
 
@@ -1155,8 +1162,8 @@ class _Steps:
         :class:`NonConvergenceError`, naming the step.  A step that
         converges lets the next one double, up to ``_MAX_STEP``, or when
         controlled up to :attr:`max_step`.  The accepted states
-        (``x[dim:]`` of each solution) are what :func:`_dense` reads a grid
-        from.
+        (``x[dim:]`` of each solution) are what a controlled run read on a
+        grid reads its samples' states from (:func:`_quadratic_read`).
 
         Uncontrolled, every step is backward Euler: this is how a fixed-grid
         step that failed is cut; its Newton starts at the previous solution.
@@ -1345,9 +1352,9 @@ def solve_dc(circuit: Circuit, *, states: dict[str, float] | None = None,
     stepping retry), :class:`SingularMatrixError`, :class:`SimulationError`
     for a state name no memristor has, or :class:`DeviceError` for a state
     outside [0, L] or a ``circuit.temp`` that is not positive kelvin.  The
-    circuit is compiled as one :class:`_DcRows` row, solved in place on
-    the list Newton of a lone row (:meth:`_DcRows.lone`) and read back:
-    the row a stack of rows would give it, to the bit.
+    circuit is compiled as one :class:`_DcRows` row, solved in place by
+    the DC solve of the list-form row (:meth:`_Steps.solve`) and read
+    back: the row a stack of rows would give it, to the bit.
     """
     rows = _compile(circuit, states=states, source_time=source_time).solve()
     if rows.errors:
@@ -1363,10 +1370,11 @@ _PROBE_RE = re.compile(r"^([viwm])\((.+)\)$", re.IGNORECASE)
 
 
 def _build_probe(topo: _Topology, spec: str):
-    """Returns (canonical name, unit, read): ``read(x, currents, s)`` is the
-    probe's column of a transient's samples, given their solutions, device
-    currents (see OperatingPoint) and normalized memristor states as
-    (samples, ...) arrays."""
+    """Returns (canonical name, unit, read): ``read(x, currents)`` is the
+    probe's column of a transient's samples, given their solutions in the
+    layout of :class:`_Steps` (nodes, branches, then the normalized
+    memristor states at ``x[:, dim:]``) and device currents (see
+    OperatingPoint), as (samples, ...) arrays."""
     m = _PROBE_RE.match(spec.replace(" ", ""))
     if not m:
         raise UnknownProbeError(
@@ -1379,23 +1387,23 @@ def _build_probe(topo: _Topology, spec: str):
         if name not in circuit.node_names:
             raise UnknownProbeError(f"unknown node {target!r} in probe {spec!r}")
         idx = circuit.node_names.index(name)
-        return f"v({name})", "V", lambda x, currents, s: x[:, idx]
+        return f"v({name})", "V", lambda x, currents: x[:, idx]
     dev_name = target.upper()
     dev = next((d for d in circuit.devices if d.name == dev_name), None)
     if dev is None:
         raise UnknownProbeError(f"unknown device {target!r} in probe {spec!r}")
     if kind == "i":
         col = circuit.devices.index(dev)
-        return f"i({dev_name})", "A", lambda x, currents, s: currents[:, col]
+        return f"i({dev_name})", "A", lambda x, currents: currents[:, col]
     if not isinstance(dev, BoundMemristor):
         raise UnknownProbeError(
             f"probe {spec!r} needs a memristor, {dev_name} is not one"
         )
-    k = topo.memristors.index(dev)
+    col = topo.dim + topo.memristors.index(dev)
     p = dev.params
     if kind == "w":
-        return f"w({dev_name})", "m", lambda x, currents, s: s[:, k] * p.length
-    return f"m({dev_name})", "ohm", lambda x, currents, s: memristance_at(s[:, k], p)
+        return f"w({dev_name})", "m", lambda x, currents: x[:, col] * p.length
+    return f"m({dev_name})", "ohm", lambda x, currents: memristance_at(x[:, col], p)
 
 
 # --------------------------------------------------------------------------- #
@@ -1408,7 +1416,8 @@ def _dc_samples(topo: _Topology, times: np.ndarray, states: np.ndarray):
     sources at ``times[k]`` and the memristances frozen at the normalized
     states ``states[k]`` (states has a column per memristor, none in a
     circuit without them; that circuit's sample k is ``solve_dc(circuit,
-    source_time=times[k])`` to the bit).
+    source_time=times[k])`` to the bit), with those states appended, so
+    that each solution is in the layout of a step (:class:`_Steps`).
 
     Each source's values are evaluated once for all samples, and a sample
     is keyed by the bits of its source values and states, one byte string
@@ -1446,7 +1455,7 @@ def _dc_samples(topo: _Topology, times: np.ndarray, states: np.ndarray):
             raise exc
         x[start:start + len(block)] = rows.x
         currents[start:start + len(block)] = rows.currents
-    return x[rank[inverse]], currents[rank[inverse]]
+    return np.concatenate([x[rank[inverse]], states], axis=1), currents[rank[inverse]]
 
 
 def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
@@ -1463,9 +1472,10 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     s = w/L obeys its implicit update ``s_next = s_prev + dt * dwdt(s_next,
     i_next) / L``, clamped to [0, 1], so the recorded voltages, currents and
     memristances belong to one solution.  The circuit is compiled once, as
-    one :class:`_DcRows` row solved at t = 0, and the steps run on Python
-    lists copied from that row, its states appended as the last unknowns
-    (:class:`_Steps`).  A step whose Newton
+    one :class:`_DcRows` row, and one :class:`_Steps` built on it, on
+    Python lists copied from that row with its states as the last
+    unknowns, solves t = 0 (its DC solve, :meth:`_Steps.solve`) and takes
+    every step from there.  A step whose Newton
     runs out of iterations is cut: halved and retried, and grown back after
     each success, until it reaches its grid time, which alone is recorded.
     A step that still fails at ``dt / 2**_MAX_CUTS``, or whose Newton
@@ -1482,15 +1492,18 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     the fixed grid, down to the first step over ``2**_MAX_CUTS``.  A run
     that needs more than ``_MAX_CONTROLLED_STEPS`` steps at its largest
     step raises :class:`ValueError` before its first step, as
-    :class:`SimOptions` refuses too fine a grid.  With ``opts.dt`` unset the run records the
-    steps it accepts, so the waveforms' ``t`` is not uniform, and the last
-    step ends at ``t_stop``.
+    :class:`SimOptions` refuses too fine a grid.  With ``opts.dt`` unset
+    the run records the steps it accepts, so the waveforms' ``t`` is not
+    uniform, and the last step ends at ``t_stop``.
     With ``opts.dt`` set the steps end at the grid's last time and the run
     records the fixed grid's samples: each sample's states are read from
-    the quadratic through the accepted states around it (:func:`_dense`),
+    the quadratic through the accepted states around it
+    (:func:`_quadratic_read`), clamped to [0, 1] as the steps clamp them,
     and the sample is the DC solution at its source time with the
     memristances frozen at those states, solved as in a memristor-free
-    transient.  Each recorded voltage and current is then one exact
+    transient, those states appended to it.  The read stays quadratic
+    whatever the steps' order: a drive's steps are at most 1/_SINE_STEPS
+    of its period apart.  Each recorded voltage and current is then one exact
     solution, so a sample where the drive is 0 V carries 0 A.
 
     A circuit with no memristor keeps no state between steps, so sample k
@@ -1503,8 +1516,9 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     place, each row started at its own source values.  The earliest sample
     that fails raises its :class:`NonConvergenceError` or
     :class:`SingularMatrixError`, with its trace and ``time``.  So every
-    recorded sample is a DC row or a step, whose device currents are those
-    its Newton accepted.
+    recorded sample is a DC row or a step, in the one layout of
+    :class:`_Steps` (nodes, branches, states), whose device currents are
+    those its Newton accepted, and every probe reads that layout.
 
     A sine source whose phase 2*pi*frequency*t overflows by ``t_stop``
     raises :class:`DeviceError`, naming it, before any solve.
@@ -1534,16 +1548,15 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
 
     memristors, dim = topo.memristors, topo.dim
     x: list[float] = []  # the last solution, its states at x[dim:]
-    # the recorded states, and the steps' solutions and currents by kind
-    # when they are recorded too (None: each sample is a DC solve at its state)
-    xs, ss = None, np.empty((len(times), 0))
+    # the recorded solutions and the steps' currents by kind when the steps
+    # are recorded (None: sample k is a DC solve frozen at states[k])
+    xs, states = None, np.empty((len(times), 0))
     if memristors:
-        compiled = _compile(topo, states=initial_states or {}).solve()
-        if compiled.errors:
-            raise compiled.errors[0]
-        steps = _Steps(compiled)
-        x = compiled.x[0].tolist() + steps.states
-        c = compiled.currents[0, topo.kind_order].tolist()
+        rows = _compile(topo, states=initial_states or {})
+        if rows.errors:
+            raise rows.errors[0]
+        steps = _Steps(rows)
+        x, c, _, _ = steps.solve(rows.start([0])[0].tolist(), rows.values[0].tolist())
         if opts.adaptive:
             # the first step is dt, or the step cap when that is smaller;
             # on a requested grid the steps end at its last sample
@@ -1559,9 +1572,9 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
             if opts.dt is None:
                 times, dt = np.array(ts), h
                 xs, cs = np.array(accepted), np.array(cs)
-                ss = xs[:, dim:]
             else:
-                ss = _dense(ts, np.array(accepted)[:, dim:], times)
+                states = np.clip(_quadratic_read(ts, np.array(accepted)[:, dim:], times),
+                                 0.0, 1.0)
         else:
             floor = dt / 2 ** _MAX_CUTS
             xs, cs = (np.empty((len(times), len(v))) for v in (x, c))
@@ -1577,19 +1590,18 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
                                                       dt / 2.0, floor, False)
                         x, c = cut_x[-1], cut_c[-1]
                     xs[k], cs[k] = x, c
-            ss = xs[:, dim:]
     elif initial_states:  # without memristors every name is unknown
         _compile(topo, states=initial_states)
 
     if xs is None:
-        xs, currents = _dc_samples(topo, times, ss)
+        xs, currents = _dc_samples(topo, times, states)
     else:  # the steps' own device currents, into circuit order
         currents = np.empty_like(cs)
         currents[:, topo.kind_order] = cs
 
     waveforms = [
         Waveform(name=name, unit=unit, t=times.copy(),
-                 values=np.array(read(xs, currents, ss), dtype=float))
+                 values=np.array(read(xs, currents), dtype=float))
         for name, unit, read in probe_list
     ]
     final_states = {m.name: sk * m.params.length

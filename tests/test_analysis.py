@@ -1264,6 +1264,35 @@ class TestTable1Report:
         assert math.isnan(row.power_w)
         assert row.thd is None
 
+    # the settled states config_report measures at (6 s of 1 ms backward
+    # Euler from the netlist states), and the budget on their largest |s -
+    # s_ref|: the error of these steps (9.72e-11 and 5.37e-9), rounded up
+    @pytest.mark.parametrize("kind, budget", [
+        (MirrorKind.TWO_MEMRISTORS, 9.8e-11),
+        (MirrorKind.PMOS_MEMRISTOR, 5.4e-9),
+    ], ids=["2m", "pmos-m"])
+    def test_settled_load_states_end_within_their_budget_of_the_reference(self, kind,
+                                                                          budget):
+        # the reference integrates the reduced state ODE with classical
+        # Runge-Kutta steps of 20 ms, whose currents are DC solves at the
+        # states; at 40 ms it lands within 1e-11 of that
+        circuit = replace(mirror_circuit(MirrorConfig(kind)), temp=T_REF)
+        mems = [d for d in circuit.devices if isinstance(d, BoundMemristor)]
+
+        def currents(s):
+            op = solve_dc(circuit, states={m.name: sk * m.params.length
+                                           for m, sk in zip(mems, s)})
+            return [op.device_currents[m.name] for m in mems]
+
+        s0 = [m.w0 / m.params.length for m in mems]
+        params = [m.params for m in mems]
+        coarse, reference = (oracles.o_rk4_states(currents, params, s0, 6.0, steps)
+                             for steps in (150, 300))
+        assert np.max(np.abs(coarse - reference)) <= 1e-11
+        settled = analysis._settled_load_states(circuit)
+        got = [settled[m.name] / m.params.length for m in mems]
+        assert np.max(np.abs(got - reference)) <= budget
+
 
 class TestCalibration:
     def test_rejects_bad_arguments(self, monkeypatch):

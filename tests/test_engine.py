@@ -1378,19 +1378,24 @@ def test_memristive_probes_follow_the_device_laws(kind, samples):
 
 
 def test_dense_output_reads_the_quadratic_through_three_accepted_states():
+    # a controlled run read on a grid takes its states from the quadratic
+    # read, clamped to [0, 1] as the steps clamp their states
+    def dense(ts, ss, times):
+        return np.clip(engine._quadratic_read(ts, ss, times), 0.0, 1.0)
+
     ts = [0.0, 0.1, 0.25, 0.3, 0.7, 1.0]
     ss = [[0.1 + 0.8 * t ** 3] for t in ts]
     # accepted times read their accepted states exactly
-    assert engine._dense(ts, ss, np.array(ts)).tolist() == ss
+    assert dense(ts, ss, np.array(ts)).tolist() == ss
     # a time in (ts[k-1], ts[k]] reads the quadratic through k-2, k-1 and k;
     # the first interval the quadratic through the first three
     for t, k in [(0.05, 2), (0.2, 2), (0.28, 3), (0.5, 4), (0.9, 5)]:
         fit = np.polyfit(ts[k - 2:k + 1], [s for s, in ss[k - 2:k + 1]], 2)
-        got = engine._dense(ts, ss, np.array([t]))
+        got = dense(ts, ss, np.array([t]))
         assert got[0, 0] == pytest.approx(np.polyval(fit, t), rel=1e-12)
     # a quadratic's states are read back as they are, clamped to [0, 1]
     times = np.linspace(0.0, 1.0, 41)
-    got = engine._dense(ts, [[4.4 * t * (1.0 - t)] for t in ts], times)[:, 0]
+    got = dense(ts, [[4.4 * t * (1.0 - t)] for t in ts], times)[:, 0]
     assert got.max() == 1.0
     assert got == pytest.approx(np.minimum(4.4 * times * (1.0 - times), 1.0), abs=1e-14)
 
@@ -1725,7 +1730,7 @@ def test_rows_solve_on_their_own_memristor_records(monkeypatch, kind):
     # the frozen memristance does not depend on the window
     assert len({_bits(op.node_voltages) for op in alone}) == len(circuits) - 1
     stacked = solve_together(circuits)
-    monkeypatch.setattr(engine._DcRows, "newton", lambda self, rows, x: rows.tolist())
+    monkeypatch.setattr(engine._DcRows, "newton", lambda self, rows, x: (rows.tolist(), []))
     left = solve_together(circuits)
     for k, op in enumerate(alone):
         assert_same_op(stacked[k], op)
@@ -1759,6 +1764,21 @@ def test_lone_rows_solve_on_the_list_newton_and_are_not_steps(monkeypatch):
     # each step is one list Newton; the first and last are DC rows
     assert calls.count("list") == steps + 2 and len(calls) == 2 * steps + 2
     assert calls[0] == calls[-1] == "list" and calls[1] == "step"
+
+
+def test_a_memristive_transient_builds_one_list_form_row(monkeypatch):
+    # the _Steps a memristive transient builds solves its t = 0 point and
+    # takes its steps; a settled transient's operating point is one more
+    builds = []
+    real = engine._Steps.__init__
+    monkeypatch.setattr(engine._Steps, "__init__",
+                        lambda self, *args: builds.append(args) or real(self, *args))
+    cir = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_MEMRISTORS))
+    run_transient(cir, SimOptions(dt=1e-3, t_stop=0.05), ["i(M2)"])
+    assert len(builds) == 1
+    builds.clear()
+    settled_transient(cir)
+    assert len(builds) == 2
 
 
 def test_first_newton_starts_at_each_rows_own_source_values(monkeypatch):
@@ -1796,35 +1816,43 @@ def test_first_newton_starts_at_each_rows_own_source_values(monkeypatch):
         assert values == [value, 0.5, 1.0]
 
     # the source-stepping retry still ramps up from 0 V, on the list
-    # Newton, for the lone row and for each row the stack leaves
+    # Newton: the lone row's after its own first Newton fails, and each row
+    # the stack leaves running at the iteration limit at once, its first
+    # Newton being the stack's, run already
     monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 1)
-    for count in (1, 2):
-        starts.clear()
-        engine._compile(cir, [None] * count).solve()
-        assert len(starts) == 2 * count
-        for (first, values), (retry, scaled) in zip(starts[::2], starts[1::2]):
-            assert first[cir.node_index("a")] == 2.0 and values == [2.0, 0.5, 1.0]
-            assert not any(retry)
-            assert scaled == [v / engine._SOURCE_STEPS for v in values]
+    ramp = [v / engine._SOURCE_STEPS for v in (2.0, 0.5, 1.0)]
+    starts.clear()
+    engine._compile(cir).solve()
+    assert len(starts) == 2
+    (first, values), (retry, scaled) = starts
+    assert first[cir.node_index("a")] == 2.0 and values == [2.0, 0.5, 1.0]
+    assert not any(retry) and scaled == ramp
+    stack.clear()
+    starts.clear()
+    engine._compile(cir, [None] * 2).solve()
+    assert len(stack) == 1 and len(starts) == 2
+    for retry, scaled in starts:
+        assert not any(retry) and scaled == ramp
 
 
 def test_a_stack_row_that_needs_stepping_is_solved_alone(monkeypatch):
     # converges cold, converges cold, converges by source stepping, stalls
     # while stepping: the stacked Newton runs once and leaves the last two
-    # rows, which lone solves, stepping them
+    # rows running at the iteration limit, each of which a _Steps built on
+    # it solves alone, stepping it without a second first Newton
     monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 6)
     monkeypatch.setattr(engine, "_SOURCE_STEPS", 3)
     calls = []
-    for name in ("newton", "lone"):
-        def spy(self, *args, real=getattr(engine._DcRows, name), name=name):
-            calls.append((name, args[0] if name == "lone" else list(args[0])))
+    for owner, name in ((engine._DcRows, "newton"), (engine._Steps, "solve")):
+        def spy(self, *args, real=getattr(owner, name), name=name):
+            calls.append((name, args[0] if name == "solve" else list(args[0])))
             return real(self, *args)
 
-        monkeypatch.setattr(engine._DcRows, name, spy)
+        monkeypatch.setattr(owner, name, spy)
     base = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_RESISTORS))
     position, records, _ = overrides(base, "R2.r_nominal", [20e3, 38e3, 60e3, 100e3])
     rows = engine._compile(base, [None] * 4, records={position: records}).solve()
-    assert calls == [("newton", [0, 1, 2, 3]), ("lone", 2), ("lone", 3)]
+    assert calls == [("newton", [0, 1, 2, 3]), ("solve", None), ("solve", None)]
     assert rows.iterations[2] > engine._MAX_NEWTON_ITERS >= rows.iterations[1]
     assert list(rows.errors) == [3] and "source stepping stalled" in str(rows.errors[3])
 

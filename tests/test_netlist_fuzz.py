@@ -3,7 +3,8 @@ through the CLI, and the same decks with one token broken.
 
 Every deck must end in an exit code of the CLI's table (0, 1 or 2), never
 a traceback; a DC deck that exits 0 must solve to a KCL residual within
-``SimOptions.abstol``.  Model and instance keys come from the netlist's own
+``SimOptions.abstol``, and every recorded sample of a ``.tran`` deck that
+runs must keep KCL by the oracles' device laws.  Model and instance keys come from the netlist's own
 key tables, so a key the parser accepts is a key the fuzzer writes.
 
 Each generated token carries what may be done to it such that the deck
@@ -28,6 +29,8 @@ from mirrorsim.netlist import (
     _INSTANCE_FIELDS,
     _MODEL_FIELDS,
     BoundMemristor,
+    BoundMosfet,
+    BoundResistor,
     NetlistError,
     elaborate,
     parse,
@@ -253,6 +256,75 @@ def test_a_transient_deck_s_states_take_their_backward_euler_steps(deck):
             drift = oracles.o_dwdt(w[k], p.length, p.r_on, p.mobility, p.polarity,
                                    p.window_p, i[k]) / p.length
             assert abs(s[k] - s[k - 1] - step * drift) <= SimOptions.reltol, (text, m.name, k)
+
+
+def _drain_current(p, vgs, vds, temp):
+    """A MOSFET's drain current (A) by the oracles' NMOS law: a PMOS is the
+    NMOS reflected through the origin, threshold included, and a reversed
+    channel the device with source and drain exchanged."""
+    sign = -1.0 if p.polarity == "pmos" else 1.0
+    vgs, vds = sign * vgs, sign * vds
+    flow = 1.0 if vds >= 0.0 else -1.0
+    if vds < 0.0:
+        vgs, vds = vgs - vds, -vds
+    return sign * flow * oracles.o_mosfet_current(
+        vgs, vds, vth0=sign * p.vth0, vth_tc=sign * p.vth_tc, k_prime=p.k_prime,
+        mobility_exp=p.mobility_exp, lam=p.lam, width=p.width, length=p.length,
+        temp=temp)
+
+
+@given(deck=decks().filter(lambda deck: not deck[1]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_a_transient_deck_s_samples_keep_kirchhoff_s_current_law(deck):
+    # every recorded sample of a .tran deck that runs, DC-solved (no
+    # memristor) or stepped, balances the currents at each non-ground node
+    # within abstol, plus gmin (1e-12 S) times the node's voltage and each
+    # MOSFET channel's |v_ds| there: each device's current from the
+    # oracles' laws at the recorded voltages and, for a memristor, its
+    # recorded w, and each source's recorded current, summed over the
+    # deck's own terminals
+    text = _render(deck[0])
+    try:
+        circuit = elaborate(parse(text))
+        _, step, stop = circuit.analysis
+        opts = SimOptions(dt=step, t_stop=stop)
+    except (NetlistError, DeviceError, ValueError):
+        return
+    nodes = circuit.node_names[1:]
+    probes = ([f"v({node})" for node in nodes] + [f"i({d.name})" for d in circuit.devices]
+              + [f"w({d.name})" for d in circuit.devices if isinstance(d, BoundMemristor)])
+    try:
+        res = run_transient(circuit, opts, probes)
+    except (SimulationError, DeviceError):
+        return
+    temp = circuit.temp
+    v = [0.0 * res.waveforms[0].t] + [res.waveform(f"v({node})").values for node in nodes]
+    for k in range(len(res.waveforms[0].t)):
+        net, allowance = [0.0] * len(v), [abs(u[k]) for u in v]
+        for d in circuit.devices:
+            if isinstance(d, BoundMosfet):
+                a, b = d.n_d, d.n_s
+                vds = v[a][k] - v[b][k]
+                current = _drain_current(d.params, v[d.n_g][k] - v[b][k], vds, temp)
+                allowance[a] += abs(vds)
+                allowance[b] += abs(vds)
+            else:
+                a, b = d.n_pos, d.n_neg
+                drop = v[a][k] - v[b][k]
+                if isinstance(d, BoundResistor):
+                    p = d.params
+                    current = drop / oracles.o_resistor(p.r_nominal, p.temp_coeff, temp)
+                elif isinstance(d, BoundMemristor):
+                    p = d.params
+                    w = res.waveform(f"w({d.name})").values[k]
+                    current = drop / oracles.o_memristance(w, p.length, p.r_on, p.r_off)
+                else:
+                    current = res.waveform(f"i({d.name})").values[k]
+            net[a] -= current
+            net[b] += current
+        for node in range(1, len(v)):
+            assert abs(net[node]) <= SimOptions.abstol + 1e-12 * allowance[node], (
+                text, nodes[node - 1], k)
 
 
 @pytest.mark.parametrize("deck, message", [
