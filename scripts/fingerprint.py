@@ -25,7 +25,9 @@ by wrapping ``_Steps.iterate``, a Newton that raises by its trace);
 ``2m`` DC rows with ``Y2.m0``
 records, one solved alone and three as one stack; and ``run_transient`` on
 the fixed grid of a sine-driven resistive ladder, whose stacked DC rows
-each converge in Newton's second iteration.  ``--root`` picks the checkout
+each converge in Newton's second iteration; and ``run_transient`` on the
+fixed grid of a lone resistor under a slow sine, whose distinct samples
+fill more than one stack of DC rows.  ``--root`` picks the checkout
 whose ``src`` and ``perfbench`` are imported (default: the one holding this
 script).  A run that raises prints its error in place of its result.
 
@@ -71,6 +73,13 @@ LADDER_DECK = """V1 in 0 SIN(1 0.5 50)
 R1 in a 200
 R2 a b 300
 R3 b 0 500
+"""
+
+# a lone resistor under a slow sine: each of its 6,001 samples is a distinct
+# 3-unknown DC row, more than one stack of them holds, so they are solved
+# as more than one stack
+LOOP_DECK = """V1 in 0 SIN(0 2 3)
+R1 in 0 10k
 """
 
 # R2 loads (ohm) of a 2r stack at these Newton and source-stepping limits:
@@ -276,6 +285,10 @@ def runs(counts: list):
     yield ("run_transient ladder fixed",
            lambda: ms.run_transient(ladder, ms.SimOptions(dt=5e-4, t_stop=0.04),
                                     probes_of(ladder)))
+    loop = ms.elaborate(ms.parse(LOOP_DECK))
+    yield ("run_transient loop fixed",
+           lambda: ms.run_transient(loop, ms.SimOptions(dt=1e-5, t_stop=0.06),
+                                    probes_of(loop)))
 
 
 def main(argv=None) -> int:

@@ -68,8 +68,10 @@ steps alike.  A recorded step carries the device currents whose KCL
 residual its own Newton accepted.  A memristor-free transient and a
 controlled one read on a grid record DC solutions: each source's values
 are evaluated once for the whole run, the samples are keyed by the bits of
-their source values and (frozen) states, and only the distinct keys are
-compiled as DC rows and solved, a block of them at a time (a block of one
+their source values and (frozen) states, as integer columns sorted once,
+and only the distinct keys are compiled as DC rows and solved, in the
+order of their first samples, a stack of them at a time, each stack
+bounded by its matrix entries (``_STACK_ENTRIES``; a stack of one
 distinct key is a lone row).
 
 The dense linear solves are LAPACK LU with partial pivoting, each through
@@ -149,12 +151,19 @@ _SOURCE_STEPS = 10
 # Newton voltage-step limit on nodes touching a MOSFET terminal
 _DAMP_LIMIT = 0.5
 
-# distinct samples of a transient recorded as DC solutions per batched
-# Newton: over one cycle of the benchmark's drive workload (2-core Xeon VM,
-# numpy 2.4.6), whole transients as one batch raised peak RSS 34.3 -> 36.9
-# MB, 512-row blocks 34.3 -> 34.7 MB and ran within about 15 % of their
-# speed
-_TRANSIENT_BLOCK = 512
+# matrix entries (rows x unknowns**2) of the distinct samples of a transient
+# recorded as DC solutions per batched Newton (_stack_rows): a 7-unknown
+# mirror stacks 512 rows, as the 512-row blocks before it did, and a
+# 3-unknown loop 2,787, so a 2,001-sample hysteresis grid is one stack.
+# Over the benchmark's drive workload (2-core Xeon VM, numpy 2.4.6), whole
+# transients as one batch had raised peak RSS 34.3 -> 36.9 MB and 512-row
+# blocks 34.3 -> 34.7 MB; against those blocks this bound cut the compiles
+# of the seed-1 and seed-7 cycles from 88 to 40 and took seed 1 from 260 to
+# 289 ref tasks/s (medians of ten 30 s runs each) for 0.3 MB more peak RSS
+# (36.2 -> 36.4 MB).  A 20,001-sample pmos-r sine run peaks at 37.8 MB
+# under this bound (38.6 MB under those blocks), and at 45.5 MB under flat
+# 4,096-row blocks, so the bound counts entries, not rows
+_STACK_ENTRIES = 512 * 7 ** 2
 
 # Newton step limit on a normalized memristor state s = w/L, the state
 # counterpart of _DAMP_LIMIT: one linearization of the window is trusted to
@@ -1410,6 +1419,13 @@ def _build_probe(topo: _Topology, spec: str):
 # transient
 # --------------------------------------------------------------------------- #
 
+def _stack_rows(dim: int) -> int:
+    """The distinct samples of ``dim`` unknowns that :func:`_dc_samples`
+    compiles and solves as one stack: as many as ``_STACK_ENTRIES``
+    matrix entries hold, at least one."""
+    return max(1, _STACK_ENTRIES // dim ** 2)
+
+
 def _dc_samples(topo: _Topology, times: np.ndarray, states: np.ndarray):
     """Solutions and device currents, as (samples, ...) arrays, of the
     circuit of ``topo`` at ``times``: sample k is the DC solution with the
@@ -1420,27 +1436,31 @@ def _dc_samples(topo: _Topology, times: np.ndarray, states: np.ndarray):
     that each solution is in the layout of a step (:class:`_Steps`).
 
     Each source's values are evaluated once for all samples, and a sample
-    is keyed by the bits of its source values and states, one byte string
-    per sample: only the distinct keys are compiled on ``topo`` and
-    solved, in the order of their first samples, ``_TRANSIENT_BLOCK`` rows
-    to a batch, and every sample reads its key's solution.  A row depends
-    on its inputs alone, so this is each sample's own solve, to the bit.
-    The earliest failing sample, the first of the earliest failing key,
-    raises its error; a :class:`SimulationError` is raised as the
-    memristive steps raise theirs, with the same type and trace, naming the
-    sample's time."""
+    is keyed by the bits of its source values and states, read as int64
+    columns and sorted once by a stable :func:`numpy.lexsort`, which puts
+    each key's first sample first among its own: only the distinct keys
+    are compiled on ``topo`` and solved, in the order of their first
+    samples, ``_stack_rows(topo.dim)`` rows to a stack, and every sample
+    reads its key's solution.  A row depends on its inputs alone, so this
+    is each sample's own solve, to the bit.  The earliest failing sample,
+    the first of the earliest failing key, raises its error; a
+    :class:`SimulationError` is raised as the memristive steps raise
+    theirs, with the same type and trace, naming the sample's time."""
     sources = len(topo.sources)
     table = np.concatenate([_source_values(topo, {}, times), states], axis=1)
-    keys = table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # the distinct keys by their first samples
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    first, distinct = first[order], table[first[order]]
+    bits = table.view(np.int64)
+    order = np.lexsort(bits.T)  # stable: each key's samples in sample order
+    ordered = bits[order]
+    starts = np.concatenate([[True], (ordered[1:] != ordered[:-1]).any(axis=1)])
+    owner = np.empty_like(order)  # each sample's key's first sample
+    owner[order] = order[starts][np.cumsum(starts) - 1]
+    first = np.flatnonzero(owner == np.arange(len(owner)))
+    inverse, distinct = np.searchsorted(first, owner), table[first]
     x = np.empty((len(distinct), topo.dim))
     currents = np.empty((len(distinct), len(topo.current_nodes)))
-    for start in range(0, len(distinct), _TRANSIENT_BLOCK):
-        block = distinct[start:start + _TRANSIENT_BLOCK]
+    size = _stack_rows(topo.dim)
+    for start in range(0, len(distinct), size):
+        block = distinct[start:start + size]
         rows = _compile(topo, [None] * len(block),
                         states=list(block[:, sources:].T),
                         values=block[:, :sources]).solve()
@@ -1455,7 +1475,7 @@ def _dc_samples(topo: _Topology, times: np.ndarray, states: np.ndarray):
             raise exc
         x[start:start + len(block)] = rows.x
         currents[start:start + len(block)] = rows.currents
-    return np.concatenate([x[rank[inverse]], states], axis=1), currents[rank[inverse]]
+    return np.concatenate([x[inverse], states], axis=1), currents[inverse]
 
 
 def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,

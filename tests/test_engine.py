@@ -1311,10 +1311,23 @@ MEMORYLESS = {
 }
 
 
+# the rows one stack of DC samples holds of the 7-unknown pmos-r mirror;
+# each block-boundary test bounds the stacks so that its own circuit stacks
+# this many rows (_stack_blocks), which keeps its per-sample loops short
+BLOCK = engine._stack_rows(7)
+
 # sample counts that are not multiples of the block size: a full block and
 # part of one, and two full blocks and part of a third
-PARTIAL_BLOCK = engine._TRANSIENT_BLOCK + 9
-THREE_BLOCKS = 2 * engine._TRANSIENT_BLOCK + 7
+PARTIAL_BLOCK = BLOCK + 9
+THREE_BLOCKS = 2 * BLOCK + 7
+
+
+def _stack_blocks(monkeypatch, circuit: Circuit) -> None:
+    """Bound the stacks of DC samples (engine._STACK_ENTRIES) so that one
+    holds BLOCK rows of ``circuit``."""
+    dim = engine._Topology(circuit).dim
+    monkeypatch.setattr(engine, "_STACK_ENTRIES", BLOCK * dim ** 2)
+    assert engine._stack_rows(dim) == BLOCK
 
 
 @pytest.mark.parametrize("name, samples", [
@@ -1323,9 +1336,10 @@ THREE_BLOCKS = 2 * engine._TRANSIENT_BLOCK + 7
     ("resistor-loop", PARTIAL_BLOCK),
     ("resistor-loop", THREE_BLOCKS),
 ])
-def test_memoryless_samples_equal_lone_dc_solves(name, samples):
+def test_memoryless_samples_equal_lone_dc_solves(monkeypatch, name, samples):
     build, dt = MEMORYLESS[name]
     cir = build()
+    _stack_blocks(monkeypatch, cir)
     opts = SimOptions(dt=dt, t_stop=(samples - 1) * dt)
     nodes = range(1, len(cir.node_names))
     names = [d.name for d in cir.devices]
@@ -1401,8 +1415,10 @@ def test_dense_output_reads_the_quadratic_through_three_accepted_states():
 
 
 @pytest.mark.parametrize("samples", [PARTIAL_BLOCK, THREE_BLOCKS])
-def test_controlled_steps_on_a_grid_record_dc_solutions_at_their_states(samples):
+def test_controlled_steps_on_a_grid_record_dc_solutions_at_their_states(
+        monkeypatch, samples):
     cir = _circuit(P2_DECK)
+    _stack_blocks(monkeypatch, cir)
     dt = 2e-4
     opts = SimOptions(dt=dt, t_stop=(samples - 1) * dt, adaptive=True)
     res = run_transient(cir, opts, ["v(mid)", "i(Y1)", "w(Y1)"])
@@ -1427,6 +1443,7 @@ def test_controlled_steps_on_a_grid_record_dc_solutions_at_their_states(samples)
 ], ids=["memoryless", "memristive-grid"])
 def test_block_reads_share_the_run_topology(monkeypatch, build, opts, probe):
     cir = build()
+    _stack_blocks(monkeypatch, cir)
     built = []
     real = engine._Topology.__init__
 
@@ -1439,7 +1456,7 @@ def test_block_reads_share_the_run_topology(monkeypatch, build, opts, probe):
     assert built == [cir]
 
 
-PAST_A_BLOCK = engine._TRANSIENT_BLOCK + 3
+PAST_A_BLOCK = BLOCK + 3
 
 
 @pytest.mark.parametrize("supply, first_bad", [
@@ -1448,7 +1465,7 @@ PAST_A_BLOCK = engine._TRANSIENT_BLOCK + 3
     pytest.param("sine", PAST_A_BLOCK, id=f"sine-{PAST_A_BLOCK}"),
 ])
 def test_memoryless_transient_raises_at_the_earliest_failing_sample(
-        nan_sources, supply, first_bad):
+        monkeypatch, nan_sources, supply, first_bad):
     # sources read NaN from sample ``first_bad`` on; every such sample fails
     # its cold Newton and its source-stepping retry.  Under the dc supply
     # the samples before it share one distinct row; under a sine too slow
@@ -1456,6 +1473,7 @@ def test_memoryless_transient_raises_at_the_earliest_failing_sample(
     # lies past the first block of rows
     dt = 1e-3
     cir = mirror_circuit(MirrorConfig(kind=MirrorKind.TWO_RESISTORS))
+    _stack_blocks(monkeypatch, cir)
     if supply == "sine":
         cir.device("V1").spec = SourceSpec(kind="sine", dc_value=3.0, amplitude=0.5,
                                            frequency=0.3)
@@ -1498,7 +1516,57 @@ def test_memoryless_transient_compiles_each_distinct_sample_once(monkeypatch):
     res = run_transient(cir, SimOptions(dt=dt, t_stop=(samples - 1) * dt), ["i(M2)"])
     assert len(res.waveform("i(M2)").t) == samples
     assert sum(counts) == len(distinct) < samples
-    assert max(counts) <= engine._TRANSIENT_BLOCK
+    assert max(counts) <= engine._stack_rows(engine._Topology(cir).dim)
+
+
+# a lone memristor across a source: 3 unknowns (ground, in, V1's branch)
+LONE_MEMRISTOR = (
+    "Y1 in 0 MEM m0=5k\n"
+    ".model MEM MEMRISTOR (ron=100 roff=38k l=10n uv=2e-14 p=2 pol=1)\n"
+)
+
+
+def test_dc_samples_are_keyed_by_their_bits_in_first_sample_order(monkeypatch):
+    # under a DC supply the states alone tell the samples apart: 0.0 and
+    # -0.0 compare equal but differ in their bits, so they are two rows,
+    # and samples of equal bits share one; the distinct rows compile in
+    # the order of their first samples
+    topo = engine._Topology(_circuit("V1 in 0 DC 1\n" + LONE_MEMRISTOR))
+    states = np.array([[0.5], [0.0], [0.5], [-0.0], [0.25], [0.0], [-0.0]])
+    compiled = []
+    real = engine._compile
+
+    def spy(circuit, temps=(None,), **kwargs):
+        compiled.append(np.array(kwargs["states"][0]))
+        return real(circuit, temps, **kwargs)
+
+    monkeypatch.setattr(engine, "_compile", spy)
+    times = np.zeros(len(states))
+    xs, currents = engine._dc_samples(topo, times, states)
+    assert len(compiled) == 1
+    assert compiled[0].tobytes() == np.array([0.5, 0.0, -0.0, 0.25]).tobytes()
+    # each sample reads its own solve, to the bit
+    for k in range(len(states)):
+        x, c = engine._dc_samples(topo, times[:1], states[k:k + 1])
+        assert xs[k].tobytes() == x[0].tobytes()
+        assert currents[k].tobytes() == c[0].tobytes()
+
+
+def test_dc_sample_stacks_are_bounded_by_matrix_entries(monkeypatch):
+    # a 3-unknown loop's 2,001-sample grid, each sample at its own state,
+    # is one stack after the t = 0 row; a 7-unknown mirror's distinct
+    # samples split at 512 rows
+    counts = _compiled_rows(monkeypatch)
+    loop = _circuit("V1 in 0 SIN(0 0.5 5)\n" + LONE_MEMRISTOR)
+    assert engine._Topology(loop).dim == 3
+    run_transient(loop, SimOptions(dt=1e-4, t_stop=0.2, adaptive=True), ["i(Y1)"])
+    assert counts == [1, 2001] and engine._stack_rows(3) >= 2001
+    counts.clear()
+    mirror = _sine_supplied(MirrorKind.PMOS_RESISTOR)
+    assert engine._Topology(mirror).dim == 7
+    run_transient(mirror, SimOptions(dt=1e-4, t_stop=0.2), ["i(M2)"])
+    assert len(counts) > 1 and counts[:-1] == [512] * (len(counts) - 1)
+    assert 0 < counts[-1] <= 512
 
 
 def test_dc_supplied_transient_compiles_one_row(monkeypatch):
@@ -1530,7 +1598,9 @@ def test_mosfet_free_rows_are_assembled_and_solved_once(monkeypatch):
                             calls.append(name) or real(*args))
     counts = _compiled_rows(monkeypatch)
     build, dt = MEMORYLESS["resistor-loop"]
-    run_transient(build(), SimOptions(dt=dt, t_stop=(THREE_BLOCKS - 1) * dt), ["i(R1)"])
+    cir = build()
+    _stack_blocks(monkeypatch, cir)
+    run_transient(cir, SimOptions(dt=dt, t_stop=(THREE_BLOCKS - 1) * dt), ["i(R1)"])
     assert len(counts) >= 2 and calls == ["_solve1"] * len(counts)
 
 
