@@ -22,7 +22,9 @@ frequencies; and ``solve_dc`` and fixed and error-controlled
 by source stepping and stall while stepping (its line ends with
 ``newton=`` the list-Newton iterations its rows solved alone ran, counted
 by wrapping ``_Steps.iterate``, a Newton that raises by its trace);
-``2m`` DC rows with ``Y2.m0``
+``solve_dc`` of a lone ``2r`` row at those limits, whose first Newton
+fails and whose source stepping converges (its line ends with
+``newton=`` too); ``2m`` DC rows with ``Y2.m0``
 records, one solved alone and three as one stack; and ``run_transient`` on
 the fixed grid of a sine-driven resistive ladder, whose stacked DC rows
 each converge in Newton's second iteration; and ``run_transient`` on the
@@ -40,7 +42,7 @@ ones included, and, where ``_Steps`` counts its accepted steps per order
 ``/``; the script counts them by wrapping ``_Steps.march`` and
 ``_Steps.iterate``, so a diff against ``--root`` shows where a change in
 work comes from.  No other line carries counts but the stepped stack's
-``newton=``.
+and the stepped lone row's ``newton=``.
 """
 
 import argparse
@@ -86,6 +88,10 @@ R1 in 0 10k
 # 20k and 38k converge cold, 60k by source stepping, 100k stalls stepping
 STEPPED_LOADS = (20e3, 38e3, 60e3, 100e3)
 STEPPED_LIMITS = (6, 3)
+
+# the R2 load (ohm) of a lone 2r row at those limits: its first Newton
+# fails, and its source stepping converges
+LONE_LOAD = 60e3
 
 # initial memristances (ohm) of 2m's Y2 as Y2.m0 records: the first solved
 # alone, and all three as one stack
@@ -181,13 +187,11 @@ def probes_of(circuit) -> list[str]:
                if isinstance(d, BoundMemristor) for p in "wm"])
 
 
-def stepped_stack(counts: list):
-    """The ``STEPPED_LOADS`` stack solved at ``STEPPED_LIMITS``: its
-    arrays, and each row's operating point, or its error and trace; adds
-    the list-Newton iterations its rows ran alone to ``counts[1]``."""
-    import mirrorsim as ms
+def at_stepped_limits(counts: list, solve):
+    """``solve()`` run at ``STEPPED_LIMITS``, adding the list-Newton
+    iterations it runs, a Newton that raises by its trace, to
+    ``counts[1]``."""
     from mirrorsim import engine
-    from mirrorsim.netlist import overrides
 
     def counted(self, *args):
         try:
@@ -198,22 +202,43 @@ def stepped_stack(counts: list):
         counts[1] += result[-1]
         return result
 
-    base = ms.mirror_circuit(ms.MirrorConfig(kind=ms.MirrorKind("2r")))
-    position, records, _ = overrides(base, "R2.r_nominal", list(STEPPED_LOADS))
     limits = engine._MAX_NEWTON_ITERS, engine._SOURCE_STEPS
     iterate = engine._Steps.iterate
     engine._MAX_NEWTON_ITERS, engine._SOURCE_STEPS = STEPPED_LIMITS
     engine._Steps.iterate = counted
     try:
-        rows = engine._compile(base, [None] * len(STEPPED_LOADS),
-                               records={position: records}).solve()
+        return solve()
     finally:
         engine._MAX_NEWTON_ITERS, engine._SOURCE_STEPS = limits
         engine._Steps.iterate = iterate
+
+
+def stepped_stack(counts: list):
+    """The ``STEPPED_LOADS`` stack solved at ``STEPPED_LIMITS``: its
+    arrays, and each row's operating point, or its error and trace; adds
+    the list-Newton iterations its rows ran alone to ``counts[1]``."""
+    import mirrorsim as ms
+    from mirrorsim import engine
+    from mirrorsim.netlist import overrides
+
+    base = ms.mirror_circuit(ms.MirrorConfig(kind=ms.MirrorKind("2r")))
+    position, records, _ = overrides(base, "R2.r_nominal", list(STEPPED_LOADS))
+    rows = at_stepped_limits(counts, lambda: engine._compile(
+        base, [None] * len(STEPPED_LOADS), records={position: records}).solve())
     outcomes = [(f"{type(rows.errors[k]).__name__}: {rows.errors[k]}",
                  rows.errors[k].trace) if k in rows.errors else rows.operating_point(k)
                 for k in range(len(STEPPED_LOADS))]
     return [rows.x, rows.iterations, rows.currents, rows.residual, outcomes]
+
+
+def lone_stepped(counts: list):
+    """``solve_dc`` of ``2r`` with ``R2`` at ``LONE_LOAD``, at
+    ``STEPPED_LIMITS``; adds its list-Newton iterations to ``counts[1]``."""
+    import mirrorsim as ms
+
+    base = ms.mirror_circuit(ms.MirrorConfig(kind=ms.MirrorKind("2r")))
+    circuit = ms.with_override(base, "R2.r_nominal", LONE_LOAD)
+    return at_stepped_limits(counts, lambda: ms.solve_dc(circuit))
 
 
 def record_rows():
@@ -233,7 +258,7 @@ def record_rows():
 
 def runs(counts: list):
     """(label, zero-argument call) of every fingerprinted run; the stepped
-    stack adds its counts to ``counts``."""
+    stack and the stepped lone row add their counts to ``counts``."""
     import mirrorsim as ms
     import workloads
 
@@ -280,6 +305,7 @@ def runs(counts: list):
                 yield (f"run_transient {kind} {mode} {temp} K",
                        lambda c=circuit, o=opts: ms.run_transient(c, o, probes_of(c)))
     yield "solve 2r stack stepped", lambda: stepped_stack(counts)
+    yield "solve_dc 2r lone stepped", lambda: lone_stepped(counts)
     yield "solve 2m Y2.m0 records alone and stacked", record_rows
     ladder = ms.elaborate(ms.parse(LADDER_DECK))
     yield ("run_transient ladder fixed",

@@ -267,19 +267,18 @@ def _sine_drive(circuit: Circuit, frequency: float, periods: int, samples: int,
     sine drive at ``frequency``, recorded ``samples`` times a period: t =
     k*dt with dt = 1/(frequency*samples), ``periods*samples + 1`` samples.
 
-    A memristive circuit runs the whole transient, from ``states`` (metres
-    by name; None or empty: its initial states), with error-controlled
-    steps when ``adaptive``.  A circuit with no memristor carries no state, so each
-    period is the same solve in exact arithmetic: only samples
-    0..samples-1 are solved, and they are tiled over the run.
+    One transient runs, from ``states`` (metres by name; None or empty: the
+    initial states), with error-controlled steps when ``adaptive``: every
+    period of a memristive circuit, and samples 0..samples-1 of a circuit
+    with no memristor, which carries no state, so that each of its periods
+    is the same solve in exact arithmetic.  Its samples are then tiled over
+    the grid (a copy where the run already fills it).
     """
     dt = 1.0 / (frequency * samples)
     t = np.arange(periods * samples + 1) * dt
-    if _has_memristors(circuit):
-        opts = SimOptions(dt=dt, t_stop=periods / frequency, adaptive=adaptive)
-        result = run_transient(circuit, opts, probes, initial_states=states)
-        return t, [w.values for w in result.waveforms]
-    result = run_transient(circuit, SimOptions(dt=dt, t_stop=(samples - 1) * dt), probes)
+    t_stop = periods / frequency if _has_memristors(circuit) else (samples - 1) * dt
+    result = run_transient(circuit, SimOptions(dt=dt, t_stop=t_stop, adaptive=adaptive),
+                           probes, initial_states=states)
     return t, [np.resize(w.values, len(t)) for w in result.waveforms]
 
 
@@ -627,10 +626,8 @@ def hysteresis_trace(params: MemristorParams | ResistorParams, drive: SourceSpec
     if isinstance(params, MemristorParams):
         device = BoundMemristor("Y1", 1, 0, params,
                                 _HYSTERESIS_INITIAL_FRACTION * params.length)
-        current_probe = "i(Y1)"
     elif isinstance(params, ResistorParams):
         device = BoundResistor("R1", 1, 0, params)
-        current_probe = "i(R1)"
     else:
         raise AnalysisError(
             "hysteresis harness takes memristor or resistor parameters")
@@ -641,7 +638,7 @@ def hysteresis_trace(params: MemristorParams | ResistorParams, drive: SourceSpec
         temp=temp,
     )
     cycles, samples = _HYSTERESIS_CYCLES, _HYSTERESIS_SAMPLES
-    probes = ["v(in)", current_probe]
+    probes = ["v(in)", f"i({device.name})"]
     periodic = False
     if isinstance(params, MemristorParams) and drive.dc_value == 0.0:
         t, (voltage, current, w) = _sine_drive(circuit, drive.frequency, 1, samples,

@@ -42,10 +42,10 @@ memristive transient, in the one layout above: nodes, branches, states.
 Its system, the DC row's with each memristor's condensed stamp, is one
 flat list, and each Newton iteration makes one bare LAPACK call.  Its DC
 solve (:meth:`_Steps.solve`) is a step of zero length from its own states,
-with the source-stepping retry; that list Newton alone makes a DC row's
-error and trace.  Every recorded sample is a row of that layout too: a
-step's solution, or a DC solution with the states it was frozen at
-appended.
+started at its row's first guess and source values, with the
+source-stepping retry; that list Newton alone makes a DC row's error and
+trace.  Every recorded sample is a row of that layout too: a step's
+solution, or a DC solution with the states it was frozen at appended.
 
 DC solves have a leading batch axis.  One function compiles a circuit into
 rows of one topology as per-row arrays, each at the circuit's temperature or
@@ -79,6 +79,9 @@ the kernel that :func:`numpy.linalg.solve` calls, to the same bits, without
 that function's checks: a singular system reads NaN in its own row of the
 stack, as does one whose solution overflows, and for such a row, solved
 alone, :func:`numpy.linalg.solve` tells the two apart (:func:`_solve_error`).
+numpy's floating-point warnings are silenced where a solve begins, once:
+in :meth:`_DcRows.solve`, and around a memristive transient's DC solve
+and steps.
 Circuits here have fewer than ten nodes, so no sparse machinery is
 warranted.
 """
@@ -144,8 +147,8 @@ _MAX_NEWTON_ITERS = 100
 
 # A DC row whose first Newton (started at its own source values, see
 # _DcRows.start) fails is retried alone (_Steps.solve) with its sources
-# ramped up in this many equal steps from 0 V, each step's Newton started
-# from the last; below 2 there is no retry
+# ramped up in this many equal steps from 0 V, at least one, each step's
+# Newton started from the last
 _SOURCE_STEPS = 10
 
 # Newton voltage-step limit on nodes touching a MOSFET terminal
@@ -153,16 +156,11 @@ _DAMP_LIMIT = 0.5
 
 # matrix entries (rows x unknowns**2) of the distinct samples of a transient
 # recorded as DC solutions per batched Newton (_stack_rows): a 7-unknown
-# mirror stacks 512 rows, as the 512-row blocks before it did, and a
-# 3-unknown loop 2,787, so a 2,001-sample hysteresis grid is one stack.
-# Over the benchmark's drive workload (2-core Xeon VM, numpy 2.4.6), whole
-# transients as one batch had raised peak RSS 34.3 -> 36.9 MB and 512-row
-# blocks 34.3 -> 34.7 MB; against those blocks this bound cut the compiles
-# of the seed-1 and seed-7 cycles from 88 to 40 and took seed 1 from 260 to
-# 289 ref tasks/s (medians of ten 30 s runs each) for 0.3 MB more peak RSS
-# (36.2 -> 36.4 MB).  A 20,001-sample pmos-r sine run peaks at 37.8 MB
-# under this bound (38.6 MB under those blocks), and at 45.5 MB under flat
-# 4,096-row blocks, so the bound counts entries, not rows
+# mirror stacks 512 rows and a 3-unknown loop 2,787, so a 2,001-sample
+# hysteresis grid is one stack.  The bound counts entries, not rows,
+# because a stack's memory grows with them: a 20,001-sample pmos-r sine run
+# peaks at 37.8 MB under this bound and at 45.5 MB under flat 4,096-row
+# stacks (2-core Xeon VM, numpy 2.4.6)
 _STACK_ENTRIES = 512 * 7 ** 2
 
 # Newton step limit on a normalized memristor state s = w/L, the state
@@ -607,9 +605,9 @@ class _DcRows:
     iterates equal those of the same row solved alone, to the bit.  The
     stacked :meth:`newton` only converges rows; a row it leaves, and the
     row of a batch of one, is solved alone by :meth:`_Steps.solve`, a step
-    of zero length of a :class:`_Steps` built on the row, its own records
-    and states, which alone makes a DC row's error, trace and
-    source-stepping retry.
+    of zero length of a :class:`_Steps` built on the row, its own records,
+    states, first guess and source values, which alone makes a DC row's
+    error, trace and source-stepping retry.
     """
 
     def __init__(self, topo: _Topology, temps, records, states, values: np.ndarray):
@@ -717,7 +715,6 @@ class _DcRows:
         x[:, nodes] = signs * self.values[rows][:, cols]
         return x
 
-    @np.errstate(all="ignore")  # a row whose solution is not finite is left
     def newton(self, rows, x) -> tuple[list[int], list[int]]:
         """Newton-Raphson on ``rows`` (ascending) from the guesses ``x``, as
         one stack, to the dual tolerance: per-node voltage deltas below
@@ -729,7 +726,9 @@ class _DcRows:
         to its entries.  Returns the rows it leaves, as two lists: those
         whose solution is not finite, and those still running at
         ``_MAX_NEWTON_ITERS``.  :meth:`solve` solves each alone, which
-        makes its error, trace and retry.
+        makes its error, trace and retry.  Its caller, :meth:`solve`,
+        silences numpy's floating-point warnings: a row whose solution is
+        not finite is left, not warned of.
         """
         n, damped = self.topo.n_nodes, self.topo.damped_nodes
         vntol, reltol = SimOptions.vntol, SimOptions.reltol
@@ -769,28 +768,27 @@ class _DcRows:
         the stack left still running at ``_MAX_NEWTON_ITERS`` goes straight
         to that retry: its own first Newton, from :meth:`start`, would run
         the stack's iterates again, to the same limit.  A row's iterates
-        depend on its own inputs alone, not on its batch.  Fills ``x``,
-        ``iterations``, ``currents``, ``residual`` (NaN in a failed row) and
-        ``errors`` in place and returns the rows."""
-        count = len(self.temps)
-        self.x = np.full((count, self.topo.dim), math.nan)
+        depend on its own inputs alone, not on its batch.  numpy's
+        floating-point warnings are silenced here, for every solve of the
+        rows.  Fills ``x``, ``iterations``, ``currents``, ``residual`` (NaN
+        in a failed row) and ``errors`` in place and returns the rows."""
+        count, dim = len(self.temps), self.topo.dim
+        self.x = np.full((count, dim), math.nan)
         self.iterations = np.full(count, math.nan)
         self.currents = np.full((count, len(self.topo.current_nodes)), math.nan)
         self.residual = np.full(count, math.nan)
         rows = np.array([k for k in range(count) if k not in self.errors], dtype=int)
-        failed, running = (self.newton(rows, self.start(rows)) if count > 1
-                           else (rows.tolist(), []))
-        for k in sorted(failed + running):
-            cold = k in failed or _SOURCE_STEPS < 2
-            try:
-                x, currents, residual, its = _Steps(self, k).solve(
-                    self.start([k])[0].tolist() if cold else None,
-                    self.values[k].tolist())
-            except SimulationError as exc:
-                self.errors[k] = exc
-                continue
-            self.x[k], self.currents[k, self.topo.kind_order] = x[:self.topo.dim], currents
-            self.residual[k], self.iterations[k] = residual, its
+        with np.errstate(all="ignore"):  # the bare kernel reads NaN
+            failed, running = (self.newton(rows, self.start(rows)) if count > 1
+                               else (rows.tolist(), []))
+            for k in sorted(failed + running):
+                try:
+                    x, currents, residual, its = _Steps(self, k).solve(k in failed)
+                except SimulationError as exc:
+                    self.errors[k] = exc
+                    continue
+                self.x[k], self.residual[k], self.iterations[k] = x[:dim], residual, its
+                self.currents[k, self.topo.kind_order] = currents
         return self
 
     def operating_point(self, k: int) -> OperatingPoint:
@@ -871,8 +869,10 @@ class _Steps:
     Its unknowns are one list of floats ``x``: the layout the module
     docstring gives, the nodes and branches, then the normalized states
     ``w / L`` of the topology's memristors at ``x[dim:]`` (each
-    memristor's column ``col`` in :attr:`memristors`); :attr:`states` are
-    the row's own.  Every step
+    memristor's column ``col`` in :attr:`memristors`); :attr:`states`,
+    :attr:`start` (the nodes and branches of Newton's first guess,
+    :meth:`_DcRows.start`) and :attr:`values` (the sources') are the
+    row's own.  Every step
     solves ``s = hist + dt_eff * (dw/dt)/L``: a backward-Euler step has
     ``hist`` the previous states and ``dt_eff = dt``, and a variable-step
     BDF step of order k (:meth:`march`, :func:`_bdf`) a blend of the last k
@@ -896,6 +896,8 @@ class _Steps:
     def __init__(self, rows: _DcRows, row: int = 0):
         topo = self.topo = rows.topo
         self.specs = [src.spec for src in topo.sources]
+        self.start = rows.start([row])[0].tolist()
+        self.values = rows.values[row].tolist()
         self.branches = topo.branch_cols.tolist()
         self.damped = [j in topo.damped_nodes for j in range(topo.n_nodes)]
         self.g_base = rows._scatter("res", topo.fixed[None].copy(),
@@ -1024,30 +1026,29 @@ class _Steps:
             sums[node] += by_kind[column] * sign
         return by_kind, max(map(abs, sums[1:]))
 
-    @np.errstate(all="ignore")  # for iterate's kernel
-    def solve(self, x, values):
-        """The row's DC solve with the sources at ``values``: a step at
-        ``dt_eff = 0`` whose history is the row's :attr:`states`, so that
-        each memristor stamps its frozen memristance and its state stays
-        put, and which iterates as :meth:`_DcRows.newton` iterates the row,
-        to the bit.  Returns :meth:`iterate`'s (x, currents, residual,
-        iterations), ``x`` in the step layout, its states at ``x[dim:]``.
+    def solve(self, warm: bool = True):
+        """The row's DC solve with the sources at its :attr:`values`: a
+        step at ``dt_eff = 0`` whose history is the row's :attr:`states`,
+        so that each memristor stamps its frozen memristance and its state
+        stays put, and which iterates as :meth:`_DcRows.newton` iterates
+        the row, to the bit.  Returns :meth:`iterate`'s (x, currents,
+        residual, iterations), ``x`` in the step layout, its states at
+        ``x[dim:]``.  Its caller silences numpy's floating-point warnings,
+        as :meth:`iterate` asks.
 
-        Newton starts at ``x``, the nodes and branches (the row's
-        :meth:`_DcRows.start`).  Where it fails to converge (a
-        :class:`NonConvergenceError`), or where ``x`` is None, the sources
-        are ramped up from 0 V in ``_SOURCE_STEPS`` equal steps, each
-        step's Newton started from the last's solution; a stepped row's
-        iterations sum its steps'.  A failure raises: ``iterate``'s error,
-        with its trace, or the stepping's "source stepping stalled"; below
-        two steps there is no ramp, and ``x`` must be given."""
-        states = self.states
-        if x is not None:
+        When ``warm``, Newton starts at :attr:`start`.  Where that fails to
+        converge (a :class:`NonConvergenceError`), or when not ``warm``,
+        the sources are ramped up from 0 V in ``_SOURCE_STEPS`` equal
+        steps, each step's Newton started from the last's solution; a
+        stepped row's iterations sum its steps'.  A failure raises:
+        ``iterate``'s error, with its trace, or the stepping's "source
+        stepping stalled"."""
+        states, values = self.states, self.values
+        if warm:
             try:
-                return self.iterate(x + states, values, 0.0, states)
+                return self.iterate(self.start + states, values, 0.0, states)
             except NonConvergenceError:
-                if _SOURCE_STEPS < 2:
-                    raise
+                pass
         x, its = [0.0] * self.topo.dim + states, 0
         for step in range(1, _SOURCE_STEPS + 1):
             scale = step / _SOURCE_STEPS
@@ -1068,9 +1069,10 @@ class _Steps:
         dt_eff*(dw/dt)/L``: a step to time ``t`` (:meth:`march`), or, at
         ``dt_eff = 0`` with ``hist`` the states and no time, the row's DC
         solve as :meth:`_DcRows.newton` iterates it, to the bit
-        (:meth:`solve`).  Call it inside
-        ``np.errstate(all="ignore")``: the bare kernel reports a singular
-        matrix as NaN.
+        (:meth:`solve`).  Its caller silences numpy's floating-point
+        warnings where the solve begins (:meth:`_DcRows.solve`,
+        :func:`run_transient`): the bare kernel reports a singular matrix
+        as NaN.
 
         Converged means per-node voltage deltas below vntol + reltol*|V|,
         every state delta below reltol, and the device-KCL residual below
@@ -1156,7 +1158,6 @@ class _Steps:
             f"Newton did not converge within {_MAX_NEWTON_ITERS} iterations{at} "
             f"(last max |dV|={trace[-1][1]:.3g} V)", trace=trace, time=t)
 
-    @np.errstate(all="ignore")  # for iterate's kernel, once per march
     def march(self, x, currents, t: float, t_end: float, h: float,
               floor: float, controlled: bool):
         """Steps from the solution ``x`` (states included) and its device
@@ -1164,7 +1165,8 @@ class _Steps:
         returns the accepted times, solutions and device currents as lists,
         the start included.  Each step is :meth:`iterate` on a copy of its
         start, with the sources at its end time, and adds one to
-        ``orders[k]``, k its order.
+        ``orders[k]``, k its order.  Its caller, :func:`run_transient`,
+        silences numpy's floating-point warnings, as :meth:`iterate` asks.
 
         A step whose Newton runs out of iterations is halved and retried;
         one that fails at the ``floor`` raises its
@@ -1494,8 +1496,10 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
     memristances belong to one solution.  The circuit is compiled once, as
     one :class:`_DcRows` row, and one :class:`_Steps` built on it, on
     Python lists copied from that row with its states as the last
-    unknowns, solves t = 0 (its DC solve, :meth:`_Steps.solve`) and takes
-    every step from there.  A step whose Newton
+    unknowns, solves t = 0 (its DC solve, :meth:`_Steps.solve`, from the
+    row's first guess and source values) and takes every step from there,
+    numpy's floating-point warnings silenced once around them all.  A step
+    whose Newton
     runs out of iterations is cut: halved and retried, and grown back after
     each success, until it reaches its grid time, which alone is recorded.
     A step that still fails at ``dt / 2**_MAX_CUTS``, or whose Newton
@@ -1576,30 +1580,30 @@ def run_transient(circuit: Circuit, opts: SimOptions, probes: list[str], *,
         if rows.errors:
             raise rows.errors[0]
         steps = _Steps(rows)
-        x, c, _, _ = steps.solve(rows.start([0])[0].tolist(), rows.values[0].tolist())
-        if opts.adaptive:
-            # the first step is dt, or the step cap when that is smaller;
-            # on a requested grid the steps end at its last sample
-            h = min(dt, steps.max_step)
-            t_end = opts.t_stop if opts.dt is None else float(times[-1])
-            floor, count = h / 2 ** _MAX_CUTS, t_end / steps.max_step
-            if count > _MAX_CONTROLLED_STEPS:
-                raise ValueError(f"{t_end:.3g} s at most {steps.max_step:.3g} s a step "
-                                 f"= {count:.3g} controlled steps; at most "
-                                 f"{_MAX_CONTROLLED_STEPS:.0e} are taken")
-            ts, accepted, cs = steps.march(x, c, 0.0, t_end, h, floor, True)
-            x = accepted[-1]
-            if opts.dt is None:
-                times, dt = np.array(ts), h
-                xs, cs = np.array(accepted), np.array(cs)
+        with np.errstate(all="ignore"):  # for the steps' kernel
+            x, c, _, _ = steps.solve()
+            if opts.adaptive:
+                # the first step is dt, or the step cap when that is smaller;
+                # on a requested grid the steps end at its last sample
+                h = min(dt, steps.max_step)
+                t_end = opts.t_stop if opts.dt is None else float(times[-1])
+                floor, count = h / 2 ** _MAX_CUTS, t_end / steps.max_step
+                if count > _MAX_CONTROLLED_STEPS:
+                    raise ValueError(f"{t_end:.3g} s at most {steps.max_step:.3g} s a "
+                                     f"step = {count:.3g} controlled steps; at most "
+                                     f"{_MAX_CONTROLLED_STEPS:.0e} are taken")
+                ts, accepted, cs = steps.march(x, c, 0.0, t_end, h, floor, True)
+                x = accepted[-1]
+                if opts.dt is None:
+                    times, dt = np.array(ts), h
+                    xs, cs = np.array(accepted), np.array(cs)
+                else:
+                    states = np.clip(_quadratic_read(ts, np.array(accepted)[:, dim:],
+                                                     times), 0.0, 1.0)
             else:
-                states = np.clip(_quadratic_read(ts, np.array(accepted)[:, dim:], times),
-                                 0.0, 1.0)
-        else:
-            floor = dt / 2 ** _MAX_CUTS
-            xs, cs = (np.empty((len(times), len(v))) for v in (x, c))
-            xs[0], cs[0] = x, c
-            with np.errstate(all="ignore"):  # for the steps' kernel
+                floor = dt / 2 ** _MAX_CUTS
+                xs, cs = (np.empty((len(times), len(v))) for v in (x, c))
+                xs[0], cs[0] = x, c
                 for k in range(1, n_steps + 1):
                     t = float(times[k])
                     values = [source_value(spec, t) for spec in steps.specs]

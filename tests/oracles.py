@@ -136,14 +136,19 @@ def o_memristor_loop(params, amplitude, frequency, t, s0=0.5):
     return amplitude * np.sin(omega * t) / (s * r_on + (1.0 - s) * r_off)
 
 
-def o_rk4_states(currents, params, s0, t_stop, steps):
+def o_rk4_states(currents, params, s0, t_stop, steps, times=None):
     """Normalized states s = w/L at ``t_stop`` of memristors started at
     ``s0``, by the classical fourth-order Runge-Kutta method in ``steps``
     equal steps on ds/dt = o_dwdt(s*L, ...) / L.  ``params`` holds each
     memristor's parameters, and ``currents(s)`` its current (A) with the
     states at s: a DC solve with the memristances frozen there makes this
     the reduced state ODE of a memristive transient, whose node voltages
-    follow the states at once.  The states must stay inside [0, 1]."""
+    follow the states at once.  The states must stay inside [0, 1].
+
+    Given ``times`` (an array within [0, t_stop]), returns the states at
+    each of them instead, (times, memristors): each read between the two
+    steps around it by the cubic Hermite polynomial through their states
+    and rates, a dense output of third order in the step."""
     h = t_stop / steps
 
     def rate(s):
@@ -152,10 +157,21 @@ def o_rk4_states(currents, params, s0, t_stop, steps):
                          for sk, p, i in zip(s, params, currents(s))])
 
     s = np.array(s0, dtype=float)
+    nodes, slopes = [s], []
     for _ in range(steps):
         k1 = rate(s)
         k2 = rate(s + 0.5 * h * k1)
         k3 = rate(s + 0.5 * h * k2)
         k4 = rate(s + h * k3)
         s = s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return s
+        nodes.append(s)
+        slopes.append(k1)
+    if times is None:
+        return s
+    slopes.append(rate(s))
+    nodes, slopes = np.array(nodes), np.array(slopes)
+    times = np.asarray(times, dtype=float)
+    k = np.clip(np.floor(times / h).astype(int), 0, steps - 1)
+    u = ((times - k * h) / h)[:, None]
+    return ((1.0 + 2.0 * u) * (1.0 - u) ** 2 * nodes[k] + u * (1.0 - u) ** 2 * h * slopes[k]
+            + u * u * (3.0 - 2.0 * u) * nodes[k + 1] - u * u * (1.0 - u) * h * slopes[k + 1])

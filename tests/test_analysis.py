@@ -341,6 +341,44 @@ class TestSettledTransient:
             assert controlled.op.device_currents[name] == pytest.approx(
                 fixed.op.device_currents[name], rel=1e-3)
 
+    # the budget on the settled i(M2)'s relative distance from the DC solve
+    # at the reference's states at 3 s: the errors of the controlled steps
+    # (1.1788e-6, 4.0165e-7 and 9.675e-8), rounded up
+    @pytest.mark.parametrize("kind, vdd, budget", [
+        (MirrorKind.TWO_MEMRISTORS, 2.0, 1.18e-6),
+        (MirrorKind.TWO_MEMRISTORS, 2.9, 4.02e-7),
+        (MirrorKind.PMOS_MEMRISTOR, 2.0, 9.68e-8),
+    ], ids=["2m-2.0V", "2m-2.9V", "pmos-m-2.0V"])
+    def test_settle_time_and_point_are_within_their_budget_of_the_reference(
+            self, kind, vdd, budget):
+        # the reference integrates the reduced state ODE with classical
+        # Runge-Kutta steps of 20 ms, reads its states on the 1 ms lattice
+        # (within 2.1e-6 of 1 ms steps, with the same switching times) and
+        # i(M2) there by DC solves at those states; each deck settles
+        # within its first 3 s chunk, so the record is that chunk's
+        circuit = mirror_circuit(MirrorConfig(kind, vdd=vdd))
+        mems = [d for d in circuit.devices if isinstance(d, BoundMemristor)]
+
+        def currents(s):
+            op = solve_dc(circuit, states={m.name: sk * m.params.length
+                                           for m, sk in zip(mems, s)})
+            return [op.device_currents[m.name] for m in mems]
+
+        lattice = np.arange(3001) * 1e-3
+        states = oracles.o_rk4_states(currents, [m.params for m in mems],
+                                      [m.w0 / m.params.length for m in mems], 3.0, 150,
+                                      times=lattice)
+        rows = engine._compile(circuit, [None] * len(lattice), states=list(states.T)).solve()
+        assert not rows.errors
+        record = rows.currents[:, circuit.devices.index(circuit.device("M2"))]
+        reference = switching_time(Waveform("i(M2)", "A", lattice, record))
+        settled = settled_transient(circuit)
+        assert abs(settled.settle_time - reference) <= 1e-3 + 1e-12
+        at_end = solve_dc(circuit, states={m.name: sk * m.params.length
+                                           for m, sk in zip(mems, states[-1])})
+        want = at_end.device_currents["M2"]
+        assert abs(settled.op.device_currents["M2"] - want) <= budget * abs(want)
+
     @pytest.mark.parametrize("max_time", [math.nan, 0.0, -1.0, math.inf])
     def test_a_max_time_outside_zero_to_inf_is_refused_before_any_run(
             self, monkeypatch, max_time):
